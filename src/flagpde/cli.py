@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -191,24 +190,19 @@ def _int_list(text: str):
         raise InputError(f"not an integer list: {text!r} ({err})") from None
 
 
-def _family_payload(family: BasisFamily, verify_independence: bool, jobs: int):
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        op = family.annihilator
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            residuals = list(pool.map(lambda e: op(e.solution).is_zero(), family.elements))
-        if not all(residuals):
-            raise VerificationError("family element not annihilated exactly")
-    else:
-        family.verify_annihilation()
-    if verify_independence and len(family) <= 200:
+def _family_payload(family: BasisFamily, verify_independence: bool):
+    family.verify_annihilation()
+    if verify_independence:
         family.verify_independence()
-    return family.to_json()
+    payload = family.to_json()
+    payload["checks"] = [
+        {"name": "annihilation", "status": "passed"},
+        {"name": "independence", "status": "passed" if verify_independence else "skipped"},
+    ]
+    return payload
 
 
 def _cmd_basis(args):
-    jobs = args.jobs
     if args.kind == "constant":
         if not args.orders:
             raise InputError("basis constant requires --orders")
@@ -237,7 +231,7 @@ def _cmd_basis(args):
         family = anisymmetric_basis(args.n, _fraction(args.lam), args.epsilon, args.cap)
     else:
         raise InputError(f"unknown basis kind {args.kind}")
-    payload = _family_payload(family, verify_independence=not args.no_independence, jobs=jobs)
+    payload = _family_payload(family, verify_independence=not args.no_independence)
     _emit(args, payload, file_paths=[args.spec] if getattr(args, "spec", None) else [])
     return 0
 
@@ -400,7 +394,7 @@ def _cmd_lie(args):
         return 3 if failed else 0
     else:
         raise InputError(f"unknown lie kind {args.kind}")
-    payload = _family_payload(family, verify_independence=True, jobs=args.jobs)
+    payload = _family_payload(family, verify_independence=True)
     payload.update(extra)
     payload["annihilated"] = True
     _emit(args, payload)
@@ -432,13 +426,11 @@ def _build_parser():
         description="Exact operator-series solvers for flag PDEs and related families.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    default_jobs = int(os.environ.get("FLAGPDE_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--out", help="write the result JSON (or CSV for grids) here")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--jobs", type=int, default=default_jobs)
 
     p = sub.add_parser("basis", help="generate a verified solution family")
     p.add_argument("kind", choices=["constant", "harmonic", "flag", "dissipative", "anisym"])

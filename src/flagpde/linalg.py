@@ -1,15 +1,26 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
-Plain Gaussian elimination with exact field arithmetic: every pivot step is
-an exact division, so ranks, nullspaces and span comparisons are certain.
-Matrices are lists of lists whose entries are Fraction or GaussianRational.
+Matrices are lists of rows of ints, Fractions or GaussianRationals.
+Elimination works on sparse rows, dicts from column to nonzero entry, so
+zero cells cost nothing; polynomial ranks and slice kernels build those rows
+straight from the polynomials' terms.
+
+Rank is certified cheaply. Reduction mod the 61-bit prime ``P`` (with
+sqrt(-1) sent to ``SQRT_MINUS_ONE``, a square root of -1 mod P) is a ring
+homomorphism, so the rank mod P never exceeds the exact rank. When the rank
+mod P is full, min(rows, nonzero columns), it is therefore the exact rank.
+Otherwise (a rank deficient mod P, a denominator divisible by P, or an entry
+of another type) the rank comes from exact sparse elimination over Q or
+Q(i). Nullspaces and slice kernels are always exact: sparse elimination and
+back-substitution to the reduced row echelon form, which is unique for a
+fixed column order, so kernel bases are canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial, coeff_inverse
+from .poly import GaussianRational, Polynomial, coeff_inverse
 
 __all__ = [
     "bidegree_monomials",
@@ -23,83 +34,176 @@ __all__ = [
     "polys_to_matrix",
 ]
 
+P = 2305843009213693921
+"""A 61-bit prime with P = 1 (mod 4), so -1 is a square mod P."""
 
-def _row_reduce(rows):
-    """In-place forward elimination; returns the list of pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
+SQRT_MINUS_ONE = 583529827753931384
+"""S with S * S = -1 (mod P): the image of sqrt(-1) in Z/P."""
+
+
+def _row_reduce(rows, p=None, reduced=False):
+    """Sparse Gaussian elimination; returns {pivot column: pivot row}.
+
+    Each row is a dict {column: nonzero entry}; columns are any mutually
+    comparable keys. With a prime ``p`` the entries are residues in
+    [0, p) and the arithmetic is mod p; otherwise it is the entries' own
+    exact field arithmetic. Every pivot row starts at its pivot column with
+    a 1 and holds no earlier pivot column (row echelon form). With
+    ``reduced`` every pivot column is also cleared from the other pivot
+    rows (reduced row echelon form). The input rows are left unchanged.
+    """
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                if p:
+                    inv = pow(row[c], -1, p)
+                    pivots[c] = {k: v * inv % p for k, v in row.items()}
+                else:
+                    inv = coeff_inverse(row[c])
+                    pivots[c] = {k: v * inv for k, v in row.items()}
                 break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = coeff_inverse(rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+            _eliminate(row, prow, row[c], p)
+    if reduced:
+        # last pivot first, so each pivot row is already clear of the later
+        # pivot columns when it is subtracted from the rows above it
+        order = sorted(pivots)
+        for i in reversed(range(len(order))):
+            c, prow = order[i], pivots[order[i]]
+            for earlier in order[:i]:
+                row = pivots[earlier]
+                if c in row:
+                    _eliminate(row, prow, row[c], p)
     return pivots
 
 
+def _eliminate(row, prow, factor, p):
+    """row -= factor * prow in place, dropping the entries that cancel."""
+    # a key missing from row gets -factor * v, which is nonzero in a field,
+    # so an entry that cancels was present and can be deleted
+    if p:
+        for k, v in prow.items():
+            x = (row.get(k, 0) - factor * v) % p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+    else:
+        for k, v in prow.items():
+            x = row.get(k, 0) - factor * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _residue(value, inverses):
+    """The image of an exact entry in Z/P, or None when it has none here."""
+    if isinstance(value, Fraction):
+        den = value.denominator
+        if den == 1:
+            return value.numerator % P
+        inv = inverses.get(den)
+        if inv is None:
+            if not den % P:
+                return None
+            inv = inverses[den] = pow(den, -1, P)
+        return value.numerator * inv % P
+    if isinstance(value, int):
+        return value % P
+    if isinstance(value, GaussianRational):
+        re, im = _residue(value.re, inverses), _residue(value.im, inverses)
+        return None if re is None or im is None else (re + SQRT_MINUS_ONE * im) % P
+    return None
+
+
+def _residues(rows):
+    """The sparse rows mod P, or None when an entry has no image in Z/P."""
+    inverses = {}
+    out = []
+    for row in rows:
+        res = {}
+        for k, v in row.items():
+            x = _residue(v, inverses)
+            if x is None:
+                return None
+            if x:
+                res[k] = x
+        out.append(res)
+    return out
+
+
+def _rank(rows) -> int:
+    """Exact rank of sparse rows: certified mod P when full, else exact."""
+    full = min(len(rows), len(set().union(*rows)))
+    residues = _residues(rows)
+    if residues is not None and len(_row_reduce(residues, P)) == full:
+        return full
+    return len(_row_reduce(rows))
+
+
+def _sparse(rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
 def matrix_rank(rows) -> int:
-    work = [list(r) for r in rows]
-    return len(_row_reduce(work))
+    """Exact rank of a matrix given as a list of rows."""
+    return _rank(_sparse(rows))
+
+
+def _kernel_vectors(pivots, ncols):
+    """Sparse kernel basis {column: entry}, one per free column, from an RREF."""
+    kernel = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivots}
+    for pc, prow in pivots.items():
+        for fc, v in prow.items():
+            if fc != pc:
+                kernel[fc][pc] = -v
+    return kernel
 
 
 def nullspace(rows, ncols: int):
-    """Basis of {v : A v = 0} for A given as a list of rows of width ncols."""
-    work = [list(r) for r in rows]
-    pivots = _row_reduce(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Basis of {v : A v = 0} for A given as a list of rows of width ncols.
+
+    The basis is read off the reduced row echelon form: one vector per free
+    column, with a 1 there and zeros at the other free columns.
+    """
     basis = []
-    for fc in free:
+    for vec in _kernel_vectors(_row_reduce(_sparse(rows), reduced=True), ncols).values():
         v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -work[prow][fc]
+        for c, x in vec.items():
+            v[c] = x
         basis.append(v)
     return basis
 
 
+def _aligned(polys):
+    """The polynomials' term dicts over one shared variable order, and that order."""
+    vars_ = tuple(dict.fromkeys(v for p in polys for v in p.vars))
+    terms = [p.terms if p.vars == vars_ else p.with_variables(vars_, p.laurent).terms for p in polys]
+    return terms, vars_
+
+
 def polys_to_matrix(polys):
-    """Coefficient matrix of the polynomials over the union of their supports.
+    """Dense coefficient matrix of the polynomials over the union of their supports.
 
     Returns (rows, monomial_keys, variables); row i lists the coefficients of
     polys[i] on each monomial key, keys sorted in canonical graded-lex order.
     """
-    vars_ = ()
-    for p in polys:
-        for v in p.vars:
-            if v not in vars_:
-                vars_ = vars_ + (v,)
-    aligned = [p.with_variables(vars_, p.laurent) if p.vars != vars_ else p for p in polys]
-    support = set()
-    for p in aligned:
-        support.update(p.terms)
-    keys = sorted(support, key=lambda e: (-sum(e), tuple(-x for x in e)))
-    rows = [[p.terms.get(k, Fraction(0)) for k in keys] for p in aligned]
+    terms, vars_ = _aligned(polys)
+    keys = sorted(set().union(*terms), key=lambda e: (-sum(e), tuple(-x for x in e)))
+    rows = [[t.get(k, Fraction(0)) for k in keys] for t in terms]
     return rows, keys, vars_
 
 
 def polys_rank(polys) -> int:
+    """Exact dimension of the span of the polynomials."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return 0
-    rows, _, _ = polys_to_matrix(polys)
-    return matrix_rank(rows)
+    return _rank(_aligned(polys)[0])
 
 
 def polys_in_span(basis, candidates) -> bool:
@@ -148,20 +252,23 @@ def bidegree_monomials(x_vars, y_vars, deg_x: int, deg_y: int):
 def kernel_on_slice(op, slice_monomials):
     """Exact kernel of a linear operator restricted to a monomial slice.
 
-    Returns a list of Polynomials spanning {p in span(slice) : op(p) = 0}.
+    Returns a list of Polynomials spanning {p in span(slice) : op(p) = 0}:
+    the canonical basis read off the reduced row echelon form, with columns
+    in slice order.
     """
     if not slice_monomials:
         return []
-    images = [op(m) for m in slice_monomials]
-    rows, keys, _ = polys_to_matrix(images)
+    images, _ = _aligned([op(m) for m in slice_monomials])
     # Columns index the slice monomials, rows index the support of the images.
-    ncols = len(slice_monomials)
-    matrix = [[rows[j][i] for j in range(ncols)] for i in range(len(keys))]
+    rows = {}
+    for j, terms in enumerate(images):
+        for key, c in terms.items():
+            rows.setdefault(key, {})[j] = c
+    pivots = _row_reduce(list(rows.values()), reduced=True)
     out = []
-    for coeffs in nullspace(matrix, ncols):
+    for vec in _kernel_vectors(pivots, len(slice_monomials)).values():
         p = Polynomial.zero()
-        for c, m in zip(coeffs, slice_monomials):
-            if c:
-                p = p + m * c
+        for j in sorted(vec):
+            p = p + slice_monomials[j] * vec[j]
         out.append(p)
     return out

@@ -165,3 +165,45 @@ def zeta_closed_form(index, a):
         im = im + coeff * tpow(2 * i - 2 * r + 1)
     im = (-1) ** (i + 1) * im
     return re, im
+
+
+def dense_rref(rows, ncols):
+    """Reduced row echelon form by dense Gauss-Jordan over the entries' field.
+
+    Returns (rref rows, pivot columns). Every cell is a field element, zeros
+    included, so this shares no code with the sparse elimination in linalg.
+    """
+    work = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        lead = work[r][c]
+        work[r] = [v / lead for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                factor = work[i][c]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def dense_rank(rows, ncols):
+    return len(dense_rref(rows, ncols)[1])
+
+
+def dense_nullspace(rows, ncols):
+    """Kernel basis read off the RREF: one vector per free column."""
+    rref, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(rref, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis

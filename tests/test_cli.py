@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from flagpde.bases import harmonic_basis
 from flagpde.cli import main
 
 
@@ -129,8 +130,35 @@ def test_missing_required_options_exit_two():
     assert run_cli(["basis", "flag"]) == 2
 
 
-def test_jobs_flag_runs_parallel_verification():
-    assert run_cli(["basis", "harmonic", "--n", "3", "--cap", "3", "--jobs", "2"]) == 0
+def test_jobs_flag_is_rejected():
+    assert run_cli(["basis", "harmonic", "--n", "3", "--cap", "3", "--jobs", "2"]) == 2
+
+
+def test_family_payload_records_checks(tmp_path):
+    def checks(args):
+        out = tmp_path / "out.json"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        return {c["name"]: c["status"] for c in json.loads(out.read_text())["result"]["checks"]}
+
+    # 225 elements: above the size where independence used to be skipped
+    assert checks(["basis", "harmonic", "--n", "3", "--cap", "14"]) == {
+        "annihilation": "passed", "independence": "passed"}
+    assert checks(["basis", "harmonic", "--n", "3", "--cap", "3", "--no-independence"]) == {
+        "annihilation": "passed", "independence": "skipped"}
+    assert checks(["lie", "harmonic", "--n", "3", "--k", "2"]) == {
+        "annihilation": "passed", "independence": "passed"}
+
+
+def test_large_family_dependence_fails(monkeypatch):
+    import flagpde.cli as cli
+
+    def doubled(n, cap):
+        family = harmonic_basis(n, cap)
+        family.elements.append(family.elements[-1])
+        return family
+
+    monkeypatch.setattr(cli, "harmonic_basis", doubled)
+    assert run_cli(["basis", "harmonic", "--n", "3", "--cap", "14"]) == 3
 
 
 def test_verification_failure_maps_to_exit_three(monkeypatch):

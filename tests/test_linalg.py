@@ -1,0 +1,162 @@
+"""Sparse certified rank and exact nullspaces against a dense Gauss-Jordan oracle."""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import flagpde as fp
+from flagpde import lie
+from flagpde.linalg import (
+    P,
+    SQRT_MINUS_ONE,
+    kernel_on_slice,
+    matrix_rank,
+    monomials_of_degree,
+    nullspace,
+    polys_rank,
+    polys_to_matrix,
+)
+from flagpde.poly import IMAG, GaussianRational
+
+from oracles import dense_nullspace, dense_rank
+from strategies import polynomials
+
+SMALL = st.integers(-3, 3)
+FRACTIONS = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+GAUSSIANS = st.one_of(st.just(Fraction(0)), st.builds(GaussianRational, SMALL, SMALL))
+
+
+@st.composite
+def matrices(draw, entries):
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        # a combination of two rows, so that deficient ranks are common
+        a, b = draw(entries), draw(entries)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows, ncols
+
+
+def _agrees_with_oracle(rows, ncols):
+    assert matrix_rank(rows) == dense_rank(rows, ncols)
+    assert nullspace(rows, ncols) == dense_nullspace(rows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(FRACTIONS))
+def test_rank_and_nullspace_match_oracle_over_q(case):
+    _agrees_with_oracle(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(GAUSSIANS))
+def test_rank_and_nullspace_match_oracle_over_gaussian_rationals(case):
+    _agrees_with_oracle(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polynomials(vars=("x", "y", "z"), max_terms=4, max_exp=2), max_size=6))
+def test_polys_rank_matches_oracle(polys):
+    nonzero = [p for p in polys if not p.is_zero()]
+    rows, keys, _ = polys_to_matrix(nonzero) if nonzero else ([], [], ())
+    assert polys_rank(polys) == dense_rank(rows, len(keys))
+
+
+def _is_prime(n):
+    # Miller-Rabin with the first twelve prime bases is exact below 3.3e24
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        if all(pow(x, 2 ** r, n) != n - 1 for r in range(1, s)):
+            return False
+    return True
+
+
+def test_modulus_and_square_root_of_minus_one():
+    assert P.bit_length() == 61 and P % 4 == 1 and _is_prime(P)
+    assert SQRT_MINUS_ONE * SQRT_MINUS_ONE % P == P - 1
+
+
+def test_entry_divisible_by_p_falls_back():
+    assert matrix_rank([[P]]) == 1
+    assert matrix_rank([[Fraction(P, 3)]]) == 1
+    assert nullspace([[P, 1]], 2) == [[Fraction(-1, P), Fraction(1)]]
+
+
+def test_rank_collapsing_mod_p_falls_back():
+    rows = [[1, SQRT_MINUS_ONE], [SQRT_MINUS_ONE, -1]]
+    assert dense_rank(rows, 2) == 2
+    assert matrix_rank(rows) == 2
+    assert nullspace(rows, 2) == []
+
+
+def test_gaussian_rows_use_the_image_of_i():
+    assert matrix_rank([[1, IMAG], [IMAG, -1]]) == 1
+    assert matrix_rank([[1, IMAG], [1, -IMAG]]) == 2
+    assert nullspace([[1, IMAG], [IMAG, -1]], 2) == [[-IMAG, Fraction(1)]]
+
+
+def test_denominator_divisible_by_p_falls_back():
+    rows = [[Fraction(1, P), Fraction(1)], [Fraction(1), Fraction(P)]]
+    assert matrix_rank(rows) == dense_rank(rows, 2) == 1
+    rows = [[Fraction(1, P), Fraction(2)], [Fraction(1), Fraction(P)]]
+    assert matrix_rank(rows) == dense_rank(rows, 2) == 2
+
+
+def test_g2_bracket_rows():
+    # rows of rational parts and sqrt(2) parts, as g2_bracket_report builds them
+    mats = lie.g2_matrices()
+    names = sorted(mats)
+    basis = [lie._mat_to_vector(mats[n]) for n in names]
+    width = len(basis[0])
+    assert matrix_rank(basis) == dense_rank(basis, width) == 14
+    for a, b in itertools.islice(itertools.combinations(names, 2), 6):
+        rows = basis + [lie._mat_to_vector(lie.mat_bracket(mats[a], mats[b]))]
+        assert matrix_rank(rows) == dense_rank(rows, width) == 14
+    assert matrix_rank(basis + [[Fraction(1)] * width]) == 15
+
+
+def test_empty_and_zero_rows():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[], []]) == 0
+    assert matrix_rank([[0, 0], [Fraction(0), GaussianRational()]]) == 0
+    assert matrix_rank([[0, 0], [0, 3]]) == 1
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert nullspace([[0, 0, 0]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert polys_rank([]) == 0
+    assert polys_rank([fp.Polynomial.zero(("x",))]) == 0
+    assert polys_rank([fp.variable("x"), fp.Polynomial.zero(("y",)), 2 * fp.variable("x")]) == 1
+
+
+def _terms(polys):
+    return [{e: str(c) for e, c in p.terms.items()} for p in polys]
+
+
+def test_kernel_on_slice_canonical_basis_is_pinned():
+    op = fp.Sum((
+        fp.Compose(fp.Scale(Fraction(2)), fp.Derivative("x1", 2)),
+        fp.Compose(fp.Scale(Fraction(3)), fp.Derivative("x2", 2)),
+        fp.Derivative("x3", 1),
+    ))
+    assert _terms(kernel_on_slice(op, monomials_of_degree(("x1", "x2", "x3"), 3))) == [
+        {(0, 3, 0): "-2/9", (2, 1, 0): "1"},
+        {(1, 2, 0): "-2", (3, 0, 0): "1"},
+    ]
+    lap = fp.Sum(fp.Derivative(v, 2) for v in ("x1", "x2", "x3"))
+    assert _terms(kernel_on_slice(lap, monomials_of_degree(("x1", "x2", "x3"), 2))) == [
+        {(0, 1, 1): "1"},
+        {(0, 2, 0): "1", (0, 0, 2): "-1"},
+        {(1, 0, 1): "1"},
+        {(1, 1, 0): "1"},
+        {(2, 0, 0): "1", (0, 0, 2): "-1"},
+    ]
+    cauchy_riemann = fp.Sum((fp.Derivative("x1", 1), fp.Compose(fp.Scale(IMAG), fp.Derivative("x2", 1))))
+    assert _terms(kernel_on_slice(cauchy_riemann, monomials_of_degree(("x1", "x2"), 3))) == [
+        {(3, 0): "1", (2, 1): "3i", (1, 2): "-3", (0, 3): "-1i"},
+    ]
