@@ -5,9 +5,10 @@ tree validation and splitting checks, the two IVP solvers, the Lie module
 bases, and the constant-coefficient ODE helper.
 
 Exit codes: 0 on success, 2 for input problems (bad arguments, schema
-violations, invalid trees), 3 when an exact verification fails.  Output
-written through --out is deterministic: identical inputs and seed produce
-byte-identical files; wall time is only printed to stdout.
+violations, invalid trees), 3 when a verification fails or a numeric series
+does not settle or overflows.  Output written through --out is
+deterministic: identical inputs and seed produce byte-identical files; wall
+time is only printed to stdout.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .lie import (
     sl_module_basis,
     verify_singular,
 )
-from .operators import VerificationError
+from .operators import SeriesTerminationError, VerificationError
 from .poly import Polynomial, variable
 from .trees import InvalidTreeError, Tree, check_splitting, compute_splitting, tricomi_operator
 
@@ -191,7 +192,7 @@ def _int_list(text: str):
 
 
 def _family_payload(family: BasisFamily, verify_independence: bool):
-    family.verify_annihilation()
+    # every family constructor has already checked annihilation (bases._checked)
     if verify_independence:
         family.verify_independence()
     payload = family.to_json()
@@ -515,6 +516,9 @@ def main(argv=None) -> int:
         return 2
     except VerificationError as err:
         print(f"verification failed: {err}", file=sys.stderr)
+        return 3
+    except SeriesTerminationError as err:
+        print(f"numeric failure: {err}", file=sys.stderr)
         return 3
     print(f"wall time: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

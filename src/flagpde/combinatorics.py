@@ -39,14 +39,3 @@ def tuples_with_sum_at_most(length: int, cap: int) -> Iterator[tuple]:
     for s in range(cap + 1):
         yield from tuples_with_sum(length, s)
 
-
-def weighted_tuples(length: int, weight: int) -> Iterator[tuple]:
-    """Tuples (i_1..i_m) with sum_p p*i_p equal to weight (p is 1-based)."""
-    if length == 0:
-        if weight == 0:
-            yield ()
-        return
-    # i_length may range over 0..weight//length; recurse on the prefix.
-    for last in range(weight // length + 1):
-        for rest in weighted_tuples(length - 1, weight - last * length):
-            yield rest + (last,)

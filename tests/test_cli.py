@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from flagpde.bases import harmonic_basis
 from flagpde.cli import main
 
@@ -118,6 +120,20 @@ def test_ode_subcommand(tmp_path):
     import math
 
     assert abs(data["result"]["value"] - math.cos(1.0)) < 1e-10
+
+
+def test_ode_large_frequency(tmp_path):
+    out = tmp_path / "ode.json"
+    assert run_cli(["ode", "--coeffs", "0,-100", "--init", "1,0", "--t", "5", "--out", str(out)]) == 0
+    import math
+
+    assert json.loads(out.read_text())["result"]["value"] == pytest.approx(math.cos(50.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("coeffs, init", [("1000000000,-1000000000", "1,0"), ("1000", "1")])
+def test_ode_overflowing_series_exits_three(capsys, coeffs, init):
+    assert run_cli(["ode", "--coeffs", coeffs, "--init", init, "--t", "1"]) == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_unknown_arguments_exit_two():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagpde import (
     OdeProblem,
@@ -17,7 +19,13 @@ from flagpde import (
     solve_tree_wave_ivp,
     variable,
 )
-from flagpde.operators import SeriesTerminationError
+from flagpde.operators import SeriesTerminationError, VerificationError
+
+from oracles import (
+    fundamental_derivative_oracle,
+    graded_exponential_series,
+    tree_wave_series_eager,
+)
 
 
 # -- the graded exponential series ---------------------------------------------------
@@ -49,6 +57,64 @@ def test_series_diverges_loudly_on_wild_arguments():
         generalized_exponential(0, [1e9, -1e9], max_doublings=2)
 
 
+# six decimals keep the dyadic denominators, and so the exact oracle, small
+_SMALL = st.floats(-1.4, 1.4, allow_nan=False).map(lambda v: round(v, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 30), st.lists(st.builds(complex, _SMALL, _SMALL), min_size=2, max_size=4))
+def test_series_matches_exact_tuple_sum(r, args):
+    """Arguments of modulus below 2, two to four of them, against the tuple
+    series summed exactly; the evaluator's absolute error is documented as
+    about rel_tol * 2^-26 * sum |T_w|, and sum |T_w| is at most a few
+    hundred times 1/r!, far below the 1e-20 / r! floor."""
+    want = graded_exponential_series(r, args, 40)
+    got = generalized_exponential(r, args)
+    assert abs(got - want) <= 1e-13 * abs(want) + 1e-20 / math.factorial(r)
+
+
+@pytest.mark.parametrize("args", [[0.0, 0.0], [0.0, 0.0, 0.0], [0.5, -0.25]])
+def test_series_keeps_its_precision_at_high_order(args):
+    """Y_r is about 1/r!, so a fixed point scaled to Y_0 would lose log2(r!)
+    bits: 1/24! came out as 2^-80 and Y_25 as 0."""
+    for r in range(41):
+        want = graded_exponential_series(r, args, 40)
+        assert generalized_exponential(r, args) == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_high_order_ode_at_large_time():
+    # y^(25) = 0 with y^(24)(0) = 1 is t^24 / 24!
+    problem = OdeProblem((0,) * 25, (0,) * 24 + (1,))
+    value = solve_constant_ode(problem, 10.0)
+    assert value == pytest.approx(10.0**24 / math.factorial(24), rel=1e-14)
+
+
+def test_series_overflow_raises_series_error():
+    with pytest.raises(SeriesTerminationError):
+        generalized_exponential(0, [800.0])
+    with pytest.raises(SeriesTerminationError):
+        generalized_exponential(1, [800.0, 1.0])
+
+
+def test_series_near_a_zero_of_a_growing_oscillation():
+    """Y_0(20 t, -500 t^2) = e^(10t) (cos 20t + sin(20t) / 2) near its zero
+    at t = 1.044: truncation errors grow like e^(10t) through the recurrence
+    while the value is 4e-11, so the fixed point needs the bits of the
+    magnitude bound on top of the tolerance's."""
+    t = (7 * math.pi - math.atan(2)) / 20
+    args = [20 * t, -500 * t * t]
+    want = graded_exponential_series(0, args, 200)
+    assert abs(want) < 1e-10
+    assert abs(generalized_exponential(0, args) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("b, t, omega", [(-100, 5.0, 50.0), (-400, 3.0, 60.0)])
+def test_ode_large_frequency_has_no_cancellation(b, t, omega):
+    # the terms of cos 60 reach 6e24 before they cancel down to -0.95
+    value = solve_constant_ode(OdeProblem((0, b), (1, 0)), t)
+    assert value == pytest.approx(math.cos(omega), rel=1e-14)
+
+
 # -- constant-coefficient ODEs -----------------------------------------------------------
 
 def test_ode_exponential():
@@ -72,6 +138,30 @@ def test_ode_initial_derivatives_exact():
         init = tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))
         p = OdeProblem(coeffs, init)
         assert tuple(ode_derivatives_at_zero(p)) == init
+
+
+def test_ode_derivatives_match_multinomial_oracle():
+    from flagpde.ivp import _fundamental_derivative
+
+    rng = random.Random(12)
+    for m in (1, 2, 3, 4):
+        coeffs = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m))
+        init = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m))
+        p = OdeProblem(coeffs, init)
+        amps = []
+        for r in range(m):
+            assert all(
+                _fundamental_derivative(p, s, r) == fundamental_derivative_oracle(coeffs, s, r)
+                for s in range(m)
+            )
+            amps.append(init[r] - sum(
+                (amps[s] * fundamental_derivative_oracle(coeffs, s, r) for s in range(r)), Fraction(0)
+            ))
+        want = [
+            sum((amps[s] * fundamental_derivative_oracle(coeffs, s, r) for s in range(m)), Fraction(0))
+            for r in range(m)
+        ]
+        assert ode_derivatives_at_zero(p) == want
 
 
 def test_ode_random_order_three_against_integrator():
@@ -173,6 +263,16 @@ def test_flag_ivp_superposition_of_modes():
     singles = {m.k: m for m in sa.modes + sb.modes}
     for mode in sab.modes:
         assert mode.b == singles[mode.k].b and mode.c == singles[mode.k].c
+
+
+def test_flag_ivp_dalembert_high_mode_at_far_edge():
+    g0 = TrigData((1.0,), {(6,): (1.0, 0.0)})
+    g1 = TrigData((1.0,), {})
+    pts = [(1.0, 0.05), (1.0, -0.3), (0.8, 0.1)]
+    sol = solve_flag_ivp([Polynomial.zero(("D2",)), _d2sq()], [g0, g1], pts)
+    for (x1, x2), got in zip(pts, sol.values):
+        want = math.cos(12 * math.pi * x1) * math.cos(12 * math.pi * x2)
+        assert abs(got - want) <= 1e-12
 
 
 def test_flag_ivp_derivative_normalization():
@@ -376,3 +476,46 @@ def test_tree_wave_symbol_and_series_agree_at_zero():
     a = solve_tree_wave_ivp(tree, g0, g1, 0.0, pts)
     b = solve_tree_wave_series(tree, g0, g1, 0.0, pts)
     assert a.values[0] == pytest.approx(b.values[0], abs=1e-12)
+
+
+# -- lazy carriers and the cancellation guard ----------------------------------------------------
+
+def _chain3_data():
+    tree = Tree(3, [(1, 2), (2, 3)])
+    hw = (1.0, 1.0, 1.0)
+    g0 = TrigData(hw, {(1, 1, 1): (0.8, 0.1)})
+    g1 = TrigData(hw, {(1, 1, 1): (0.3, 0.0), (0, 1, 0): (0.2, 0.0)})
+    return tree, g0, g1
+
+
+def test_tree_wave_series_builds_carriers_lazily():
+    from flagpde import solve_tree_wave_series
+
+    tree, g0, g1 = _chain3_data()
+    pts = [(0.1, 0.2, 0.3), (-0.4, 0.45, -0.1)]
+    sol = solve_tree_wave_series(tree, g0, g1, 0.05, pts)
+    assert all(len(chain) <= 10 for chain in sol.carriers.values())
+    for pt, got in zip(pts, sol.values):
+        assert got == tree_wave_series_eager(tree, g0, g1, 0.05, pt, max_terms=30)
+    before = len(sol.carriers[(1, 1, 1)])
+    later = sol.at(0.2, pts[0])
+    assert len(sol.carriers[(1, 1, 1)]) > before
+    assert later == tree_wave_series_eager(tree, g0, g1, 0.2, pts[0], max_terms=30)
+
+
+def test_tree_wave_series_carrier_cap_raises():
+    from flagpde import solve_tree_wave_series
+
+    tree, g0, g1 = _chain3_data()
+    with pytest.raises(SeriesTerminationError):
+        solve_tree_wave_series(tree, g0, g1, 0.05, [(0.1, 0.2, 0.3)], max_terms=3)
+
+
+def test_tree_wave_series_cancellation_raises():
+    """One node, k = 4, t = 2: the terms pass 1e20 and cancel to cos(0.8 pi);
+    the float sum is thousands off, so the solver must refuse."""
+    from flagpde import solve_tree_wave_series
+
+    g0 = TrigData((1.0,), {(4,): (1.0, 0.0)})
+    with pytest.raises(VerificationError, match="cancellation"):
+        solve_tree_wave_series(Tree(1, []), g0, TrigData((1.0,), {}), 2.0, [(0.1,)])
