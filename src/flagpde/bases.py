@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import multinomial, falling, tuples_with_sum_at_most
+from .combinatorics import falling, multinomial, tuples_with_sum, tuples_with_sum_at_most
 from .linalg import polys_rank
 from .operators import (
     Compose,
@@ -256,40 +256,62 @@ class FlagEquationSpec:
         return NestedRightInverse(entries)
 
 
-def _sigma_step(spec: FlagEquationSpec, stage: int, h: Polynomial, ell: int) -> Polynomial:
-    """Extend a solution in the first `stage` variables by seed x_(stage+1)^ell."""
-    inv = spec.nested_inverse(stage)
+def _sigma_step(spec: FlagEquationSpec, inv: NestedRightInverse, stage: int,
+                chain: list, ell: int) -> Polynomial:
+    """Extend a solution h in the first `stage` variables by seed x_(stage+1)^ell.
+
+    Returns sum_i (-inv f)^i(h) * D^i(seed), where `inv` is the nested right
+    inverse of the first `stage` blocks, f the coefficient and D = d^m/dv^m
+    of block stage+1.  chain[i] holds (-inv f)^i(h), chain[0] = h; each
+    missing power is one step from the previous one and is appended, so
+    seeds extending the same h share it.
+    """
     f = spec.coefficients[stage - 1]
     v = spec.variables[stage]
     m = spec.orders[stage]
-    seed = variable(v) ** ell
     total = Polynomial.zero()
+    dpart = variable(v) ** ell
     i = 0
-    dpart = seed
-    while not dpart.is_zero():
-        hpart = h
-        for _ in range(i):
-            hpart = -inv.apply(f * hpart)
-        total = total + hpart * dpart
+    while True:
+        if i == len(chain):
+            chain.append(-inv.apply(f * chain[-1]))
+        total = total + chain[i] * dpart
         dpart = dpart.diff(v, m)
+        if dpart.is_zero():
+            return total
         i += 1
-    return total
 
 
 def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     """Solution basis of a triangular equation, built stage by stage.
 
     Elements carry index (l1 in 0..m1-1, l2.., ln) with l2 + ... + ln <= cap.
+    The partial solution after stage k depends only on the prefix
+    (l1, l2..l(k+1)), so each prefix is solved once, together with the
+    powers (-inv f)^i of it that the next stage needs, and shared by every
+    element that starts with it; the prefixes live in a dictionary local to
+    this call.
     """
     n = len(spec.orders)
     annihilator = spec.operator()
+    inverses = [spec.nested_inverse(stage) for stage in range(1, n)]
+    x1 = variable(spec.variables[0])
+    chains: dict[tuple, list] = {}
     elements = []
     for l1 in range(spec.orders[0]):
+        root = [x1**l1]
         for rest in tuples_with_sum_at_most(n - 1, cap):
-            sol = variable(spec.variables[0]) ** l1
+            ell = (l1,) + rest
+            chain = root
             for stage in range(1, n):
-                sol = _sigma_step(spec, stage, sol, rest[stage - 1])
-            elements.append(BasisElement({"ell": (l1,) + rest}, sol))
+                prefix = ell[: stage + 1]
+                nxt = chains.get(prefix)
+                if nxt is None:
+                    nxt = [_sigma_step(spec, inverses[stage - 1], stage, chain, ell[stage])]
+                    if stage < n - 1:
+                        chains[prefix] = nxt
+                chain = nxt
+            elements.append(BasisElement({"ell": ell}, chain[0]))
     return _checked(elements, annihilator, {"cap": cap, "orders": list(spec.orders)})
 
 
@@ -402,7 +424,7 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     level = 0
     while level <= max_level:
         alive = False
-        for tup in _tuples_of_sum(m, level):
+        for tup in tuples_with_sum(m, level):
             gp = g_part(tup)
             if gp.is_zero():
                 continue
@@ -427,12 +449,6 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     if not res.is_zero():
         raise VerificationError("power-perturbation output not annihilated exactly")
     return total
-
-
-def _tuples_of_sum(length, total):
-    from .combinatorics import tuples_with_sum
-
-    return tuples_with_sum(length, total)
 
 
 # -- twisted two-block equations ---------------------------------------------------

@@ -200,6 +200,8 @@ def _family_payload(family: BasisFamily, verify_independence: bool):
         {"name": "annihilation", "status": "passed"},
         {"name": "independence", "status": "passed" if verify_independence else "skipped"},
     ]
+    # "verified" means every recorded check ran and passed
+    payload["verified"] = all(c["status"] == "passed" for c in payload["checks"])
     return payload
 
 

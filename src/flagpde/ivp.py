@@ -77,19 +77,28 @@ def _weight_sums(args, count: int, one):
     return sums
 
 
-def _one_argument_value(r: int, y: complex) -> complex:
-    # sum_i y^i / (r+i)! = (exp(y) - Taylor prefix below r) / y^r; using the
-    # library exponential avoids the catastrophic cancellation the raw
-    # alternating series suffers for large negative y.
-    if abs(y) <= 1.0:
+def _one_argument_value(r: int, y: complex, limit: int) -> complex:
+    """sum_i y^i / (r+i)!, directly for |y| <= r + 1 and in closed form beyond.
+
+    For |y| <= r + 1 no term exceeds the first, 1/r!, and for real y the
+    sum is at least e^-1 / r!, so the alternating case cancels little; the
+    sum stops at the first term below 1e-18 of the larger of 1/r! and the
+    total (for r = 0, of max(1, total)) and raises SeriesTerminationError if
+    `limit` terms do not reach it.  Beyond, the closed form
+    (exp(y) - Taylor prefix below r) / y^r avoids the cancellation the
+    alternating series suffers for large negative y, and the prefix, whose
+    terms grow up to the last, does not cancel against exp(y).
+    """
+    if abs(y) <= r + 1:
+        lead = 1 / math.factorial(r)
         total = 0j
-        term = 1.0 / math.factorial(r) + 0j
-        i = 0
-        while abs(term) > 1e-18 * max(1.0, abs(total)) and i < 60:
+        term = lead + 0j
+        for i in range(1, limit + 1):
+            if abs(term) <= 1e-18 * max(lead, abs(total)):
+                return total
             total += term
-            i += 1
             term = term * y / (r + i)
-        return total
+        raise SeriesTerminationError("Y-series not settling within the term limit")
     try:
         prefix = sum(y**j / math.factorial(j) for j in range(r))
         return (cmath.exp(y) - prefix) / y**r
@@ -162,10 +171,10 @@ def generalized_exponential(r: int, args, rel_tol: float = 1e-12,
     if r < 0:
         raise ValueError("order must be non-negative")
     args = [complex(a) for a in args]
-    if len(args) == 1:
-        return _one_argument_value(r, args[0])
-    m = len(args)
     limit = max(1, initial_cap) * 2**max_doublings
+    if len(args) == 1:
+        return _one_argument_value(r, args[0], limit)
+    m = len(args)
     bound = _magnitude_bound([abs(a) for a in args], limit)
     bits = math.frexp(bound)[1] + max(0, -math.frexp(rel_tol)[1]) + _GUARD_BITS
     ints, shift = _dyadic(args)
@@ -328,21 +337,34 @@ class FlagIvpSolution:
     trace_residual: float
 
     def at(self, x1: float, point) -> float:
-        return _flag_value(self.modes, self.half_widths, x1, point)
+        return _flag_value(self.modes, self.half_widths, _mode_weights(self.modes, x1), point)
 
 
-def _flag_value(modes, half_widths, x1, point) -> float:
-    total = 0.0
+def _mode_weights(modes, x1) -> list:
+    """x1^r Y_r(x1^(p+1) f_p) per mode and order r; None where b_r = c_r = 0.
+
+    They depend on x1 alone, so a grid evaluates them once per distinct x1.
+    """
+    out = []
     for mode in modes:
+        args = [x1 ** (p + 1) * f for p, f in enumerate(mode.symbol_values)]
+        out.append([
+            None if mode.b[r] == 0.0 and mode.c[r] == 0.0
+            else (x1**r) * generalized_exponential(r, args)
+            for r in range(len(mode.b))
+        ])
+    return out
+
+
+def _flag_value(modes, half_widths, weights, point) -> float:
+    total = 0.0
+    for mode, ws in zip(modes, weights):
         theta = 2 * math.pi * sum(
             kv / a * xv for kv, a, xv in zip(mode.k, half_widths, point)
         )
-        m = len(mode.b)
-        args = [x1 ** (p + 1) * f for p, f in enumerate(mode.symbol_values)]
-        for r in range(m):
-            if mode.b[r] == 0.0 and mode.c[r] == 0.0:
+        for r, w in enumerate(ws):
+            if w is None:
                 continue
-            w = (x1**r) * generalized_exponential(r, args)
             phi, psi = w.real, w.imag
             total += mode.b[r] * (phi * math.cos(theta) - psi * math.sin(theta))
             total += mode.c[r] * (phi * math.sin(theta) + psi * math.cos(theta))
@@ -392,19 +414,25 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
             mode.c[r] = cr
         modes.append(mode)
 
-    values = [_flag_value(modes, half_widths, pt[0], pt[1:]) for pt in eval_points]
+    weights = {}
+    values = []
+    for pt in eval_points:
+        x1 = pt[0]
+        if x1 not in weights:
+            weights[x1] = _mode_weights(modes, x1)
+        values.append(_flag_value(modes, half_widths, weights[x1], pt[1:]))
 
     worst = 0.0
     for s in range(m):
+        derivs = [[_mode_derivative(mode, r, s) for r in range(m)] for mode in modes]
         for pt in eval_points:
             point = pt[1:]
             trace = 0.0
-            for mode in modes:
+            for mode, gs in zip(modes, derivs):
                 theta = 2 * math.pi * sum(
                     kv / a * xv for kv, a, xv in zip(mode.k, half_widths, point)
                 )
-                for r in range(m):
-                    g = _mode_derivative(mode, r, s)
+                for r, g in enumerate(gs):
                     phi, psi = g.real, g.imag
                     trace += mode.b[r] * (phi * math.cos(theta) - psi * math.sin(theta))
                     trace += mode.c[r] * (phi * math.sin(theta) + psi * math.cos(theta))

@@ -10,7 +10,8 @@ extra lazily-evaluated nodes live here as well:
 * ``NestedRightInverse(entries)``: the right inverse of a triangular
   operator c1*D1^m1 + c2*D2^m2 + ... in which each coefficient may only
   involve variables of the earlier blocks; it evaluates the standard
-  perturbation series per input rather than expanding an operator formula.
+  perturbation series per input, in Horner form, rather than expanding an
+  operator formula.
 
 The module also hosts the series engine: given T1 with right inverse T1inv
 and a perturbation T2 that is locally nilpotent relative to a filtration,
@@ -274,6 +275,13 @@ class NestedRightInverse(LinearOperator):
     coefficient must be a nonzero constant and the k-th coefficient may only
     involve the variables v1..v(k-1); this triangular shape guarantees the
     perturbation series terminates on every polynomial input.
+
+    Stage s inverts the first s blocks.  With R the stage s-1 inverse, f the
+    s-th coefficient and D = Dvs^ms, it returns sum_i (-R f)^i R D^i(q),
+    evaluated in Horner form: w_i = D^i(q) up to the last nonzero w_I, then
+    acc = R(w_I) and acc = R(w_i - f*acc) for i = I-1 down to 0.  R is
+    linear, so this is the same sum with I+1 calls of stage s-1 instead of
+    (I+1)(I+2)/2.
     """
 
     __slots__ = ("coeffs", "vars_", "orders")
@@ -325,17 +333,17 @@ class NestedRightInverse(LinearOperator):
             return q.integrate_n(self.vars_[0], self.orders[0]) * coeff_inverse(lead)
         v, m = self.vars_[s - 1], self.orders[s - 1]
         f = self.coeffs[s - 1]
-        total = Polynomial.zero(q.vars, q.laurent)
+        ws = []
         w = q
-        i = 0
         while not w.is_zero():
-            u = self._stage(s - 1, w)
-            for _ in range(i):
-                u = -self._stage(s - 1, f * u)
-            total = total + u
+            ws.append(w)
             w = w.diff(v, m)
-            i += 1
-        return total
+        if not ws:
+            return Polynomial.zero(q.vars, q.laurent)
+        acc = self._stage(s - 1, ws.pop())
+        while ws:
+            acc = self._stage(s - 1, ws.pop() - f * acc)
+        return acc
 
     def __repr__(self):
         blocks = ", ".join(

@@ -23,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .combinatorics import falling
+
 __all__ = [
     "Fraction",
     "GaussianRational",
@@ -382,14 +384,11 @@ class Polynomial:
         out = {}
         for exp, c in self.terms.items():
             e = exp[i]
-            k = c
-            for j in range(order):
-                k = k * (e - j)
-            k = _norm_coeff(k)
+            k = falling(e, order)
             if not k:
                 continue
             nexp = exp[:i] + (e - order,) + exp[i + 1 :]
-            out[nexp] = k
+            out[nexp] = _norm_coeff(c * k)
         return _make(self.vars, self.laurent, out)
 
     def integrate(self, var: str) -> "Polynomial":
@@ -406,7 +405,7 @@ class Polynomial:
             if e == -1:
                 raise NonIntegrableTermError("non-integrable Laurent term")
             nexp = exp[:i] + (e + 1,) + exp[i + 1 :]
-            out[nexp] = _norm_coeff(c * Fraction(1, e + 1))
+            out[nexp] = _norm_coeff(c / (e + 1))
         return _make(p.vars, p.laurent, out)
 
     def integrate_n(self, var: str, order: int) -> "Polynomial":

@@ -322,3 +322,144 @@ def tree_wave_series_eager(tree, g0, g1, t, point, max_terms=120):
         total += b0 * even.real + c0 * even.imag
         total += b1 * odd.real + c1 * odd.imag
     return total
+
+
+# -- the flag-family series, term by term ---------------------------------------------
+
+def nested_inverse_term_by_term(inv, p):
+    """The nested right inverse of `inv`'s blocks by the unfactored series.
+
+    Stage s sums (-R f)^i R D^i(q) and rebuilds every power (-R f)^i from
+    scratch, so it makes (I+1)(I+2)/2 calls of stage s-1 where the Horner
+    form makes I+1.  Only the blocks (coeffs, vars_, orders) are read.
+    """
+    def stage(s, q):
+        if s == 1:
+            lead = inv.coeffs[0].constant_term()
+            return q.integrate_n(inv.vars_[0], inv.orders[0]) * (1 / lead)
+        v, m, f = inv.vars_[s - 1], inv.orders[s - 1], inv.coeffs[s - 1]
+        total = Polynomial.zero(q.vars, q.laurent)
+        w, i = q, 0
+        while not w.is_zero():
+            u = stage(s - 1, w)
+            for _ in range(i):
+                u = -stage(s - 1, f * u)
+            total = total + u
+            w = w.diff(v, m)
+            i += 1
+        return total
+
+    return stage(len(inv.coeffs), p)
+
+
+def sigma_step_term_by_term(spec, stage, h, ell):
+    """Extension of h by seed x_(stage+1)^ell with each (-inv f)^i(h) rebuilt
+    from h and inverted by `nested_inverse_term_by_term`."""
+    inv = spec.nested_inverse(stage)
+    f = spec.coefficients[stage - 1]
+    v, m = spec.variables[stage], spec.orders[stage]
+    total = Polynomial.zero()
+    dpart, i = variable(v) ** ell, 0
+    while not dpart.is_zero():
+        hpart = h
+        for _ in range(i):
+            hpart = -nested_inverse_term_by_term(inv, f * hpart)
+        total = total + hpart * dpart
+        dpart = dpart.diff(v, m)
+        i += 1
+    return total
+
+
+def flag_basis_unshared(spec, cap):
+    """(index, solution) pairs of `flag_basis`, each element built on its own
+    from x1^l1 through every stage, sharing nothing with the others."""
+    from flagpde.combinatorics import tuples_with_sum_at_most
+
+    n = len(spec.orders)
+    out = []
+    for l1 in range(spec.orders[0]):
+        for rest in tuples_with_sum_at_most(n - 1, cap):
+            sol = variable(spec.variables[0]) ** l1
+            for stage in range(1, n):
+                sol = sigma_step_term_by_term(spec, stage, sol, rest[stage - 1])
+            out.append(((l1,) + rest, sol))
+    return out
+
+
+def diff_stepwise(p, var, order):
+    """d^order/dvar^order multiplying each coefficient by e, e-1, .. in turn."""
+    if order == 0:
+        return p
+    if var not in p.vars:
+        return Polynomial.zero(p.vars, p.laurent)
+    i = p.vars.index(var)
+    out = {}
+    for exp, c in p.terms.items():
+        for j in range(order):
+            c = c * (exp[i] - j)
+        if c:
+            out[exp[:i] + (exp[i] - order,) + exp[i + 1:]] = c
+    return Polynomial(p.vars, out, p.laurent)
+
+
+def integrate_by_reciprocal(p, var):
+    """Antiderivative in var multiplying each coefficient by Fraction(1, e+1)."""
+    from flagpde.poly import NonIntegrableTermError
+
+    if var not in p.vars:
+        p = p.with_variables(p.vars + (var,))
+    i = p.vars.index(var)
+    out = {}
+    for exp, c in p.terms.items():
+        if exp[i] == -1:
+            raise NonIntegrableTermError("non-integrable Laurent term")
+        out[exp[:i] + (exp[i] + 1,) + exp[i + 1:]] = c * Fraction(1, exp[i] + 1)
+    return Polynomial(p.vars, out, p.laurent)
+
+
+# -- the flag IVP, point by point -------------------------------------------------------
+
+def _flag_phase_sum(mode, half_widths, point, weight, r, acc):
+    theta = 2 * math.pi * sum(kv / a * xv for kv, a, xv in zip(mode.k, half_widths, point))
+    phi, psi = weight.real, weight.imag
+    acc += mode.b[r] * (phi * math.cos(theta) - psi * math.sin(theta))
+    acc += mode.c[r] * (phi * math.sin(theta) + psi * math.cos(theta))
+    return acc
+
+
+def flag_values_per_point(sol):
+    """The solution's values with every graded exponential evaluated anew at
+    each evaluation point, in the solver's summation order."""
+    from flagpde.ivp import generalized_exponential
+
+    out = []
+    for pt in sol.eval_points:
+        x1, point = pt[0], pt[1:]
+        total = 0.0
+        for mode in sol.modes:
+            args = [x1 ** (p + 1) * f for p, f in enumerate(mode.symbol_values)]
+            for r in range(len(mode.b)):
+                if mode.b[r] == 0.0 and mode.c[r] == 0.0:
+                    continue
+                w = (x1**r) * generalized_exponential(r, args)
+                total = _flag_phase_sum(mode, sol.half_widths, point, w, r, total)
+        out.append(total)
+    return out
+
+
+def flag_trace_residual_per_point(sol, data):
+    """The largest trace misfit with every mode derivative recomputed at each
+    evaluation point, in the solver's summation order."""
+    from flagpde.ivp import _mode_derivative
+
+    worst = 0.0
+    for s in range(sol.order):
+        for pt in sol.eval_points:
+            point = pt[1:]
+            trace = 0.0
+            for mode in sol.modes:
+                for r in range(sol.order):
+                    g = _mode_derivative(mode, r, s)
+                    trace = _flag_phase_sum(mode, sol.half_widths, point, g, r, trace)
+            worst = max(worst, abs(trace - data[s].value_at(point)))
+    return worst

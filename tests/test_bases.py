@@ -22,7 +22,7 @@ from flagpde.bases import ChainError
 from flagpde.linalg import kernel_on_slice, monomials_of_degree, polys_in_span
 from flagpde.operators import OperatorHypothesisError
 
-from oracles import assert_family_spans_kernel, sigma_word_value
+from oracles import assert_family_spans_kernel, flag_basis_unshared, sigma_word_value
 
 x1, x2, x3 = variable("x1"), variable("x2"), variable("x3")
 
@@ -135,6 +135,22 @@ def test_flag_basis_zero_coefficient_power_matches_constant():
     ref = constant_coefficient_basis((2, 2), 4)
     for e, r in zip(fam.elements, ref.elements):
         assert e.solution == r.solution
+
+
+@pytest.mark.parametrize("spec, cap", [
+    (FlagEquationSpec((3, 2, 2), (x1**2 - 2, 0)), 4),
+    (FlagEquationSpec((3, 1, 2, 1), (0, x1 * x2 + 1, x3 - x1)), 3),
+    (FlagEquationSpec((3, 2, 1), (x1 + 1, Fraction(1, 2) * x1 * x2)), 4),
+])
+def test_flag_basis_matches_unshared_build(spec, cap):
+    """Shared prefixes and carried powers give each element exactly the
+    polynomial, variable order and term order of a build from scratch."""
+    fam = flag_basis(spec, cap)
+    want = flag_basis_unshared(spec, cap)
+    assert [e.index["ell"] for e in fam.elements] == [ell for ell, _ in want]
+    for e, (_, sol) in zip(fam.elements, want):
+        assert e.solution.vars == sol.vars
+        assert e.solution.to_json_terms() == sol.to_json_terms()
 
 
 def test_flag_basis_higher_coefficient_powers():

@@ -154,15 +154,17 @@ def test_family_payload_records_checks(tmp_path):
     def checks(args):
         out = tmp_path / "out.json"
         assert run_cli(args + ["--out", str(out)]) == 0
-        return {c["name"]: c["status"] for c in json.loads(out.read_text())["result"]["checks"]}
+        result = json.loads(out.read_text())["result"]
+        return result["verified"], {c["name"]: c["status"] for c in result["checks"]}
 
     # 225 elements: above the size where independence used to be skipped
-    assert checks(["basis", "harmonic", "--n", "3", "--cap", "14"]) == {
-        "annihilation": "passed", "independence": "passed"}
-    assert checks(["basis", "harmonic", "--n", "3", "--cap", "3", "--no-independence"]) == {
-        "annihilation": "passed", "independence": "skipped"}
-    assert checks(["lie", "harmonic", "--n", "3", "--k", "2"]) == {
-        "annihilation": "passed", "independence": "passed"}
+    assert checks(["basis", "harmonic", "--n", "3", "--cap", "14"]) == (True, {
+        "annihilation": "passed", "independence": "passed"})
+    # "verified" is true only when every recorded check passed
+    assert checks(["basis", "harmonic", "--n", "3", "--cap", "3", "--no-independence"]) == (False, {
+        "annihilation": "passed", "independence": "skipped"})
+    assert checks(["lie", "harmonic", "--n", "3", "--k", "2"]) == (True, {
+        "annihilation": "passed", "independence": "passed"})
 
 
 def test_large_family_dependence_fails(monkeypatch):

@@ -22,6 +22,8 @@ from flagpde import (
 from flagpde.operators import SeriesTerminationError, VerificationError
 
 from oracles import (
+    flag_trace_residual_per_point,
+    flag_values_per_point,
     fundamental_derivative_oracle,
     graded_exponential_series,
     tree_wave_series_eager,
@@ -202,6 +204,34 @@ def test_value_at_samples():
     assert data.value_at((0.5,)) == pytest.approx(math.cos(2 * math.pi * 0.25))
 
 
+def _one_argument_reference(r, y):
+    """sum_i y^i / (r+i)! summed term by term at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        y = mpmath.mpmathify(y)
+        term, total, i = 1 / mpmath.factorial(r), mpmath.mpf(0), 0
+        while i <= abs(y) or abs(term) > mpmath.mpf(10) ** -60 * abs(total):
+            total += term
+            i += 1
+            term = term * y / (r + i)
+        return complex(total)
+
+
+@pytest.mark.parametrize("r, y", [
+    (10, 1.1), (12, 3.0), (20, -5.0), (30, 8.0),
+    (20, 0.5), (0, -1.0), (1, -2.0), (3, -40.0), (2, 2.5 + 1.5j), (8, -9j),
+])
+def test_one_argument_series_matches_mpmath(r, y):
+    got, want = generalized_exponential(r, [y]), _one_argument_reference(r, y)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_one_argument_series_raises_when_not_settling():
+    with pytest.raises(SeriesTerminationError):
+        generalized_exponential(0, [0.5], initial_cap=2, max_doublings=1)
+
+
 # -- constant-coefficient evolution equations ---------------------------------------------------
 
 def _d2sq():
@@ -217,6 +247,22 @@ def test_flag_ivp_dalembert_closed_form():
     for pt, got in zip(pts, sol.values):
         want = math.cos(2 * math.pi * pt[0]) * math.cos(2 * math.pi * pt[1])
         assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("symbols", [
+    [Polynomial.zero(("D2",)), _d2sq() - 1],
+    [variable("D2"), _d2sq(), Polynomial.zero(("D2",))],
+])
+def test_flag_ivp_grid_matches_per_point_evaluation(symbols):
+    """One graded exponential per (mode, order, x1) and one mode derivative
+    per (mode, r, s) give bit for bit the per-point values and residual."""
+    modes = {(1,): (1.0, 0.5), (2,): (-0.25, 0.75), (-1,): (0.5, 0.0)}
+    data = [TrigData((1.0,), {k: (b / (s + 1), c - s) for k, (b, c) in modes.items()})
+            for s in range(len(symbols))]
+    pts = [(0.1 * i, 0.15 * j - 0.4) for i in range(5) for j in range(7)]
+    sol = solve_flag_ivp(symbols, data, pts)
+    assert sol.values == flag_values_per_point(sol)
+    assert sol.trace_residual == flag_trace_residual_per_point(sol, data)
 
 
 def test_flag_ivp_zero_data():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagpde import (
     Compose,
@@ -29,7 +30,8 @@ from flagpde.operators import (
     op_to_json,
 )
 
-from strategies import polynomials
+from oracles import nested_inverse_term_by_term
+from strategies import coefficients, gaussian_coefficients, polynomials
 
 x, y = variable("x"), variable("y")
 
@@ -178,6 +180,37 @@ def test_nested_inverse_defining_identity():
     assert op(r) == one
     for probe in (y**4, x * y**2 + y**3, (x + y) ** 3):
         assert op(inv.apply(probe)) == probe
+
+
+BLOCK_VARS = ("x", "y", "z", "w")
+
+
+@st.composite
+def triangular_systems(draw):
+    """A nested right inverse of 2-4 blocks of orders 1-3 and an input.
+
+    Coefficient k is a small polynomial in the first k-1 block variables,
+    possibly zero; coefficients are rational or Gaussian rational.
+    """
+    nblocks = draw(st.integers(2, 4))
+    names = BLOCK_VARS[:nblocks]
+    coeffs = draw(st.sampled_from((coefficients(), gaussian_coefficients())))
+    lead = draw(coeffs)
+    entries = [(lead, Derivative(names[0], draw(st.integers(1, 3))))]
+    for k in range(1, nblocks):
+        f = draw(polynomials(vars=names[:k], max_terms=2, max_exp=2, coeffs=coeffs))
+        entries.append((f, Derivative(names[k], draw(st.integers(1, 3)))))
+    p = draw(polynomials(vars=names, max_terms=3, max_exp=3, coeffs=coeffs))
+    return NestedRightInverse(entries), p
+
+
+@given(triangular_systems())
+@settings(max_examples=40, deadline=None)
+def test_nested_inverse_matches_term_by_term_series(system):
+    inv, p = system
+    out = inv.apply(p)
+    assert out == nested_inverse_term_by_term(inv, p)
+    assert inv.as_operator()(out) == p
 
 
 def test_nested_inverse_rejects_non_flag_coefficients():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagpde import (
     GaussianRational,
@@ -13,7 +14,8 @@ from flagpde import (
 )
 from flagpde.poly import NonIntegrableTermError
 
-from strategies import polynomials
+from oracles import diff_stepwise, integrate_by_reciprocal
+from strategies import gaussian_coefficients, polynomials
 
 
 x, y = variable("x"), variable("y")
@@ -191,3 +193,32 @@ def test_trig_spatial_operators_act_componentwise():
     assert out.cos_part == x**2 * y and out.sin_part == x * y**2
     with pytest.raises(TypeError):
         Integrate("x").apply_trig(u)
+
+
+def _typed_terms(p):
+    return p.vars, p.laurent, {e: (type(c), c) for e, c in p.terms.items()}
+
+
+@given(
+    polynomials(vars=("x", "y", "z"), laurent=("x", "z"), coeffs=gaussian_coefficients()),
+    st.sampled_from(("x", "y", "z", "w")),
+    st.integers(0, 4),
+)
+@settings(max_examples=80)
+def test_diff_matches_stepwise_falling_factorial(p, var, order):
+    assert _typed_terms(p.diff(var, order)) == _typed_terms(diff_stepwise(p, var, order))
+
+
+@given(
+    polynomials(vars=("x", "y", "z"), laurent=("x", "z"), coeffs=gaussian_coefficients()),
+    st.sampled_from(("x", "y", "z", "w")),
+)
+@settings(max_examples=80)
+def test_integrate_matches_reciprocal_product(p, var):
+    try:
+        want = integrate_by_reciprocal(p, var)
+    except NonIntegrableTermError:
+        with pytest.raises(NonIntegrableTermError):
+            p.integrate(var)
+        return
+    assert _typed_terms(p.integrate(var)) == _typed_terms(want)
