@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .combinatorics import falling, multinomial, tuples_with_sum, tuples_with_sum_at_most
@@ -30,12 +31,13 @@ from .operators import (
     SeriesConfig,
     Sum,
     VerificationError,
+    differential_form,
     operator_variables,
     operators_agree_on_sample,
     random_polynomial,
     solve_by_series,
 )
-from .poly import Polynomial, variable
+from .poly import GaussianRational, Polynomial, _remap, variable
 
 __all__ = [
     "BasisElement",
@@ -75,8 +77,9 @@ class BasisFamily:
         return [e.solution for e in self.elements]
 
     def verify_annihilation(self) -> bool:
+        kills = _integer_annihilation(self.annihilator, self.solutions())
         for e in self.elements:
-            if not self.annihilator(e.solution).is_zero():
+            if not (kills(e.solution) if kills else self.annihilator(e.solution).is_zero()):
                 raise VerificationError(
                     f"family element {e.index} is not annihilated exactly"
                 )
@@ -111,10 +114,105 @@ def _json_scalar(v):
     return v
 
 
+def _integer_annihilation(op, polys):
+    """A test p -> (op(p) == 0) run in integers, or None when it does not apply.
+
+    It applies when op is a polynomial-coefficient differential operator
+    (``differential_form``) and every p is a Polynomial.  The form
+    sum_j c_j d^alpha_j and the polynomials are put over one variable order
+    once; D, the common denominator of all the c_j, and d, that of one p,
+    turn them into integer parts, so that D d op(p) = sum_j (D c_j)
+    d^alpha_j (d p) is accumulated term by term, with integer falling
+    factorials, into one dict per real and imaginary part.  p passes only
+    when every entry is 0.  With c = c_re + i c_im and p = p_re + i p_im,
+    op(p) = (op_re p_re - op_im p_im) + i (op_re p_im + op_im p_re).
+    """
+    form = differential_form(op)
+    if form is None or not all(isinstance(p, Polynomial) for p in polys):
+        return None
+    vs = tuple(dict.fromkeys(itertools.chain(
+        (v for p in polys for v in p.vars),
+        (v for c in form.values() for v in c.vars),
+        (v for alpha in form for v, _ in alpha),
+    )))
+    coeffs = [c.terms if c.vars == vs else _remap(c, vs) for c in form.values()]
+    den = _denominator(coeffs)
+    blocks = [
+        (tuple((vs.index(v), m) for v, m in alpha), _integer_parts(terms, den))
+        for alpha, terms in zip(form, coeffs)
+    ]
+    # (part of p, part of the coefficients, real (0) or imaginary (1) sum, sign)
+    routes = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
+
+    def kills(p):
+        terms = p.terms if p.vars == vs else _remap(p, vs)
+        parts = _integer_parts(terms, _denominator([terms]))
+        sums = ({}, {})
+        for part, side, target, sign in routes:
+            if parts[part]:
+                _accumulate(blocks, side, parts[part], sums[target], sign)
+        return not any(sums[0].values()) and not any(sums[1].values())
+
+    return kills
+
+
+def _denominator(term_dicts) -> int:
+    """Least common denominator of the real and imaginary parts of the coefficients."""
+    den = 1
+    for terms in term_dicts:
+        for c in terms.values():
+            if isinstance(c, GaussianRational):
+                den = math.lcm(den, c.re.denominator, c.im.denominator)
+            else:
+                den = math.lcm(den, c.denominator)
+    return den
+
+
+def _integer_parts(terms, den):
+    """den * (real part, imaginary part) of the terms, as lists of (exponent, int)."""
+    re, im = [], []
+    for exp, c in terms.items():
+        if isinstance(c, GaussianRational):
+            if c.re:
+                re.append((exp, c.re.numerator * (den // c.re.denominator)))
+            im.append((exp, c.im.numerator * (den // c.im.denominator)))
+        else:
+            re.append((exp, c.numerator * (den // c.denominator)))
+    return re, im
+
+
+def _accumulate(blocks, side, part, out, sign):
+    """out += sign * sum_j C_j d^alpha_j (part), C_j the block's `side` part."""
+    get = out.get
+    for orders, cparts in blocks:
+        cterms = cparts[side]
+        if not cterms:
+            continue
+        for exp, a in part:
+            k = sign * a
+            if orders:
+                shifted = list(exp)
+                for i, m in orders:
+                    k *= falling(exp[i], m)
+                    shifted[i] = exp[i] - m
+                if not k:
+                    continue
+            else:
+                shifted = exp
+            for cexp, c in cterms:
+                key = tuple(map(add, shifted, cexp))
+                out[key] = get(key, 0) + c * k
+
+
 def _checked(elements, annihilator, truncation) -> BasisFamily:
     fam = BasisFamily(elements, annihilator, truncation)
     fam.verify_annihilation()
     return fam
+
+
+def _check_cap(cap: int):
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
 
 
 def _default_vars(n: int):
@@ -134,6 +232,7 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
         raise ValueError("need at least two variables")
     if any(m < 1 for m in orders):
         raise ValueError("orders must be positive")
+    _check_cap(cap)
     vars_ = _default_vars(n)
     annihilator = Sum(Derivative(v, m) for v, m in zip(vars_, orders))
     elements = []
@@ -194,6 +293,7 @@ def harmonic_basis(n: int, cap: int) -> BasisFamily:
     """Basis of the harmonic polynomials in n variables up to total degree cap."""
     if n < 2:
         raise ValueError("need at least two variables")
+    _check_cap(cap)
     vars_ = _default_vars(n)
     annihilator = Sum(Derivative(v, 2) for v in vars_)
     elements = []
@@ -292,6 +392,7 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     element that starts with it; the prefixes live in a dictionary local to
     this call.
     """
+    _check_cap(cap)
     n = len(spec.orders)
     annihilator = spec.operator()
     inverses = [spec.nested_inverse(stage) for stage in range(1, n)]

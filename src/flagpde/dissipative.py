@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .bases import BasisElement, BasisFamily, _checked
+from .bases import BasisElement, BasisFamily, _check_cap, _checked
 from .combinatorics import tuples_with_sum_at_most
 from .operators import (
     Compose,
@@ -96,6 +96,7 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
     """
     if n < 1:
         raise ValueError("need at least one spatial variable")
+    _check_cap(cap)
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     lap = _laplacian(x_vars)
     annihilator = Sum(
@@ -163,6 +164,7 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         raise ValueError("use plain wave module")
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
+    _check_cap(cap)
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     lap = _laplacian(x_vars)
     t_poly = variable("t")
@@ -174,53 +176,35 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         )
     )
     kind = classify_lambda(lam)
-    elements = []
 
-    def phi_branch_element(mono):
+    def branch(seed, factor):
+        """sum_i eps^i factor(lam, i) Lap^i(seed), until Lap^i(seed) = 0."""
         sol = Polynomial.zero(("t",) + x_vars)
-        piece = mono
-        i = 0
+        piece, i = seed, 0
         while not piece.is_zero():
-            sol = sol + (epsilon**i) * _phi_factor(lam, i) * piece
+            sol = sol + (epsilon**i) * factor(lam, i) * piece
             piece = lap(piece)
             i += 1
         return sol
 
-    def psi_branch_element(mono):
-        sol = Polynomial.zero(("t",) + x_vars)
-        piece = mono
-        i = 0
-        while not piece.is_zero():
-            sol = sol + (epsilon**i) * _psi_factor(lam, i) * piece
-            piece = lap(piece)
-            i += 1
-        return sol
-
-    if kind in ("generic", "negative_even"):
-        for ell in tuples_with_sum_at_most(n, cap):
-            mono = Polynomial(x_vars, {ell: Fraction(1)})
-            elements.append(BasisElement({"ell": ell, "branch": "phi"}, phi_branch_element(mono)))
-    else:
-        # lam = -2k-1: the phi branch only terminates on seeds with Lap^(k+1) = 0,
-        # spanned by the alternating x1-power expansions below.
+    monomials = [(ell, Polynomial(x_vars, {ell: 1})) for ell in tuples_with_sum_at_most(n, cap)]
+    if kind == "negative_odd":
+        # lam = -2k-1: the phi factors are undefined from i = k+1 on, so the
+        # phi branch takes the seeds with Lap^(k+1) = 0, spanned by the
+        # alternating x1-power expansions below.
         k = (-int(lam) - 1) // 2
-        for l1 in range(2 * k + 2):
-            for rest in tuples_with_sum_at_most(n - 1, cap):
-                w = _iterated_kernel_seed(k + 1, l1, rest, x_vars)
-                sol = Polynomial.zero(("t",) + x_vars)
-                piece = w
-                for s in range(k + 1):
-                    if piece.is_zero():
-                        break
-                    sol = sol + (epsilon**s) * _phi_factor(lam, s) * piece
-                    piece = lap(piece)
-                elements.append(
-                    BasisElement({"ell": (l1,) + tuple(rest), "branch": "phi"}, sol)
-                )
-    if kind in ("negative_even", "negative_odd"):
-        for ell in tuples_with_sum_at_most(n, cap):
-            mono = Polynomial(x_vars, {ell: Fraction(1)})
-            elements.append(BasisElement({"ell": ell, "branch": "psi"}, psi_branch_element(mono)))
+        phi_seeds = [
+            ((l1,) + tuple(rest), _iterated_kernel_seed(k + 1, l1, rest, x_vars))
+            for l1 in range(2 * k + 2)
+            for rest in tuples_with_sum_at_most(n - 1, cap)
+        ]
+    else:
+        phi_seeds = monomials
+    elements = [BasisElement({"ell": ell, "branch": "phi"}, branch(seed, _phi_factor))
+                for ell, seed in phi_seeds]
+    if kind != "generic":
+        elements += [BasisElement({"ell": ell, "branch": "psi"}, branch(seed, _psi_factor))
+                     for ell, seed in monomials]
     return _checked(
         elements,
         annihilator,

@@ -337,7 +337,9 @@ class FlagIvpSolution:
     trace_residual: float
 
     def at(self, x1: float, point) -> float:
-        return _flag_value(self.modes, self.half_widths, _mode_weights(self.modes, x1), point)
+        return _flag_value(
+            self.modes, _mode_weights(self.modes, x1), _mode_phases(self.modes, self.half_widths, point)
+        )
 
 
 def _mode_weights(modes, x1) -> list:
@@ -356,18 +358,30 @@ def _mode_weights(modes, x1) -> list:
     return out
 
 
-def _flag_value(modes, half_widths, weights, point) -> float:
-    total = 0.0
-    for mode, ws in zip(modes, weights):
+def _mode_phases(modes, half_widths, point) -> list:
+    """(cos theta, sin theta) per mode at a point (x2..xn) of the cross-section."""
+    out = []
+    for mode in modes:
         theta = 2 * math.pi * sum(
             kv / a * xv for kv, a, xv in zip(mode.k, half_widths, point)
         )
+        out.append((math.cos(theta), math.sin(theta)))
+    return out
+
+
+def _flag_value(modes, weights, phases) -> float:
+    """sum over modes and orders r of b_r Re(w_r e^(i theta)) + c_r Im(w_r e^(i theta)).
+
+    weights[mode][r] is w_r (None: skipped), phases[mode] is (cos theta, sin theta).
+    """
+    total = 0.0
+    for mode, ws, (cos, sin) in zip(modes, weights, phases):
         for r, w in enumerate(ws):
             if w is None:
                 continue
             phi, psi = w.real, w.imag
-            total += mode.b[r] * (phi * math.cos(theta) - psi * math.sin(theta))
-            total += mode.c[r] * (phi * math.sin(theta) + psi * math.cos(theta))
+            total += mode.b[r] * (phi * cos - psi * sin)
+            total += mode.c[r] * (phi * sin + psi * cos)
     return total
 
 
@@ -415,27 +429,22 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
         modes.append(mode)
 
     weights = {}
+    phases = {}
     values = []
     for pt in eval_points:
-        x1 = pt[0]
+        x1, point = pt[0], tuple(pt[1:])
         if x1 not in weights:
             weights[x1] = _mode_weights(modes, x1)
-        values.append(_flag_value(modes, half_widths, weights[x1], pt[1:]))
+        if point not in phases:
+            phases[point] = _mode_phases(modes, half_widths, point)
+        values.append(_flag_value(modes, weights[x1], phases[point]))
 
     worst = 0.0
     for s in range(m):
         derivs = [[_mode_derivative(mode, r, s) for r in range(m)] for mode in modes]
         for pt in eval_points:
-            point = pt[1:]
-            trace = 0.0
-            for mode, gs in zip(modes, derivs):
-                theta = 2 * math.pi * sum(
-                    kv / a * xv for kv, a, xv in zip(mode.k, half_widths, point)
-                )
-                for r, g in enumerate(gs):
-                    phi, psi = g.real, g.imag
-                    trace += mode.b[r] * (phi * math.cos(theta) - psi * math.sin(theta))
-                    trace += mode.c[r] * (phi * math.sin(theta) + psi * math.cos(theta))
+            point = tuple(pt[1:])
+            trace = _flag_value(modes, derivs, phases[point])
             want = data[s].value_at(point)
             worst = max(worst, abs(trace - want))
     if worst > check_tol:

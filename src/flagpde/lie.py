@@ -35,7 +35,7 @@ from .operators import (
     Sum,
     VerificationError,
 )
-from .poly import IMAG, Polynomial, variable
+from .poly import IMAG, Polynomial, coeff_inverse, variable
 
 __all__ = [
     "PairOperator",
@@ -538,7 +538,7 @@ def verify_singular(config: SingularConfig, f: Polynomial) -> SingularCheck:
             weight.append(Fraction(0))
             continue
         exp, lead = f.sorted_terms()[0]
-        lam = image.coefficient({v: e for v, e in zip(f.vars, exp)}) / lead
+        lam = image.coefficient({v: e for v, e in zip(f.vars, exp)}) * coeff_inverse(lead)
         if image != f * lam:
             failures.append((name, image - f * lam))
             return SingularCheck(False, None, failures)

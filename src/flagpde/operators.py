@@ -22,6 +22,8 @@ Both assert their defining identity exactly before returning.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +54,7 @@ __all__ = [
     "VerificationError",
     "ZERO_OPERATOR",
     "apply_operator",
+    "differential_form",
     "identity",
     "op_from_json",
     "op_to_json",
@@ -377,6 +380,70 @@ def operator_variables(op: LinearOperator) -> frozenset:
             out |= frozenset(c.vars)
         return out
     raise TypeError(f"unknown operator node {type(op)!r}")
+
+
+def differential_form(op: LinearOperator):
+    """op as sum_alpha c_alpha(x) d^alpha, or None outside that class.
+
+    Returns {alpha: c_alpha}: alpha is a tuple of (variable, order) pairs
+    sorted by variable, () for the identity, and c_alpha a nonzero
+    Polynomial.  Derivative, MultiplyBy, Scale, Sum and Compose are covered;
+    Compose moves each derivative right past the coefficients after it by
+    the Leibniz rule.  Any other node (integrations, right inverses) gives
+    None.
+    """
+    if isinstance(op, Derivative):
+        return {((op.var, op.order),) if op.order else (): Polynomial.const(1)}
+    if isinstance(op, MultiplyBy):
+        return {} if op.poly.is_zero() else {(): op.poly}
+    if isinstance(op, Scale):
+        c = Polynomial.const(op.scalar)
+        return {} if c.is_zero() else {(): c}
+    if isinstance(op, Sum):
+        out = {}
+        for sub in op.ops:
+            form = differential_form(sub)
+            if form is None:
+                return None
+            for alpha, c in form.items():
+                _add_form_term(out, alpha, c)
+        return out
+    if isinstance(op, Compose):
+        out = {(): Polynomial.const(1)}
+        for sub in reversed(op.ops):
+            form = differential_form(sub)
+            if form is None:
+                return None
+            out = _compose_forms(form, out)
+        return out
+    return None
+
+
+def _add_form_term(form: dict, alpha: tuple, c: Polynomial):
+    if alpha in form:
+        c = form[alpha] + c
+    if c.is_zero():
+        form.pop(alpha, None)
+    else:
+        form[alpha] = c
+
+
+def _compose_forms(a: dict, b: dict) -> dict:
+    """The form of A after B: c_alpha d^alpha (c_beta d^beta u) expanded by
+    d^alpha (f w) = sum_(gamma <= alpha) C(alpha, gamma) d^gamma f d^(alpha-gamma) w."""
+    out = {}
+    for alpha, ca in a.items():
+        for beta, cb in b.items():
+            for gamma in itertools.product(*(range(m + 1) for _, m in alpha)):
+                coeff, weight, orders = cb, 1, dict(beta)
+                for (v, m), g in zip(alpha, gamma):
+                    coeff = coeff.diff(v, g)
+                    weight *= math.comb(m, g)
+                    if m > g:
+                        orders[v] = orders.get(v, 0) + m - g
+                if not coeff.is_zero():
+                    _add_form_term(out, tuple(sorted(orders.items())), ca * coeff * weight)
+    return out
 
 
 def max_derivative_order(op: LinearOperator) -> int:

@@ -1,10 +1,14 @@
 """Exact sparse polynomial arithmetic over the rationals and Gaussian rationals.
 
 A polynomial is stored as a dictionary mapping exponent tuples to exact
-coefficients.  Coefficients are ``fractions.Fraction`` values, promoted to
+coefficients.  An integral coefficient is a Python ``int``, any other
+rational one a ``fractions.Fraction``; a coefficient is promoted to
 ``GaussianRational`` (re + im*sqrt(-1) with rational parts) only when an
-imaginary part actually appears; a Gaussian coefficient whose imaginary
-part cancels collapses back to a plain Fraction.
+imaginary part actually appears.  Every result is collapsed back to the
+smallest of these types: a Fraction with denominator 1 becomes its
+numerator and a Gaussian coefficient whose imaginary part cancels becomes
+its real part.  Floats and bools are refused, and no operation divides
+coefficients in floating point.
 
 Exponents are non-negative unless the variable was declared Laurent at
 construction time, in which case negative powers are allowed everywhere
@@ -21,6 +25,7 @@ and dump identically.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add
 from typing import Iterable, Mapping, Union
 
 from .combinatorics import falling
@@ -161,22 +166,33 @@ def _as_gaussian(value):
 
 
 def _norm_coeff(value: Coefficient):
-    """Collapse to the smallest exact type: Fraction unless truly complex."""
-    if isinstance(value, GaussianRational):
-        return value.re if not value.im else value
-    if isinstance(value, Fraction):
+    """Collapse to the smallest exact type: int when integral, else Fraction,
+    GaussianRational only when the imaginary part is nonzero."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, GaussianRational):
+        return _norm_coeff(value.re) if not value.im else value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
     raise TypeError(f"not an exact coefficient: {value!r}")
 
 
-def coeff_real(value) -> Fraction:
+def _quotient(value, d: int):
+    """value / d for a nonzero int d, exact and collapsed."""
+    if type(value) is int:
+        q, r = divmod(value, d)
+        return Fraction(value, d) if r else q
+    return _norm_coeff(value / d)
+
+
+def coeff_real(value):
     return value.re if isinstance(value, GaussianRational) else value
 
 
-def coeff_imag(value) -> Fraction:
-    return value.im if isinstance(value, GaussianRational) else Fraction(0)
+def coeff_imag(value):
+    return value.im if isinstance(value, GaussianRational) else 0
 
 
 def coeff_inverse(value):
@@ -262,15 +278,15 @@ class Polynomial:
         return frozenset(used)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def coefficient(self, exponents: Mapping[str, int]):
         """Coefficient of the monomial given as a {var: exponent} mapping."""
         key = tuple(exponents.get(v, 0) for v in self.vars)
         for v, e in exponents.items():
             if e and v not in self.vars:
-                return Fraction(0)
-        return self.terms.get(key, Fraction(0))
+                return 0
+        return self.terms.get(key, 0)
 
     # -- alignment ------------------------------------------------------------
 
@@ -303,8 +319,11 @@ class Polynomial:
                 return NotImplemented
         vs, lr, ta, tb = self._aligned_with(other)
         out = dict(ta)
+        get = out.get
         for exp, c in tb.items():
-            s = _norm_coeff(out.get(exp, Fraction(0)) + c)
+            s = get(exp, 0) + c
+            if type(s) is not int:
+                s = _norm_coeff(s)
             if s:
                 out[exp] = s
             else:
@@ -334,10 +353,13 @@ class Polynomial:
             return NotImplemented
         vs, lr, ta, tb = self._aligned_with(other)
         out = {}
+        get = out.get
         for ea, ca in ta.items():
             for eb, cb in tb.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                s = _norm_coeff(out.get(exp, Fraction(0)) + ca * cb)
+                exp = tuple(map(_add, ea, eb))
+                s = get(exp, 0) + ca * cb
+                if type(s) is not int:
+                    s = _norm_coeff(s)
                 if s:
                     out[exp] = s
                 else:
@@ -405,7 +427,7 @@ class Polynomial:
             if e == -1:
                 raise NonIntegrableTermError("non-integrable Laurent term")
             nexp = exp[:i] + (e + 1,) + exp[i + 1 :]
-            out[nexp] = _norm_coeff(c / (e + 1))
+            out[nexp] = _quotient(c, e + 1)
         return _make(p.vars, p.laurent, out)
 
     def integrate_n(self, var: str, order: int) -> "Polynomial":
@@ -434,7 +456,7 @@ class Polynomial:
                 else:
                     factor = value**e
                 nexp = exp[:i] + exp[i + 1 :]
-                s = _norm_coeff(out.get(nexp, Fraction(0)) + c * factor)
+                s = _norm_coeff(out.get(nexp, 0) + c * factor)
                 if s:
                     out[nexp] = s
                 else:
@@ -471,11 +493,11 @@ class Polynomial:
         return total
 
     def real_part(self) -> "Polynomial":
-        out = {e: coeff_real(c) for e, c in self.terms.items()}
+        out = {e: _norm_coeff(coeff_real(c)) for e, c in self.terms.items()}
         return _make(self.vars, self.laurent, {e: c for e, c in out.items() if c})
 
     def imag_part(self) -> "Polynomial":
-        out = {e: coeff_imag(c) for e, c in self.terms.items()}
+        out = {e: _norm_coeff(coeff_imag(c)) for e, c in self.terms.items()}
         return _make(self.vars, self.laurent, {e: c for e, c in out.items() if c})
 
     # -- canonical form and serialization ---------------------------------------
@@ -513,7 +535,7 @@ class Polynomial:
         for entry in data:
             exp = tuple(entry.get("exp", {}).get(v, 0) for v in variables)
             c = GaussianRational(Fraction(entry["re"]), Fraction(entry.get("im", "0")))
-            c = _norm_coeff(_norm_coeff(terms.get(exp, Fraction(0))) + c)
+            c = _norm_coeff(terms.get(exp, 0) + c)
             if c:
                 terms[exp] = c
             else:
@@ -528,7 +550,7 @@ class Polynomial:
             mono = "*".join(
                 f"{v}^{e}" if e != 1 else v for v, e in zip(self.vars, exp) if e
             )
-            if isinstance(c, Fraction):
+            if isinstance(c, (int, Fraction)):
                 sign = "-" if c < 0 else "+"
                 mag = str(abs(c))
                 body = mono if mag == "1" and mono else (f"{mag}*{mono}" if mono else mag)
@@ -568,7 +590,7 @@ def _remap(p: Polynomial, vars: tuple) -> dict:
 
 
 def variable(name: str, laurent: bool = False) -> Polynomial:
-    return Polynomial((name,), {(1,): Fraction(1)}, (name,) if laurent else ())
+    return Polynomial((name,), {(1,): 1}, (name,) if laurent else ())
 
 
 def constant(value: Coefficient) -> Polynomial:

@@ -336,7 +336,7 @@ def nested_inverse_term_by_term(inv, p):
     def stage(s, q):
         if s == 1:
             lead = inv.coeffs[0].constant_term()
-            return q.integrate_n(inv.vars_[0], inv.orders[0]) * (1 / lead)
+            return q.integrate_n(inv.vars_[0], inv.orders[0]) * (Fraction(1) / lead)
         v, m, f = inv.vars_[s - 1], inv.orders[s - 1], inv.coeffs[s - 1]
         total = Polynomial.zero(q.vars, q.laurent)
         w, i = q, 0

@@ -1,13 +1,22 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagpde import (
+    BasisElement,
+    BasisFamily,
+    Compose,
     Derivative,
     FlagEquationSpec,
     Integrate,
+    MultiplyBy,
     Polynomial,
+    Scale,
     Sum,
+    VerificationError,
     constant,
     constant_coefficient_basis,
     flag_basis,
@@ -18,11 +27,13 @@ from flagpde import (
     twisted_flag_solve,
     variable,
 )
-from flagpde.bases import ChainError
+from flagpde.bases import ChainError, _integer_annihilation
 from flagpde.linalg import kernel_on_slice, monomials_of_degree, polys_in_span
 from flagpde.operators import OperatorHypothesisError
+from flagpde.poly import IMAG
 
 from oracles import assert_family_spans_kernel, flag_basis_unshared, sigma_word_value
+from strategies import coefficients, gaussian_coefficients, polynomials
 
 x1, x2, x3 = variable("x1"), variable("x2"), variable("x3")
 
@@ -301,3 +312,91 @@ def test_family_json_shape():
     data = fam.to_json()
     assert data["verified"] is True
     assert all("indexMeta" in e and "solution" in e for e in data["elements"])
+
+
+# -- the integer annihilation pass -------------------------------------------------------------
+
+EXACT = st.one_of(coefficients(), gaussian_coefficients())
+
+
+@st.composite
+def laurent_polynomials(draw, max_terms=4, max_exp=2):
+    """Polynomials over a drawn variable order; x is Laurent where it occurs."""
+    vs = draw(st.sampled_from(((), ("x",), ("y",), ("x", "y"), ("y", "x"), ("x", "y", "z"))))
+    laurent = ("x",) if "x" in vs else ()
+    return draw(polynomials(vs, max_terms=max_terms, max_exp=max_exp, laurent=laurent, coeffs=EXACT))
+
+
+@st.composite
+def differential_operators(draw):
+    """Sums of one to three products of coefficients and derivatives of order 0-3,
+    including Compose(Derivative, MultiplyBy), which needs the Leibniz rule."""
+    derivative = st.builds(Derivative, st.sampled_from("xyzw"), st.integers(0, 3))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        c, d = draw(laurent_polynomials(max_terms=3)), draw(derivative)
+        shape = draw(st.integers(0, 3))
+        if shape == 0:
+            parts.append(Compose(MultiplyBy(c), d))
+        elif shape == 1:
+            parts.append(Compose(d, MultiplyBy(c)))
+        elif shape == 2:
+            parts.append(Compose(Scale(draw(EXACT)), d))
+        else:
+            inner = Sum((draw(derivative), Compose(Scale(draw(EXACT)), MultiplyBy(c))))
+            parts.append(Compose(draw(derivative), MultiplyBy(c), inner))
+    return Sum(parts)
+
+
+@given(differential_operators(), laurent_polynomials(), laurent_polynomials(),
+       st.tuples(st.integers(0, 3), st.integers(0, 3)))
+@settings(max_examples=150, deadline=None)
+def test_integer_annihilation_matches_operator_application(op, p, q, exps):
+    kills = _integer_annihilation(op, [p, q])
+    assert kills is not None
+    assert kills(p) == op(p).is_zero()
+    assert kills(q) == op(q).is_zero()
+    # an operator that kills the monomial m = x^a y^b: op - op(m) * d^(a,b) / (a! b!)
+    a, b = exps
+    m = Polynomial(("x", "y"), {exps: 1})
+    to_one = Compose(Scale(Fraction(1, math.factorial(a) * math.factorial(b))),
+                     Derivative("x", a), Derivative("y", b))
+    killer = Sum((op, Compose(MultiplyBy(-op(m)), to_one)))
+    assert killer(m).is_zero()
+    kills = _integer_annihilation(killer, [m, m + p])
+    assert kills(m)
+    assert kills(m + p) == killer(m + p).is_zero()
+
+
+def test_operators_outside_the_differential_class_use_application():
+    op = Sum((Derivative("x"), Integrate("y")))
+    assert _integer_annihilation(op, [x1]) is None
+    fam = BasisFamily([BasisElement({}, Polynomial.zero(("x",)))], op)
+    assert fam.verify_annihilation()
+    fam = BasisFamily([BasisElement({}, variable("y"))], op)
+    with pytest.raises(VerificationError):
+        fam.verify_annihilation()
+
+
+@pytest.mark.parametrize("spec, cap, delta", [
+    # clearing each operator term's denominator on its own rejects this valid family
+    (FlagEquationSpec((3, 2, 1), (x1 + 1, x1 * x2 / 2)), 3, Fraction(1, 3)),
+    (FlagEquationSpec((2, 2, 2), (x1**2 - 2, x2 + x1)), 3, 1),
+    (FlagEquationSpec((2, 1, 2), (IMAG * x1 + 1, x1 * x2 - Fraction(1, 2))), 2, IMAG),
+])
+def test_flag_element_with_one_coefficient_changed_fails(spec, cap, delta):
+    fam = flag_basis(spec, cap)
+    op = fam.annihilator
+    rejected = 0
+    for e in fam.elements:
+        u = e.solution
+        for exp, c in u.terms.items():
+            changed = BasisFamily([BasisElement(e.index, Polynomial(u.vars, {**u.terms, exp: c + delta}))], op)
+            if op(Polynomial(u.vars, {exp: 1})).is_zero():
+                # the monomial alone solves the equation, so the changed element still does
+                assert changed.verify_annihilation()
+            else:
+                with pytest.raises(VerificationError):
+                    changed.verify_annihilation()
+                rejected += 1
+    assert rejected > len(fam)

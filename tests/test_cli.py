@@ -146,6 +146,27 @@ def test_missing_required_options_exit_two():
     assert run_cli(["basis", "flag"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["constant", "--orders", "2,2", "--cap", "-1"],
+    ["harmonic", "--n", "3", "--cap", "-1"],
+    ["dissipative", "--n", "2", "--cap", "-1"],
+    ["anisym", "--lambda", "3/2", "--cap", "-1"],
+    ["flag", "--spec", "{spec}", "--cap", "-2"],
+])
+def test_negative_cap_exits_two(tmp_path, capsys, args):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "orders": [2, 2],
+        "coefficients": [[{"exp": {"x1": 1}, "re": "1", "im": "0"}]],
+        "variables": ["x1", "x2"],
+    }))
+    out = tmp_path / "out.json"
+    args = [a.format(spec=spec) for a in args]
+    assert run_cli(["basis", *args, "--out", str(out)]) == 2
+    assert "cap must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_jobs_flag_is_rejected():
     assert run_cli(["basis", "harmonic", "--n", "3", "--cap", "3", "--jobs", "2"]) == 2
 

@@ -26,6 +26,7 @@ from flagpde.operators import (
     NotAFlagSystemError,
     OperatorHypothesisError,
     SeriesTerminationError,
+    differential_form,
     op_from_json,
     op_to_json,
 )
@@ -232,3 +233,16 @@ def test_damped_integration_is_right_inverse():
 def test_damped_integration_rejects_zero():
     with pytest.raises(ValueError):
         DampedIntegration(0, "t")
+
+
+def test_differential_form_applies_the_leibniz_rule():
+    # d^2/dx^2 (x^2 u) = x^2 u'' + 4x u' + 2u
+    form = differential_form(Compose(Derivative("x", 2), MultiplyBy(x**2)))
+    assert form == {(("x", 2),): x**2, (("x", 1),): 4 * x, (): constant(2)}
+    # d/dx d/dy (y * u) = y u_xy + u_x, with the multi-index sorted by variable
+    form = differential_form(Compose(Derivative("y"), Derivative("x"), MultiplyBy(y)))
+    assert form == {(("x", 1), ("y", 1)): y, (("x", 1),): constant(1)}
+    assert differential_form(Sum((Derivative("x"), Compose(Scale(-1), Derivative("x", 1))))) == {}
+    assert differential_form(Compose(Derivative("x", 0), Scale(Fraction(1, 2)))) == {(): constant(Fraction(1, 2))}
+    assert differential_form(Compose(Derivative("x"), Integrate("x"))) is None
+    assert differential_form(NestedRightInverse([(1, Derivative("x"))])) is None

@@ -130,7 +130,8 @@ def test_gaussian_field_axioms():
 def test_gaussian_collapse_to_fraction_in_polynomial():
     p = (IMAG * x) * (IMAG * x)
     assert p == -(x**2)
-    assert all(isinstance(c, Fraction) for c in p.terms.values())
+    # the imaginary parts cancel and -1 is integral, so the coefficient is an int
+    assert all(type(c) is int for c in p.terms.values())
 
 
 def test_real_imag_split():
@@ -222,3 +223,73 @@ def test_integrate_matches_reciprocal_product(p, var):
             p.integrate(var)
         return
     assert _typed_terms(p.integrate(var)) == _typed_terms(want)
+
+
+def _assert_canonical_coefficients(p):
+    """int exactly when integral, else Fraction, or Gaussian with a nonzero imaginary part."""
+    for c in p.terms.values():
+        if isinstance(c, GaussianRational):
+            assert c.im
+        elif isinstance(c, Fraction):
+            assert c.denominator != 1
+        else:
+            assert type(c) is int
+
+
+MIXED = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool)),  # denominator 1
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    st.builds(GaussianRational, st.fractions(max_denominator=4), st.just(0)).filter(bool),
+    gaussian_coefficients(),
+)
+
+
+@given(
+    polynomials(vars=("x", "y"), laurent=("x",), coeffs=MIXED),
+    polynomials(vars=("y", "z"), coeffs=MIXED),
+    MIXED,
+)
+@settings(max_examples=80, deadline=None)
+def test_coefficients_are_int_exactly_when_integral(p, q, c):
+    results = [
+        p, q, p + q, p - q, p * q, p * c, c * p, p / c, p + c, -p,
+        p.diff("x", 2), p.diff("y"), q.integrate("y"), q.integrate("x"), p.integrate("z"),
+        p.substitute("y", Fraction(1, 2)), p.substitute("y", 3), p.substitute("y", q),
+        p.real_part(), p.imag_part(), Polynomial.from_json_terms(p.to_json_terms(), p.vars, p.laurent),
+    ]
+    for r in results:
+        _assert_canonical_coefficients(r)
+    assert Polynomial(("x",), {(1,): c}) == c * x
+
+
+def test_family_coefficients_are_canonical():
+    from flagpde import FlagEquationSpec, anisymmetric_basis, flag_basis, harmonic_basis
+
+    x1, x2 = variable("x1"), variable("x2")
+    families = [
+        flag_basis(FlagEquationSpec((2, 1, 2), (IMAG * x1 + 1, x1 * x2 - Fraction(1, 2))), 3),
+        flag_basis(FlagEquationSpec((3, 2, 1), (x1 + 1, x1 * x2 / 2)), 3),
+        harmonic_basis(3, 4),
+        anisymmetric_basis(2, -3, 1, 3),
+    ]
+    kinds = set()
+    for fam in families:
+        for e in fam.elements:
+            _assert_canonical_coefficients(e.solution)
+            kinds |= {type(c) for c in e.solution.terms.values()}
+    assert kinds == {int, Fraction, GaussianRational}
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, True, complex(1, 1)])
+def test_float_and_bool_coefficients_are_refused(value):
+    with pytest.raises(TypeError):
+        Polynomial(("x",), {(1,): value})
+    with pytest.raises(TypeError):
+        x * value
+
+
+def test_integer_coefficients_print_like_fractions():
+    assert str(1 - 3 * x * y + Fraction(5, 2) * y) == "-3*x*y + 5/2*y + 1"
+    assert str(-x) == "-x"
+    assert str(x.integrate("x") * 4) == "2*x^2"
