@@ -35,6 +35,7 @@ from .ivp import (
     ode_derivatives_at_zero,
     solve_constant_ode,
     solve_flag_ivp,
+    solve_tree_heat_ivp,
     solve_tree_wave_ivp,
     solve_tree_wave_series,
 )

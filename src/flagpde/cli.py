@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -126,14 +127,23 @@ SYMBOLS_SCHEMA = {
 }
 
 
-def _validate(instance, schema, source: str):
-    import jsonschema
+_VALIDATORS: dict = {}  # id of a constant schema above -> its validator
 
-    try:
-        jsonschema.validate(instance, schema)
-    except jsonschema.ValidationError as err:
+
+def _validate(instance, schema, source: str):
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
+
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    # what jsonschema.validate does, without checking the schema on every call
+    err = best_match(validator.iter_errors(instance))
+    if err is not None:
         pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise InputError(f"{source}: schema violation at {pointer}: {err.message}") from None
+        raise InputError(f"{source}: schema violation at {pointer}: {err.message}")
 
 
 def _load_json(path: str, schema, label: str):
@@ -292,17 +302,32 @@ def _cmd_tree(args):
     raise InputError(f"unknown tree action {args.action}")
 
 
-def _grid_points(spec: str, axes):
-    import numpy as np
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """lo + i * step for i < n, the last point set to hi: the floats of the
+    usual array linspace, with its fallback for a step that underflows."""
+    delta = hi - lo
+    if n == 1:
+        return [lo + 0 * delta]
+    step = delta / (n - 1)
+    line = [lo + (i * step if step else i / (n - 1) * delta) for i in range(n)]
+    line[-1] = hi
+    return line
 
-    sizes = [int(v) for v in spec.split("x")]
+
+def _grid_points(spec: str, axes):
+    """The points of a grid spec such as "5x5" over the axes' (lo, hi)."""
+    try:
+        sizes = [int(v) for v in spec.split("x")]
+    except ValueError:
+        raise InputError(f"grid {spec!r} is not a list of sizes like 5x5") from None
     if len(sizes) != len(axes):
         raise InputError(
             f"grid {spec!r} has {len(sizes)} axes but the problem needs {len(axes)}"
         )
-    lines = [np.linspace(lo, hi, size) for (lo, hi), size in zip(axes, sizes)]
-    mesh = [axis.ravel() for axis in np.meshgrid(*lines, indexing="ij")]
-    return [tuple(float(m[i]) for m in mesh) for i in range(len(mesh[0]))]
+    if min(sizes) < 1:
+        raise InputError(f"grid {spec!r} has an axis with fewer than one point")
+    lines = [_linspace(lo, hi, size) for (lo, hi), size in zip(axes, sizes)]
+    return list(itertools.product(*lines))
 
 
 def _cmd_ivp_flag(args):

@@ -1,6 +1,6 @@
 """Initial value solvers with exact Fourier-coefficient extraction.
 
-Two solvers share the same spectral skeleton: initial data is a finite trig
+The solvers share the same spectral skeleton: initial data is a finite trig
 polynomial (a map from integer modes to cosine/sine amplitudes on a box),
 so Fourier coefficients are read off exactly instead of integrated, and
 each mode evolves independently.
@@ -14,18 +14,17 @@ each mode evolves independently.
   with enough bits to cover its cancellation, so large arguments keep
   their accuracy (cos 60 from terms up to 6e24).  The same recurrence
   over Fraction gives the exact derivatives at zero.
-* ``solve_tree_wave_ivp`` evolves tree-operator data by the per-mode
-  exponent polynomials of the heat-flow splitting, averaging the forward
-  and backward flows; the velocity terms are integrated in t by adaptive
-  quadrature.  That construction reproduces both initial traces and
-  satisfies the factorized identity u_tt = d_T(d_T u) exactly; it is not
-  annihilated by the second-order operator d/dt^2 - d_T itself.
-* ``solve_tree_wave_series`` sums the even and odd t-series
-  sum t^(2i)/(2i)! d_T^i and sum t^(2i+1)/(2i+1)! d_T^i per mode instead,
-  which is the genuine second-order evolution u_tt = d_T u.  The carriers
-  of d_T^i are built lazily, only as far as the times asked for need them,
-  and a running rounding-error bound makes a sum that cancels too much
-  raise instead of returning a wrong value.
+* ``solve_tree_wave_ivp`` solves the tree wave equation u_tt = d_T u with
+  u(0) = g0 and u_t(0) = g1.  Per mode it sums the even and odd t-series
+  sum t^(2i)/(2i)! d_T^i and sum t^(2i+1)/(2i+1)! d_T^i applied to the mode
+  wave.  The carriers of d_T^i are built lazily, only as far as the times
+  asked for need them, and a running rounding-error bound makes a sum that
+  cancels too much raise instead of returning a wrong value.
+  ``solve_tree_wave_series`` is a second name for the same function.
+* ``solve_tree_heat_ivp`` solves the tree heat flow u_t = d_T u with
+  u(0) = g0.  The nodewise splitting of exp(t d_T) gives each mode in
+  closed form: the mode wave exp(i theta) evolves to exp(i theta + Xi(t)),
+  with Xi the summed splitting exponents evaluated at the mode.
 
 All solvers verify the reproduced initial traces at the evaluation points
 before returning.
@@ -45,13 +44,14 @@ from .trees import Tree, TricomiSplitting, compute_splitting, evaluate_symbol
 __all__ = [
     "FlagIvpSolution",
     "OdeProblem",
+    "TreeHeatSolution",
     "TreeWaveSeriesSolution",
-    "TreeWaveSolution",
     "TrigData",
     "generalized_exponential",
     "ode_derivatives_at_zero",
     "solve_constant_ode",
     "solve_flag_ivp",
+    "solve_tree_heat_ivp",
     "solve_tree_wave_ivp",
     "solve_tree_wave_series",
 ]
@@ -452,108 +452,55 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
     return FlagIvpSolution(m, half_widths, modes, list(eval_points), values, worst)
 
 
-# -- the tree wave IVP ----------------------------------------------------------------
+# -- the tree heat flow ---------------------------------------------------------------
 
 @dataclass
-class TreeWaveSolution:
-    tree: Tree
+class TreeHeatSolution:
     splitting: TricomiSplitting
     half_widths: tuple
     g0: TrigData
-    g1: TrigData
-    quad_tol: float
     eval_points: list
     t: float
     values: list
     trace_residual: float
 
-    def mode_pair(self, k, t: float, point):
-        """(phi_k, psi_k) at (t, point): the even-in-t mode waves.
-
-        The pair averages the forward and backward heat flows of the phase
-        wave, exp(i theta) (exp(Xi(t)) + exp(Xi(-t))) / 2, which is the mode
-        picture of the operator identity cosh(t * d_T) = (e^(t d_T) +
-        e^(-t d_T)) / 2; only the time reflection (not a global sign flip of
-        the exponent) keeps the wave equation satisfied.
-        """
-        xi_fwd = evaluate_symbol(self.splitting, k, self.half_widths, t, point)
-        xi_bwd = evaluate_symbol(self.splitting, k, self.half_widths, -t, point)
+    def mode_wave(self, k, t: float, point) -> complex:
+        """exp(i theta + Xi(t)) at the point: exp(t d_T) applied to the mode
+        wave exp(i theta), with Xi the summed splitting exponents."""
         theta = 2 * math.pi * sum(
             kv / a * xv for kv, a, xv in zip(k, self.half_widths, point)
         )
-        w = cmath.exp(1j * theta) * (cmath.exp(xi_fwd) + cmath.exp(xi_bwd))
-        return w.real / 2.0, w.imag / 2.0
+        xi = evaluate_symbol(self.splitting, k, self.half_widths, t, point)
+        return cmath.exp(1j * theta + xi)
 
     def at(self, t: float, point) -> float:
-        from scipy.integrate import quad
-
         total = 0.0
-        for k in sorted(set(self.g0.modes) | set(self.g1.modes)):
-            b0, c0 = self.g0.modes.get(k, (0.0, 0.0))
-            b1, c1 = self.g1.modes.get(k, (0.0, 0.0))
-            if b0 or c0:
-                phi, psi = self.mode_pair(k, t, point)
-                total += b0 * phi + c0 * psi
-            if b1 or c1:
-                if t == 0.0:
-                    continue
-                iphi, err_p = quad(
-                    lambda s: self.mode_pair(k, s, point)[0], 0.0, t,
-                    epsabs=self.quad_tol, epsrel=self.quad_tol,
-                )
-                ipsi, err_q = quad(
-                    lambda s: self.mode_pair(k, s, point)[1], 0.0, t,
-                    epsabs=self.quad_tol, epsrel=self.quad_tol,
-                )
-                if max(err_p, err_q) > 10 * self.quad_tol:
-                    raise VerificationError("time quadrature error above tolerance")
-                total += b1 * iphi + c1 * ipsi
+        for k, (c, s) in self.g0.modes.items():
+            w = self.mode_wave(k, t, point)
+            total += c * w.real + s * w.imag
         return total
 
 
-def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
-                        eval_points, check_tol: float = 1e-9,
-                        quad_tol: float = 1e-10) -> TreeWaveSolution:
-    """Evolve tree-operator data by the splitting-symbol mode functions.
+def solve_tree_heat_ivp(tree: Tree, g0: TrigData, t: float, eval_points,
+                        check_tol: float = 1e-9) -> TreeHeatSolution:
+    """Solve u_t = d_T u with u(0) = g0 by the nodewise splitting.
 
-    Every mode evolves by the splitting exponent combined into even
-    cosine/sine waves phi_k, psi_k that reproduce the initial position
-    exactly and have vanishing initial velocity; the g1 part rides on their
-    running t-integrals.  The assembled function averages the forward and
-    backward heat flows per mode, so it satisfies the factorized identity
-    u_tt = d_T(d_T u); use solve_tree_wave_series for the evolution that is
-    annihilated by d/dt^2 - d_T itself.
+    exp(t d_T) factors into the product of the nodes' heat flows, so each
+    mode wave exp(i theta) evolves in closed form to exp(i theta + Xi(t)),
+    where Xi is the sum of the splitting exponents at D_j = 2 pi i k_j / a_j.
     """
-    if g0.half_widths != g1.half_widths:
-        raise ValueError("position and velocity data must share half widths")
     if len(g0.half_widths) != tree.nodes:
         raise ValueError("data dimension must match the tree")
-    splitting = compute_splitting(tree)
-    sol = TreeWaveSolution(
-        tree, splitting, g0.half_widths, g0, g1, quad_tol, list(eval_points), t, [], 0.0
-    )
+    sol = TreeHeatSolution(compute_splitting(tree), g0.half_widths, g0, list(eval_points), t, [], 0.0)
     sol.values = [sol.at(t, pt) for pt in eval_points]
-
-    worst = 0.0
-    for pt in eval_points:
-        u0 = sol.at(0.0, pt)
-        worst = max(worst, abs(u0 - g0.value_at(pt)))
-        # velocity trace: the phi/psi parts are even in t, so du/dt at zero
-        # is carried entirely by the integral terms, whose derivative is the
-        # integrand at zero, i.e. the plain mode waves weighted by g1.
-        vel = 0.0
-        for k in sorted(set(g1.modes)):
-            b1, c1 = g1.modes[k]
-            phi, psi = sol.mode_pair(k, 0.0, pt)
-            vel += b1 * phi + c1 * psi
-        worst = max(worst, abs(vel - g1.value_at(pt)))
+    worst = max((abs(sol.at(0.0, pt) - g0.value_at(pt)) for pt in eval_points), default=0.0)
     sol.trace_residual = worst
     if worst > check_tol:
         raise VerificationError(f"initial trace residual {worst} exceeds {check_tol}")
     return sol
 
 
-# -- the strictly second-order tree evolution -------------------------------------
+# -- the tree wave IVP ----------------------------------------------------------------
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -658,8 +605,10 @@ class TreeWaveSeriesSolution:
             to = t ** (2 * i + 1) / math.factorial(2 * i + 1)
             even += te * value
             odd += to * value
-            spread += (abs(te) + abs(to)) * size
-            step = abs(te * value) + abs(to * value)
+            # judge the term by its moduli, not by its value here: low operator
+            # powers can vanish at a point while higher ones do not
+            step = (abs(te) + abs(to)) * size
+            spread += step
             quiet = quiet + 1 if step < tol * (1.0 + abs(even) + abs(odd)) else 0
             if quiet >= 2:
                 break
@@ -681,9 +630,9 @@ class TreeWaveSeriesSolution:
         return total
 
 
-def solve_tree_wave_series(tree: Tree, g0: TrigData, g1: TrigData, t: float,
-                           eval_points, check_tol: float = 1e-9,
-                           max_terms: int = 120) -> TreeWaveSeriesSolution:
+def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
+                        eval_points, check_tol: float = 1e-9,
+                        max_terms: int = 120) -> TreeWaveSeriesSolution:
     """Solve u_tt = d_T u with u(0) = g0, u_t(0) = g1 by direct series.
 
     Per mode the operator powers d_T^i are applied symbolically to the mode
@@ -719,3 +668,7 @@ def solve_tree_wave_series(tree: Tree, g0: TrigData, g1: TrigData, t: float,
     if worst > check_tol:
         raise VerificationError(f"initial trace residual {worst} exceeds {check_tol}")
     return sol
+
+
+# the name the series solver was introduced under
+solve_tree_wave_series = solve_tree_wave_ivp

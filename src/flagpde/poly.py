@@ -46,12 +46,18 @@ class NonIntegrableTermError(ValueError):
     """Raised when integration meets an exponent of -1 in the target variable."""
 
 
+_INEXACT = (float, complex, bool)
+
+
 class GaussianRational:
     """An exact element re + im*sqrt(-1) of the Gaussian rationals."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        # Fraction(0.1) would keep the binary expansion of the float
+        if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
+            raise TypeError(f"not an exact Gaussian part: {re!r}, {im!r}")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 

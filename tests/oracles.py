@@ -300,18 +300,20 @@ def tree_wave_series_eager(tree, g0, g1, t, point, max_terms=120):
             if not carrier:
                 break
             value = 0j
+            size = 0.0
             for exp, coeff in carrier.items():
                 term = coeff
                 for e, xv in zip(exp, point):
                     if e:
                         term *= xv**e
                 value += term
+                size += abs(term)
             value *= phase
             te = t ** (2 * i) / math.factorial(2 * i)
             to = t ** (2 * i + 1) / math.factorial(2 * i + 1)
             even += te * value
             odd += to * value
-            step = abs(te * value) + abs(to * value)
+            step = (abs(te) + abs(to)) * size
             quiet = quiet + 1 if step < 1e-14 * (1.0 + abs(even) + abs(odd)) else 0
             if quiet >= 2:
                 break
@@ -322,6 +324,40 @@ def tree_wave_series_eager(tree, g0, g1, t, point, max_terms=120):
         total += b0 * even.real + c0 * even.imag
         total += b1 * odd.real + c1 * odd.imag
     return total
+
+
+def tree_heat_mode_series(tree, k, half_widths, t, point, max_terms=200):
+    """exp(t d_T) applied to the mode wave exp(i theta) at the point, as the
+    operator-power series sum t^i/i! d_T^i, each power built from the last
+    by the solver's carrier step and summed until two consecutive terms fall
+    below 1e-18 of the sum of their moduli."""
+    from flagpde.ivp import _carrier_apply
+
+    omegas = [2 * math.pi * kv / a for kv, a in zip(k, half_widths)]
+    carrier = {(0,) * tree.nodes: 1 + 0j}
+    total = 0j
+    spread = 0.0
+    quiet = 0
+    for i in range(max_terms):
+        if not carrier:
+            break
+        weight = t**i / math.factorial(i)
+        value = 0j
+        size = 0.0
+        for exp, coeff in carrier.items():
+            term = coeff * math.prod(xv**e for e, xv in zip(exp, point))
+            value += term
+            size += abs(term)
+        total += weight * value
+        spread += abs(weight) * size
+        quiet = quiet + 1 if abs(weight) * size < 1e-18 * spread else 0
+        if quiet >= 2:
+            break
+        carrier = _carrier_apply(tree, omegas, carrier)
+    else:
+        raise AssertionError("operator-power series did not settle")
+    theta = 2 * math.pi * sum(kv / a * xv for kv, a, xv in zip(k, half_widths, point))
+    return total * cmath.exp(1j * theta)
 
 
 # -- the flag-family series, term by term ---------------------------------------------

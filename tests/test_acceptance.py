@@ -42,6 +42,7 @@ from flagpde import (
     sl_module_basis,
     solve_constant_ode,
     solve_flag_ivp,
+    solve_tree_heat_ivp,
     solve_tree_wave_ivp,
     variable,
 )
@@ -262,7 +263,7 @@ def test_criterion_6_ivp_reproduction():
     for pt, got in zip(pts, sol.values):
         want = math.cos(2 * math.pi * pt[0]) * math.cos(2 * math.pi * pt[1])
         assert abs(got - want) <= 1e-9
-    # tree wave: traces and the chain-tree closed form, one mode
+    # tree wave: both traces; tree heat flow: the chain-tree closed form, one mode
     tree = Tree(3, [(1, 2), (2, 3)])
     hw = (1.0, 1.0, 1.0)
     tg0 = TrigData(hw, {(1, 1, 1): (1.0, 0.0)})
@@ -270,12 +271,14 @@ def test_criterion_6_ivp_reproduction():
     tpts = [(0.1, 0.2, 0.3), (-0.25, 0.4, 0.15)]
     tsol = solve_tree_wave_ivp(tree, tg0, tg1, 0.05, tpts)
     assert tsol.trace_residual <= 1e-9
-    from test_ivp import _chain3_mode_closed_form
+    hsol = solve_tree_heat_ivp(tree, tg0, 0.05, tpts)
+    assert hsol.trace_residual <= 1e-9
+    from test_ivp import _chain3_heat_mode_closed_form
 
     for tval in (0.02, 0.05):
         for pt in tpts:
-            got = tsol.mode_pair((1, 1, 1), tval, pt)[0]
-            want = _chain3_mode_closed_form((1, 1, 1), hw, tval, pt)
+            got = hsol.mode_wave((1, 1, 1), tval, pt).real
+            want = _chain3_heat_mode_closed_form((1, 1, 1), hw, tval, pt)
             assert abs(got - want) <= 1e-9
     _report(6, "IVP reproduction", started)
 

@@ -1,11 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import flagpde
 from flagpde.bases import harmonic_basis
-from flagpde.cli import main
+from flagpde.cli import _VALIDATORS, DATA_SCHEMA, TREE_SCHEMA, InputError, _grid_points, _validate, main
 
 
 def run_cli(args):
@@ -227,3 +233,88 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "flagpde" in proc.stdout
+
+
+# -- grids -----------------------------------------------------------------------------------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_finite, _finite, st.integers(1, 12)), min_size=1, max_size=3))
+@example([(0.0, 1e-323, 11)])  # the step underflows to zero
+def test_grid_points_match_numpy_meshgrid(axes):
+    spec = "x".join(str(n) for _, _, n in axes)
+    got = _grid_points(spec, [(lo, hi) for lo, hi, _ in axes])
+    with np.errstate(all="ignore"):
+        lines = [np.linspace(lo, hi, n) for lo, hi, n in axes]
+        mesh = [m.ravel() for m in np.meshgrid(*lines, indexing="ij")]
+    want = [tuple(float(m[i]) for m in mesh) for i in range(len(mesh[0]))]
+    assert [[c.hex() for c in pt] for pt in got] == [[c.hex() for c in pt] for pt in want]
+
+
+@pytest.mark.parametrize("grid", ["2x0", "2x-1", "2xa"])
+def test_bad_grid_sizes_exit_two(tmp_path, capsys, grid):
+    symbols = tmp_path / "symbols.json"
+    symbols.write_text(json.dumps({"variables": ["D2"], "symbols": [[{"exp": {"D2": 2}, "re": "1"}]]}))
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"halfWidths": [1.0], "modes": [{"k": [1], "cos": 1.0}]}))
+    out = tmp_path / "out.json"
+    code = run_cli(["ivp", "flag", "--orders", "1", "--symbols", str(symbols), "--data", str(data),
+                    "--grid", grid, "--out", str(out)])
+    assert code == 2
+    assert f"grid {grid!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -- schemas --------------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("instance, schema, message", [
+    ({"halfWidths": [0]}, DATA_SCHEMA, "/halfWidths/0: 0 is less than or equal to the minimum of 0"),
+    ({"nodes": 2}, TREE_SCHEMA, "/: 'edges' is a required property"),
+    ({"nodes": 2, "edges": [[1, True]]}, TREE_SCHEMA, "/edges/0/1: True is not of type 'integer'"),
+    ({"halfWidths": [1.0], "g0": {"modes": [{"k": [1.5]}]}}, DATA_SCHEMA,
+     "/g0/modes/0/k/0: 1.5 is not of type 'integer'"),
+])
+def test_schema_violation_messages(instance, schema, message):
+    import jsonschema
+
+    with pytest.raises(InputError) as err:
+        _validate(instance, schema, "in.json")
+    assert str(err.value) == f"in.json: schema violation at {message}"
+    # the same error jsonschema.validate picks
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(instance, schema)
+    assert message.endswith(ref.value.message)
+    # the schema's validator is built once and reused
+    built = _VALIDATORS[id(schema)]
+    with pytest.raises(InputError):
+        _validate(instance, schema, "in.json")
+    assert _VALIDATORS[id(schema)] is built
+
+
+# -- runtime dependencies -------------------------------------------------------------------------
+
+def test_ivp_commands_load_neither_numpy_nor_scipy(tmp_path):
+    (tmp_path / "symbols.json").write_text(json.dumps({
+        "variables": ["D2"], "symbols": [[], [{"exp": {"D2": 2}, "re": "1"}]]}))
+    (tmp_path / "flag.json").write_text(json.dumps({
+        "halfWidths": [1.0], "conditions": [{"modes": [{"k": [1], "cos": 1.0}]}, {"modes": []}]}))
+    (tmp_path / "tree.json").write_text(json.dumps({"nodes": 2, "edges": [[1, 2]]}))
+    (tmp_path / "wave.json").write_text(json.dumps({
+        "halfWidths": [1.0, 1.0], "g0": {"modes": [{"k": [1, 1], "cos": 1.0}]},
+        "g1": {"modes": [{"k": [1, 0], "cos": 0.5}]}}))
+    script = """
+import sys
+from flagpde.cli import main
+assert main(["ivp", "flag", "--orders", "2", "--symbols", "symbols.json", "--data", "flag.json",
+             "--grid", "3x3", "--out", "flag-out.json"]) == 0
+assert main(["ivp", "tree-wave", "--tree", "tree.json", "--data", "wave.json", "--t", "0.1",
+             "--grid", "2x2", "--out", "wave-out.json"]) == 0
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+    src = str(Path(flagpde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

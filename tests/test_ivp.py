@@ -16,6 +16,7 @@ from flagpde import (
     ode_derivatives_at_zero,
     solve_constant_ode,
     solve_flag_ivp,
+    solve_tree_heat_ivp,
     solve_tree_wave_ivp,
     variable,
 )
@@ -26,6 +27,7 @@ from oracles import (
     flag_values_per_point,
     fundamental_derivative_oracle,
     graded_exponential_series,
+    tree_heat_mode_series,
     tree_wave_series_eager,
 )
 
@@ -351,32 +353,24 @@ def test_flag_ivp_residual_by_stencil():
     assert abs(u11 - u22) / scale < 1e-5
 
 
-# -- the tree wave IVP ----------------------------------------------------------------------------
+# -- the tree heat flow ----------------------------------------------------------------------------
 
-def test_tree_wave_single_node_closed_form():
+def test_tree_heat_single_node_closed_form():
     tree = Tree(1, [])
     g0 = TrigData((1.0,), {(1,): (1.0, 0.0)})
-    g1 = TrigData((1.0,), {})
     pts = [(0.1,), (0.35,), (-0.2,)]
-    sol = solve_tree_wave_ivp(tree, g0, g1, 0.02, pts)
+    sol = solve_tree_heat_ivp(tree, g0, 0.02, pts)
     for pt, got in zip(pts, sol.values):
-        w = 4 * math.pi**2 * 0.02
-        want = 0.5 * (math.exp(w) + math.exp(-w)) * math.cos(2 * math.pi * pt[0])
+        want = math.exp(-4 * math.pi**2 * 0.02) * math.cos(2 * math.pi * pt[0])
         assert got == pytest.approx(want, rel=1e-12)
     assert sol.at(0.0, (0.1,)) == pytest.approx(math.cos(2 * math.pi * 0.1), abs=1e-12)
 
 
-def test_tree_wave_zero_data_is_zero():
-    tree = Tree(2, [(1, 2)])
-    zero = TrigData((1.0, 1.0), {})
-    sol = solve_tree_wave_ivp(tree, zero, zero, 0.1, [(0.1, 0.2)])
-    assert sol.values == [0.0]
-
-
-def _chain3_mode_closed_form(k, a, t, x):
+def _chain3_heat_mode_closed_form(k, a, t, x):
+    """Re exp(i theta + Xi(t)) on the chain 1-2-3, with Xi(t) = -decay - i phase."""
     k1, k2, k3 = [kv / av for kv, av in zip(k, a)]
     pi = math.pi
-    grow = (
+    decay = (
         4 * pi**2 * t * (
             k1**2
             - (4 * pi**2 * t**2 / 3) * (k2**4 + 2 * k1 * k2 * k3**2)
@@ -395,23 +389,93 @@ def _chain3_mode_closed_form(k, a, t, x):
         + 8 * pi**3 * k2 * k3**2 * t**2 * x[0]
     )
     theta = 2 * pi * (k1 * x[0] + k2 * x[1] + k3 * x[2])
-    # both branches carry the same phase shift: the decaying branch is the
-    # time reflection of the growing one, and the phase part is even in t
-    return 0.5 * (math.exp(grow) + math.exp(-grow)) * math.cos(theta - phase)
+    return math.exp(-decay) * math.cos(theta - phase)
 
 
-def test_tree_wave_chain3_matches_closed_form():
+def test_tree_heat_chain3_matches_closed_form():
     tree = Tree(3, [(1, 2), (2, 3)])
     hw = (1.0, 1.5, 2.0)
     g0 = TrigData(hw, {(1, 2, 1): (1.0, 0.0)})
-    g1 = TrigData(hw, {})
     pts = [(0.1, 0.2, 0.3), (-0.3, 0.6, -0.8)]
-    sol = solve_tree_wave_ivp(tree, g0, g1, 0.05, pts)
+    sol = solve_tree_heat_ivp(tree, g0, 0.05, pts)
+    assert sol.trace_residual <= 1e-9
     for t in (0.01, 0.05):
         for pt in pts:
             got = sol.at(t, pt)
-            want = _chain3_mode_closed_form((1, 2, 1), hw, t, pt)
+            want = _chain3_heat_mode_closed_form((1, 2, 1), hw, t, pt)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_tree_heat_matches_operator_power_series():
+    """exp(i theta + Xi(t)) equals sum t^i/i! d_T^i applied to exp(i theta)."""
+    tree = Tree(3, [(1, 2), (2, 3)])
+    hw = (1.0, 1.5, 2.0)
+    k = (1, 2, 1)
+    g0 = TrigData(hw, {k: (1.0, 0.0)})
+    pts = [(0.1, 0.2, 0.3), (-0.3, 0.6, -0.8)]
+    sol = solve_tree_heat_ivp(tree, g0, 0.05, pts)
+    for t in (0.01, 0.05):
+        for pt in pts:
+            want = tree_heat_mode_series(tree, k, hw, t, pt)
+            assert abs(sol.mode_wave(k, t, pt) - want) <= 1e-12
+
+
+def test_tree_heat_keeps_sine_amplitudes():
+    tree = Tree(2, [(1, 2)])
+    hw = (1.0, 2.0)
+    g0 = TrigData(hw, {(1, 1): (0.5, -0.25), (0, 1): (0.0, 0.75)})
+    pt = (0.2, -0.4)
+    sol = solve_tree_heat_ivp(tree, g0, 0.03, [pt])
+    want = 0.0
+    for k, (c, s) in g0.modes.items():
+        w = tree_heat_mode_series(tree, k, hw, 0.03, pt)
+        want += c * w.real + s * w.imag
+    assert sol.values[0] == pytest.approx(want, abs=1e-12)
+    assert sol.at(0.0, pt) == pytest.approx(g0.value_at(pt), abs=1e-12)
+
+
+def test_tree_heat_rejects_data_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        solve_tree_heat_ivp(Tree(2, [(1, 2)]), TrigData((1.0,), {(1,): (1.0, 0.0)}), 0.1, [(0.1,)])
+
+
+# -- the tree wave IVP ----------------------------------------------------------------------------
+
+def test_tree_wave_single_node_closed_form():
+    """On one node d_T cos 2 pi x = -4 pi^2 cos 2 pi x, so the wave is
+    cos 2 pi t * cos 2 pi x."""
+    tree = Tree(1, [])
+    g0 = TrigData((1.0,), {(1,): (1.0, 0.0)})
+    g1 = TrigData((1.0,), {})
+    pts = [(0.1,), (0.35,), (-0.2,)]
+    sol = solve_tree_wave_ivp(tree, g0, g1, 0.3, pts)
+    for t in (0.0, 0.02, 0.3, 0.5):
+        for pt in pts:
+            want = math.cos(2 * math.pi * t) * math.cos(2 * math.pi * pt[0])
+            assert abs(sol.at(t, pt) - want) <= 1e-12
+    for pt, got in zip(pts, sol.values):
+        assert abs(got - math.cos(2 * math.pi * 0.3) * math.cos(2 * math.pi * pt[0])) <= 1e-12
+
+
+def test_tree_wave_zero_data_is_zero():
+    tree = Tree(2, [(1, 2)])
+    zero = TrigData((1.0, 1.0), {})
+    sol = solve_tree_wave_ivp(tree, zero, zero, 0.1, [(0.1, 0.2)])
+    assert sol.values == [0.0]
+
+
+def test_tree_wave_series_does_not_stop_where_low_powers_vanish():
+    """At (2, -1, -2) the values of d_T phi and d_T^2 phi are zero but d_T^3 phi
+    is not, so two quiet values must not end the sum."""
+    tree = Tree(3, [(1, 2), (2, 3)])
+    hw = (2.0, 1.0, 2.0)
+    g0 = TrigData(hw, {(2, 0, 2): (0.737, 0.0)})
+    g1 = TrigData(hw, {})
+    pts = [(2.0, -1.0, -2.0), (2.0, -1.0 + 1e-12, -2.0)]
+    sol = solve_tree_wave_ivp(tree, g0, g1, 0.167, pts)
+    assert abs(sol.values[0] - 0.7371384248832621) <= 1e-12
+    assert abs(sol.values[1] - sol.values[0]) <= 1e-9
+    assert sol.values[0] == tree_wave_series_eager(tree, g0, g1, 0.167, pts[0])
 
 
 def test_tree_wave_initial_traces():
@@ -472,8 +536,9 @@ def test_tree_wave_series_reproduces_traces():
 
 
 def test_tree_wave_symbol_solution_satisfies_factorized_identity():
-    """The symbol-built modes average forward/backward heat flows, so they
-    satisfy u_tt = d_T(d_T u); the exact polynomial analogue pins this."""
+    """Averaging the forward and backward heat flows does not give the wave:
+    the average satisfies u_tt = d_T(d_T u), not u_tt = d_T u.  The exact
+    polynomial analogue pins this."""
     import math as _math
     from flagpde import Polynomial, tricomi_operator
 
@@ -512,16 +577,16 @@ def test_tree_wave_symbol_solution_satisfies_factorized_identity():
 
 
 def test_tree_wave_symbol_and_series_agree_at_zero():
-    from flagpde import solve_tree_wave_series
-
+    """The splitting-symbol heat flow and the wave series both start at g0."""
     tree = Tree(3, [(1, 2), (2, 3)])
     hw = (1.0, 1.0, 1.0)
     g0 = TrigData(hw, {(1, 1, 1): (1.0, 0.0)})
     g1 = TrigData(hw, {})
     pts = [(0.15, -0.3, 0.4)]
-    a = solve_tree_wave_ivp(tree, g0, g1, 0.0, pts)
-    b = solve_tree_wave_series(tree, g0, g1, 0.0, pts)
+    a = solve_tree_heat_ivp(tree, g0, 0.0, pts)
+    b = solve_tree_wave_ivp(tree, g0, g1, 0.0, pts)
     assert a.values[0] == pytest.approx(b.values[0], abs=1e-12)
+    assert b.values[0] == pytest.approx(g0.value_at(pts[0]), abs=1e-12)
 
 
 # -- lazy carriers and the cancellation guard ----------------------------------------------------

@@ -289,6 +289,16 @@ def test_float_and_bool_coefficients_are_refused(value):
         x * value
 
 
+@pytest.mark.parametrize("re, im", [(0.1, 1), (1, 0.5), (True, 0), (0, False), (complex(1, 1), 0)])
+def test_gaussian_parts_must_be_exact(re, im):
+    with pytest.raises(TypeError):
+        GaussianRational(re, im)
+
+
+def test_gaussian_parts_accept_exact_values():
+    assert GaussianRational("1/3", 2) == GaussianRational(Fraction(1, 3), Fraction(2))
+
+
 def test_integer_coefficients_print_like_fractions():
     assert str(1 - 3 * x * y + Fraction(5, 2) * y) == "-3*x*y + 5/2*y + 1"
     assert str(-x) == "-x"
