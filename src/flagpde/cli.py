@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -47,6 +48,10 @@ from .trees import InvalidTreeError, Tree, check_splitting, compute_splitting, t
 
 class InputError(ValueError):
     pass
+
+
+IVP_TOLERANCE = 1e-9
+"""The initial trace residual the IVP commands accept, and report."""
 
 
 TREE_SCHEMA = {
@@ -147,9 +152,19 @@ def _validate(instance, schema, source: str):
 
 
 def _load_json(path: str, schema, label: str):
+    def reject(token):
+        raise InputError(f"{label} file {path} holds the non-finite number {token}")
+
+    def finite(token):
+        value = float(token)
+        if not math.isfinite(value):
+            reject(token)
+        return value
+
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            # NaN and +-Infinity, and literals such as 1e999 that overflow
+            data = json.load(fh, parse_constant=reject, parse_float=finite)
     except OSError as err:
         raise InputError(f"cannot read {label} file {path}: {err}") from None
     except json.JSONDecodeError as err:
@@ -192,6 +207,12 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f"not a rational number: {text!r} ({err})") from None
+
+
+def _finite_t(t: float) -> float:
+    if not math.isfinite(t):
+        raise InputError(f"--t must be a finite number, got {t!r}")
+    return t
 
 
 def _int_list(text: str):
@@ -352,13 +373,14 @@ def _cmd_ivp_flag(args):
         raise InputError(f"need {m} symbols, got {len(symbols)}")
     axes = [(0.0, 1.0)] + [(-a, a) for a in half_widths]
     points = _grid_points(args.grid, axes)
-    solution = solve_flag_ivp(symbols, traces, points)
+    solution = solve_flag_ivp(symbols, traces, points, check_tol=IVP_TOLERANCE)
     payload = _ivp_payload(points, solution.values, solution.trace_residual)
     _write_ivp(args, payload, points, solution.values, [args.symbols, args.data])
     return 0
 
 
 def _cmd_ivp_tree(args):
+    t = _finite_t(args.t)
     tree = Tree.from_json(_load_json(args.tree, TREE_SCHEMA, "tree"))
     data = _load_json(args.data, DATA_SCHEMA, "data")
     half_widths = tuple(data["halfWidths"])
@@ -366,9 +388,9 @@ def _cmd_ivp_tree(args):
     g1 = TrigData.from_json(data.get("g1", {"modes": []}), half_widths)
     axes = [(-a, a) for a in half_widths]
     points = _grid_points(args.grid, axes)
-    solution = solve_tree_wave_ivp(tree, g0, g1, args.t, points)
+    solution = solve_tree_wave_ivp(tree, g0, g1, t, points, check_tol=IVP_TOLERANCE)
     payload = _ivp_payload(points, solution.values, solution.trace_residual)
-    payload["t"] = args.t
+    payload["t"] = t
     _write_ivp(args, payload, points, solution.values, [args.tree, args.data])
     return 0
 
@@ -377,7 +399,11 @@ def _ivp_payload(points, values, residual):
     return {
         "grid": [list(pt) for pt in points],
         "values": values,
-        "verification": {"initialTraceResidual": residual, "tolerance": 1e-9, "passed": True},
+        "verification": {
+            "initialTraceResidual": residual,
+            "tolerance": IVP_TOLERANCE,
+            "passed": residual <= IVP_TOLERANCE,
+        },
     }
 
 
@@ -433,7 +459,7 @@ def _cmd_ode(args):
     coeffs = [_fraction(v) for v in args.coeffs.split(",")]
     init = [_fraction(v) for v in args.init.split(",")]
     problem = OdeProblem(tuple(coeffs), tuple(init))
-    value = solve_constant_ode(problem, args.t)
+    value = solve_constant_ode(problem, _finite_t(args.t))
     derivs = ode_derivatives_at_zero(problem)
     exact = all(d == c for d, c in zip(derivs, problem.initial))
     if not exact:

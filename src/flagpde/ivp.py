@@ -317,6 +317,23 @@ class TrigData:
         return TrigData(tuple(hw), modes)
 
 
+def _checked_residual(residuals, check_tol: float) -> float:
+    """The largest trace residual, raising unless it is at most check_tol.
+
+    A NaN residual is kept as the result (max() would drop it) and fails
+    the check, which is written so that NaN cannot pass it.
+    """
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            worst = r
+            break
+        worst = max(worst, r)
+    if not worst <= check_tol:
+        raise VerificationError(f"initial trace residual {worst} exceeds {check_tol}")
+    return worst
+
+
 # -- the constant-coefficient flag IVP --------------------------------------------
 
 @dataclass
@@ -439,16 +456,14 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
             phases[point] = _mode_phases(modes, half_widths, point)
         values.append(_flag_value(modes, weights[x1], phases[point]))
 
-    worst = 0.0
+    residuals = []
     for s in range(m):
         derivs = [[_mode_derivative(mode, r, s) for r in range(m)] for mode in modes]
         for pt in eval_points:
             point = tuple(pt[1:])
             trace = _flag_value(modes, derivs, phases[point])
-            want = data[s].value_at(point)
-            worst = max(worst, abs(trace - want))
-    if worst > check_tol:
-        raise VerificationError(f"initial trace residual {worst} exceeds {check_tol}")
+            residuals.append(abs(trace - data[s].value_at(point)))
+    worst = _checked_residual(residuals, check_tol)
     return FlagIvpSolution(m, half_widths, modes, list(eval_points), values, worst)
 
 
@@ -489,14 +504,15 @@ def solve_tree_heat_ivp(tree: Tree, g0: TrigData, t: float, eval_points,
     mode wave exp(i theta) evolves in closed form to exp(i theta + Xi(t)),
     where Xi is the sum of the splitting exponents at D_j = 2 pi i k_j / a_j.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if len(g0.half_widths) != tree.nodes:
         raise ValueError("data dimension must match the tree")
     sol = TreeHeatSolution(compute_splitting(tree), g0.half_widths, g0, list(eval_points), t, [], 0.0)
     sol.values = [sol.at(t, pt) for pt in eval_points]
-    worst = max((abs(sol.at(0.0, pt) - g0.value_at(pt)) for pt in eval_points), default=0.0)
-    sol.trace_residual = worst
-    if worst > check_tol:
-        raise VerificationError(f"initial trace residual {worst} exceeds {check_tol}")
+    sol.trace_residual = _checked_residual(
+        (abs(sol.at(0.0, pt) - g0.value_at(pt)) for pt in eval_points), check_tol
+    )
     return sol
 
 
@@ -641,6 +657,8 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
     builds at most max_terms operator powers, and only as many as the
     series at the requested times need.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if g0.half_widths != g1.half_widths:
         raise ValueError("position and velocity data must share half widths")
     if len(g0.half_widths) != tree.nodes:
@@ -653,9 +671,9 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
         max_terms, check_tol,
     )
     sol.values = [sol.at(t, pt) for pt in eval_points]
-    worst = 0.0
+    residuals = []
     for pt in eval_points:
-        worst = max(worst, abs(sol.at(0.0, pt) - g0.value_at(pt)))
+        residuals.append(abs(sol.at(0.0, pt) - g0.value_at(pt)))
         # velocity trace at t = 0: only the odd series contributes, through
         # its leading carrier, i.e. the plain mode waves weighted by g1
         vel = 0.0
@@ -663,10 +681,8 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
             b1, c1 = g1.modes[k]
             even, _ = sol.mode_series(k, 0.0, pt)
             vel += b1 * even.real + c1 * even.imag
-        worst = max(worst, abs(vel - g1.value_at(pt)))
-    sol.trace_residual = worst
-    if worst > check_tol:
-        raise VerificationError(f"initial trace residual {worst} exceeds {check_tol}")
+        residuals.append(abs(vel - g1.value_at(pt)))
+    sol.trace_residual = _checked_residual(residuals, check_tol)
     return sol
 
 

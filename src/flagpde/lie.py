@@ -4,10 +4,16 @@ exceptional algebra acting on seven variables.
 Generators act as first-order operators sum c * x_i d/dx_j.  The orthogonal
 family acts on F[x1..xn], the special linear family on F[x.., y..] with the
 contragredient twist on the y block, and the exceptional family through
-explicit seven-by-seven matrices over the quadratic field Q(sqrt(2)).
-Module bases are produced by the same perturbation-series shapes as the
-flag solvers; a brute-force kernel oracle over graded monomial slices
-supplies ground truth for dimensions and spans.
+fourteen sparse seven-by-seven matrices whose entries p + q*sqrt(2) hold
+integer p and q; entry (i, j) becomes the term x_i d/dx_j, split into a
+rational and a sqrt(2) part.  Module bases are produced by the same
+perturbation-series shapes as the flag solvers; a brute-force kernel oracle
+over graded monomial slices supplies ground truth for dimensions and spans.
+
+The commutation suite proves its operator identities instead of sampling
+them: both sides are brought to the normal form sum_alpha c_alpha d^alpha,
+which is unique in the Weyl algebra, so equal forms mean that the identity
+holds on every polynomial, in every degree.
 """
 
 from __future__ import annotations
@@ -19,13 +25,7 @@ from fractions import Fraction
 
 from .bases import BasisElement, BasisFamily, _checked, harmonic_element
 from .combinatorics import multinomial, tuples_with_sum
-from .linalg import (
-    kernel_on_slice,
-    matrix_rank,
-    monomials_of_degree,
-    polys_rank,
-    polys_to_matrix,
-)
+from .linalg import _remainder, _row_reduce, kernel_on_slice
 from .operators import (
     Compose,
     Derivative,
@@ -34,12 +34,13 @@ from .operators import (
     Scale,
     Sum,
     VerificationError,
+    _compose_forms,
+    differential_form,
 )
 from .poly import IMAG, Polynomial, coeff_inverse, variable
 
 __all__ = [
     "PairOperator",
-    "QuadExt",
     "SingularConfig",
     "commutation_checks",
     "g2_bracket_report",
@@ -63,170 +64,104 @@ __all__ = [
 ]
 
 
-# -- small exact quadratic extension -------------------------------------------
+# -- the exceptional generators as sparse matrices over Z[sqrt(2)] ------------------
 
-class QuadExt:
-    """p + q*sqrt(2) with rational p, q; exact field arithmetic."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p=0, q=0):
-        object.__setattr__(self, "p", Fraction(p))
-        object.__setattr__(self, "q", Fraction(q))
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadExt is immutable")
-
-    def __add__(self, other):
-        other = _as_quad(other)
-        return QuadExt(self.p + other.p, self.q + other.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_quad(other)
-        return QuadExt(self.p - other.p, self.q - other.q)
-
-    def __rsub__(self, other):
-        return _as_quad(other) - self
-
-    def __mul__(self, other):
-        other = _as_quad(other)
-        return QuadExt(
-            self.p * other.p + 2 * self.q * other.q,
-            self.p * other.q + self.q * other.p,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QuadExt(-self.p, -self.q)
-
-    def __eq__(self, other):
-        other = _as_quad(other)
-        return self.p == other.p and self.q == other.q
-
-    def __bool__(self):
-        return bool(self.p) or bool(self.q)
-
-    def __repr__(self):
-        return f"QuadExt({self.p}, {self.q})"
+# A matrix is a dict {(i, j): (p, q)} of its nonzero entries p + q*sqrt(2),
+# with Python-int p and q and rows and columns numbered 1..7 like the
+# variables: entry (i, j) acts as x_i d/dx_j.
 
 
-def _as_quad(v):
-    if isinstance(v, QuadExt):
-        return v
-    return QuadExt(v)
+def _matrix(*pieces):
+    """A sparse matrix from (scale, i, j) pieces; scale is an int or a pair (p, q)."""
+    return {(i, j): s if isinstance(s, tuple) else (s, 0) for s, i, j in pieces}
 
 
-SQRT2 = QuadExt(0, 1)
+def g2_matrices():
+    """The fourteen generators inside sl(7) as sparse Z[sqrt(2)] matrices."""
+    r2, mr2 = (0, 1), (0, -1)  # sqrt(2), -sqrt(2)
+    return {
+        "h1": _matrix((-2, 2, 2), (1, 3, 3), (1, 4, 4), (2, 5, 5), (-1, 6, 6), (-1, 7, 7)),
+        "h2": _matrix((1, 2, 2), (-1, 3, 3), (-1, 5, 5), (1, 6, 6)),
+        "E1": _matrix((r2, 1, 2), (mr2, 5, 1), (-1, 3, 7), (1, 4, 6)),
+        "E2": _matrix((1, 2, 3), (-1, 6, 5)),
+        "E3": _matrix((r2, 1, 3), (mr2, 6, 1), (1, 2, 7), (-1, 4, 5)),
+        "E4": _matrix((r2, 1, 7), (mr2, 4, 1), (1, 6, 2), (-1, 5, 3)),
+        "E5": _matrix((1, 4, 2), (-1, 5, 7)),
+        "E6": _matrix((1, 4, 3), (-1, 6, 7)),
+        "F1": _matrix((r2, 2, 1), (mr2, 1, 5), (-1, 7, 3), (1, 6, 4)),
+        "F2": _matrix((1, 3, 2), (-1, 5, 6)),
+        "F3": _matrix((r2, 3, 1), (mr2, 1, 6), (1, 7, 2), (-1, 5, 4)),
+        "F4": _matrix((r2, 7, 1), (mr2, 1, 4), (1, 2, 6), (-1, 3, 5)),
+        "F5": _matrix((1, 2, 4), (-1, 7, 5)),
+        "F6": _matrix((1, 3, 4), (-1, 7, 6)),
+    }
 
 
-def _mat_zero(n=7):
-    return [[QuadExt() for _ in range(n)] for _ in range(n)]
-
-
-def _unit(i, j, scale=1, n=7):
-    m = _mat_zero(n)
-    m[i - 1][j - 1] = _as_quad(scale)
-    return m
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, s):
-    s = _as_quad(s)
-    return [[x * s for x in row] for row in a]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = _mat_zero(n)
-    for i in range(n):
-        for k in range(n):
-            if not a[i][k]:
-                continue
-            aik = a[i][k]
-            for j in range(n):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + aik * b[k][j]
+def _product(a, b):
+    """The sparse matrix product ab; (p + q r)(s + t r) = ps + 2qt + (pt + qs) r."""
+    rows_b = {}
+    for (k, j), v in b.items():
+        rows_b.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), (p, q) in a.items():
+        for j, (s, t) in rows_b.get(k, ()):
+            x, y = out.get((i, j), (0, 0))
+            out[(i, j)] = (x + p * s + 2 * q * t, y + p * t + q * s)
     return out
 
 
 def mat_bracket(a, b):
-    return _mat_add(_mat_mul(a, b), _mat_scale(_mat_mul(b, a), -1))
+    """The commutator ab - ba of two sparse matrices."""
+    out = _product(a, b)
+    for key, (s, t) in _product(b, a).items():
+        x, y = out.get(key, (0, 0))
+        out[key] = (x - s, y - t)
+    return {key: v for key, v in out.items() if v != (0, 0)}
 
 
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def _scaled(m, c: int):
+    return {key: (c * p, c * q) for key, (p, q) in m.items()}
 
 
-def _mat_combine(*pieces):
-    out = _mat_zero()
-    for scale, i, j in pieces:
-        out = _mat_add(out, _unit(i, j, scale))
-    return out
+def _trace(m):
+    diagonal = [v for (i, j), v in m.items() if i == j]
+    return sum(p for p, _ in diagonal), sum(q for _, q in diagonal)
 
 
-def g2_matrices():
-    """The fourteen generators inside sl(7), with exact sqrt(2) entries."""
-    s2 = SQRT2
-    mats = {
-        "h1": _mat_combine((-2, 2, 2), (1, 3, 3), (1, 4, 4), (2, 5, 5), (-1, 6, 6), (-1, 7, 7)),
-        "h2": _mat_combine((1, 2, 2), (-1, 3, 3), (-1, 5, 5), (1, 6, 6)),
-        "E1": _mat_combine((s2, 1, 2), (-s2, 5, 1), (-1, 3, 7), (1, 4, 6)),
-        "E2": _mat_combine((1, 2, 3), (-1, 6, 5)),
-        "E3": _mat_combine((s2, 1, 3), (-s2, 6, 1), (1, 2, 7), (-1, 4, 5)),
-        "E4": _mat_combine((s2, 1, 7), (-s2, 4, 1), (1, 6, 2), (-1, 5, 3)),
-        "E5": _mat_combine((1, 4, 2), (-1, 5, 7)),
-        "E6": _mat_combine((1, 4, 3), (-1, 6, 7)),
-        "F1": _mat_combine((s2, 2, 1), (-s2, 1, 5), (-1, 7, 3), (1, 6, 4)),
-        "F2": _mat_combine((1, 3, 2), (-1, 5, 6)),
-        "F3": _mat_combine((s2, 3, 1), (-s2, 1, 6), (1, 7, 2), (-1, 5, 4)),
-        "F4": _mat_combine((s2, 7, 1), (-s2, 1, 4), (1, 2, 6), (-1, 3, 5)),
-        "F5": _mat_combine((1, 2, 4), (-1, 7, 5)),
-        "F6": _mat_combine((1, 3, 4), (-1, 7, 6)),
-    }
-    return mats
+def _as_row(m):
+    """The matrix as a sparse row over Q: column (i, j, 0) holds p, (i, j, 1) holds q."""
+    row = {}
+    for (i, j), (p, q) in m.items():
+        if p:
+            row[(i, j, 0)] = p
+        if q:
+            row[(i, j, 1)] = q
+    return row
 
 
-def _mat_to_vector(m):
-    out = []
-    for row in m:
-        for entry in row:
-            out.append(entry.p)
-            out.append(entry.q)
-    return out
+def _closed_under_bracket(mats) -> bool:
+    """True when the matrices, read as rational vectors with the rational and
+    sqrt(2) parts apart, are independent and every pairwise bracket lies in
+    their span: it reduces to zero against their one echelon form."""
+    mats = list(mats)
+    pivots = _row_reduce([_as_row(m) for m in mats])
+    return len(pivots) == len(mats) and all(
+        not _remainder(_as_row(mat_bracket(a, b)), pivots)
+        for a, b in itertools.combinations(mats, 2)
+    )
 
 
 def g2_bracket_report():
     """Exact structure checks: defining brackets, tracelessness, closure."""
     mats = g2_matrices()
-    checks = {}
-    checks["E3 = [E1,E2]"] = _mat_eq(mat_bracket(mats["E1"], mats["E2"]), mats["E3"])
-    checks["[E1,E3] = 2 E4"] = _mat_eq(
-        mat_bracket(mats["E1"], mats["E3"]), _mat_scale(mats["E4"], 2)
-    )
-    checks["[E1,E4] = 3 E5"] = _mat_eq(
-        mat_bracket(mats["E1"], mats["E4"]), _mat_scale(mats["E5"], 3)
-    )
-    checks["E6 = [E5,E2]"] = _mat_eq(mat_bracket(mats["E5"], mats["E2"]), mats["E6"])
-    checks["traceless"] = all(
-        sum((m[i][i] for i in range(7)), QuadExt()) == QuadExt() for m in mats.values()
-    )
-    names = sorted(mats)
-    basis_rows = [_mat_to_vector(mats[n]) for n in names]
-    base_rank = matrix_rank(basis_rows)
-    closed = base_rank == 14
-    for a, b in itertools.combinations(names, 2):
-        v = _mat_to_vector(mat_bracket(mats[a], mats[b]))
-        if matrix_rank(basis_rows + [v]) != base_rank:
-            closed = False
-            break
-    checks["closure"] = closed
-    return checks
+    return {
+        "E3 = [E1,E2]": mat_bracket(mats["E1"], mats["E2"]) == mats["E3"],
+        "[E1,E3] = 2 E4": mat_bracket(mats["E1"], mats["E3"]) == _scaled(mats["E4"], 2),
+        "[E1,E4] = 3 E5": mat_bracket(mats["E1"], mats["E4"]) == _scaled(mats["E5"], 3),
+        "E6 = [E5,E2]": mat_bracket(mats["E5"], mats["E2"]) == mats["E6"],
+        "traceless": all(_trace(m) == (0, 0) for m in mats.values()),
+        "closure": _closed_under_bracket(mats[n] for n in sorted(mats)),
+    }
 
 
 # -- polynomial actions -----------------------------------------------------------
@@ -298,11 +233,11 @@ class PairOperator:
 
 def g2_polynomial_action():
     """The fourteen generators as first-order operators on F[x1..x7]."""
-    mats = g2_matrices()
     out = {}
-    for name, m in mats.items():
-        rat = [(m[i][j].p, i + 1, j + 1) for i in range(7) for j in range(7) if m[i][j].p]
-        rad = [(m[i][j].q, i + 1, j + 1) for i in range(7) for j in range(7) if m[i][j].q]
+    for name, m in g2_matrices().items():
+        entries = sorted(m.items())
+        rat = [(p, i, j) for (i, j), (p, _) in entries if p]
+        rad = [(q, i, j) for (i, j), (_, q) in entries if q]
         out[name] = PairOperator(name, _first_order(rat), _first_order(rad))
     return out
 
@@ -326,35 +261,36 @@ def g2_laplacian(first_var: int = 1) -> LinearOperator:
 def select_g2_laplacian_reading(max_degree: int = 3):
     """Pick the reading of the invariant Laplacian that commutes with the action.
 
-    Both candidate leading terms are tested against the generators and the
-    eta-multiplication identity on monomials up to max_degree; exactly one
-    survives and is returned as (first_var, report).
+    Both candidate leading terms are tested for commutation with every
+    generator and for the eta multiplication law, each as an identity of
+    normal forms, so in every degree; exactly one survives and is returned
+    as (first_var, report).  max_degree is kept for the signature only and
+    does not change the result.
     """
-    eta = g2_invariant()
-    action = g2_polynomial_action()
-    x_vars = tuple(f"x{i}" for i in range(1, 8))
-    results = {}
+    return _select_reading(_g2_reading_checks(g2_invariant(), g2_polynomial_action()))
+
+
+def _g2_reading_checks(eta, action):
+    """{first_var: (commutes with the action, eta law holds)} for both readings."""
+    gen_forms = [
+        differential_form(part) for gen in action.values() for part in (gen.rational, gen.radical)
+    ]
+    euler = _euler_operator(tuple(f"x{i}" for i in range(1, 8)))
+    checks = {}
     for first_var in (1, 2):
         lap = g2_laplacian(first_var)
-        ok = True
-        for d in range(max_degree + 1):
-            for mono in monomials_of_degree(x_vars, d):
-                lhs = lap(eta * mono)
-                rhs = eta * lap(mono) + 14 * mono + 4 * _euler_operator(x_vars)(mono)
-                if lhs != rhs:
-                    ok = False
-                    break
-                for gen in action.values():
-                    a, b = gen.apply(mono)
-                    ra, rb = gen.apply(lap(mono))
-                    if lap(a) != ra or lap(b) != rb:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        results[first_var] = ok
+        lap_form = differential_form(lap)
+        commutes = all(_commutes(lap_form, form) for form in gen_forms)
+        law = _same_action(
+            Compose(lap, MultiplyBy(eta)),
+            Sum((Scale(14), Compose(MultiplyBy(eta), lap), Compose(Scale(4), euler))),
+        )
+        checks[first_var] = (commutes, law)
+    return checks
+
+
+def _select_reading(checks):
+    results = {fv: all(oks) for fv, oks in checks.items()}
     chosen = [fv for fv, ok in results.items() if ok]
     if len(chosen) != 1:
         raise VerificationError(f"laplacian reading not uniquely selected: {results}")
@@ -365,6 +301,16 @@ def _euler_operator(vars_) -> LinearOperator:
     return Sum(
         Compose(MultiplyBy(variable(v)), Derivative(v, 1)) for v in vars_
     )
+
+
+def _same_action(a: LinearOperator, b: LinearOperator) -> bool:
+    """True when a and b agree on every polynomial: equal normal forms."""
+    return differential_form(a) == differential_form(b)
+
+
+def _commutes(form_a: dict, form_b: dict) -> bool:
+    """True when [A, B] = 0, given the normal forms of A and B."""
+    return _compose_forms(form_a, form_b) == _compose_forms(form_b, form_a)
 
 
 # -- module bases ------------------------------------------------------------------
@@ -591,64 +537,47 @@ def kernel_oracle(op, slice_monomials):
 # -- commutation suite ----------------------------------------------------------------
 
 def commutation_checks(n_sl: int = 2, max_degree: int = 3) -> dict:
-    """Operator identities verified on all monomials up to max_degree.
+    """Operator identities of the special linear and exceptional actions.
 
     Covers invariance of the contraction form and the seven-variable
     quadratic form, commutation of both Laplacians with their actions, the
-    eta and zeta multiplication laws, and the exact matrix brackets.
+    eta and zeta multiplication laws, and the exact matrix brackets.  Each
+    operator identity is proved by comparing the normal forms of its two
+    sides, so it holds in every degree; max_degree is kept for the
+    signature only and does not change the result.
     """
     report = {}
 
     zeta = sl_invariant(n_sl)
     delta = sl_laplacian(n_sl)
     sl_gens = [
-        (f"E{i}{j}", sl_generator(n_sl, i, j))
+        sl_generator(n_sl, i, j)
         for i in range(1, n_sl + 1)
         for j in range(1, n_sl + 1)
         if i != j
-    ] + [(f"h{i}", h) for i, h in enumerate(sl_cartan(n_sl), start=1)]
+    ] + sl_cartan(n_sl)
+    report["zeta invariant"] = all(op(zeta).is_zero() for op in sl_gens)
 
-    ok = all(op(zeta).is_zero() for _, op in sl_gens)
-    report["zeta invariant"] = ok
-
-    vars_sl = tuple(f"x{i}" for i in range(1, n_sl + 1)) + tuple(
-        f"y{i}" for i in range(1, n_sl + 1)
+    delta_form = differential_form(delta)
+    report["contraction commutes with action"] = all(
+        _commutes(delta_form, differential_form(op)) for op in sl_gens
     )
-    euler = _euler_operator(vars_sl)
-    ok_comm = True
-    ok_mult = True
-    for d in range(max_degree + 1):
-        for mono in monomials_of_degree(vars_sl, d):
-            for _, op in sl_gens:
-                if delta(op(mono)) != op(delta(mono)):
-                    ok_comm = False
-            if delta(zeta * mono) != n_sl * mono + zeta * delta(mono) + euler(mono):
-                ok_mult = False
-    report["contraction commutes with action"] = ok_comm
-    report["zeta multiplication law"] = ok_mult
+    euler = _euler_operator(
+        tuple(f"x{i}" for i in range(1, n_sl + 1)) + tuple(f"y{i}" for i in range(1, n_sl + 1))
+    )
+    report["zeta multiplication law"] = _same_action(
+        Compose(delta, MultiplyBy(zeta)),
+        Sum((Scale(n_sl), Compose(MultiplyBy(zeta), delta), euler)),
+    )
 
     eta = g2_invariant()
     action = g2_polynomial_action()
     report["eta invariant"] = all(gen.annihilates(eta) for gen in action.values())
 
-    reading, _ = select_g2_laplacian_reading(max_degree=2)
+    checks = _g2_reading_checks(eta, action)
+    reading, _ = _select_reading(checks)
     report["laplacian reading"] = reading
-    lap = g2_laplacian(reading)
-    vars_g2 = tuple(f"x{i}" for i in range(1, 8))
-    euler7 = _euler_operator(vars_g2)
-    ok_comm = True
-    ok_mult = True
-    for d in range(max_degree + 1):
-        for mono in monomials_of_degree(vars_g2, d):
-            for gen in action.values():
-                a, b = gen.apply(mono)
-                ra, rb = gen.apply(lap(mono))
-                if lap(a) != ra or lap(b) != rb:
-                    ok_comm = False
-            if lap(eta * mono) != eta * lap(mono) + 14 * mono + 4 * euler7(mono):
-                ok_mult = False
-    report["g2 laplacian commutes with action"] = ok_comm
-    report["eta multiplication law"] = ok_mult
+    report["g2 laplacian commutes with action"], report["eta multiplication law"] = checks[reading]
 
     report.update(g2_bracket_report())
     return report

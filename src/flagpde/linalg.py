@@ -54,19 +54,15 @@ def _row_reduce(rows, p=None, reduced=False):
     """
     pivots = {}
     for row in rows:
-        row = dict(row)
-        while row:
+        row = _remainder(row, pivots, p)
+        if row:
             c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                if p:
-                    inv = pow(row[c], -1, p)
-                    pivots[c] = {k: v * inv % p for k, v in row.items()}
-                else:
-                    inv = coeff_inverse(row[c])
-                    pivots[c] = {k: v * inv for k, v in row.items()}
-                break
-            _eliminate(row, prow, row[c], p)
+            if p:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+            else:
+                inv = coeff_inverse(row[c])
+                pivots[c] = {k: v * inv for k, v in row.items()}
     if reduced:
         # last pivot first, so each pivot row is already clear of the later
         # pivot columns when it is subtracted from the rows above it
@@ -78,6 +74,19 @@ def _row_reduce(rows, p=None, reduced=False):
                 if c in row:
                     _eliminate(row, prow, row[c], p)
     return pivots
+
+
+def _remainder(row, pivots, p=None):
+    """A copy of row reduced by the pivot rows of a ``_row_reduce`` result
+    until its first column has no pivot; it is empty when row lies in their span."""
+    row = dict(row)
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            break
+        _eliminate(row, prow, row[c], p)
+    return row
 
 
 def _eliminate(row, prow, factor, p):

@@ -433,17 +433,38 @@ def _compose_forms(a: dict, b: dict) -> dict:
     d^alpha (f w) = sum_(gamma <= alpha) C(alpha, gamma) d^gamma f d^(alpha-gamma) w."""
     out = {}
     for alpha, ca in a.items():
+        # per gamma <= alpha: the derivatives taken of c_beta, those left on
+        # w, and C(alpha, gamma); all independent of beta
+        splits = []
+        for gamma in itertools.product(*(range(m + 1) for _, m in alpha)):
+            pairs = list(zip(alpha, gamma))
+            splits.append((
+                [(v, g) for (v, _), g in pairs if g],
+                [(v, m - g) for (v, m), g in pairs if m > g],
+                math.prod(math.comb(m, g) for (_, m), g in pairs),
+            ))
         for beta, cb in b.items():
-            for gamma in itertools.product(*(range(m + 1) for _, m in alpha)):
-                coeff, weight, orders = cb, 1, dict(beta)
-                for (v, m), g in zip(alpha, gamma):
+            for on_coeff, on_w, weight in splits:
+                coeff = cb
+                for v, g in on_coeff:
                     coeff = coeff.diff(v, g)
-                    weight *= math.comb(m, g)
-                    if m > g:
-                        orders[v] = orders.get(v, 0) + m - g
-                if not coeff.is_zero():
-                    _add_form_term(out, tuple(sorted(orders.items())), ca * coeff * weight)
+                if coeff.is_zero():
+                    continue
+                orders = dict(beta)
+                for v, m in on_w:
+                    orders[v] = orders.get(v, 0) + m
+                _add_form_term(out, tuple(sorted(orders.items())), _times(ca, coeff, weight))
     return out
+
+
+def _times(p: Polynomial, q: Polynomial, weight: int) -> Polynomial:
+    """p * q * weight, scaling when p or q is a constant without variables
+    (a polynomial product would realign the variables first)."""
+    if not p.vars:
+        return q * (p.constant_term() * weight)
+    if not q.vars:
+        return p * (q.constant_term() * weight)
+    return p * q * weight if weight != 1 else p * q
 
 
 def max_derivative_order(op: LinearOperator) -> int:

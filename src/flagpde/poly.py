@@ -407,7 +407,7 @@ class Polynomial:
         if order == 0:
             return self
         if var not in self.vars:
-            return Polynomial.zero(self.vars, self.laurent)
+            return _make(self.vars, self.laurent, {})
         i = self.vars.index(var)
         out = {}
         for exp, c in self.terms.items():

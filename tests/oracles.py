@@ -1,14 +1,16 @@
 """Independent brute-force oracles shared by the test modules."""
 
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from flagpde import Polynomial, variable
+from flagpde import Polynomial, lie, variable
 from flagpde.combinatorics import multinomial
 from flagpde.linalg import (
     kernel_on_slice,
+    monomials_of_degree,
     monomials_up_to_degree,
     polys_in_span,
     polys_rank,
@@ -208,6 +210,138 @@ def dense_nullspace(rows, ncols):
             v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+# -- the Lie commutation suite ---------------------------------------------------------
+
+def agree_on_monomials(lhs, rhs, vars_, max_degree):
+    """True when lhs(m) == rhs(m) for every monomial m of degree <= max_degree."""
+    return all(
+        lhs(mono) == rhs(mono)
+        for d in range(max_degree + 1)
+        for mono in monomials_of_degree(vars_, d)
+    )
+
+
+def _euler(vars_):
+    return lambda p: sum((variable(v) * p.diff(v) for v in vars_), Polynomial.zero(vars_))
+
+
+def _g2_reading_by_monomials(action, eta, max_degree):
+    """The Laplacian reading that passes on monomials up to max_degree."""
+    vars_ = tuple(f"x{i}" for i in range(1, 8))
+    euler = _euler(vars_)
+    passed = []
+    for first_var in (1, 2):
+        lap = lie.g2_laplacian(first_var)
+        law = agree_on_monomials(lambda m: lap(eta * m),
+                                 lambda m: eta * lap(m) + 14 * m + 4 * euler(m), vars_, max_degree)
+        commutes = all(
+            agree_on_monomials(lambda m, part=part: lap(part(m)), lambda m, part=part: part(lap(m)),
+                               vars_, max_degree)
+            for gen in action.values() for part in (gen.rational, gen.radical)
+        )
+        if law and commutes:
+            passed.append(first_var)
+    assert len(passed) == 1, passed
+    return passed[0]
+
+
+def _dense(m):
+    """A sparse Z[sqrt(2)] matrix as its dense 7x7 rational and sqrt(2) parts."""
+    rat, rad = [[0] * 7 for _ in range(7)], [[0] * 7 for _ in range(7)]
+    for (i, j), (p, q) in m.items():
+        rat[i - 1][j - 1], rad[i - 1][j - 1] = p, q
+    return rat, rad
+
+
+def _combine(a, b, scale=1):
+    return [[x + scale * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _dense_product(a, b):
+    (p, q), (s, t) = a, b
+
+    def mul(x, y):
+        return [[sum(u * v for u, v in zip(row, col)) for col in zip(*y)] for row in x]
+
+    return _combine(mul(p, s), mul(q, t), 2), _combine(mul(p, t), mul(q, s))
+
+
+def _dense_bracket(a, b):
+    ab, ba = _dense_product(a, b), _dense_product(b, a)
+    return _combine(ab[0], ba[0], -1), _combine(ab[1], ba[1], -1)
+
+
+@functools.cache
+def g2_bracket_report_dense():
+    """g2_bracket_report on dense matrices, closure by dense Gauss-Jordan ranks."""
+    mats = {name: _dense(m) for name, m in lie.g2_matrices().items()}
+
+    def scaled(m, c):
+        return tuple([[c * x for x in row] for row in part] for part in m)
+
+    def flat(m):
+        return [x for part in m for row in part for x in row]
+
+    names = sorted(mats)
+    basis = [flat(mats[n]) for n in names]
+    base = dense_rank(basis, 98)
+    return {
+        "E3 = [E1,E2]": _dense_bracket(mats["E1"], mats["E2"]) == mats["E3"],
+        "[E1,E3] = 2 E4": _dense_bracket(mats["E1"], mats["E3"]) == scaled(mats["E4"], 2),
+        "[E1,E4] = 3 E5": _dense_bracket(mats["E1"], mats["E4"]) == scaled(mats["E5"], 3),
+        "E6 = [E5,E2]": _dense_bracket(mats["E5"], mats["E2"]) == mats["E6"],
+        "traceless": all(sum(part[i][i] for i in range(7)) == 0 for m in mats.values() for part in m),
+        "closure": base == 14 and all(
+            dense_rank(basis + [flat(_dense_bracket(mats[a], mats[b]))], 98) == base
+            for a, b in itertools.combinations(names, 2)
+        ),
+    }
+
+
+def commutation_checks_by_monomials(n_sl=2, max_degree=3):
+    """lie.commutation_checks by applying both sides of each identity to every
+    monomial up to max_degree, and the brackets on dense matrices."""
+    report = {}
+    zeta = lie.sl_invariant(n_sl)
+    delta = lie.sl_laplacian(n_sl)
+    sl_gens = [
+        lie.sl_generator(n_sl, i, j)
+        for i in range(1, n_sl + 1)
+        for j in range(1, n_sl + 1)
+        if i != j
+    ] + lie.sl_cartan(n_sl)
+    report["zeta invariant"] = all(op(zeta).is_zero() for op in sl_gens)
+    vars_sl = tuple(f"x{i}" for i in range(1, n_sl + 1)) + tuple(f"y{i}" for i in range(1, n_sl + 1))
+    report["contraction commutes with action"] = all(
+        agree_on_monomials(lambda m, op=op: delta(op(m)), lambda m, op=op: op(delta(m)),
+                           vars_sl, max_degree)
+        for op in sl_gens
+    )
+    euler = _euler(vars_sl)
+    report["zeta multiplication law"] = agree_on_monomials(
+        lambda m: delta(zeta * m), lambda m: n_sl * m + zeta * delta(m) + euler(m), vars_sl, max_degree
+    )
+
+    eta = lie.g2_invariant()
+    action = lie.g2_polynomial_action()
+    report["eta invariant"] = all(gen.annihilates(eta) for gen in action.values())
+    reading = _g2_reading_by_monomials(action, eta, 2)
+    report["laplacian reading"] = reading
+    lap = lie.g2_laplacian(reading)
+    vars_g2 = tuple(f"x{i}" for i in range(1, 8))
+    report["g2 laplacian commutes with action"] = all(
+        agree_on_monomials(lambda m, part=part: lap(part(m)), lambda m, part=part: part(lap(m)),
+                           vars_g2, max_degree)
+        for gen in action.values() for part in (gen.rational, gen.radical)
+    )
+    euler7 = _euler(vars_g2)
+    report["eta multiplication law"] = agree_on_monomials(
+        lambda m: lap(eta * m), lambda m: eta * lap(m) + 14 * m + 4 * euler7(m), vars_g2, max_degree
+    )
+    report.update(g2_bracket_report_dense())
+    return report
 
 
 # -- the numeric evaluators ------------------------------------------------------------

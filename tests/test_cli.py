@@ -318,3 +318,62 @@ print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# -- non-finite input ----------------------------------------------------------------------------
+
+_FLAG_SYMBOLS = {"variables": ["D2"], "symbols": [[{"exp": {"D2": 2}, "re": "1", "im": "0"}]]}
+_CHAIN2 = {"nodes": 2, "edges": [[1, 2]]}
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("data", [
+    '{"halfWidths": [Infinity], "modes": [{"k": [1], "cos": 1.0}]}',
+    '{"halfWidths": [1.0], "modes": [{"k": [1], "cos": NaN}]}',
+    '{"halfWidths": [1.0], "modes": [{"k": [1], "cos": -Infinity}]}',
+    '{"halfWidths": [1.0], "modes": [{"k": [1], "cos": 1e999}]}',
+])
+def test_ivp_flag_rejects_non_finite_data(tmp_path, capsys, data):
+    args = ["ivp", "flag", "--orders", "1", "--grid", "3x3",
+            "--symbols", _write(tmp_path, "s.json", json.dumps(_FLAG_SYMBOLS)),
+            "--data", _write(tmp_path, "d.json", data)]
+    assert run_cli(args) == 2
+    assert "non-finite number" in capsys.readouterr().err
+
+
+def test_ivp_tree_wave_rejects_non_finite_data(tmp_path, capsys):
+    data = '{"halfWidths": [1.0, 1.0], "g0": {"modes": [{"k": [1, 0], "cos": NaN}]}}'
+    args = ["ivp", "tree-wave", "--t", "0.1", "--grid", "2x2",
+            "--tree", _write(tmp_path, "t.json", json.dumps(_CHAIN2)),
+            "--data", _write(tmp_path, "d.json", data)]
+    assert run_cli(args) == 2
+    assert "non-finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_non_finite_time_exits_two(tmp_path, capsys, t):
+    data = '{"halfWidths": [1.0, 1.0], "g0": {"modes": [{"k": [1, 0], "cos": 1.0}]}}'
+    args = ["ivp", "tree-wave", f"--t={t}", "--grid", "2x2",
+            "--tree", _write(tmp_path, "t.json", json.dumps(_CHAIN2)),
+            "--data", _write(tmp_path, "d.json", data)]
+    assert run_cli(args) == 2
+    assert run_cli(["ode", "--coeffs", "0,-1", "--init", "1,0", f"--t={t}"]) == 2
+    assert capsys.readouterr().err.count("--t must be a finite number") == 2
+
+
+def test_ivp_payload_reports_the_checked_tolerance(tmp_path):
+    from flagpde.cli import IVP_TOLERANCE
+
+    out = tmp_path / "out.json"
+    args = ["ivp", "flag", "--orders", "1", "--grid", "2x2", "--out", str(out),
+            "--symbols", _write(tmp_path, "s.json", json.dumps(_FLAG_SYMBOLS)),
+            "--data", _write(tmp_path, "d.json", '{"halfWidths": [1.0], "modes": [{"k": [1], "cos": 1.0}]}')]
+    assert run_cli(args) == 0
+    verification = json.loads(out.read_text())["result"]["verification"]
+    assert verification["tolerance"] == IVP_TOLERANCE == 1e-9
+    assert verification["passed"] is (verification["initialTraceResidual"] <= IVP_TOLERANCE)

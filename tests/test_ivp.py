@@ -439,6 +439,44 @@ def test_tree_heat_rejects_data_of_the_wrong_dimension():
         solve_tree_heat_ivp(Tree(2, [(1, 2)]), TrigData((1.0,), {(1,): (1.0, 0.0)}), 0.1, [(0.1,)])
 
 
+# -- non-finite data --------------------------------------------------------------------------------
+
+def test_nan_data_fails_every_trace_check():
+    """NaN values give NaN residuals, which max() would drop; each solver must raise."""
+    tree = Tree(2, [(1, 2)])
+    nan2 = TrigData((1.0, 1.0), {(1, 0): (math.nan, 0.0)})
+    zero2 = TrigData((1.0, 1.0), {})
+    pts = [(0.1, 0.2), (0.3, -0.4)]
+    with pytest.raises(VerificationError, match="nan"):
+        solve_flag_ivp([_d2sq()], [TrigData((1.0,), {(1,): (math.nan, 0.0)})], pts)
+    with pytest.raises(VerificationError, match="nan"):
+        solve_tree_heat_ivp(tree, nan2, 0.1, pts)
+    for g0, g1 in ((nan2, zero2), (zero2, nan2)):
+        with pytest.raises(VerificationError, match="nan"):
+            solve_tree_wave_ivp(tree, g0, g1, 0.1, pts)
+
+
+def test_checked_residual_keeps_a_nan_after_finite_residuals():
+    from flagpde.ivp import _checked_residual
+
+    assert _checked_residual([1e-12, 3e-12, 0.0], 1e-9) == 3e-12
+    assert _checked_residual([], 1e-9) == 0.0
+    with pytest.raises(VerificationError, match="nan"):
+        _checked_residual([1e-12, math.nan, 0.0], 1e-9)
+    with pytest.raises(VerificationError, match="exceeds"):
+        _checked_residual([1e-12, 2e-9], 1e-9)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_tree_solvers_reject_non_finite_time(t):
+    tree = Tree(2, [(1, 2)])
+    g0 = TrigData((1.0, 1.0), {(1, 0): (1.0, 0.0)})
+    with pytest.raises(ValueError, match="finite"):
+        solve_tree_heat_ivp(tree, g0, t, [(0.1, 0.2)])
+    with pytest.raises(ValueError, match="finite"):
+        solve_tree_wave_ivp(tree, g0, TrigData((1.0, 1.0), {}), t, [(0.1, 0.2)])
+
+
 # -- the tree wave IVP ----------------------------------------------------------------------------
 
 def test_tree_wave_single_node_closed_form():

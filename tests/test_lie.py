@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from flagpde import (
     IMAG,
     Polynomial,
@@ -13,8 +15,8 @@ from flagpde import (
 )
 from flagpde.lie import (
     PairOperator,
-    QuadExt,
-    SQRT2,
+    _closed_under_bracket,
+    _same_action,
     g2_bracket_report,
     g2_invariant,
     g2_laplacian,
@@ -39,15 +41,7 @@ from flagpde.linalg import (
 )
 from flagpde.operators import Compose, Derivative, Scale, Sum
 
-
-# -- exact quadratic field --------------------------------------------------------
-
-def test_quadext_arithmetic():
-    a = QuadExt(1, 2)  # 1 + 2 sqrt(2)
-    b = QuadExt(Fraction(1, 2), -1)
-    assert a * b == QuadExt(Fraction(1, 2) - 4, 1 - 1 + 0) + QuadExt(0, Fraction(0))
-    assert SQRT2 * SQRT2 == QuadExt(2)
-    assert a - a == QuadExt()
+from oracles import agree_on_monomials, commutation_checks_by_monomials
 
 
 # -- orthogonal family --------------------------------------------------------------
@@ -195,8 +189,16 @@ def test_g2_defining_brackets():
 
 def test_g2_e3_equals_bracket_of_e1_e2():
     mats = g2_matrices()
-    b = mat_bracket(mats["E1"], mats["E2"])
-    assert all(x == y for rb, re_ in zip(b, mats["E3"]) for x, y in zip(rb, re_))
+    assert mat_bracket(mats["E1"], mats["E2"]) == mats["E3"]
+
+
+def test_sparse_bracket_multiplies_in_z_sqrt2():
+    # [sqrt(2) E12, (1 + sqrt(2)) E21] = (2 + sqrt(2)) (E11 - E22)
+    a = {(1, 2): (0, 1)}
+    b = {(2, 1): (1, 1)}
+    assert mat_bracket(a, b) == {(1, 1): (2, 1), (2, 2): (-2, -1)}
+    assert mat_bracket(a, a) == {}
+    assert all(len(m) <= 6 for m in g2_matrices().values())
 
 
 def test_g2_invariant_annihilated():
@@ -280,3 +282,29 @@ def test_commutation_suite_all_green():
     report = commutation_checks()
     failures = [k for k, v in report.items() if v is False]
     assert not failures, failures
+
+
+@pytest.mark.parametrize("max_degree", range(5))
+@pytest.mark.parametrize("n_sl", (2, 3))
+def test_commutation_checks_match_monomial_oracle(n_sl, max_degree):
+    report = commutation_checks(n_sl, max_degree)
+    assert len(report) == 13
+    assert report == commutation_checks_by_monomials(n_sl, max_degree)
+
+
+def test_normal_forms_see_past_the_sampled_degree():
+    delta = sl_laplacian(2)
+    perturbed = Sum((delta, Derivative("x1", 3)))
+    vars_ = ("x1", "x2", "y1", "y2")
+    assert agree_on_monomials(delta, perturbed, vars_, 2)
+    assert not agree_on_monomials(delta, perturbed, vars_, 3)
+    assert not _same_action(delta, perturbed)
+    assert _same_action(perturbed, Sum((Derivative("x1", 3), delta)))
+
+
+def test_closure_finds_a_bracket_outside_the_span():
+    e, f = {(1, 2): (1, 0)}, {(2, 1): (1, 0)}
+    h = {(1, 1): (1, 0), (2, 2): (-1, 0)}
+    assert not _closed_under_bracket([e, f])
+    assert _closed_under_bracket([e, f, h])
+    assert not _closed_under_bracket([e, f, h, {(1, 2): (2, 0)}])

@@ -113,11 +113,17 @@ def test_g2_bracket_rows():
     # rows of rational parts and sqrt(2) parts, as g2_bracket_report builds them
     mats = lie.g2_matrices()
     names = sorted(mats)
-    basis = [lie._mat_to_vector(mats[n]) for n in names]
-    width = len(basis[0])
+    columns = [(i, j, s) for i in range(1, 8) for j in range(1, 8) for s in (0, 1)]
+
+    def dense(m):
+        row = lie._as_row(m)
+        return [row.get(c, 0) for c in columns]
+
+    basis = [dense(mats[n]) for n in names]
+    width = len(columns)
     assert matrix_rank(basis) == dense_rank(basis, width) == 14
     for a, b in itertools.islice(itertools.combinations(names, 2), 6):
-        rows = basis + [lie._mat_to_vector(lie.mat_bracket(mats[a], mats[b]))]
+        rows = basis + [dense(lie.mat_bracket(mats[a], mats[b]))]
         assert matrix_rank(rows) == dense_rank(rows, width) == 14
     assert matrix_rank(basis + [[Fraction(1)] * width]) == 15
 
