@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
@@ -34,7 +33,6 @@ from .operators import (
     differential_form,
     operator_variables,
     operators_agree_on_sample,
-    random_polynomial,
     solve_by_series,
 )
 from .poly import GaussianRational, Polynomial, _remap, variable

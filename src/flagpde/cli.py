@@ -185,7 +185,7 @@ def _digest(argv, file_paths):
     return h.hexdigest()
 
 
-def _emit(args, payload, file_paths=(), started=None):
+def _emit(args, payload, file_paths=()):
     report = {
         "command": args._argv,
         "inputsDigest": _digest(args._argv, file_paths),
@@ -198,8 +198,6 @@ def _emit(args, payload, file_paths=(), started=None):
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    if started is not None:
-        print(f"wall time: {time.monotonic() - started:.3f}s", file=sys.stderr)
 
 
 def _fraction(text: str) -> Fraction:

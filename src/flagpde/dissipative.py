@@ -28,7 +28,6 @@ from .operators import (
 from .poly import (
     Fraction,
     GaussianRational,
-    IMAG,
     Polynomial,
     TrigPolynomial,
     variable,

@@ -12,8 +12,12 @@ each mode evolves independently.
   The series is summed by weight: the weight-w parts obey the linear
   recurrence S_w = sum_p a_p S_(w-p-1), which is run in integer fixed point
   with enough bits to cover its cancellation, so large arguments keep
-  their accuracy (cos 60 from terms up to 6e24).  The same recurrence
-  over Fraction gives the exact derivatives at zero.
+  their accuracy (cos 60 from terms up to 6e24); a series needing more
+  than WEIGHT_LIMIT weights raises.  Per mode, one triangular solve
+  against the traces gives the amplitudes.
+* ``solve_constant_ode`` is the zero mode of the same evaluator (k = (),
+  phase 1, x1 = t); its solve runs over Fraction, so the derivatives at
+  zero are exact.
 * ``solve_tree_wave_ivp`` solves the tree wave equation u_tt = d_T u with
   u(0) = g0 and u_t(0) = g1.  Per mode it sums the even and odd t-series
   sum t^(2i)/(2i)! d_T^i and sum t^(2i+1)/(2i+1)! d_T^i applied to the mode
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .operators import SeriesTerminationError, VerificationError
-from .trees import Tree, TricomiSplitting, compute_splitting, evaluate_symbol
+from .trees import Tree, TricomiSplitting, compute_splitting, evaluate_symbol, wave_numbers
 
 __all__ = [
     "FlagIvpSolution",
@@ -63,6 +67,9 @@ __all__ = [
 # they absorb the truncation errors of up to 2^13 weights with room to spare
 _GUARD_BITS = 40
 
+# the most weights (terms, for one argument) a graded exponential may sum
+WEIGHT_LIMIT = 8 * 2**10
+
 
 def _weight_sums(args, count: int, one):
     """S_0 .. S_(count-1) of S_0 = one, S_w = sum_p a_p S_(w-p-1).
@@ -77,14 +84,14 @@ def _weight_sums(args, count: int, one):
     return sums
 
 
-def _one_argument_value(r: int, y: complex, limit: int) -> complex:
+def _one_argument_value(r: int, y: complex) -> complex:
     """sum_i y^i / (r+i)!, directly for |y| <= r + 1 and in closed form beyond.
 
     For |y| <= r + 1 no term exceeds the first, 1/r!, and for real y the
     sum is at least e^-1 / r!, so the alternating case cancels little; the
     sum stops at the first term below 1e-18 of the larger of 1/r! and the
     total (for r = 0, of max(1, total)) and raises SeriesTerminationError if
-    `limit` terms do not reach it.  Beyond, the closed form
+    WEIGHT_LIMIT terms do not reach it.  Beyond, the closed form
     (exp(y) - Taylor prefix below r) / y^r avoids the cancellation the
     alternating series suffers for large negative y, and the prefix, whose
     terms grow up to the last, does not cancel against exp(y).
@@ -93,7 +100,7 @@ def _one_argument_value(r: int, y: complex, limit: int) -> complex:
         lead = 1 / math.factorial(r)
         total = 0j
         term = lead + 0j
-        for i in range(1, limit + 1):
+        for i in range(1, WEIGHT_LIMIT + 1):
             if abs(term) <= 1e-18 * max(lead, abs(total)):
                 return total
             total += term
@@ -106,7 +113,7 @@ def _one_argument_value(r: int, y: complex, limit: int) -> complex:
         raise SeriesTerminationError("Y-series value overflows the float range") from None
 
 
-def _magnitude_bound(moduli, limit: int) -> float:
+def _magnitude_bound(moduli) -> float:
     """Y_0 at the argument moduli, summed in floats.
 
     No term is negative, so nothing cancels.  The value bounds sum_w r! |T_w|
@@ -118,7 +125,7 @@ def _magnitude_bound(moduli, limit: int) -> float:
     m = len(moduli)
     terms = [1.0]
     total = 1.0
-    for w in range(1, limit + 1):
+    for w in range(1, WEIGHT_LIMIT + 1):
         term, gain, falling = 0.0, 0.0, 1.0
         for p in range(min(m, w)):
             falling *= w - p
@@ -146,8 +153,7 @@ def _truncated_quotient(n: int, d: int) -> int:
     return n // d if n >= 0 else -(-n // d)
 
 
-def generalized_exponential(r: int, args, rel_tol: float = 1e-12,
-                            initial_cap: int = 8, max_doublings: int = 10) -> complex:
+def generalized_exponential(r: int, args, rel_tol: float = 1e-12) -> complex:
     """sum over tuples i of multinomial(i) * prod args^i / (r + sum_s s*i_s)!.
 
     A single argument is summed in closed form through the exponential: the
@@ -165,17 +171,16 @@ def generalized_exponential(r: int, args, rel_tol: float = 1e-12,
     cancel and however large r is.  The sum stops after m consecutive terms
     that are exactly zero (the recurrence then stays at zero) and the total
     is divided by r! and rounded once.  Arguments whose series overflows the
-    float range, or that need more than initial_cap * 2^max_doublings
-    weights, raise SeriesTerminationError.
+    float range, or that need more than WEIGHT_LIMIT weights, raise
+    SeriesTerminationError.
     """
     if r < 0:
         raise ValueError("order must be non-negative")
     args = [complex(a) for a in args]
-    limit = max(1, initial_cap) * 2**max_doublings
     if len(args) == 1:
-        return _one_argument_value(r, args[0], limit)
+        return _one_argument_value(r, args[0])
     m = len(args)
-    bound = _magnitude_bound([abs(a) for a in args], limit)
+    bound = _magnitude_bound([abs(a) for a in args])
     bits = math.frexp(bound)[1] + max(0, -math.frexp(rel_tol)[1]) + _GUARD_BITS
     ints, shift = _dyadic(args)
     nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
@@ -184,7 +189,7 @@ def generalized_exponential(r: int, args, rel_tol: float = 1e-12,
     zeros, w = 0, 0
     while zeros < m:
         w += 1
-        if w > limit:
+        if w > WEIGHT_LIMIT:
             raise SeriesTerminationError("Y-series not settling within the weight limit")
         n, q = r + w, min(m, w)
         re = im = 0
@@ -205,7 +210,79 @@ def generalized_exponential(r: int, args, rel_tol: float = 1e-12,
     return complex(total_re / scale, total_im / scale)
 
 
-# -- constant-coefficient ODEs ----------------------------------------------------
+# -- constant-coefficient modes; the ODE is the zero mode ---------------------------
+
+def _float_image(value, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
+def _trace_derivative(values, s: int, r: int, one):
+    """r-th derivative at 0 of x^s Y_s(x^(p+1) a_p), the s-th fundamental
+    solution of y^(m) = sum_p a_p y^(m-1-p); exact in the arguments a_p."""
+    if r < s:
+        return 0 * one
+    return _weight_sums(values, r - s + 1, one)[-1]
+
+
+def _amplitudes(values, traces, one) -> list:
+    """Amplitudes A_s of the fundamental solutions reproducing the traces y^(r)(0):
+    a triangular solve, as the r-th derivative of the s-th is 1 at r = s, 0 below."""
+    sums = _weight_sums(values, len(traces), one)
+    amps = []
+    for r, value in enumerate(traces):
+        for s in range(r):
+            value -= amps[s] * sums[r - s]
+        amps.append(value)
+    return amps
+
+
+@dataclass
+class _FlagMode:
+    k: tuple
+    symbol_values: list        # complex f_p(2 pi i k/a)
+    b: list                    # cosine-side amplitudes, one per order
+    c: list                    # sine-side amplitudes
+
+
+def _mode_weights(modes, x1) -> list:
+    """x1^r Y_r(x1^(p+1) f_p) per mode and order r; None where b_r = c_r = 0.
+
+    They depend on x1 alone, so a grid evaluates them once per distinct x1.
+    A power of x1 beyond the float range raises SeriesTerminationError.
+    """
+    out = []
+    for mode in modes:
+        try:
+            powers = [x1**e for e in range(len(mode.b) + 1)]
+        except OverflowError:
+            raise SeriesTerminationError(f"a power of {x1!r} overflows the float range") from None
+        args = [powers[p + 1] * f for p, f in enumerate(mode.symbol_values)]
+        out.append([
+            None if mode.b[r] == 0.0 and mode.c[r] == 0.0
+            else powers[r] * generalized_exponential(r, args)
+            for r in range(len(mode.b))
+        ])
+    return out
+
+
+def _flag_value(modes, weights, phases) -> float:
+    """sum over modes and orders r of b_r Re(w_r e^(i theta)) + c_r Im(w_r e^(i theta)).
+
+    weights[mode][r] is w_r (None: skipped), phases[mode] is (cos theta, sin theta).
+    """
+    total = 0.0
+    for mode, ws, (cos, sin) in zip(modes, weights, phases):
+        for r, w in enumerate(ws):
+            if w is None:
+                continue
+            phi, psi = w.real, w.imag
+            total += mode.b[r] * (phi * cos - psi * sin)
+            total += mode.c[r] * (phi * sin + psi * cos)
+    return total
+
 
 @dataclass
 class OdeProblem:
@@ -223,49 +300,33 @@ class OdeProblem:
             raise ValueError("order must be at least one")
 
 
-def _fundamental_derivative(problem: OdeProblem, s: int, r: int) -> Fraction:
-    """r-th derivative at 0 of the s-th fundamental solution (exact)."""
-    if r < s:
-        return Fraction(0)
-    return _weight_sums(problem.coefficients, r - s + 1, Fraction(1))[-1]
-
-
-def _ode_amplitudes(problem: OdeProblem):
-    m = len(problem.coefficients)
-    amps = []
-    for r in range(m):
-        value = problem.initial[r]
-        for s in range(r):
-            value -= amps[s] * _fundamental_derivative(problem, s, r)
-        amps.append(value)
-    return amps
-
-
 def solve_constant_ode(problem: OdeProblem, t: float) -> float:
-    """Value y(t) assembled from the fundamental solutions t^r Y_r(b_p t^p)."""
-    m = len(problem.coefficients)
-    amps = _ode_amplitudes(problem)
-    args = [float(b) * (t ** (p + 1)) for p, b in enumerate(problem.coefficients)]
-    total = 0.0
-    for r in range(m):
-        if not amps[r]:
-            continue
-        phi = (t**r) * generalized_exponential(r, args)
-        total += float(amps[r]) * phi.real
-    return total
+    """Value y(t) assembled from the fundamental solutions t^r Y_r(b_p t^p).
+
+    The ODE is the zero mode of the flag evaluator: k = (), phase 1, x1 = t.
+    Coefficients and amplitudes beyond the float range raise ValueError.
+    """
+    b = problem.coefficients
+    values = [complex(_float_image(v, "ODE coefficient")) for v in b]
+    amps = [_float_image(a, "ODE amplitude") for a in _amplitudes(b, problem.initial, Fraction(1))]
+    mode = _FlagMode((), values, amps, [0.0] * len(b))
+    return _flag_value([mode], _mode_weights([mode], t), [(1.0, 0.0)])
 
 
 def ode_derivatives_at_zero(problem: OdeProblem):
     """Exact y^(r)(0) of the assembled solution, for r below the order."""
-    m = len(problem.coefficients)
-    amps = _ode_amplitudes(problem)
-    return [
-        sum((amps[s] * _fundamental_derivative(problem, s, r) for s in range(m)), Fraction(0))
-        for r in range(m)
-    ]
+    b, one = problem.coefficients, Fraction(1)
+    amps = _amplitudes(b, problem.initial, one)
+    m = len(b)
+    return [sum(amps[s] * _trace_derivative(b, s, r, one) for s in range(m)) for r in range(m)]
 
 
 # -- trig-polynomial initial data ----------------------------------------------------
+
+def _phase(k, half_widths, point) -> float:
+    """theta = 2 pi sum_j k_j x_j / a_j, the phase of mode k at the point."""
+    return 2 * math.pi * sum(kv / a * xv for kv, a, xv in zip(k, half_widths, point))
+
 
 @dataclass
 class TrigData:
@@ -273,14 +334,15 @@ class TrigData:
 
     Modes are folded onto the half lattice whose representative has a
     positive first nonzero coordinate; the reflected mode contributes the
-    same cosine and a negated sine.
+    same cosine and a negated sine.  Half widths, amplitudes and wave
+    numbers beyond the float range raise ValueError.
     """
 
     half_widths: tuple
     modes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.half_widths = tuple(float(a) for a in self.half_widths)
+        self.half_widths = tuple(_float_image(a, "half width") for a in self.half_widths)
         if any(a <= 0 for a in self.half_widths):
             raise ValueError("half widths must be positive")
         folded = {}
@@ -288,7 +350,8 @@ class TrigData:
             k = tuple(int(v) for v in k)
             if len(k) != len(self.half_widths):
                 raise ValueError("mode length does not match the half widths")
-            c, s = float(c), float(s)
+            wave_numbers(k, self.half_widths)
+            c, s = _float_image(c, "mode amplitude"), _float_image(s, "mode amplitude")
             first = next((v for v in k if v), 0)
             if first < 0:
                 k = tuple(-v for v in k)
@@ -302,9 +365,7 @@ class TrigData:
     def value_at(self, point) -> float:
         total = 0.0
         for k, (c, s) in self.modes.items():
-            theta = 2 * math.pi * sum(
-                kv / a * xv for kv, a, xv in zip(k, self.half_widths, point)
-            )
+            theta = _phase(k, self.half_widths, point)
             total += c * math.cos(theta) + s * math.sin(theta)
         return total
 
@@ -337,14 +398,6 @@ def _checked_residual(residuals, check_tol: float) -> float:
 # -- the constant-coefficient flag IVP --------------------------------------------
 
 @dataclass
-class _FlagMode:
-    k: tuple
-    symbol_values: list        # complex f_p(2 pi i k/a)
-    b: list                    # cosine-side amplitudes, one per order
-    c: list                    # sine-side amplitudes
-
-
-@dataclass
 class FlagIvpSolution:
     order: int
     half_widths: tuple
@@ -359,54 +412,13 @@ class FlagIvpSolution:
         )
 
 
-def _mode_weights(modes, x1) -> list:
-    """x1^r Y_r(x1^(p+1) f_p) per mode and order r; None where b_r = c_r = 0.
-
-    They depend on x1 alone, so a grid evaluates them once per distinct x1.
-    """
-    out = []
-    for mode in modes:
-        args = [x1 ** (p + 1) * f for p, f in enumerate(mode.symbol_values)]
-        out.append([
-            None if mode.b[r] == 0.0 and mode.c[r] == 0.0
-            else (x1**r) * generalized_exponential(r, args)
-            for r in range(len(mode.b))
-        ])
-    return out
-
-
 def _mode_phases(modes, half_widths, point) -> list:
     """(cos theta, sin theta) per mode at a point (x2..xn) of the cross-section."""
     out = []
     for mode in modes:
-        theta = 2 * math.pi * sum(
-            kv / a * xv for kv, a, xv in zip(mode.k, half_widths, point)
-        )
+        theta = _phase(mode.k, half_widths, point)
         out.append((math.cos(theta), math.sin(theta)))
     return out
-
-
-def _flag_value(modes, weights, phases) -> float:
-    """sum over modes and orders r of b_r Re(w_r e^(i theta)) + c_r Im(w_r e^(i theta)).
-
-    weights[mode][r] is w_r (None: skipped), phases[mode] is (cos theta, sin theta).
-    """
-    total = 0.0
-    for mode, ws, (cos, sin) in zip(modes, weights, phases):
-        for r, w in enumerate(ws):
-            if w is None:
-                continue
-            phi, psi = w.real, w.imag
-            total += mode.b[r] * (phi * cos - psi * sin)
-            total += mode.c[r] * (phi * sin + psi * cos)
-    return total
-
-
-def _mode_derivative(mode: _FlagMode, s: int, r: int) -> complex:
-    """d^r/dx1^r at 0 of x1^s Y_s(x1^p f_p), exact in the symbol values."""
-    if r < s:
-        return 0j
-    return _weight_sums(mode.symbol_values, r - s + 1, 1 + 0j)[-1]
 
 
 def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagIvpSolution:
@@ -424,26 +436,18 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
     for d in data:
         if d.half_widths != half_widths:
             raise ValueError("all traces must share the same half widths")
-    n_space = len(half_widths)
 
-    mode_keys = sorted({k for d in data for k in d.modes})
     modes = []
-    for k in mode_keys:
-        values = {}
-        for j, kv in enumerate(k):
-            values[f"D{j + 2}"] = complex(0.0, 2.0 * math.pi * kv / half_widths[j])
-        fvals = [complex(f.evaluate({v: values.get(v, 0j) for v in f.vars})) for f in symbols]
-        mode = _FlagMode(k, fvals, [0.0] * m, [0.0] * m)
-        for r in range(m):
-            gc, gs = data[r].modes.get(k, (0.0, 0.0))
-            br, cr = gc, gs
-            for s in range(r):
-                g = _mode_derivative(mode, s, r)
-                br -= mode.b[s] * g.real + mode.c[s] * g.imag
-                cr -= mode.c[s] * g.real - mode.b[s] * g.imag
-            mode.b[r] = br
-            mode.c[r] = cr
-        modes.append(mode)
+    for k in sorted({k for d in data for k in d.modes}):
+        at_mode = {f"D{j + 2}": complex(0.0, w) for j, w in enumerate(wave_numbers(k, half_widths))}
+        try:
+            fvals = [complex(f.evaluate({v: at_mode.get(v, 0j) for v in f.vars})) for f in symbols]
+        except OverflowError:
+            raise SeriesTerminationError("a mode symbol value overflows the float range") from None
+        # amplitudes b - i c against traces gc - i gs; 0.0 - Im keeps a zero c at +0.0
+        traces = [complex(gc, -gs) for gc, gs in (d.modes.get(k, (0.0, 0.0)) for d in data)]
+        amps = _amplitudes(fvals, traces, 1 + 0j)
+        modes.append(_FlagMode(k, fvals, [a.real for a in amps], [0.0 - a.imag for a in amps]))
 
     weights = {}
     phases = {}
@@ -458,7 +462,9 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
 
     residuals = []
     for s in range(m):
-        derivs = [[_mode_derivative(mode, r, s) for r in range(m)] for mode in modes]
+        derivs = [
+            [_trace_derivative(mode.symbol_values, r, s, 1 + 0j) for r in range(m)] for mode in modes
+        ]
         for pt in eval_points:
             point = tuple(pt[1:])
             trace = _flag_value(modes, derivs, phases[point])
@@ -482,9 +488,7 @@ class TreeHeatSolution:
     def mode_wave(self, k, t: float, point) -> complex:
         """exp(i theta + Xi(t)) at the point: exp(t d_T) applied to the mode
         wave exp(i theta), with Xi the summed splitting exponents."""
-        theta = 2 * math.pi * sum(
-            kv / a * xv for kv, a, xv in zip(k, self.half_widths, point)
-        )
+        theta = _phase(k, self.half_widths, point)
         xi = evaluate_symbol(self.splitting, k, self.half_widths, t, point)
         return cmath.exp(1j * theta + xi)
 
@@ -578,8 +582,7 @@ class TreeWaveSeriesSolution:
         while len(chain) <= i:
             if len(chain) > self.max_terms:
                 raise SeriesTerminationError("mode series did not settle within the carrier cap")
-            omegas = [2 * math.pi * kv / a for kv, a in zip(k, self.half_widths)]
-            chain.append(_carrier_apply(self.tree, omegas, chain[-1]))
+            chain.append(_carrier_apply(self.tree, wave_numbers(k, self.half_widths), chain[-1]))
         return chain[i]
 
     def _carrier_value(self, carrier, point):
@@ -604,10 +607,7 @@ class TreeWaveSeriesSolution:
         their rounding error and raise when it exceeds check_tol relative to
         the larger of 1 and the values.
         """
-        theta = 2 * math.pi * sum(
-            kv / a * xv for kv, a, xv in zip(k, self.half_widths, point)
-        )
-        phase = cmath.exp(1j * theta)
+        phase = cmath.exp(1j * _phase(k, self.half_widths, point))
         even = odd = 0j
         spread = 0.0
         quiet = 0
@@ -615,10 +615,13 @@ class TreeWaveSeriesSolution:
             carrier = self._carrier(k, i)
             if not carrier:
                 break  # the operator power vanished: exact sum
-            value, size = self._carrier_value(carrier, point)
+            try:
+                value, size = self._carrier_value(carrier, point)
+                te = t ** (2 * i) / math.factorial(2 * i)
+                to = t ** (2 * i + 1) / math.factorial(2 * i + 1)
+            except OverflowError:
+                raise SeriesTerminationError(f"mode {k} term {i} at t={t} overflows") from None
             value *= phase
-            te = t ** (2 * i) / math.factorial(2 * i)
-            to = t ** (2 * i + 1) / math.factorial(2 * i + 1)
             even += te * value
             odd += to * value
             # judge the term by its moduli, not by its value here: low operator

@@ -258,14 +258,13 @@ def g2_laplacian(first_var: int = 1) -> LinearOperator:
     return Sum(parts)
 
 
-def select_g2_laplacian_reading(max_degree: int = 3):
+def select_g2_laplacian_reading():
     """Pick the reading of the invariant Laplacian that commutes with the action.
 
     Both candidate leading terms are tested for commutation with every
     generator and for the eta multiplication law, each as an identity of
     normal forms, so in every degree; exactly one survives and is returned
-    as (first_var, report).  max_degree is kept for the signature only and
-    does not change the result.
+    as (first_var, report).
     """
     return _select_reading(_g2_reading_checks(g2_invariant(), g2_polynomial_action()))
 

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .poly import (
     GaussianRational,
-    NonIntegrableTermError,
     Polynomial,
     TrigPolynomial,
     coeff_imag,
@@ -52,7 +51,6 @@ __all__ = [
     "SeriesTerminationError",
     "Sum",
     "VerificationError",
-    "ZERO_OPERATOR",
     "apply_operator",
     "differential_form",
     "identity",
@@ -221,9 +219,6 @@ class Compose(LinearOperator):
 
     def __repr__(self):
         return f"Compose({list(self.ops)})"
-
-
-ZERO_OPERATOR = Sum(())
 
 
 def identity() -> LinearOperator:

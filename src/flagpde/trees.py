@@ -125,12 +125,6 @@ class TricomiSplitting:
     tree: Tree
     exponents: list  # one Polynomial per node, in vars t, D1..Dn, x1..xn
 
-    def total_symbol(self) -> Polynomial:
-        out = Polynomial.zero(("t",))
-        for xi in self.exponents:
-            out = out + xi
-        return out
-
 
 def compute_splitting(tree: Tree) -> TricomiSplitting:
     n = tree.nodes
@@ -256,6 +250,17 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     return SplittingReport(tree, degree_cap, t_power_cap, checked)
 
 
+def wave_numbers(mode, half_widths) -> list:
+    """omega_j = 2*pi*k_j/a_j; ValueError where one leaves the float range."""
+    try:
+        omegas = [2 * math.pi * kv / a for kv, a in zip(mode, half_widths)]
+        if all(map(math.isfinite, omegas)):
+            return omegas
+    except OverflowError:
+        pass
+    raise ValueError("mode wave numbers 2*pi*k/a leave the float range")
+
+
 def evaluate_symbol(splitting: TricomiSplitting, mode, half_widths, t, x) -> complex:
     """Value of the total splitting exponent at D_j = 2*pi*i*k_j/a_j.
 
@@ -266,9 +271,9 @@ def evaluate_symbol(splitting: TricomiSplitting, mode, half_widths, t, x) -> com
     if not all(a > 0 for a in half_widths):
         raise ValueError("half widths must be positive")
     values = {"t": complex(t)}
+    omegas = wave_numbers(mode, half_widths)
     for j in range(n):
-        omega = 2.0 * math.pi * mode[j] / half_widths[j]
-        values[f"D{j + 1}"] = complex(0.0, omega)
+        values[f"D{j + 1}"] = complex(0.0, omegas[j])
         values[f"x{j + 1}"] = complex(x[j])
     total = 0j
     for xi in splitting.exponents:

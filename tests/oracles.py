@@ -620,7 +620,7 @@ def flag_values_per_point(sol):
 def flag_trace_residual_per_point(sol, data):
     """The largest trace misfit with every mode derivative recomputed at each
     evaluation point, in the solver's summation order."""
-    from flagpde.ivp import _mode_derivative
+    from flagpde.ivp import _trace_derivative
 
     worst = 0.0
     for s in range(sol.order):
@@ -629,7 +629,7 @@ def flag_trace_residual_per_point(sol, data):
             trace = 0.0
             for mode in sol.modes:
                 for r in range(sol.order):
-                    g = _mode_derivative(mode, r, s)
+                    g = _trace_derivative(mode.symbol_values, r, s, 1 + 0j)
                     trace = _flag_phase_sum(mode, sol.half_widths, point, g, r, trace)
             worst = max(worst, abs(trace - data[s].value_at(point)))
     return worst

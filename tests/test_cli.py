@@ -366,6 +366,66 @@ def test_non_finite_time_exits_two(tmp_path, capsys, t):
     assert capsys.readouterr().err.count("--t must be a finite number") == 2
 
 
+# -- numbers beyond the float range ----------------------------------------------------------
+
+_HUGE = "1" + "0" * 400  # a JSON integer with no float image
+
+
+@pytest.mark.parametrize("data", [
+    '{"halfWidths": [%s], "modes": [{"k": [1], "cos": 1.0}]}' % _HUGE,
+    '{"halfWidths": [1.0], "modes": [{"k": [%s], "cos": 1.0}]}' % _HUGE,
+    '{"halfWidths": [1.0], "modes": [{"k": [1], "cos": %s}]}' % _HUGE,
+])
+def test_ivp_flag_rejects_numbers_beyond_the_float_range(tmp_path, capsys, data):
+    args = ["ivp", "flag", "--orders", "1", "--grid", "3x3",
+            "--symbols", _write(tmp_path, "s.json", json.dumps(_FLAG_SYMBOLS)),
+            "--data", _write(tmp_path, "d.json", data)]
+    assert run_cli(args) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_ivp_tree_wave_rejects_half_widths_beyond_the_float_range(tmp_path, capsys):
+    data = '{"halfWidths": [%s, 1.0], "g0": {"modes": [{"k": [1, 0], "cos": 1.0}]}}' % _HUGE
+    args = ["ivp", "tree-wave", "--t", "0.1", "--grid", "2x2",
+            "--tree", _write(tmp_path, "t.json", json.dumps(_CHAIN2)),
+            "--data", _write(tmp_path, "d.json", data)]
+    assert run_cli(args) == 2
+    assert "half width is too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs, init, what", [
+    ("0,-1e400", "1,0", "ODE coefficient"),
+    ("0,-1", "1e400,0", "ODE amplitude"),
+])
+def test_ode_rejects_numbers_beyond_the_float_range(capsys, coeffs, init, what):
+    assert run_cli(["ode", "--coeffs", coeffs, "--init", init, "--t", "1"]) == 2
+    assert f"{what} is too large for a float" in capsys.readouterr().err
+
+
+def test_ode_time_whose_powers_overflow_exits_three(capsys):
+    assert run_cli(["ode", "--coeffs", "0,-1", "--init", "1,0", "--t", "1e300"]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_ivp_tree_wave_time_whose_powers_overflow_exits_three(tmp_path, capsys):
+    data = '{"halfWidths": [1.0, 1.0], "g0": {"modes": [{"k": [1, 0], "cos": 1.0}]}}'
+    args = ["ivp", "tree-wave", "--t", "1e300", "--grid", "2x2",
+            "--tree", _write(tmp_path, "t.json", json.dumps(_CHAIN2)),
+            "--data", _write(tmp_path, "d.json", data)]
+    assert run_cli(args) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_ivp_flag_symbol_value_overflow_exits_three(tmp_path, capsys):
+    # the wave number 2 pi k / a is a float, its square is not
+    data = '{"halfWidths": [0.5], "modes": [{"k": [1%s], "cos": 1.0}]}' % ("0" * 307)
+    args = ["ivp", "flag", "--orders", "1", "--grid", "3x3",
+            "--symbols", _write(tmp_path, "s.json", json.dumps(_FLAG_SYMBOLS)),
+            "--data", _write(tmp_path, "d.json", data)]
+    assert run_cli(args) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_ivp_payload_reports_the_checked_tolerance(tmp_path):
     from flagpde.cli import IVP_TOLERANCE
 

@@ -1,4 +1,4 @@
-"""Golden hashes of exact family outputs.
+"""Golden hashes of exact family outputs, and golden bits of the numeric ones.
 
 Each hash is the sha256 of ``json.dumps(family.to_json(), sort_keys=True)``.
 The flag, constant, harmonic and dissipative hashes were recorded before
@@ -6,6 +6,11 @@ the Horner nested inverse and the shared stage prefixes replaced the
 quadratic loops, the anisymmetric ones before integral coefficients were
 kept as ``int``, so a refactor of the exact core that changes any
 coefficient, exponent, term order or index of these families fails here.
+
+The ``repr`` strings of ``solve_constant_ode`` and ``solve_flag_ivp`` values
+were recorded while the ODE still had an evaluator of its own, before it
+became the zero mode of the flag evaluator, so a refactor of the numeric
+side that changes a single bit of these values fails here.
 """
 
 import hashlib
@@ -16,11 +21,16 @@ import pytest
 
 from flagpde import (
     FlagEquationSpec,
+    OdeProblem,
+    Polynomial,
+    TrigData,
     constant_coefficient_basis,
     anisymmetric_basis,
     dissipative_wave_basis,
     flag_basis,
     harmonic_basis,
+    solve_constant_ode,
+    solve_flag_ivp,
     variable,
 )
 from flagpde.poly import IMAG
@@ -72,3 +82,62 @@ GOLDEN = {
 def test_family_json_matches_golden_hash(name):
     payload = json.dumps(FAMILIES[name]().to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN[name]
+
+
+# (coefficients, initial values, t, repr of y(t)); most t are not dyadic, so that
+# a power of t computed another way changes some bits
+ODE_GOLDEN = [
+    ((0, -1), (1, 0), 1.0, "0.5403023058681398"),
+    ((0, -400), (1, 0), 3.0, "-0.9524129804151563"),
+    ((0, -100), (1, 0), 5.0, "0.9649660284921133"),
+    ((1,), (1,), 2.0, "7.38905609893065"),
+    ((-3,), (2,), 1.5, "0.022217993076484612"),
+    ((0, 25), (1, -5), 2.0, "4.539992914942559e-05"),
+    ((2, -5), (0, 1), 3.47, "9.811305335619096"),
+    ((0, 0, -1), (1, 0, 0), 2.37, "-0.9789850884426456"),
+    ((Fraction(1, 2), -3, Fraction(-2, 3)), (1, -1, Fraction(1, 2)), -1.29, "2.007601286204478"),
+    ((0, 0, 0, -16), (1, 0, 0, 0), 1.73, "-4.468324836329188"),
+    ((-1, -2, -3, -4), (1, 2, 3, 4), 3.91, "-15.241341648228646"),
+    ((3, Fraction(-7, 3), 5, -11), (0, 1, -2, 3), 0.83, "0.9383975927872532"),
+]
+
+
+@pytest.mark.parametrize("coeffs, init, t, want", ODE_GOLDEN)
+def test_constant_ode_value_matches_golden_repr(coeffs, init, t, want):
+    assert repr(solve_constant_ode(OdeProblem(coeffs, init), t)) == want
+
+
+D2, D3 = variable("D2"), variable("D3")
+
+# half widths that are not powers of two, so that a reordered phase or
+# amplitude computation changes some bits
+FLAG_IVPS = {
+    "heat": lambda: solve_flag_ivp(
+        [D2 * D2], [TrigData((1.3,), {(1,): (1.0, 0.0), (2,): (0.0, 0.5)})],
+        [(0.0, 0.25), (0.1, -0.4), (0.05, 0.8), (0.3, 1.1)]),
+    "dalembert": lambda: solve_flag_ivp(
+        [Polynomial.zero(("D2",)), D2 * D2],
+        [TrigData((0.9,), {(6,): (1.0, 0.0), (1,): (0.25, -0.5)}),
+         TrigData((0.9,), {(1,): (0.0, 2.0)})],
+        [(1.0, 0.05), (1.0, -0.3), (0.8, 0.1), (0.37, 0.7)]),
+    "third_order_2d": lambda: solve_flag_ivp(
+        [D3, D2 * D2 + D3 * D3 - 1, Polynomial.zero(("D2", "D3")) + Fraction(1, 4)],
+        [TrigData((1.1, 0.6), {(1, -1): (0.5, 0.25), (0, 1): (1.0, -1.0), (2, 1): (0.3, 0.0)}),
+         TrigData((1.1, 0.6), {(0, 0): (0.75, 0.0), (1, -1): (-0.2, 0.4)}),
+         TrigData((1.1, 0.6), {(2, 1): (0.0, 1.0), (0, 1): (0.6, 0.1)})],
+        [(0.0, 0.1, 0.2), (0.3, -0.7, 0.4), (0.9, 0.5, -0.45), (0.3, 0.5, -0.45)]),
+}
+
+FLAG_GOLDEN = {
+    "heat": ["0.6861662161629336", "-0.03426611440977853", "-0.22813529783782985",
+             "0.0005138788597653719"],
+    "dalembert": ["0.3619415911187419", "-0.4235229035830835", "0.03213790442374398",
+                  "-0.11482821243174873"],
+    "third_order_2d": ["-1.8905928574402449", "-0.10715183742227127", "0.15531103045404968",
+                       "-0.17378517571334323"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_IVPS))
+def test_flag_ivp_values_match_golden_repr(name):
+    assert [repr(v) for v in FLAG_IVPS[name]().values] == FLAG_GOLDEN[name]
