@@ -2,7 +2,8 @@
 
 Every generator in this module produces a BasisFamily: an indexed list of
 exact polynomial solutions together with the operator they are solutions
-of.  Annihilation is asserted at generation time, so a returned family is
+of.  Annihilation is asserted at generation time, through one
+``operators.form_applicator`` for all elements, so a returned family is
 already verified; linear independence and desk-scale completeness checks
 live in ``verify_independence`` and the test suite's kernel oracles.
 """
@@ -13,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple
 
 from .combinatorics import falling, multinomial, tuples_with_sum, tuples_with_sum_at_most
@@ -30,12 +30,12 @@ from .operators import (
     SeriesConfig,
     Sum,
     VerificationError,
-    differential_form,
+    form_applicator,
     operator_variables,
     operators_agree_on_sample,
     solve_by_series,
 )
-from .poly import GaussianRational, Polynomial, _remap, variable
+from .poly import Polynomial, variable
 
 __all__ = [
     "BasisElement",
@@ -75,9 +75,9 @@ class BasisFamily:
         return [e.solution for e in self.elements]
 
     def verify_annihilation(self) -> bool:
-        kills = _integer_annihilation(self.annihilator, self.solutions())
+        apply = form_applicator(self.annihilator, self.solutions())
         for e in self.elements:
-            if not (kills(e.solution) if kills else self.annihilator(e.solution).is_zero()):
+            if not apply(e.solution).is_zero():
                 raise VerificationError(
                     f"family element {e.index} is not annihilated exactly"
                 )
@@ -110,96 +110,6 @@ def _json_scalar(v):
     if isinstance(v, tuple):
         return list(v)
     return v
-
-
-def _integer_annihilation(op, polys):
-    """A test p -> (op(p) == 0) run in integers, or None when it does not apply.
-
-    It applies when op is a polynomial-coefficient differential operator
-    (``differential_form``) and every p is a Polynomial.  The form
-    sum_j c_j d^alpha_j and the polynomials are put over one variable order
-    once; D, the common denominator of all the c_j, and d, that of one p,
-    turn them into integer parts, so that D d op(p) = sum_j (D c_j)
-    d^alpha_j (d p) is accumulated term by term, with integer falling
-    factorials, into one dict per real and imaginary part.  p passes only
-    when every entry is 0.  With c = c_re + i c_im and p = p_re + i p_im,
-    op(p) = (op_re p_re - op_im p_im) + i (op_re p_im + op_im p_re).
-    """
-    form = differential_form(op)
-    if form is None or not all(isinstance(p, Polynomial) for p in polys):
-        return None
-    vs = tuple(dict.fromkeys(itertools.chain(
-        (v for p in polys for v in p.vars),
-        (v for c in form.values() for v in c.vars),
-        (v for alpha in form for v, _ in alpha),
-    )))
-    coeffs = [c.terms if c.vars == vs else _remap(c, vs) for c in form.values()]
-    den = _denominator(coeffs)
-    blocks = [
-        (tuple((vs.index(v), m) for v, m in alpha), _integer_parts(terms, den))
-        for alpha, terms in zip(form, coeffs)
-    ]
-    # (part of p, part of the coefficients, real (0) or imaginary (1) sum, sign)
-    routes = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
-
-    def kills(p):
-        terms = p.terms if p.vars == vs else _remap(p, vs)
-        parts = _integer_parts(terms, _denominator([terms]))
-        sums = ({}, {})
-        for part, side, target, sign in routes:
-            if parts[part]:
-                _accumulate(blocks, side, parts[part], sums[target], sign)
-        return not any(sums[0].values()) and not any(sums[1].values())
-
-    return kills
-
-
-def _denominator(term_dicts) -> int:
-    """Least common denominator of the real and imaginary parts of the coefficients."""
-    den = 1
-    for terms in term_dicts:
-        for c in terms.values():
-            if isinstance(c, GaussianRational):
-                den = math.lcm(den, c.re.denominator, c.im.denominator)
-            else:
-                den = math.lcm(den, c.denominator)
-    return den
-
-
-def _integer_parts(terms, den):
-    """den * (real part, imaginary part) of the terms, as lists of (exponent, int)."""
-    re, im = [], []
-    for exp, c in terms.items():
-        if isinstance(c, GaussianRational):
-            if c.re:
-                re.append((exp, c.re.numerator * (den // c.re.denominator)))
-            im.append((exp, c.im.numerator * (den // c.im.denominator)))
-        else:
-            re.append((exp, c.numerator * (den // c.denominator)))
-    return re, im
-
-
-def _accumulate(blocks, side, part, out, sign):
-    """out += sign * sum_j C_j d^alpha_j (part), C_j the block's `side` part."""
-    get = out.get
-    for orders, cparts in blocks:
-        cterms = cparts[side]
-        if not cterms:
-            continue
-        for exp, a in part:
-            k = sign * a
-            if orders:
-                shifted = list(exp)
-                for i, m in orders:
-                    k *= falling(exp[i], m)
-                    shifted[i] = exp[i] - m
-                if not k:
-                    continue
-            else:
-                shifted = exp
-            for cexp, c in cterms:
-                key = tuple(map(add, shifted, cexp))
-                out[key] = get(key, 0) + c * k
 
 
 def _checked(elements, annihilator, truncation) -> BasisFamily:
@@ -461,8 +371,7 @@ def riemannian_to_tx(p: Polynomial) -> Polynomial:
 # -- commuting power perturbations -----------------------------------------------
 
 def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
-                             h: Polynomial, g: Polynomial, seed: int = 0,
-                             max_level: int | None = None) -> Polynomial:
+                             h: Polynomial, g: Polynomial) -> Polynomial:
     """Kernel element of T0^m - sum_p T0^(m-p) T_p from seeds h, g.
 
     T0 must commute with each perturbation and the perturbations with each
@@ -475,9 +384,8 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
         raise ValueError("need exactly m perturbation operators")
     vars_ = operator_variables(t0) | {v for op in perturbations for v in operator_variables(op)}
     vars_ |= set(h.vars) | set(g.vars)
-    rng_seed = seed
     for idx, op in enumerate(perturbations):
-        if not operators_agree_on_sample(Compose(t0, op), Compose(op, t0), vars_, seed=rng_seed):
+        if not operators_agree_on_sample(Compose(t0, op), Compose(op, t0), vars_):
             raise OperatorHypothesisError(
                 f"power-perturbation hypotheses violated: T0 does not commute with T{idx + 1}"
             )
@@ -485,7 +393,7 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
         for b in range(a + 1, m):
             lhs = Compose(perturbations[a], perturbations[b])
             rhs = Compose(perturbations[b], perturbations[a])
-            if not operators_agree_on_sample(lhs, rhs, vars_, seed=rng_seed):
+            if not operators_agree_on_sample(lhs, rhs, vars_):
                 raise OperatorHypothesisError(
                     f"power-perturbation hypotheses violated: T{a + 1} and T{b + 1} do not commute"
                 )
@@ -497,8 +405,7 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
 
         raise KernelPreconditionError("kernel precondition violated")
 
-    if max_level is None:
-        max_level = 2 + g.total_degree() * max(1, m)
+    max_level = 2 + g.total_degree() * max(1, m)
     g_parts: dict[tuple, Polynomial] = {(0,) * m: g}
 
     def g_part(tup):

@@ -346,6 +346,12 @@ def _grid_points(spec: str, axes):
     if min(sizes) < 1:
         raise InputError(f"grid {spec!r} has an axis with fewer than one point")
     lines = [_linspace(lo, hi, size) for (lo, hi), size in zip(axes, sizes)]
+    for i, ((lo, hi), line) in enumerate(zip(axes, lines), start=1):
+        if not all(map(math.isfinite, [lo, hi, *line])):
+            raise InputError(
+                f"grid axis x{i} over [{lo!r}, {hi!r}] (half width {hi / 2 - lo / 2!r}) "
+                "leaves the float range"
+            )
     return list(itertools.product(*lines))
 
 

@@ -489,8 +489,11 @@ class TreeHeatSolution:
         """exp(i theta + Xi(t)) at the point: exp(t d_T) applied to the mode
         wave exp(i theta), with Xi the summed splitting exponents."""
         theta = _phase(k, self.half_widths, point)
-        xi = evaluate_symbol(self.splitting, k, self.half_widths, t, point)
-        return cmath.exp(1j * theta + xi)
+        try:
+            xi = evaluate_symbol(self.splitting, k, self.half_widths, t, point)
+            return cmath.exp(1j * theta + xi)
+        except OverflowError:
+            raise SeriesTerminationError(f"mode {k} at t={t} overflows") from None
 
     def at(self, t: float, point) -> float:
         total = 0.0

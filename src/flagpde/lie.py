@@ -34,8 +34,9 @@ from .operators import (
     Scale,
     Sum,
     VerificationError,
-    _compose_forms,
     differential_form,
+    forms_commute,
+    same_action,
 )
 from .poly import IMAG, Polynomial, coeff_inverse, variable
 
@@ -279,8 +280,8 @@ def _g2_reading_checks(eta, action):
     for first_var in (1, 2):
         lap = g2_laplacian(first_var)
         lap_form = differential_form(lap)
-        commutes = all(_commutes(lap_form, form) for form in gen_forms)
-        law = _same_action(
+        commutes = all(forms_commute(lap_form, form) for form in gen_forms)
+        law = same_action(
             Compose(lap, MultiplyBy(eta)),
             Sum((Scale(14), Compose(MultiplyBy(eta), lap), Compose(Scale(4), euler))),
         )
@@ -300,16 +301,6 @@ def _euler_operator(vars_) -> LinearOperator:
     return Sum(
         Compose(MultiplyBy(variable(v)), Derivative(v, 1)) for v in vars_
     )
-
-
-def _same_action(a: LinearOperator, b: LinearOperator) -> bool:
-    """True when a and b agree on every polynomial: equal normal forms."""
-    return differential_form(a) == differential_form(b)
-
-
-def _commutes(form_a: dict, form_b: dict) -> bool:
-    """True when [A, B] = 0, given the normal forms of A and B."""
-    return _compose_forms(form_a, form_b) == _compose_forms(form_b, form_a)
 
 
 # -- module bases ------------------------------------------------------------------
@@ -358,7 +349,7 @@ def _sl_branch_element(n, lead, pairs, swap: bool) -> Polynomial:
     return Polynomial(vars_, {e: c for e, c in terms.items() if c})
 
 
-def sl_module_basis(n: int, l1: int, l2: int, check: bool = False) -> BasisFamily:
+def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
     """Basis of the contraction-free bidegree (l1, l2) module on x.., y..
 
     Two branches: the first pumps surplus x1 powers (lead m with
@@ -384,20 +375,7 @@ def sl_module_basis(n: int, l1: int, l2: int, check: bool = False) -> BasisFamil
                 elements.append(
                     BasisElement({"branch": 2, "m": mp, "mr": ms, "lr": ls}, sol)
                 )
-    fam = _checked(elements, annihilator, {"n": n, "l1": l1, "l2": l2})
-    if check:
-        fam.verify_independence()
-        from .linalg import bidegree_monomials
-
-        x_vars = tuple(f"x{i}" for i in range(1, n + 1))
-        y_vars = tuple(f"y{i}" for i in range(1, n + 1))
-        slice_ = bidegree_monomials(x_vars, y_vars, l1, l2)
-        kernel = kernel_on_slice(annihilator, slice_)
-        if len(kernel) != len(fam.elements):
-            raise VerificationError(
-                f"family size {len(fam.elements)} differs from kernel dimension {len(kernel)}"
-            )
-    return fam
+    return _checked(elements, annihilator, {"n": n, "l1": l1, "l2": l2})
 
 
 def g2_module_basis(k: int) -> BasisFamily:
@@ -559,12 +537,12 @@ def commutation_checks(n_sl: int = 2, max_degree: int = 3) -> dict:
 
     delta_form = differential_form(delta)
     report["contraction commutes with action"] = all(
-        _commutes(delta_form, differential_form(op)) for op in sl_gens
+        forms_commute(delta_form, differential_form(op)) for op in sl_gens
     )
     euler = _euler_operator(
         tuple(f"x{i}" for i in range(1, n_sl + 1)) + tuple(f"y{i}" for i in range(1, n_sl + 1))
     )
-    report["zeta multiplication law"] = _same_action(
+    report["zeta multiplication law"] = same_action(
         Compose(delta, MultiplyBy(zeta)),
         Sum((Scale(n_sl), Compose(MultiplyBy(zeta), delta), euler)),
     )

@@ -13,6 +13,10 @@ extra lazily-evaluated nodes live here as well:
   perturbation series per input, in Horner form, rather than expanding an
   operator formula.
 
+A polynomial-coefficient differential operator has the normal form
+sum_alpha c_alpha d^alpha (``differential_form``), unique in the Weyl
+algebra; ``FormApplicator`` applies it to polynomials in integers.
+
 The module also hosts the series engine: given T1 with right inverse T1inv
 and a perturbation T2 that is locally nilpotent relative to a filtration,
 ``solve_by_series`` produces the kernel element sum_i (-T1inv T2)^i (h*g)
@@ -25,13 +29,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
+from .combinatorics import falling
 from .poly import (
     GaussianRational,
     Polynomial,
     TrigPolynomial,
+    _make,
+    _quotient,
+    _remap,
     coeff_imag,
     coeff_real,
 )
@@ -40,6 +49,7 @@ __all__ = [
     "Compose",
     "DampedIntegration",
     "Derivative",
+    "FormApplicator",
     "Integrate",
     "KernelPreconditionError",
     "MultiplyBy",
@@ -53,6 +63,8 @@ __all__ = [
     "VerificationError",
     "apply_operator",
     "differential_form",
+    "form_applicator",
+    "forms_commute",
     "identity",
     "op_from_json",
     "op_to_json",
@@ -60,6 +72,7 @@ __all__ = [
     "operators_agree_on_sample",
     "random_polynomial",
     "right_inverse_series",
+    "same_action",
     "solve_by_series",
 ]
 
@@ -462,6 +475,119 @@ def _times(p: Polynomial, q: Polynomial, weight: int) -> Polynomial:
     return p * q * weight if weight != 1 else p * q
 
 
+def forms_commute(form_a: dict, form_b: dict) -> bool:
+    """True when [A, B] = 0, given the normal forms of A and B."""
+    return _compose_forms(form_a, form_b) == _compose_forms(form_b, form_a)
+
+
+def same_action(a: LinearOperator, b: LinearOperator) -> bool:
+    """True when a and b agree on every polynomial: equal normal forms."""
+    return differential_form(a) == differential_form(b)
+
+
+# (part of p, part of the coefficients, real (0) or imaginary (1) sum, sign):
+# with c = c_re + i c_im and p = p_re + i p_im,
+# c p = (c_re p_re - c_im p_im) + i (c_re p_im + c_im p_re)
+_ROUTES = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
+
+
+class FormApplicator:
+    """A normal form sum_j c_j d^alpha_j applied to polynomials whose
+    variables are all in one fixed order.
+
+    The coefficients are put over the order once, and D, their common
+    denominator, turns them into integer parts.  With d that of the input p,
+    D d op(p) = sum_j (D c_j) d^alpha_j (d p) is accumulated with integer
+    falling factorials, one dict per real and imaginary part, and each
+    nonzero entry is divided by D d once.
+    """
+
+    __slots__ = ("vars", "laurent", "_den", "_blocks")
+
+    def __init__(self, form: dict, vars):
+        self.vars = vs = tuple(vars)
+        self.laurent = frozenset().union(*(c.laurent for c in form.values()))
+        coeffs = [c.terms if c.vars == vs else _remap(c, vs) for c in form.values()]
+        self._den = _denominator(coeffs)
+        self._blocks = [
+            (tuple((vs.index(v), m) for v, m in alpha), _integer_parts(terms, self._den))
+            for alpha, terms in zip(form, coeffs)
+        ]
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        terms = p.terms if p.vars == self.vars else _remap(p, self.vars)
+        den = _denominator([terms])
+        parts = _integer_parts(terms, den)
+        re, im = sums = ({}, {})
+        for part, side, target, sign in _ROUTES:
+            out = sums[target]
+            get = out.get
+            for orders, cparts in self._blocks:
+                cterms = cparts[side]
+                if not cterms:
+                    continue
+                for exp, a in parts[part]:
+                    k = sign * a
+                    if orders:
+                        shifted = list(exp)
+                        for i, m in orders:
+                            k *= falling(exp[i], m)
+                            shifted[i] = exp[i] - m
+                        if not k:
+                            continue
+                    else:
+                        shifted = exp
+                    for cexp, c in cterms:
+                        key = tuple(map(add, shifted, cexp))
+                        out[key] = get(key, 0) + c * k
+        den *= self._den
+        image = {exp: _quotient(a, den) for exp, a in re.items() if a}
+        for exp, b in im.items():
+            if b:
+                image[exp] = GaussianRational(Fraction(re.get(exp, 0), den), Fraction(b, den))
+        return _make(self.vars, self.laurent | p.laurent, image)
+
+
+def form_applicator(op: LinearOperator, polys):
+    """op on the given polys: a FormApplicator over their variables and op's
+    when op has a differential form and every p is a Polynomial, else op
+    itself (integrations, right inverses, trig polynomials)."""
+    form = differential_form(op)
+    if form is None or not all(isinstance(p, Polynomial) for p in polys):
+        return op
+    vs = tuple(dict.fromkeys(itertools.chain(
+        (v for p in polys for v in p.vars),
+        (v for c in form.values() for v in c.vars),
+        (v for alpha in form for v, _ in alpha),
+    )))
+    return FormApplicator(form, vs)
+
+
+def _denominator(term_dicts) -> int:
+    """Least common denominator of the real and imaginary parts of the coefficients."""
+    den = 1
+    for terms in term_dicts:
+        for c in terms.values():
+            if isinstance(c, GaussianRational):
+                den = math.lcm(den, c.re.denominator, c.im.denominator)
+            else:
+                den = math.lcm(den, c.denominator)
+    return den
+
+
+def _integer_parts(terms, den):
+    """den * (real part, imaginary part) of the terms, as lists of (exponent, int)."""
+    re, im = [], []
+    for exp, c in terms.items():
+        if isinstance(c, GaussianRational):
+            if c.re:
+                re.append((exp, c.re.numerator * (den // c.re.denominator)))
+            im.append((exp, c.im.numerator * (den // c.im.denominator)))
+        else:
+            re.append((exp, c.numerator * (den // c.denominator)))
+    return re, im
+
+
 def max_derivative_order(op: LinearOperator) -> int:
     if isinstance(op, Derivative):
         return op.order
@@ -498,31 +624,26 @@ def operators_agree_on_sample(op_a, op_b, vars, seed=0, samples=5) -> bool:
 class SeriesConfig:
     """Hypotheses for the perturbation series: T1 with right inverse, plus T2.
 
-    On construction (unless validate=False) the right-inverse law
-    T1(T1inv(p)) = p is checked on a seeded random polynomial sample.
-    max_iterations is only a safety valve; termination is detected by the
-    series hitting the exact zero polynomial.
+    On construction the right-inverse law T1(T1inv(p)) = p is checked on a
+    sample of random polynomials drawn from `seed`.  Termination is detected
+    by the series hitting the exact zero polynomial; ``iteration_bound`` is
+    only a safety valve.
     """
 
     t1: LinearOperator
     t1_inverse: LinearOperator
     t2: LinearOperator
-    max_iterations: int | None = None
     seed: int = 0
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        if self.validate:
-            vars = operator_variables(self.t1) | operator_variables(self.t1_inverse)
-            composed = Compose(self.t1, self.t1_inverse)
-            if not operators_agree_on_sample(composed, identity(), vars, seed=self.seed):
-                raise OperatorHypothesisError(
-                    "t1_inverse is not a right inverse of t1 on the sampled polynomials"
-                )
+        vars = operator_variables(self.t1) | operator_variables(self.t1_inverse)
+        composed = Compose(self.t1, self.t1_inverse)
+        if not operators_agree_on_sample(composed, identity(), vars, seed=self.seed):
+            raise OperatorHypothesisError(
+                "t1_inverse is not a right inverse of t1 on the sampled polynomials"
+            )
 
     def iteration_bound(self, seed_poly: Polynomial) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
         return 2 + seed_poly.total_degree() * max(1, max_derivative_order(self.t2))
 
 

@@ -14,7 +14,10 @@ parent multiplier x_p(i).  The recursion runs bottom-up from the tips:
 
 with tilde_xi = t*D^2 at a tip, and xi_i = x_p(i) * tilde_xi_i for i >= 2.
 ``check_splitting`` verifies the operator identity mechanically by exact
-series expansion, which also guards the commuting-symbols convention.
+series expansion, which also guards the commuting-symbols convention.  It
+reads each xi_i as an operator (D_j as d/dx_j, the rest of each term as its
+coefficient) and applies it, like t*d_T, through one
+``operators.FormApplicator`` on the variable order (t, x1..xn).
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from fractions import Fraction
 from .operators import (
     Compose,
     Derivative,
+    FormApplicator,
     MultiplyBy,
     Sum,
     VerificationError,
+    differential_form,
 )
 from .poly import Polynomial, variable
 
@@ -147,38 +152,25 @@ def compute_splitting(tree: Tree) -> TricomiSplitting:
     return TricomiSplitting(tree, exponents)
 
 
-def _apply_symbol(symbol: Polynomial, p: Polynomial, n: int) -> Polynomial:
-    """Interpret D_j as d/dx_j: each symbol term c t^e x^b D^g sends p to
-    c t^e x^b (d^g p); the multiplier never collides with the derivatives
-    because a node's symbol only differentiates its descendants."""
-    out = Polynomial.zero(p.vars, p.laurent)
-    sv = symbol.vars
+def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
+    """The symbol as an operator over vs = (t, x1..xn).  A node's symbol
+    only differentiates its descendants, so its multiplier x_p commutes
+    with its derivatives."""
+    form: dict = {}
     for exp, c in symbol.terms.items():
-        piece = p
-        mult_exp = {}
-        for v, e in zip(sv, exp):
+        alpha, coeff = [], [0] * len(vs)
+        for v, e in zip(symbol.vars, exp):
             if not e:
                 continue
             if v.startswith("D"):
-                piece = piece.diff("x" + v[1:], e)
-                if piece.is_zero():
-                    break
+                alpha.append(("x" + v[1:], e))
             else:
-                mult_exp[v] = e
-        else:
-            if mult_exp:
-                mono = Polynomial(
-                    tuple(mult_exp), {tuple(mult_exp.values()): Fraction(1)}
-                )
-                piece = piece * mono
-            out = out + piece * c
-            continue
-    return out
+                coeff[vs.index(v)] = e
+        form.setdefault(tuple(sorted(alpha)), {})[tuple(coeff)] = c
+    return FormApplicator({a: Polynomial(vs, terms) for a, terms in form.items()}, vs)
 
 
 def _truncate_t(p: Polynomial, tcap: int) -> Polynomial:
-    if "t" not in p.vars:
-        return p
     i = p.vars.index("t")
     kept = {e: c for e, c in p.terms.items() if e[i] <= tcap}
     if len(kept) == len(p.terms):
@@ -186,14 +178,14 @@ def _truncate_t(p: Polynomial, tcap: int) -> Polynomial:
     return Polynomial(p.vars, kept, p.laurent)
 
 
-def _apply_exp_symbol(symbol: Polynomial, p: Polynomial, n: int, tcap: int) -> Polynomial:
+def _apply_exp_symbol(symbol: FormApplicator, p: Polynomial, tcap: int) -> Polynomial:
     """Truncated exp(symbol) applied to p; every symbol term carries at least
     one power of t, so the series stops after tcap rounds."""
     out = _truncate_t(p, tcap)
     term = out
     j = 1
     while True:
-        term = _truncate_t(_apply_symbol(symbol, term, n), tcap) * Fraction(1, j)
+        term = _truncate_t(symbol(term), tcap) * Fraction(1, j)
         if term.is_zero():
             return out
         out = out + term
@@ -219,30 +211,20 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
 
     n = tree.nodes
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
-    d_t = tricomi_operator(tree)
-    splitting = compute_splitting(tree)
+    vs = ("t",) + x_vars
+    t = variable("t")
+    t_d_t = {alpha: t * c for alpha, c in differential_form(tricomi_operator(tree)).items()}
+    heat = FormApplicator(t_d_t, vs)
+    exponents = [_symbol_applicator(xi, vs) for xi in compute_splitting(tree).exponents]
     checked = 0
     for exp in tuples_with_sum_at_most(n, degree_cap):
-        mono = Polynomial(x_vars, {exp: Fraction(1)})
-        lhs = Polynomial.zero(("t",) + x_vars)
-        piece = mono
-        for k in range(t_power_cap + 1):
-            lhs = lhs + Polynomial(("t",), {(k,): Fraction(1, math.factorial(k))}) * piece
-            piece = d_t(piece)
-            if piece.is_zero():
-                break
+        mono = Polynomial(vs, {(0,) + exp: 1})
+        lhs = _apply_exp_symbol(heat, mono, t_power_cap)
         rhs = mono
-        for xi in splitting.exponents:
-            rhs = _apply_exp_symbol(xi, rhs, n, t_power_cap)
-        rhs = _truncate_t(rhs, t_power_cap)
-        lhs = _truncate_t(lhs, t_power_cap)
+        for xi in exponents:
+            rhs = _apply_exp_symbol(xi, rhs, t_power_cap)
         if lhs != rhs:
-            diff = lhs - rhs
-            bad = min(
-                diff.terms,
-                key=lambda e: (e[diff.vars.index("t")] if "t" in diff.vars else 0, e),
-            )
-            tpow = bad[diff.vars.index("t")] if "t" in diff.vars else 0
+            tpow = min(e[0] for e in (lhs - rhs).terms)
             raise VerificationError(
                 f"splitting mismatch on monomial {dict(zip(x_vars, exp))} at t^{tpow}"
             )

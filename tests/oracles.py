@@ -494,6 +494,74 @@ def tree_heat_mode_series(tree, k, half_widths, t, point, max_terms=200):
     return total * cmath.exp(1j * theta)
 
 
+# -- the tree splitting, term by term ---------------------------------------------------
+
+def apply_symbol_termwise(symbol, p):
+    """A splitting symbol applied to p one term at a time: each term
+    c t^e x^b D^g sends p to c t^e x^b (d^g p), with D_j read as d/dx_j."""
+    out = Polynomial.zero(p.vars, p.laurent)
+    for exp, c in symbol.terms.items():
+        piece = p
+        mult_exp = {}
+        for v, e in zip(symbol.vars, exp):
+            if not e:
+                continue
+            if v.startswith("D"):
+                piece = piece.diff("x" + v[1:], e)
+            else:
+                mult_exp[v] = e
+        if mult_exp:
+            piece = piece * Polynomial(tuple(mult_exp), {tuple(mult_exp.values()): 1})
+        out = out + piece * c
+    return out
+
+
+def _truncate_t(p, tcap):
+    if "t" not in p.vars:
+        return p
+    i = p.vars.index("t")
+    return Polynomial(p.vars, {e: c for e, c in p.terms.items() if e[i] <= tcap}, p.laurent)
+
+
+def check_splitting_termwise(splitting, degree_cap, t_power_cap):
+    """The splitting check with the operator sum d_T and the termwise symbol
+    application: exp(t d_T) and the nodewise exponential product, both
+    truncated at t_power_cap, compared on every monomial of total degree at
+    most degree_cap.  Returns the number of monomials checked, or raises
+    AssertionError with the message of the first mismatch."""
+    from flagpde.combinatorics import tuples_with_sum_at_most
+    from flagpde.trees import tricomi_operator
+
+    tree = splitting.tree
+    x_vars = tuple(f"x{i}" for i in range(1, tree.nodes + 1))
+    d_t = tricomi_operator(tree)
+    checked = 0
+    for exp in tuples_with_sum_at_most(tree.nodes, degree_cap):
+        mono = Polynomial(x_vars, {exp: 1})
+        lhs = Polynomial.zero(("t",) + x_vars)
+        piece = mono
+        for k in range(t_power_cap + 1):
+            lhs = lhs + Polynomial(("t",), {(k,): Fraction(1, math.factorial(k))}) * piece
+            piece = d_t(piece)
+        rhs = mono
+        for xi in splitting.exponents:
+            out = term = _truncate_t(rhs, t_power_cap)
+            j = 1
+            while not term.is_zero():
+                term = _truncate_t(apply_symbol_termwise(xi, term), t_power_cap) * Fraction(1, j)
+                out = out + term
+                j += 1
+            rhs = out
+        diff = _truncate_t(lhs, t_power_cap) - _truncate_t(rhs, t_power_cap)
+        if not diff.is_zero():
+            tpow = min(e[diff.vars.index("t")] for e in diff.terms)
+            raise AssertionError(
+                f"splitting mismatch on monomial {dict(zip(x_vars, exp))} at t^{tpow}"
+            )
+        checked += 1
+    return checked
+
+
 # -- the flag-family series, term by term ---------------------------------------------
 
 def nested_inverse_term_by_term(inv, p):

@@ -242,14 +242,31 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @given(st.lists(st.tuples(_finite, _finite, st.integers(1, 12)), min_size=1, max_size=3))
 @example([(0.0, 1e-323, 11)])  # the step underflows to zero
+@example([(0.0, 1.0, 2), (-1.5e308, 1.5e308, 1)])  # the span overflows
 def test_grid_points_match_numpy_meshgrid(axes):
     spec = "x".join(str(n) for _, _, n in axes)
-    got = _grid_points(spec, [(lo, hi) for lo, hi, _ in axes])
     with np.errstate(all="ignore"):
         lines = [np.linspace(lo, hi, n) for lo, hi, n in axes]
         mesh = [m.ravel() for m in np.meshgrid(*lines, indexing="ij")]
+    if not all(np.isfinite(line).all() for line in lines):
+        with pytest.raises(InputError, match="leaves the float range"):
+            _grid_points(spec, [(lo, hi) for lo, hi, _ in axes])
+        return
+    got = _grid_points(spec, [(lo, hi) for lo, hi, _ in axes])
     want = [tuple(float(m[i]) for m in mesh) for i in range(len(mesh[0]))]
     assert [[c.hex() for c in pt] for pt in got] == [[c.hex() for c in pt] for pt in want]
+
+
+def test_grid_beyond_the_float_range_exits_two(tmp_path, capsys):
+    symbols = tmp_path / "symbols.json"
+    symbols.write_text(json.dumps({"variables": ["D2"], "symbols": [[{"exp": {"D2": 2}, "re": "1"}]] * 2}))
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"halfWidths": [1.5e308], "modes": [{"k": [1], "cos": 1.0}]}))
+    args = ["ivp", "flag", "--orders", "2", "--symbols", str(symbols), "--data", str(data), "--grid", "2x3"]
+    assert run_cli(args) == 2
+    assert "grid axis x2 over [-1.5e+308, 1.5e+308] (half width 1.5e+308) leaves the float range" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("grid", ["2x0", "2x-1", "2xa"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -441,6 +442,14 @@ def test_tree_heat_keeps_sine_amplitudes():
 def test_tree_heat_rejects_data_of_the_wrong_dimension():
     with pytest.raises(ValueError, match="dimension"):
         solve_tree_heat_ivp(Tree(2, [(1, 2)]), TrigData((1.0,), {(1,): (1.0, 0.0)}), 0.1, [(0.1,)])
+
+
+@pytest.mark.parametrize("t", [1e5, 1e300])
+def test_tree_heat_overflow_names_the_mode_and_time(t):
+    # t = 1e5 overflows in exp, t = 1e300 already in the powers of t in the symbol
+    g0 = TrigData((1.0, 1.0), {(1, 1): (1.0, 0.0)})
+    with pytest.raises(SeriesTerminationError, match=re.escape(f"mode (1, 1) at t={t!r} overflows")):
+        solve_tree_heat_ivp(Tree(2, [(1, 2)]), g0, t, [(0.1, 0.2)])
 
 
 # -- non-finite data --------------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from flagpde import (
 from flagpde.lie import (
     PairOperator,
     _closed_under_bracket,
-    _same_action,
     g2_bracket_report,
     g2_invariant,
     g2_laplacian,
@@ -39,7 +38,7 @@ from flagpde.linalg import (
     polys_in_span,
     polys_rank,
 )
-from flagpde.operators import Compose, Derivative, Scale, Sum
+from flagpde.operators import Compose, Derivative, Scale, Sum, same_action
 
 from oracles import agree_on_monomials, commutation_checks_by_monomials
 
@@ -110,8 +109,20 @@ def test_sl_invariant_is_annihilated():
             assert h(zeta).is_zero()
 
 
+def _sl_module_checked(n, l1, l2):
+    """sl_module_basis with its independence and the size of the exact
+    kernel of the contraction on the bidegree slice checked."""
+    fam = sl_module_basis(n, l1, l2)
+    assert fam.verify_independence()
+    x_vars = tuple(f"x{i}" for i in range(1, n + 1))
+    y_vars = tuple(f"y{i}" for i in range(1, n + 1))
+    kernel = kernel_oracle(sl_laplacian(n), bidegree_monomials(x_vars, y_vars, l1, l2))
+    assert len(kernel) == len(fam)
+    return fam
+
+
 def test_sl_module_small_case():
-    fam = sl_module_basis(2, 1, 1, check=True)
+    fam = _sl_module_checked(2, 1, 1)
     sols = [e.solution for e in fam.elements]
     assert len(sols) == 3
     x1, x2, y1, y2 = (variable(v) for v in ("x1", "x2", "y1", "y2"))
@@ -146,7 +157,7 @@ def test_sl_highest_vector_in_family_and_singular():
 
 def test_sl_module_matches_kernel_oracle():
     for n, l1, l2 in ((2, 2, 1), (2, 2, 2), (3, 1, 1)):
-        fam = sl_module_basis(n, l1, l2, check=True)
+        _sl_module_checked(n, l1, l2)
 
 
 def test_sl_decomposition_rank():
@@ -298,8 +309,8 @@ def test_normal_forms_see_past_the_sampled_degree():
     vars_ = ("x1", "x2", "y1", "y2")
     assert agree_on_monomials(delta, perturbed, vars_, 2)
     assert not agree_on_monomials(delta, perturbed, vars_, 3)
-    assert not _same_action(delta, perturbed)
-    assert _same_action(perturbed, Sum((Derivative("x1", 3), delta)))
+    assert not same_action(delta, perturbed)
+    assert same_action(perturbed, Sum((Derivative("x1", 3), delta)))
 
 
 def test_closure_finds_a_bracket_outside_the_span():

@@ -14,7 +14,17 @@ from flagpde import (
     tricomi_operator,
     variable,
 )
-from flagpde.trees import InvalidTreeError, all_trees, _apply_exp_symbol, _truncate_t
+from flagpde.combinatorics import tuples_with_sum_at_most
+from flagpde.operators import VerificationError
+from flagpde.trees import (
+    InvalidTreeError,
+    _apply_exp_symbol,
+    _symbol_applicator,
+    _truncate_t,
+    all_trees,
+)
+
+from oracles import apply_symbol_termwise, check_splitting_termwise
 
 x1, x2, x3 = variable("x1"), variable("x2"), variable("x3")
 CHAIN3 = Tree(3, [(1, 2), (2, 3)])
@@ -123,9 +133,10 @@ def test_deep_tail_coefficient_adjudicated_by_expansion():
         lhs = lhs + Polynomial(("t",), {(k,): Fraction(1, math.factorial(k))}) * piece
         piece = d_t(piece)
     s = compute_splitting(CHAIN3)
-    rhs = mono
+    vs = ("t", "x1", "x2", "x3")
+    rhs = mono.with_variables(vs)
     for xi in s.exponents:
-        rhs = _apply_exp_symbol(xi, rhs, 3, 7)
+        rhs = _apply_exp_symbol(_symbol_applicator(xi, vs), rhs, 7)
     assert _truncate_t(lhs, 7) == _truncate_t(rhs, 7)
     # the constant monomial at t^7 pins the tail coefficient to 8!/63
     coeff = _truncate_t(lhs, 7).coefficient({"t": 7})
@@ -144,14 +155,56 @@ def test_splitting_check_reports_mismatch():
     # sabotage: drop the parent multiplier from the second exponent
     broken = s.exponents[1].substitute("x1", constant(2))
     s.exponents[1] = broken
-    from flagpde.trees import _apply_exp_symbol as apply_exp
-
+    vs = ("t", "x1", "x2")
     mono = x2**2
-    rhs = mono
+    rhs = mono.with_variables(vs)
     for xi in s.exponents:
-        rhs = apply_exp(xi, rhs, 2, 2)
+        rhs = _apply_exp_symbol(_symbol_applicator(xi, vs), rhs, 2)
     lhs = mono + variable("t") * tricomi_operator(Tree(2, [(1, 2)]))(mono)
     assert _truncate_t(rhs, 1) != _truncate_t(lhs, 1)
+
+
+def test_symbol_applicator_matches_termwise_application():
+    for n in (1, 2, 3, 4):
+        vs = ("t",) + tuple(f"x{i}" for i in range(1, n + 1))
+        for tree in all_trees(n):
+            for xi in compute_splitting(tree).exponents:
+                app = _symbol_applicator(xi, vs)
+                for exp in tuples_with_sum_at_most(n, 3):
+                    mono = Polynomial(vs, {(0,) + exp: 1})
+                    assert app(mono) == apply_symbol_termwise(xi, mono)
+
+
+def _sabotaged(tree, pick):
+    """Splittings of the tree with one node's first or last exponent term, in
+    graded order, scaled by 101/100."""
+    for node in range(tree.nodes):
+        s = compute_splitting(tree)
+        xi = s.exponents[node]
+        exp = pick(xi.terms, key=lambda e: (sum(e), e))
+        s.exponents[node] = Polynomial(xi.vars, {**xi.terms, exp: xi.terms[exp] * Fraction(101, 100)})
+        yield s
+
+
+def test_sabotaged_splittings_raise_the_termwise_mismatch(monkeypatch):
+    import flagpde.trees as trees
+
+    raised = 0
+    for n in (1, 2, 3, 4):
+        for tree in all_trees(n):
+            for pick in (max, min):
+                for s in _sabotaged(tree, pick):
+                    monkeypatch.setattr(trees, "compute_splitting", lambda _tree, s=s: s)
+                    try:
+                        expected = check_splitting_termwise(s, 3, 3)
+                    except AssertionError as err:
+                        with pytest.raises(VerificationError) as got:
+                            check_splitting(tree, 3, 3)
+                        assert str(got.value) == str(err)
+                        raised += 1
+                    else:
+                        assert check_splitting(tree, 3, 3).monomials_checked == expected
+    assert raised == 50
 
 
 # -- symbol evaluation --------------------------------------------------------------------
