@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import falling, multinomial, tuples_with_sum, tuples_with_sum_at_most
+from .combinatorics import multinomial, tuples_with_sum, tuples_with_sum_at_most
 from .linalg import polys_rank
 from .operators import (
     Compose,
@@ -35,7 +35,7 @@ from .operators import (
     operators_agree_on_sample,
     solve_by_series,
 )
-from .poly import Polynomial, variable
+from .poly import Polynomial, _int_form, _IntForm, variable
 
 __all__ = [
     "BasisElement",
@@ -158,16 +158,20 @@ def _constant_element(orders, ell, vars_) -> Polynomial:
     terms = {}
     for ks in itertools.product(*ranges):
         big_k = sum(ks)
-        coeff = Fraction((-1) ** big_k * multinomial(ks))
-        coeff *= Fraction(math.factorial(ell[0]), math.factorial(ell[0] + big_k * m1))
+        # (-1)^K multinomial(ks) l1!/(l1 + K m1)! prod_i falling(l_i, k_i m_i)
+        num = (-1) ** big_k * multinomial(ks)
         exp = [ell[0] + big_k * m1]
         for i, k in enumerate(ks, start=1):
-            coeff *= falling(ell[i], k * orders[i])
+            num *= math.perm(ell[i], k * orders[i])
             exp.append(ell[i] - k * orders[i])
-        if coeff:
-            key = tuple(exp)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(vars_, {e: c for e, c in terms.items() if c})
+        terms[tuple(exp)] = _exact_ratio(num, math.perm(ell[0] + big_k * m1, big_k * m1))
+    return Polynomial(vars_, terms)
+
+
+def _exact_ratio(num: int, den: int):
+    """num/den as an int when den divides num, else as one Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 # -- harmonic polynomials ------------------------------------------------------
@@ -185,16 +189,13 @@ def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
     ranges = [range(l // 2 + 1) for l in ells]
     for rs in itertools.product(*ranges):
         big_r = sum(rs)
-        num = Fraction((-1) ** big_r * multinomial(rs))
+        num = (-1) ** big_r * multinomial(rs)
         for l, r in zip(ells, rs):
             num *= math.comb(l, 2 * r)
         den = (1 + 2 * eps * big_r) * multinomial([2 * r for r in rs])
-        coeff = num / den
-        if not coeff:
-            continue
         exp = (eps + 2 * big_r,) + tuple(l - 2 * r for l, r in zip(ells, rs))
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff
-    return Polynomial(vars_, {e: c for e, c in terms.items() if c})
+        terms[exp] = _exact_ratio(num, den)
+    return Polynomial(vars_, terms)
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:
@@ -264,29 +265,28 @@ class FlagEquationSpec:
         return NestedRightInverse(entries)
 
 
-def _sigma_step(spec: FlagEquationSpec, inv: NestedRightInverse, stage: int,
-                chain: list, ell: int) -> Polynomial:
-    """Extend a solution h in the first `stage` variables by seed x_(stage+1)^ell.
+def _sigma_step(inv: NestedRightInverse, plan: list, f: _IntForm, pos: int, m: int,
+                chain: list, ell: int) -> _IntForm:
+    """Extend a solution h of the earlier blocks by the seed x_pos^ell.
 
     Returns sum_i (-inv f)^i(h) * D^i(seed), where `inv` is the nested right
-    inverse of the first `stage` blocks, f the coefficient and D = d^m/dv^m
-    of block stage+1.  chain[i] holds (-inv f)^i(h), chain[0] = h; each
-    missing power is one step from the previous one and is appended, so
-    seeds extending the same h share it.
+    inverse of the earlier blocks (put over the build's variable order by
+    `plan`), f the coefficient and D = d^m/dx_pos^m of the new block, all
+    as integer forms over that order.  D^i(seed) is
+    falling(ell, i*m) x_pos^(ell - i*m), so each product is an exponent
+    shift.  chain[i] holds (-inv f)^i(h), chain[0] = h; each missing power
+    is one step from the previous one and is appended, so seeds extending
+    the same h share it.
     """
-    f = spec.coefficients[stage - 1]
-    v = spec.variables[stage]
-    m = spec.orders[stage]
-    total = Polynomial.zero()
-    dpart = variable(v) ** ell
-    i = 0
+    total = chain[0].shifted(pos, ell, 1)
+    i = 1
     while True:
-        if i == len(chain):
-            chain.append(-inv.apply(f * chain[-1]))
-        total = total + chain[i] * dpart
-        dpart = dpart.diff(v, m)
-        if dpart.is_zero():
+        k = math.perm(ell, i * m)
+        if not k:
             return total
+        if i == len(chain):
+            chain.append(-inv.apply_form(f * chain[-1], plan))
+        total = total + chain[i].shifted(pos, ell - i * m, k)
         i += 1
 
 
@@ -298,17 +298,21 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     (l1, l2..l(k+1)), so each prefix is solved once, together with the
     powers (-inv f)^i of it that the next stage needs, and shared by every
     element that starts with it; the prefixes live in a dictionary local to
-    this call.
+    this call.  The whole build runs on integer forms over
+    ``spec.variables``, and each element is converted to a Polynomial once.
     """
     _check_cap(cap)
     n = len(spec.orders)
+    vs = spec.variables
     annihilator = spec.operator()
+    laurent = frozenset().union(*(c.laurent for c in spec.coefficients))
     inverses = [spec.nested_inverse(stage) for stage in range(1, n)]
-    x1 = variable(spec.variables[0])
+    plans = [inv.plan(vs, laurent) for inv in inverses]
+    coeffs = [_int_form(c, vs) for c in spec.coefficients]
     chains: dict[tuple, list] = {}
     elements = []
     for l1 in range(spec.orders[0]):
-        root = [x1**l1]
+        root = [_IntForm({(l1,) + (0,) * (n - 1): 1}, {}, 1)]
         for rest in tuples_with_sum_at_most(n - 1, cap):
             ell = (l1,) + rest
             chain = root
@@ -316,11 +320,12 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
                 prefix = ell[: stage + 1]
                 nxt = chains.get(prefix)
                 if nxt is None:
-                    nxt = [_sigma_step(spec, inverses[stage - 1], stage, chain, ell[stage])]
+                    nxt = [_sigma_step(inverses[stage - 1], plans[stage - 1], coeffs[stage - 1],
+                                       stage, spec.orders[stage], chain, ell[stage])]
                     if stage < n - 1:
                         chains[prefix] = nxt
                 chain = nxt
-            elements.append(BasisElement({"ell": ell}, chain[0]))
+            elements.append(BasisElement({"ell": ell}, chain[0].to_poly(vs, laurent)))
     return _checked(elements, annihilator, {"cap": cap, "orders": list(spec.orders)})
 
 

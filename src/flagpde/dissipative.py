@@ -57,30 +57,24 @@ def dissipation_polynomial(a, i: int, tvar: str = "t") -> Polynomial:
         raise ValueError("degenerate dissipation")
     if i < 0:
         raise ValueError("index must be non-negative")
-    one = Fraction(1)
-    ainv = (GaussianRational(1) / a) if isinstance(a, GaussianRational) else one / a
-
-    def apow(k):
-        out = one
-        for _ in range(k):
-            out = out * ainv
-        return out
-
+    ainv = (GaussianRational(1) / a) if isinstance(a, GaussianRational) else 1 / a
     if i == 0:
         return Polynomial.const(1, (tvar,))
     if i == 1:
-        return Polynomial((tvar,), {(1,): apow(1)})
-    terms = {}
-    terms[(i,)] = apow(i) * Fraction(1, math.factorial(i))
-    terms[(i - 1,)] = -apow(i + 1) * Fraction(1, math.factorial(i - 2))
+        return Polynomial((tvar,), {(1,): ainv})
+    apow = [Fraction(1)]  # apow[k] = a^(-k), up to k = 2i - 1
+    for _ in range(2 * i - 1):
+        apow.append(apow[-1] * ainv)
+    terms = {
+        (i,): apow[i] * Fraction(1, math.factorial(i)),
+        (i - 1,): -apow[i + 1] * Fraction(1, math.factorial(i - 2)),
+    }
     for r in range(2, i):
-        num = 1
-        for s in range(1, r):
-            num *= i + s
-        coeff = Fraction((-1) ** r * num, math.factorial(i - r - 1) * math.factorial(r))
-        prev = terms.get((i - r,), Fraction(0))
-        terms[(i - r,)] = prev + coeff * apow(r + i)
-    return Polynomial((tvar,), {e: c for e, c in terms.items() if c})
+        # prod_{s=1}^{r-1} (i+s) = (i+r-1)!/i!
+        coeff = Fraction((-1) ** r * math.perm(i + r - 1, r - 1),
+                         math.factorial(i - r - 1) * math.factorial(r))
+        terms[(i - r,)] = coeff * apow[r + i]
+    return Polynomial((tvar,), terms)
 
 
 def _laplacian(vars_):
@@ -105,6 +99,7 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
             Compose(Scale(Fraction(-1)), lap),
         )
     )
+    xis = []  # xi(1, i), built once per i for the whole family
     elements = []
     for ell in tuples_with_sum_at_most(n, cap):
         mono = Polynomial(x_vars, {ell: Fraction(1)})
@@ -112,7 +107,9 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
         piece = mono
         i = 0
         while not piece.is_zero():
-            sol = sol + dissipation_polynomial(Fraction(1), i) * piece
+            if i == len(xis):
+                xis.append(dissipation_polynomial(Fraction(1), i))
+            sol = sol + xis[i] * piece
             piece = lap(piece)
             i += 1
         elements.append(BasisElement({"ell": ell}, sol))

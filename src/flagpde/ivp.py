@@ -499,7 +499,12 @@ class TreeHeatSolution:
         total = 0.0
         for k, (c, s) in self.g0.modes.items():
             w = self.mode_wave(k, t, point)
-            total += c * w.real + s * w.imag
+            term = c * w.real + s * w.imag
+            total += term
+            # finite amplitudes that give a non-finite value overflowed; NaN
+            # amplitudes are left to the trace check
+            if math.isinf(total) or (math.isnan(term) and math.isfinite(c) and math.isfinite(s)):
+                raise SeriesTerminationError(f"mode {k} at t={t!r}: the sum of the mode waves is not finite")
         return total
 
 

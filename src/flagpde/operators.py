@@ -38,10 +38,10 @@ from .poly import (
     GaussianRational,
     Polynomial,
     TrigPolynomial,
-    _make,
-    _quotient,
-    _remap,
+    _int_form,
+    _IntForm,
     coeff_imag,
+    coeff_inverse,
     coeff_real,
 )
 
@@ -256,8 +256,6 @@ class DampedIntegration(LinearOperator):
         self.tvar = tvar
 
     def apply(self, p):
-        from .poly import coeff_inverse
-
         ainv = coeff_inverse(self.a)
         acc = Polynomial.zero(p.vars, p.laurent)
         term = p
@@ -285,14 +283,19 @@ class NestedRightInverse(LinearOperator):
     Entry k is a pair (coefficient, Derivative(vk, mk)).  The first
     coefficient must be a nonzero constant and the k-th coefficient may only
     involve the variables v1..v(k-1); this triangular shape guarantees the
-    perturbation series terminates on every polynomial input.
+    perturbation series terminates on every polynomial input.  A negative
+    exponent in a block variable after the first raises ValueError, since
+    its derivatives never vanish.
 
     Stage s inverts the first s blocks.  With R the stage s-1 inverse, f the
     s-th coefficient and D = Dvs^ms, it returns sum_i (-R f)^i R D^i(q),
     evaluated in Horner form: w_i = D^i(q) up to the last nonzero w_I, then
     acc = R(w_I) and acc = R(w_i - f*acc) for i = I-1 down to 0.  R is
     linear, so this is the same sum with I+1 calls of stage s-1 instead of
-    (I+1)(I+2)/2.
+    (I+1)(I+2)/2.  The stages run on integer forms (``poly._IntForm``) over
+    one variable order: ``apply`` converts its input in and the result out
+    once, and ``apply_form`` works on forms throughout, with the blocks put
+    over the variable order once by ``plan``.
     """
 
     __slots__ = ("coeffs", "vars_", "orders")
@@ -334,26 +337,48 @@ class NestedRightInverse(LinearOperator):
         )
 
     def apply(self, p):
-        return self._stage(len(self.coeffs), p)
+        vs = tuple(dict.fromkeys(itertools.chain(
+            p.vars, self.vars_, (v for c in self.coeffs for v in c.vars)
+        )))
+        laurent = p.laurent.union(*(c.laurent for c in self.coeffs))
+        return self.apply_form(_int_form(p, vs), self.plan(vs, laurent)).to_poly(vs, laurent)
 
-    def _stage(self, s: int, q: Polynomial) -> Polynomial:
+    def plan(self, vars: tuple, laurent: frozenset) -> list:
+        """The blocks over the variable order `vars`, which holds every block
+        variable: per block the position of its variable, its order, its
+        coefficient as an integer form (the inverse of the constant for the
+        first block) and whether its variable is in `laurent`, the variables
+        that may carry negative exponents."""
+        lead = coeff_inverse(self.coeffs[0].constant_term())
+        plan = [(vars.index(self.vars_[0]), self.orders[0], lead, False)]
+        for c, v, m in zip(self.coeffs[1:], self.vars_[1:], self.orders[1:]):
+            plan.append((vars.index(v), m, _int_form(c, vars), v in laurent))
+        return plan
+
+    def apply_form(self, q: _IntForm, plan: list) -> _IntForm:
+        """apply on the integer form q, over the variable order of `plan`."""
+        return self._stage(len(plan), q, plan)
+
+    def _stage(self, s: int, q: _IntForm, plan) -> _IntForm:
+        pos, m, f, is_laurent = plan[s - 1]
         if s == 1:
-            lead = self.coeffs[0].constant_term()
-            from .poly import coeff_inverse
-
-            return q.integrate_n(self.vars_[0], self.orders[0]) * coeff_inverse(lead)
-        v, m = self.vars_[s - 1], self.orders[s - 1]
-        f = self.coeffs[s - 1]
+            out = q.integrate(pos, m)
+            return out if f == 1 else out.scaled(f)
+        if is_laurent and any(exp[pos] < 0 for exp in itertools.chain(q.re, q.im)):
+            # the derivatives of a negative power never vanish
+            raise ValueError(
+                f"nested right inverse: negative exponent in block variable {self.vars_[s - 1]}"
+            )
         ws = []
         w = q
-        while not w.is_zero():
+        while w:
             ws.append(w)
-            w = w.diff(v, m)
+            w = w.diff(pos, m)
         if not ws:
-            return Polynomial.zero(q.vars, q.laurent)
-        acc = self._stage(s - 1, ws.pop())
+            return q
+        acc = self._stage(s - 1, ws.pop(), plan)
         while ws:
-            acc = self._stage(s - 1, ws.pop() - f * acc)
+            acc = self._stage(s - 1, ws.pop() - f * acc, plan)
         return acc
 
     def __repr__(self):
@@ -495,11 +520,11 @@ class FormApplicator:
     """A normal form sum_j c_j d^alpha_j applied to polynomials whose
     variables are all in one fixed order.
 
-    The coefficients are put over the order once, and D, their common
-    denominator, turns them into integer parts.  With d that of the input p,
-    D d op(p) = sum_j (D c_j) d^alpha_j (d p) is accumulated with integer
-    falling factorials, one dict per real and imaginary part, and each
-    nonzero entry is divided by D d once.
+    The coefficients are put over the order once as integer forms
+    (poly._IntForm) on D, their common denominator.  With d that of the
+    input p, D d op(p) = sum_j (D c_j) d^alpha_j (d p) is accumulated with
+    integer falling factorials, one dict per real and imaginary part, and
+    each nonzero entry is divided by D d once.
     """
 
     __slots__ = ("vars", "laurent", "_den", "_blocks")
@@ -507,18 +532,20 @@ class FormApplicator:
     def __init__(self, form: dict, vars):
         self.vars = vs = tuple(vars)
         self.laurent = frozenset().union(*(c.laurent for c in form.values()))
-        coeffs = [c.terms if c.vars == vs else _remap(c, vs) for c in form.values()]
-        self._den = _denominator(coeffs)
-        self._blocks = [
-            (tuple((vs.index(v), m) for v, m in alpha), _integer_parts(terms, self._den))
-            for alpha, terms in zip(form, coeffs)
-        ]
+        coeffs = [_int_form(c, vs) for c in form.values()]
+        self._den = den = math.lcm(*(c.den for c in coeffs))
+        self._blocks = []
+        for alpha, c in zip(form, coeffs):
+            k = den // c.den
+            self._blocks.append((
+                tuple((vs.index(v), m) for v, m in alpha),
+                ([(exp, a * k) for exp, a in c.re.items()], [(exp, a * k) for exp, a in c.im.items()]),
+            ))
 
     def __call__(self, p: Polynomial) -> Polynomial:
-        terms = p.terms if p.vars == self.vars else _remap(p, self.vars)
-        den = _denominator([terms])
-        parts = _integer_parts(terms, den)
-        re, im = sums = ({}, {})
+        q = _int_form(p, self.vars)
+        parts = (list(q.re.items()), list(q.im.items()))
+        sums = ({}, {})
         for part, side, target, sign in _ROUTES:
             out = sums[target]
             get = out.get
@@ -540,12 +567,8 @@ class FormApplicator:
                     for cexp, c in cterms:
                         key = tuple(map(add, shifted, cexp))
                         out[key] = get(key, 0) + c * k
-        den *= self._den
-        image = {exp: _quotient(a, den) for exp, a in re.items() if a}
-        for exp, b in im.items():
-            if b:
-                image[exp] = GaussianRational(Fraction(re.get(exp, 0), den), Fraction(b, den))
-        return _make(self.vars, self.laurent | p.laurent, image)
+        image = _IntForm(*sums, q.den * self._den)
+        return image.to_poly(self.vars, self.laurent | p.laurent)
 
 
 def form_applicator(op: LinearOperator, polys):
@@ -561,31 +584,6 @@ def form_applicator(op: LinearOperator, polys):
         (v for alpha in form for v, _ in alpha),
     )))
     return FormApplicator(form, vs)
-
-
-def _denominator(term_dicts) -> int:
-    """Least common denominator of the real and imaginary parts of the coefficients."""
-    den = 1
-    for terms in term_dicts:
-        for c in terms.values():
-            if isinstance(c, GaussianRational):
-                den = math.lcm(den, c.re.denominator, c.im.denominator)
-            else:
-                den = math.lcm(den, c.denominator)
-    return den
-
-
-def _integer_parts(terms, den):
-    """den * (real part, imaginary part) of the terms, as lists of (exponent, int)."""
-    re, im = [], []
-    for exp, c in terms.items():
-        if isinstance(c, GaussianRational):
-            if c.re:
-                re.append((exp, c.re.numerator * (den // c.re.denominator)))
-            im.append((exp, c.im.numerator * (den // c.im.denominator)))
-        else:
-            re.append((exp, c.numerator * (den // c.denominator)))
-    return re, im
 
 
 def max_derivative_order(op: LinearOperator) -> int:

@@ -24,6 +24,8 @@ and dump identically.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from operator import add as _add
 from typing import Iterable, Mapping, Union
@@ -593,6 +595,194 @@ def _remap(p: Polynomial, vars: tuple) -> dict:
             nexp[pos] = e
         out[tuple(nexp)] = c
     return out
+
+
+class _IntForm:
+    """sum_e (re[e] + im[e]*sqrt(-1)) x^e / den over a variable order the
+    caller holds fixed: integer numerator dicts over one positive common
+    denominator, the layout of FLINT's fmpq_poly.
+
+    The ring steps return forms without zero entries in which den and all
+    the numerators have gcd 1 (one math.gcd pass per result); conversion in
+    and out is `_int_form` and `to_poly`.
+    """
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re: dict, im: dict, den: int):
+        self.re = re
+        self.im = im
+        self.den = den
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def to_poly(self, vars: tuple, laurent: frozenset) -> Polynomial:
+        """The Polynomial over `vars`, each coefficient formed once as an exact
+        quotient and collapsed as _norm_coeff does."""
+        re, im, den = self.re, self.im, self.den
+        terms = {exp: _quotient(a, den) for exp, a in re.items() if a}
+        for exp, b in im.items():
+            if b:
+                terms[exp] = GaussianRational(Fraction(re.get(exp, 0), den), Fraction(b, den))
+        return _make(vars, laurent, terms)
+
+    def __neg__(self):
+        return _IntForm(
+            {e: -a for e, a in self.re.items()}, {e: -a for e, a in self.im.items()}, self.den
+        )
+
+    def __add__(self, other: "_IntForm") -> "_IntForm":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "_IntForm") -> "_IntForm":
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        d = math.lcm(self.den, other.den)
+        ka, kb = d // self.den, sign * (d // other.den)
+        return _reduced(
+            _scaled_sum(self.re, ka, other.re, kb), _scaled_sum(self.im, ka, other.im, kb), d
+        )
+
+    def __mul__(self, other: "_IntForm") -> "_IntForm":
+        re, im = {}, {}
+        # (a + i b)(c + i d) = (ac - bd) + i (ad + bc); an empty part skips its routes
+        for x, y, out, sign in (
+            (self.re, other.re, re, 1),
+            (self.im, other.im, re, -1),
+            (self.re, other.im, im, 1),
+            (self.im, other.re, im, 1),
+        ):
+            if not x or not y:
+                continue
+            get = out.get
+            for ea, ca in x.items():
+                ca *= sign
+                for eb, cb in y.items():
+                    key = tuple(map(_add, ea, eb))
+                    out[key] = get(key, 0) + ca * cb
+        return _reduced(_nonzero(re), _nonzero(im), self.den * other.den)
+
+    def scaled(self, value) -> "_IntForm":
+        """The form times a nonzero exact scalar."""
+        g = _as_gaussian(value)
+        cd = math.lcm(g.re.denominator, g.im.denominator)
+        cr, ci = g.re.numerator * (cd // g.re.denominator), g.im.numerator * (cd // g.im.denominator)
+        re = {e: a * cr for e, a in self.re.items()}
+        im = {e: a * cr for e, a in self.im.items()}
+        if ci:
+            re = _scaled_sum(re, 1, self.im, -ci)
+            im = _scaled_sum(im, 1, self.re, ci)
+        return _reduced(re, im, self.den * cd)
+
+    def shifted(self, i: int, k: int, factor: int) -> "_IntForm":
+        """The form times factor * x_i^k."""
+        return _reduced(
+            {e[:i] + (e[i] + k,) + e[i + 1 :]: a * factor for e, a in self.re.items()},
+            {e[:i] + (e[i] + k,) + e[i + 1 :]: a * factor for e, a in self.im.items()},
+            self.den,
+        )
+
+    def diff(self, i: int, m: int) -> "_IntForm":
+        """d^m/dx_i^m, each exponent e giving the integer e (e-1) ... (e-m+1)."""
+        parts = []
+        for d in (self.re, self.im):
+            out = {}
+            for exp, a in d.items():
+                e = exp[i]
+                k = math.perm(e, m) if e >= 0 else falling(e, m)
+                if k:
+                    out[exp[:i] + (e - m,) + exp[i + 1 :]] = a * k
+            parts.append(out)
+        return _reduced(parts[0], parts[1], self.den)
+
+    def integrate(self, i: int, m: int) -> "_IntForm":
+        """m-fold antiderivative in x_i with zero constants: x^e maps to
+        x^(e+m) e!/(e+m)!, the rising products (e+1)...(e+m) folded into the
+        denominator through their lcm."""
+        rising = {}
+        for exp in itertools.chain(self.re, self.im):
+            e = exp[i]
+            if e not in rising:
+                if -m <= e <= -1:
+                    raise NonIntegrableTermError("non-integrable Laurent term")
+                rising[e] = math.perm(e + m, m) if e >= 0 else falling(e + m, m)
+        scale = math.lcm(*rising.values()) if rising else 1
+        for e, r in rising.items():
+            rising[e] = scale // r
+        return _reduced(
+            {e[:i] + (e[i] + m,) + e[i + 1 :]: a * rising[e[i]] for e, a in self.re.items()},
+            {e[:i] + (e[i] + m,) + e[i + 1 :]: a * rising[e[i]] for e, a in self.im.items()},
+            self.den * scale,
+        )
+
+
+def _scaled_sum(x: dict, kx: int, y: dict, ky: int) -> dict:
+    """kx * x + ky * y without zero entries."""
+    out = {e: a * kx for e, a in x.items()} if kx != 1 else dict(x)
+    get = out.get
+    for e, b in y.items():
+        s = get(e, 0) + b * ky
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _nonzero(d: dict) -> dict:
+    return {e: a for e, a in d.items() if a}
+
+
+def _reduced(re: dict, im: dict, den: int) -> _IntForm:
+    """The form with numerators and denominator divided by their gcd."""
+    g = math.gcd(den, *re.values(), *im.values())
+    if g != 1:
+        re = {e: a // g for e, a in re.items()}
+        im = {e: a // g for e, a in im.items()}
+        den //= g
+    return _IntForm(re, im, den)
+
+
+def _int_form(p: Polynomial, vars: tuple) -> _IntForm:
+    """p over the variable order `vars`: every coefficient's real and
+    imaginary part times the least common denominator of them all.  A
+    variable of p missing from `vars` must have exponent 0 throughout."""
+    if p.vars == vars:
+        terms = p.terms
+    elif all(v in vars for v in p.vars):
+        terms = _remap(p, vars)
+    else:
+        idx = [vars.index(v) if v in vars else None for v in p.vars]
+        width = len(vars)
+        terms = {}
+        for exp, c in p.terms.items():
+            nexp = [0] * width
+            for pos, v, e in zip(idx, p.vars, exp):
+                if pos is not None:
+                    nexp[pos] = e
+                elif e:
+                    raise ValueError(f"variable {v} is not in {vars}")
+            terms[tuple(nexp)] = c
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            if isinstance(c, GaussianRational):
+                den = math.lcm(den, c.re.denominator, c.im.denominator)
+            else:
+                den = math.lcm(den, c.denominator)
+    re, im = {}, {}
+    for exp, c in terms.items():
+        if type(c) is int:
+            re[exp] = c * den
+        elif isinstance(c, GaussianRational):
+            if c.re:
+                re[exp] = c.re.numerator * (den // c.re.denominator)
+            im[exp] = c.im.numerator * (den // c.im.denominator)
+        else:
+            re[exp] = c.numerator * (den // c.denominator)
+    return _IntForm(re, im, den)
 
 
 def variable(name: str, laurent: bool = False) -> Polynomial:

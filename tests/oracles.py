@@ -701,3 +701,69 @@ def flag_trace_residual_per_point(sol, data):
                     trace = _flag_phase_sum(mode, sol.half_widths, point, g, r, trace)
             worst = max(worst, abs(trace - data[s].value_at(point)))
     return worst
+
+
+def typed_terms(p):
+    """Each term's coefficient with its exact type, for type-for-type comparisons."""
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def constant_element_by_fractions(orders, ell, vars_):
+    """The constant-coefficient family element with each coefficient a chain
+    of Fraction products."""
+    from flagpde.combinatorics import falling
+
+    n, m1 = len(orders), orders[0]
+    terms = {}
+    for ks in itertools.product(*(range(ell[i] // orders[i] + 1) for i in range(1, n))):
+        big_k = sum(ks)
+        coeff = Fraction((-1) ** big_k * multinomial(ks))
+        coeff *= Fraction(math.factorial(ell[0]), math.factorial(ell[0] + big_k * m1))
+        exp = [ell[0] + big_k * m1]
+        for i, k in enumerate(ks, start=1):
+            coeff *= falling(ell[i], k * orders[i])
+            exp.append(ell[i] - k * orders[i])
+        terms[tuple(exp)] = coeff
+    return Polynomial(vars_, terms)
+
+
+def harmonic_element_by_fractions(n, eps, ells):
+    """The harmonic element with each coefficient a chain of Fraction products."""
+    terms = {}
+    for rs in itertools.product(*(range(l // 2 + 1) for l in ells)):
+        big_r = sum(rs)
+        num = Fraction((-1) ** big_r * multinomial(rs))
+        for l, r in zip(ells, rs):
+            num *= math.comb(l, 2 * r)
+        den = (1 + 2 * eps * big_r) * multinomial([2 * r for r in rs])
+        terms[(eps + 2 * big_r,) + tuple(l - 2 * r for l, r in zip(ells, rs))] = num / den
+    return Polynomial(tuple(f"x{i}" for i in range(1, n + 1)), terms)
+
+
+def dissipation_polynomial_by_fractions(a, i):
+    """xi(a, i) with a^(-k) rebuilt by k multiplications for every term."""
+    from flagpde.poly import GaussianRational
+
+    ainv = GaussianRational(1) / a if isinstance(a, GaussianRational) else Fraction(1) / a
+
+    def apow(k):
+        out = Fraction(1)
+        for _ in range(k):
+            out = out * ainv
+        return out
+
+    if i == 0:
+        return Polynomial.const(1, ("t",))
+    if i == 1:
+        return Polynomial(("t",), {(1,): apow(1)})
+    terms = {
+        (i,): apow(i) * Fraction(1, math.factorial(i)),
+        (i - 1,): -apow(i + 1) * Fraction(1, math.factorial(i - 2)),
+    }
+    for r in range(2, i):
+        num = 1
+        for s in range(1, r):
+            num *= i + s
+        coeff = Fraction((-1) ** r * num, math.factorial(i - r - 1) * math.factorial(r))
+        terms[(i - r,)] = coeff * apow(r + i)
+    return Polynomial(("t",), terms)

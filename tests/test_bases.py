@@ -32,7 +32,14 @@ from flagpde.linalg import kernel_on_slice, monomials_of_degree, polys_in_span
 from flagpde.operators import FormApplicator, OperatorHypothesisError, form_applicator
 from flagpde.poly import IMAG
 
-from oracles import assert_family_spans_kernel, flag_basis_unshared, sigma_word_value
+from oracles import (
+    assert_family_spans_kernel,
+    constant_element_by_fractions,
+    flag_basis_unshared,
+    harmonic_element_by_fractions,
+    sigma_word_value,
+    typed_terms,
+)
 from strategies import coefficients, gaussian_coefficients, polynomials
 
 x1, x2, x3 = variable("x1"), variable("x2"), variable("x3")
@@ -61,6 +68,16 @@ def test_constant_basis_first_order():
 def test_constant_basis_completeness_small():
     fam = constant_coefficient_basis((2, 2), 5)
     assert_family_spans_kernel(fam, ("x1", "x2"), 5)
+
+
+@pytest.mark.parametrize("orders, cap", [((2, 2), 5), ((3, 2, 2), 4), ((1, 3, 2, 2), 4)])
+def test_constant_elements_match_fraction_products(orders, cap):
+    """Integer numerators over one denominator give each coefficient the
+    value and the exact type of the Fraction product formula."""
+    fam = constant_coefficient_basis(orders, cap)
+    for e in fam.elements:
+        want = constant_element_by_fractions(orders, e.index["ell"], e.solution.vars)
+        assert typed_terms(e.solution) == typed_terms(want)
 
 
 def test_constant_basis_mixed_orders_completeness():
@@ -95,6 +112,14 @@ def test_harmonic_agrees_with_constant_orders_two():
     sols_h = [e.solution for e in fam_h.elements]
     c_small = [e.solution for e in fam_c.elements if e.solution.total_degree() <= 4]
     assert polys_in_span(sols_h, c_small)
+
+
+@pytest.mark.parametrize("n, cap", [(2, 6), (3, 5), (4, 4)])
+def test_harmonic_elements_match_fraction_products(n, cap):
+    fam = harmonic_basis(n, cap)
+    for e in fam.elements:
+        want = harmonic_element_by_fractions(n, e.index["eps"], e.index["ell"])
+        assert typed_terms(e.solution) == typed_terms(want)
 
 
 def test_harmonic_completeness():
@@ -152,6 +177,8 @@ def test_flag_basis_zero_coefficient_power_matches_constant():
     (FlagEquationSpec((3, 2, 2), (x1**2 - 2, 0)), 4),
     (FlagEquationSpec((3, 1, 2, 1), (0, x1 * x2 + 1, x3 - x1)), 3),
     (FlagEquationSpec((3, 2, 1), (x1 + 1, Fraction(1, 2) * x1 * x2)), 4),
+    (FlagEquationSpec((2, 2, 1), (IMAG * x1 - Fraction(2, 3), x2 + IMAG)), 4),
+    (FlagEquationSpec((2, 1, 2, 1), (Fraction(-3, 2) * x1 + 1, x2 - x1, Fraction(1, 3) * x3)), 3),
 ])
 def test_flag_basis_matches_unshared_build(spec, cap):
     """Shared prefixes and carried powers give each element exactly the

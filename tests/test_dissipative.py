@@ -23,7 +23,13 @@ from flagpde import (
 )
 from flagpde.linalg import kernel_on_slice
 
-from oracles import assert_family_spans_kernel, dissipative_element_formula, zeta_closed_form
+from oracles import (
+    assert_family_spans_kernel,
+    dissipation_polynomial_by_fractions,
+    dissipative_element_formula,
+    typed_terms,
+    zeta_closed_form,
+)
 
 t = variable("t")
 
@@ -37,6 +43,15 @@ def test_dissipation_polynomial_low_orders():
     assert dissipation_polynomial(a, 0) == constant(1).with_variables(("t",))
     assert dissipation_polynomial(a, 1) == t / a
     assert dissipation_polynomial(a, 2) == t**2 / (2 * a**2) - t / a**3
+
+
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(-2, 3), 5, GaussianRational(0, 2), GaussianRational(1, -1)])
+def test_dissipation_polynomial_matches_fraction_products(a):
+    """One power list a^(-k) gives each coefficient the value and the exact
+    type of the per-term products."""
+    for i in range(12):
+        want = dissipation_polynomial_by_fractions(Fraction(a) if isinstance(a, int) else a, i)
+        assert typed_terms(dissipation_polynomial(a, i)) == typed_terms(want)
 
 
 def test_dissipation_polynomial_rejects_zero_frequency():

@@ -452,6 +452,14 @@ def test_tree_heat_overflow_names_the_mode_and_time(t):
         solve_tree_heat_ivp(Tree(2, [(1, 2)]), g0, t, [(0.1, 0.2)])
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_tree_heat_infinite_sum_names_the_mode_and_time(t):
+    # each wave is finite, but times the amplitude 1e300 it overflows
+    g0 = TrigData((1.0, 1.0), {(1, 1): (1e300, 0.0)})
+    with pytest.raises(SeriesTerminationError, match=re.escape(f"mode (1, 1) at t={t!r}")):
+        solve_tree_heat_ivp(Tree(2, [(1, 2)]), g0, t, [(0.1, 0.2)])
+
+
 # -- non-finite data --------------------------------------------------------------------------------
 
 def test_nan_data_fails_every_trace_check():

@@ -31,6 +31,8 @@ from flagpde.operators import (
     op_to_json,
 )
 
+from flagpde.poly import NonIntegrableTermError
+
 from oracles import nested_inverse_term_by_term
 from strategies import coefficients, gaussian_coefficients, polynomials
 
@@ -212,6 +214,23 @@ def test_nested_inverse_matches_term_by_term_series(system):
     out = inv.apply(p)
     assert out == nested_inverse_term_by_term(inv, p)
     assert inv.as_operator()(out) == p
+
+
+def test_nested_inverse_integrates_laurent_powers_of_the_first_block():
+    inv = NestedRightInverse([(1, Derivative("x"))])
+    assert inv.apply(Polynomial(("x",), {(-2,): 1}, ("x",))) == Polynomial(("x",), {(-1,): -1}, ("x",))
+    assert inv.apply(Polynomial(("x",), {(-3,): 2}, ("x",)) * y) == Polynomial(("x",), {(-2,): -1}, ("x",)) * y
+    with pytest.raises(NonIntegrableTermError):
+        inv.apply(Polynomial(("x",), {(-1,): 1}, ("x",)))
+
+
+def test_nested_inverse_rejects_negative_powers_of_later_blocks():
+    """Derivatives of y^-1 never vanish, so the series over y would not end."""
+    inv = NestedRightInverse([(1, Derivative("x")), (x, Derivative("y"))])
+    with pytest.raises(ValueError, match="block variable y"):
+        inv.apply(Polynomial(("y",), {(-1,): 1}, ("y",)))
+    # a Laurent y with non-negative exponents is a polynomial input
+    assert inv.apply(Polynomial(("y",), {(1,): 1}, ("y",))) == nested_inverse_term_by_term(inv, y)
 
 
 def test_nested_inverse_rejects_non_flag_coefficients():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from flagpde import (
     constant,
     variable,
 )
-from flagpde.poly import NonIntegrableTermError
+from flagpde.poly import NonIntegrableTermError, _int_form
 
 from oracles import diff_stepwise, integrate_by_reciprocal
 from strategies import gaussian_coefficients, polynomials
@@ -303,3 +304,54 @@ def test_integer_coefficients_print_like_fractions():
     assert str(1 - 3 * x * y + Fraction(5, 2) * y) == "-3*x*y + 5/2*y + 1"
     assert str(-x) == "-x"
     assert str(x.integrate("x") * 4) == "2*x^2"
+
+
+# -- the integer form ---------------------------------------------------------------------
+
+FORM_VARS = ("x", "y", "z")
+FORM_POLYS = polynomials(vars=FORM_VARS, max_terms=4, max_exp=3, laurent=("x",), coeffs=gaussian_coefficients())
+
+
+def _assert_reduced(form):
+    """No zero entries and a positive denominator coprime to the numerators."""
+    assert form.den > 0
+    assert all(form.re.values()) and all(form.im.values())
+    assert math.gcd(form.den, *form.re.values(), *form.im.values()) == 1
+
+
+@given(FORM_POLYS, FORM_POLYS)
+@settings(max_examples=60)
+def test_integer_form_ring_steps_match_polynomial_arithmetic(p, q):
+    a, b = _int_form(p, FORM_VARS), _int_form(q, FORM_VARS)
+    assert _typed_terms(a.to_poly(FORM_VARS, p.laurent)) == _typed_terms(p)
+    for got, want in ((a + b, p + q), (a - b, p - q), (a * b, p * q), (-a, -p)):
+        _assert_reduced(got)
+        assert _typed_terms(got.to_poly(FORM_VARS, p.laurent)) == _typed_terms(want.with_variables(FORM_VARS))
+
+
+@given(FORM_POLYS, st.integers(0, 2), st.integers(0, 3), gaussian_coefficients())
+@settings(max_examples=60)
+def test_integer_form_calculus_matches_polynomial_calculus(p, i, m, c):
+    v = FORM_VARS[i]
+    a = _int_form(p, FORM_VARS)
+    _assert_reduced(a.diff(i, m))
+    assert a.diff(i, m).to_poly(FORM_VARS, p.laurent) == p.diff(v, m)
+    assert a.scaled(c).to_poly(FORM_VARS, p.laurent) == p * c
+    assert a.shifted(i, 2, -3).to_poly(FORM_VARS, p.laurent) == p * (-3 * variable(v) ** 2)
+    try:
+        want = p.integrate_n(v, m)
+    except NonIntegrableTermError:
+        with pytest.raises(NonIntegrableTermError):
+            a.integrate(i, m)
+        return
+    _assert_reduced(a.integrate(i, m))
+    assert a.integrate(i, m).to_poly(FORM_VARS, p.laurent) == want
+
+
+def test_integer_form_reorders_and_drops_unused_variables():
+    p = Polynomial(("z", "w", "x"), {(1, 0, 2): Fraction(1, 2), (0, 0, 1): IMAG})
+    form = _int_form(p, FORM_VARS)
+    assert form.den == 2 and form.re == {(2, 0, 1): 1} and form.im == {(1, 0, 0): 2}
+    assert form.to_poly(FORM_VARS, frozenset()) == p
+    with pytest.raises(ValueError, match="w"):
+        _int_form(Polynomial(("w",), {(1,): 1}), FORM_VARS)
