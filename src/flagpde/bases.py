@@ -30,12 +30,13 @@ from .operators import (
     SeriesConfig,
     Sum,
     VerificationError,
+    _chain_order,
     form_applicator,
     operator_variables,
     operators_agree_on_sample,
     solve_by_series,
 )
-from .poly import Polynomial, _int_form, _IntForm, variable
+from .poly import Polynomial, _int_form, _IntForm, _sum_forms, variable
 
 __all__ = [
     "BasisElement",
@@ -77,7 +78,7 @@ class BasisFamily:
     def verify_annihilation(self) -> bool:
         apply = form_applicator(self.annihilator, self.solutions())
         for e in self.elements:
-            if not apply(e.solution).is_zero():
+            if not apply.annihilates(e.solution):
                 raise VerificationError(
                     f"family element {e.index} is not annihilated exactly"
                 )
@@ -229,6 +230,9 @@ class FlagEquationSpec:
 
     def __post_init__(self):
         self.orders = tuple(int(m) for m in self.orders)
+        if any(m < 1 for m in self.orders):
+            # D^0 never kills a seed, so the family would never end
+            raise ValueError(f"orders must be positive, got {self.orders}")
         n = len(self.orders)
         if not self.variables:
             self.variables = _default_vars(n)
@@ -265,14 +269,14 @@ class FlagEquationSpec:
         return NestedRightInverse(entries)
 
 
-def _sigma_step(inv: NestedRightInverse, plan: list, f: _IntForm, pos: int, m: int,
+def _sigma_step(inv: NestedRightInverse, vs: tuple, f: _IntForm, pos: int, m: int,
                 chain: list, ell: int) -> _IntForm:
     """Extend a solution h of the earlier blocks by the seed x_pos^ell.
 
     Returns sum_i (-inv f)^i(h) * D^i(seed), where `inv` is the nested right
-    inverse of the earlier blocks (put over the build's variable order by
-    `plan`), f the coefficient and D = d^m/dx_pos^m of the new block, all
-    as integer forms over that order.  D^i(seed) is
+    inverse of the earlier blocks, f the coefficient and D = d^m/dx_pos^m
+    of the new block, all as integer forms over the build's variable order
+    vs.  D^i(seed) is
     falling(ell, i*m) x_pos^(ell - i*m), so each product is an exponent
     shift.  chain[i] holds (-inv f)^i(h), chain[0] = h; each missing power
     is one step from the previous one and is appended, so seeds extending
@@ -285,7 +289,7 @@ def _sigma_step(inv: NestedRightInverse, plan: list, f: _IntForm, pos: int, m: i
         if not k:
             return total
         if i == len(chain):
-            chain.append(-inv.apply_form(f * chain[-1], plan))
+            chain.append(-inv.apply_form(f * chain[-1], vs))
         total = total + chain[i].shifted(pos, ell - i * m, k)
         i += 1
 
@@ -307,7 +311,6 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     annihilator = spec.operator()
     laurent = frozenset().union(*(c.laurent for c in spec.coefficients))
     inverses = [spec.nested_inverse(stage) for stage in range(1, n)]
-    plans = [inv.plan(vs, laurent) for inv in inverses]
     coeffs = [_int_form(c, vs) for c in spec.coefficients]
     chains: dict[tuple, list] = {}
     elements = []
@@ -320,7 +323,7 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
                 prefix = ell[: stage + 1]
                 nxt = chains.get(prefix)
                 if nxt is None:
-                    nxt = [_sigma_step(inverses[stage - 1], plans[stage - 1], coeffs[stage - 1],
+                    nxt = [_sigma_step(inverses[stage - 1], vs, coeffs[stage - 1],
                                        stage, spec.orders[stage], chain, ell[stage])]
                     if stage < n - 1:
                         chains[prefix] = nxt
@@ -402,16 +405,17 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
                 raise OperatorHypothesisError(
                     f"power-perturbation hypotheses violated: T{a + 1} and T{b + 1} do not commute"
                 )
-    hk = h
+    vs, laurent = _chain_order([h, g], [t0_inverse, t0, *perturbations])
+    hk = _int_form(h, vs)
     for _ in range(m):
-        hk = t0(hk)
-    if not hk.is_zero():
+        hk = t0.apply_form(hk, vs)
+    if hk:
         from .operators import KernelPreconditionError
 
         raise KernelPreconditionError("kernel precondition violated")
 
     max_level = 2 + g.total_degree() * max(1, m)
-    g_parts: dict[tuple, Polynomial] = {(0,) * m: g}
+    g_parts: dict[tuple, _IntForm] = {(0,) * m: _int_form(g, vs)}
 
     def g_part(tup):
         if tup in g_parts:
@@ -419,45 +423,42 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
         for r in range(m):
             if tup[r]:
                 prev = tup[:r] + (tup[r] - 1,) + tup[r + 1 :]
-                out = perturbations[r](g_part(prev))
+                out = perturbations[r].apply_form(g_part(prev), vs)
                 break
         g_parts[tup] = out
         return out
 
-    h_powers = [h]
+    h_powers = [_int_form(h, vs)]
 
     def h_part(w):
         while len(h_powers) <= w:
-            h_powers.append(t0_inverse(h_powers[-1]))
+            h_powers.append(t0_inverse.apply_form(h_powers[-1], vs))
         return h_powers[w]
 
-    total = Polynomial.zero()
+    pieces = []
     level = 0
     while level <= max_level:
         alive = False
         for tup in tuples_with_sum(m, level):
             gp = g_part(tup)
-            if gp.is_zero():
+            if not gp:
                 continue
             alive = True
             weight = sum((p + 1) * i for p, i in enumerate(tup))
-            total = total + multinomial(tup) * h_part(weight) * gp
+            pieces.append((h_part(weight) * gp).scaled(multinomial(tup)))
         if not alive and level > 0:
             break
         level += 1
     else:
         raise VerificationError("power-perturbation series did not terminate")
+    total = _sum_forms(pieces).to_poly(vs, laurent)
 
     # residual of T0^m - sum_p T0^(m-p) T_p
-    res = total
-    for _ in range(m):
-        res = t0(res)
-    for p, op in enumerate(perturbations, start=1):
-        piece = op(total)
-        for _ in range(m - p):
-            piece = t0(piece)
-        res = res - piece
-    if not res.is_zero():
+    residual = Sum((
+        Compose([t0] * m),
+        *(Compose(Scale(-1), *[t0] * (m - p), op) for p, op in enumerate(perturbations, start=1)),
+    ))
+    if not form_applicator(residual, [total]).annihilates(total):
         raise VerificationError("power-perturbation output not annihilated exactly")
     return total
 

@@ -30,6 +30,9 @@ from .poly import (
     GaussianRational,
     Polynomial,
     TrigPolynomial,
+    _int_form,
+    _IntForm,
+    _sum_forms,
     variable,
 )
 
@@ -99,20 +102,18 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
             Compose(Scale(Fraction(-1)), lap),
         )
     )
-    xis = []  # xi(1, i), built once per i for the whole family
+    vs = ("t",) + x_vars
+    xis = []  # xi(1, i) as integer forms over vs, built once per i for the whole family
     elements = []
     for ell in tuples_with_sum_at_most(n, cap):
-        mono = Polynomial(x_vars, {ell: Fraction(1)})
-        sol = Polynomial.zero(("t",) + x_vars)
-        piece = mono
-        i = 0
-        while not piece.is_zero():
-            if i == len(xis):
-                xis.append(dissipation_polynomial(Fraction(1), i))
-            sol = sol + xis[i] * piece
-            piece = lap(piece)
-            i += 1
-        elements.append(BasisElement({"ell": ell}, sol))
+        piece = _IntForm({(0,) + ell: 1}, {}, 1)
+        pieces = []
+        while piece:
+            if len(pieces) == len(xis):
+                xis.append(_int_form(dissipation_polynomial(Fraction(1), len(xis)), vs))
+            pieces.append(xis[len(pieces)] * piece)
+            piece = lap.apply_form(piece, vs)
+        elements.append(BasisElement({"ell": ell}, _sum_forms(pieces).to_poly(vs, frozenset())))
     return _checked(elements, annihilator, {"cap": cap, "n": n})
 
 
@@ -173,15 +174,19 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     )
     kind = classify_lambda(lam)
 
+    vs = ("t",) + x_vars
+    factors = {}  # (factor, i) -> eps^i factor(lam, i) as an integer form over vs
+
     def branch(seed, factor):
         """sum_i eps^i factor(lam, i) Lap^i(seed), until Lap^i(seed) = 0."""
-        sol = Polynomial.zero(("t",) + x_vars)
-        piece, i = seed, 0
-        while not piece.is_zero():
-            sol = sol + (epsilon**i) * factor(lam, i) * piece
-            piece = lap(piece)
-            i += 1
-        return sol
+        piece, pieces = _int_form(seed, vs), []
+        while piece:
+            key = (factor, len(pieces))
+            if key not in factors:
+                factors[key] = _int_form(epsilon ** key[1] * factor(lam, key[1]), vs)
+            pieces.append(factors[key] * piece)
+            piece = lap.apply_form(piece, vs)
+        return _sum_forms(pieces).to_poly(vs, frozenset())
 
     monomials = [(ell, Polynomial(x_vars, {ell: 1})) for ell in tuples_with_sum_at_most(n, cap)]
     if kind == "negative_odd":

@@ -13,15 +13,28 @@ extra lazily-evaluated nodes live here as well:
   perturbation series per input, in Horner form, rather than expanding an
   operator formula.
 
+Every node acts on integer forms (``poly._IntForm``: integer numerators
+over one common denominator, the layout of FLINT's fmpq_mpoly) through
+``apply_form(q, vars)``: Derivative and Integrate are the form's d^m/dx^m
+and m-fold antiderivative, MultiplyBy a product with its multiplier put
+over each variable order once, Scale a scalar multiple, Sum and Compose
+folds, and DampedIntegration its finite expansion.
+``LinearOperator.apply`` is written once: it puts p over p.vars followed
+by the operator's variables in tree order, runs ``apply_form`` and
+converts the image out once.  ``apply_trig`` stays per node.
+
 A polynomial-coefficient differential operator has the normal form
 sum_alpha c_alpha d^alpha (``differential_form``), unique in the Weyl
-algebra; ``FormApplicator`` applies it to polynomials in integers.
+algebra; ``FormApplicator`` applies it to integer forms, and every
+residual check of the library runs the returned polynomial through it.
 
 The module also hosts the series engine: given T1 with right inverse T1inv
 and a perturbation T2 that is locally nilpotent relative to a filtration,
 ``solve_by_series`` produces the kernel element sum_i (-T1inv T2)^i (h*g)
 and ``right_inverse_series`` the preimage sum_i (-T1inv T2)^i T1inv (f).
-Both assert their defining identity exactly before returning.
+Both keep their running terms as forms over one variable order, convert
+the sum out once, and assert their defining identity exactly on the
+returned polynomial.
 """
 
 from __future__ import annotations
@@ -40,6 +53,9 @@ from .poly import (
     TrigPolynomial,
     _int_form,
     _IntForm,
+    _nonzero,
+    _reduced,
+    _sum_forms,
     coeff_imag,
     coeff_inverse,
     coeff_real,
@@ -98,11 +114,27 @@ class VerificationError(RuntimeError):
 
 
 class LinearOperator:
+    """A node of an operator tree.
+
+    Every node acts on integer forms (``poly._IntForm``) through
+    ``apply_form(q, vars)``, where ``vars`` is a variable order holding p's
+    variables and all of the operator's.  ``apply`` is written once: it puts
+    p over p.vars followed by the operator's variables in tree order, runs
+    ``apply_form`` and converts the result out once.
+    """
+
     def apply(self, p: Polynomial) -> Polynomial:
+        vs, laurent = _chain_order([p], [self])
+        return self.apply_form(_int_form(p, vs), vs).to_poly(vs, laurent)
+
+    def apply_form(self, q: _IntForm, vars: tuple) -> _IntForm:
         raise NotImplementedError
 
     def apply_trig(self, u: TrigPolynomial) -> TrigPolynomial:
         raise NotImplementedError
+
+    def annihilates(self, p) -> bool:
+        return self(p).is_zero()
 
     def __call__(self, p):
         if isinstance(p, TrigPolynomial):
@@ -115,8 +147,8 @@ class Derivative(LinearOperator):
     var: str
     order: int = 1
 
-    def apply(self, p):
-        return p.diff(self.var, self.order)
+    def apply_form(self, q, vars):
+        return q.diff(vars.index(self.var), self.order) if self.order else q
 
     def apply_trig(self, u):
         if self.var == u.time_var:
@@ -132,21 +164,27 @@ class Integrate(LinearOperator):
     var: str
     order: int = 1
 
-    def apply(self, p):
-        return p.integrate_n(self.var, self.order)
+    def apply_form(self, q, vars):
+        return q.integrate(vars.index(self.var), self.order) if self.order else q
 
     def apply_trig(self, u):
         raise TypeError("integration is not defined on the trig-polynomial ring")
 
 
 class MultiplyBy(LinearOperator):
-    __slots__ = ("poly",)
+    """Multiplication by a polynomial, put over each variable order once."""
+
+    __slots__ = ("poly", "_forms")
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
+        self._forms = {}
 
-    def apply(self, p):
-        return self.poly * p
+    def apply_form(self, q, vars):
+        f = self._forms.get(vars)
+        if f is None:
+            f = self._forms[vars] = _int_form(self.poly, vars)
+        return f * q
 
     def apply_trig(self, u):
         return u.map_parts(lambda q: self.poly * q)
@@ -166,8 +204,8 @@ class Scale(LinearOperator):
     def __init__(self, scalar):
         self.scalar = scalar
 
-    def apply(self, p):
-        return p * self.scalar
+    def apply_form(self, q, vars):
+        return q.scaled(self.scalar) if self.scalar else _IntForm.zero()
 
     def apply_trig(self, u):
         return u.map_parts(lambda q: q * self.scalar)
@@ -185,11 +223,8 @@ class Sum(LinearOperator):
     def __init__(self, ops):
         self.ops = tuple(ops)
 
-    def apply(self, p):
-        out = Polynomial.zero(p.vars, p.laurent)
-        for op in self.ops:
-            out = out + op.apply(p)
-        return out
+    def apply_form(self, q, vars):
+        return _sum_forms([op.apply_form(q, vars) for op in self.ops])
 
     def apply_trig(self, u):
         out = None
@@ -217,10 +252,10 @@ class Compose(LinearOperator):
             ops = tuple(ops[0])
         self.ops = tuple(ops)
 
-    def apply(self, p):
+    def apply_form(self, q, vars):
         for op in reversed(self.ops):
-            p = op.apply(p)
-        return p
+            q = op.apply_form(q, vars)
+        return q
 
     def apply_trig(self, u):
         for op in reversed(self.ops):
@@ -243,6 +278,7 @@ class DampedIntegration(LinearOperator):
 
     Applies the finite expansion sum_r a^(-r-1) (-d/dt)^r (the input is a
     polynomial, so the sum stops at its t-degree) and then integrates once.
+    A negative power of t raises ValueError, since the sum would not end.
     """
 
     __slots__ = ("a", "tvar")
@@ -255,16 +291,19 @@ class DampedIntegration(LinearOperator):
         self.a = a
         self.tvar = tvar
 
-    def apply(self, p):
+    def apply_form(self, q, vars):
+        pos = vars.index(self.tvar)
+        if any(exp[pos] < 0 for exp in itertools.chain(q.re, q.im)):
+            # the derivatives of a negative power never vanish
+            raise ValueError(f"damped integration: negative power of {self.tvar}")
         ainv = coeff_inverse(self.a)
-        acc = Polynomial.zero(p.vars, p.laurent)
-        term = p
         factor = ainv
-        while not term.is_zero():
-            acc = acc + term * factor
-            term = -term.diff(self.tvar)
-            factor = factor * ainv
-        return acc.integrate(self.tvar)
+        pieces = []
+        while q:
+            pieces.append(q.scaled(factor))
+            q = q.diff(pos, 1)
+            factor = -factor * ainv
+        return _sum_forms(pieces).integrate(pos, 1)
 
     def __eq__(self, other):
         return (
@@ -283,22 +322,21 @@ class NestedRightInverse(LinearOperator):
     Entry k is a pair (coefficient, Derivative(vk, mk)).  The first
     coefficient must be a nonzero constant and the k-th coefficient may only
     involve the variables v1..v(k-1); this triangular shape guarantees the
-    perturbation series terminates on every polynomial input.  A negative
-    exponent in a block variable after the first raises ValueError, since
-    its derivatives never vanish.
+    perturbation series terminates on every polynomial input.  Every block
+    after the first needs a positive order, since D^0 never kills a term.
+    A negative exponent in a block variable after the first raises
+    ValueError, since its derivatives never vanish.
 
     Stage s inverts the first s blocks.  With R the stage s-1 inverse, f the
     s-th coefficient and D = Dvs^ms, it returns sum_i (-R f)^i R D^i(q),
     evaluated in Horner form: w_i = D^i(q) up to the last nonzero w_I, then
     acc = R(w_I) and acc = R(w_i - f*acc) for i = I-1 down to 0.  R is
     linear, so this is the same sum with I+1 calls of stage s-1 instead of
-    (I+1)(I+2)/2.  The stages run on integer forms (``poly._IntForm``) over
-    one variable order: ``apply`` converts its input in and the result out
-    once, and ``apply_form`` works on forms throughout, with the blocks put
-    over the variable order once by ``plan``.
+    (I+1)(I+2)/2.  The stages run on integer forms over one variable order,
+    with the blocks put over each order once by ``plan``.
     """
 
-    __slots__ = ("coeffs", "vars_", "orders")
+    __slots__ = ("coeffs", "vars_", "orders", "_plans")
 
     def __init__(self, entries):
         coeffs, vars_, orders = [], [], []
@@ -314,6 +352,10 @@ class NestedRightInverse(LinearOperator):
             raise NotAFlagSystemError("not a flag system: repeated block variable")
         if not coeffs:
             raise ValueError("at least one block is required")
+        if orders[0] < 0 or any(m < 1 for m in orders[1:]):
+            raise ValueError(
+                "block orders must be positive after the first block and non-negative in it"
+            )
         if coeffs[0].support_vars():
             raise NotAFlagSystemError("not a flag system: leading coefficient must be constant")
         if coeffs[0].is_zero():
@@ -328,6 +370,7 @@ class NestedRightInverse(LinearOperator):
         self.coeffs = tuple(coeffs)
         self.vars_ = tuple(vars_)
         self.orders = tuple(orders)
+        self._plans = {}
 
     def as_operator(self) -> LinearOperator:
         """The triangular operator this object inverts."""
@@ -337,26 +380,38 @@ class NestedRightInverse(LinearOperator):
         )
 
     def apply(self, p):
-        vs = tuple(dict.fromkeys(itertools.chain(
-            p.vars, self.vars_, (v for c in self.coeffs for v in c.vars)
-        )))
-        laurent = p.laurent.union(*(c.laurent for c in self.coeffs))
-        return self.apply_form(_int_form(p, vs), self.plan(vs, laurent)).to_poly(vs, laurent)
+        # kept on the class so that perfbench/trace.py can wrap it by name
+        return LinearOperator.apply(self, p)
 
-    def plan(self, vars: tuple, laurent: frozenset) -> list:
-        """The blocks over the variable order `vars`, which holds every block
-        variable: per block the position of its variable, its order, its
-        coefficient as an integer form (the inverse of the constant for the
-        first block) and whether its variable is in `laurent`, the variables
-        that may carry negative exponents."""
-        lead = coeff_inverse(self.coeffs[0].constant_term())
-        plan = [(vars.index(self.vars_[0]), self.orders[0], lead, False)]
-        for c, v, m in zip(self.coeffs[1:], self.vars_[1:], self.orders[1:]):
-            plan.append((vars.index(v), m, _int_form(c, vars), v in laurent))
+    def plan(self, vars: tuple) -> list:
+        """The blocks over the variable order `vars`, made once per order: per
+        block the position of its variable, its order, its coefficient as an
+        integer form (the inverse of the constant for the first block) and
+        whether some coefficient has a negative exponent in its variable."""
+        plan = self._plans.get(vars)
+        if plan is None:
+            forms = [_int_form(c, vars) for c in self.coeffs[1:]]
+            negative = {
+                i for f in forms for exp in itertools.chain(f.re, f.im)
+                for i, e in enumerate(exp) if e < 0
+            }
+            lead = coeff_inverse(self.coeffs[0].constant_term())
+            plan = [(vars.index(self.vars_[0]), self.orders[0], lead, False)]
+            for f, v, m in zip(forms, self.vars_[1:], self.orders[1:]):
+                pos = vars.index(v)
+                plan.append((pos, m, f, pos in negative))
+            self._plans[vars] = plan
         return plan
 
-    def apply_form(self, q: _IntForm, plan: list) -> _IntForm:
-        """apply on the integer form q, over the variable order of `plan`."""
+    def apply_form(self, q, vars):
+        plan = self.plan(vars)
+        if any(min(exp) < 0 for exp in itertools.chain(q.re, q.im)):
+            # negative powers in the input: check their block variables at every stage
+            terms = list(itertools.chain(q.re, q.im))
+            plan = plan[:1] + [
+                (pos, m, f, neg or any(exp[pos] < 0 for exp in terms))
+                for pos, m, f, neg in plan[1:]
+            ]
         return self._stage(len(plan), q, plan)
 
     def _stage(self, s: int, q: _IntForm, plan) -> _IntForm:
@@ -393,26 +448,38 @@ def apply_operator(op: LinearOperator, p):
     return op(p)
 
 
-def operator_variables(op: LinearOperator) -> frozenset:
+def _variables_in_order(op: LinearOperator):
+    """The variables of op in tree order, with repeats."""
     if isinstance(op, (Derivative, Integrate)):
-        return frozenset((op.var,))
-    if isinstance(op, MultiplyBy):
-        return frozenset(op.poly.vars)
-    if isinstance(op, Scale):
-        return frozenset()
-    if isinstance(op, (Sum, Compose)):
-        out = frozenset()
+        yield op.var
+    elif isinstance(op, MultiplyBy):
+        yield from op.poly.vars
+    elif isinstance(op, (Sum, Compose)):
         for sub in op.ops:
-            out |= operator_variables(sub)
-        return out
-    if isinstance(op, DampedIntegration):
-        return frozenset((op.tvar,))
-    if isinstance(op, NestedRightInverse):
-        out = frozenset(op.vars_)
+            yield from _variables_in_order(sub)
+    elif isinstance(op, DampedIntegration):
+        yield op.tvar
+    elif isinstance(op, NestedRightInverse):
+        yield from op.vars_
         for c in op.coeffs:
-            out |= frozenset(c.vars)
-        return out
-    raise TypeError(f"unknown operator node {type(op)!r}")
+            yield from c.vars
+    elif not isinstance(op, Scale):
+        raise TypeError(f"unknown operator node {type(op)!r}")
+
+
+def _laurent(op: LinearOperator) -> frozenset:
+    """The Laurent variables of the polynomials inside op."""
+    if isinstance(op, MultiplyBy):
+        return op.poly.laurent
+    if isinstance(op, (Sum, Compose)):
+        return frozenset().union(*(_laurent(sub) for sub in op.ops))
+    if isinstance(op, NestedRightInverse):
+        return frozenset().union(*(c.laurent for c in op.coeffs))
+    return frozenset()
+
+
+def operator_variables(op: LinearOperator) -> frozenset:
+    return frozenset(_variables_in_order(op))
 
 
 def differential_form(op: LinearOperator):
@@ -522,53 +589,72 @@ class FormApplicator:
 
     The coefficients are put over the order once as integer forms
     (poly._IntForm) on D, their common denominator.  With d that of the
-    input p, D d op(p) = sum_j (D c_j) d^alpha_j (d p) is accumulated with
-    integer falling factorials, one dict per real and imaginary part, and
-    each nonzero entry is divided by D d once.
+    input q, D d op(q) = sum_j (D c_j) d^alpha_j (d q) is accumulated with
+    integer falling factorials, one dict per real and imaginary part, over
+    the denominator D d.  A block whose coefficient is a constant adds no
+    exponents.
     """
 
-    __slots__ = ("vars", "laurent", "_den", "_blocks")
+    __slots__ = ("vars", "laurent", "_den", "_routes")
 
     def __init__(self, form: dict, vars):
         self.vars = vs = tuple(vars)
         self.laurent = frozenset().union(*(c.laurent for c in form.values()))
         coeffs = [_int_form(c, vs) for c in form.values()]
         self._den = den = math.lcm(*(c.den for c in coeffs))
-        self._blocks = []
-        for alpha, c in zip(form, coeffs):
-            k = den // c.den
-            self._blocks.append((
-                tuple((vs.index(v), m) for v, m in alpha),
-                ([(exp, a * k) for exp, a in c.re.items()], [(exp, a * k) for exp, a in c.im.items()]),
-            ))
-
-    def __call__(self, p: Polynomial) -> Polynomial:
-        q = _int_form(p, self.vars)
-        parts = (list(q.re.items()), list(q.im.items()))
-        sums = ({}, {})
+        const = (0,) * len(vs)
+        # per route: the part of the input it reads, the sum it feeds, and
+        # per block (derivative orders, signed coefficient terms, constant?)
+        self._routes = []
         for part, side, target, sign in _ROUTES:
+            blocks = []
+            for alpha, c in zip(form, coeffs):
+                k = sign * (den // c.den)
+                cterms = [(exp, a * k) for exp, a in (c.im if side else c.re).items()]
+                if cterms:
+                    orders = tuple((vs.index(v), m) for v, m in alpha)
+                    blocks.append((orders, cterms, all(exp == const for exp, _ in cterms)))
+            if blocks:
+                self._routes.append((part, target, blocks))
+
+    def apply_form(self, q: _IntForm) -> _IntForm:
+        """The image of the form q over this applicator's variable order."""
+        sums = ({}, {})
+        perm = math.perm
+        for part, target, blocks in self._routes:
+            terms = (q.im if part else q.re).items()
+            if not terms:
+                continue
             out = sums[target]
             get = out.get
-            for orders, cparts in self._blocks:
-                cterms = cparts[side]
-                if not cterms:
-                    continue
-                for exp, a in parts[part]:
-                    k = sign * a
+            for orders, cterms, constant in blocks:
+                for exp, k in terms:
                     if orders:
                         shifted = list(exp)
                         for i, m in orders:
-                            k *= falling(exp[i], m)
-                            shifted[i] = exp[i] - m
+                            e = exp[i]
+                            k *= perm(e, m) if e >= 0 else falling(e, m)
+                            shifted[i] = e - m
                         if not k:
                             continue
+                        shifted = tuple(shifted)
                     else:
                         shifted = exp
-                    for cexp, c in cterms:
-                        key = tuple(map(add, shifted, cexp))
-                        out[key] = get(key, 0) + c * k
-        image = _IntForm(*sums, q.den * self._den)
+                    if constant:
+                        for _, c in cterms:
+                            out[shifted] = get(shifted, 0) + c * k
+                    else:
+                        for cexp, c in cterms:
+                            key = tuple(map(add, shifted, cexp))
+                            out[key] = get(key, 0) + c * k
+        return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den)
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        image = self.apply_form(_int_form(p, self.vars))
         return image.to_poly(self.vars, self.laurent | p.laurent)
+
+    def annihilates(self, p: Polynomial) -> bool:
+        return not self.apply_form(_int_form(p, self.vars))
 
 
 def form_applicator(op: LinearOperator, polys):
@@ -641,8 +727,33 @@ class SeriesConfig:
                 "t1_inverse is not a right inverse of t1 on the sampled polynomials"
             )
 
-    def iteration_bound(self, seed_poly: Polynomial) -> int:
-        return 2 + seed_poly.total_degree() * max(1, max_derivative_order(self.t2))
+    def iteration_bound(self, seed) -> int:
+        """The safety bound for a seed given as a Polynomial or an integer form."""
+        return 2 + seed.total_degree() * max(1, max_derivative_order(self.t2))
+
+
+def _chain_order(polys, ops):
+    """The variable order and Laurent set of a computation that starts from
+    `polys` and applies `ops`: the variables of each polynomial, then those
+    of each operator in tree order."""
+    vs = tuple(dict.fromkeys(itertools.chain(
+        *(p.vars for p in polys), *(_variables_in_order(op) for op in ops)
+    )))
+    return vs, frozenset().union(*(p.laurent for p in polys), *(_laurent(op) for op in ops))
+
+
+def _series(cfg: SeriesConfig, term: _IntForm, vs: tuple) -> _IntForm:
+    """sum_i (-T1inv T2)^i (term) on integer forms over the order vs."""
+    terms = [term]
+    for _ in range(cfg.iteration_bound(term)):
+        if not term:
+            break
+        term = -cfg.t1_inverse.apply_form(cfg.t2.apply_form(term, vs), vs)
+        terms.append(term)
+    else:
+        if term:
+            raise SeriesTerminationError("series did not nilpotate")
+    return _sum_forms(terms)
 
 
 def solve_by_series(cfg: SeriesConfig, h: Polynomial, g: Polynomial) -> Polynomial:
@@ -650,37 +761,20 @@ def solve_by_series(cfg: SeriesConfig, h: Polynomial, g: Polynomial) -> Polynomi
     if not cfg.t1(h).is_zero():
         raise KernelPreconditionError("kernel precondition violated")
     seed = h * g
-    total = seed
-    term = seed
-    bound = cfg.iteration_bound(seed)
-    for _ in range(bound):
-        if term.is_zero():
-            break
-        term = -cfg.t1_inverse(cfg.t2(term))
-        total = total + term
-    else:
-        if not term.is_zero():
-            raise SeriesTerminationError("series did not nilpotate")
-    residual = cfg.t1(total) + cfg.t2(total)
-    if not residual.is_zero():
-        raise VerificationError(f"series output is not annihilated; residual {residual}")
+    vs, laurent = _chain_order([seed], [cfg.t2, cfg.t1_inverse])
+    total = _series(cfg, _int_form(seed, vs), vs).to_poly(vs, laurent)
+    op = Sum((cfg.t1, cfg.t2))
+    if not form_applicator(op, [total]).annihilates(total):
+        raise VerificationError(f"series output is not annihilated; residual {op(total)}")
     return total
 
 
 def right_inverse_series(cfg: SeriesConfig, f: Polynomial) -> Polynomial:
     """Preimage of f under T1 + T2 via sum_i (-T1inv T2)^i T1inv, verified exactly."""
-    term = cfg.t1_inverse(f)
-    total = term
-    bound = cfg.iteration_bound(term)
-    for _ in range(bound):
-        if term.is_zero():
-            break
-        term = -cfg.t1_inverse(cfg.t2(term))
-        total = total + term
-    else:
-        if not term.is_zero():
-            raise SeriesTerminationError("series did not nilpotate")
-    residual = cfg.t1(total) + cfg.t2(total) - f
+    vs, laurent = _chain_order([f], [cfg.t1_inverse, cfg.t2])
+    first = cfg.t1_inverse.apply_form(_int_form(f, vs), vs)
+    total = _series(cfg, first, vs).to_poly(vs, laurent)
+    residual = form_applicator(Sum((cfg.t1, cfg.t2)), [total, f])(total) - f
     if not residual.is_zero():
         raise VerificationError(f"right inverse output mismatch; residual {residual}")
     return total

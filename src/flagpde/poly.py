@@ -614,8 +614,24 @@ class _IntForm:
         self.im = im
         self.den = den
 
+    @staticmethod
+    def zero() -> "_IntForm":
+        return _IntForm({}, {}, 1)
+
     def __bool__(self):
         return bool(self.re) or bool(self.im)
+
+    def total_degree(self) -> int:
+        """Maximum term degree (0 for the zero form)."""
+        return max((sum(exp) for exp in itertools.chain(self.re, self.im)), default=0)
+
+    def __eq__(self, other):
+        # ring steps return reduced forms, so equal values have equal fields
+        if not isinstance(other, _IntForm):
+            return NotImplemented
+        return self.den == other.den and self.re == other.re and self.im == other.im
+
+    __hash__ = None
 
     def to_poly(self, vars: tuple, laurent: frozenset) -> Polynomial:
         """The Polynomial over `vars`, each coefficient formed once as an exact
@@ -666,9 +682,9 @@ class _IntForm:
 
     def scaled(self, value) -> "_IntForm":
         """The form times a nonzero exact scalar."""
-        g = _as_gaussian(value)
-        cd = math.lcm(g.re.denominator, g.im.denominator)
-        cr, ci = g.re.numerator * (cd // g.re.denominator), g.im.numerator * (cd // g.im.denominator)
+        vr, vi = (value.re, value.im) if isinstance(value, GaussianRational) else (value, 0)
+        cd = math.lcm(vr.denominator, vi.denominator)
+        cr, ci = vr.numerator * (cd // vr.denominator), vi.numerator * (cd // vi.denominator)
         re = {e: a * cr for e, a in self.re.items()}
         im = {e: a * cr for e, a in self.im.items()}
         if ci:
@@ -731,12 +747,31 @@ def _scaled_sum(x: dict, kx: int, y: dict, ky: int) -> dict:
     return out
 
 
+def _sum_forms(forms) -> _IntForm:
+    """The sum of forms over one variable order, every numerator brought to
+    the lcm of their denominators and the result reduced once."""
+    forms = [f for f in forms if f]
+    if len(forms) < 2:
+        return forms[0] if forms else _IntForm.zero()
+    d = math.lcm(*(f.den for f in forms))
+    re, im = {}, {}
+    for f in forms:
+        k = d // f.den
+        for out, part in ((re, f.re), (im, f.im)):
+            get = out.get
+            for e, a in part.items():
+                out[e] = get(e, 0) + a * k
+    return _reduced(_nonzero(re), _nonzero(im), d)
+
+
 def _nonzero(d: dict) -> dict:
     return {e: a for e, a in d.items() if a}
 
 
 def _reduced(re: dict, im: dict, den: int) -> _IntForm:
     """The form with numerators and denominator divided by their gcd."""
+    if den == 1 or not (re or im):
+        return _IntForm(re, im, 1)
     g = math.gcd(den, *re.values(), *im.values())
     if g != 1:
         re = {e: a // g for e, a in re.items()}

@@ -17,14 +17,16 @@ with tilde_xi = t*D^2 at a tip, and xi_i = x_p(i) * tilde_xi_i for i >= 2.
 series expansion, which also guards the commuting-symbols convention.  It
 reads each xi_i as an operator (D_j as d/dx_j, the rest of each term as its
 coefficient) and applies it, like t*d_T, through one
-``operators.FormApplicator`` on the variable order (t, x1..xn).
+``operators.FormApplicator`` on integer forms over the variable order
+(t, x1..xn), with the t-power cap applied as an exponent filter and each
+1/j of the exponential series folded into the denominator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .operators import (
     Compose,
@@ -35,7 +37,7 @@ from .operators import (
     VerificationError,
     differential_form,
 )
-from .poly import Polynomial, variable
+from .poly import Polynomial, _IntForm, _reduced, _sum_forms, variable
 
 __all__ = [
     "InvalidTreeError",
@@ -107,8 +109,6 @@ class Tree:
 
 def all_trees(n: int):
     """Every tree on n ordered nodes (each node picks a parent below it)."""
-    import itertools
-
     if n == 1:
         return [Tree(1, [])]
     out = []
@@ -170,25 +170,28 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
     return FormApplicator({a: Polynomial(vs, terms) for a, terms in form.items()}, vs)
 
 
-def _truncate_t(p: Polynomial, tcap: int) -> Polynomial:
-    i = p.vars.index("t")
-    kept = {e: c for e, c in p.terms.items() if e[i] <= tcap}
-    if len(kept) == len(p.terms):
-        return p
-    return Polynomial(p.vars, kept, p.laurent)
+def _t_capped(q: _IntForm, tcap: int, j: int = 1) -> _IntForm:
+    """The terms of q of t-degree at most tcap (t leads the variable order),
+    divided by j."""
+    return _reduced(
+        {e: a for e, a in q.re.items() if e[0] <= tcap},
+        {e: a for e, a in q.im.items() if e[0] <= tcap},
+        q.den * j,
+    )
 
 
-def _apply_exp_symbol(symbol: FormApplicator, p: Polynomial, tcap: int) -> Polynomial:
-    """Truncated exp(symbol) applied to p; every symbol term carries at least
-    one power of t, so the series stops after tcap rounds."""
-    out = _truncate_t(p, tcap)
-    term = out
+def _apply_exp_symbol(symbol: FormApplicator, q: _IntForm, tcap: int) -> _IntForm:
+    """Truncated exp(symbol) applied to the form q over symbol.vars; every
+    symbol term carries at least one power of t, so the series stops after
+    tcap rounds."""
+    term = _t_capped(q, tcap)
+    terms = [term]
     j = 1
     while True:
-        term = _truncate_t(symbol(term), tcap) * Fraction(1, j)
-        if term.is_zero():
-            return out
-        out = out + term
+        term = _t_capped(symbol.apply_form(term), tcap, j)
+        if not term:
+            return _sum_forms(terms)
+        terms.append(term)
         j += 1
 
 
@@ -218,13 +221,14 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     exponents = [_symbol_applicator(xi, vs) for xi in compute_splitting(tree).exponents]
     checked = 0
     for exp in tuples_with_sum_at_most(n, degree_cap):
-        mono = Polynomial(vs, {(0,) + exp: 1})
+        mono = _IntForm({(0,) + exp: 1}, {}, 1)
         lhs = _apply_exp_symbol(heat, mono, t_power_cap)
         rhs = mono
         for xi in exponents:
             rhs = _apply_exp_symbol(xi, rhs, t_power_cap)
         if lhs != rhs:
-            tpow = min(e[0] for e in (lhs - rhs).terms)
+            diff = lhs - rhs
+            tpow = min(e[0] for e in itertools.chain(diff.re, diff.im))
             raise VerificationError(
                 f"splitting mismatch on monomial {dict(zip(x_vars, exp))} at t^{tpow}"
             )

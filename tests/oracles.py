@@ -640,6 +640,19 @@ def diff_stepwise(p, var, order):
     return Polynomial(p.vars, out, p.laurent)
 
 
+def dict_product(f, p):
+    """f * p from the two term dicts, over p's variables followed by f's."""
+    vs = p.vars + tuple(v for v in f.vars if v not in p.vars)
+    out = {}
+    for ep, cp in p.terms.items():
+        at_p = dict(zip(p.vars, ep))
+        for ef, cf in f.terms.items():
+            at_f = dict(zip(f.vars, ef))
+            key = tuple(at_p.get(v, 0) + at_f.get(v, 0) for v in vs)
+            out[key] = out.get(key, 0) + cf * cp
+    return Polynomial(vs, out, p.laurent | f.laurent)
+
+
 def integrate_by_reciprocal(p, var):
     """Antiderivative in var multiplying each coefficient by Fraction(1, e+1)."""
     from flagpde.poly import NonIntegrableTermError

@@ -197,6 +197,14 @@ def test_flag_basis_higher_coefficient_powers():
     assert len(fam) > 0  # generation asserts annihilation internally
 
 
+def test_flag_spec_rejects_a_block_of_order_zero():
+    """D^0 never kills a seed, so flag_basis would never return."""
+    with pytest.raises(ValueError, match="positive"):
+        FlagEquationSpec((2, 0), (x1,))
+    with pytest.raises(ValueError, match="positive"):
+        FlagEquationSpec((0, 2), (x1,))
+
+
 # -- curved background wave --------------------------------------------------------------
 
 def test_riemannian_decoupled():

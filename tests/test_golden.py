@@ -7,6 +7,11 @@ quadratic loops, the anisymmetric ones before integral coefficients were
 kept as ``int``, so a refactor of the exact core that changes any
 coefficient, exponent, term order or index of these families fails here.
 
+The solver and ``basis`` command hashes pin outputs whose serialization
+depends on the variable order (term order and exponent keys follow it);
+they were recorded while every operator node still had a ``Polynomial``
+``apply`` of its own, before application moved to integer forms.
+
 The ``repr`` strings of ``solve_constant_ode`` and ``solve_flag_ivp`` values
 were recorded while the ODE still had an evaluator of its own, before it
 became the zero mode of the flag evaluator, so a refactor of the numeric
@@ -20,19 +25,29 @@ from fractions import Fraction
 import pytest
 
 from flagpde import (
+    Compose,
+    Derivative,
     FlagEquationSpec,
+    Integrate,
     OdeProblem,
     Polynomial,
+    Scale,
+    Sum,
     TrigData,
+    constant,
     constant_coefficient_basis,
     anisymmetric_basis,
     dissipative_wave_basis,
     flag_basis,
     harmonic_basis,
+    klein_gordon_solutions,
+    power_perturbation_solve,
+    riemannian_wave_solution,
     solve_constant_ode,
     solve_flag_ivp,
     variable,
 )
+from flagpde.cli import main
 from flagpde.poly import IMAG
 
 x1, x2, x3 = variable("x1"), variable("x2"), variable("x3")
@@ -141,3 +156,92 @@ FLAG_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(FLAG_IVPS))
 def test_flag_ivp_values_match_golden_repr(name):
     assert [repr(v) for v in FLAG_IVPS[name]().values] == FLAG_GOLDEN[name]
+
+
+# -- outputs whose serialization depends on the variable order ----------------------
+
+def _poly_digest(*polys):
+    """sha256 of the variable order and the serialized terms of each polynomial."""
+    payload = json.dumps([[list(p.vars), p.to_json_terms()] for p in polys])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _power_wave():
+    t, x = variable("t"), variable("x")
+    return power_perturbation_solve(
+        Derivative("t"), Integrate("t"), [Sum(()), Derivative("x", 2)], 2, t, x**4 - 3 * x**2)
+
+
+def _power_mixed():
+    t, x, y = variable("t"), variable("x"), variable("y")
+    perturbations = [
+        Sum((Compose(Scale(Fraction(3, 2)), Derivative("x")), Compose(Scale(-2), Derivative("y")))),
+        Sum((Compose(Scale(Fraction(-1, 3)), Derivative("x", 2)),
+             Compose(Scale(5), Derivative("x"), Derivative("y")))),
+        Compose(Scale(Fraction(1, 4)), Derivative("y", 2)),
+    ]
+    g = 2 * x**5 * y - y**6 + Fraction(1, 2) * x**3 * y**3
+    return power_perturbation_solve(Derivative("t"), Integrate("t"), perturbations, 3, t**2, g)
+
+
+def _riemannian():
+    z1, x2, x3 = variable("z1"), variable("x2"), variable("x3")
+    g = {(2, 2): z1 + 1, (2, 3): Fraction(1, 2) * z1**2, (3, 3): constant(-1)}
+    return riemannian_wave_solution(
+        g, 3, variable("z0") ** 2, z1 ** 3, x2**3 * x3 - x3**2, x2 * x3**2 + 1)
+
+
+def _kg(a, monomial):
+    first, second = klein_gordon_solutions(a, monomial)
+    return first.cos_part, first.sin_part, second.cos_part, second.sin_part
+
+
+SOLVERS = {
+    "kg_half_211": lambda: _kg(Fraction(1, 2), (2, 1, 1)),
+    "kg_three_halves_302": lambda: _kg(Fraction(-3, 2), (3, 0, 2)),
+    "kg_two_020": lambda: _kg(2, (0, 2, 0)),
+    "power_wave": lambda: (_power_wave(),),
+    "power_mixed": lambda: (_power_mixed(),),
+    "riemannian_3": lambda: (_riemannian(),),
+}
+
+SOLVER_GOLDEN = {
+    "kg_half_211": "b9851611fa16fa634e82c532429227fba1232fc05bcfd8fef3773ff85d77059a",
+    "kg_three_halves_302": "b8adf966ceba5127437a563034053e21d5a735d3e709fbd70eb137174d16960f",
+    "kg_two_020": "d8a9896095e4c96deb7dc8918d27c02e89de293c1331dc3366ff2e396cc10c4e",
+    "power_mixed": "c50eecd4b722ac22c1ebc62bb23cbb73112f1f0cc07845f1a7720a2769430d1d",
+    "power_wave": "cb7b5f9cfec33c37d7a8232f09edbdbe9321c71eebe1eb91e301e3b844563416",
+    "riemannian_3": "28ec4d142f49988b68d036eea14d1c04dfa33d1f29c70eb396a6c502f46e4f9e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_solver_output_matches_golden_hash(name):
+    assert _poly_digest(*SOLVERS[name]()) == SOLVER_GOLDEN[name]
+
+
+BASIS_COMMANDS = {
+    "dissipative_n2": ["dissipative", "--n", "2", "--cap", "4"],
+    "anisym_generic": ["anisym", "--n", "2", "--lambda", "3/2", "--cap", "4"],
+    "anisym_generic_minus": ["anisym", "--n", "2", "--lambda=-5/2", "--epsilon", "-1", "--cap", "4"],
+    "anisym_even": ["anisym", "--n", "2", "--lambda", "-2", "--cap", "4"],
+    "anisym_odd": ["anisym", "--n", "2", "--lambda", "-3", "--cap", "4"],
+    "anisym_odd_minus": ["anisym", "--n", "2", "--lambda", "-1", "--epsilon", "-1", "--cap", "4"],
+}
+
+BASIS_GOLDEN = {
+    "anisym_even": "e3a614b3e6ccee9a023867e742dda50566a7027eae34830294aba3b94e21b098",
+    "anisym_generic": "a7048881a7a113e2ff530f55981b65a3054d9f70433d61321b116b1d01d94790",
+    "anisym_generic_minus": "db22fc71e5941e8c4c429aebcaf37e9ef255ff2b40f82fc53faac1225e5cb75d",
+    "anisym_odd": "fa28ab3cebd6a230449bbd30548368d5a8cec37b7c03ef0bdecd5f32fe23f780",
+    "anisym_odd_minus": "53ce3754c3ad5ad213e608a65d2a847d40bb42d756569bf3de7d29f3d94e2dfd",
+    "dissipative_n2": "ee84bf02b1f6328ddefea326ed8bbb452db2f7e9d044c54ab45c14ca2853792b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_COMMANDS))
+def test_basis_command_result_matches_golden_hash(name, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["basis", *BASIS_COMMANDS[name], "--out", str(out)]) == 0
+    payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == BASIS_GOLDEN[name]

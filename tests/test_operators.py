@@ -33,7 +33,7 @@ from flagpde.operators import (
 
 from flagpde.poly import NonIntegrableTermError
 
-from oracles import nested_inverse_term_by_term
+from oracles import diff_stepwise, dict_product, integrate_by_reciprocal, nested_inverse_term_by_term
 from strategies import coefficients, gaussian_coefficients, polynomials
 
 x, y = variable("x"), variable("y")
@@ -233,6 +233,14 @@ def test_nested_inverse_rejects_negative_powers_of_later_blocks():
     assert inv.apply(Polynomial(("y",), {(1,): 1}, ("y",))) == nested_inverse_term_by_term(inv, y)
 
 
+def test_nested_inverse_rejects_order_zero_after_the_first_block():
+    """D^0 never kills a term, so the series over y would never end."""
+    with pytest.raises(ValueError, match="positive"):
+        NestedRightInverse([(1, Derivative("x")), (x, Derivative("y", 0))])
+    with pytest.raises(ValueError, match="non-negative"):
+        NestedRightInverse([(1, Derivative("x", -1))])
+
+
 def test_nested_inverse_rejects_non_flag_coefficients():
     with pytest.raises(NotAFlagSystemError):
         NestedRightInverse([(1, Derivative("x", 2)), (y, Derivative("y", 2))])
@@ -254,6 +262,12 @@ def test_damped_integration_rejects_zero():
         DampedIntegration(0, "t")
 
 
+def test_damped_integration_rejects_negative_powers_of_t():
+    """The derivatives of t^-1 never vanish, so the expansion would not end."""
+    with pytest.raises(ValueError, match="negative power of t"):
+        DampedIntegration(Fraction(1), "t")(Polynomial(("t",), {(-1,): 1}, ("t",)))
+
+
 def test_differential_form_applies_the_leibniz_rule():
     # d^2/dx^2 (x^2 u) = x^2 u'' + 4x u' + 2u
     form = differential_form(Compose(Derivative("x", 2), MultiplyBy(x**2)))
@@ -265,3 +279,113 @@ def test_differential_form_applies_the_leibniz_rule():
     assert differential_form(Compose(Derivative("x", 0), Scale(Fraction(1, 2)))) == {(): constant(Fraction(1, 2))}
     assert differential_form(Compose(Derivative("x"), Integrate("x"))) is None
     assert differential_form(NestedRightInverse([(1, Derivative("x"))])) is None
+
+
+# -- every node on integer forms, against oracles ------------------------------------
+
+any_coefficients = st.sampled_from((coefficients(), gaussian_coefficients()))
+
+
+@st.composite
+def node_inputs(draw):
+    """A polynomial over (x, y) with y Laurent, rational or Gaussian."""
+    return draw(polynomials(vars=("x", "y"), max_terms=4, max_exp=3, laurent=("y",),
+                            coeffs=draw(any_coefficients)))
+
+
+def _after(p, *names):
+    """The variable order of an image: p's variables, then the operator's."""
+    return p.vars + tuple(v for v in dict.fromkeys(names) if v not in p.vars)
+
+
+@given(node_inputs(), st.sampled_from(("x", "y", "z")), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_derivative_node_matches_stepwise_falling_factorials(p, var, order):
+    out = Derivative(var, order)(p)
+    assert out == diff_stepwise(p, var, order)
+    assert out.vars == _after(p, var)
+    assert out.laurent == p.laurent
+
+
+@given(node_inputs(), st.sampled_from(("x", "y", "z")), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_integrate_node_matches_reciprocal_products(p, var, order):
+    want = p
+    try:
+        for _ in range(order):
+            want = integrate_by_reciprocal(want, var)
+    except NonIntegrableTermError:
+        with pytest.raises(NonIntegrableTermError):
+            Integrate(var, order)(p)
+        return
+    out = Integrate(var, order)(p)
+    assert out == want
+    assert out.vars == _after(p, var)
+
+
+def test_integrate_node_rejects_the_reciprocal():
+    with pytest.raises(NonIntegrableTermError):
+        Integrate("x")(Polynomial(("x",), {(-1,): 1}, ("x",)))
+    with pytest.raises(NonIntegrableTermError):
+        Integrate("x", 2)(Polynomial(("x", "y"), {(-2, 1): 3, (1, 0): 1}, ("x",)))
+
+
+@given(node_inputs(), polynomials(vars=("z", "x"), max_terms=3, max_exp=2, coeffs=gaussian_coefficients()))
+@settings(max_examples=60, deadline=None)
+def test_multiply_node_matches_dict_products(p, f):
+    op = MultiplyBy(f)
+    out = op(p)
+    assert out == dict_product(f, p)
+    assert out.vars == _after(p, *f.vars)
+    assert out.laurent == p.laurent | f.laurent
+    # the multiplier is put over each variable order once and reused
+    assert op(p) == out
+
+
+@given(node_inputs(), any_coefficients.flatmap(lambda c: c))
+@settings(max_examples=40, deadline=None)
+def test_scale_node_scales_every_coefficient(p, c):
+    out = Scale(c)(p)
+    assert out == Polynomial(p.vars, {e: a * c for e, a in p.terms.items()}, p.laurent)
+    assert out.vars == p.vars
+
+
+@given(node_inputs())
+@settings(max_examples=40, deadline=None)
+def test_zero_scale_empty_sum_and_identity(p):
+    for zero in (Scale(0), Scale(Fraction(0)), Sum(())):
+        out = zero(p)
+        assert out.is_zero()
+        assert out.vars == p.vars
+    same = Compose()(p)
+    assert same == p
+    assert same.vars == p.vars
+    assert same.terms == p.terms
+
+
+@given(node_inputs())
+@settings(max_examples=40, deadline=None)
+def test_sum_and_compose_fold_their_nodes(p):
+    nodes = [Derivative("x", 2), Compose(MultiplyBy(x * y), Derivative("y")),
+             Scale(GaussianRational(1, -2)), Integrate("z")]
+    out = Sum(nodes)(p)
+    want = Polynomial.zero()
+    for op in nodes:
+        want = want + op(p)
+    assert out == want
+    assert out.vars == _after(p, "x", "y", "z")
+    composed = Compose(nodes)(p)
+    want = p
+    for op in reversed(nodes):
+        want = op(want)
+    assert composed == want
+
+
+def test_image_variables_follow_the_input_then_the_tree():
+    z = variable("z")
+    op = Compose(MultiplyBy(x), Derivative("y"))
+    assert op(z * y).vars == ("z", "y", "x")
+    assert op(z).vars == ("z", "x", "y")
+    assert op(z).is_zero()
+    assert Sum((Integrate("w"), MultiplyBy(y * x)))(z).vars == ("z", "w", "y", "x")
+    assert DampedIntegration(Fraction(2), "t")(z).vars == ("z", "t")

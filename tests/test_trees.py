@@ -20,11 +20,11 @@ from flagpde.trees import (
     InvalidTreeError,
     _apply_exp_symbol,
     _symbol_applicator,
-    _truncate_t,
     all_trees,
 )
+from flagpde.poly import _int_form
 
-from oracles import apply_symbol_termwise, check_splitting_termwise
+from oracles import _truncate_t, apply_symbol_termwise, check_splitting_termwise
 
 x1, x2, x3 = variable("x1"), variable("x2"), variable("x3")
 CHAIN3 = Tree(3, [(1, 2), (2, 3)])
@@ -134,9 +134,10 @@ def test_deep_tail_coefficient_adjudicated_by_expansion():
         piece = d_t(piece)
     s = compute_splitting(CHAIN3)
     vs = ("t", "x1", "x2", "x3")
-    rhs = mono.with_variables(vs)
+    rhs = _int_form(mono, vs)
     for xi in s.exponents:
         rhs = _apply_exp_symbol(_symbol_applicator(xi, vs), rhs, 7)
+    rhs = rhs.to_poly(vs, frozenset())
     assert _truncate_t(lhs, 7) == _truncate_t(rhs, 7)
     # the constant monomial at t^7 pins the tail coefficient to 8!/63
     coeff = _truncate_t(lhs, 7).coefficient({"t": 7})
@@ -157,9 +158,10 @@ def test_splitting_check_reports_mismatch():
     s.exponents[1] = broken
     vs = ("t", "x1", "x2")
     mono = x2**2
-    rhs = mono.with_variables(vs)
+    rhs = _int_form(mono, vs)
     for xi in s.exponents:
         rhs = _apply_exp_symbol(_symbol_applicator(xi, vs), rhs, 2)
+    rhs = rhs.to_poly(vs, frozenset())
     lhs = mono + variable("t") * tricomi_operator(Tree(2, [(1, 2)]))(mono)
     assert _truncate_t(rhs, 1) != _truncate_t(lhs, 1)
 
