@@ -383,28 +383,21 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     """Kernel element of T0^m - sum_p T0^(m-p) T_p from seeds h, g.
 
     T0 must commute with each perturbation and the perturbations with each
-    other (checked on a random sample); T0^m must annihilate h.  The output
-    is the multinomial series over tuples (i_1..i_m) weighting
-    (T0inv)^(sum p*i_p)(h) with prod T_p^(i_p)(g), verified exactly.
+    other, proved by comparing normal forms (``operators_agree_on_sample``);
+    T0^m must annihilate h.  The output is the multinomial series over
+    tuples (i_1..i_m) weighting (T0inv)^(sum p*i_p)(h) with
+    prod T_p^(i_p)(g), verified exactly.
     """
     perturbations = list(perturbations)
     if len(perturbations) != m:
         raise ValueError("need exactly m perturbation operators")
     vars_ = operator_variables(t0) | {v for op in perturbations for v in operator_variables(op)}
     vars_ |= set(h.vars) | set(g.vars)
-    for idx, op in enumerate(perturbations):
-        if not operators_agree_on_sample(Compose(t0, op), Compose(op, t0), vars_):
-            raise OperatorHypothesisError(
-                f"power-perturbation hypotheses violated: T0 does not commute with T{idx + 1}"
-            )
-    for a in range(m):
-        for b in range(a + 1, m):
-            lhs = Compose(perturbations[a], perturbations[b])
-            rhs = Compose(perturbations[b], perturbations[a])
-            if not operators_agree_on_sample(lhs, rhs, vars_):
-                raise OperatorHypothesisError(
-                    f"power-perturbation hypotheses violated: T{a + 1} and T{b + 1} do not commute"
-                )
+    ops = [t0, *perturbations]
+    for a, b in itertools.combinations(range(m + 1), 2):
+        if not operators_agree_on_sample(Compose(ops[a], ops[b]), Compose(ops[b], ops[a]), vars_):
+            failed = f"T0 does not commute with T{b}" if a == 0 else f"T{a} and T{b} do not commute"
+            raise OperatorHypothesisError(f"power-perturbation hypotheses violated: {failed}")
     vs, laurent = _chain_order([h, g], [t0_inverse, t0, *perturbations])
     hk = _int_form(h, vs)
     for _ in range(m):

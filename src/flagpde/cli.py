@@ -7,8 +7,8 @@ bases, and the constant-coefficient ODE helper.
 Exit codes: 0 on success, 2 for input problems (bad arguments, schema
 violations, invalid trees), 3 when a verification fails or a numeric series
 does not settle or overflows.  Output written through --out is
-deterministic: identical inputs and seed produce byte-identical files; wall
-time is only printed to stdout.
+deterministic: identical inputs produce byte-identical files; wall time is
+only printed to stdout.
 """
 
 from __future__ import annotations
@@ -224,13 +224,17 @@ def _family_payload(family: BasisFamily, verify_independence: bool):
     # every family constructor has already checked annihilation (bases._checked)
     if verify_independence:
         family.verify_independence()
-    payload = family.to_json()
-    payload["checks"] = [
-        {"name": "annihilation", "status": "passed"},
-        {"name": "independence", "status": "passed" if verify_independence else "skipped"},
-    ]
-    # "verified" means every recorded check ran and passed
-    payload["verified"] = all(c["status"] == "passed" for c in payload["checks"])
+    return _with_checks(family.to_json(), [
+        ("annihilation", "passed"),
+        ("independence", "passed" if verify_independence else "skipped"),
+    ])
+
+
+def _with_checks(payload, checks):
+    """payload with its "checks" listed and "verified" true only when every
+    listed check ran and passed."""
+    payload["checks"] = [{"name": name, "status": status} for name, status in checks]
+    payload["verified"] = all(status == "passed" for _, status in checks)
     return payload
 
 
@@ -273,7 +277,8 @@ def _cmd_solve_kg(args):
     monomial = _int_list(args.monomial)
     if len(monomial) != 3:
         raise InputError("--monomial needs exactly three entries")
-    first, second = klein_gordon_solutions(a, tuple(monomial), seed=args.seed)
+    # the solver raises VerificationError unless both residuals are zero
+    first, second = klein_gordon_solutions(a, tuple(monomial))
     payload = {
         "frequency": str(a),
         "monomial": monomial,
@@ -284,9 +289,11 @@ def _cmd_solve_kg(args):
             }
             for sol in (first, second)
         ],
-        "verified": True,
     }
-    _emit(args, payload)
+    _emit(args, _with_checks(payload, [
+        ("series residual", "passed"),
+        ("klein-gordon residual", "passed"),
+    ]))
     return 0
 
 
@@ -488,7 +495,7 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--out", help="write the result JSON (or CSV for grids) here")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        p.add_argument("--seed", type=int, default=0, help="kept for compatibility; seeds nothing")
 
     p = sub.add_parser("basis", help="generate a verified solution family")
     p.add_argument("kind", choices=["constant", "harmonic", "flag", "dissipative", "anisym"])

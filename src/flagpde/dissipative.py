@@ -266,7 +266,7 @@ def epd_transform(v: Polynomial, m: int, branch: str) -> Polynomial:
     return u
 
 
-def klein_gordon_solutions(a, monomial, seed: int = 0):
+def klein_gordon_solutions(a, monomial):
     """Two real trig-polynomial solutions of the generalized Klein-Gordon equation
 
         u_tt - u_xx - x u_yy - y u_zz + a^2 u = 0
@@ -292,7 +292,7 @@ def klein_gordon_solutions(a, monomial, seed: int = 0):
     t1 = Sum((Derivative("t", 2), Compose(Scale(two_ia), Derivative("t", 1))))
     t1_inv = DampedIntegration(two_ia, "t")
     t2 = Compose(Scale(Fraction(-1)), tricomi)
-    cfg = SeriesConfig(t1, t1_inv, t2, seed=seed)
+    cfg = SeriesConfig(t1, t1_inv, t2)
     seed = Polynomial(("x", "y", "z"), {(m1, m2, m3): Fraction(1)})
     v = solve_by_series(cfg, Polynomial.const(1, ("t",)), seed)
 

@@ -831,9 +831,11 @@ def constant(value: Coefficient) -> Polynomial:
 class TrigPolynomial:
     """A function cos_part*cos(a*t) + sin_part*sin(a*t) with polynomial parts.
 
-    The frequency a is a fixed rational; the ring is closed under d/dt
-    (which mixes the two parts with a frequency factor) and under every
-    purely spatial polynomial-coefficient operator applied componentwise.
+    The frequency a is a fixed rational.  The ring is closed under d/dt,
+    which mixes the two parts with a frequency factor (``diff_time``), and
+    so under every polynomial-coefficient differential operator;
+    ``operators.LinearOperator.apply_trig`` applies one through its normal
+    form.
     """
 
     __slots__ = ("cos_part", "sin_part", "frequency", "time_var")
@@ -861,9 +863,6 @@ class TrigPolynomial:
             t,
         )
 
-    def map_parts(self, f) -> "TrigPolynomial":
-        return TrigPolynomial(f(self.cos_part), f(self.sin_part), self.frequency, self.time_var)
-
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         if self.frequency != other.frequency or self.time_var != other.time_var:
             raise ValueError("mismatched trig frequency or time variable")
@@ -875,7 +874,7 @@ class TrigPolynomial:
         )
 
     def __neg__(self):
-        return self.map_parts(lambda p: -p)
+        return TrigPolynomial(-self.cos_part, -self.sin_part, self.frequency, self.time_var)
 
     def __sub__(self, other):
         return self + (-other)

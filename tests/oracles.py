@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from flagpde import Polynomial, lie, variable
+from flagpde import Compose, Derivative, MultiplyBy, Polynomial, Scale, Sum, TrigPolynomial, lie, variable
 from flagpde.combinatorics import multinomial
 from flagpde.linalg import (
     kernel_on_slice,
@@ -560,6 +560,37 @@ def check_splitting_termwise(splitting, degree_cap, t_power_cap):
             )
         checked += 1
     return checked
+
+
+# -- the trig ring, node by node --------------------------------------------------------
+
+def apply_trig_termwise(op, u):
+    """op on the trig polynomial u, one node at a time: d/dt through
+    ``diff_time``, every other derivative, product and scalar on both parts,
+    Sum and Compose as folds.  Any other node raises TypeError."""
+    def on_parts(f):
+        return TrigPolynomial(f(u.cos_part), f(u.sin_part), u.frequency, u.time_var)
+
+    if isinstance(op, Derivative):
+        if op.var != u.time_var:
+            return on_parts(lambda q: q.diff(op.var, op.order))
+        for _ in range(op.order):
+            u = u.diff_time()
+        return u
+    if isinstance(op, MultiplyBy):
+        return on_parts(lambda q: op.poly * q)
+    if isinstance(op, Scale):
+        return on_parts(lambda q: q * op.scalar)
+    if isinstance(op, Sum):
+        out = on_parts(lambda q: Polynomial.zero(q.vars, q.laurent))
+        for sub in op.ops:
+            out = out + apply_trig_termwise(sub, u)
+        return out
+    if isinstance(op, Compose):
+        for sub in reversed(op.ops):
+            u = apply_trig_termwise(sub, u)
+        return u
+    raise TypeError(f"{op!r} is not defined on the trig-polynomial ring")
 
 
 # -- the flag-family series, term by term ---------------------------------------------

@@ -291,6 +291,33 @@ def test_power_perturbation_rejects_noncommuting():
         power_perturbation_solve(Derivative("t"), Integrate("t"), [bad], 1, constant(1).with_variables(("t",)), xx)
 
 
+@pytest.mark.parametrize("power", [2, 4])
+def test_power_perturbation_proves_commutation_in_every_degree(power):
+    """[d/dt, t d^4/dx^4] = d^4/dx^4 vanishes on every polynomial of degree
+    below 4, so a sample of low degree misses it; the normal forms see it
+    whatever g is."""
+    t, xx = variable("t"), variable("x")
+    from flagpde.operators import Compose, MultiplyBy
+
+    bad = Compose(MultiplyBy(t), Derivative("x", 4))
+    with pytest.raises(OperatorHypothesisError, match="T0 does not commute with T1"):
+        power_perturbation_solve(
+            Derivative("t"), Integrate("t"), [bad], 1, constant(1).with_variables(("t",)), xx**power
+        )
+
+
+def test_power_perturbation_rejects_noncommuting_perturbations():
+    """d/dx and x d/dy each commute with d/dt but not with each other."""
+    xx = variable("x")
+    from flagpde.operators import Compose, MultiplyBy
+
+    perturbations = [Derivative("x"), Compose(MultiplyBy(xx), Derivative("y"))]
+    with pytest.raises(OperatorHypothesisError, match="T1 and T2 do not commute"):
+        power_perturbation_solve(
+            Derivative("t"), Integrate("t"), perturbations, 2, constant(1).with_variables(("t",)), xx
+        )
+
+
 # -- twisted two-block equations ----------------------------------------------------------------
 
 def test_twisted_single_term():

@@ -49,6 +49,24 @@ def test_solve_klein_gordon(tmp_path):
     assert run_cli(["solve", "klein-gordon", "--a", "1/2", "--monomial", "0,2,0", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert len(data["result"]["solutions"]) == 2
+    assert data["result"]["checks"] == [
+        {"name": "series residual", "status": "passed"},
+        {"name": "klein-gordon residual", "status": "passed"},
+    ]
+    assert data["result"]["verified"] is True
+
+
+def test_solve_klein_gordon_ignores_the_seed(tmp_path):
+    """--seed is accepted and seeds nothing: the result bytes agree.  The
+    report echoes the command line, so only "result" is compared."""
+    results = []
+    for seed in ("5", "0"):
+        out = tmp_path / f"kg-{seed}.json"
+        args = ["solve", "klein-gordon", "--a", "1/2", "--monomial", "2,1,1", "--seed", seed]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        results.append(json.dumps(result, sort_keys=True, indent=2).encode())
+    assert results[0] == results[1]
 
 
 def test_tree_validate_rejects_bad_tree(tmp_path):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagpde import (
@@ -16,6 +16,7 @@ from flagpde import (
     Scale,
     SeriesConfig,
     Sum,
+    TrigPolynomial,
     constant,
     right_inverse_series,
     solve_by_series,
@@ -33,7 +34,13 @@ from flagpde.operators import (
 
 from flagpde.poly import NonIntegrableTermError
 
-from oracles import diff_stepwise, dict_product, integrate_by_reciprocal, nested_inverse_term_by_term
+from oracles import (
+    apply_trig_termwise,
+    diff_stepwise,
+    dict_product,
+    integrate_by_reciprocal,
+    nested_inverse_term_by_term,
+)
 from strategies import coefficients, gaussian_coefficients, polynomials
 
 x, y = variable("x"), variable("y")
@@ -389,3 +396,61 @@ def test_image_variables_follow_the_input_then_the_tree():
     assert op(z).is_zero()
     assert Sum((Integrate("w"), MultiplyBy(y * x)))(z).vars == ("z", "w", "y", "x")
     assert DampedIntegration(Fraction(2), "t")(z).vars == ("z", "t")
+
+
+# -- the trig ring through the normal form -------------------------------------------
+
+TRIG_VARS = ("t", "x")
+
+
+def trig_leaves():
+    """Derivatives in t and x of order <= 3, t-dependent Gaussian products,
+    Gaussian scalars, the empty Sum and the identity."""
+    return st.one_of(
+        st.builds(Derivative, st.just("t"), st.integers(1, 3)),
+        st.builds(Derivative, st.sampled_from(TRIG_VARS), st.integers(0, 3)),
+        st.builds(MultiplyBy, polynomials(vars=TRIG_VARS, max_terms=2, max_exp=2,
+                                          coeffs=gaussian_coefficients())),
+        st.builds(Scale, gaussian_coefficients()),
+        st.just(Sum(())),
+        st.just(Compose()),  # the identity
+    )
+
+
+def trig_operators():
+    return st.recursive(
+        trig_leaves(),
+        lambda children: st.one_of(
+            st.lists(children, min_size=1, max_size=3).map(Sum),
+            st.lists(children, min_size=1, max_size=3).map(Compose),
+        ),
+        max_leaves=5,
+    )
+
+
+@st.composite
+def trig_polynomials(draw):
+    part = polynomials(vars=TRIG_VARS, max_terms=3, max_exp=3, coeffs=gaussian_coefficients())
+    part = part.filter(lambda p: not p.is_zero())
+    return TrigPolynomial(draw(part), draw(part), draw(coefficients()))
+
+
+@given(trig_operators(), trig_polynomials())
+@example(Derivative("t"), TrigPolynomial(constant(1), constant(0), Fraction(2)))
+@settings(max_examples=60, deadline=None)
+def test_apply_trig_matches_termwise_oracle(op, u):
+    assert op.apply_trig(u) == apply_trig_termwise(op, u)
+    assert op(u) == apply_trig_termwise(op, u)
+
+
+@given(trig_operators(), trig_polynomials(),
+       st.sampled_from((Integrate("x"), DampedIntegration(Fraction(2), "t"),
+                        NestedRightInverse([(1, Derivative("x"))]))),
+       st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_apply_trig_rejects_operators_without_a_normal_form(op, u, bad, as_sum):
+    tree = Sum((op, bad)) if as_sum else Compose(op, bad)
+    with pytest.raises(TypeError):
+        tree.apply_trig(u)
+    with pytest.raises(TypeError):
+        apply_trig_termwise(tree, u)
