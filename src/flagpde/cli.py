@@ -6,14 +6,20 @@ bases, and the constant-coefficient ODE helper.
 
 Exit codes: 0 on success, 2 for input problems (bad arguments, schema
 violations, invalid trees), 3 when a verification fails or a numeric series
-does not settle or overflows.  Output written through --out is
-deterministic: identical inputs produce byte-identical files; wall time is
-only printed to stdout.
+does not settle or overflows.  A report is json.dumps(report,
+sort_keys=True, indent=2) plus a newline, written through --out or to
+stdout.  It is deterministic: identical inputs produce byte-identical
+files; wall time is only printed to stderr.
+
+``main`` may be called repeatedly in one process.  The argument parser is
+built once, on the first call, and every call parses into a fresh
+namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -21,6 +27,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 from .bases import (
@@ -185,13 +192,70 @@ def _digest(argv, file_paths):
     return h.hexdigest()
 
 
+@functools.cache
+def _flat_encoder(depth: int):
+    """The C encoder for a container at nesting depth whose children are all
+    scalars: sorted keys, its items separated as json.dumps(indent=2) puts
+    them.  The C encoder leaves out indentation otherwise."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * (depth + 1), True, False, True)
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for
+    acyclic data: a container of scalars in one C encoder call, the
+    containers above it walked here."""
+    if c_make_encoder is None:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    out = []
+    _write(obj, 0, out)
+    return "".join(out)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _write(obj, depth, out):
+    """Append the chunks of obj at nesting depth to out."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+        return
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        out += _flat_encoder(depth)(obj, depth)  # other scalars, {} and []
+        return
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + ("}" if is_dict else "]")
+    if not any(map(isinstance, obj.values() if is_dict else obj, itertools.repeat(_CONTAINERS))):
+        text = "".join(_flat_encoder(depth)(obj, depth))
+        out += (text[0], inner, text[1:-1], close)
+        return
+    sep, after = ("{" if is_dict else "[") + inner, "," + inner
+    if is_dict:
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (isinstance(key, (int, float)) or key is None):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = "".join(_flat_encoder(0)(key, 0))  # as json.dumps converts a key
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write(value, depth + 1, out)
+            sep = after
+    else:
+        for value in obj:
+            out.append(sep)
+            _write(value, depth + 1, out)
+            sep = after
+    out.append(close)
+
+
 def _emit(args, payload, file_paths=()):
     report = {
         "command": args._argv,
         "inputsDigest": _digest(args._argv, file_paths),
         "result": payload,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -321,9 +385,9 @@ def _cmd_tree(args):
             "degreeCap": report.degree_cap,
             "tPowerCap": report.t_power_cap,
             "monomialsChecked": report.monomials_checked,
-            "verified": True,
         }
-        _emit(args, payload, file_paths=[args.tree])
+        # check_splitting raises VerificationError on the first mismatch
+        _emit(args, _with_checks(payload, [("splitting", "passed")]), file_paths=[args.tree])
         return 0
     raise InputError(f"unknown tree action {args.action}")
 
@@ -485,6 +549,7 @@ def _cmd_ode(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="flagpde",

@@ -22,6 +22,7 @@ from .operators import (
     Scale,
     SeriesConfig,
     Sum,
+    TrigApplicator,
     VerificationError,
     solve_by_series,
 )
@@ -309,7 +310,8 @@ def klein_gordon_solutions(a, monomial):
             Scale(a * a),
         )
     )
+    check = TrigApplicator(kg, a, "t", (v_re, v_im))
     for sol in (first, second):
-        if not kg.apply_trig(sol).is_zero():
+        if not check(sol).is_zero():
             raise VerificationError("Klein-Gordon output fails the defining identity")
     return first, second

@@ -22,7 +22,7 @@ folds, and DampedIntegration its finite expansion.
 ``LinearOperator.apply`` is written once: it puts p over p.vars followed
 by the operator's variables in tree order, runs ``apply_form`` and
 converts the image out once.  ``apply_trig`` is written once, on the
-normal form below.
+normal form below, through ``TrigApplicator``.
 
 A polynomial-coefficient differential operator has the normal form
 sum_alpha c_alpha d^alpha (``differential_form``), unique in the Weyl
@@ -77,6 +77,7 @@ __all__ = [
     "SeriesConfig",
     "SeriesTerminationError",
     "Sum",
+    "TrigApplicator",
     "VerificationError",
     "apply_operator",
     "differential_form",
@@ -131,35 +132,10 @@ class LinearOperator:
         raise NotImplementedError
 
     def apply_trig(self, u: TrigPolynomial) -> TrigPolynomial:
-        """The operator on P cos(at) + Q sin(at), through its normal form.
-
-        On (P, Q), d/dt acts as dt + aJ with J(P, Q) = (Q, -P), J^2 = -1 and
-        J commuting with dt and every coefficient.  Expanding each dt^k by
-        the binomial theorem splits the form into M0 (even powers of J) and
-        M1 (odd), and L(P cos + Q sin) = (M0 P + M1 Q) cos + (M0 Q - M1 P) sin.
-        An operator without a normal form raises TypeError.
-        """
-        form = differential_form(self)
-        if form is None:
-            raise TypeError(f"{self!r} is not defined on the trig-polynomial ring")
-        a, t = u.frequency, u.time_var
-        halves = ({}, {})
-        for alpha, c in form.items():
-            k = dict(alpha).get(t, 0)
-            rest = tuple(o for o in alpha if o[0] != t)
-            for j in range(k + 1):
-                # C(k, j) a^j J^j dt^(k-j), with J^j = (-1)^(j // 2) J^(j % 2)
-                weight = math.comb(k, j) * a**j * (-1) ** (j // 2)
-                beta = tuple(sorted(rest + ((t, k - j),))) if j < k else rest
-                _add_form_term(halves[j % 2], beta, c * weight)
-        parts = (u.cos_part, u.sin_part)
-        vs = _form_order(halves, parts)
-        m0, m1 = (FormApplicator(h, vs) for h in halves)
-        laurent = frozenset().union(m0.laurent, m1.laurent, *(part.laurent for part in parts))
-        p, q = (_int_form(part, vs) for part in parts)
-        cos = (m0.apply_form(p) + m1.apply_form(q)).to_poly(vs, laurent)
-        sin = (m0.apply_form(q) - m1.apply_form(p)).to_poly(vs, laurent)
-        return TrigPolynomial(cos, sin, a, t)
+        """The operator on P cos(at) + Q sin(at), through its normal form
+        (``TrigApplicator``).  An operator without a normal form raises
+        TypeError."""
+        return TrigApplicator(self, u.frequency, u.time_var, (u.cos_part, u.sin_part))(u)
 
     def annihilates(self, p) -> bool:
         return self(p).is_zero()
@@ -652,6 +628,53 @@ class FormApplicator:
 
     def annihilates(self, p: Polynomial) -> bool:
         return not self.apply_form(_int_form(p, self.vars))
+
+
+class TrigApplicator:
+    """An operator on P cos(at) + Q sin(at) for one frequency a and time
+    variable t, through its normal form, built once.
+
+    On (P, Q), d/dt acts as dt + aJ with J(P, Q) = (Q, -P), J^2 = -1 and
+    J commuting with dt and every coefficient.  Expanding each dt^k by
+    the binomial theorem splits the form into M0 (even powers of J) and
+    M1 (odd), and L(P cos + Q sin) = (M0 P + M1 Q) cos + (M0 Q - M1 P) sin.
+    M0 and M1 are FormApplicators over the variables of the given polys,
+    then the operator's; the parts of every trig polynomial applied must
+    lie over those.  An operator without a normal form raises TypeError.
+    """
+
+    __slots__ = ("frequency", "time_var", "_m0", "_m1")
+
+    def __init__(self, op: LinearOperator, frequency, time_var: str, polys):
+        form = differential_form(op)
+        if form is None:
+            raise TypeError(f"{op!r} is not defined on the trig-polynomial ring")
+        self.frequency = a = Fraction(frequency)
+        self.time_var = t = time_var
+        halves = ({}, {})
+        for alpha, c in form.items():
+            k = dict(alpha).get(t, 0)
+            rest = tuple(o for o in alpha if o[0] != t)
+            for j in range(k + 1):
+                # C(k, j) a^j J^j dt^(k-j), with J^j = (-1)^(j // 2) J^(j % 2)
+                weight = math.comb(k, j) * a**j * (-1) ** (j // 2)
+                beta = tuple(sorted(rest + ((t, k - j),))) if j < k else rest
+                _add_form_term(halves[j % 2], beta, c * weight)
+        vs = _form_order(halves, polys)
+        self._m0, self._m1 = (FormApplicator(h, vs) for h in halves)
+
+    def __call__(self, u: TrigPolynomial) -> TrigPolynomial:
+        if (u.frequency, u.time_var) != (self.frequency, self.time_var):
+            raise ValueError(f"built for frequency {self.frequency} in {self.time_var}, "
+                             f"got {u.frequency} in {u.time_var}")
+        m0, m1 = self._m0, self._m1
+        vs = m0.vars
+        parts = (u.cos_part, u.sin_part)
+        laurent = frozenset().union(m0.laurent, m1.laurent, *(part.laurent for part in parts))
+        p, q = (_int_form(part, vs) for part in parts)
+        cos = (m0.apply_form(p) + m1.apply_form(q)).to_poly(vs, laurent)
+        sin = (m0.apply_form(q) - m1.apply_form(p)).to_poly(vs, laurent)
+        return TrigPolynomial(cos, sin, u.frequency, u.time_var)
 
 
 def form_applicator(op: LinearOperator, polys):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import flagpde
 from flagpde.bases import harmonic_basis
-from flagpde.cli import _VALIDATORS, DATA_SCHEMA, TREE_SCHEMA, InputError, _grid_points, _validate, main
+from flagpde import cli
+from flagpde.cli import _VALIDATORS, DATA_SCHEMA, TREE_SCHEMA, InputError, _dumps, _grid_points, _validate, main
 
 
 def run_cli(args):
@@ -86,7 +87,13 @@ def test_tree_xi_and_splitting(tmp_path):
     tree.write_text(json.dumps({"nodes": 3, "edges": [[1, 2], [2, 3]]}))
     out = tmp_path / "xi.json"
     assert run_cli(["tree", "xi", "--tree", str(tree), "--out", str(out)]) == 0
-    assert run_cli(["tree", "check-splitting", "--tree", str(tree), "--cap", "2", "--tcap", "2"]) == 0
+    out = tmp_path / "split.json"
+    assert run_cli(["tree", "check-splitting", "--tree", str(tree), "--cap", "2", "--tcap", "2",
+                    "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["checks"] == [{"name": "splitting", "status": "passed"}]
+    assert result["verified"] is True
+    assert result["monomialsChecked"] == 10  # the monomials of degree <= 2 in x1, x2, x3
 
 
 def test_ivp_flag_grid(tmp_path):
@@ -472,3 +479,112 @@ def test_ivp_payload_reports_the_checked_tolerance(tmp_path):
     verification = json.loads(out.read_text())["result"]["verification"]
     assert verification["tolerance"] == IVP_TOLERANCE == 1e-9
     assert verification["passed"] is (verification["initialTraceResidual"] <= IVP_TOLERANCE)
+
+
+# -- the report writer and repeated calls ----------------------------------------------------
+
+def _report_inputs(tmp_path):
+    files = {
+        "spec": {"orders": [2, 1, 2], "coefficients": [
+            [{"exp": {"x1": 1}, "re": "0", "im": "1"}, {"exp": {}, "re": "1"}],
+            [{"exp": {"x1": 1, "x2": 1}, "re": "1"}, {"exp": {}, "re": "-1/2", "im": "1/3"}]]},
+        "tree": {"nodes": 3, "edges": [[1, 2], [2, 3]]},
+        "symbols": {"variables": ["D2"], "symbols": [[], [{"exp": {"D2": 2}, "re": "1"}]]},
+        "flag": {"halfWidths": [1.0], "conditions": [{"modes": [{"k": [1], "cos": 1.0, "sin": 0.0}]},
+                                                    {"modes": []}]},
+        "wave": {"halfWidths": [1.0, 1.0, 1.0], "g0": {"modes": [{"k": [1, 1, 1], "cos": 1.0}]},
+                 "g1": {"modes": [{"k": [1, 0, 2], "cos": 0.25, "sin": -0.5}]}},
+    }
+    return {name: _write(tmp_path, f"{name}.json", json.dumps(data)) for name, data in files.items()}
+
+
+@pytest.mark.parametrize("args", [
+    ["basis", "constant", "--orders", "2,2", "--cap", "3"],
+    ["basis", "harmonic", "--n", "3", "--cap", "3"],
+    ["basis", "flag", "--spec", "{spec}", "--cap", "3"],
+    ["basis", "dissipative", "--n", "2", "--cap", "3"],
+    ["basis", "anisym", "--lambda", "-3", "--epsilon", "-1", "--n", "1", "--cap", "3"],
+    ["solve", "klein-gordon", "--a", "1/2", "--monomial", "2,1,1"],
+    ["tree", "xi", "--tree", "{tree}"],
+    ["tree", "check-splitting", "--tree", "{tree}", "--cap", "2", "--tcap", "2"],
+    ["lie", "harmonic", "--n", "3", "--k", "2"],
+    ["lie", "g2", "--k", "1"],
+    ["lie", "check"],
+    ["ivp", "flag", "--orders", "2", "--symbols", "{symbols}", "--data", "{flag}", "--grid", "3x3"],
+    ["ivp", "tree-wave", "--tree", "{tree}", "--data", "{wave}", "--t", "0.05", "--grid", "2x2x2"],
+    ["ode", "--coeffs", "0,-1", "--init", "1,0", "--t", "1.0"],
+], ids=lambda args: " ".join(a for a in args[:2] if not a.startswith("-")))
+def test_report_is_its_indented_json_encoding(tmp_path, args):
+    paths = _report_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    assert run_cli([a.format(**paths) for a in args] + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_repeated_main_calls_share_no_argument_state(tmp_path):
+    out = tmp_path / "h.json"
+
+    def harmonic(*args):
+        assert run_cli(["basis", "harmonic", *args, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    assert harmonic("--n", "4", "--cap", "2")["result"]["truncation"] == {"cap": 2, "n": 4}
+    # the defaults of a later call are not the values of an earlier one
+    report = harmonic()
+    assert report["result"]["truncation"] == {"cap": 4, "n": 2}
+    assert report["command"] == ["basis", "harmonic", "--out", str(out)]
+    assert run_cli(["basis", "harmonic", "--n", "three"]) == 2
+    assert run_cli(["ode", "--coeffs", "0,-1"]) == 2
+    assert harmonic("--cap", "1")["result"]["truncation"] == {"cap": 1, "n": 2}
+    assert cli._build_parser() is cli._build_parser()
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7e308, -1.7e308]),
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "é \U0001f600", "\ud800"]),
+)
+
+# the keys of one dict compare with each other, as sorting them needs
+_KEYS = st.sampled_from([
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    st.one_of(st.integers(min_value=-(10**30), max_value=10**30), st.floats(allow_nan=False), st.booleans()),
+    st.none(),
+])
+
+
+def _json_values():
+    return st.recursive(_SCALARS, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    ), max_leaves=24)
+
+
+@given(_json_values())
+@example({"a": [], "b": {"c": {}, "d": [[], {}]}, "e": ()})
+@example({1: {2.5: [True]}, 3: None, -0.0: "x"})
+@example({None: {"k": [float("nan"), float("inf"), float("-inf")]}})
+@example([[[[1]]], "é"])
+def test_report_writer_matches_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): [1]}, {(1, 2): 1}, {"a": [object()]}, [{"a": 1j}]])
+def test_report_writer_rejects_what_json_dumps_rejects(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        _dumps(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_report_writer_falls_back_without_the_c_encoder(monkeypatch):
+    obj = {"b": [1, {"c": []}], "a": "x"}
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)

@@ -27,6 +27,7 @@ from flagpde.operators import (
     NotAFlagSystemError,
     OperatorHypothesisError,
     SeriesTerminationError,
+    TrigApplicator,
     differential_form,
     op_from_json,
     op_to_json,
@@ -441,6 +442,19 @@ def trig_polynomials(draw):
 def test_apply_trig_matches_termwise_oracle(op, u):
     assert op.apply_trig(u) == apply_trig_termwise(op, u)
     assert op(u) == apply_trig_termwise(op, u)
+
+
+@given(trig_operators(), trig_polynomials(), trig_polynomials())
+@settings(max_examples=40, deadline=None)
+def test_trig_applicator_built_once_matches_termwise_oracle(op, u, v):
+    """One TrigApplicator over the parts of two trig polynomials of one
+    frequency gives each the image of its own apply_trig call."""
+    v = TrigPolynomial(v.cos_part, v.sin_part, u.frequency)
+    shared = TrigApplicator(op, u.frequency, "t", (u.cos_part, u.sin_part, v.cos_part, v.sin_part))
+    for w in (u, v):
+        assert shared(w) == apply_trig_termwise(op, w) == op.apply_trig(w)
+    with pytest.raises(ValueError, match="built for frequency"):
+        shared(TrigPolynomial(u.cos_part, u.sin_part, u.frequency + 1))
 
 
 @given(trig_operators(), trig_polynomials(),
