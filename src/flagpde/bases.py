@@ -36,7 +36,7 @@ from .operators import (
     operators_agree_on_sample,
     solve_by_series,
 )
-from .poly import Polynomial, _int_form, _IntForm, _sum_forms, variable
+from .poly import GaussianRational, Polynomial, _int_form, _IntForm, _sum_forms, variable
 
 __all__ = [
     "BasisElement",
@@ -236,9 +236,11 @@ class FlagEquationSpec:
         n = len(self.orders)
         if not self.variables:
             self.variables = _default_vars(n)
+        if len(self.variables) != n:
+            raise ValueError(f"need one variable per order, got {self.variables} for {n} orders")
         coeffs = []
         for c in self.coefficients:
-            if isinstance(c, (int, Fraction)):
+            if isinstance(c, (int, Fraction, GaussianRational)):
                 c = Polynomial.const(c)
             coeffs.append(c)
         self.coefficients = tuple(coeffs)

@@ -157,6 +157,8 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     with the t^(1-lam) profiles; negative odd integers lam = -2k-1 restrict
     the first branch to seeds killed by Lap^(k+1) and keep the second.
     """
+    if n < 1:
+        raise ValueError("need at least one spatial variable")
     lam = Fraction(lam)
     if not lam:
         raise ValueError("use plain wave module")

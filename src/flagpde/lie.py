@@ -11,9 +11,10 @@ perturbation-series shapes as the flag solvers; a brute-force kernel oracle
 over graded monomial slices supplies ground truth for dimensions and spans.
 
 The commutation suite proves its operator identities instead of sampling
-them: both sides are brought to the normal form sum_alpha c_alpha d^alpha,
-which is unique in the Weyl algebra, so equal forms mean that the identity
-holds on every polynomial, in every degree.
+them: both sides are brought to the normal form sum_alpha c_alpha d^alpha
+over x1..x7 or x1..xn, y1..yn, with integer-form coefficients, which is
+unique in the Weyl algebra, so equal forms mean that the identity holds on
+every polynomial, in every degree.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .operators import (
     VerificationError,
     differential_form,
     forms_commute,
-    same_action,
+    operators_agree_on_sample,
 )
 from .poly import IMAG, Polynomial, coeff_inverse, variable
 
@@ -272,18 +273,20 @@ def select_g2_laplacian_reading():
 
 def _g2_reading_checks(eta, action):
     """{first_var: (commutes with the action, eta law holds)} for both readings."""
+    vs = tuple(f"x{i}" for i in range(1, 8))
     gen_forms = [
-        differential_form(part) for gen in action.values() for part in (gen.rational, gen.radical)
+        differential_form(part, vs) for gen in action.values() for part in (gen.rational, gen.radical)
     ]
-    euler = _euler_operator(tuple(f"x{i}" for i in range(1, 8)))
+    euler = _euler_operator(vs)
     checks = {}
     for first_var in (1, 2):
         lap = g2_laplacian(first_var)
-        lap_form = differential_form(lap)
+        lap_form = differential_form(lap, vs)
         commutes = all(forms_commute(lap_form, form) for form in gen_forms)
-        law = same_action(
+        law = operators_agree_on_sample(
             Compose(lap, MultiplyBy(eta)),
             Sum((Scale(14), Compose(MultiplyBy(eta), lap), Compose(Scale(4), euler))),
+            vs,
         )
         checks[first_var] = (commutes, law)
     return checks
@@ -535,16 +538,15 @@ def commutation_checks(n_sl: int = 2, max_degree: int = 3) -> dict:
     ] + sl_cartan(n_sl)
     report["zeta invariant"] = all(op(zeta).is_zero() for op in sl_gens)
 
-    delta_form = differential_form(delta)
+    vs = tuple(f"x{i}" for i in range(1, n_sl + 1)) + tuple(f"y{i}" for i in range(1, n_sl + 1))
+    delta_form = differential_form(delta, vs)
     report["contraction commutes with action"] = all(
-        forms_commute(delta_form, differential_form(op)) for op in sl_gens
+        forms_commute(delta_form, differential_form(op, vs)) for op in sl_gens
     )
-    euler = _euler_operator(
-        tuple(f"x{i}" for i in range(1, n_sl + 1)) + tuple(f"y{i}" for i in range(1, n_sl + 1))
-    )
-    report["zeta multiplication law"] = same_action(
+    report["zeta multiplication law"] = operators_agree_on_sample(
         Compose(delta, MultiplyBy(zeta)),
-        Sum((Scale(n_sl), Compose(MultiplyBy(zeta), delta), euler)),
+        Sum((Scale(n_sl), Compose(MultiplyBy(zeta), delta), _euler_operator(vs))),
+        vs,
     )
 
     eta = g2_invariant()

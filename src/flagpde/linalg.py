@@ -263,11 +263,14 @@ def kernel_on_slice(op, slice_monomials):
 
     Returns a list of Polynomials spanning {p in span(slice) : op(p) = 0}:
     the canonical basis read off the reduced row echelon form, with columns
-    in slice order.
+    in slice order.  One ``operators.form_applicator`` maps the whole slice.
     """
+    from .operators import form_applicator  # operators imports this module
+
     if not slice_monomials:
         return []
-    images, _ = _aligned([op(m) for m in slice_monomials])
+    apply = form_applicator(op, slice_monomials)
+    images, _ = _aligned([apply(m) for m in slice_monomials])
     # Columns index the slice monomials, rows index the support of the images.
     rows = {}
     for j, terms in enumerate(images):

@@ -26,8 +26,10 @@ normal form below, through ``TrigApplicator``.
 
 A polynomial-coefficient differential operator has the normal form
 sum_alpha c_alpha d^alpha (``differential_form``), unique in the Weyl
-algebra; ``FormApplicator`` applies it to integer forms, and every
-residual check of the library runs the returned polynomial through it.
+algebra, with integer-form coefficients over one variable order that the
+caller fixes; ``forms_commute`` and ``operators_agree_on_sample`` compare
+such forms.  ``form_applicator`` applies one over the order ``apply`` uses;
+every residual check and ``linalg.kernel_on_slice`` run through it.
 
 The module also hosts the series engine: given T1 with right inverse T1inv
 and a perturbation T2 that is locally nilpotent relative to a filtration,
@@ -89,7 +91,6 @@ __all__ = [
     "operator_variables",
     "operators_agree_on_sample",
     "right_inverse_series",
-    "same_action",
     "solve_by_series",
 ]
 
@@ -173,11 +174,14 @@ class MultiplyBy(LinearOperator):
         self.poly = poly
         self._forms = {}
 
-    def apply_form(self, q, vars):
+    def form(self, vars: tuple) -> _IntForm:
         f = self._forms.get(vars)
         if f is None:
             f = self._forms[vars] = _int_form(self.poly, vars)
-        return f * q
+        return f
+
+    def apply_form(self, q, vars):
+        return self.form(vars) * q
 
     def __eq__(self, other):
         return isinstance(other, MultiplyBy) and self.poly == other.poly
@@ -455,36 +459,35 @@ def operator_variables(op: LinearOperator) -> frozenset:
     return frozenset(_variables_in_order(op))
 
 
-def differential_form(op: LinearOperator):
+def differential_form(op: LinearOperator, vars: tuple):
     """op as sum_alpha c_alpha(x) d^alpha, or None outside that class.
 
-    Returns {alpha: c_alpha}: alpha is a tuple of (variable, order) pairs
-    sorted by variable, () for the identity, and c_alpha a nonzero
-    Polynomial.  Derivative, MultiplyBy, Scale, Sum and Compose are covered;
-    Compose moves each derivative right past the coefficients after it by
-    the Leibniz rule.  Any other node (integrations, right inverses) gives
-    None.
+    Returns {alpha: c_alpha}: alpha is a tuple of (position in vars, order)
+    pairs sorted by position, () for the identity, and c_alpha a nonzero
+    integer form over vars, which holds every variable of op.  Derivative,
+    MultiplyBy, Scale, Sum and Compose are covered; Compose moves each
+    derivative right past the coefficients after it by the Leibniz rule.
+    Any other node (integrations, right inverses) gives None.
     """
     if isinstance(op, Derivative):
-        return {((op.var, op.order),) if op.order else (): Polynomial.const(1)}
+        return {((vars.index(op.var), op.order),) if op.order else (): _IntForm.one(len(vars))}
     if isinstance(op, MultiplyBy):
-        return {} if op.poly.is_zero() else {(): op.poly}
+        return {} if op.poly.is_zero() else {(): op.form(vars)}
     if isinstance(op, Scale):
-        c = Polynomial.const(op.scalar)
-        return {} if c.is_zero() else {(): c}
+        return {(): _IntForm.one(len(vars)).scaled(op.scalar)} if op.scalar else {}
     if isinstance(op, Sum):
         out = {}
         for sub in op.ops:
-            form = differential_form(sub)
+            form = differential_form(sub, vars)
             if form is None:
                 return None
             for alpha, c in form.items():
                 _add_form_term(out, alpha, c)
         return out
     if isinstance(op, Compose):
-        out = {(): Polynomial.const(1)}
+        out = {(): _IntForm.one(len(vars))}
         for sub in reversed(op.ops):
-            form = differential_form(sub)
+            form = differential_form(sub, vars)
             if form is None:
                 return None
             out = _compose_forms(form, out)
@@ -492,10 +495,10 @@ def differential_form(op: LinearOperator):
     return None
 
 
-def _add_form_term(form: dict, alpha: tuple, c: Polynomial):
+def _add_form_term(form: dict, alpha: tuple, c: _IntForm):
     if alpha in form:
         c = form[alpha] + c
-    if c.is_zero():
+    if not c:
         form.pop(alpha, None)
     else:
         form[alpha] = c
@@ -507,47 +510,33 @@ def _compose_forms(a: dict, b: dict) -> dict:
     out = {}
     for alpha, ca in a.items():
         # per gamma <= alpha: the derivatives taken of c_beta, those left on
-        # w, and C(alpha, gamma); all independent of beta
+        # w, and C(alpha, gamma) c_alpha; all independent of beta
         splits = []
         for gamma in itertools.product(*(range(m + 1) for _, m in alpha)):
             pairs = list(zip(alpha, gamma))
+            weight = math.prod(math.comb(m, g) for (_, m), g in pairs)
             splits.append((
-                [(v, g) for (v, _), g in pairs if g],
-                [(v, m - g) for (v, m), g in pairs if m > g],
-                math.prod(math.comb(m, g) for (_, m), g in pairs),
+                [(i, g) for (i, _), g in pairs if g],
+                [(i, m - g) for (i, m), g in pairs if m > g],
+                ca.scaled(weight) if weight != 1 else ca,
             ))
         for beta, cb in b.items():
-            for on_coeff, on_w, weight in splits:
+            for on_coeff, on_w, weighted in splits:
                 coeff = cb
-                for v, g in on_coeff:
-                    coeff = coeff.diff(v, g)
-                if coeff.is_zero():
+                for i, g in on_coeff:
+                    coeff = coeff.diff(i, g)
+                if not coeff:
                     continue
                 orders = dict(beta)
-                for v, m in on_w:
-                    orders[v] = orders.get(v, 0) + m
-                _add_form_term(out, tuple(sorted(orders.items())), _times(ca, coeff, weight))
+                for i, m in on_w:
+                    orders[i] = orders.get(i, 0) + m
+                _add_form_term(out, tuple(sorted(orders.items())), weighted * coeff)
     return out
 
 
-def _times(p: Polynomial, q: Polynomial, weight: int) -> Polynomial:
-    """p * q * weight, scaling when p or q is a constant without variables
-    (a polynomial product would realign the variables first)."""
-    if not p.vars:
-        return q * (p.constant_term() * weight)
-    if not q.vars:
-        return p * (q.constant_term() * weight)
-    return p * q * weight if weight != 1 else p * q
-
-
 def forms_commute(form_a: dict, form_b: dict) -> bool:
-    """True when [A, B] = 0, given the normal forms of A and B."""
+    """True when [A, B] = 0, given their normal forms over one order."""
     return _compose_forms(form_a, form_b) == _compose_forms(form_b, form_a)
-
-
-def same_action(a: LinearOperator, b: LinearOperator) -> bool:
-    """True when a and b agree on every polynomial: equal normal forms."""
-    return differential_form(a) == differential_form(b)
 
 
 # (part of p, part of the coefficients, real (0) or imaginary (1) sum, sign):
@@ -560,33 +549,31 @@ class FormApplicator:
     """A normal form sum_j c_j d^alpha_j applied to polynomials whose
     variables are all in one fixed order.
 
-    The coefficients are put over the order once as integer forms
-    (poly._IntForm) on D, their common denominator.  With d that of the
-    input q, D d op(q) = sum_j (D c_j) d^alpha_j (d q) is accumulated with
-    integer falling factorials, one dict per real and imaginary part, over
-    the denominator D d.  A block whose coefficient is a constant adds no
-    exponents.
+    The form is a ``differential_form`` over that order, and `laurent` the
+    Laurent variables of its outputs.  With D the common denominator of
+    the coefficients and d that of the input q, D d op(q) = sum_j (D c_j)
+    d^alpha_j (d q) is accumulated with integer falling factorials, one
+    dict per real and imaginary part, over the denominator D d.  A block
+    whose coefficient is a constant adds no exponents.
     """
 
     __slots__ = ("vars", "laurent", "_den", "_routes")
 
-    def __init__(self, form: dict, vars):
-        self.vars = vs = tuple(vars)
-        self.laurent = frozenset().union(*(c.laurent for c in form.values()))
-        coeffs = [_int_form(c, vs) for c in form.values()]
-        self._den = den = math.lcm(*(c.den for c in coeffs))
+    def __init__(self, form: dict, vars: tuple, laurent: frozenset):
+        self.vars = vs = vars
+        self.laurent = laurent
+        self._den = den = math.lcm(*(c.den for c in form.values()))
         const = (0,) * len(vs)
         # per route: the part of the input it reads, the sum it feeds, and
         # per block (derivative orders, signed coefficient terms, constant?)
         self._routes = []
         for part, side, target, sign in _ROUTES:
             blocks = []
-            for alpha, c in zip(form, coeffs):
+            for alpha, c in form.items():
                 k = sign * (den // c.den)
                 cterms = [(exp, a * k) for exp, a in (c.im if side else c.re).items()]
                 if cterms:
-                    orders = tuple((vs.index(v), m) for v, m in alpha)
-                    blocks.append((orders, cterms, all(exp == const for exp, _ in cterms)))
+                    blocks.append((alpha, cterms, all(exp == const for exp, _ in cterms)))
             if blocks:
                 self._routes.append((part, target, blocks))
 
@@ -646,11 +633,13 @@ class TrigApplicator:
     __slots__ = ("frequency", "time_var", "_m0", "_m1")
 
     def __init__(self, op: LinearOperator, frequency, time_var: str, polys):
-        form = differential_form(op)
+        vs, laurent = _chain_order(polys, [op])
+        form = differential_form(op, vs)
         if form is None:
             raise TypeError(f"{op!r} is not defined on the trig-polynomial ring")
         self.frequency = a = Fraction(frequency)
-        self.time_var = t = time_var
+        self.time_var = time_var
+        t = vs.index(time_var) if time_var in vs else None
         halves = ({}, {})
         for alpha, c in form.items():
             k = dict(alpha).get(t, 0)
@@ -659,9 +648,8 @@ class TrigApplicator:
                 # C(k, j) a^j J^j dt^(k-j), with J^j = (-1)^(j // 2) J^(j % 2)
                 weight = math.comb(k, j) * a**j * (-1) ** (j // 2)
                 beta = tuple(sorted(rest + ((t, k - j),))) if j < k else rest
-                _add_form_term(halves[j % 2], beta, c * weight)
-        vs = _form_order(halves, polys)
-        self._m0, self._m1 = (FormApplicator(h, vs) for h in halves)
+                _add_form_term(halves[j % 2], beta, c.scaled(weight))
+        self._m0, self._m1 = (FormApplicator(h, vs, laurent) for h in halves)
 
     def __call__(self, u: TrigPolynomial) -> TrigPolynomial:
         if (u.frequency, u.time_var) != (self.frequency, self.time_var):
@@ -670,7 +658,7 @@ class TrigApplicator:
         m0, m1 = self._m0, self._m1
         vs = m0.vars
         parts = (u.cos_part, u.sin_part)
-        laurent = frozenset().union(m0.laurent, m1.laurent, *(part.laurent for part in parts))
+        laurent = m0.laurent.union(*(part.laurent for part in parts))
         p, q = (_int_form(part, vs) for part in parts)
         cos = (m0.apply_form(p) + m1.apply_form(q)).to_poly(vs, laurent)
         sin = (m0.apply_form(q) - m1.apply_form(p)).to_poly(vs, laurent)
@@ -678,23 +666,14 @@ class TrigApplicator:
 
 
 def form_applicator(op: LinearOperator, polys):
-    """op on the given polys: a FormApplicator over their variables and op's
-    when op has a differential form and every p is a Polynomial, else op
-    itself (integrations, right inverses, trig polynomials)."""
-    form = differential_form(op)
-    if form is None or not all(isinstance(p, Polynomial) for p in polys):
+    """op on the given polys: a FormApplicator over their variables, then
+    op's, when every p is a Polynomial and op has a differential form, else
+    op itself (integrations, right inverses, trig polynomials)."""
+    if not all(isinstance(p, Polynomial) for p in polys):
         return op
-    return FormApplicator(form, _form_order([form], polys))
-
-
-def _form_order(forms, polys) -> tuple:
-    """The variables of polys, then those of the forms' coefficients and
-    derivatives, without repeats."""
-    return tuple(dict.fromkeys(itertools.chain(
-        (v for p in polys for v in p.vars),
-        (v for form in forms for c in form.values() for v in c.vars),
-        (v for form in forms for alpha in form for v, _ in alpha),
-    )))
+    vs, laurent = _chain_order(polys, [op])
+    form = differential_form(op, vs)
+    return op if form is None else FormApplicator(form, vs, laurent)
 
 
 def max_derivative_order(op: LinearOperator) -> int:
@@ -709,8 +688,9 @@ def operators_agree_on_sample(op_a, op_b, vars) -> bool:
     """Whether op_a and op_b act alike, decided exactly: by equal normal
     forms, a proof in every degree, when both have one; else (integrations,
     right inverses) on every monomial of total degree <= 2 over vars."""
-    form_a = differential_form(op_a)
-    form_b = differential_form(op_b) if form_a is not None else None
+    vs, _ = _chain_order([], [op_a, op_b])
+    form_a = differential_form(op_a, vs)
+    form_b = differential_form(op_b, vs) if form_a is not None else None
     if form_b is not None:
         return form_a == form_b
     return all(

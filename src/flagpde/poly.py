@@ -542,7 +542,10 @@ class Polynomial:
         terms = {}
         for entry in data:
             exp = tuple(entry.get("exp", {}).get(v, 0) for v in variables)
-            c = GaussianRational(Fraction(entry["re"]), Fraction(entry.get("im", "0")))
+            try:
+                c = GaussianRational(Fraction(entry["re"]), Fraction(entry.get("im", "0")))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {entry}") from None
             c = _norm_coeff(terms.get(exp, 0) + c)
             if c:
                 terms[exp] = c
@@ -618,6 +621,10 @@ class _IntForm:
     def zero() -> "_IntForm":
         return _IntForm({}, {}, 1)
 
+    @staticmethod
+    def one(width: int) -> "_IntForm":
+        return _IntForm({(0,) * width: 1}, {}, 1)
+
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -681,12 +688,12 @@ class _IntForm:
         return _reduced(_nonzero(re), _nonzero(im), self.den * other.den)
 
     def scaled(self, value) -> "_IntForm":
-        """The form times a nonzero exact scalar."""
+        """The form times an exact scalar."""
         vr, vi = (value.re, value.im) if isinstance(value, GaussianRational) else (value, 0)
         cd = math.lcm(vr.denominator, vi.denominator)
         cr, ci = vr.numerator * (cd // vr.denominator), vi.numerator * (cd // vi.denominator)
-        re = {e: a * cr for e, a in self.re.items()}
-        im = {e: a * cr for e, a in self.im.items()}
+        re = {e: a * cr for e, a in self.re.items()} if cr else {}
+        im = {e: a * cr for e, a in self.im.items()} if cr else {}
         if ci:
             re = _scaled_sum(re, 1, self.im, -ci)
             im = _scaled_sum(im, 1, self.re, ci)

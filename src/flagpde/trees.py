@@ -15,8 +15,9 @@ parent multiplier x_p(i).  The recursion runs bottom-up from the tips:
 with tilde_xi = t*D^2 at a tip, and xi_i = x_p(i) * tilde_xi_i for i >= 2.
 ``check_splitting`` verifies the operator identity mechanically by exact
 series expansion, which also guards the commuting-symbols convention.  It
-reads each xi_i as an operator (D_j as d/dx_j, the rest of each term as its
-coefficient) and applies it, like t*d_T, through one
+reads each xi_i as a normal form (D_j as d/dx_j, the rest of each term as
+its integer-form coefficient) and applies it, like t*d_T (the normal form
+of d_T with every coefficient shifted by t), through one
 ``operators.FormApplicator`` on integer forms over the variable order
 (t, x1..xn), with the t-power cap applied as an exponent filter and each
 1/j of the exponential series folded into the denominator.
@@ -156,6 +157,7 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
     """The symbol as an operator over vs = (t, x1..xn).  A node's symbol
     only differentiates its descendants, so its multiplier x_p commutes
     with its derivatives."""
+    den = math.lcm(*(c.denominator for c in symbol.terms.values()))
     form: dict = {}
     for exp, c in symbol.terms.items():
         alpha, coeff = [], [0] * len(vs)
@@ -163,11 +165,11 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
             if not e:
                 continue
             if v.startswith("D"):
-                alpha.append(("x" + v[1:], e))
+                alpha.append((vs.index("x" + v[1:]), e))
             else:
                 coeff[vs.index(v)] = e
-        form.setdefault(tuple(sorted(alpha)), {})[tuple(coeff)] = c
-    return FormApplicator({a: Polynomial(vs, terms) for a, terms in form.items()}, vs)
+        form.setdefault(tuple(sorted(alpha)), {})[tuple(coeff)] = c.numerator * (den // c.denominator)
+    return FormApplicator({a: _IntForm(re, {}, den) for a, re in form.items()}, vs, frozenset())
 
 
 def _t_capped(q: _IntForm, tcap: int, j: int = 1) -> _IntForm:
@@ -215,9 +217,8 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     n = tree.nodes
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     vs = ("t",) + x_vars
-    t = variable("t")
-    t_d_t = {alpha: t * c for alpha, c in differential_form(tricomi_operator(tree)).items()}
-    heat = FormApplicator(t_d_t, vs)
+    form = differential_form(tricomi_operator(tree), vs)
+    heat = FormApplicator({a: c.shifted(0, 1, 1) for a, c in form.items()}, vs, frozenset())
     exponents = [_symbol_applicator(xi, vs) for xi in compute_splitting(tree).exponents]
     checked = 0
     for exp in tuples_with_sum_at_most(n, degree_cap):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagpde import (
@@ -11,6 +11,7 @@ from flagpde import (
     Compose,
     Derivative,
     FlagEquationSpec,
+    GaussianRational,
     Integrate,
     MultiplyBy,
     Polynomial,
@@ -29,10 +30,19 @@ from flagpde import (
 )
 from flagpde.bases import ChainError
 from flagpde.linalg import kernel_on_slice, monomials_of_degree, polys_in_span
-from flagpde.operators import FormApplicator, OperatorHypothesisError, form_applicator
+from flagpde.operators import (
+    FormApplicator,
+    OperatorHypothesisError,
+    differential_form,
+    form_applicator,
+    forms_commute,
+    operator_variables,
+    operators_agree_on_sample,
+)
 from flagpde.poly import IMAG
 
 from oracles import (
+    agree_on_monomials,
     assert_family_spans_kernel,
     constant_element_by_fractions,
     flag_basis_unshared,
@@ -390,10 +400,11 @@ def laurent_polynomials(draw, max_terms=4, max_exp=2):
 
 
 @st.composite
-def differential_operators(draw):
-    """Sums of one to three products of coefficients and derivatives of order 0-3,
-    including Compose(Derivative, MultiplyBy), which needs the Leibniz rule."""
-    derivative = st.builds(Derivative, st.sampled_from("xyzw"), st.integers(0, 3))
+def differential_operators(draw, max_order=3):
+    """Sums of one to three products of coefficients and derivatives of order
+    0-max_order, including Compose(Derivative, MultiplyBy), which needs the
+    Leibniz rule."""
+    derivative = st.builds(Derivative, st.sampled_from("xyzw"), st.integers(0, max_order))
     parts = []
     for _ in range(draw(st.integers(1, 3))):
         c, d = draw(laurent_polynomials(max_terms=3)), draw(derivative)
@@ -428,6 +439,93 @@ def test_integer_annihilation_matches_operator_application(op, p, q, exps):
     app = form_applicator(killer, [m, m + p])
     assert app(m).is_zero()
     assert app(m + p) == killer(m + p)
+
+
+def test_flag_spec_takes_a_gaussian_constant_coefficient():
+    spec = FlagEquationSpec((1, 1), (GaussianRational(1, 1),))
+    fam = flag_basis(spec, 3)
+    assert fam.verify_annihilation()
+    assert _element(fam, ell=(0, 1)) == x2 - (1 + IMAG) * x1
+
+
+def _total_order(op):
+    """An upper bound on the total derivative order of op, read off its tree."""
+    if isinstance(op, Derivative):
+        return op.order
+    if isinstance(op, Sum):
+        return max(map(_total_order, op.ops), default=0)
+    if isinstance(op, Compose):
+        return sum(map(_total_order, op.ops))
+    return 0
+
+
+def _derivative_vars(*ops):
+    """The variables differentiated somewhere in ops, sorted."""
+    found = set()
+    for op in ops:
+        if isinstance(op, Derivative) and op.order:
+            found.add(op.var)
+        elif isinstance(op, (Sum, Compose)):
+            found.update(_derivative_vars(*op.ops))
+    return tuple(sorted(found))
+
+
+def _normal_form_as_operator(op):
+    """sum_alpha MultiplyBy(c_alpha) d^alpha read back from op's normal form."""
+    vs = tuple(sorted(operator_variables(op)))
+    return Sum(
+        Compose(MultiplyBy(c.to_poly(vs, frozenset({"x"} & set(vs)))),
+                *(Derivative(vs[i], m) for i, m in alpha))
+        for alpha, c in differential_form(op, vs).items()
+    )
+
+
+@st.composite
+def operator_pairs(draw, max_order=3):
+    """Two operators: unrelated, equal up to the order of their terms, the
+    first and its normal form read back as an operator, or one a polynomial
+    in the other."""
+    a = draw(differential_operators(max_order))
+    b = draw(st.one_of(
+        differential_operators(max_order),
+        st.just(Sum(reversed(a.ops))),
+        st.just(_normal_form_as_operator(a)),
+        st.just(Sum((Compose(Scale(2), a), Scale(3)))),
+    ))
+    return a, b
+
+
+# A nonzero normal form of order k is nonzero on x^alpha for a minimal alpha
+# with c_alpha != 0, a monomial of degree <= k in the differentiated
+# variables.  So comparing both sides on every monomial of degree <= k is an
+# exact oracle for the normal-form comparisons, written without them.
+
+_LEIBNIZ = Compose(Derivative("x", 2), MultiplyBy(variable("x") ** 2 + variable("y")))
+
+
+@given(operator_pairs())
+@example((_LEIBNIZ, _normal_form_as_operator(_LEIBNIZ)))
+@settings(max_examples=60, deadline=None)
+def test_normal_form_agreement_matches_the_monomial_oracle(pair):
+    a, b = pair
+    vs = _derivative_vars(a, b)
+    k = max(_total_order(a), _total_order(b))
+    assert operators_agree_on_sample(a, b, vs) == agree_on_monomials(a, b, vs, k)
+
+
+@given(operator_pairs(max_order=1))
+# x d/dx and x^2 d^2/dx^2 = (x d/dx)^2 - x d/dx commute
+@example((Compose(MultiplyBy(variable("x")), Derivative("x")),
+          Compose(MultiplyBy(variable("x") ** 2), Derivative("x", 2))))
+@settings(max_examples=60, deadline=None)
+def test_forms_commute_matches_the_monomial_oracle(pair):
+    a, b = pair
+    order = tuple(sorted(operator_variables(a) | operator_variables(b)))
+    vs = _derivative_vars(a, b)
+    k = _total_order(a) + _total_order(b)
+    assert forms_commute(differential_form(a, order), differential_form(b, order)) == (
+        agree_on_monomials(Compose(a, b), Compose(b, a), vs, k)
+    )
 
 
 def test_operators_outside_the_differential_class_use_application():

@@ -362,6 +362,30 @@ print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("args, files, message", [
+    (["basis", "anisym", "--n", "-1", "--lambda", "1", "--cap", "2"], {},
+     "need at least one spatial variable"),
+    (["basis", "anisym", "--n", "0", "--lambda", "-3", "--cap", "2"], {},
+     "need at least one spatial variable"),
+    (["basis", "flag", "--spec", "{spec}", "--cap", "2"],
+     {"spec": {"orders": [1, 1], "coefficients": [[]], "variables": ["a"]}},
+     "need one variable per order"),
+    (["basis", "flag", "--spec", "{spec}", "--cap", "2"],
+     {"spec": {"orders": [1, 1], "coefficients": [[{"exp": {"x1": 1}, "re": "1/0"}]]}},
+     "zero denominator"),
+    (["ivp", "flag", "--orders", "1", "--grid", "2x3", "--symbols", "{symbols}", "--data", "{data}"],
+     {"symbols": {"variables": ["D2"], "symbols": [[{"exp": {"D2": 2}, "re": "1", "im": "2/0"}]]},
+      "data": {"halfWidths": [1.0], "modes": [{"k": [1], "cos": 1.0}]}},
+     "zero denominator"),
+])
+def test_malformed_input_exits_two_without_a_traceback(tmp_path, capsys, args, files, message):
+    paths = {name: _write(tmp_path, f"{name}.json", json.dumps(body)) for name, body in files.items()}
+    assert run_cli([a.format(**paths) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 # -- non-finite input ----------------------------------------------------------------------------
 
 _FLAG_SYMBOLS = {"variables": ["D2"], "symbols": [[{"exp": {"D2": 2}, "re": "1", "im": "0"}]]}

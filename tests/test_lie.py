@@ -38,7 +38,7 @@ from flagpde.linalg import (
     polys_in_span,
     polys_rank,
 )
-from flagpde.operators import Compose, Derivative, Scale, Sum, same_action
+from flagpde.operators import Compose, Derivative, Scale, Sum, operators_agree_on_sample
 
 from oracles import agree_on_monomials, commutation_checks_by_monomials
 
@@ -309,9 +309,8 @@ def test_normal_forms_see_past_the_sampled_degree():
     vars_ = ("x1", "x2", "y1", "y2")
     assert agree_on_monomials(delta, perturbed, vars_, 2)
     assert not agree_on_monomials(delta, perturbed, vars_, 3)
-    assert not same_action(delta, perturbed)
-    assert same_action(perturbed, Sum((Derivative("x1", 3), delta)))
-
+    assert not operators_agree_on_sample(delta, perturbed, vars_)
+    assert operators_agree_on_sample(perturbed, Sum((Derivative("x1", 3), delta)), vars_)
 
 def test_closure_finds_a_bracket_outside_the_span():
     e, f = {(1, 2): (1, 0)}, {(2, 1): (1, 0)}

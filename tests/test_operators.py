@@ -31,6 +31,7 @@ from flagpde.operators import (
     differential_form,
     op_from_json,
     op_to_json,
+    operators_agree_on_sample,
 )
 
 from flagpde.poly import NonIntegrableTermError
@@ -277,16 +278,31 @@ def test_damped_integration_rejects_negative_powers_of_t():
 
 
 def test_differential_form_applies_the_leibniz_rule():
+    vs = ("x", "y")
+
+    def read(form):
+        # alpha as (position, order) pairs, each coefficient an integer form over vs
+        return {alpha: c.to_poly(vs, frozenset()) for alpha, c in form.items()}
+
     # d^2/dx^2 (x^2 u) = x^2 u'' + 4x u' + 2u
-    form = differential_form(Compose(Derivative("x", 2), MultiplyBy(x**2)))
-    assert form == {(("x", 2),): x**2, (("x", 1),): 4 * x, (): constant(2)}
-    # d/dx d/dy (y * u) = y u_xy + u_x, with the multi-index sorted by variable
-    form = differential_form(Compose(Derivative("y"), Derivative("x"), MultiplyBy(y)))
-    assert form == {(("x", 1), ("y", 1)): y, (("x", 1),): constant(1)}
-    assert differential_form(Sum((Derivative("x"), Compose(Scale(-1), Derivative("x", 1))))) == {}
-    assert differential_form(Compose(Derivative("x", 0), Scale(Fraction(1, 2)))) == {(): constant(Fraction(1, 2))}
-    assert differential_form(Compose(Derivative("x"), Integrate("x"))) is None
-    assert differential_form(NestedRightInverse([(1, Derivative("x"))])) is None
+    form = differential_form(Compose(Derivative("x", 2), MultiplyBy(x**2)), vs)
+    assert read(form) == {((0, 2),): x**2, ((0, 1),): 4 * x, (): constant(2)}
+    # d/dx d/dy (y * u) = y u_xy + u_x, with the multi-index sorted by position
+    form = differential_form(Compose(Derivative("y"), Derivative("x"), MultiplyBy(y)), vs)
+    assert read(form) == {((0, 1), (1, 1)): y, ((0, 1),): constant(1)}
+    # the order is the caller's: over (y, x) the same operator reads d_y at position 0
+    form = differential_form(Compose(Derivative("y"), Derivative("x"), MultiplyBy(y)), ("y", "x"))
+    assert set(form) == {((0, 1), (1, 1)), ((1, 1),)}
+    assert differential_form(Sum((Derivative("x"), Compose(Scale(-1), Derivative("x", 1)))), vs) == {}
+    form = differential_form(Compose(Derivative("x", 0), Scale(Fraction(1, 2))), vs)
+    assert read(form) == {(): constant(Fraction(1, 2))}
+    assert differential_form(Compose(Derivative("x"), Integrate("x")), vs) is None
+    assert differential_form(NestedRightInverse([(1, Derivative("x"))]), vs) is None
+
+
+def test_operators_without_normal_forms_are_compared_by_their_action():
+    assert not operators_agree_on_sample(Integrate("x"), Integrate("y"), ("x", "y"))
+    assert operators_agree_on_sample(Integrate("x"), Integrate("x"), ("x", "y"))
 
 
 # -- every node on integer forms, against oracles ------------------------------------
