@@ -36,7 +36,7 @@ from .operators import (
     operators_agree_on_sample,
     solve_by_series,
 )
-from .poly import GaussianRational, Polynomial, _int_form, _IntForm, _sum_forms, variable
+from .poly import GaussianRational, Polynomial, _int_form, _IntForm, _make, _sum_forms, variable
 
 __all__ = [
     "BasisElement",
@@ -91,12 +91,20 @@ class BasisFamily:
         return True
 
     def to_json(self):
+        payload = self._payload()
+        for entry in payload["elements"]:
+            entry["solution"] = entry["solution"].to_json_terms()
+        return payload
+
+    def _payload(self):
+        """to_json() with each solution left a Polynomial, for a writer that
+        serializes polynomials itself."""
         from .operators import op_to_json
 
         return {
             "elements": [
                 {"indexMeta": {k: _json_scalar(v) for k, v in e.index.items()},
-                 "solution": e.solution.to_json_terms()}
+                 "solution": e.solution}
                 for e in self.elements
             ],
             "annihilator": op_to_json(self.annihilator),
@@ -166,7 +174,8 @@ def _constant_element(orders, ell, vars_) -> Polynomial:
             num *= math.perm(ell[i], k * orders[i])
             exp.append(ell[i] - k * orders[i])
         terms[tuple(exp)] = _exact_ratio(num, math.perm(ell[0] + big_k * m1, big_k * m1))
-    return Polynomial(vars_, terms)
+    # canonical already: distinct exponents in range, nonzero int or Fraction values
+    return _make(vars_, frozenset(), terms)
 
 
 def _exact_ratio(num: int, den: int):
@@ -183,9 +192,12 @@ def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
     Alternating even-derivative reduction of the seed monomial x2^l2...xn^ln,
     with the x1 powers supplied by iterated double integration.
     """
-    if vars_ is None:
-        vars_ = _default_vars(n)
+    vars_ = _default_vars(n) if vars_ is None else tuple(vars_)
     ells = tuple(ells)
+    # the terms below are canonical once these hold
+    if eps not in (0, 1) or len(vars_) != len(ells) + 1 or len(set(vars_)) != len(vars_):
+        raise ValueError(f"need eps 0 or 1 and len(ells) + 1 distinct variables, "
+                         f"got eps={eps}, ells={ells}, vars={vars_}")
     terms = {}
     ranges = [range(l // 2 + 1) for l in ells]
     for rs in itertools.product(*ranges):
@@ -196,7 +208,8 @@ def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
         den = (1 + 2 * eps * big_r) * multinomial([2 * r for r in rs])
         exp = (eps + 2 * big_r,) + tuple(l - 2 * r for l, r in zip(ells, rs))
         terms[exp] = _exact_ratio(num, den)
-    return Polynomial(vars_, terms)
+    # canonical already: distinct exponents in range, nonzero int or Fraction values
+    return _make(vars_, frozenset(), terms)
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:

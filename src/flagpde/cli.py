@@ -7,9 +7,11 @@ bases, and the constant-coefficient ODE helper.
 Exit codes: 0 on success, 2 for input problems (bad arguments, schema
 violations, invalid trees), 3 when a verification fails or a numeric series
 does not settle or overflows.  A report is json.dumps(report,
-sort_keys=True, indent=2) plus a newline, written through --out or to
-stdout.  It is deterministic: identical inputs produce byte-identical
-files; wall time is only printed to stderr.
+sort_keys=True, indent=2, default=Polynomial.to_json_terms) plus a newline,
+written through --out or to stdout: the payloads keep their polynomials,
+and ``_dumps`` writes each one straight from its sorted terms.  It is
+deterministic: identical inputs produce byte-identical files; wall time is
+only printed to stderr.
 
 ``main`` may be called repeatedly in one process.  The argument parser is
 built once, on the first call, and every call parses into a fresh
@@ -49,7 +51,7 @@ from .lie import (
     verify_singular,
 )
 from .operators import SeriesTerminationError, VerificationError
-from .poly import Polynomial, variable
+from .poly import GaussianRational, Polynomial, variable
 from .trees import InvalidTreeError, Tree, check_splitting, compute_splitting, tricomi_operator
 
 
@@ -202,23 +204,28 @@ def _flat_encoder(depth: int):
 
 
 def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for
-    acyclic data: a container of scalars in one C encoder call, the
-    containers above it walked here."""
+    """json.dumps(obj, sort_keys=True, indent=2,
+    default=Polynomial.to_json_terms), byte for byte, for acyclic data: a
+    container of scalars in one C encoder call, a polynomial in one pass over
+    its sorted terms, the containers above them walked here."""
     if c_make_encoder is None:
-        return json.dumps(obj, sort_keys=True, indent=2)
+        return json.dumps(obj, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
     out = []
     _write(obj, 0, out)
     return "".join(out)
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, Polynomial)
 
 
 def _write(obj, depth, out):
-    """Append the chunks of obj at nesting depth to out."""
+    """Append the chunks of obj at nesting depth to out.  A polynomial is
+    written as the list its to_json_terms gives, without building that list."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
+        return
+    if isinstance(obj, Polynomial):
+        _write_terms(obj, depth, out)
         return
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
@@ -247,6 +254,28 @@ def _write(obj, depth, out):
             _write(value, depth + 1, out)
             sep = after
     out.append(close)
+
+
+def _write_terms(p: Polynomial, depth, out):
+    """Append p.to_json_terms() at nesting depth to out: one
+    {"exp", "im", "re"} object per term, in canonical term order, with the
+    exponents keyed in sorted variable-name order."""
+    terms = p.sorted_terms()
+    if not terms:
+        out.append("[]")
+        return
+    item, field, exp_item = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+    keys = [(encode_basestring_ascii(name) + ": ", i) for name, i in sorted(zip(p.vars, itertools.count()))]
+    exp_open, exp_sep, exp_close = "{" + exp_item, "," + exp_item, field + "}"
+    head, im_key, re_key = item + "{" + field + '"exp": ', "," + field + '"im": ', "," + field + '"re": '
+    sep = "["
+    for exp, c in terms:
+        block = [key + str(exp[i]) for key, i in keys if exp[i]]
+        re, im = (c.re, c.im) if type(c) is GaussianRational else (c, 0)
+        out += (sep, head, exp_open + exp_sep.join(block) + exp_close if block else "{}",
+                im_key, encode_basestring_ascii(str(im)), re_key, encode_basestring_ascii(str(re)), item, "}")
+        sep = ","
+    out += ("\n", "  " * depth, "]")
 
 
 def _emit(args, payload, file_paths=()):
@@ -288,7 +317,7 @@ def _family_payload(family: BasisFamily, verify_independence: bool):
     # every family constructor has already checked annihilation (bases._checked)
     if verify_independence:
         family.verify_independence()
-    return _with_checks(family.to_json(), [
+    return _with_checks(family._payload(), [
         ("annihilation", "passed"),
         ("independence", "passed" if verify_independence else "skipped"),
     ])
@@ -346,13 +375,7 @@ def _cmd_solve_kg(args):
     payload = {
         "frequency": str(a),
         "monomial": monomial,
-        "solutions": [
-            {
-                "cos": sol.cos_part.to_json_terms(),
-                "sin": sol.sin_part.to_json_terms(),
-            }
-            for sol in (first, second)
-        ],
+        "solutions": [{"cos": sol.cos_part, "sin": sol.sin_part} for sol in (first, second)],
     }
     _emit(args, _with_checks(payload, [
         ("series residual", "passed"),
@@ -374,7 +397,7 @@ def _cmd_tree(args):
         payload = {
             "tree": tree.to_json(),
             "tricomi": op_to_json(tricomi_operator(tree)),
-            "exponents": [xi.to_json_terms() for xi in splitting.exponents],
+            "exponents": splitting.exponents,
         }
         _emit(args, payload, file_paths=[args.tree])
         return 0

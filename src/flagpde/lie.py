@@ -362,6 +362,8 @@ def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if l1 < 0 or l2 < 0:
+        raise ValueError(f"the bidegree must be non-negative, got l1={l1}, l2={l2}")
     annihilator = sl_laplacian(n)
     elements = []
     for m in range(l1 + 1):

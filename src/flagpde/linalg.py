@@ -263,7 +263,8 @@ def kernel_on_slice(op, slice_monomials):
 
     Returns a list of Polynomials spanning {p in span(slice) : op(p) = 0}:
     the canonical basis read off the reduced row echelon form, with columns
-    in slice order.  One ``operators.form_applicator`` maps the whole slice.
+    in slice order, over the slice's variables.  One
+    ``operators.form_applicator`` maps the whole slice.
     """
     from .operators import form_applicator  # operators imports this module
 
@@ -277,10 +278,14 @@ def kernel_on_slice(op, slice_monomials):
         for key, c in terms.items():
             rows.setdefault(key, {})[j] = c
     pivots = _row_reduce(list(rows.values()), reduced=True)
+    # each kernel vector sums its entries into one term dict over the slice's variables
+    slice_terms, vars_ = _aligned(slice_monomials)
+    laurent = frozenset().union(*(m.laurent for m in slice_monomials))
     out = []
     for vec in _kernel_vectors(pivots, len(slice_monomials)).values():
-        p = Polynomial.zero()
-        for j in sorted(vec):
-            p = p + slice_monomials[j] * vec[j]
-        out.append(p)
+        terms = {}
+        for j, v in vec.items():
+            for exp, c in slice_terms[j].items():
+                terms[exp] = terms.get(exp, 0) + c * v
+        out.append(Polynomial(vars_, terms, laurent))
     return out

@@ -512,9 +512,8 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in canonical graded-lexicographic descending order."""
-        return sorted(
-            self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0]))
-        )
+        # exponents are unique keys, so no two terms tie
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def to_json_terms(self):
         out = []

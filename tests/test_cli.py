@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import flagpde
+from flagpde import GaussianRational, Polynomial, variable
 from flagpde.bases import harmonic_basis
 from flagpde import cli
 from flagpde.cli import _VALIDATORS, DATA_SCHEMA, TREE_SCHEMA, InputError, _dumps, _grid_points, _validate, main
+
+from strategies import coefficients, gaussian_coefficients, polynomials
 
 
 def run_cli(args):
@@ -386,6 +390,14 @@ def test_malformed_input_exits_two_without_a_traceback(tmp_path, capsys, args, f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("l1, l2", [(-1, 1), (1, -1)])
+def test_lie_sl_rejects_a_negative_degree_by_name(capsys, l1, l2):
+    assert run_cli(["lie", "sl", "--n", "2", "--l1", str(l1), "--l2", str(l2)]) == 2
+    err = capsys.readouterr().err
+    assert f"l1={l1}, l2={l2}" in err
+    assert "Traceback" not in err
+
+
 # -- non-finite input ----------------------------------------------------------------------------
 
 _FLAG_SYMBOLS = {"variables": ["D2"], "symbols": [[{"exp": {"D2": 2}, "re": "1", "im": "0"}]]}
@@ -582,8 +594,20 @@ _KEYS = st.sampled_from([
 ])
 
 
+# variable orders that differ from name order, and names json escapes
+_POLY_VARS = st.sampled_from([("y", "x10", "x2", "x"), ("x", "y"), ("\u03be", "\u00e9", "a\u2603"), ("t",), ()])
+
+
+@st.composite
+def _report_polynomials(draw):
+    vs = draw(_POLY_VARS)
+    laurent = vs[:1] if vs and draw(st.booleans()) else ()  # may carry negative exponents
+    coeffs = st.one_of(st.integers(-(10**20), 10**20).filter(bool), coefficients(), gaussian_coefficients())
+    return draw(polynomials(vs, max_terms=5, max_exp=3, laurent=laurent, coeffs=coeffs))
+
+
 def _json_values():
-    return st.recursive(_SCALARS, lambda children: st.one_of(
+    return st.recursive(st.one_of(_SCALARS, _report_polynomials()), lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
@@ -595,8 +619,11 @@ def _json_values():
 @example({1: {2.5: [True]}, 3: None, -0.0: "x"})
 @example({None: {"k": [float("nan"), float("inf"), float("-inf")]}})
 @example([[[[1]]], "é"])
+@example({"p": Polynomial.zero(("x",)), "q": [Polynomial.const(GaussianRational(Fraction(1, 2), -3))],
+          "r": (Polynomial(("t",), {(0,): 1, (-2,): -7}, ("t",)),)})
+@example([variable("x10") * variable("x2") ** 2 + variable("y") - variable("x"), [variable("\u03be")]])
 def test_report_writer_matches_json_dumps(obj):
-    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
 
 
 @pytest.mark.parametrize("obj", [{(1, 2): [1]}, {(1, 2): 1}, {"a": [object()]}, [{"a": 1j}]])
@@ -609,6 +636,14 @@ def test_report_writer_rejects_what_json_dumps_rejects(obj):
 
 
 def test_report_writer_falls_back_without_the_c_encoder(monkeypatch):
-    obj = {"b": [1, {"c": []}], "a": "x"}
+    gaussian = Polynomial(("y", "x"), {(1, 0): GaussianRational(0, 1), (0, 2): Fraction(-1, 3)})
+    obj = {"b": [1, {"c": [], "p": gaussian}], "a": "x", "z": (Polynomial.zero(), gaussian)}
+    with_c = _dumps(obj)
     monkeypatch.setattr(cli, "c_make_encoder", None)
-    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert _dumps(obj) == with_c == json.dumps(obj, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
+
+
+def test_family_to_json_is_plain_data():
+    family = harmonic_basis(3, 2)
+    text = json.dumps(family.to_json(), sort_keys=True, indent=2)  # no default for polynomials
+    assert text == _dumps(family._payload())

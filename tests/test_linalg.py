@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,10 @@ from flagpde import lie
 from flagpde.linalg import (
     P,
     SQRT_MINUS_ONE,
+    _aligned,
+    _kernel_vectors,
+    _row_reduce,
+    bidegree_monomials,
     kernel_on_slice,
     matrix_rank,
     monomials_of_degree,
@@ -142,6 +147,34 @@ def test_empty_and_zero_rows():
 
 def _terms(polys):
     return [{e: str(c) for e, c in p.terms.items()} for p in polys]
+
+
+def _kernel_by_products_and_sums(op, slice_monomials):
+    """kernel_on_slice with the images taken by op itself and each kernel
+    vector assembled one Polynomial product and one sum per entry."""
+    images, _ = _aligned([op(m) for m in slice_monomials])
+    rows = {}
+    for j, terms in enumerate(images):
+        for key, c in terms.items():
+            rows.setdefault(key, {})[j] = c
+    out = []
+    for vec in _kernel_vectors(_row_reduce(list(rows.values()), reduced=True), len(slice_monomials)).values():
+        p = fp.Polynomial.zero()
+        for j in sorted(vec):
+            p = p + slice_monomials[j] * vec[j]
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("op, slice_", [
+    (lie.sl_laplacian(3), bidegree_monomials(("x1", "x2", "x3"), ("y1", "y2", "y3"), 3, 3)),
+    (fp.Sum(fp.Derivative(f"x{i}", 2) for i in range(1, 5)), monomials_of_degree(("x1", "x2", "x3", "x4"), 6)),
+], ids=["sl3 bidegree (3, 3)", "laplacian n=4 degree 6"])
+def test_kernel_on_slice_matches_the_assembly_by_products_and_sums(op, slice_):
+    got = kernel_on_slice(op, slice_)
+    want = _kernel_by_products_and_sums(op, slice_)
+    assert len(got) == len(want) > 0
+    assert [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want]
 
 
 def test_kernel_on_slice_canonical_basis_is_pinned():
