@@ -198,16 +198,17 @@ def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
     if eps not in (0, 1) or len(vars_) != len(ells) + 1 or len(set(vars_)) != len(vars_):
         raise ValueError(f"need eps 0 or 1 and len(ells) + 1 distinct variables, "
                          f"got eps={eps}, ells={ells}, vars={vars_}")
+    # the coefficient of x1^(eps + 2R) prod_i x_i^(l_i - 2 r_i), R = sum r_i, is
+    # (-1)^R R! prod_i perm(l_i, 2 r_i)/r_i!  over  (2R)! (1 + 2 eps R),
+    # and R!/(2R)! = 1/perm(2R, R)
+    tables = [[math.perm(l, 2 * r) // math.factorial(r) for r in range(l // 2 + 1)] for l in ells]
+    dens = [math.perm(2 * r, r) * (1 + 2 * eps * r) for r in range(sum(l // 2 for l in ells) + 1)]
     terms = {}
-    ranges = [range(l // 2 + 1) for l in ells]
-    for rs in itertools.product(*ranges):
+    for rs in itertools.product(*(range(len(t)) for t in tables)):
         big_r = sum(rs)
-        num = (-1) ** big_r * multinomial(rs)
-        for l, r in zip(ells, rs):
-            num *= math.comb(l, 2 * r)
-        den = (1 + 2 * eps * big_r) * multinomial([2 * r for r in rs])
+        num = math.prod(map(list.__getitem__, tables, rs))
         exp = (eps + 2 * big_r,) + tuple(l - 2 * r for l, r in zip(ells, rs))
-        terms[exp] = _exact_ratio(num, den)
+        terms[exp] = _exact_ratio(-num if big_r & 1 else num, dens[big_r])
     # canonical already: distinct exponents in range, nonzero int or Fraction values
     return _make(vars_, frozenset(), terms)
 

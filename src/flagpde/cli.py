@@ -141,23 +141,70 @@ SYMBOLS_SCHEMA = {
 }
 
 
-_VALIDATORS: dict = {}  # id of a constant schema above -> its validator
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float)}
+
+# the instance type each keyword other than "type" applies to; it ignores others
+_KEYWORD_TYPES = {"required": "object", "properties": "object", "additionalProperties": "object",
+                  "items": "array", "minItems": "array", "maxItems": "array",
+                  "minimum": "number", "exclusiveMinimum": "number"}
+
+
+def _is_type(value, kind: str) -> bool:
+    """JSON Schema draft 2020-12 types: a bool is neither an integer nor a
+    number, and an integral float is an integer."""
+    if isinstance(value, bool):
+        return False
+    if kind == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _JSON_TYPES[kind])
+
+
+def _violations(instance, schema, path=()):
+    """(path, message) for each way instance violates schema, in draft 2020-12
+    order: keyword by keyword in schema order, then in instance order.  The
+    messages are those of the jsonschema package.  Only the nine keywords of
+    the schemas above are known; any other raises KeyError."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _is_type(instance, value):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif not _is_type(instance, _KEYWORD_TYPES[key]):
+            continue
+        elif key == "required":
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _violations(instance[name], sub, path + (name,))
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            for name, item in instance.items():
+                if name not in known:
+                    yield from _violations(item, value, path + (name,))
+        elif key == "items":
+            for i, item in enumerate(instance):
+                yield from _violations(item, value, path + (i,))
+        elif key == "minItems" and len(instance) < value:
+            yield path, f"{instance!r} " + ("should be non-empty" if value == 1 else "is too short")
+        elif key == "maxItems" and len(instance) > value:
+            yield path, f"{instance!r} " + ("is expected to be empty" if value == 0 else "is too long")
+        elif key == "minimum" and instance < value:
+            yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif key == "exclusiveMinimum" and instance <= value:
+            yield path, f"{instance!r} is less than or equal to the minimum of {value!r}"
 
 
 def _validate(instance, schema, source: str):
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
-
-    validator = _VALIDATORS.get(id(schema))
-    if validator is None:
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[id(schema)] = cls(schema)
-    # what jsonschema.validate does, without checking the schema on every call
-    err = best_match(validator.iter_errors(instance))
-    if err is not None:
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise InputError(f"{source}: schema violation at {pointer}: {err.message}")
+    """Raise InputError for the violation jsonschema.exceptions.best_match
+    would pick: the one at the shortest path, among those the greatest path,
+    and the first reported on a tie."""
+    worst = max(_violations(instance, schema), key=lambda v: (-len(v[0]), v[0]), default=None)
+    if worst is not None:
+        path, message = worst
+        pointer = "/" + "/".join(map(str, path))
+        raise InputError(f"{source}: schema violation at {pointer}: {message}")
 
 
 def _load_json(path: str, schema, label: str):
@@ -533,12 +580,10 @@ def _cmd_lie(args):
             for j in range(i + 1, args.n + 1)
         ]
         config = SingularConfig(positives, [(f"h{i}", h) for i, h in enumerate(sl_cartan(args.n), 1)])
-        check = verify_singular(config, top)
-        extra = {"singularWeight": [str(w) for w in (check.weight or [])]}
+        extra = _singular_weight(config, top)
     elif args.kind == "g2":
         family = g2_module_basis(args.k)
-        check = verify_singular(g2_singular_config(), variable("x4") ** args.k)
-        extra = {"singularWeight": [str(w) for w in (check.weight or [])]}
+        extra = _singular_weight(g2_singular_config(), variable("x4") ** args.k)
     elif args.kind == "check":
         report = commutation_checks()
         failed = [k for k, v in report.items() if v is False]
@@ -548,9 +593,20 @@ def _cmd_lie(args):
         raise InputError(f"unknown lie kind {args.kind}")
     payload = _family_payload(family, verify_independence=True)
     payload.update(extra)
-    payload["annihilated"] = True
+    payload["annihilated"] = any(c["name"] == "annihilation" and c["status"] == "passed"
+                                 for c in payload["checks"])
     _emit(args, payload)
     return 0
+
+
+def _singular_weight(config, top):
+    """{"singularWeight": [...]} of top, which the positive generators of
+    config must annihilate and its Cartan generators scale."""
+    check = verify_singular(config, top)
+    if not check.ok:
+        names = ", ".join(name for name, _ in check.failures)
+        raise VerificationError(f"{top} is not a singular vector: the check fails at {names}")
+    return {"singularWeight": [str(w) for w in check.weight]}
 
 
 def _cmd_ode(args):

@@ -772,7 +772,10 @@ def constant_element_by_fractions(orders, ell, vars_):
 
 
 def harmonic_element_by_fractions(n, eps, ells):
-    """The harmonic element with each coefficient a chain of Fraction products."""
+    """The harmonic element with each coefficient a chain of Fraction products:
+    (-1)^R multinomial(r) prod_i comb(l_i, 2 r_i) over (1 + 2 eps R)
+    multinomial(2 r), the formula bases.harmonic_element replaced by its
+    closed form."""
     terms = {}
     for rs in itertools.product(*(range(l // 2 + 1) for l in ells)):
         big_r = sum(rs)

@@ -28,7 +28,7 @@ from flagpde import (
     twisted_flag_solve,
     variable,
 )
-from flagpde.bases import ChainError
+from flagpde.bases import ChainError, harmonic_element
 from flagpde.linalg import kernel_on_slice, monomials_of_degree, polys_in_span
 from flagpde.operators import (
     FormApplicator,
@@ -130,6 +130,15 @@ def test_harmonic_elements_match_fraction_products(n, cap):
     for e in fam.elements:
         want = harmonic_element_by_fractions(n, e.index["eps"], e.index["ell"])
         assert typed_terms(e.solution) == typed_terms(want)
+
+
+@given(st.integers(0, 1), st.lists(st.integers(0, 14), min_size=1, max_size=4))
+@example(1, [14, 13, 12, 11])
+def test_harmonic_element_closed_form_matches_multinomials(eps, ells):
+    """The closed-form coefficients equal the multinomial formula, type for type."""
+    n = len(ells) + 1
+    want = harmonic_element_by_fractions(n, eps, ells)
+    assert typed_terms(harmonic_element(n, eps, ells)) == typed_terms(want)
 
 
 def test_harmonic_completeness():

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -14,7 +16,20 @@ import flagpde
 from flagpde import GaussianRational, Polynomial, variable
 from flagpde.bases import harmonic_basis
 from flagpde import cli
-from flagpde.cli import _VALIDATORS, DATA_SCHEMA, TREE_SCHEMA, InputError, _dumps, _grid_points, _validate, main
+from flagpde.cli import (
+    DATA_SCHEMA,
+    FLAG_SPEC_SCHEMA,
+    MODES_SCHEMA,
+    POLY_TERMS_SCHEMA,
+    SYMBOLS_SCHEMA,
+    TREE_SCHEMA,
+    InputError,
+    _dumps,
+    _grid_points,
+    _validate,
+    main,
+)
+from flagpde.lie import SingularCheck
 
 from strategies import coefficients, gaussian_coefficients, polynomials
 
@@ -221,6 +236,10 @@ def test_family_payload_records_checks(tmp_path):
         "annihilation": "passed", "independence": "skipped"})
     assert checks(["lie", "harmonic", "--n", "3", "--k", "2"]) == (True, {
         "annihilation": "passed", "independence": "passed"})
+    out = tmp_path / "out.json"
+    assert run_cli(["lie", "g2", "--k", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["annihilated"] is True and result["singularWeight"]
 
 
 def test_large_family_dependence_fails(monkeypatch):
@@ -322,8 +341,6 @@ def test_bad_grid_sizes_exit_two(tmp_path, capsys, grid):
      "/g0/modes/0/k/0: 1.5 is not of type 'integer'"),
 ])
 def test_schema_violation_messages(instance, schema, message):
-    import jsonschema
-
     with pytest.raises(InputError) as err:
         _validate(instance, schema, "in.json")
     assert str(err.value) == f"in.json: schema violation at {message}"
@@ -331,11 +348,116 @@ def test_schema_violation_messages(instance, schema, message):
     with pytest.raises(jsonschema.ValidationError) as ref:
         jsonschema.validate(instance, schema)
     assert message.endswith(ref.value.message)
-    # the schema's validator is built once and reused
-    built = _VALIDATORS[id(schema)]
-    with pytest.raises(InputError):
-        _validate(instance, schema, "in.json")
-    assert _VALIDATORS[id(schema)] is built
+
+
+def _documents(schema):
+    """Instances valid under one of the CLI schemas, built from its keywords."""
+    kind = schema["type"]
+    if kind == "integer":
+        ints = st.integers(schema.get("minimum", -3), 5)
+        return ints | ints.map(float)  # an integral float is an integer
+    if kind == "number":
+        low = schema.get("exclusiveMinimum")
+        return st.integers(-3 if low is None else low + 1, 5) | st.floats(
+            -5.0 if low is None else low, 5.0, exclude_min=low is not None)
+    if kind == "string":
+        return st.text(max_size=3)
+    if kind == "array":
+        return st.lists(_documents(schema["items"]), min_size=schema.get("minItems", 0),
+                        max_size=schema.get("maxItems", 3))
+    props = schema.get("properties", {})
+    required = {name: _documents(props[name]) for name in schema.get("required", ())}
+    known = st.fixed_dictionaries(required, optional={
+        name: _documents(sub) for name, sub in props.items() if name not in required})
+    if "additionalProperties" not in schema:
+        return known
+    extra = st.dictionaries(st.text(max_size=3).filter(lambda name: name not in props),
+                            _documents(schema["additionalProperties"]), max_size=3)
+    return st.tuples(known, extra).map(lambda pair: {**pair[1], **pair[0]})
+
+
+# wrong types, bools for ints, integral and negative floats, short and long pairs
+_ODD_VALUES = st.sampled_from([
+    True, False, None, 0, -1, 1, 2, 0.0, -0.0, 1.0, 2.5, -0.5, 10**20, "", "1", [], [1], [1, 2], [0, 1],
+    [1, 2, 3], [True, 1], [[1, 2]], {}, {"k": [1]}, {"exp": {}, "re": "1"}, {"modes": []},
+]).map(copy.deepcopy)
+_ODD_KEYS = st.sampled_from(["nodes", "edges", "orders", "coefficients", "variables", "symbols", "halfWidths",
+                             "modes", "conditions", "g0", "k", "cos", "exp", "re", "im", "x1", "a/b", "zz"])
+
+
+def _locations(doc, path=()):
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _locations(child, path + (key,))
+
+
+def _mutate(data, doc):
+    """doc after one to three random edits: a value replaced, a key or an
+    item dropped, or a key or an item added, anywhere in the tree."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, node = data.draw(st.sampled_from(list(_locations(doc))))
+        edit = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "replace":
+            value = data.draw(_ODD_VALUES)
+            if not path:
+                doc = value
+                continue
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        elif edit == "drop" and isinstance(node, dict) and node:
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        elif edit == "drop" and isinstance(node, list) and node:
+            del node[data.draw(st.integers(0, len(node) - 1))]
+        elif edit == "add" and isinstance(node, dict):
+            node[data.draw(_ODD_KEYS)] = data.draw(_ODD_VALUES)
+        elif edit == "add" and isinstance(node, list):
+            node.append(data.draw(_ODD_VALUES))
+    return doc
+
+
+def _verdicts(doc, schema):
+    """(ours, jsonschema's): None for a valid doc, else "pointer: message"."""
+    try:
+        _validate(doc, schema, "in.json")
+        ours = None
+    except InputError as err:
+        ours = str(err).removeprefix("in.json: schema violation at ")
+    try:
+        jsonschema.validate(doc, schema)  # raises the error best_match picks
+        theirs = None
+    except jsonschema.ValidationError as err:
+        theirs = "/" + "/".join(map(str, err.absolute_path)) + ": " + err.message
+    return ours, theirs
+
+
+@pytest.mark.parametrize("schema", [TREE_SCHEMA, POLY_TERMS_SCHEMA, FLAG_SPEC_SCHEMA, MODES_SCHEMA, DATA_SCHEMA,
+                                    SYMBOLS_SCHEMA],
+                         ids=["tree", "poly-terms", "flag-spec", "modes", "data", "symbols"])
+@given(data=st.data())
+def test_validator_picks_the_error_jsonschema_picks(schema, data):
+    doc = data.draw(_documents(schema))
+    assert _verdicts(doc, schema) == (None, None)
+    ours, theirs = _verdicts(_mutate(data, doc), schema)
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("instance, schema, message", [
+    # two errors at one path: the first in schema-keyword order
+    ({}, TREE_SCHEMA, "/: 'nodes' is a required property"),
+    ({"nodes": 0.5, "edges": []}, TREE_SCHEMA, "/nodes: 0.5 is not of type 'integer'"),
+    # the shallower error, then the greater of two paths of one length
+    ({"nodes": 0, "edges": [[1]]}, TREE_SCHEMA, "/nodes: 0 is less than the minimum of 1"),
+    ({"nodes": 3, "edges": [[0, 1], [1, 0]]}, TREE_SCHEMA, "/edges/1/1: 0 is less than the minimum of 1"),
+    ({"nodes": 3, "edges": [[1, 2, 3]]}, TREE_SCHEMA, "/edges/0: [1, 2, 3] is too long"),
+    ([{"exp": {"x": 1.5, "y": True}, "re": "1"}], POLY_TERMS_SCHEMA, "/0/exp/y: True is not of type 'integer'"),
+    ({"orders": [1.0, 2], "coefficients": [[{"exp": {"x1": 2.0}, "re": "1"}]]}, FLAG_SPEC_SCHEMA, None),
+])
+def test_validator_tie_breaks(instance, schema, message):
+    assert _verdicts(instance, schema) == (message, message)
 
 
 # -- runtime dependencies -------------------------------------------------------------------------
@@ -364,6 +486,38 @@ print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_every_command_kind_runs_without_jsonschema(tmp_path):
+    paths = _report_inputs(tmp_path)
+    paths["bad"] = _write(tmp_path, "bad.json", '{"nodes": 2, "edges": [[1, true]]}')
+    runs = [
+        (["basis", "flag", "--spec", "{spec}", "--cap", "2"], 0),
+        (["basis", "harmonic", "--n", "3", "--cap", "2"], 0),
+        (["solve", "klein-gordon", "--a", "1/2", "--monomial", "1,0,0"], 0),
+        (["tree", "validate", "--tree", "{tree}"], 0),
+        (["tree", "xi", "--tree", "{tree}"], 0),
+        (["tree", "check-splitting", "--tree", "{tree}", "--cap", "2", "--tcap", "2"], 0),
+        (["ivp", "flag", "--orders", "2", "--symbols", "{symbols}", "--data", "{flag}", "--grid", "2x2"], 0),
+        (["ivp", "tree-wave", "--tree", "{tree}", "--data", "{wave}", "--t", "0.05", "--grid", "2x2x2"], 0),
+        (["lie", "g2", "--k", "1"], 0),
+        (["ode", "--coeffs", "0,-1", "--init", "1,0", "--t", "1.0"], 0),
+        (["tree", "validate", "--tree", "{bad}"], 2),
+    ]
+    script = f"""
+import sys
+sys.modules["jsonschema"] = None  # importing it now raises ImportError
+from flagpde.cli import main
+print([main(args) for args in {[[a.format(**paths) for a in args] for args, _ in runs]!r}])
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("jsonschema", "referencing", "rpds")),
+      sys.modules["jsonschema"])
+"""
+    src = str(Path(flagpde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [str([code for _, code in runs]), "['jsonschema'] None"]
+    assert "bad.json: schema violation at /edges/0/1: True is not of type 'integer'" in proc.stderr
 
 
 @pytest.mark.parametrize("args, files, message", [
@@ -396,6 +550,15 @@ def test_lie_sl_rejects_a_negative_degree_by_name(capsys, l1, l2):
     err = capsys.readouterr().err
     assert f"l1={l1}, l2={l2}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["sl", "--n", "2", "--l1", "1", "--l2", "1"], ["g2", "--k", "1"]])
+def test_lie_singular_check_failure_exits_three(monkeypatch, tmp_path, capsys, args):
+    monkeypatch.setattr(cli, "verify_singular", lambda config, f: SingularCheck(False, None, [("E12", f)]))
+    out = tmp_path / "out.json"
+    assert run_cli(["lie", *args, "--out", str(out)]) == 3
+    assert "verification failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- non-finite input ----------------------------------------------------------------------------
