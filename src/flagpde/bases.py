@@ -36,7 +36,7 @@ from .operators import (
     operators_agree_on_sample,
     solve_by_series,
 )
-from .poly import GaussianRational, Polynomial, _int_form, _IntForm, _make, _sum_forms, variable
+from .poly import GaussianRational, Polynomial, _int_form, _IntForm, _sum_forms, variable
 
 __all__ = [
     "BasisElement",
@@ -173,15 +173,16 @@ def _constant_element(orders, ell, vars_) -> Polynomial:
         for i, k in enumerate(ks, start=1):
             num *= math.perm(ell[i], k * orders[i])
             exp.append(ell[i] - k * orders[i])
-        terms[tuple(exp)] = _exact_ratio(num, math.perm(ell[0] + big_k * m1, big_k * m1))
-    # canonical already: distinct exponents in range, nonzero int or Fraction values
-    return _make(vars_, frozenset(), terms)
+        terms[tuple(exp)] = (num, math.perm(ell[0] + big_k * m1, big_k * m1))
+    return _over_one_denominator(terms).to_poly(vars_, frozenset())
 
 
-def _exact_ratio(num: int, den: int):
-    """num/den as an int when den divides num, else as one Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+def _over_one_denominator(terms: dict) -> _IntForm:
+    """The reduced form of {exponent: (numerator, denominator)}, every
+    numerator nonzero: the lcm of the denominators in lowest terms leaves
+    the numerators and it coprime."""
+    den = math.lcm(*(d // math.gcd(a, d) for a, d in terms.values()))
+    return _IntForm({exp: a * den // d for exp, (a, d) in terms.items()}, {}, den)
 
 
 # -- harmonic polynomials ------------------------------------------------------
@@ -208,9 +209,8 @@ def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
         big_r = sum(rs)
         num = math.prod(map(list.__getitem__, tables, rs))
         exp = (eps + 2 * big_r,) + tuple(l - 2 * r for l, r in zip(ells, rs))
-        terms[exp] = _exact_ratio(-num if big_r & 1 else num, dens[big_r])
-    # canonical already: distinct exponents in range, nonzero int or Fraction values
-    return _make(vars_, frozenset(), terms)
+        terms[exp] = (-num if big_r & 1 else num, dens[big_r])
+    return _over_one_denominator(terms).to_poly(vars_, frozenset())
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:
@@ -319,7 +319,7 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     powers (-inv f)^i of it that the next stage needs, and shared by every
     element that starts with it; the prefixes live in a dictionary local to
     this call.  The whole build runs on integer forms over
-    ``spec.variables``, and each element is converted to a Polynomial once.
+    ``spec.variables``, and each element is the Polynomial holding its form.
     """
     _check_cap(cap)
     n = len(spec.orders)
@@ -415,7 +415,7 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
             failed = f"T0 does not commute with T{b}" if a == 0 else f"T{a} and T{b} do not commute"
             raise OperatorHypothesisError(f"power-perturbation hypotheses violated: {failed}")
     vs, laurent = _chain_order([h, g], [t0_inverse, t0, *perturbations])
-    hk = _int_form(h, vs)
+    hk = h0 = _int_form(h, vs)
     for _ in range(m):
         hk = t0.apply_form(hk, vs)
     if hk:
@@ -437,7 +437,7 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
         g_parts[tup] = out
         return out
 
-    h_powers = [_int_form(h, vs)]
+    h_powers = [h0]
 
     def h_part(w):
         while len(h_powers) <= w:

@@ -9,7 +9,7 @@ violations, invalid trees), 3 when a verification fails or a numeric series
 does not settle or overflows.  A report is json.dumps(report,
 sort_keys=True, indent=2, default=Polynomial.to_json_terms) plus a newline,
 written through --out or to stdout: the payloads keep their polynomials,
-and ``_dumps`` writes each one straight from its sorted terms.  It is
+and ``_dumps`` writes each one straight from its integer numerators.  It is
 deterministic: identical inputs produce byte-identical files; wall time is
 only printed to stderr.
 
@@ -51,7 +51,7 @@ from .lie import (
     verify_singular,
 )
 from .operators import SeriesTerminationError, VerificationError
-from .poly import GaussianRational, Polynomial, variable
+from .poly import Polynomial, variable
 from .trees import InvalidTreeError, Tree, check_splitting, compute_splitting, tricomi_operator
 
 
@@ -207,6 +207,19 @@ def _validate(instance, schema, source: str):
         raise InputError(f"{source}: schema violation at {pointer}: {message}")
 
 
+def _integers(instance, schema):
+    """A valid instance with each integral float at a position where schema
+    says "integer" made an int: draft 2020-12 counts 2.0 as an integer."""
+    if isinstance(instance, float) and schema.get("type") == "integer":
+        return int(instance)
+    if isinstance(instance, dict):
+        known, other = schema.get("properties", {}), schema.get("additionalProperties", {})
+        return {k: _integers(v, known.get(k, other)) for k, v in instance.items()}
+    if isinstance(instance, list):
+        return [_integers(v, schema.get("items", {})) for v in instance]
+    return instance
+
+
 def _load_json(path: str, schema, label: str):
     def reject(token):
         raise InputError(f"{label} file {path} holds the non-finite number {token}")
@@ -226,7 +239,7 @@ def _load_json(path: str, schema, label: str):
     except json.JSONDecodeError as err:
         raise InputError(f"{label} file {path} is not valid JSON: {err}") from None
     _validate(data, schema, path)
-    return data
+    return _integers(data, schema)
 
 
 def _digest(argv, file_paths):
@@ -254,7 +267,7 @@ def _dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2,
     default=Polynomial.to_json_terms), byte for byte, for acyclic data: a
     container of scalars in one C encoder call, a polynomial in one pass over
-    its sorted terms, the containers above them walked here."""
+    its ``text_terms``, the containers above them walked here."""
     if c_make_encoder is None:
         return json.dumps(obj, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
     out = []
@@ -307,7 +320,7 @@ def _write_terms(p: Polynomial, depth, out):
     """Append p.to_json_terms() at nesting depth to out: one
     {"exp", "im", "re"} object per term, in canonical term order, with the
     exponents keyed in sorted variable-name order."""
-    terms = p.sorted_terms()
+    terms = p.text_terms()
     if not terms:
         out.append("[]")
         return
@@ -316,11 +329,10 @@ def _write_terms(p: Polynomial, depth, out):
     exp_open, exp_sep, exp_close = "{" + exp_item, "," + exp_item, field + "}"
     head, im_key, re_key = item + "{" + field + '"exp": ', "," + field + '"im": ', "," + field + '"re": '
     sep = "["
-    for exp, c in terms:
+    for exp, re, im in terms:
         block = [key + str(exp[i]) for key, i in keys if exp[i]]
-        re, im = (c.re, c.im) if type(c) is GaussianRational else (c, 0)
         out += (sep, head, exp_open + exp_sep.join(block) + exp_close if block else "{}",
-                im_key, encode_basestring_ascii(str(im)), re_key, encode_basestring_ascii(str(re)), item, "}")
+                im_key, encode_basestring_ascii(im), re_key, encode_basestring_ascii(re), item, "}")
         sep = ","
     out += ("\n", "  " * depth, "]")
 

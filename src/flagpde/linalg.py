@@ -2,8 +2,8 @@
 
 Matrices are lists of rows of ints, Fractions or GaussianRationals.
 Elimination works on sparse rows, dicts from column to nonzero entry, so
-zero cells cost nothing; polynomial ranks and slice kernels build those rows
-straight from the polynomials' terms.
+zero cells cost nothing.  Polynomial ranks build those rows straight from
+the polynomials' integer numerators, slice kernels from their terms.
 
 Rank is certified cheaply. Reduction mod the 61-bit prime ``P`` (with
 sqrt(-1) sent to ``SQRT_MINUS_ONE``, a square root of -1 mod P) is a ring
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import GaussianRational, Polynomial, coeff_inverse
+from .poly import GaussianRational, Polynomial, _int_form, coeff_inverse
 
 __all__ = [
     "bidegree_monomials",
@@ -111,6 +111,8 @@ def _eliminate(row, prow, factor, p):
 
 def _residue(value, inverses):
     """The image of an exact entry in Z/P, or None when it has none here."""
+    if isinstance(value, int):
+        return value % P
     if isinstance(value, Fraction):
         den = value.denominator
         if den == 1:
@@ -121,8 +123,6 @@ def _residue(value, inverses):
                 return None
             inv = inverses[den] = pow(den, -1, P)
         return value.numerator * inv % P
-    if isinstance(value, int):
-        return value % P
     if isinstance(value, GaussianRational):
         re, im = _residue(value.re, inverses), _residue(value.im, inverses)
         return None if re is None or im is None else (re + SQRT_MINUS_ONE * im) % P
@@ -191,8 +191,20 @@ def nullspace(rows, ncols: int):
 def _aligned(polys):
     """The polynomials' term dicts over one shared variable order, and that order."""
     vars_ = tuple(dict.fromkeys(v for p in polys for v in p.vars))
-    terms = [p.terms if p.vars == vars_ else p.with_variables(vars_, p.laurent).terms for p in polys]
+    terms = [p.with_variables(vars_).terms for p in polys]
     return terms, vars_
+
+
+def _numerator_rows(polys):
+    """Each polynomial's numerators over one shared variable order as a
+    sparse row: its coefficients times its denominator, which leaves the
+    dimension of the span unchanged."""
+    vars_ = tuple(dict.fromkeys(v for p in polys for v in p.vars))
+    forms = [_int_form(p, vars_) for p in polys]
+    return [
+        {**f.re, **{e: GaussianRational(f.re.get(e, 0), b) for e, b in f.im.items()}} if f.im else f.re
+        for f in forms
+    ]
 
 
 def polys_to_matrix(polys):
@@ -212,7 +224,7 @@ def polys_rank(polys) -> int:
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return 0
-    return _rank(_aligned(polys)[0])
+    return _rank(_numerator_rows(polys))
 
 
 def polys_in_span(basis, candidates) -> bool:

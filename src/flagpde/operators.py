@@ -14,15 +14,15 @@ extra lazily-evaluated nodes live here as well:
   operator formula.
 
 Every node acts on integer forms (``poly._IntForm``: integer numerators
-over one common denominator, the layout of FLINT's fmpq_mpoly) through
-``apply_form(q, vars)``: Derivative and Integrate are the form's d^m/dx^m
-and m-fold antiderivative, MultiplyBy a product with its multiplier put
-over each variable order once, Scale a scalar multiple, Sum and Compose
-folds, and DampedIntegration its finite expansion.
-``LinearOperator.apply`` is written once: it puts p over p.vars followed
-by the operator's variables in tree order, runs ``apply_form`` and
-converts the image out once.  ``apply_trig`` is written once, on the
-normal form below, through ``TrigApplicator``.
+over one common denominator, the layout of FLINT's fmpq_mpoly, and what a
+Polynomial holds) through ``apply_form(q, vars)``: Derivative and
+Integrate are the form's d^m/dx^m and m-fold antiderivative, MultiplyBy a
+product with its multiplier put over each variable order once, Scale a
+scalar multiple, Sum and Compose folds, and DampedIntegration its finite
+expansion.  ``LinearOperator.apply`` is written once: it puts p's form
+over p.vars followed by the operator's variables in tree order and runs
+``apply_form``.  ``apply_trig`` is written once, on the normal form below,
+through ``TrigApplicator``.
 
 A polynomial-coefficient differential operator has the normal form
 sum_alpha c_alpha d^alpha (``differential_form``), unique in the Weyl
@@ -35,9 +35,9 @@ The module also hosts the series engine: given T1 with right inverse T1inv
 and a perturbation T2 that is locally nilpotent relative to a filtration,
 ``solve_by_series`` produces the kernel element sum_i (-T1inv T2)^i (h*g)
 and ``right_inverse_series`` the preimage sum_i (-T1inv T2)^i T1inv (f).
-Both keep their running terms as forms over one variable order, convert
-the sum out once, and assert their defining identity exactly on the
-returned polynomial.
+Both keep their running terms as forms over one variable order, sum them
+once, and assert their defining identity exactly on the returned
+polynomial.
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ from .poly import (
     _IntForm,
     _nonzero,
     _reduced,
+    _parts,
     _sum_forms,
-    coeff_imag,
     coeff_inverse,
-    coeff_real,
 )
 
 __all__ = [
@@ -121,8 +120,8 @@ class LinearOperator:
     Every node acts on integer forms (``poly._IntForm``) through
     ``apply_form(q, vars)``, where ``vars`` is a variable order holding p's
     variables and all of the operator's.  ``apply`` is written once: it puts
-    p over p.vars followed by the operator's variables in tree order, runs
-    ``apply_form`` and converts the result out once.
+    p's form over p.vars followed by the operator's variables in tree order
+    and runs ``apply_form``.
     """
 
     def apply(self, p: Polynomial) -> Polynomial:
@@ -788,22 +787,15 @@ def op_to_json(op: LinearOperator):
             "terms": op.poly.to_json_terms(),
         }
     if isinstance(op, Scale):
-        return {
-            "op": "scale",
-            "re": str(coeff_real(op.scalar)),
-            "im": str(coeff_imag(op.scalar)),
-        }
+        re, im = _parts(op.scalar)
+        return {"op": "scale", "re": str(re), "im": str(im)}
     if isinstance(op, Sum):
         return {"op": "sum", "terms": [op_to_json(sub) for sub in op.ops]}
     if isinstance(op, Compose):
         return {"op": "compose", "factors": [op_to_json(sub) for sub in op.ops]}
     if isinstance(op, DampedIntegration):
-        return {
-            "op": "damped_integration",
-            "var": op.tvar,
-            "re": str(coeff_real(op.a)),
-            "im": str(coeff_imag(op.a)),
-        }
+        re, im = _parts(op.a)
+        return {"op": "damped_integration", "var": op.tvar, "re": str(re), "im": str(im)}
     raise TypeError(f"operator {type(op)!r} has no JSON form")
 
 

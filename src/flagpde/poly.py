@@ -1,25 +1,31 @@
 """Exact sparse polynomial arithmetic over the rationals and Gaussian rationals.
 
-A polynomial is stored as a dictionary mapping exponent tuples to exact
-coefficients.  An integral coefficient is a Python ``int``, any other
-rational one a ``fractions.Fraction``; a coefficient is promoted to
-``GaussianRational`` (re + im*sqrt(-1) with rational parts) only when an
-imaginary part actually appears.  Every result is collapsed back to the
-smallest of these types: a Fraction with denominator 1 becomes its
-numerator and a Gaussian coefficient whose imaginary part cancels becomes
-its real part.  Floats and bools are refused, and no operation divides
-coefficients in floating point.
+A polynomial is one integer form (``_IntForm``): integer numerators for
+the real and the imaginary part of each term, keyed by exponent tuples over
+the polynomial's variable order, over one positive common denominator that
+shares no factor with them all, the layout of FLINT's fmpq_poly.  Every
+ring step (sum, difference, product, scalar multiple, power, derivative,
+antiderivative, substitution, real and imaginary part, equality) runs on
+forms; operands over different variable orders are aligned by one remap of
+their exponent tuples.  No step divides in floating point, and floats and
+bools are refused as coefficients and exponents.
+
+``Polynomial.terms`` is a read-only view, built on each read, that maps
+every exponent tuple to its exact coefficient in the smallest type: an
+``int`` when integral, else a ``fractions.Fraction``, and a
+``GaussianRational`` (re + im*sqrt(-1) with rational parts) only when the
+imaginary part is nonzero.  Printing and serialization read that view.
 
 Exponents are non-negative unless the variable was declared Laurent at
 construction time, in which case negative powers are allowed everywhere
 except under integration across the -1 exponent.
 
-The zero polynomial has an empty term map.  All values are immutable by
+The zero polynomial has no terms.  All values are immutable by
 convention: operations never mutate their operands and always return
-canonical results (no stored zero coefficients).  Canonical term order is
-graded lexicographic, descending, with respect to the polynomial's declared
-variable order; serialization uses that order so equal polynomials print
-and dump identically.
+reduced forms, so equal polynomials over one variable order have equal
+forms.  Canonical term order is graded lexicographic, descending, with
+respect to the polynomial's declared variable order; serialization uses
+that order so equal polynomials print and dump identically.
 """
 
 from __future__ import annotations
@@ -173,34 +179,34 @@ def _as_gaussian(value):
     return None
 
 
-def _norm_coeff(value: Coefficient):
-    """Collapse to the smallest exact type: int when integral, else Fraction,
-    GaussianRational only when the imaginary part is nonzero."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+def _parts(value):
+    """The real and imaginary parts of an exact scalar, each an int or a Fraction."""
+    if type(value) is int or isinstance(value, Fraction):
+        return value, 0
     if isinstance(value, GaussianRational):
-        return _norm_coeff(value.re) if not value.im else value
+        return value.re, value.im
     if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
+        return int(value), 0
     raise TypeError(f"not an exact coefficient: {value!r}")
 
 
-def _quotient(value, d: int):
-    """value / d for a nonzero int d, exact and collapsed."""
-    if type(value) is int:
-        q, r = divmod(value, d)
-        return Fraction(value, d) if r else q
-    return _norm_coeff(value / d)
+def _is_scalar(value) -> bool:
+    return isinstance(value, (int, Fraction, GaussianRational)) and not isinstance(value, bool)
 
 
-def coeff_real(value):
-    return value.re if isinstance(value, GaussianRational) else value
+def _collapsed(a: int, b: int, den: int):
+    """(a + b sqrt(-1))/den as the smallest exact type: an int when integral,
+    else a Fraction, a GaussianRational only when b is nonzero."""
+    if b:
+        return GaussianRational(Fraction(a, den), Fraction(b, den))
+    q, r = divmod(a, den)
+    return Fraction(a, den) if r else q
 
 
-def coeff_imag(value):
-    return value.im if isinstance(value, GaussianRational) else 0
+def _ratio_text(a: int, den: int) -> str:
+    """a/den in lowest terms as str(Fraction(a, den)) writes it."""
+    g = math.gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
 def coeff_inverse(value):
@@ -209,14 +215,12 @@ def coeff_inverse(value):
     return Fraction(1) / value
 
 
-def coeff_complex(value) -> complex:
-    if isinstance(value, GaussianRational):
-        return complex(value)
-    return complex(float(value), 0.0)
-
-
 class Polynomial:
-    __slots__ = ("vars", "laurent", "terms")
+    """An exact polynomial: an integer form (``_IntForm``) over the variable
+    order `vars`, with negative exponents allowed for the variables in
+    `laurent`.  ``terms`` is a view of it with exact coefficients."""
+
+    __slots__ = ("vars", "laurent", "form")
 
     def __init__(
         self,
@@ -228,22 +232,30 @@ class Polynomial:
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variables in {vs}")
         lr = frozenset(laurent)
-        tm = {}
-        if terms:
-            for exp, c in terms.items():
-                c = _norm_coeff(c)
-                if not c:
-                    continue
-                exp = tuple(exp)
-                if len(exp) != len(vs):
-                    raise ValueError(f"exponent {exp} does not match variables {vs}")
-                for v, e in zip(vs, exp):
-                    if e < 0 and v not in lr:
-                        raise ValueError(f"negative exponent for non-Laurent variable {v}")
-                tm[exp] = c
+        entries = []
+        den = 1
+        for exp, c in (terms or {}).items():
+            exp = tuple(exp)
+            if len(exp) != len(vs):
+                raise ValueError(f"exponent {exp} does not match variables {vs}")
+            for v, e in zip(vs, exp):
+                if type(e) is not int:
+                    raise TypeError(f"not an integer exponent: {e!r}")
+                if e < 0 and v not in lr:
+                    raise ValueError(f"negative exponent for non-Laurent variable {v}")
+            re, im = _parts(c)
+            if re or im:
+                entries.append((exp, re, im))
+                den = math.lcm(den, re.denominator, im.denominator)
+        # the lcm of the reduced denominators leaves numerators and den coprime
+        form = _IntForm(
+            {exp: re.numerator * (den // re.denominator) for exp, re, _ in entries if re},
+            {exp: im.numerator * (den // im.denominator) for exp, _, im in entries if im},
+            den,
+        )
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "laurent", lr)
-        object.__setattr__(self, "terms", tm)
+        object.__setattr__(self, "form", form)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -261,50 +273,64 @@ class Polynomial:
 
     # -- basic queries --------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient}, built from the form on each read,
+        each coefficient collapsed to an int, a Fraction or a GaussianRational."""
+        re, im, den = self.form.re, self.form.im, self.form.den
+        if den == 1 and not im:
+            return dict(re)
+        out = {exp: _collapsed(a, im.get(exp, 0), den) for exp, a in re.items()}
+        for exp, b in im.items():
+            if exp not in re:
+                out[exp] = _collapsed(0, b, den)
+        return out
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.form
 
     def total_degree(self) -> int:
         """Maximum term degree (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
-
-    def degree_in(self, var: str) -> int:
-        if var not in self.vars or not self.terms:
-            return 0
-        i = self.vars.index(var)
-        return max(exp[i] for exp in self.terms)
+        return self.form.total_degree()
 
     def support_vars(self) -> frozenset:
         """Variables that occur with a nonzero exponent in some term."""
         used = set()
-        for exp in self.terms:
+        for exp in itertools.chain(self.form.re, self.form.im):
             for v, e in zip(self.vars, exp):
                 if e:
                     used.add(v)
         return frozenset(used)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), 0)
+        return self.coefficient({})
 
     def coefficient(self, exponents: Mapping[str, int]):
         """Coefficient of the monomial given as a {var: exponent} mapping."""
-        key = tuple(exponents.get(v, 0) for v in self.vars)
         for v, e in exponents.items():
             if e and v not in self.vars:
                 return 0
-        return self.terms.get(key, 0)
+        key = tuple(exponents.get(v, 0) for v in self.vars)
+        f = self.form
+        return _collapsed(f.re.get(key, 0), f.im.get(key, 0), f.den)
 
     # -- alignment ------------------------------------------------------------
 
     def _aligned_with(self, other: "Polynomial"):
-        if self.vars == other.vars:
-            lr = self.laurent | other.laurent
-            return self.vars, lr, self.terms, other.terms
-        vs = self.vars + tuple(v for v in other.vars if v not in self.vars)
         lr = self.laurent | other.laurent
-        return vs, lr, _remap(self, vs), _remap(other, vs)
+        if self.vars == other.vars:
+            return self.vars, lr, self.form, other.form
+        vs = self.vars + tuple(v for v in other.vars if v not in self.vars)
+        return vs, lr, _int_form(self, vs), _int_form(other, vs)
+
+    def _coerced(self, other):
+        """other as a Polynomial, a scalar as a constant over self's variables;
+        None for any other type."""
+        if isinstance(other, Polynomial):
+            return other
+        if _is_scalar(other):
+            return Polynomial.const(other, self.vars, self.laurent)
+        return None
 
     def with_variables(self, vars: Iterable[str], laurent=()) -> "Polynomial":
         """Re-express over a superset of variables (order taken from `vars`)."""
@@ -312,90 +338,66 @@ class Polynomial:
         missing = [v for v in self.vars if v not in vs]
         if missing:
             raise ValueError(f"target variable set misses {missing}")
-        return Polynomial(vs, _remap(self, vs), self.laurent | frozenset(laurent))
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"duplicate variables in {vs}")
+        return _int_form(self, vs).to_poly(vs, self.laurent | frozenset(laurent))
 
     def with_laurent(self, *names: str) -> "Polynomial":
-        return Polynomial(self.vars, self.terms, self.laurent | set(names))
+        return self.form.to_poly(self.vars, self.laurent | frozenset(names))
 
     # -- ring operations ------------------------------------------------------
 
+    def _combined(self, other, step):
+        """step on the aligned forms of self and other (a scalar taken as a constant)."""
+        other = self._coerced(other)
+        if other is None:
+            return NotImplemented
+        vs, lr, a, b = self._aligned_with(other)
+        return step(a, b).to_poly(vs, lr)
+
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction, GaussianRational)):
-                other = Polynomial.const(other, self.vars, self.laurent)
-            else:
-                return NotImplemented
-        vs, lr, ta, tb = self._aligned_with(other)
-        out = dict(ta)
-        get = out.get
-        for exp, c in tb.items():
-            s = get(exp, 0) + c
-            if type(s) is not int:
-                s = _norm_coeff(s)
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return _make(vs, lr, out)
+        return self._combined(other, _IntForm.__add__)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -_norm_coeff(other))
+        return self._combined(other, _IntForm.__sub__)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _make(self.vars, self.laurent, {e: -c for e, c in self.terms.items()})
+        return (-self.form).to_poly(self.vars, self.laurent)
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction, GaussianRational)):
-                c = _norm_coeff(other)
-                if not c:
-                    return Polynomial.zero(self.vars, self.laurent)
-                return _make(
-                    self.vars, self.laurent, {e: _norm_coeff(k * c) for e, k in self.terms.items()}
-                )
-            return NotImplemented
-        vs, lr, ta, tb = self._aligned_with(other)
-        out = {}
-        get = out.get
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                exp = tuple(map(_add, ea, eb))
-                s = get(exp, 0) + ca * cb
-                if type(s) is not int:
-                    s = _norm_coeff(s)
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return _make(vs, lr, out)
+        if isinstance(other, Polynomial):
+            vs, lr, a, b = self._aligned_with(other)
+            return (a * b).to_poly(vs, lr)
+        if _is_scalar(other):
+            return self.form.scaled(other).to_poly(self.vars, self.laurent)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self * coeff_inverse(_norm_coeff(other))
+        if _is_scalar(other):
+            return self * coeff_inverse(other)
         return NotImplemented
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        out = Polynomial.const(1, self.vars, self.laurent)
+        out = _IntForm.one(len(self.vars))
         for _ in range(exponent):
-            out = out * self
-        return out
+            out = out * self.form
+        return out.to_poly(self.vars, self.laurent)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.const(other, self.vars, self.laurent)
-        if not isinstance(other, Polynomial):
+        other = self._coerced(other)
+        if other is None:
             return NotImplemented
-        _, _, ta, tb = self._aligned_with(other)
-        return ta == tb
+        _, _, a, b = self._aligned_with(other)
+        return a == b
 
     def __hash__(self):
         raise TypeError("Polynomial is not hashable")
@@ -409,17 +411,8 @@ class Polynomial:
         if order == 0:
             return self
         if var not in self.vars:
-            return _make(self.vars, self.laurent, {})
-        i = self.vars.index(var)
-        out = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            k = falling(e, order)
-            if not k:
-                continue
-            nexp = exp[:i] + (e - order,) + exp[i + 1 :]
-            out[nexp] = _norm_coeff(c * k)
-        return _make(self.vars, self.laurent, out)
+            return _IntForm.zero().to_poly(self.vars, self.laurent)
+        return self.form.diff(self.vars.index(var), order).to_poly(self.vars, self.laurent)
 
     def integrate(self, var: str) -> "Polynomial":
         """Definite-style antiderivative in `var` with zero constant of integration.
@@ -427,22 +420,17 @@ class Polynomial:
         Each monomial x^a maps to x^(a+1)/(a+1); an exponent of -1 in `var`
         has no polynomial antiderivative and raises NonIntegrableTermError.
         """
-        p = self if var in self.vars else self.with_variables(self.vars + (var,))
-        i = p.vars.index(var)
-        out = {}
-        for exp, c in p.terms.items():
-            e = exp[i]
-            if e == -1:
-                raise NonIntegrableTermError("non-integrable Laurent term")
-            nexp = exp[:i] + (e + 1,) + exp[i + 1 :]
-            out[nexp] = _quotient(c, e + 1)
-        return _make(p.vars, p.laurent, out)
+        return self._integrated(var, 1)
 
     def integrate_n(self, var: str, order: int) -> "Polynomial":
-        out = self
-        for _ in range(order):
-            out = out.integrate(var)
-        return out
+        """`order` antiderivatives in `var` in one step: x^a maps to
+        x^(a+order) a!/(a+order)!, and an exponent a with
+        -order <= a <= -1 raises NonIntegrableTermError."""
+        return self._integrated(var, order) if order > 0 else self
+
+    def _integrated(self, var, order):
+        p = self if var in self.vars else self.with_variables(self.vars + (var,))
+        return p.form.integrate(p.vars.index(var), order).to_poly(p.vars, p.laurent)
 
     # -- substitution and evaluation -------------------------------------------
 
@@ -450,39 +438,33 @@ class Polynomial:
         """Replace `var` by an exact scalar or another Polynomial."""
         if var not in self.vars:
             return self
+        if not (_is_scalar(value) or isinstance(value, Polynomial)):
+            raise TypeError(f"cannot substitute value of type {type(value)!r}")
         i = self.vars.index(var)
-        rest_vars = self.vars[:i] + self.vars[i + 1 :]
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            value = _norm_coeff(value)
-            out = {}
-            for exp, c in self.terms.items():
-                e = exp[i]
-                if e < 0:
-                    if not value:
-                        raise ZeroDivisionError("substituting zero into a negative power")
-                    factor = coeff_inverse(value) ** (-e)
-                else:
-                    factor = value**e
-                nexp = exp[:i] + exp[i + 1 :]
-                s = _norm_coeff(out.get(nexp, 0) + c * factor)
-                if s:
-                    out[nexp] = s
-                else:
-                    out.pop(nexp, None)
-            return _make(rest_vars, self.laurent - {var}, out)
-        if isinstance(value, Polynomial):
-            acc = Polynomial.zero(rest_vars, self.laurent - {var})
-            powers = {0: Polynomial.const(1, value.vars, value.laurent)}
-            for exp, c in self.terms.items():
-                e = exp[i]
-                if e < 0:
-                    raise ValueError("cannot substitute a polynomial into a negative power")
-                if e not in powers:
-                    powers[e] = value**e
-                mono = _make(rest_vars, self.laurent - {var}, {exp[:i] + exp[i + 1 :]: c})
-                acc = acc + mono * powers[e]
-            return acc
-        raise TypeError(f"cannot substitute value of type {type(value)!r}")
+        rest = self.vars[:i] + self.vars[i + 1 :]
+        lr = self.laurent - {var}
+        # the terms by their exponent of var, over the remaining variables
+        groups = {}
+        for k, part in enumerate((self.form.re, self.form.im)):
+            for exp, a in part.items():
+                groups.setdefault(exp[i], ({}, {}))[k][exp[:i] + exp[i + 1 :]] = a
+        pieces = [(e, _IntForm(re, im, self.form.den)) for e, (re, im) in groups.items()]
+        if _is_scalar(value):
+            if not value and any(e < 0 for e, _ in pieces):
+                raise ZeroDivisionError("substituting zero into a negative power")
+            vs = rest
+            forms = [f.scaled(value**e if e >= 0 else coeff_inverse(value) ** -e) for e, f in pieces]
+        else:
+            if any(e < 0 for e, _ in pieces):
+                raise ValueError("cannot substitute a polynomial into a negative power")
+            vs = rest + tuple(v for v in value.vars if v not in rest)
+            lr |= value.laurent
+            base, powers = _int_form(value, vs), [_IntForm.one(len(vs))]
+            for _ in range(max((e for e, _ in pieces), default=0)):
+                powers.append(powers[-1] * base)
+            pad = (0,) * (len(vs) - len(rest))
+            forms = [_remapped(f, lambda exp: exp + pad) * powers[e] for e, f in pieces]
+        return _sum_forms(forms).to_poly(vs, lr)
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every variable must be assigned."""
@@ -493,7 +475,7 @@ class Polynomial:
             point.append(complex(values[v]))
         total = 0j
         for exp, c in self.terms.items():
-            term = coeff_complex(c)
+            term = complex(c)
             for val, e in zip(point, exp):
                 if e:
                     term *= val**e
@@ -501,12 +483,10 @@ class Polynomial:
         return total
 
     def real_part(self) -> "Polynomial":
-        out = {e: _norm_coeff(coeff_real(c)) for e, c in self.terms.items()}
-        return _make(self.vars, self.laurent, {e: c for e, c in out.items() if c})
+        return _reduced(self.form.re, {}, self.form.den).to_poly(self.vars, self.laurent)
 
     def imag_part(self) -> "Polynomial":
-        out = {e: _norm_coeff(coeff_imag(c)) for e, c in self.terms.items()}
-        return _make(self.vars, self.laurent, {e: c for e, c in out.items() if c})
+        return _reduced(self.form.im, {}, self.form.den).to_poly(self.vars, self.laurent)
 
     # -- canonical form and serialization ---------------------------------------
 
@@ -515,16 +495,22 @@ class Polynomial:
         # exponents are unique keys, so no two terms tie
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
+    def text_terms(self) -> list:
+        """(exponent tuple, real part, imaginary part) per term in canonical
+        order, each part written as str(Fraction) writes it."""
+        re, im, den = self.form.re, self.form.im, self.form.den
+        keys = sorted(re.keys() | im.keys() if im else re, key=lambda e: (sum(e), e), reverse=True)
+        if not im:
+            return [(exp, _ratio_text(re[exp], den), "0") for exp in keys]
+        return [
+            (exp, _ratio_text(re.get(exp, 0), den), _ratio_text(im.get(exp, 0), den)) for exp in keys
+        ]
+
     def to_json_terms(self):
-        out = []
-        for exp, c in self.sorted_terms():
-            entry = {
-                "exp": {v: e for v, e in zip(self.vars, exp) if e},
-                "re": str(coeff_real(c)),
-                "im": str(coeff_imag(c)),
-            }
-            out.append(entry)
-        return out
+        return [
+            {"exp": {v: e for v, e in zip(self.vars, exp) if e}, "re": re, "im": im}
+            for exp, re, im in self.text_terms()
+        ]
 
     @staticmethod
     def from_json_terms(data, variables=None, laurent=()) -> "Polynomial":
@@ -545,7 +531,7 @@ class Polynomial:
                 c = GaussianRational(Fraction(entry["re"]), Fraction(entry.get("im", "0")))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in coefficient {entry}") from None
-            c = _norm_coeff(terms.get(exp, 0) + c)
+            c = terms.get(exp, 0) + c
             if c:
                 terms[exp] = c
             else:
@@ -553,7 +539,7 @@ class Polynomial:
         return Polynomial(variables, terms, laurent)
 
     def __str__(self):
-        if not self.terms:
+        if not self.form:
             return "0"
         rendered = []
         for exp, c in self.sorted_terms():
@@ -578,35 +564,17 @@ class Polynomial:
         return f"<Polynomial {self}>"
 
 
-def _make(vars, laurent, terms) -> Polynomial:
-    """Internal fast constructor; terms are assumed canonical already."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "vars", vars)
-    object.__setattr__(p, "laurent", laurent)
-    object.__setattr__(p, "terms", terms)
-    return p
-
-
-def _remap(p: Polynomial, vars: tuple) -> dict:
-    idx = [vars.index(v) for v in p.vars]
-    width = len(vars)
-    out = {}
-    for exp, c in p.terms.items():
-        nexp = [0] * width
-        for pos, e in zip(idx, exp):
-            nexp[pos] = e
-        out[tuple(nexp)] = c
-    return out
-
-
 class _IntForm:
     """sum_e (re[e] + im[e]*sqrt(-1)) x^e / den over a variable order the
     caller holds fixed: integer numerator dicts over one positive common
     denominator, the layout of FLINT's fmpq_poly.
 
-    The ring steps return forms without zero entries in which den and all
-    the numerators have gcd 1 (one math.gcd pass per result); conversion in
-    and out is `_int_form` and `to_poly`.
+    Every Polynomial is one of these over its own variables, and every ring
+    step of this module runs here.  The steps return forms without zero
+    entries in which den and all the numerators have gcd 1 (one math.gcd
+    pass per result), so equal values have equal fields.  ``_int_form``
+    puts a Polynomial over another variable order and ``to_poly`` wraps a
+    form as one.
     """
 
     __slots__ = ("re", "im", "den")
@@ -640,14 +608,13 @@ class _IntForm:
     __hash__ = None
 
     def to_poly(self, vars: tuple, laurent: frozenset) -> Polynomial:
-        """The Polynomial over `vars`, each coefficient formed once as an exact
-        quotient and collapsed as _norm_coeff does."""
-        re, im, den = self.re, self.im, self.den
-        terms = {exp: _quotient(a, den) for exp, a in re.items() if a}
-        for exp, b in im.items():
-            if b:
-                terms[exp] = GaussianRational(Fraction(re.get(exp, 0), den), Fraction(b, den))
-        return _make(vars, laurent, terms)
+        """The Polynomial over `vars` that holds this form, which must be
+        reduced and over vars: the constructor of every ring step."""
+        p = object.__new__(Polynomial)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "laurent", laurent)
+        object.__setattr__(p, "form", self)
+        return p
 
     def __neg__(self):
         return _IntForm(
@@ -688,7 +655,7 @@ class _IntForm:
 
     def scaled(self, value) -> "_IntForm":
         """The form times an exact scalar."""
-        vr, vi = (value.re, value.im) if isinstance(value, GaussianRational) else (value, 0)
+        vr, vi = _parts(value)
         cd = math.lcm(vr.denominator, vi.denominator)
         cr, ci = vr.numerator * (cd // vr.denominator), vi.numerator * (cd // vi.denominator)
         re = {e: a * cr for e, a in self.re.items()} if cr else {}
@@ -722,7 +689,8 @@ class _IntForm:
     def integrate(self, i: int, m: int) -> "_IntForm":
         """m-fold antiderivative in x_i with zero constants: x^e maps to
         x^(e+m) e!/(e+m)!, the rising products (e+1)...(e+m) folded into the
-        denominator through their lcm."""
+        denominator through their lcm.  An exponent e with -m <= e <= -1
+        reaches x^-1 on the way and raises NonIntegrableTermError."""
         rising = {}
         for exp in itertools.chain(self.re, self.im):
             e = exp[i]
@@ -786,44 +754,36 @@ def _reduced(re: dict, im: dict, den: int) -> _IntForm:
     return _IntForm(re, im, den)
 
 
+def _remapped(form: _IntForm, move) -> _IntForm:
+    """The form with every exponent tuple e replaced by move(e)."""
+    return _IntForm(
+        {move(e): a for e, a in form.re.items()}, {move(e): b for e, b in form.im.items()}, form.den
+    )
+
+
 def _int_form(p: Polynomial, vars: tuple) -> _IntForm:
-    """p over the variable order `vars`: every coefficient's real and
-    imaginary part times the least common denominator of them all.  A
-    variable of p missing from `vars` must have exponent 0 throughout."""
+    """p's form over the variable order `vars`: the form itself when p is
+    over vars already, else one remap of its exponent tuples.  A variable
+    of p missing from `vars` must have exponent 0 throughout."""
     if p.vars == vars:
-        terms = p.terms
-    elif all(v in vars for v in p.vars):
-        terms = _remap(p, vars)
-    else:
-        idx = [vars.index(v) if v in vars else None for v in p.vars]
-        width = len(vars)
-        terms = {}
-        for exp, c in p.terms.items():
-            nexp = [0] * width
-            for pos, v, e in zip(idx, p.vars, exp):
-                if pos is not None:
-                    nexp[pos] = e
-                elif e:
-                    raise ValueError(f"variable {v} is not in {vars}")
-            terms[tuple(nexp)] = c
-    den = 1
-    for c in terms.values():
-        if type(c) is not int:
-            if isinstance(c, GaussianRational):
-                den = math.lcm(den, c.re.denominator, c.im.denominator)
-            else:
-                den = math.lcm(den, c.denominator)
-    re, im = {}, {}
-    for exp, c in terms.items():
-        if type(c) is int:
-            re[exp] = c * den
-        elif isinstance(c, GaussianRational):
-            if c.re:
-                re[exp] = c.re.numerator * (den // c.re.denominator)
-            im[exp] = c.im.numerator * (den // c.im.denominator)
-        else:
-            re[exp] = c.numerator * (den // c.denominator)
-    return _IntForm(re, im, den)
+        return p.form
+    n = len(p.vars)
+    if vars[:n] == p.vars:
+        pad = (0,) * (len(vars) - n)
+        return _remapped(p.form, lambda exp: exp + pad)
+    idx = [vars.index(v) if v in vars else None for v in p.vars]
+    width = len(vars)
+
+    def move(exp):
+        nexp = [0] * width
+        for pos, v, e in zip(idx, p.vars, exp):
+            if pos is not None:
+                nexp[pos] = e
+            elif e:
+                raise ValueError(f"variable {v} is not in {vars}")
+        return tuple(nexp)
+
+    return _remapped(p.form, move)
 
 
 def variable(name: str, laurent: bool = False) -> Polynomial:

@@ -157,19 +157,20 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
     """The symbol as an operator over vs = (t, x1..xn).  A node's symbol
     only differentiates its descendants, so its multiplier x_p commutes
     with its derivatives."""
-    den = math.lcm(*(c.denominator for c in symbol.terms.values()))
     form: dict = {}
-    for exp, c in symbol.terms.items():
-        alpha, coeff = [], [0] * len(vs)
-        for v, e in zip(symbol.vars, exp):
-            if not e:
-                continue
-            if v.startswith("D"):
-                alpha.append((vs.index("x" + v[1:]), e))
-            else:
-                coeff[vs.index(v)] = e
-        form.setdefault(tuple(sorted(alpha)), {})[tuple(coeff)] = c.numerator * (den // c.denominator)
-    return FormApplicator({a: _IntForm(re, {}, den) for a, re in form.items()}, vs, frozenset())
+    for part, terms in enumerate((symbol.form.re, symbol.form.im)):
+        for exp, a in terms.items():
+            alpha, coeff = [], [0] * len(vs)
+            for v, e in zip(symbol.vars, exp):
+                if not e:
+                    continue
+                if v.startswith("D"):
+                    alpha.append((vs.index("x" + v[1:]), e))
+                else:
+                    coeff[vs.index(v)] = e
+            form.setdefault(tuple(sorted(alpha)), ({}, {}))[part][tuple(coeff)] = a
+    den = symbol.form.den
+    return FormApplicator({a: _IntForm(re, im, den) for a, (re, im) in form.items()}, vs, frozenset())
 
 
 def _t_capped(q: _IntForm, tcap: int, j: int = 1) -> _IntForm:

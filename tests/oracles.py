@@ -671,6 +671,18 @@ def diff_stepwise(p, var, order):
     return Polynomial(p.vars, out, p.laurent)
 
 
+def dict_sum(p, q, sign=1):
+    """p + sign * q from the two term dicts, over p's variables followed by q's."""
+    vs = p.vars + tuple(v for v in q.vars if v not in p.vars)
+    out = {}
+    for poly, k in ((p, 1), (q, sign)):
+        for exp, c in poly.terms.items():
+            at = dict(zip(poly.vars, exp))
+            key = tuple(at.get(v, 0) for v in vs)
+            out[key] = out.get(key, 0) + c * k
+    return Polynomial(vs, out, p.laurent | q.laurent)
+
+
 def dict_product(f, p):
     """f * p from the two term dicts, over p's variables followed by f's."""
     vs = p.vars + tuple(v for v in f.vars if v not in p.vars)

@@ -460,6 +460,39 @@ def test_validator_tie_breaks(instance, schema, message):
     assert _verdicts(instance, schema) == (message, message)
 
 
+_FLOAT_SPEC = {"orders": [2.0, 1], "coefficients": [[{"exp": {"x1": 1.0}, "re": "1", "im": "0"}]]}
+_INT_SPEC = {"orders": [2, 1], "coefficients": [[{"exp": {"x1": 1}, "re": "1", "im": "0"}]]}
+
+
+def test_integral_floats_load_as_ints(tmp_path):
+    """Where a schema says integer, an integral float is read as its int;
+    where it says number, a float stays a float."""
+    spec = cli._load_json(_write(tmp_path, "s.json", json.dumps(_FLOAT_SPEC)), FLAG_SPEC_SCHEMA, "flag spec")
+    assert spec == _INT_SPEC and type(spec["orders"][0]) is int
+    assert type(spec["coefficients"][0][0]["exp"]["x1"]) is int
+    tree = cli._load_json(_write(tmp_path, "t.json", '{"nodes": 3.0, "edges": [[1, 2.0], [2, 3]]}'),
+                          TREE_SCHEMA, "tree")
+    assert tree == {"nodes": 3, "edges": [[1, 2], [2, 3]]} and type(tree["nodes"]) is int
+    assert type(tree["edges"][0][1]) is int
+    data = cli._load_json(_write(tmp_path, "d.json", '{"halfWidths": [2.0], "modes": [{"k": [1.0], "cos": 1.0}]}'),
+                          DATA_SCHEMA, "data")
+    assert type(data["modes"][0]["k"][0]) is int
+    assert type(data["halfWidths"][0]) is float and type(data["modes"][0]["cos"]) is float
+
+
+@pytest.mark.parametrize("argv, floats, ints", [
+    (["basis", "flag", "--cap", "3", "--spec"], _FLOAT_SPEC, _INT_SPEC),
+    (["tree", "xi", "--tree"], {"nodes": 3.0, "edges": [[1, 2], [2, 3]]}, {"nodes": 3, "edges": [[1, 2], [2, 3]]}),
+], ids=["exp-and-orders", "nodes"])
+def test_integral_float_inputs_report_as_their_ints(tmp_path, argv, floats, ints):
+    results = []
+    for name, doc in (("floats", floats), ("ints", ints)):
+        out = tmp_path / f"{name}-out.json"
+        assert run_cli(argv + [_write(tmp_path, f"{name}.json", json.dumps(doc)), "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text())["result"])
+    assert results[0] == results[1]
+
+
 # -- runtime dependencies -------------------------------------------------------------------------
 
 def test_ivp_commands_load_neither_numpy_nor_scipy(tmp_path):

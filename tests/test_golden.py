@@ -43,6 +43,7 @@ from flagpde import (
     klein_gordon_solutions,
     power_perturbation_solve,
     riemannian_wave_solution,
+    sl_module_basis,
     solve_constant_ode,
     solve_flag_ivp,
     variable,
@@ -245,3 +246,38 @@ def test_basis_command_result_matches_golden_hash(name, tmp_path):
     assert main(["basis", *BASIS_COMMANDS[name], "--out", str(out)]) == 0
     payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == BASIS_GOLDEN[name]
+
+
+# -- the text form -------------------------------------------------------------------
+
+# the Gaussian flag spec of the CI smoke test, with its cap
+GAUSSIAN_SPEC = [
+    [{"exp": {"x1": 1}, "re": "0", "im": "1"}, {"exp": {}, "re": "1"}],
+    [{"exp": {"x1": 1, "x2": 1}, "re": "1"}, {"exp": {}, "re": "-1/2", "im": "1/3"}],
+]
+
+
+def _gaussian_spec():
+    vs = ("x1", "x2", "x3")
+    coeffs = tuple(Polynomial.from_json_terms(terms, vs) for terms in GAUSSIAN_SPEC)
+    return flag_basis(FlagEquationSpec((2, 1, 2), coeffs, vs), 4)
+
+
+TEXT_FAMILIES = [
+    lambda: harmonic_basis(4, 9),
+    _gaussian_spec,
+    *(lambda lam=lam, eps=eps: anisymmetric_basis(3, lam, eps, 4)
+      for lam in (Fraction(3, 2), -2, -3) for eps in (1, -1)),
+    lambda: sl_module_basis(3, 2, 1),
+]
+
+TEXT_GOLDEN = "4318a43a0ed403cf78f9fa54634669f5d55e99d9328b38a09d49fbf969fc037a"
+
+
+def test_text_form_matches_golden_hash():
+    """str and repr of every element, recorded before Polynomial kept its
+    coefficients as integer numerators over one denominator: the JSON
+    hashes above do not see __str__'s sign and 1* rules."""
+    lines = [f"{e.solution}\t{e.solution!r}" for make in TEXT_FAMILIES for e in make().elements]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TEXT_GOLDEN

@@ -15,7 +15,7 @@ from flagpde import (
 )
 from flagpde.poly import NonIntegrableTermError, _int_form
 
-from oracles import diff_stepwise, integrate_by_reciprocal
+from oracles import diff_stepwise, dict_product, dict_sum, integrate_by_reciprocal
 from strategies import gaussian_coefficients, polynomials
 
 
@@ -290,6 +290,14 @@ def test_float_and_bool_coefficients_are_refused(value):
         x * value
 
 
+@pytest.mark.parametrize("exponent", [2.0, True, 0.5])
+def test_float_and_bool_exponents_are_refused(exponent):
+    with pytest.raises(TypeError):
+        Polynomial(("x",), {(exponent,): 1})
+    with pytest.raises(TypeError):
+        Polynomial(("x", "y"), {(1, exponent): Fraction(1, 2)})
+
+
 @pytest.mark.parametrize("re, im", [(0.1, 1), (1, 0.5), (True, 0), (0, False), (complex(1, 1), 0)])
 def test_gaussian_parts_must_be_exact(re, im):
     with pytest.raises(TypeError):
@@ -310,6 +318,11 @@ def test_integer_coefficients_print_like_fractions():
 
 FORM_VARS = ("x", "y", "z")
 FORM_POLYS = polynomials(vars=FORM_VARS, max_terms=4, max_exp=3, laurent=("x",), coeffs=gaussian_coefficients())
+OTHER_POLYS = st.one_of(
+    polynomials(vars=("z", "w", "x"), max_terms=4, max_exp=3, laurent=("x", "w"), coeffs=gaussian_coefficients()),
+    polynomials(vars=("y",), max_terms=3, max_exp=3, coeffs=MIXED),
+    FORM_POLYS,
+)
 
 
 def _assert_reduced(form):
@@ -319,33 +332,40 @@ def _assert_reduced(form):
     assert math.gcd(form.den, *form.re.values(), *form.im.values()) == 1
 
 
-@given(FORM_POLYS, FORM_POLYS)
+@given(FORM_POLYS, OTHER_POLYS)
 @settings(max_examples=60)
-def test_integer_form_ring_steps_match_polynomial_arithmetic(p, q):
-    a, b = _int_form(p, FORM_VARS), _int_form(q, FORM_VARS)
-    assert _typed_terms(a.to_poly(FORM_VARS, p.laurent)) == _typed_terms(p)
-    for got, want in ((a + b, p + q), (a - b, p - q), (a * b, p * q), (-a, -p)):
-        _assert_reduced(got)
-        assert _typed_terms(got.to_poly(FORM_VARS, p.laurent)) == _typed_terms(want.with_variables(FORM_VARS))
+def test_integer_form_ring_steps_match_dict_oracles(p, q):
+    """Sum, difference and product over mixed variable orders, against
+    coefficient-by-coefficient arithmetic on the term dicts."""
+    for got, want in ((p + q, dict_sum(p, q)), (p - q, dict_sum(p, q, -1)), (p * q, dict_product(q, p)),
+                      (-p, dict_sum(Polynomial.zero(p.vars), p, -1))):
+        _assert_reduced(got.form)
+        assert _typed_terms(got) == _typed_terms(want)
 
 
 @given(FORM_POLYS, st.integers(0, 2), st.integers(0, 3), gaussian_coefficients())
 @settings(max_examples=60)
-def test_integer_form_calculus_matches_polynomial_calculus(p, i, m, c):
+def test_integer_form_calculus_matches_dict_oracles(p, i, m, c):
     v = FORM_VARS[i]
-    a = _int_form(p, FORM_VARS)
+    a = p.form
     _assert_reduced(a.diff(i, m))
-    assert a.diff(i, m).to_poly(FORM_VARS, p.laurent) == p.diff(v, m)
-    assert a.scaled(c).to_poly(FORM_VARS, p.laurent) == p * c
-    assert a.shifted(i, 2, -3).to_poly(FORM_VARS, p.laurent) == p * (-3 * variable(v) ** 2)
+    assert _typed_terms(a.diff(i, m).to_poly(FORM_VARS, p.laurent)) == _typed_terms(diff_stepwise(p, v, m))
+    assert _typed_terms(a.scaled(c).to_poly(FORM_VARS, p.laurent)) == _typed_terms(dict_product(constant(c), p))
+    shifted = a.shifted(i, 2, -3).to_poly(FORM_VARS, p.laurent)
+    assert _typed_terms(shifted) == _typed_terms(dict_product(-3 * variable(v) ** 2, p))
+    want = p
     try:
-        want = p.integrate_n(v, m)
+        for _ in range(m):
+            want = integrate_by_reciprocal(want, v)
     except NonIntegrableTermError:
         with pytest.raises(NonIntegrableTermError):
             a.integrate(i, m)
+        with pytest.raises(NonIntegrableTermError):
+            p.integrate_n(v, m)
         return
     _assert_reduced(a.integrate(i, m))
-    assert a.integrate(i, m).to_poly(FORM_VARS, p.laurent) == want
+    assert _typed_terms(a.integrate(i, m).to_poly(FORM_VARS, p.laurent)) == _typed_terms(want)
+    assert _typed_terms(p.integrate_n(v, m)) == _typed_terms(want)
 
 
 def test_integer_form_reorders_and_drops_unused_variables():
