@@ -32,11 +32,20 @@ from .operators import (
     VerificationError,
     _chain_order,
     form_applicator,
+    form_map,
     operator_variables,
     operators_agree_on_sample,
     solve_by_series,
 )
-from .poly import GaussianRational, Polynomial, _int_form, _IntForm, _sum_forms, variable
+from .poly import (
+    GaussianRational,
+    Polynomial,
+    _int_form,
+    _IntForm,
+    _shifted_sum,
+    _sum_forms,
+    variable,
+)
 
 __all__ = [
     "BasisElement",
@@ -152,29 +161,43 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
     _check_cap(cap)
     vars_ = _default_vars(n)
     annihilator = Sum(Derivative(v, m) for v, m in zip(vars_, orders))
+    m1 = orders[0]
+    # per variable x_i (i >= 2) and exponent l, over k = 0..l // m_i: the
+    # exponents l - k m_i and the integers perm(l, k m_i)/k!; shared by the family
+    tables = [
+        [([l - k * m for k in range(l // m + 1)],
+          [math.perm(l, k * m) // math.factorial(k) for k in range(l // m + 1)])
+         for l in range(cap + 1)]
+        for m in orders[1:]
+    ]
     elements = []
-    for l1 in range(orders[0]):
+    for l1 in range(m1):
+        # per K <= cap: the integer perm(l1 + K m1, K m1)/K!
+        dens = [math.perm(l1 + k * m1, k * m1) // math.factorial(k) for k in range(cap + 1)]
         for rest in tuples_with_sum_at_most(n - 1, cap):
-            sol = _constant_element(orders, (l1,) + rest, vars_)
+            exps, nums = zip(*(t[l] for t, l in zip(tables, rest)))
+            sol = _constant_element(l1, m1, exps, nums, dens).to_poly(vars_, frozenset())
             elements.append(BasisElement({"ell": (l1,) + rest}, sol))
     return _checked(elements, annihilator, {"cap": cap, "orders": list(orders)})
 
 
-def _constant_element(orders, ell, vars_) -> Polynomial:
-    n = len(orders)
-    m1 = orders[0]
-    ranges = [range(ell[i] // orders[i] + 1) for i in range(1, n)]
+def _constant_element(l1: int, m1: int, exps, nums, dens) -> _IntForm:
+    """The element for (l1, l2..ln) from the per-variable tables of
+    ``constant_coefficient_basis`` for l2..ln and the integers dens[K] of l1.
+
+    The coefficient of x1^(l1 + K m1) prod_i x_i^(l_i - k_i m_i), K = sum k_i,
+    is (-1)^K multinomial(ks) l1!/(l1 + K m1)! prod_i perm(l_i, k_i m_i),
+    that is (-1)^K prod_i perm(l_i, k_i m_i)/k_i!  over  perm(l1 + K m1, K m1)/K!.
+    Both quotients are exact: a product of k m consecutive integers is
+    divisible by (k m)!, so by k!.
+    """
     terms = {}
-    for ks in itertools.product(*ranges):
+    for ks in itertools.product(*(range(len(e)) for e in exps)):
         big_k = sum(ks)
-        # (-1)^K multinomial(ks) l1!/(l1 + K m1)! prod_i falling(l_i, k_i m_i)
-        num = (-1) ** big_k * multinomial(ks)
-        exp = [ell[0] + big_k * m1]
-        for i, k in enumerate(ks, start=1):
-            num *= math.perm(ell[i], k * orders[i])
-            exp.append(ell[i] - k * orders[i])
-        terms[tuple(exp)] = (num, math.perm(ell[0] + big_k * m1, big_k * m1))
-    return _over_one_denominator(terms).to_poly(vars_, frozenset())
+        num = math.prod(map(list.__getitem__, nums, ks))
+        exp = (l1 + big_k * m1,) + tuple(map(list.__getitem__, exps, ks))
+        terms[exp] = (-num if big_k & 1 else num, dens[big_k])
+    return _over_one_denominator(terms)
 
 
 def _over_one_denominator(terms: dict) -> _IntForm:
@@ -294,20 +317,19 @@ def _sigma_step(inv: NestedRightInverse, vs: tuple, f: _IntForm, pos: int, m: in
     of the new block, all as integer forms over the build's variable order
     vs.  D^i(seed) is
     falling(ell, i*m) x_pos^(ell - i*m), so each product is an exponent
-    shift.  chain[i] holds (-inv f)^i(h), chain[0] = h; each missing power
-    is one step from the previous one and is appended, so seeds extending
-    the same h share it.
+    shift, and the shifted pieces are summed in one pass.  chain[i] holds
+    (-inv f)^i(h), chain[0] = h; each missing power is one step from the
+    previous one and is appended, so seeds extending the same h share it.
     """
-    total = chain[0].shifted(pos, ell, 1)
-    i = 1
-    while True:
-        k = math.perm(ell, i * m)
-        if not k:
-            return total
+    pieces = []
+    i, k = 0, 1
+    while k:
         if i == len(chain):
             chain.append(-inv.apply_form(f * chain[-1], vs))
-        total = total + chain[i].shifted(pos, ell - i * m, k)
+        pieces.append((chain[i], ell - i * m, k))
         i += 1
+        k = math.perm(ell, i * m)
+    return _shifted_sum(pieces, pos)
 
 
 def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
@@ -425,6 +447,7 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
 
     max_level = 2 + g.total_degree() * max(1, m)
     g_parts: dict[tuple, _IntForm] = {(0,) * m: _int_form(g, vs)}
+    perturb = [form_map(op, vs) for op in perturbations]
 
     def g_part(tup):
         if tup in g_parts:
@@ -432,7 +455,7 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
         for r in range(m):
             if tup[r]:
                 prev = tup[:r] + (tup[r] - 1,) + tup[r + 1 :]
-                out = perturbations[r].apply_form(g_part(prev), vs)
+                out = perturb[r](g_part(prev))
                 break
         g_parts[tup] = out
         return out

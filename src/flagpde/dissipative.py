@@ -24,6 +24,7 @@ from .operators import (
     Sum,
     TrigApplicator,
     VerificationError,
+    form_map,
     solve_by_series,
 )
 from .poly import (
@@ -33,6 +34,7 @@ from .poly import (
     TrigPolynomial,
     _int_form,
     _IntForm,
+    _shifted_sum,
     _sum_forms,
     variable,
 )
@@ -104,6 +106,7 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
         )
     )
     vs = ("t",) + x_vars
+    lap_form = form_map(lap, vs)
     xis = []  # xi(1, i) as integer forms over vs, built once per i for the whole family
     elements = []
     for ell in tuples_with_sum_at_most(n, cap):
@@ -113,7 +116,7 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
             if len(pieces) == len(xis):
                 xis.append(_int_form(dissipation_polynomial(Fraction(1), len(xis)), vs))
             pieces.append(xis[len(pieces)] * piece)
-            piece = lap.apply_form(piece, vs)
+            piece = lap_form(piece)
         elements.append(BasisElement({"ell": ell}, _sum_forms(pieces).to_poly(vs, frozenset())))
     return _checked(elements, annihilator, {"cap": cap, "n": n})
 
@@ -178,27 +181,30 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     kind = classify_lambda(lam)
 
     vs = ("t",) + x_vars
+    lap_form = form_map(lap, vs)
     factors = {}  # (factor, i) -> eps^i factor(lam, i) as an integer form over vs
 
-    def branch(seed, factor):
-        """sum_i eps^i factor(lam, i) Lap^i(seed), until Lap^i(seed) = 0."""
-        piece, pieces = _int_form(seed, vs), []
+    def branch(piece, factor):
+        """sum_i eps^i factor(lam, i) Lap^i(seed), until Lap^i(seed) = 0, for
+        the seed's form over vs."""
+        pieces = []
         while piece:
             key = (factor, len(pieces))
             if key not in factors:
                 factors[key] = _int_form(epsilon ** key[1] * factor(lam, key[1]), vs)
             pieces.append(factors[key] * piece)
-            piece = lap.apply_form(piece, vs)
+            piece = lap_form(piece)
         return _sum_forms(pieces).to_poly(vs, frozenset())
 
-    monomials = [(ell, Polynomial(x_vars, {ell: 1})) for ell in tuples_with_sum_at_most(n, cap)]
+    monomials = [(ell, _IntForm({(0,) + ell: 1}, {}, 1)) for ell in tuples_with_sum_at_most(n, cap)]
     if kind == "negative_odd":
         # lam = -2k-1: the phi factors are undefined from i = k+1 on, so the
         # phi branch takes the seeds with Lap^(k+1) = 0, spanned by the
         # alternating x1-power expansions below.
         k = (-int(lam) - 1) // 2
+        lap_rest = form_map(_laplacian(x_vars[1:]), vs)
         phi_seeds = [
-            ((l1,) + tuple(rest), _iterated_kernel_seed(k + 1, l1, rest, x_vars))
+            ((l1,) + tuple(rest), _iterated_kernel_seed(k + 1, l1, rest, lap_rest))
             for l1 in range(2 * k + 2)
             for rest in tuples_with_sum_at_most(n - 1, cap)
         ]
@@ -216,25 +222,23 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     )
 
 
-def _iterated_kernel_seed(power: int, l1: int, rest, x_vars) -> Polynomial:
-    """Element of ker(Lap^power) with top part x1^l1 * x_rest^rest, l1 < 2*power.
+def _iterated_kernel_seed(power: int, l1: int, rest, lap_rest) -> _IntForm:
+    """Element of ker(Lap^power) with top part x1^l1 * x_rest^rest, l1 < 2*power,
+    as an integer form over (t, x1..xn); lap_rest maps such forms by the
+    Laplacian that omits x1.
 
     Alternating series sum_r (-1)^r C(power+r-1, r) x1^(l1+2r)/(l1+2r)!
-    * Lap_rest^r (x_rest^rest), where Lap_rest omits x1.
+    * Lap_rest^r (x_rest^rest).
     """
-    rest_vars = x_vars[1:]
-    rest_mono = Polynomial(rest_vars, {tuple(rest): Fraction(1)}) if rest_vars else Polynomial.const(1)
-    lap_rest = Sum(Derivative(v, 2) for v in rest_vars)
-    out = Polynomial.zero(x_vars)
-    piece = rest_mono
+    piece = _IntForm({(0, 0) + tuple(rest): 1}, {}, 1)
+    pieces = []
     r = 0
-    while not piece.is_zero():
+    while piece:
         coeff = Fraction((-1) ** r * math.comb(power + r - 1, r), math.factorial(l1 + 2 * r))
-        x1_pow = Polynomial((x_vars[0],), {(l1 + 2 * r,): coeff})
-        out = out + x1_pow * piece
+        pieces.append((piece.scaled(coeff), l1 + 2 * r, 1))
         piece = lap_rest(piece)
         r += 1
-    return out
+    return _shifted_sum(pieces, 1)
 
 
 def epd_transform(v: Polynomial, m: int, branch: str) -> Polynomial:

@@ -5,7 +5,10 @@ Elimination works on sparse rows, dicts from column to nonzero entry, so
 zero cells cost nothing.  Polynomial ranks build those rows straight from
 the polynomials' integer numerators, slice kernels from their terms.
 
-Rank is certified cheaply. Reduction mod the 61-bit prime ``P`` (with
+Rank is certified cheaply. Nonempty rows whose first columns are pairwise
+distinct are independent, so their count is the rank with no elimination
+at all; polynomials whose lexicographically least exponents differ are
+such rows. Reduction mod the 61-bit prime ``P`` (with
 sqrt(-1) sent to ``SQRT_MINUS_ONE``, a square root of -1 mod P) is a ring
 homomorphism, so the rank mod P never exceeds the exact rank. When the rank
 mod P is full, min(rows, nonzero columns), it is therefore the exact rank.
@@ -146,7 +149,17 @@ def _residues(rows):
 
 
 def _rank(rows) -> int:
-    """Exact rank of sparse rows: certified mod P when full, else exact."""
+    """Exact rank of sparse rows.
+
+    When the nonempty rows have pairwise distinct first columns they are
+    independent: the row with the smallest first column is the only one
+    with an entry there, so any vanishing combination gives it weight 0,
+    and so on down.  Else the rank is certified mod P when full, and exact
+    otherwise.
+    """
+    nonempty = [row for row in rows if row]
+    if len({min(row) for row in nonempty}) == len(nonempty):
+        return len(nonempty)
     full = min(len(rows), len(set().union(*rows)))
     residues = _residues(rows)
     if residues is not None and len(_row_reduce(residues, P)) == full:

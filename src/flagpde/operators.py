@@ -30,6 +30,8 @@ algebra, with integer-form coefficients over one variable order that the
 caller fixes; ``forms_commute`` and ``operators_agree_on_sample`` compare
 such forms.  ``form_applicator`` applies one over the order ``apply`` uses;
 every residual check and ``linalg.kernel_on_slice`` run through it.
+``form_map`` applies one over a caller's order, for an operator that a
+call applies again and again.
 
 The module also hosts the series engine: given T1 with right inverse T1inv
 and a perturbation T2 that is locally nilpotent relative to a filtration,
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .combinatorics import falling
+from .combinatorics import falling, tuples_with_sum_at_most
 from .linalg import monomials_up_to_degree
 from .poly import (
     GaussianRational,
@@ -83,6 +85,7 @@ __all__ = [
     "apply_operator",
     "differential_form",
     "form_applicator",
+    "form_map",
     "forms_commute",
     "identity",
     "op_from_json",
@@ -257,7 +260,7 @@ class DampedIntegration(LinearOperator):
     A negative power of t raises ValueError, since the sum would not end.
     """
 
-    __slots__ = ("a", "tvar")
+    __slots__ = ("a", "tvar", "_ainv")
 
     def __init__(self, a, tvar: str = "t"):
         if not a:
@@ -266,13 +269,14 @@ class DampedIntegration(LinearOperator):
             a = Fraction(a)
         self.a = a
         self.tvar = tvar
+        self._ainv = coeff_inverse(a)
 
     def apply_form(self, q, vars):
         pos = vars.index(self.tvar)
         if any(exp[pos] < 0 for exp in itertools.chain(q.re, q.im)):
             # the derivatives of a negative power never vanish
             raise ValueError(f"damped integration: negative power of {self.tvar}")
-        ainv = coeff_inverse(self.a)
+        ainv = self._ainv
         factor = ainv
         pieces = []
         while q:
@@ -409,7 +413,7 @@ class NestedRightInverse(LinearOperator):
             return q
         acc = self._stage(s - 1, ws.pop(), plan)
         while ws:
-            acc = self._stage(s - 1, ws.pop() - f * acc, plan)
+            acc = self._stage(s - 1, ws.pop().minus_product(f, acc), plan)
         return acc
 
     def __repr__(self):
@@ -552,32 +556,47 @@ class FormApplicator:
     Laurent variables of its outputs.  With D the common denominator of
     the coefficients and d that of the input q, D d op(q) = sum_j (D c_j)
     d^alpha_j (d q) is accumulated with integer falling factorials, one
-    dict per real and imaginary part, over the denominator D d.  A block
-    whose coefficient is a constant adds no exponents.
+    dict per real and imaginary part, over the denominator D d.  Each
+    coefficient term x^c of a block d^alpha is kept as the shift c - alpha,
+    so a term of q maps to its image exponent in one tuple step: a slice
+    when the shift moves one position (a bare derivative, or x_i times
+    one), else a sum of tuples.
     """
 
     __slots__ = ("vars", "laurent", "_den", "_routes")
 
     def __init__(self, form: dict, vars: tuple, laurent: frozenset):
-        self.vars = vs = vars
+        self.vars = vars
         self.laurent = laurent
         self._den = den = math.lcm(*(c.den for c in form.values()))
-        const = (0,) * len(vs)
         # per route: the part of the input it reads, the sum it feeds, and
-        # per block (derivative orders, signed coefficient terms, constant?)
+        # per block its (position, order) pairs and its signed coefficient
+        # terms as (moved position, its shift, whole shift or None, numerator)
         self._routes = []
         for part, side, target, sign in _ROUTES:
             blocks = []
             for alpha, c in form.items():
                 k = sign * (den // c.den)
-                cterms = [(exp, a * k) for exp, a in (c.im if side else c.re).items()]
+                cterms = []
+                for exp, a in (c.im if side else c.re).items():
+                    shift = list(exp)
+                    for i, m in alpha:
+                        shift[i] -= m
+                    moved = [(i, d) for i, d in enumerate(shift) if d]
+                    if len(moved) == 1:
+                        cterms.append((*moved[0], None, a * k))
+                    else:
+                        cterms.append((None, None, tuple(shift), a * k))
                 if cterms:
-                    blocks.append((alpha, cterms, all(exp == const for exp, _ in cterms)))
+                    blocks.append((alpha, cterms))
             if blocks:
                 self._routes.append((part, target, blocks))
 
-    def apply_form(self, q: _IntForm) -> _IntForm:
-        """The image of the form q over this applicator's variable order."""
+    def _sums(self, q: _IntForm):
+        """The numerator dicts of the image of q over the denominator
+        q.den * self._den, possibly holding zero entries.  In a block
+        d^alpha a term with 0 <= e_i < m for some (i, m) in alpha gives
+        nothing and is skipped before any tuple is built."""
         sums = ({}, {})
         perm = math.perm
         for part, target, blocks in self._routes:
@@ -586,34 +605,35 @@ class FormApplicator:
                 continue
             out = sums[target]
             get = out.get
-            for orders, cterms, constant in blocks:
+            for orders, cterms in blocks:
                 for exp, k in terms:
-                    if orders:
-                        shifted = list(exp)
-                        for i, m in orders:
-                            e = exp[i]
-                            k *= perm(e, m) if e >= 0 else falling(e, m)
-                            shifted[i] = e - m
-                        if not k:
-                            continue
-                        shifted = tuple(shifted)
+                    for i, m in orders:
+                        e = exp[i]
+                        if 0 <= e < m:
+                            break
+                        k *= perm(e, m) if e >= 0 else falling(e, m)
                     else:
-                        shifted = exp
-                    if constant:
-                        for _, c in cterms:
-                            out[shifted] = get(shifted, 0) + c * k
-                    else:
-                        for cexp, c in cterms:
-                            key = tuple(map(add, shifted, cexp))
+                        for i, d, shift, c in cterms:
+                            if shift is None:
+                                key = exp[:i] + (exp[i] + d,) + exp[i + 1 :]
+                            else:
+                                key = tuple(map(add, exp, shift))
                             out[key] = get(key, 0) + c * k
-        return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den)
+        return sums
+
+    def apply_form(self, q: _IntForm) -> _IntForm:
+        """The image of the form q over this applicator's variable order."""
+        re, im = self._sums(q)
+        return _reduced(_nonzero(re), _nonzero(im), q.den * self._den)
 
     def __call__(self, p: Polynomial) -> Polynomial:
         image = self.apply_form(_int_form(p, self.vars))
         return image.to_poly(self.vars, self.laurent | p.laurent)
 
     def annihilates(self, p: Polynomial) -> bool:
-        return not self.apply_form(_int_form(p, self.vars))
+        """Whether the image of p is zero, read off the raw sums."""
+        re, im = self._sums(_int_form(p, self.vars))
+        return not any(re.values()) and not any(im.values())
 
 
 class TrigApplicator:
@@ -664,6 +684,18 @@ class TrigApplicator:
         return TrigPolynomial(cos, sin, u.frequency, u.time_var)
 
 
+def form_map(op: LinearOperator, vars: tuple):
+    """op as a map of integer forms over the order `vars`, which holds all of
+    op's variables: one FormApplicator's ``apply_form`` when op has a
+    differential form, else op's own ``apply_form`` over vars.  A caller
+    that applies op again and again builds this once per call; no map is
+    kept on the operator."""
+    form = differential_form(op, vars)
+    if form is None:
+        return lambda q: op.apply_form(q, vars)
+    return FormApplicator(form, vars, frozenset()).apply_form
+
+
 def form_applicator(op: LinearOperator, polys):
     """op on the given polys: a FormApplicator over their variables, then
     op's, when every p is a Polynomial and op has a differential form, else
@@ -702,9 +734,12 @@ class SeriesConfig:
     """Hypotheses for the perturbation series: T1 with right inverse, plus T2.
 
     On construction the right-inverse law T1(T1inv(p)) = p is checked
-    exactly by ``operators_agree_on_sample``; the series solvers then verify
-    every output.  Termination is detected by the series hitting the exact
-    zero polynomial; ``iteration_bound`` is only a safety valve.
+    exactly, as ``operators_agree_on_sample`` checks it: by normal forms
+    when T1 T1inv has one, else on every monomial of degree <= 2 over the
+    sorted variables of both, as integer forms with T1 through one
+    ``form_map``.  The series solvers then verify every output.
+    Termination is detected by the series hitting the exact zero
+    polynomial; ``iteration_bound`` is only a safety valve.
     """
 
     t1: LinearOperator
@@ -712,12 +747,19 @@ class SeriesConfig:
     t2: LinearOperator
 
     def __post_init__(self):
-        vars = operator_variables(self.t1) | operator_variables(self.t1_inverse)
-        composed = Compose(self.t1, self.t1_inverse)
-        if not operators_agree_on_sample(composed, identity(), vars):
-            raise OperatorHypothesisError(
-                "t1_inverse is not a right inverse of t1"
+        t1, inverse = self.t1, self.t1_inverse
+        vs = tuple(sorted(operator_variables(t1) | operator_variables(inverse))) or ("x",)
+        form = differential_form(Compose(t1, inverse), vs)
+        if form is not None:
+            holds = form == differential_form(identity(), vs)
+        else:
+            apply_t1 = form_map(t1, vs)
+            holds = all(
+                apply_t1(inverse.apply_form(m, vs)) == m
+                for m in (_IntForm({exp: 1}, {}, 1) for exp in tuples_with_sum_at_most(len(vs), 2))
             )
+        if not holds:
+            raise OperatorHypothesisError("t1_inverse is not a right inverse of t1")
 
     def iteration_bound(self, seed) -> int:
         """The safety bound for a seed given as a Polynomial or an integer form."""

@@ -636,22 +636,19 @@ class _IntForm:
 
     def __mul__(self, other: "_IntForm") -> "_IntForm":
         re, im = {}, {}
-        # (a + i b)(c + i d) = (ac - bd) + i (ad + bc); an empty part skips its routes
-        for x, y, out, sign in (
-            (self.re, other.re, re, 1),
-            (self.im, other.im, re, -1),
-            (self.re, other.im, im, 1),
-            (self.im, other.re, im, 1),
-        ):
-            if not x or not y:
-                continue
-            get = out.get
-            for ea, ca in x.items():
-                ca *= sign
-                for eb, cb in y.items():
-                    key = tuple(map(_add, ea, eb))
-                    out[key] = get(key, 0) + ca * cb
+        _add_product(re, im, self, other, 1)
         return _reduced(_nonzero(re), _nonzero(im), self.den * other.den)
+
+    def minus_product(self, f: "_IntForm", g: "_IntForm") -> "_IntForm":
+        """self - f*g in one pass: the product's numerators are added into
+        self's at the lcm of the denominators, and the result reduced once."""
+        pden = f.den * g.den
+        d = math.lcm(self.den, pden)
+        k = d // self.den
+        re = {e: a * k for e, a in self.re.items()}
+        im = {e: a * k for e, a in self.im.items()}
+        _add_product(re, im, f, g, -(d // pden))
+        return _reduced(_nonzero(re), _nonzero(im), d)
 
     def scaled(self, value) -> "_IntForm":
         """The form times an exact scalar."""
@@ -708,6 +705,25 @@ class _IntForm:
         )
 
 
+def _add_product(re: dict, im: dict, x: _IntForm, y: _IntForm, k: int):
+    """Add k times the numerators of x*y into the dicts re and im."""
+    # (a + i b)(c + i d) = (ac - bd) + i (ad + bc); an empty part skips its routes
+    for xs, ys, out, sign in (
+        (x.re, y.re, re, k),
+        (x.im, y.im, re, -k),
+        (x.re, y.im, im, k),
+        (x.im, y.re, im, k),
+    ):
+        if not xs or not ys:
+            continue
+        get = out.get
+        for ea, ca in xs.items():
+            ca *= sign
+            for eb, cb in ys.items():
+                key = tuple(map(_add, ea, eb))
+                out[key] = get(key, 0) + ca * cb
+
+
 def _scaled_sum(x: dict, kx: int, y: dict, ky: int) -> dict:
     """kx * x + ky * y without zero entries."""
     out = {e: a * kx for e, a in x.items()} if kx != 1 else dict(x)
@@ -735,6 +751,22 @@ def _sum_forms(forms) -> _IntForm:
             get = out.get
             for e, a in part.items():
                 out[e] = get(e, 0) + a * k
+    return _reduced(_nonzero(re), _nonzero(im), d)
+
+
+def _shifted_sum(pieces, i: int) -> _IntForm:
+    """sum factor * x_i^k * form over the (form, k, factor) pieces, forms over
+    one variable order, in one pass at the lcm of their denominators and
+    reduced once."""
+    d = math.lcm(*(f.den for f, _, _ in pieces))
+    re, im = {}, {}
+    for f, k, factor in pieces:
+        scale = factor * (d // f.den)
+        for out, part in ((re, f.re), (im, f.im)):
+            get = out.get
+            for e, a in part.items():
+                key = e[:i] + (e[i] + k,) + e[i + 1 :]
+                out[key] = get(key, 0) + a * scale
     return _reduced(_nonzero(re), _nonzero(im), d)
 
 

@@ -90,6 +90,17 @@ def test_constant_elements_match_fraction_products(orders, cap):
         assert typed_terms(e.solution) == typed_terms(want)
 
 
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.integers(0, 5))
+@settings(max_examples=30, deadline=None)
+def test_constant_element_tables_match_fraction_products(orders, cap):
+    """The per-variable integer tables give each coefficient the value and
+    the exact type of the Fraction product formula."""
+    fam = constant_coefficient_basis(orders, cap)
+    for e in fam.elements:
+        want = constant_element_by_fractions(orders, e.index["ell"], e.solution.vars)
+        assert typed_terms(e.solution) == typed_terms(want)
+
+
 def test_constant_basis_mixed_orders_completeness():
     fam = constant_coefficient_basis((3, 2), 6)
     assert_family_spans_kernel(fam, ("x1", "x2"), 4)

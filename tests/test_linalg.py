@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,36 @@ def test_polys_rank_matches_oracle(polys):
     nonzero = [p for p in polys if not p.is_zero()]
     rows, keys, _ = polys_to_matrix(nonzero) if nonzero else ([], [], ())
     assert polys_rank(polys) == dense_rank(rows, len(keys))
+
+
+@st.composite
+def rows_with_drawn_leads(draw):
+    """Dense rows, each with a drawn first nonzero column, pairwise distinct
+    or free to collide, and zero rows put in among them."""
+    entries = draw(st.sampled_from((FRACTIONS, GAUSSIANS)))
+    ncols, distinct = draw(st.integers(1, 5)), draw(st.booleans())
+    leads = draw(st.lists(st.integers(0, ncols - 1), max_size=ncols if distinct else 6, unique=distinct))
+    rows = [
+        [0] * c + [draw(entries.filter(bool))] + [draw(entries) for _ in range(ncols - c - 1)]
+        for c in leads
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows, ncols, distinct
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_with_drawn_leads())
+def test_rank_certificate_of_distinct_first_columns(case):
+    """Rows with pairwise distinct first columns get their count as the rank
+    without any elimination; colliding ones still match the dense oracle."""
+    rows, ncols, distinct = case
+    want = dense_rank(rows, ncols)
+    if distinct:
+        assert want == sum(1 for row in rows if any(row))
+        with mock.patch("flagpde.linalg._row_reduce", side_effect=AssertionError("eliminated")):
+            assert matrix_rank(rows) == want
+    assert matrix_rank(rows) == want
 
 
 def _is_prime(n):

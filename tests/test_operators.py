@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,18 +24,20 @@ from flagpde import (
     variable,
 )
 from flagpde.operators import (
+    FormApplicator,
     KernelPreconditionError,
     NotAFlagSystemError,
     OperatorHypothesisError,
     SeriesTerminationError,
     TrigApplicator,
     differential_form,
+    form_map,
     op_from_json,
     op_to_json,
     operators_agree_on_sample,
 )
 
-from flagpde.poly import NonIntegrableTermError
+from flagpde.poly import NonIntegrableTermError, _int_form
 
 from oracles import (
     apply_trig_termwise,
@@ -167,6 +170,18 @@ def test_right_inverse_series_property(f):
 def test_config_validation_catches_wrong_inverse():
     with pytest.raises(OperatorHypothesisError):
         SeriesConfig(Derivative("x", 2), Integrate("x", 1), Derivative("y", 2))
+
+
+def test_config_validation_sees_an_inverse_wrong_only_in_degree_two():
+    """The integral plus the integral of the second derivative inverts d/dx
+    on 1 and x, and misses on x^2 by 2."""
+    almost = Sum((Integrate("x"), Compose(Integrate("x"), Derivative("x", 2))))
+    for p in (constant(1), x, y, x * y):
+        assert Derivative("x")(almost(p)) == p
+    assert Derivative("x")(almost(x**2)) == x**2 + 2
+    with pytest.raises(OperatorHypothesisError):
+        SeriesConfig(Derivative("x"), almost, Derivative("y", 2))
+    SeriesConfig(Derivative("x"), Integrate("x"), Derivative("y", 2))
 
 
 # -- nested right inverses ---------------------------------------------------------
@@ -403,6 +418,61 @@ def test_sum_and_compose_fold_their_nodes(p):
     for op in reversed(nodes):
         want = op(want)
     assert composed == want
+
+
+@st.composite
+def block_operators(draw):
+    """Sums of one to three blocks c * d^a/dx^a d^b/dy^b, c a rational or
+    Gaussian polynomial over (x, y) with y Laurent: single-derivative
+    blocks, mixed ones and multiplications."""
+    coeffs = draw(any_coefficients)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(polynomials(vars=("x", "y"), max_terms=2, max_exp=2, laurent=("y",), coeffs=coeffs))
+        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        blocks.append(Compose(MultiplyBy(c), Derivative("x", a), Derivative("y", b)))
+    return Sum(blocks)
+
+
+@given(block_operators(), node_inputs(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+@settings(max_examples=100, deadline=None)
+def test_form_applicator_matches_the_tree_walk(op, p, exps):
+    """One FormApplicator gives the image and the zero test of walking the
+    operator tree, on inputs it kills and inputs it does not."""
+    vs = ("x", "y")
+    app = FormApplicator(differential_form(op, vs), vs, frozenset(("y",)))
+    q = _int_form(p, vs)
+    walked = op.apply_form(q, vs)
+    assert app.apply_form(q) == walked
+    assert app.annihilates(p) == (not walked)
+    assert form_map(op, vs)(q) == walked
+    # an operator that kills the monomial m = x^a y^b: op - op(m) d^(a,b)/(a! b!)
+    a, b = exps
+    m = Polynomial(vs, {exps: 1}, ("y",))
+    to_one = Compose(Scale(Fraction(1, math.factorial(a) * math.factorial(b))),
+                     Derivative("x", a), Derivative("y", b))
+    killer = Sum((op, Compose(MultiplyBy(-op(m)), to_one)))
+    app = FormApplicator(differential_form(killer, vs), vs, frozenset(("y",)))
+    for r in (m, m + p):
+        walked = killer.apply_form(_int_form(r, vs), vs)
+        assert app.apply_form(_int_form(r, vs)) == walked
+        assert app.annihilates(r) == (not walked)
+    assert app.annihilates(m)
+
+
+def test_annihilation_reads_the_imaginary_sums_too():
+    vs = ("x", "y")
+    op = Compose(MultiplyBy(constant(GaussianRational(0, 2))), Derivative("x"))
+    app = FormApplicator(differential_form(op, vs), vs, frozenset())
+    assert not app.annihilates(x + y)
+    assert app.annihilates(y)
+
+
+def test_form_map_applies_operators_without_a_normal_form_as_they_are():
+    vs = ("x", "y")
+    q = _int_form(x * y**2 + 3, vs)
+    for op in (Integrate("y", 2), Sum((Integrate("x"), Derivative("y")))):
+        assert form_map(op, vs)(q) == op.apply_form(q, vs)
 
 
 def test_image_variables_follow_the_input_then_the_tree():

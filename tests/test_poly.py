@@ -13,7 +13,7 @@ from flagpde import (
     constant,
     variable,
 )
-from flagpde.poly import NonIntegrableTermError, _int_form
+from flagpde.poly import NonIntegrableTermError, _int_form, _IntForm, _shifted_sum
 
 from oracles import diff_stepwise, dict_product, dict_sum, integrate_by_reciprocal
 from strategies import gaussian_coefficients, polynomials
@@ -366,6 +366,29 @@ def test_integer_form_calculus_matches_dict_oracles(p, i, m, c):
     _assert_reduced(a.integrate(i, m))
     assert _typed_terms(a.integrate(i, m).to_poly(FORM_VARS, p.laurent)) == _typed_terms(want)
     assert _typed_terms(p.integrate_n(v, m)) == _typed_terms(want)
+
+
+@given(FORM_POLYS, FORM_POLYS, FORM_POLYS)
+@settings(max_examples=60)
+def test_minus_product_is_a_difference_of_a_product(w, f, g):
+    """w - f*g in one pass equals the product and the difference taken in
+    turn, over denominators and imaginary parts that differ."""
+    got = w.form.minus_product(f.form, g.form)
+    _assert_reduced(got)
+    assert got == w.form - f.form * g.form
+
+
+@given(st.lists(st.tuples(FORM_POLYS, st.integers(0, 3), st.integers(-4, 4).filter(bool)), max_size=4),
+       st.integers(0, 2))
+@settings(max_examples=60)
+def test_shifted_sum_is_a_sum_of_shifts(pieces, i):
+    """sum factor * x_i^k * form in one pass equals the shifts added in turn."""
+    got = _shifted_sum([(p.form, k, c) for p, k, c in pieces], i)
+    want = _IntForm.zero()
+    for p, k, c in pieces:
+        want = want + p.form.shifted(i, k, c)
+    _assert_reduced(got)
+    assert got == want
 
 
 def test_integer_form_reorders_and_drops_unused_variables():
