@@ -10,11 +10,17 @@ each mode evolves independently.
   symbols f_p, via the graded exponential series (the entire functions
   generalizing exp, cos and sinc) evaluated at the mode symbol values.
   The series is summed by weight: the weight-w parts obey the linear
-  recurrence S_w = sum_p a_p S_(w-p-1), which is run in integer fixed point
-  with enough bits to cover its cancellation, so large arguments keep
-  their accuracy (cos 60 from terms up to 6e24); a series needing more
-  than WEIGHT_LIMIT weights raises.  Per mode, one triangular solve
-  against the traces gives the amplitudes.
+  recurrence S_w = sum_p a_p S_(w-p-1), which does not depend on the order
+  r.  So one run per (mode, x1) carries U_w = S_w / w! in integer fixed
+  point, with enough bits to cover its cancellation (cos 60 from terms up
+  to 6e24), and each live order r takes r! Y_r = sum_w U_w / C(r+w, r)
+  from it, one truncated quotient per weight.  The division shrinks the
+  carried errors and adds at most one unit per weight, so every order keeps
+  order 0's error bound, and its value does not depend on which other
+  orders are asked; a series needing more than WEIGHT_LIMIT weights raises.
+  Per mode, one exact run of the recurrence gives the derivatives at zero
+  of the fundamental solutions: the triangular solve against the traces
+  takes the amplitudes from them, and the trace check reads them again.
 * ``solve_constant_ode`` is the zero mode of the same evaluator (k = (),
   phase 1, x1 = t); its solve runs over Fraction, so the derivatives at
   zero are exact.
@@ -116,9 +122,9 @@ def _one_argument_value(r: int, y: complex) -> complex:
 def _magnitude_bound(moduli) -> float:
     """Y_0 at the argument moduli, summed in floats.
 
-    No term is negative, so nothing cancels.  The value bounds sum_w r! |T_w|
-    for every order r, and also how far an error made at one weight can
-    grow through the recurrence (r! w! <= (r+w)!).  The sum stops once m
+    No term is negative, so nothing cancels.  The value bounds sum_w |U_w|
+    of the fixed-point run, and also how far an error made at one weight can
+    grow through the recurrence (j! (w-j)! <= w!).  The sum stops once m
     consecutive terms are below 2^-60 of it and each later term is at most
     half the largest of the m before it.
     """
@@ -126,18 +132,18 @@ def _magnitude_bound(moduli) -> float:
     terms = [1.0]
     total = 1.0
     for w in range(1, WEIGHT_LIMIT + 1):
-        term, gain, falling = 0.0, 0.0, 1.0
+        term, falling = 0.0, 1.0
         for p in range(min(m, w)):
             falling *= w - p
             term += moduli[p] * terms[w - p - 1] / falling
-        for p in range(min(m, w + 1)):
-            gain += moduli[p] / math.perm(w + 1, p + 1)
         terms.append(term)
         total += term
         if not math.isfinite(total):
             raise SeriesTerminationError("Y-series magnitude overflows")
-        if gain <= 0.5 and max(terms[-m:]) <= total * 2.0**-60:
-            return total
+        if max(terms[-m:]) <= total * 2.0**-60:
+            gain = sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(min(m, w + 1)))
+            if gain <= 0.5:
+                return total
     raise SeriesTerminationError("Y-series not settling within the weight limit")
 
 
@@ -153,6 +159,57 @@ def _truncated_quotient(n: int, d: int) -> int:
     return n // d if n >= 0 else -(-n // d)
 
 
+def _graded_exponentials(orders, args, rel_tol: float = 1e-12) -> list:
+    """Y_r(args) for each order r in `orders`, from one run of the recurrence.
+
+    See generalized_exponential.  S_w does not depend on r, so the scaled sums
+    U_w = S_w / w! are carried once, and r! Y_r = sum_w U_w / C(r+w, r) is
+    accumulated per order: Y_r does not depend on the other orders asked.
+    """
+    if any(r < 0 for r in orders):
+        raise ValueError("order must be non-negative")
+    args = [complex(a) for a in args]
+    if len(args) == 1:
+        return [_one_argument_value(r, args[0]) for r in orders]
+    m = len(args)
+    bound = _magnitude_bound([abs(a) for a in args])
+    bits = math.frexp(bound)[1] + max(0, -math.frexp(rel_tol)[1]) + _GUARD_BITS
+    ints, shift = _dyadic(args)
+    nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
+    units = [(1 << bits, 0)]
+    totals = [[1 << bits, 0] for _ in orders]  # C(r, r) U_0
+    zeros, w = 0, 0
+    while zeros < m:
+        w += 1
+        if w > WEIGHT_LIMIT:
+            raise SeriesTerminationError("Y-series not settling within the weight limit")
+        q = min(m, w)
+        re = im = 0
+        for p, ar, ai in nonzero:
+            if p >= q:
+                break
+            tr, ti = units[w - p - 1]
+            c = math.perm(w - p - 1, q - p - 1)
+            re += (ar * tr - ai * ti) * c
+            im += (ar * ti + ai * tr) * c
+        den = math.perm(w, q) << shift
+        re, im = _truncated_quotient(re, den), _truncated_quotient(im, den)
+        units.append((re, im))
+        if re or im:
+            zeros = 0
+            for r, total in zip(orders, totals):
+                c = math.comb(r + w, r)
+                total[0] += _truncated_quotient(re, c)
+                total[1] += _truncated_quotient(im, c)
+        else:
+            zeros += 1
+    values = []
+    for r, (tr, ti) in zip(orders, totals):
+        scale = math.factorial(r) << bits
+        values.append(complex(tr / scale, ti / scale))
+    return values
+
+
 def generalized_exponential(r: int, args, rel_tol: float = 1e-12) -> complex:
     """sum over tuples i of multinomial(i) * prod args^i / (r + sum_s s*i_s)!.
 
@@ -160,54 +217,28 @@ def generalized_exponential(r: int, args, rel_tol: float = 1e-12) -> complex:
     fixed point below resolves a decaying exponential to full relative
     precision, which for exp(-2526) (a heat mode) takes about 9100 weights of
     7400-bit integers.  Otherwise the series is regrouped by weight
-    w = sum (p+1) i_p into
-    Y_r = sum_w T_w, T_w = S_w / (r+w)!, with S_w from the recurrence
-    S_w = sum_p a_p S_(w-p-1), i.e. T_w = sum_p a_p T_(w-p-1) (r+w-p-1)!/(r+w)!.
-    The scaled terms r! T_w, starting from r! T_0 = 1, are carried in integer
-    fixed point with log2(B) + log2(1/rel_tol) + 40 fractional bits, where B,
-    the series at the argument moduli, bounds both sum r! |T_w| and the
-    growth of truncation errors; so the result is within about
-    rel_tol * 2^-26 * sum |T_w| of the exact value however much the terms
-    cancel and however large r is.  The sum stops after m consecutive terms
-    that are exactly zero (the recurrence then stays at zero) and the total
-    is divided by r! and rounded once.  Arguments whose series overflows the
-    float range, or that need more than WEIGHT_LIMIT weights, raise
-    SeriesTerminationError.
+    w = sum (p+1) i_p into Y_r = sum_w S_w / (r+w)!, with S_w from the
+    recurrence S_w = sum_p a_p S_(w-p-1), which does not depend on r.  The
+    scaled sums U_w = S_w / w!, starting from U_0 = 1, obey
+    U_w = sum_p a_p U_(w-p-1) (w-p-1)!/w! and are carried in integer fixed
+    point with log2(B) + log2(1/rel_tol) + 40 fractional bits, where B, the
+    series Y_0 at the argument moduli, bounds sum |U_w| and how far the
+    truncation error made at one weight can grow through the recurrence.
+    Then r! Y_r = sum_w U_w / C(r+w, r) is accumulated with one truncated
+    quotient per weight, divided by r! and rounded once.  Error, in units of
+    the last fixed-point bit: a unit of truncation at weight j reaches U_w
+    as S_(w-j) j!/w!, at most S_(w-j)/(w-j)! at the moduli, so the N
+    truncations of N weights put at most N B units into sum |U_w|.  Order r
+    divides those errors by C(r+w, r) >= 1, so they are no larger than order
+    0's, and its own quotients add at most one unit per weight: r! Y_r is
+    within N (B + 1) units, at most N rel_tol 2^-38, below rel_tol * 2^-25
+    for N up to WEIGHT_LIMIT, however much the terms cancel and however
+    large r is.  The sum stops after m consecutive U_w that are
+    exactly zero (the recurrence then stays at zero).  Arguments whose series
+    overflows the float range, or that need more than WEIGHT_LIMIT weights,
+    raise SeriesTerminationError.
     """
-    if r < 0:
-        raise ValueError("order must be non-negative")
-    args = [complex(a) for a in args]
-    if len(args) == 1:
-        return _one_argument_value(r, args[0])
-    m = len(args)
-    bound = _magnitude_bound([abs(a) for a in args])
-    bits = math.frexp(bound)[1] + max(0, -math.frexp(rel_tol)[1]) + _GUARD_BITS
-    ints, shift = _dyadic(args)
-    nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
-    terms = [(1 << bits, 0)]
-    total_re, total_im = terms[0]
-    zeros, w = 0, 0
-    while zeros < m:
-        w += 1
-        if w > WEIGHT_LIMIT:
-            raise SeriesTerminationError("Y-series not settling within the weight limit")
-        n, q = r + w, min(m, w)
-        re = im = 0
-        for p, ar, ai in nonzero:
-            if p >= q:
-                break
-            tr, ti = terms[w - p - 1]
-            c = math.perm(n - p - 1, q - p - 1)
-            re += (ar * tr - ai * ti) * c
-            im += (ar * ti + ai * tr) * c
-        den = math.perm(n, q) << shift
-        re, im = _truncated_quotient(re, den), _truncated_quotient(im, den)
-        terms.append((re, im))
-        total_re += re
-        total_im += im
-        zeros = 0 if re or im else zeros + 1
-    scale = math.factorial(r) << bits
-    return complex(total_re / scale, total_im / scale)
+    return _graded_exponentials([r], args, rel_tol)[0]
 
 
 # -- constant-coefficient modes; the ODE is the zero mode ---------------------------
@@ -227,10 +258,10 @@ def _trace_derivative(values, s: int, r: int, one):
     return _weight_sums(values, r - s + 1, one)[-1]
 
 
-def _amplitudes(values, traces, one) -> list:
+def _amplitudes(sums, traces) -> list:
     """Amplitudes A_s of the fundamental solutions reproducing the traces y^(r)(0):
-    a triangular solve, as the r-th derivative of the s-th is 1 at r = s, 0 below."""
-    sums = _weight_sums(values, len(traces), one)
+    a triangular solve, as the r-th derivative of the s-th is sums[r - s] (1 at
+    r = s, 0 below), with sums = _weight_sums(values, m, one)."""
     amps = []
     for r, value in enumerate(traces):
         for s in range(r):
@@ -260,11 +291,11 @@ def _mode_weights(modes, x1) -> list:
         except OverflowError:
             raise SeriesTerminationError(f"a power of {x1!r} overflows the float range") from None
         args = [powers[p + 1] * f for p, f in enumerate(mode.symbol_values)]
-        out.append([
-            None if mode.b[r] == 0.0 and mode.c[r] == 0.0
-            else powers[r] * generalized_exponential(r, args)
-            for r in range(len(mode.b))
-        ])
+        live = [r for r, (b, c) in enumerate(zip(mode.b, mode.c)) if not (b == 0.0 and c == 0.0)]
+        weights = [None] * len(mode.b)
+        for r, y in zip(live, _graded_exponentials(live, args) if live else ()):
+            weights[r] = powers[r] * y
+        out.append(weights)
     return out
 
 
@@ -308,17 +339,19 @@ def solve_constant_ode(problem: OdeProblem, t: float) -> float:
     """
     b = problem.coefficients
     values = [complex(_float_image(v, "ODE coefficient")) for v in b]
-    amps = [_float_image(a, "ODE amplitude") for a in _amplitudes(b, problem.initial, Fraction(1))]
+    exact = _amplitudes(_weight_sums(b, len(b), Fraction(1)), problem.initial)
+    amps = [_float_image(a, "ODE amplitude") for a in exact]
     mode = _FlagMode((), values, amps, [0.0] * len(b))
     return _flag_value([mode], _mode_weights([mode], t), [(1.0, 0.0)])
 
 
 def ode_derivatives_at_zero(problem: OdeProblem):
     """Exact y^(r)(0) of the assembled solution, for r below the order."""
-    b, one = problem.coefficients, Fraction(1)
-    amps = _amplitudes(b, problem.initial, one)
+    b = problem.coefficients
     m = len(b)
-    return [sum(amps[s] * _trace_derivative(b, s, r, one) for s in range(m)) for r in range(m)]
+    sums = _weight_sums(b, m, Fraction(1))
+    amps = _amplitudes(sums, problem.initial)
+    return [sum(amps[s] * sums[r - s] for s in range(r + 1)) for r in range(m)]
 
 
 # -- trig-polynomial initial data ----------------------------------------------------
@@ -438,6 +471,7 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
             raise ValueError("all traces must share the same half widths")
 
     modes = []
+    mode_sums = []  # _weight_sums per mode: the derivatives at 0 of its fundamental solutions
     for k in sorted({k for d in data for k in d.modes}):
         at_mode = {f"D{j + 2}": complex(0.0, w) for j, w in enumerate(wave_numbers(k, half_widths))}
         try:
@@ -446,7 +480,8 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
             raise SeriesTerminationError("a mode symbol value overflows the float range") from None
         # amplitudes b - i c against traces gc - i gs; 0.0 - Im keeps a zero c at +0.0
         traces = [complex(gc, -gs) for gc, gs in (d.modes.get(k, (0.0, 0.0)) for d in data)]
-        amps = _amplitudes(fvals, traces, 1 + 0j)
+        mode_sums.append(_weight_sums(fvals, m, 1 + 0j))
+        amps = _amplitudes(mode_sums[-1], traces)
         modes.append(_FlagMode(k, fvals, [a.real for a in amps], [0.0 - a.imag for a in amps]))
 
     weights = {}
@@ -462,9 +497,8 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
 
     residuals = []
     for s in range(m):
-        derivs = [
-            [_trace_derivative(mode.symbol_values, r, s, 1 + 0j) for r in range(m)] for mode in modes
-        ]
+        # the s-th derivative of the r-th fundamental solution
+        derivs = [[sums[s - r] if r <= s else 0j for r in range(m)] for sums in mode_sums]
         for pt in eval_points:
             point = tuple(pt[1:])
             trace = _flag_value(modes, derivs, phases[point])
@@ -536,37 +570,33 @@ _UNIT_ROUNDOFF = 2.0**-53
 def _carrier_apply(tree: Tree, omegas, carrier: dict) -> dict:
     """One application of the tree operator to P(x) * exp(i omega . x),
     returned as the new polynomial carrier P'.  Carriers map exponent
-    tuples over x1..xn to complex coefficients."""
-    n = tree.nodes
+    tuples over x1..xn to complex coefficients.
+
+    d_T is d^2/dx_1^2 plus x_parent d^2/dx_child^2 per edge, and d^2/dx_a^2
+    of x^e e^(i w.x) contributes (P'' + 2i w P' - w^2 P).  Each carrier
+    term adds its blocks (x1, then the edges in sorted order), each block
+    its terms in that order; the order fixes how each coefficient's sum
+    rounds.
+    """
+    blocks = [(0, None)] + [(child - 1, parent - 1) for parent, child in sorted(tree.edges)]
     out: dict = {}
-
-    def bump(exp, value):
-        if value:
-            out[exp] = out.get(exp, 0j) + value
-
-    def second_derivative_block(exp, coeff, axis, shift_axis=None):
-        # d^2/dx_a^2 of x^exp e^(i w.x) contributes (P'' + 2i w P' - w^2 P),
-        # optionally multiplied by the parent variable
-        w = omegas[axis]
-        e = exp[axis]
-
-        def emit(delta, value):
-            nexp = list(exp)
-            nexp[axis] += delta
-            if shift_axis is not None:
-                nexp[shift_axis] += 1
-            bump(tuple(nexp), value)
-
-        if e >= 2:
-            emit(-2, coeff * e * (e - 1))
-        if e >= 1:
-            emit(-1, coeff * 2j * w * e)
-        emit(0, -coeff * w * w)
-
     for exp, coeff in carrier.items():
-        second_derivative_block(exp, coeff, 0)
-        for parent, child in sorted(tree.edges):
-            second_derivative_block(exp, coeff, child - 1, shift_axis=parent - 1)
+        for axis, parent in blocks:
+            w, e = omegas[axis], exp[axis]
+            nexp = list(exp)
+            if parent is not None:
+                nexp[parent] += 1
+            if e >= 2:
+                steps = ((e - 2, coeff * e * (e - 1)), (e - 1, coeff * 2j * w * e), (e, -coeff * w * w))
+            elif e == 1:
+                steps = ((0, coeff * 2j * w * e), (1, -coeff * w * w))
+            else:
+                steps = ((0, -coeff * w * w),)
+            for ne, value in steps:
+                if value:
+                    nexp[axis] = ne
+                    key = tuple(nexp)
+                    out[key] = out.get(key, 0j) + value
     return {e: c for e, c in out.items() if c}
 
 

@@ -473,9 +473,12 @@ class Polynomial:
             if v not in values:
                 raise KeyError(f"no value for variable {v}")
             point.append(complex(values[v]))
+        # the numerators over den, in the order of the `terms` view; a / den
+        # rounds correctly, as float() of the view's coefficient does
+        re, im, den = self.form.re, self.form.im, self.form.den
         total = 0j
-        for exp, c in self.terms.items():
-            term = complex(c)
+        for exp in itertools.chain(re, (e for e in im if e not in re)):
+            term = complex(re.get(exp, 0) / den, im.get(exp, 0) / den)
             for val, e in zip(point, exp):
                 if e:
                     term *= val**e

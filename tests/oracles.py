@@ -412,18 +412,52 @@ def fundamental_derivative_oracle(coeffs, s, r):
     return out
 
 
+def carrier_apply_nested(tree, omegas, carrier):
+    """One application of the tree operator to P(x) * exp(i omega . x), one
+    second-derivative block per axis and one emitted term per derivative
+    order, each through its own closure; returns the new carrier P'."""
+    out = {}
+
+    def bump(exp, value):
+        if value:
+            out[exp] = out.get(exp, 0j) + value
+
+    def second_derivative_block(exp, coeff, axis, shift_axis=None):
+        # d^2/dx_a^2 of x^exp e^(i w.x) contributes (P'' + 2i w P' - w^2 P),
+        # optionally multiplied by the parent variable
+        w = omegas[axis]
+        e = exp[axis]
+
+        def emit(delta, value):
+            nexp = list(exp)
+            nexp[axis] += delta
+            if shift_axis is not None:
+                nexp[shift_axis] += 1
+            bump(tuple(nexp), value)
+
+        if e >= 2:
+            emit(-2, coeff * e * (e - 1))
+        if e >= 1:
+            emit(-1, coeff * 2j * w * e)
+        emit(0, -coeff * w * w)
+
+    for exp, coeff in carrier.items():
+        second_derivative_block(exp, coeff, 0)
+        for parent, child in sorted(tree.edges):
+            second_derivative_block(exp, coeff, child - 1, shift_axis=parent - 1)
+    return {e: c for e, c in out.items() if c}
+
+
 def tree_wave_series_eager(tree, g0, g1, t, point, max_terms=120):
     """u(t, point) of the strictly second-order tree evolution with every
     mode's carrier chain built up front to max_terms operator powers (or
     until one vanishes) and summed term by term in the solver's order."""
-    from flagpde.ivp import _carrier_apply
-
     total = 0.0
     for k in sorted(set(g0.modes) | set(g1.modes)):
         omegas = [2 * math.pi * kv / a for kv, a in zip(k, g0.half_widths)]
         chain = [{(0,) * tree.nodes: 1 + 0j}]
         for _ in range(max_terms):
-            chain.append(_carrier_apply(tree, omegas, chain[-1]))
+            chain.append(carrier_apply_nested(tree, omegas, chain[-1]))
             if not chain[-1]:
                 break
         theta = 2 * math.pi * sum(kv / a * xv for kv, a, xv in zip(k, g0.half_widths, point))
@@ -463,10 +497,8 @@ def tree_wave_series_eager(tree, g0, g1, t, point, max_terms=120):
 def tree_heat_mode_series(tree, k, half_widths, t, point, max_terms=200):
     """exp(t d_T) applied to the mode wave exp(i theta) at the point, as the
     operator-power series sum t^i/i! d_T^i, each power built from the last
-    by the solver's carrier step and summed until two consecutive terms fall
+    by carrier_apply_nested and summed until two consecutive terms fall
     below 1e-18 of the sum of their moduli."""
-    from flagpde.ivp import _carrier_apply
-
     omegas = [2 * math.pi * kv / a for kv, a in zip(k, half_widths)]
     carrier = {(0,) * tree.nodes: 1 + 0j}
     total = 0j
@@ -487,7 +519,7 @@ def tree_heat_mode_series(tree, k, half_widths, t, point, max_terms=200):
         quiet = quiet + 1 if abs(weight) * size < 1e-18 * spread else 0
         if quiet >= 2:
             break
-        carrier = _carrier_apply(tree, omegas, carrier)
+        carrier = carrier_apply_nested(tree, omegas, carrier)
     else:
         raise AssertionError("operator-power series did not settle")
     theta = 2 * math.pi * sum(kv / a * xv for kv, a, xv in zip(k, half_widths, point))
@@ -757,6 +789,20 @@ def flag_trace_residual_per_point(sol, data):
                     trace = _flag_phase_sum(mode, sol.half_widths, point, g, r, trace)
             worst = max(worst, abs(trace - data[s].value_at(point)))
     return worst
+
+
+def evaluate_through_terms(p, values):
+    """p at a point, coefficient by coefficient through the `terms` view
+    (each an int, a Fraction or a GaussianRational, then a complex)."""
+    point = [complex(values[v]) for v in p.vars]
+    total = 0j
+    for exp, c in p.terms.items():
+        term = complex(c)
+        for val, e in zip(point, exp):
+            if e:
+                term *= val**e
+        total += term
+    return total
 
 
 def typed_terms(p):

@@ -25,6 +25,7 @@ from flagpde import ivp
 from flagpde.operators import SeriesTerminationError, VerificationError
 
 from oracles import (
+    carrier_apply_nested,
     flag_trace_residual_per_point,
     flag_values_per_point,
     fundamental_derivative_oracle,
@@ -78,6 +79,21 @@ def test_series_matches_exact_tuple_sum(r, args):
     want = graded_exponential_series(r, args, 40)
     got = generalized_exponential(r, args)
     assert abs(got - want) <= 1e-13 * abs(want) + 1e-20 / math.factorial(r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.builds(complex, _SMALL, _SMALL), min_size=2, max_size=4),
+    st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True),
+)
+def test_shared_run_gives_each_order_as_asked_alone(args, orders):
+    """One run of the recurrence for several orders gives each order bit for
+    bit as generalized_exponential gives it alone, within the tolerance of
+    test_series_matches_exact_tuple_sum of the exact tuple sum."""
+    for r, got in zip(orders, ivp._graded_exponentials(orders, args)):
+        assert repr(got) == repr(generalized_exponential(r, args))
+        want = graded_exponential_series(r, args, 40)
+        assert abs(got - want) <= 1e-13 * abs(want) + 1e-20 / math.factorial(r)
 
 
 @pytest.mark.parametrize("args", [[0.0, 0.0], [0.0, 0.0, 0.0], [0.5, -0.25]])
@@ -261,8 +277,9 @@ def test_flag_ivp_dalembert_closed_form():
     [variable("D2"), _d2sq(), Polynomial.zero(("D2",))],
 ])
 def test_flag_ivp_grid_matches_per_point_evaluation(symbols):
-    """One graded exponential per (mode, order, x1) and one mode derivative
-    per (mode, r, s) give bit for bit the per-point values and residual."""
+    """One series run per (mode, x1) for all orders and one run of the
+    derivative sums per mode give bit for bit the per-point values and
+    residual, which evaluate every order and derivative anew."""
     modes = {(1,): (1.0, 0.5), (2,): (-0.25, 0.75), (-1,): (0.5, 0.0)}
     data = [TrigData((1.0,), {k: (b / (s + 1), c - s) for k, (b, c) in modes.items()})
             for s in range(len(symbols))]
@@ -270,6 +287,25 @@ def test_flag_ivp_grid_matches_per_point_evaluation(symbols):
     sol = solve_flag_ivp(symbols, data, pts)
     assert sol.values == flag_values_per_point(sol)
     assert sol.trace_residual == flag_trace_residual_per_point(sol, data)
+
+
+def test_flag_ivp_bounds_each_mode_once_per_x1(monkeypatch):
+    """Both orders of every mode come from one series run per (mode, x1):
+    one magnitude bound each, however many orders are live."""
+    calls = []
+    bound = ivp._magnitude_bound
+
+    def counted(moduli):
+        calls.append(moduli)
+        return bound(moduli)
+
+    monkeypatch.setattr(ivp, "_magnitude_bound", counted)
+    data = [TrigData((1.0,), {(1,): (1.0, 0.5), (2,): (-0.5, 0.25)}),
+            TrigData((1.0,), {(1,): (0.25, 0.0), (2,): (0.0, 1.0)})]
+    pts = [(x1, x2) for x1 in (0.0, 0.25, 0.5) for x2 in (-0.5, 0.5)]
+    sol = solve_flag_ivp([variable("D2"), _d2sq() - 1], data, pts)
+    assert all(b != 0.0 for mode in sol.modes for b in mode.b)
+    assert len(calls) == len(sol.modes) * 3
 
 
 def test_flag_ivp_zero_data():
@@ -689,3 +725,31 @@ def test_tree_wave_series_cancellation_raises():
     g0 = TrigData((1.0,), {(4,): (1.0, 0.0)})
     with pytest.raises(VerificationError, match="cancellation"):
         solve_tree_wave_series(Tree(1, []), g0, TrigData((1.0,), {}), 2.0, [(0.1,)])
+
+
+@st.composite
+def _small_trees(draw):
+    """Trees of one to four nodes, each node below the root hung on an earlier one."""
+    n = draw(st.integers(1, 4))
+    return Tree(n, [(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)])
+
+
+# zeros make terms vanish: w = 0 drops P' and P, a zero part keeps a sign
+_CARRIER_PART = st.sampled_from([0.0, -0.0]) | st.floats(-4, 4, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_trees(), st.data())
+def test_flat_carrier_step_matches_the_nested_oracle(tree, data):
+    """The flat tree-operator step adds the same terms in the same order as
+    the closure version: every coefficient is bit for bit the same, over two
+    steps from carriers with exponents 0 to 2 (so P'', P' and P all occur)."""
+    n = tree.nodes
+    omegas = data.draw(st.lists(st.sampled_from([0.0]) | st.floats(-8, 8, allow_nan=False),
+                                min_size=n, max_size=n))
+    carrier = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n),
+                                        st.builds(complex, _CARRIER_PART, _CARRIER_PART), max_size=6))
+    for _ in range(2):
+        got = ivp._carrier_apply(tree, omegas, carrier)
+        assert repr(list(got.items())) == repr(list(carrier_apply_nested(tree, omegas, carrier).items()))
+        carrier = got

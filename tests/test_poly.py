@@ -15,7 +15,7 @@ from flagpde import (
 )
 from flagpde.poly import NonIntegrableTermError, _int_form, _IntForm, _shifted_sum
 
-from oracles import diff_stepwise, dict_product, dict_sum, integrate_by_reciprocal
+from oracles import diff_stepwise, dict_product, dict_sum, evaluate_through_terms, integrate_by_reciprocal
 from strategies import gaussian_coefficients, polynomials
 
 
@@ -150,6 +150,21 @@ def test_substitute_polynomial():
 def test_evaluate_numeric():
     p = x**2 * y - Fraction(1, 2)
     assert p.evaluate({"x": 2.0, "y": 3.0}) == pytest.approx(11.5)
+
+
+_POINT_PART = st.floats(-3, 3, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polynomials(vars=("x", "y", "z"), laurent=("y",), coeffs=gaussian_coefficients(), max_terms=8),
+    st.lists(st.builds(complex, _POINT_PART, _POINT_PART), min_size=3, max_size=3),
+)
+def test_evaluate_matches_the_terms_view(p, point):
+    """Numerators over the denominator give bit for bit the value summed
+    through the view's exact coefficients, in the view's term order."""
+    values = dict(zip(("x", "y", "z"), point))
+    assert repr(p.evaluate(values)) == repr(evaluate_through_terms(p, values))
 
 
 def test_variable_order_does_not_affect_equality():
