@@ -677,11 +677,14 @@ class TreeWaveSeriesSolution:
         return even, odd
 
     def at(self, t: float, point) -> float:
+        return self._value({k: self.mode_series(k, t, point) for k in self.carriers})
+
+    def _value(self, series) -> float:
+        """The solution's value from the (even, odd) series of every mode."""
         total = 0.0
-        for k in self.carriers:
+        for k, (even, odd) in series.items():
             b0, c0 = self.g0.modes.get(k, (0.0, 0.0))
             b1, c1 = self.g1.modes.get(k, (0.0, 0.0))
-            even, odd = self.mode_series(k, t, point)
             total += b0 * even.real + c0 * even.imag
             total += b1 * odd.real + c1 * odd.imag
         return total
@@ -714,13 +717,15 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
     sol.values = [sol.at(t, pt) for pt in eval_points]
     residuals = []
     for pt in eval_points:
-        residuals.append(abs(sol.at(0.0, pt) - g0.value_at(pt)))
+        # one t = 0 pass per point serves both traces
+        series = {k: sol.mode_series(k, 0.0, pt) for k in carriers}
+        residuals.append(abs(sol._value(series) - g0.value_at(pt)))
         # velocity trace at t = 0: only the odd series contributes, through
         # its leading carrier, i.e. the plain mode waves weighted by g1
         vel = 0.0
         for k in sorted(set(g1.modes)):
             b1, c1 = g1.modes[k]
-            even, _ = sol.mode_series(k, 0.0, pt)
+            even, _ = series[k]
             vel += b1 * even.real + c1 * even.imag
         residuals.append(abs(vel - g1.value_at(pt)))
     sol.trace_residual = _checked_residual(residuals, check_tol)

@@ -3,7 +3,8 @@
 Matrices are lists of rows of ints, Fractions or GaussianRationals.
 Elimination works on sparse rows, dicts from column to nonzero entry, so
 zero cells cost nothing.  Polynomial ranks build those rows straight from
-the polynomials' integer numerators, slice kernels from their terms.
+the polynomials' integer numerators, slice kernels from the numerators of
+one tagged image of the whole slice.
 
 Rank is certified cheaply. Nonempty rows whose first columns are pairwise
 distinct are independent, so their count is the rank with no elimination
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import GaussianRational, Polynomial, _int_form, coeff_inverse
+from .poly import GaussianRational, Polynomial, _int_form, _shifted_sum, _sum_forms, coeff_inverse
 
 __all__ = [
     "bidegree_monomials",
@@ -284,33 +285,41 @@ def bidegree_monomials(x_vars, y_vars, deg_x: int, deg_y: int):
 
 
 def kernel_on_slice(op, slice_monomials):
-    """Exact kernel of a linear operator restricted to a monomial slice.
+    """Exact kernel of a linear operator restricted to the span of a slice.
 
     Returns a list of Polynomials spanning {p in span(slice) : op(p) = 0}:
     the canonical basis read off the reduced row echelon form, with columns
-    in slice order, over the slice's variables.  One
-    ``operators.form_applicator`` maps the whole slice.
+    in slice order, over the slice's variables.  The slice is mapped as one
+    tagged batch: its j-th entry carries j in one extra trailing
+    exponent position, which op does not read, so one
+    ``operators.form_map`` over the slice's variables, op's and the tag
+    gives every image at once.  Each term of the batch image is the entry
+    at (its exponent without the tag, its tag) of the image numerators,
+    which span the same kernel as the images.
     """
-    from .operators import form_applicator  # operators imports this module
+    from .operators import _chain_order, form_map  # operators imports this module
 
     if not slice_monomials:
         return []
-    apply = form_applicator(op, slice_monomials)
-    images, _ = _aligned([apply(m) for m in slice_monomials])
-    # Columns index the slice monomials, rows index the support of the images.
+    vs, _ = _chain_order(slice_monomials, [op])
+    tag = "tag"
+    while tag in vs:
+        tag += "'"
+    order = vs + (tag,)
+    batch = _shifted_sum([(_int_form(p, order), j, 1) for j, p in enumerate(slice_monomials)], len(vs))
+    image = form_map(op, order)(batch)
+    # rows index the support of the images, columns the slice polynomials
     rows = {}
-    for j, terms in enumerate(images):
-        for key, c in terms.items():
-            rows.setdefault(key, {})[j] = c
+    for exp, a in image.re.items():
+        rows.setdefault(exp[:-1], {})[exp[-1]] = a
+    for exp, b in image.im.items():
+        row = rows.setdefault(exp[:-1], {})
+        row[exp[-1]] = GaussianRational(row.get(exp[-1], 0), b)
     pivots = _row_reduce(list(rows.values()), reduced=True)
-    # each kernel vector sums its entries into one term dict over the slice's variables
-    slice_terms, vars_ = _aligned(slice_monomials)
-    laurent = frozenset().union(*(m.laurent for m in slice_monomials))
-    out = []
-    for vec in _kernel_vectors(pivots, len(slice_monomials)).values():
-        terms = {}
-        for j, v in vec.items():
-            for exp, c in slice_terms[j].items():
-                terms[exp] = terms.get(exp, 0) + c * v
-        out.append(Polynomial(vars_, terms, laurent))
-    return out
+    vars_ = tuple(dict.fromkeys(v for p in slice_monomials for v in p.vars))
+    laurent = frozenset().union(*(p.laurent for p in slice_monomials))
+    forms = [_int_form(p, vars_) for p in slice_monomials]
+    return [
+        _sum_forms(forms[j].scaled(v) for j, v in vec.items()).to_poly(vars_, laurent)
+        for vec in _kernel_vectors(pivots, len(slice_monomials)).values()
+    ]

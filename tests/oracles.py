@@ -344,6 +344,72 @@ def commutation_checks_by_monomials(n_sl=2, max_degree=3):
     return report
 
 
+# -- slice kernels and commutators, one image and one product at a time -------------
+
+def kernel_on_slice_per_monomial(op, slice_monomials):
+    """The slice kernel with one image per slice polynomial: one
+    ``operators.form_applicator`` maps each in turn, the rows hold the
+    images' exact coefficients, and each kernel vector sums its entries into
+    one Fraction term dict over the slice's variables."""
+    from flagpde.linalg import _aligned, _kernel_vectors, _row_reduce
+    from flagpde.operators import form_applicator
+
+    if not slice_monomials:
+        return []
+    apply = form_applicator(op, slice_monomials)
+    images, _ = _aligned([apply(m) for m in slice_monomials])
+    rows = {}
+    for j, terms in enumerate(images):
+        for key, c in terms.items():
+            rows.setdefault(key, {})[j] = c
+    pivots = _row_reduce(list(rows.values()), reduced=True)
+    slice_terms, vars_ = _aligned(slice_monomials)
+    laurent = frozenset().union(*(m.laurent for m in slice_monomials))
+    out = []
+    for vec in _kernel_vectors(pivots, len(slice_monomials)).values():
+        terms = {}
+        for j, v in vec.items():
+            for exp, c in slice_terms[j].items():
+                terms[exp] = terms.get(exp, 0) + c * v
+        out.append(Polynomial(vars_, terms, laurent))
+    return out
+
+
+def compose_forms_in_full(a, b):
+    """The normal form of A after B with every Leibniz term, the gamma = 0
+    products c_alpha c_beta d^(alpha+beta) included."""
+    out = {}
+    for alpha, ca in a.items():
+        for gamma in itertools.product(*(range(m + 1) for _, m in alpha)):
+            pairs = list(zip(alpha, gamma))
+            weight = math.prod(math.comb(m, g) for (_, m), g in pairs)
+            for beta, cb in b.items():
+                coeff = cb
+                for (i, _), g in pairs:
+                    if g:
+                        coeff = coeff.diff(i, g)
+                if not coeff:
+                    continue
+                orders = dict(beta)
+                for (i, m), g in pairs:
+                    if m > g:
+                        orders[i] = orders.get(i, 0) + m - g
+                key = tuple(sorted(orders.items()))
+                term = ca.scaled(weight) * coeff
+                if key in out:
+                    term = out[key] + term
+                if term:
+                    out[key] = term
+                else:
+                    out.pop(key, None)
+    return out
+
+
+def forms_commute_by_composition(form_a, form_b):
+    """[A, B] = 0 decided by composing both ways in full and comparing."""
+    return compose_forms_in_full(form_a, form_b) == compose_forms_in_full(form_b, form_a)
+
+
 # -- the numeric evaluators ------------------------------------------------------------
 
 def weighted_index_tuples(m, max_weight, p=0):

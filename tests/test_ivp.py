@@ -709,6 +709,35 @@ def test_tree_wave_series_builds_carriers_lazily():
     assert later == tree_wave_series_eager(tree, g0, g1, 0.2, pts[0], max_terms=30)
 
 
+def test_tree_wave_traces_take_one_zero_time_pass_per_point(monkeypatch):
+    """The position and velocity traces share one t = 0 series per mode and
+    point, and their residual is the one of summing each trace on its own."""
+    tree, g0, g1 = _chain3_data()
+    pts = [(0.1, 0.2, 0.3), (-0.4, 0.45, -0.1)]
+    calls = []
+    mode_series = ivp.TreeWaveSeriesSolution.mode_series
+
+    def counted(self, k, t, point, tol=1e-14):
+        calls.append((k, t, tuple(point)))
+        return mode_series(self, k, t, point, tol)
+
+    monkeypatch.setattr(ivp.TreeWaveSeriesSolution, "mode_series", counted)
+    sol = solve_tree_wave_ivp(tree, g0, g1, 0.05, pts)
+    at_zero = [c for c in calls if c[1] == 0.0]
+    assert len(at_zero) == len(set(at_zero)) == len(pts) * len(sol.carriers) == 4
+    monkeypatch.undo()
+    residuals = []
+    for pt in pts:
+        residuals.append(abs(sol.at(0.0, pt) - g0.value_at(pt)))
+        vel = 0.0
+        for k in sorted(g1.modes):
+            b1, c1 = g1.modes[k]
+            even, _ = sol.mode_series(k, 0.0, pt)
+            vel += b1 * even.real + c1 * even.imag
+        residuals.append(abs(vel - g1.value_at(pt)))
+    assert sol.trace_residual == max(residuals)
+
+
 def test_tree_wave_series_carrier_cap_raises():
     from flagpde import solve_tree_wave_series
 

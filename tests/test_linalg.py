@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flagpde as fp
@@ -26,8 +26,8 @@ from flagpde.linalg import (
 )
 from flagpde.poly import IMAG, GaussianRational
 
-from oracles import dense_nullspace, dense_rank
-from strategies import polynomials
+from oracles import dense_nullspace, dense_rank, kernel_on_slice_per_monomial
+from strategies import gaussian_coefficients, polynomials
 
 SMALL = st.integers(-3, 3)
 FRACTIONS = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
@@ -230,3 +230,87 @@ def test_kernel_on_slice_canonical_basis_is_pinned():
     assert _terms(kernel_on_slice(cauchy_riemann, monomials_of_degree(("x1", "x2"), 3))) == [
         {(3, 0): "1", (2, 1): "3i", (1, 2): "-3", (0, 3): "-1i"},
     ]
+
+
+# -- the tagged slice kernel against one image per slice polynomial ---------------------
+
+_SLICE_VARS = st.sampled_from((("x", "y"), ("y", "x"), ("x", "y", "z")))
+
+
+@st.composite
+def kernel_slices(draw):
+    """Graded and bidegree monomial slices, and lists of polynomials with
+    several terms, Gaussian coefficients or the Laurent variable x, over
+    drawn variable orders."""
+    kind = draw(st.sampled_from(("graded", "bidegree", "polys")))
+    if kind == "graded":
+        return monomials_of_degree(draw(_SLICE_VARS), draw(st.integers(0, 4)))
+    if kind == "bidegree":
+        return bidegree_monomials(("x", "y"), ("z",), draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    laurent = draw(st.sampled_from(((), ("x",))))
+    coeffs = draw(st.sampled_from((None, gaussian_coefficients())))
+    entry = _SLICE_VARS.flatmap(lambda vs: polynomials(vs, max_terms=3, max_exp=3, laurent=laurent,
+                                                       coeffs=coeffs))
+    return draw(st.lists(entry, min_size=1, max_size=6))
+
+
+@st.composite
+def slice_operators(draw):
+    """Sums of products of coefficients and derivatives of order 0-2 over
+    x, y, z and w (w is in no slice), some with Gaussian coefficients, some
+    with an integration in y or w, which has no normal form."""
+    derivative = st.builds(fp.Derivative, st.sampled_from("xyzw"), st.integers(0, 2))
+    coefficient = polynomials(("x", "y", "w"), max_terms=2, max_exp=1,
+                              coeffs=draw(st.sampled_from((None, gaussian_coefficients()))))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        c, d = draw(coefficient), draw(derivative)
+        parts.append(draw(st.sampled_from((fp.Compose(fp.MultiplyBy(c), d), fp.Compose(d, fp.MultiplyBy(c))))))
+    if draw(st.booleans()):
+        parts.append(fp.Integrate(draw(st.sampled_from("yw"))))
+    return fp.Sum(parts)
+
+
+def _kernel_fields(polys):
+    return [(p.vars, p.laurent, p.terms) for p in polys]
+
+
+_CAUCHY_RIEMANN = fp.Sum((fp.Derivative("x", 1), fp.Compose(fp.Scale(IMAG), fp.Derivative("y", 1))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_slices(), slice_operators())
+@example(monomials_of_degree(("x", "y"), 3), _CAUCHY_RIEMANN)
+@example(monomials_of_degree(("x", "y"), 2), fp.Sum((fp.Derivative("x", 1), fp.Integrate("y"))))
+@example(monomials_of_degree(("x", "y"), 2), fp.Compose(fp.MultiplyBy(fp.variable("w")), fp.Derivative("w", 1)))
+@example([fp.Polynomial(("x", "y"), {(-2, 1): 1, (1, 0): 3}, ("x",)), fp.variable("x") * fp.variable("y")],
+         fp.Compose(fp.MultiplyBy(fp.variable("x") ** 2), fp.Derivative("x", 1)))
+def test_tagged_kernel_matches_the_per_monomial_oracle(slice_, op):
+    assert _kernel_fields(kernel_on_slice(op, slice_)) == _kernel_fields(
+        kernel_on_slice_per_monomial(op, slice_)
+    )
+
+
+def _certify_slices():
+    """The operators and slices of the certify kernels, at both turns."""
+    xv = lambda n: tuple(f"x{i}" for i in range(1, n + 1))
+    laplacian = lambda vs: fp.Sum(fp.Derivative(v, 2) for v in vs)
+    wave = fp.Sum((fp.Derivative("t", 2), fp.Compose(fp.Scale(Fraction(-1)), fp.Derivative("x", 2)),
+                   fp.Compose(fp.Scale(Fraction(-1)), fp.Derivative("y", 2))))
+    yv = ("y1", "y2", "y3")
+    return (
+        [pytest.param(laplacian(xv(3)), monomials_of_degree(xv(3), d), id=f"laplacian n=3 degree {d}")
+         for d in (9, 10)]
+        + [pytest.param(laplacian(xv(4)), monomials_of_degree(xv(4), d), id=f"laplacian n=4 degree {d}")
+           for d in (5, 6)]
+        + [pytest.param(wave, monomials_of_degree(("t", "x", "y"), d), id=f"wave degree {d}") for d in (9, 10)]
+        + [pytest.param(lie.sl_laplacian(3), bidegree_monomials(xv(3), yv, a, b), id=f"contraction ({a}, {b})")
+           for a, b in ((2, 2), (2, 3), (3, 2), (3, 3))]
+    )
+
+
+@pytest.mark.parametrize("op, slice_", _certify_slices())
+def test_certify_kernels_match_the_per_monomial_oracle(op, slice_):
+    got = kernel_on_slice(op, slice_)
+    assert got
+    assert _kernel_fields(got) == _kernel_fields(kernel_on_slice_per_monomial(op, slice_))

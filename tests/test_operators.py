@@ -32,6 +32,7 @@ from flagpde.operators import (
     TrigApplicator,
     differential_form,
     form_map,
+    forms_commute,
     op_from_json,
     op_to_json,
     operators_agree_on_sample,
@@ -41,8 +42,10 @@ from flagpde.poly import NonIntegrableTermError, _int_form
 
 from oracles import (
     apply_trig_termwise,
+    compose_forms_in_full,
     diff_stepwise,
     dict_product,
+    forms_commute_by_composition,
     integrate_by_reciprocal,
     nested_inverse_term_by_term,
 )
@@ -554,3 +557,46 @@ def test_apply_trig_rejects_operators_without_a_normal_form(op, u, bad, as_sum):
         tree.apply_trig(u)
     with pytest.raises(TypeError):
         apply_trig_termwise(tree, u)
+
+
+# -- the commutator without its cancelling terms ------------------------------------
+
+_NF_VARS = ("x", "y", "z")
+# every derivative multi-index of order <= 2 over x, y, z, as normal-form keys
+_ORDER_TWO = [()] + [((i, m),) for i in range(3) for m in (1, 2)] + [
+    ((i, 1), (j, 1)) for i in range(3) for j in range(i + 1, 3)
+]
+
+
+@st.composite
+def normal_forms(draw):
+    """Normal forms sum_alpha c_alpha d^alpha of order <= 2 over x, y, z with
+    polynomial coefficients, rational or Gaussian."""
+    coeffs = draw(st.sampled_from((coefficients(), gaussian_coefficients())))
+    alphas = draw(st.lists(st.sampled_from(_ORDER_TWO), unique=True, min_size=1, max_size=3))
+    nonzero = polynomials(_NF_VARS, max_terms=3, max_exp=2, coeffs=coeffs).filter(lambda c: not c.is_zero())
+    return {alpha: draw(nonzero).form for alpha in alphas}
+
+
+@st.composite
+def normal_form_pairs(draw):
+    """Two unrelated forms, or a form and one that commutes with it: itself
+    or its square."""
+    a = draw(normal_forms())
+    b = draw(st.one_of(normal_forms(), st.just(a), st.just(compose_forms_in_full(a, a))))
+    return a, b
+
+
+_ONE = _int_form(Polynomial.const(1), _NF_VARS)
+_X = _int_form(x, _NF_VARS)
+
+
+# [d/dx, x] = 1; x d/dx commutes with x^2 d^2/dx^2; d^2/dx^2 + x d^2/dydz with d^2/dy^2
+@given(normal_form_pairs())
+@example(({((0, 1),): _ONE}, {(): _X}))
+@example(({((0, 1),): _X}, {((0, 2),): _int_form(x**2, _NF_VARS)}))
+@example(({((0, 2),): _ONE, ((1, 1), (2, 1)): _X}, {((1, 2),): _ONE}))
+@settings(max_examples=150, deadline=None)
+def test_forms_commute_matches_the_composition_oracle(pair):
+    a, b = pair
+    assert forms_commute(a, b) == forms_commute_by_composition(a, b)

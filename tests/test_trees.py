@@ -151,6 +151,20 @@ def test_splitting_identity_all_trees(n):
         assert report.monomials_checked > 0
 
 
+@pytest.mark.parametrize("tree, cap, tcap", [
+    (CHAIN3, 0, 3),
+    (Tree(3, [(1, 2), (1, 3)]), 0, 2),
+    (CHAIN3, 3, 0),
+    (Tree(4, [(1, 2), (2, 3), (2, 4)]), 2, 0),
+    (Tree(1, []), 4, 4),
+    (Tree(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), 4, 4),
+], ids=["cap 0", "star cap 0", "tcap 0", "tree4 tcap 0", "one node", "chain5 cap 4 tcap 4"])
+def test_batched_splitting_matches_the_termwise_sweep(tree, cap, tcap):
+    report = check_splitting(tree, cap, tcap)
+    assert report.monomials_checked == check_splitting_termwise(compute_splitting(tree), cap, tcap)
+    assert report.monomials_checked == math.comb(tree.nodes + cap, cap)
+
+
 def test_splitting_check_reports_mismatch():
     s = compute_splitting(Tree(2, [(1, 2)]))
     # sabotage: drop the parent multiplier from the second exponent
