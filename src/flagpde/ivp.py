@@ -250,14 +250,6 @@ def _float_image(value, what: str) -> float:
         raise ValueError(f"{what} is too large for a float") from None
 
 
-def _trace_derivative(values, s: int, r: int, one):
-    """r-th derivative at 0 of x^s Y_s(x^(p+1) a_p), the s-th fundamental
-    solution of y^(m) = sum_p a_p y^(m-1-p); exact in the arguments a_p."""
-    if r < s:
-        return 0 * one
-    return _weight_sums(values, r - s + 1, one)[-1]
-
-
 def _amplitudes(sums, traces) -> list:
     """Amplitudes A_s of the fundamental solutions reproducing the traces y^(r)(0):
     a triangular solve, as the r-th derivative of the s-th is sums[r - s] (1 at

@@ -7,8 +7,9 @@ contragredient twist on the y block, and the exceptional family through
 fourteen sparse seven-by-seven matrices whose entries p + q*sqrt(2) hold
 integer p and q; entry (i, j) becomes the term x_i d/dx_j, split into a
 rational and a sqrt(2) part.  Module bases are produced by the same
-perturbation-series shapes as the flag solvers; a brute-force kernel oracle
-over graded monomial slices supplies ground truth for dimensions and spans.
+perturbation-series shapes as the flag solvers.  ``kernel_oracle`` is
+``linalg.kernel_on_slice``, the exact kernel of an operator on a graded
+monomial slice, under the name this module has always exported.
 
 The commutation suite proves its operator identities instead of sampling
 them: both sides are brought to the normal form sum_alpha c_alpha d^alpha
@@ -131,7 +132,7 @@ def _trace(m):
 
 
 def _as_row(m):
-    """The matrix as a sparse row over Q: column (i, j, 0) holds p, (i, j, 1) holds q."""
+    """The matrix as a sparse integer row: column (i, j, 0) holds p, (i, j, 1) holds q."""
     row = {}
     for (i, j), (p, q) in m.items():
         if p:
@@ -142,9 +143,10 @@ def _as_row(m):
 
 
 def _closed_under_bracket(mats) -> bool:
-    """True when the matrices, read as rational vectors with the rational and
+    """True when the matrices, read as integer vectors with the rational and
     sqrt(2) parts apart, are independent and every pairwise bracket lies in
-    their span: it reduces to zero against their one echelon form."""
+    their span: it reduces to zero against their one fraction-free echelon
+    form."""
     mats = list(mats)
     pivots = _row_reduce([_as_row(m) for m in mats])
     return len(pivots) == len(mats) and all(
@@ -511,9 +513,8 @@ def g2_singular_config() -> SingularConfig:
 
 # -- kernel oracle ------------------------------------------------------------------
 
-def kernel_oracle(op, slice_monomials):
-    """Exact kernel basis of op on the span of the given monomials."""
-    return kernel_on_slice(op, slice_monomials)
+# the slice kernel under its public name in this module
+kernel_oracle = kernel_on_slice
 
 
 # -- commutation suite ----------------------------------------------------------------

@@ -1,10 +1,22 @@
-"""Exact linear algebra over the rationals and Gaussian rationals.
+"""Exact linear algebra over the rationals and Gaussian rationals, on integers.
 
 Matrices are lists of rows of ints, Fractions or GaussianRationals.
 Elimination works on sparse rows, dicts from column to nonzero entry, so
 zero cells cost nothing.  Polynomial ranks build those rows straight from
 the polynomials' integer numerators, slice kernels from the numerators of
 one tagged image of the whole slice.
+
+Exact elimination runs on integers only.  Each row is scaled once, on
+entry, by the lcm of its denominators; when any entry is Gaussian, every
+entry becomes a pair (re, im) of ints, an element of Z[i].  A pivot row
+leading with L at column c clears that column from a row whose entry there
+is a by the fraction-free step row <- L*row - a*prow, with L and a first
+divided by gcd(L, a), and the result is divided by its content, the gcd of
+all its integer parts.  These exact integer divisions are the only
+divisions of the elimination.  Stored pivot rows are primitive and lead
+with a positive integer (a Z[i] row is first multiplied by the conjugate
+of its lead).  A kernel vector is read off as integers over the lcm of the
+pivot leads it touches.
 
 Rank is certified cheaply. Nonempty rows whose first columns are pairwise
 distinct are independent, so their count is the rank with no elimination
@@ -14,17 +26,20 @@ sqrt(-1) sent to ``SQRT_MINUS_ONE``, a square root of -1 mod P) is a ring
 homomorphism, so the rank mod P never exceeds the exact rank. When the rank
 mod P is full, min(rows, nonzero columns), it is therefore the exact rank.
 Otherwise (a rank deficient mod P, a denominator divisible by P, or an entry
-of another type) the rank comes from exact sparse elimination over Q or
-Q(i). Nullspaces and slice kernels are always exact: sparse elimination and
-back-substitution to the reduced row echelon form, which is unique for a
-fixed column order, so kernel bases are canonical.
+of another type) the rank comes from the exact integer elimination.
+Nullspaces and slice kernels are always exact: integer elimination and
+back-substitution to the reduced row echelon form, which is unique up to
+the scale of each row for a fixed column order, so kernel bases are
+canonical.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
-from .poly import GaussianRational, Polynomial, _int_form, _shifted_sum, _sum_forms, coeff_inverse
+from .poly import GaussianRational, Polynomial, _int_form, _nonzero, _parts, _reduced
 
 __all__ = [
     "bidegree_monomials",
@@ -46,18 +61,21 @@ SQRT_MINUS_ONE = 583529827753931384
 
 
 def _row_reduce(rows, p=None, reduced=False):
-    """Sparse Gaussian elimination; returns {pivot column: pivot row}.
+    """Sparse elimination; returns {pivot column: pivot row}.
 
     Each row is a dict {column: nonzero entry}; columns are any mutually
     comparable keys. With a prime ``p`` the entries are residues in
-    [0, p) and the arithmetic is mod p; otherwise it is the entries' own
-    exact field arithmetic. Every pivot row starts at its pivot column with
-    a 1 and holds no earlier pivot column (row echelon form). With
-    ``reduced`` every pivot column is also cleared from the other pivot
-    rows (reduced row echelon form). The input rows are left unchanged.
+    [0, p), the arithmetic is mod p, and every pivot row leads with a 1.
+    Otherwise the rows are first scaled to integers (``_integer_rows``) and
+    eliminated without fractions: every pivot row is primitive, with int
+    entries (or (re, im) int pairs over Z[i]), and leads with a positive
+    integer. No pivot row holds an earlier pivot column (row echelon form).
+    With ``reduced`` every pivot column is also cleared from the other pivot
+    rows (reduced row echelon form, up to the scale of each row). The input
+    rows are left unchanged.
     """
     pivots = {}
-    for row in rows:
+    for row in rows if p else _integer_rows(rows):
         row = _remainder(row, pivots, p)
         if row:
             c = min(row)
@@ -65,8 +83,7 @@ def _row_reduce(rows, p=None, reduced=False):
                 inv = pow(row[c], -1, p)
                 pivots[c] = {k: v * inv % p for k, v in row.items()}
             else:
-                inv = coeff_inverse(row[c])
-                pivots[c] = {k: v * inv for k, v in row.items()}
+                pivots[c] = _primitive(row, c)
     if reduced:
         # last pivot first, so each pivot row is already clear of the later
         # pivot columns when it is subtracted from the rows above it
@@ -74,43 +91,128 @@ def _row_reduce(rows, p=None, reduced=False):
         for i in reversed(range(len(order))):
             c, prow = order[i], pivots[order[i]]
             for earlier in order[:i]:
-                row = pivots[earlier]
-                if c in row:
-                    _eliminate(row, prow, row[c], p)
+                if c in pivots[earlier]:
+                    pivots[earlier] = _eliminate(pivots[earlier], prow, c, p)
     return pivots
 
 
 def _remainder(row, pivots, p=None):
-    """A copy of row reduced by the pivot rows of a ``_row_reduce`` result
-    until its first column has no pivot; it is empty when row lies in their span."""
+    """row reduced by the pivot rows of a ``_row_reduce`` result until its
+    first column has no pivot; it is empty when row lies in their span.
+
+    Without ``p`` the row must be over the pivots' ring, ints or (re, im)
+    int pairs; each step is the fraction-free ``_eliminate``, so the result
+    is a nonzero integer multiple of row minus a combination of the pivot
+    rows, divided by its content.  The input row is left unchanged.
+    """
     row = dict(row)
     while row:
         c = min(row)
         prow = pivots.get(c)
         if prow is None:
             break
-        _eliminate(row, prow, row[c], p)
+        row = _eliminate(row, prow, c, p)
     return row
 
 
-def _eliminate(row, prow, factor, p):
-    """row -= factor * prow in place, dropping the entries that cancel."""
-    # a key missing from row gets -factor * v, which is nonzero in a field,
-    # so an entry that cancels was present and can be deleted
+def _eliminate(row, prow, c, p):
+    """row with its column c cleared by prow, which leads at c; row may be
+    changed in place.
+
+    Mod p, prow leads with 1 and the step is row - row[c] * prow.  Over Z
+    and Z[i] prow leads with a positive integer L, and with a = row[c] the
+    step is L*row - a*prow, first with gcd(L, a) divided out of both
+    factors, then divided by the content of the result.
+    """
+    # a key missing from row gets -a * v, which is nonzero in an integral
+    # domain, so an entry that cancels was present and can be deleted
+    a = row[c]
     if p:
         for k, v in prow.items():
-            x = (row.get(k, 0) - factor * v) % p
+            x = (row.get(k, 0) - a * v) % p
             if x:
                 row[k] = x
             else:
                 del row[k]
-    else:
-        for k, v in prow.items():
-            x = row.get(k, 0) - factor * v
-            if x:
-                row[k] = x
+        return row
+    if type(a) is tuple:
+        ar, ai = a
+        lead = prow[c][0]
+        g = gcd(lead, ar, ai)
+        lead, ar, ai = lead // g, ar // g, ai // g
+        if lead != 1:
+            row = {k: (x * lead, y * lead) for k, (x, y) in row.items()}
+        get = row.get
+        for k, (vr, vi) in prow.items():
+            x, y = get(k, (0, 0))
+            x -= ar * vr - ai * vi
+            y -= ar * vi + ai * vr
+            if x or y:
+                row[k] = (x, y)
             else:
                 del row[k]
+        g = gcd(*itertools.chain.from_iterable(row.values()))
+        return row if g < 2 else {k: (x // g, y // g) for k, (x, y) in row.items()}
+    lead = prow[c]
+    g = gcd(lead, a)
+    lead, a = lead // g, a // g
+    if lead != 1:
+        row = {k: x * lead for k, x in row.items()}
+    get = row.get
+    for k, v in prow.items():
+        x = get(k, 0) - a * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    return row if g < 2 else {k: x // g for k, x in row.items()}
+
+
+def _primitive(row, c):
+    """The nonzero integer row over its content, with a positive integer
+    lead at its first column c; a Z[i] row is first multiplied by the
+    conjugate of its lead."""
+    lead = row[c]
+    if type(lead) is tuple:
+        lr, li = lead
+        if li:
+            row = {k: (x * lr + y * li, y * lr - x * li) for k, (x, y) in row.items()}
+            lr = row[c][0]
+        g = gcd(*itertools.chain.from_iterable(row.values()))
+        g = -g if lr < 0 else g
+        return row if g == 1 else {k: (x // g, y // g) for k, (x, y) in row.items()}
+    g = gcd(*row.values())
+    g = -g if lead < 0 else g
+    return row if g == 1 else {k: x // g for k, x in row.items()}
+
+
+def _integer_rows(rows):
+    """The rows scaled to integers, each by the lcm of its denominators.
+
+    When any entry is Gaussian, a GaussianRational or an (re, im) pair,
+    every entry becomes an (re, im) pair of ints; rows of ints are kept."""
+    rows = list(rows)
+    types = set()
+    for row in rows:
+        types.update(map(type, row.values()))
+    if types <= {int}:
+        return rows
+    if GaussianRational in types or tuple in types:
+        out = []
+        for row in rows:
+            parts = {k: v if type(v) is tuple else _parts(v) for k, v in row.items()}
+            d = lcm(*(x.denominator for pair in parts.values() for x in pair))
+            out.append({
+                k: (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
+                for k, (x, y) in parts.items() if x or y
+            })
+        return out
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row.values()))
+        out.append({k: x.numerator * (d // x.denominator) for k, x in row.items() if x})
+    return out
 
 
 def _residue(value, inverses):
@@ -177,13 +279,45 @@ def matrix_rank(rows) -> int:
     return _rank(_sparse(rows))
 
 
-def _kernel_vectors(pivots, ncols):
-    """Sparse kernel basis {column: entry}, one per free column, from an RREF."""
-    kernel = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivots}
+def _integer_kernel(pivots, ncols):
+    """The kernel basis of a reduced ``_row_reduce`` result without p, as
+    {free column: (den, vector)}, one entry per free column.
+
+    The vector is sparse, {column: int or (re, im) int pair}, over the
+    positive integer den, the lcm of the leads of the pivot rows with an
+    entry at the free column: den at the free column, zero at the other
+    free columns, and -row[fc] * (den // lead) at the pivot column of each
+    such row.
+    """
+    # a Z[i] lead is the pair (L, 0)
+    leads = {pc: prow[pc][0] if type(prow[pc]) is tuple else prow[pc] for pc, prow in pivots.items()}
+    touching = {fc: {} for fc in range(ncols) if fc not in pivots}
     for pc, prow in pivots.items():
         for fc, v in prow.items():
             if fc != pc:
-                kernel[fc][pc] = -v
+                touching[fc][pc] = v
+    kernel = {}
+    for fc, entries in touching.items():
+        den = lcm(*map(leads.__getitem__, entries))
+        vec = {fc: den}
+        for pc, v in entries.items():
+            k = den // leads[pc]
+            vec[pc] = (-v[0] * k, -v[1] * k) if type(v) is tuple else -v * k
+        kernel[fc] = den, vec
+    return kernel
+
+
+def _kernel_vectors(pivots, ncols):
+    """Sparse kernel basis {column: entry}, one per free column, from a
+    reduced ``_row_reduce`` result: ``_integer_kernel`` over its
+    denominators, exact rationals with 1 at the free column."""
+    kernel = {}
+    for fc, (den, vec) in _integer_kernel(pivots, ncols).items():
+        kernel[fc] = {
+            c: GaussianRational(Fraction(v[0], den), Fraction(v[1], den))
+            if type(v) is tuple else Fraction(v, den)
+            for c, v in vec.items()
+        }
     return kernel
 
 
@@ -289,13 +423,15 @@ def kernel_on_slice(op, slice_monomials):
 
     Returns a list of Polynomials spanning {p in span(slice) : op(p) = 0}:
     the canonical basis read off the reduced row echelon form, with columns
-    in slice order, over the slice's variables.  The slice is mapped as one
-    tagged batch: its j-th entry carries j in one extra trailing
-    exponent position, which op does not read, so one
-    ``operators.form_map`` over the slice's variables, op's and the tag
-    gives every image at once.  Each term of the batch image is the entry
-    at (its exponent without the tag, its tag) of the image numerators,
-    which span the same kernel as the images.
+    in slice order, over the slice's variables.  The slice numerators are
+    brought to one denominator once.  The slice is mapped as one tagged
+    batch: its j-th entry carries j in one extra trailing exponent
+    position, which op does not read, so one ``operators.form_map`` over
+    the slice's variables, op's and the tag gives every image at once.
+    Each term of the batch image is the entry at (its exponent without the
+    tag, its tag) of the image numerators, which span the same kernel as
+    the images.  Each kernel polynomial is one pass over the slice
+    numerators (``_combinations``).
     """
     from .operators import _chain_order, form_map  # operators imports this module
 
@@ -305,21 +441,61 @@ def kernel_on_slice(op, slice_monomials):
     tag = "tag"
     while tag in vs:
         tag += "'"
-    order = vs + (tag,)
-    batch = _shifted_sum([(_int_form(p, order), j, 1) for j, p in enumerate(slice_monomials)], len(vs))
-    image = form_map(op, order)(batch)
-    # rows index the support of the images, columns the slice polynomials
+    # the slice's variables lead vs; op's own variables follow
+    vars_ = tuple(dict.fromkeys(v for p in slice_monomials for v in p.vars))
+    forms = [_int_form(p, vars_) for p in slice_monomials]
+    d = lcm(*(f.den for f in forms))
+    parts = [
+        (f.re, f.im) if f.den == d
+        else ({e: a * (d // f.den) for e, a in f.re.items()}, {e: b * (d // f.den) for e, b in f.im.items()})
+        for f in forms
+    ]
+    pad = (0,) * (len(vs) - len(vars_))
+    re, im = {}, {}
+    for j, (fre, fim) in enumerate(parts):
+        for e, a in fre.items():
+            re[e + pad + (j,)] = a
+        for e, b in fim.items():
+            im[e + pad + (j,)] = b
+    image = form_map(op, vs + (tag,))(_reduced(re, im, d))
+    # rows index the support of the images, columns the slice polynomials;
+    # a Gaussian image gives (re, im) entries
     rows = {}
     for exp, a in image.re.items():
         rows.setdefault(exp[:-1], {})[exp[-1]] = a
-    for exp, b in image.im.items():
-        row = rows.setdefault(exp[:-1], {})
-        row[exp[-1]] = GaussianRational(row.get(exp[-1], 0), b)
+    if image.im:
+        rows = {key: {j: (a, 0) for j, a in row.items()} for key, row in rows.items()}
+        for exp, b in image.im.items():
+            row = rows.setdefault(exp[:-1], {})
+            row[exp[-1]] = (row.get(exp[-1], (0, 0))[0], b)
     pivots = _row_reduce(list(rows.values()), reduced=True)
-    vars_ = tuple(dict.fromkeys(v for p in slice_monomials for v in p.vars))
     laurent = frozenset().union(*(p.laurent for p in slice_monomials))
-    forms = [_int_form(p, vars_) for p in slice_monomials]
     return [
-        _sum_forms(forms[j].scaled(v) for j, v in vec.items()).to_poly(vars_, laurent)
-        for vec in _kernel_vectors(pivots, len(slice_monomials)).values()
+        form.to_poly(vars_, laurent)
+        for form in _combinations(parts, d, _integer_kernel(pivots, len(slice_monomials)).values())
     ]
+
+
+def _combinations(parts, d, kernel):
+    """The forms sum_j vec[j] * (re_j + i im_j) / (den * d) for the
+    (den, vec) of ``_integer_kernel``, vec sparse with int or (re, im) int
+    pair entries and parts[j] = (re_j, im_j) the slice numerators over d:
+    each one pass over the numerators it touches, reduced once."""
+    out = []
+    for den, vec in kernel:
+        re, im = {}, {}
+        for j, v in vec.items():
+            fre, fim = parts[j]
+            if type(v) is tuple:
+                # (v + i vi)(a + i b) = v a - vi b + i (v b + vi a)
+                v, vi = v
+                for e, b in fim.items():
+                    re[e] = re.get(e, 0) - vi * b
+                for e, a in fre.items():
+                    im[e] = im.get(e, 0) + vi * a
+            for e, a in fre.items():
+                re[e] = re.get(e, 0) + v * a
+            for e, b in fim.items():
+                im[e] = im.get(e, 0) + v * b
+        out.append(_reduced(_nonzero(re), _nonzero(im), den * d))
+    return out

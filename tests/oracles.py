@@ -839,11 +839,19 @@ def flag_values_per_point(sol):
     return out
 
 
+def _trace_derivative(values, s: int, r: int, one):
+    """r-th derivative at 0 of x^s Y_s(x^(p+1) a_p), the s-th fundamental
+    solution of y^(m) = sum_p a_p y^(m-1-p); exact in the arguments a_p."""
+    from flagpde.ivp import _weight_sums
+
+    if r < s:
+        return 0 * one
+    return _weight_sums(values, r - s + 1, one)[-1]
+
+
 def flag_trace_residual_per_point(sol, data):
     """The largest trace misfit with every mode derivative recomputed at each
     evaluation point, in the solver's summation order."""
-    from flagpde.ivp import _trace_derivative
-
     worst = 0.0
     for s in range(sol.order):
         for pt in sol.eval_points:

@@ -164,7 +164,7 @@ def test_ode_initial_derivatives_exact():
 
 
 def test_ode_derivatives_match_multinomial_oracle():
-    from flagpde.ivp import _trace_derivative
+    from oracles import _trace_derivative
 
     rng = random.Random(12)
     for m in (1, 2, 3, 4):
@@ -367,7 +367,8 @@ def test_flag_ivp_dalembert_high_mode_at_far_edge():
 def test_flag_ivp_derivative_normalization():
     """The fundamental mode profiles satisfy d^s phi_r(0) = delta(r,s) and
     d^s psi_r(0) = 0 for s <= r."""
-    from flagpde.ivp import _FlagMode, _trace_derivative
+    from flagpde.ivp import _FlagMode
+    from oracles import _trace_derivative
 
     mode = _FlagMode((1,), [0.5 + 0.25j, -1.0 + 2.0j, 0.75j], [0, 0, 0], [0, 0, 0])
     for r in range(3):

@@ -1,6 +1,7 @@
 """Sparse certified rank and exact nullspaces against a dense Gauss-Jordan oracle."""
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -14,7 +15,9 @@ from flagpde.linalg import (
     P,
     SQRT_MINUS_ONE,
     _aligned,
+    _integer_rows,
     _kernel_vectors,
+    _remainder,
     _row_reduce,
     bidegree_monomials,
     kernel_on_slice,
@@ -26,7 +29,7 @@ from flagpde.linalg import (
 )
 from flagpde.poly import IMAG, GaussianRational
 
-from oracles import dense_nullspace, dense_rank, kernel_on_slice_per_monomial
+from oracles import dense_nullspace, dense_rank, dense_rref, kernel_on_slice_per_monomial
 from strategies import gaussian_coefficients, polynomials
 
 SMALL = st.integers(-3, 3)
@@ -60,6 +63,65 @@ def test_rank_and_nullspace_match_oracle_over_q(case):
 @given(matrices(GAUSSIANS))
 def test_rank_and_nullspace_match_oracle_over_gaussian_rationals(case):
     _agrees_with_oracle(*case)
+
+
+# -- the integer elimination on large entries and denominators ----------------------
+
+HUGE = st.one_of(SMALL, st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)))
+# large denominators: the pairwise coprime primes P, 2^61 - 1, 2^89 - 1 and
+# 2^127 - 1, and the multiples 3P and P^2 of P
+LARGE_DENOMINATORS = st.sampled_from((1, P, 3 * P, P * P, 2**61 - 1, 2**89 - 1, 2**127 - 1))
+LARGE_FRACTIONS = st.one_of(st.just(0), st.builds(Fraction, HUGE, LARGE_DENOMINATORS))
+LARGE_GAUSSIANS = st.one_of(st.just(0), st.builds(GaussianRational, LARGE_FRACTIONS, LARGE_FRACTIONS))
+
+
+def _is_integer_entry(v):
+    return type(v) is int or (type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v))
+
+
+def _exact(v):
+    return GaussianRational(*v) if type(v) is tuple else Fraction(v)
+
+
+def _integer_elimination_matches_oracle(rows, ncols):
+    """The integer RREF holds only ints or int pairs, its rows are primitive
+    with positive integer leads, each row over its lead is the dense RREF's
+    row, and every input row reduces to zero against it."""
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    pivots = _row_reduce(sparse, reduced=True)
+    rref, pivot_columns = dense_rref(rows, ncols)
+    assert sorted(pivots) == pivot_columns
+    for c, want in zip(pivot_columns, rref):
+        prow = pivots[c]
+        assert all(_is_integer_entry(v) for v in prow.values())
+        lead = _exact(prow[c])
+        assert (lead.im == 0 and lead.re > 0) if isinstance(lead, GaussianRational) else lead > 0
+        parts = [x for v in prow.values() for x in (v if type(v) is tuple else (v,))]
+        assert math.gcd(*parts) == 1
+        assert [_exact(prow.get(j, 0)) / lead for j in range(ncols)] == want
+    assert all(not _remainder(row, pivots) for row in _integer_rows(sparse))
+    _agrees_with_oracle(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(HUGE))
+def test_integer_elimination_on_entries_beyond_64_bits(case):
+    _integer_elimination_matches_oracle(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(LARGE_FRACTIONS))
+@example(([[Fraction(1, P), Fraction(1, 2**61 - 1)], [Fraction(1, 3 * P), Fraction(1, 3 * (2**61 - 1))]], 2))
+def test_integer_elimination_on_large_coprime_denominators(case):
+    _integer_elimination_matches_oracle(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(st.one_of(GAUSSIANS, LARGE_GAUSSIANS)))
+@example(([[1, IMAG], [IMAG, -1]], 2))
+@example(([[GaussianRational(2, 3), IMAG, 1], [0, GaussianRational(0, 5), Fraction(1, P)]], 3))
+def test_integer_elimination_on_gaussian_entries(case):
+    _integer_elimination_matches_oracle(*case)
 
 
 @settings(max_examples=60, deadline=None)
