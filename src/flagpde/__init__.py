@@ -58,7 +58,6 @@ from .operators import (
     SeriesConfig,
     Sum,
     VerificationError,
-    apply_operator,
     right_inverse_series,
     solve_by_series,
 )

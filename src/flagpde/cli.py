@@ -467,6 +467,7 @@ def _cmd_tree(args):
             "degreeCap": report.degree_cap,
             "tPowerCap": report.t_power_cap,
             "monomialsChecked": report.monomials_checked,
+            "proof": report.proof,
         }
         # check_splitting raises VerificationError on the first mismatch
         _emit(args, _with_checks(payload, [("splitting", "passed")]), file_paths=[args.tree])

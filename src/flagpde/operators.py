@@ -84,7 +84,6 @@ __all__ = [
     "Sum",
     "TrigApplicator",
     "VerificationError",
-    "apply_operator",
     "differential_form",
     "form_applicator",
     "form_map",
@@ -423,11 +422,6 @@ class NestedRightInverse(LinearOperator):
             f"({c})*d{v}^{m}" for c, v, m in zip(self.coeffs, self.vars_, self.orders)
         )
         return f"NestedRightInverse[{blocks}]"
-
-
-def apply_operator(op: LinearOperator, p):
-    """Apply an operator to a Polynomial or TrigPolynomial."""
-    return op(p)
 
 
 def _variables_in_order(op: LinearOperator):

@@ -113,6 +113,10 @@ def test_tree_xi_and_splitting(tmp_path):
     assert result["checks"] == [{"name": "splitting", "status": "passed"}]
     assert result["verified"] is True
     assert result["monomialsChecked"] == 10  # the monomials of degree <= 2 in x1, x2, x3
+    assert result["proof"] is False  # a proof needs cap >= 2 * tcap
+    assert run_cli(["tree", "check-splitting", "--tree", str(tree), "--cap", "4", "--tcap", "2",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["proof"] is True
 
 
 def test_ivp_flag_grid(tmp_path):

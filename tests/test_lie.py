@@ -38,7 +38,16 @@ from flagpde.linalg import (
     polys_in_span,
     polys_rank,
 )
-from flagpde.operators import Compose, Derivative, Scale, Sum, operators_agree_on_sample
+from flagpde import lie
+from flagpde.operators import (
+    Compose,
+    Derivative,
+    MultiplyBy,
+    Scale,
+    Sum,
+    VerificationError,
+    operators_agree_on_sample,
+)
 
 from oracles import agree_on_monomials, commutation_checks_by_monomials
 
@@ -222,6 +231,54 @@ def test_g2_laplacian_reading_selected():
     reading, results = select_g2_laplacian_reading()
     assert reading == 1
     assert results == {1: True, 2: False}
+
+
+@pytest.fixture
+def fresh_reading():
+    lie._g2_reading.cache_clear()
+    yield
+    lie._g2_reading.cache_clear()
+
+
+def test_g2_reading_is_proved_once_per_process(fresh_reading, monkeypatch):
+    proof, calls = lie._g2_reading_checks, []
+
+    def counted(eta, action):
+        calls.append(1)
+        return proof(eta, action)
+
+    monkeypatch.setattr(lie, "_g2_reading_checks", counted)
+    commutation_checks(2)
+    commutation_checks(3)
+    select_g2_laplacian_reading()
+    assert len(calls) == 1
+
+
+def test_g2_reading_report_is_a_new_dict_on_each_call(fresh_reading):
+    _, results = select_g2_laplacian_reading()
+    results[2] = True
+    results[3] = True
+    assert select_g2_laplacian_reading() == (1, {1: True, 2: False})
+
+
+def test_failed_g2_reading_proof_is_not_kept(fresh_reading, monkeypatch):
+    monkeypatch.setattr(lie, "_g2_reading_checks", lambda eta, action: {1: (False, True), 2: (True, False)})
+    with pytest.raises(VerificationError):
+        select_g2_laplacian_reading()
+    assert lie._g2_reading.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert select_g2_laplacian_reading()[0] == 1
+
+
+def test_sabotaged_generator_leaves_no_reading():
+    action = g2_polynomial_action()
+    gen = action["h1"]
+    action["h1"] = PairOperator(gen.name, MultiplyBy(variable("x1")), gen.radical)
+    checks = lie._g2_reading_checks(g2_invariant(), action)
+    assert checks[1] == (False, True)  # [d1^2, x1] = 2 d1
+    assert not all(checks[2])
+    with pytest.raises(VerificationError):
+        lie._select_reading(checks)
 
 
 def test_g2_eta_multiplication_law():

@@ -151,6 +151,26 @@ def test_splitting_identity_all_trees(n):
         assert report.monomials_checked > 0
 
 
+def test_xi_terms_obey_the_order_bound():
+    # every xi term has D-degree at most twice its t-degree (module docstring)
+    terms = 0
+    for n in range(1, 7):
+        for tree in all_trees(n):
+            for xi in compute_splitting(tree).exponents:
+                for exp in xi.terms:
+                    degrees = dict(zip(xi.vars, exp))
+                    d = sum(e for v, e in degrees.items() if v.startswith("D"))
+                    assert 1 <= d <= 2 * degrees["t"], (tree, xi)
+                    terms += 1
+    assert terms == 19378
+
+
+def test_splitting_report_says_whether_the_sweep_is_a_proof():
+    tree = Tree(4, [(1, 2), (2, 3), (2, 4)])
+    assert check_splitting(tree, 6, 3).proof is True
+    assert check_splitting(tree, 3, 3).proof is False  # the CLI default caps
+
+
 @pytest.mark.parametrize("tree, cap, tcap", [
     (CHAIN3, 0, 3),
     (Tree(3, [(1, 2), (1, 3)]), 0, 2),
