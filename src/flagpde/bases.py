@@ -210,6 +210,52 @@ def _over_one_denominator(terms: dict) -> _IntForm:
 
 # -- harmonic polynomials ------------------------------------------------------
 
+def _laplacian_tables(cap: int):
+    """Per exponent l <= cap and r <= l/2: the integers perm(l, 2r)/r! and
+    the exponents l - 2r, read by ``_laplacian_terms``."""
+    perms = [[math.perm(l, 2 * r) // math.factorial(r) for r in range(l // 2 + 1)]
+             for l in range(cap + 1)]
+    exps = [list(range(l, -1, -2)) for l in range(cap + 1)]
+    return perms, exps
+
+
+def _laplacian_terms(ells, tables):
+    """(R, prod_i perm(l_i, 2 r_i)/r_i!, l - 2r) for every r with 2 r_i <= l_i,
+    R = |r|, from ``_laplacian_tables``: since D^(2r) x^l = perm(l, 2r) x^(l-2r),
+    these are the terms of the multinomial closed form
+    Lap^R(x^l) = sum_{|r| = R} R!/r! prod_i perm(l_i, 2 r_i) x^(l - 2r),
+    each without its factor R!."""
+    perms, exps = tables
+    nums = [perms[l] for l in ells]
+    tops = [exps[l] for l in ells]
+    for rs in itertools.product(*map(range, map(len, nums))):
+        yield sum(rs), math.prod(map(list.__getitem__, nums, rs)), tuple(map(list.__getitem__, tops, rs))
+
+
+def _harmonic_tables(cap: int):
+    """The tables of every harmonic element with eps + l2 + ... + ln <= cap:
+    the Laplacian tables and, per eps, the denominators
+    perm(2R, R) (1 + 2 eps R) for R <= cap/2."""
+    dens = [[math.perm(2 * r, r) * (1 + 2 * eps * r) for r in range(cap // 2 + 1)]
+            for eps in (0, 1)]
+    return _laplacian_tables(cap), dens
+
+
+def _harmonic_form(eps: int, ells: tuple, tables) -> _IntForm:
+    """The harmonic element for eps and l2..ln from ``_harmonic_tables``.
+
+    The coefficient of x1^(eps + 2R) prod_i x_i^(l_i - 2 r_i), R = sum r_i,
+    is (-1)^R R! prod_i perm(l_i, 2 r_i)/r_i!  over  (2R)! (1 + 2 eps R),
+    and R!/(2R)! = 1/perm(2R, R).
+    """
+    lap, dens = tables
+    dens = dens[eps]
+    terms = {}
+    for big_r, num, exp in _laplacian_terms(ells, lap):
+        terms[(eps + 2 * big_r,) + exp] = (-num if big_r & 1 else num, dens[big_r])
+    return _over_one_denominator(terms)
+
+
 def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
     """One solution of the Laplace equation, indexed by eps in {0,1} and l2..ln.
 
@@ -222,18 +268,8 @@ def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
     if eps not in (0, 1) or len(vars_) != len(ells) + 1 or len(set(vars_)) != len(vars_):
         raise ValueError(f"need eps 0 or 1 and len(ells) + 1 distinct variables, "
                          f"got eps={eps}, ells={ells}, vars={vars_}")
-    # the coefficient of x1^(eps + 2R) prod_i x_i^(l_i - 2 r_i), R = sum r_i, is
-    # (-1)^R R! prod_i perm(l_i, 2 r_i)/r_i!  over  (2R)! (1 + 2 eps R),
-    # and R!/(2R)! = 1/perm(2R, R)
-    tables = [[math.perm(l, 2 * r) // math.factorial(r) for r in range(l // 2 + 1)] for l in ells]
-    dens = [math.perm(2 * r, r) * (1 + 2 * eps * r) for r in range(sum(l // 2 for l in ells) + 1)]
-    terms = {}
-    for rs in itertools.product(*(range(len(t)) for t in tables)):
-        big_r = sum(rs)
-        num = math.prod(map(list.__getitem__, tables, rs))
-        exp = (eps + 2 * big_r,) + tuple(l - 2 * r for l, r in zip(ells, rs))
-        terms[exp] = (-num if big_r & 1 else num, dens[big_r])
-    return _over_one_denominator(terms).to_poly(vars_, frozenset())
+    tables = _harmonic_tables(eps + sum(ells))
+    return _harmonic_form(eps, ells, tables).to_poly(vars_, frozenset())
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:
@@ -243,10 +279,11 @@ def harmonic_basis(n: int, cap: int) -> BasisFamily:
     _check_cap(cap)
     vars_ = _default_vars(n)
     annihilator = Sum(Derivative(v, 2) for v in vars_)
+    tables = _harmonic_tables(cap)
     elements = []
     for eps in (0, 1):
         for ells in tuples_with_sum_at_most(n - 1, cap - eps):
-            sol = harmonic_element(n, eps, ells, vars_)
+            sol = _harmonic_form(eps, ells, tables).to_poly(vars_, frozenset())
             elements.append(BasisElement({"eps": eps, "ell": ells}, sol))
     return _checked(elements, annihilator, {"cap": cap, "n": n})
 

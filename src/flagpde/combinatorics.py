@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Iterator
 
 
@@ -25,14 +27,21 @@ def falling(m: int, k: int) -> int:
 
 
 def tuples_with_sum(length: int, total: int) -> Iterator[tuple]:
-    """All non-negative integer tuples of the given length summing to total."""
-    if length == 0:
-        if total == 0:
+    """All non-negative integer tuples of the given length summing to total,
+    in lexicographic order.
+
+    Stars and bars: the partial sums d_1 <= ... <= d_(length-1) of a tuple
+    are a multiset drawn from 0..total, and the tuple is the differences of
+    (0, d_1, ..., d_(length-1), total).  ``combinations_with_replacement``
+    lists those multisets in lexicographic order, which is the tuples'.
+    """
+    if length == 0 or total < 0:
+        if length == 0 == total:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in tuples_with_sum(length - 1, total - first):
-            yield (first,) + rest
+    sub, head, tail = operator.sub, (0,), (total,)
+    for cuts in itertools.combinations_with_replacement(range(total + 1), length - 1):
+        yield tuple(map(sub, cuts + tail, head + cuts))
 
 
 def tuples_with_sum_at_most(length: int, cap: int) -> Iterator[tuple]:

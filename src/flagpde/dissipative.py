@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import math
 
-from .bases import BasisElement, BasisFamily, _check_cap, _checked
+from .bases import (
+    BasisElement,
+    BasisFamily,
+    _check_cap,
+    _checked,
+    _laplacian_tables,
+    _laplacian_terms,
+)
 from .combinatorics import tuples_with_sum_at_most
 from .operators import (
     Compose,
@@ -24,7 +31,6 @@ from .operators import (
     Sum,
     TrigApplicator,
     VerificationError,
-    form_map,
     solve_by_series,
 )
 from .poly import (
@@ -32,10 +38,9 @@ from .poly import (
     GaussianRational,
     Polynomial,
     TrigPolynomial,
-    _int_form,
     _IntForm,
-    _shifted_sum,
-    _sum_forms,
+    _nonzero,
+    _reduced,
     variable,
 )
 
@@ -92,6 +97,8 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
 
     The element for index l is sum_i xi(1, i)(t) * Lap^i(x^l); the Laplacian
     powers terminate and each xi supplies the matching time correction.
+    The powers come from their closed form (``_laplacian_power_sum``), and
+    each xi(1, i) is built once per family.
     """
     if n < 1:
         raise ValueError("need at least one spatial variable")
@@ -106,19 +113,70 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
         )
     )
     vs = ("t",) + x_vars
-    lap_form = form_map(lap, vs)
-    xis = []  # xi(1, i) as integer forms over vs, built once per i for the whole family
-    elements = []
-    for ell in tuples_with_sum_at_most(n, cap):
-        piece = _IntForm({(0,) + ell: 1}, {}, 1)
-        pieces = []
-        while piece:
-            if len(pieces) == len(xis):
-                xis.append(_int_form(dissipation_polynomial(Fraction(1), len(xis)), vs))
-            pieces.append(xis[len(pieces)] * piece)
-            piece = lap_form(piece)
-        elements.append(BasisElement({"ell": ell}, _sum_forms(pieces).to_poly(vs, frozenset())))
+    tables = _laplacian_tables(cap)
+    profile = _profile_table(lambda i: dissipation_polynomial(Fraction(1), i))
+    elements = [
+        BasisElement({"ell": ell}, _laplacian_power_sum({ell: 1}, 1, tables, profile).to_poly(vs, frozenset()))
+        for ell in tuples_with_sum_at_most(n, cap)
+    ]
     return _checked(elements, annihilator, {"cap": cap, "n": n})
+
+
+def _profile_table(read):
+    """The t-profiles p_R(t) of a Laplacian-power family, as a function of R.
+
+    read(R) is p_R as a Polynomial in t; it is read once per R, in order and
+    only up to the largest R asked for.  The value for R is the pairs
+    (t exponent, numerator * R!) over the denominator of p_R: the R! of the
+    closed form of Lap^R sits here, once per family.
+    """
+    table = []
+
+    def profile(big_r):
+        while len(table) <= big_r:
+            r = len(table)
+            form = read(r).form
+            fact = math.factorial(r)
+            table.append(([(e[0], a * fact) for e, a in form.re.items()], form.den))
+        return table[big_r]
+
+    return profile
+
+
+def _laplacian_power_sum(seed: dict, den: int, tables, profile) -> _IntForm:
+    """sum_R p_R(t) Lap^R(seed) over (t, x1..xn), reduced once, for a seed
+    {x exponent: integer numerator} over den, the tables of
+    ``bases._laplacian_tables`` and the profiles of ``_profile_table``.
+
+    Lap^R comes from its closed form (``bases._laplacian_terms``, with the
+    factor R! in the profile).  The x-part of each R is summed over the seed
+    terms, and R runs up to the last R with Lap^R(seed) != 0 (every later
+    power vanishes too); no other profile is read.  The seeds are
+    homogeneous, so the x-parts of distinct R have distinct degrees, and
+    each term of the outer product of an x-part with its profile is a term
+    of the result.
+    """
+    xparts = []
+    for seed_exp, a in seed.items():
+        for big_r, num, exp in _laplacian_terms(seed_exp, tables):
+            while len(xparts) <= big_r:
+                xparts.append({})
+            part = xparts[big_r]
+            part[exp] = part.get(exp, 0) + a * num
+    if len(seed) > 1:
+        xparts = [_nonzero(part) for part in xparts]
+        if not all(xparts):
+            xparts = xparts[: xparts.index({})]
+    d = math.lcm(*(profile(r)[1] for r in range(len(xparts))))
+    re = {}
+    for r, part in enumerate(xparts):
+        pairs, pden = profile(r)
+        k = d // pden
+        for j, c in pairs:
+            c *= k
+            j = (j,)
+            re.update({j + exp: c * a for exp, a in part.items()})
+    return _reduced(re, {}, d * den)
 
 
 def classify_lambda(lam: Fraction) -> str:
@@ -181,40 +239,35 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     kind = classify_lambda(lam)
 
     vs = ("t",) + x_vars
-    lap_form = form_map(lap, vs)
-    factors = {}  # (factor, i) -> eps^i factor(lam, i) as an integer form over vs
+    # the odd-lambda phi seeds reach x1^(2k+1+cap), lam = -2k-1
+    tables = _laplacian_tables(cap - int(lam) if kind == "negative_odd" else cap)
 
-    def branch(piece, factor):
-        """sum_i eps^i factor(lam, i) Lap^i(seed), until Lap^i(seed) = 0, for
-        the seed's form over vs."""
-        pieces = []
-        while piece:
-            key = (factor, len(pieces))
-            if key not in factors:
-                factors[key] = _int_form(epsilon ** key[1] * factor(lam, key[1]), vs)
-            pieces.append(factors[key] * piece)
-            piece = lap_form(piece)
-        return _sum_forms(pieces).to_poly(vs, frozenset())
+    def branch(seeds, factor, name):
+        """One element per (ell, (seed, den)) pair: sum_R eps^R factor(lam, R)
+        Lap^R(seed), with the profiles of factor read once per family."""
+        profile = _profile_table(lambda r: epsilon**r * factor(lam, r))
+        return [
+            BasisElement({"ell": ell, "branch": name},
+                         _laplacian_power_sum(seed, den, tables, profile).to_poly(vs, frozenset()))
+            for ell, (seed, den) in seeds
+        ]
 
-    monomials = [(ell, _IntForm({(0,) + ell: 1}, {}, 1)) for ell in tuples_with_sum_at_most(n, cap)]
+    monomials = [(ell, ({ell: 1}, 1)) for ell in tuples_with_sum_at_most(n, cap)]
     if kind == "negative_odd":
-        # lam = -2k-1: the phi factors are undefined from i = k+1 on, so the
+        # lam = -2k-1: the phi factors are undefined from R = k+1 on, so the
         # phi branch takes the seeds with Lap^(k+1) = 0, spanned by the
         # alternating x1-power expansions below.
         k = (-int(lam) - 1) // 2
-        lap_rest = form_map(_laplacian(x_vars[1:]), vs)
         phi_seeds = [
-            ((l1,) + tuple(rest), _iterated_kernel_seed(k + 1, l1, rest, lap_rest))
+            ((l1,) + rest, _iterated_kernel_seed(k + 1, l1, rest, tables))
             for l1 in range(2 * k + 2)
             for rest in tuples_with_sum_at_most(n - 1, cap)
         ]
     else:
         phi_seeds = monomials
-    elements = [BasisElement({"ell": ell, "branch": "phi"}, branch(seed, _phi_factor))
-                for ell, seed in phi_seeds]
+    elements = branch(phi_seeds, _phi_factor, "phi")
     if kind != "generic":
-        elements += [BasisElement({"ell": ell, "branch": "psi"}, branch(seed, _psi_factor))
-                     for ell, seed in monomials]
+        elements += branch(monomials, _psi_factor, "psi")
     return _checked(
         elements,
         annihilator,
@@ -222,23 +275,24 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     )
 
 
-def _iterated_kernel_seed(power: int, l1: int, rest, lap_rest) -> _IntForm:
+def _iterated_kernel_seed(power: int, l1: int, rest: tuple, tables):
     """Element of ker(Lap^power) with top part x1^l1 * x_rest^rest, l1 < 2*power,
-    as an integer form over (t, x1..xn); lap_rest maps such forms by the
-    Laplacian that omits x1.
+    as ({x exponent: integer numerator}, denominator) over (x1..xn), from the
+    tables of ``bases._laplacian_tables``.
 
     Alternating series sum_r (-1)^r C(power+r-1, r) x1^(l1+2r)/(l1+2r)!
-    * Lap_rest^r (x_rest^rest).
+    * Lap_rest^r (x_rest^rest), with Lap_rest the Laplacian that omits x1.
+    By the closed form of Lap_rest^r, the coefficient of
+    x1^(l1+2r) x_rest^(rest-2q), r = |q|, is (-1)^r perm(power+r-1, r)
+    prod_i perm(rest_i, 2 q_i)/q_i! over (l1+2r)!; all of them are put over
+    (l1 + 2 r_max)!, r_max = sum_i floor(rest_i/2).
     """
-    piece = _IntForm({(0, 0) + tuple(rest): 1}, {}, 1)
-    pieces = []
-    r = 0
-    while piece:
-        coeff = Fraction((-1) ** r * math.comb(power + r - 1, r), math.factorial(l1 + 2 * r))
-        pieces.append((piece.scaled(coeff), l1 + 2 * r, 1))
-        piece = lap_rest(piece)
-        r += 1
-    return _shifted_sum(pieces, 1)
+    top = l1 + 2 * sum(l // 2 for l in rest)
+    seed = {}
+    for r, num, exp in _laplacian_terms(rest, tables):
+        num *= math.perm(power + r - 1, r) * math.perm(top, top - l1 - 2 * r)
+        seed[(l1 + 2 * r,) + exp] = -num if r & 1 else num
+    return seed, math.factorial(top)
 
 
 def epd_transform(v: Polynomial, m: int, branch: str) -> Polynomial:

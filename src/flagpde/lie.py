@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .bases import BasisElement, BasisFamily, _checked, harmonic_element
+from .bases import BasisElement, BasisFamily, _checked, _harmonic_form, _harmonic_tables
 from .combinatorics import multinomial, tuples_with_sum
 from .linalg import _remainder, _row_reduce, kernel_on_slice
 from .operators import (
@@ -334,12 +334,13 @@ def harmonic_module_basis(n: int, k: int) -> BasisFamily:
         raise ValueError("need n >= 2 and k >= 0")
     vars_ = tuple(f"x{i}" for i in range(1, n + 1))
     annihilator = Sum(Derivative(v, 2) for v in vars_)
+    tables = _harmonic_tables(k)
     elements = []
     for eps in (0, 1):
         if eps > k:
             continue
         for ells in tuples_with_sum(n - 1, k - eps):
-            sol = harmonic_element(n, eps, ells, vars_)
+            sol = _harmonic_form(eps, ells, tables).to_poly(vars_, frozenset())
             elements.append(BasisElement({"eps": eps, "ell": ells}, sol))
     return _checked(elements, annihilator, {"n": n, "k": k})
 

@@ -314,7 +314,10 @@ class NestedRightInverse(LinearOperator):
     acc = R(w_I) and acc = R(w_i - f*acc) for i = I-1 down to 0.  R is
     linear, so this is the same sum with I+1 calls of stage s-1 instead of
     (I+1)(I+2)/2.  The stages run on integer forms over one variable order,
-    with the blocks put over each order once by ``plan``.
+    with the blocks put over each order once by ``plan``.  The Horner chain
+    (the derivatives, the steps w_i - f*acc and the first-stage integrals)
+    skips the gcd pass of each step, and ``apply_form`` reduces its result
+    once, so no unreduced form leaves this class.
     """
 
     __slots__ = ("coeffs", "vars_", "orders", "_plans")
@@ -393,13 +396,16 @@ class NestedRightInverse(LinearOperator):
                 (pos, m, f, neg or any(exp[pos] < 0 for exp in terms))
                 for pos, m, f, neg in plan[1:]
             ]
-        return self._stage(len(plan), q, plan)
+        out = self._stage(len(plan), q, plan)
+        return _reduced(out.re, out.im, out.den)
 
     def _stage(self, s: int, q: _IntForm, plan) -> _IntForm:
+        """Stage s on q, left unreduced: no step of the chain takes a gcd
+        pass, and ``apply_form`` reduces the result once."""
         pos, m, f, is_laurent = plan[s - 1]
         if s == 1:
-            out = q.integrate(pos, m)
-            return out if f == 1 else out.scaled(f)
+            out = q.integrate(pos, m, reduce=False)
+            return out if f == 1 else out.scaled(f, reduce=False)
         if is_laurent and any(exp[pos] < 0 for exp in itertools.chain(q.re, q.im)):
             # the derivatives of a negative power never vanish
             raise ValueError(
@@ -409,12 +415,12 @@ class NestedRightInverse(LinearOperator):
         w = q
         while w:
             ws.append(w)
-            w = w.diff(pos, m)
+            w = w.diff(pos, m, reduce=False)
         if not ws:
             return q
         acc = self._stage(s - 1, ws.pop(), plan)
         while ws:
-            acc = self._stage(s - 1, ws.pop().minus_product(f, acc), plan)
+            acc = self._stage(s - 1, ws.pop().minus_product(f, acc, reduce=False), plan)
         return acc
 
     def __repr__(self):

@@ -575,9 +575,13 @@ class _IntForm:
     Every Polynomial is one of these over its own variables, and every ring
     step of this module runs here.  The steps return forms without zero
     entries in which den and all the numerators have gcd 1 (one math.gcd
-    pass per result), so equal values have equal fields.  ``_int_form``
-    puts a Polynomial over another variable order and ``to_poly`` wraps a
-    form as one.
+    pass per result), so equal values have equal fields.  ``diff``,
+    ``integrate``, ``minus_product`` and ``scaled`` skip the gcd pass when
+    called with reduce=False; such a form has no zero entries but may carry
+    a common factor, so it must not be compared, wrapped or returned.  Only a
+    chain of steps that reduces its own result once uses them
+    (``operators.NestedRightInverse``).  ``_int_form`` puts a Polynomial over
+    another variable order and ``to_poly`` wraps a form as one.
     """
 
     __slots__ = ("re", "im", "den")
@@ -642,18 +646,19 @@ class _IntForm:
         _add_product(re, im, self, other, 1)
         return _reduced(_nonzero(re), _nonzero(im), self.den * other.den)
 
-    def minus_product(self, f: "_IntForm", g: "_IntForm") -> "_IntForm":
+    def minus_product(self, f: "_IntForm", g: "_IntForm", reduce: bool = True) -> "_IntForm":
         """self - f*g in one pass: the product's numerators are added into
-        self's at the lcm of the denominators, and the result reduced once."""
+        self's at the lcm of the denominators, and the result reduced once
+        (or, with reduce=False, only cleared of zero entries)."""
         pden = f.den * g.den
         d = math.lcm(self.den, pden)
         k = d // self.den
         re = {e: a * k for e, a in self.re.items()}
         im = {e: a * k for e, a in self.im.items()}
         _add_product(re, im, f, g, -(d // pden))
-        return _reduced(_nonzero(re), _nonzero(im), d)
+        return (_reduced if reduce else _IntForm)(_nonzero(re), _nonzero(im), d)
 
-    def scaled(self, value) -> "_IntForm":
+    def scaled(self, value, reduce: bool = True) -> "_IntForm":
         """The form times an exact scalar."""
         vr, vi = _parts(value)
         cd = math.lcm(vr.denominator, vi.denominator)
@@ -663,7 +668,7 @@ class _IntForm:
         if ci:
             re = _scaled_sum(re, 1, self.im, -ci)
             im = _scaled_sum(im, 1, self.re, ci)
-        return _reduced(re, im, self.den * cd)
+        return (_reduced if reduce else _IntForm)(re, im, self.den * cd)
 
     def shifted(self, i: int, k: int, factor: int) -> "_IntForm":
         """The form times factor * x_i^k."""
@@ -673,7 +678,7 @@ class _IntForm:
             self.den,
         )
 
-    def diff(self, i: int, m: int) -> "_IntForm":
+    def diff(self, i: int, m: int, reduce: bool = True) -> "_IntForm":
         """d^m/dx_i^m, each exponent e giving the integer e (e-1) ... (e-m+1)."""
         parts = []
         for d in (self.re, self.im):
@@ -684,9 +689,9 @@ class _IntForm:
                 if k:
                     out[exp[:i] + (e - m,) + exp[i + 1 :]] = a * k
             parts.append(out)
-        return _reduced(parts[0], parts[1], self.den)
+        return (_reduced if reduce else _IntForm)(parts[0], parts[1], self.den)
 
-    def integrate(self, i: int, m: int) -> "_IntForm":
+    def integrate(self, i: int, m: int, reduce: bool = True) -> "_IntForm":
         """m-fold antiderivative in x_i with zero constants: x^e maps to
         x^(e+m) e!/(e+m)!, the rising products (e+1)...(e+m) folded into the
         denominator through their lcm.  An exponent e with -m <= e <= -1
@@ -701,7 +706,7 @@ class _IntForm:
         scale = math.lcm(*rising.values()) if rising else 1
         for e, r in rising.items():
             rising[e] = scale // r
-        return _reduced(
+        return (_reduced if reduce else _IntForm)(
             {e[:i] + (e[i] + m,) + e[i + 1 :]: a * rising[e[i]] for e, a in self.re.items()},
             {e[:i] + (e[i] + m,) + e[i + 1 :]: a * rising[e[i]] for e, a in self.im.items()},
             self.den * scale,

@@ -946,3 +946,80 @@ def dissipation_polynomial_by_fractions(a, i):
         coeff = Fraction((-1) ** r * num, math.factorial(i - r - 1) * math.factorial(r))
         terms[(i - r,)] = coeff * apow(r + i)
     return Polynomial(("t",), terms)
+
+
+def tuples_with_sum_recursive(length, total):
+    """All non-negative integer tuples of the given length summing to total,
+    first entry ascending, by recursion on the first entry: the generator
+    ``combinatorics.tuples_with_sum`` replaced by stars and bars."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in tuples_with_sum_recursive(length - 1, total - first):
+            yield (first,) + rest
+
+
+def anisymmetric_elements_by_iteration(n, lam, epsilon, cap):
+    """(index, solution) pairs of `anisymmetric_basis`, each Laplacian power
+    taken by applying the Laplacian's normal form to the previous one: the
+    builder that the multinomial closed form replaced.
+
+    phi (and psi) elements are sum_i eps^i factor(lam, i) Lap^i(seed) up to
+    the first vanishing power; for lam = -2k-1 the phi seeds are the
+    alternating series sum_r (-1)^r C(k+r, r) x1^(l1+2r)/(l1+2r)!
+    Lap_rest^r(x_rest^rest), l1 < 2k+2, built by iterating Lap_rest.
+    """
+    from flagpde.combinatorics import tuples_with_sum_at_most
+    from flagpde.dissipative import _phi_factor, _psi_factor, classify_lambda
+    from flagpde.operators import form_map
+    from flagpde.poly import _int_form, _IntForm, _shifted_sum, _sum_forms
+
+    lam = Fraction(lam)
+    x_vars = tuple(f"x{i}" for i in range(1, n + 1))
+    vs = ("t",) + x_vars
+    lap_form = form_map(Sum(Derivative(v, 2) for v in x_vars), vs)
+    lap_rest = form_map(Sum(Derivative(v, 2) for v in x_vars[1:]), vs)
+
+    def branch(piece, factor):
+        pieces = []
+        while piece:
+            i = len(pieces)
+            pieces.append(_int_form(epsilon**i * factor(lam, i), vs) * piece)
+            piece = lap_form(piece)
+        return _sum_forms(pieces).to_poly(vs, frozenset())
+
+    def kernel_seed(power, l1, rest):
+        piece = _IntForm({(0, 0) + tuple(rest): 1}, {}, 1)
+        pieces = []
+        r = 0
+        while piece:
+            coeff = Fraction((-1) ** r * math.comb(power + r - 1, r), math.factorial(l1 + 2 * r))
+            pieces.append((piece.scaled(coeff), l1 + 2 * r, 1))
+            piece = lap_rest(piece)
+            r += 1
+        return _shifted_sum(pieces, 1)
+
+    kind = classify_lambda(lam)
+    monomials = [(ell, _IntForm({(0,) + ell: 1}, {}, 1)) for ell in tuples_with_sum_at_most(n, cap)]
+    if kind == "negative_odd":
+        k = (-int(lam) - 1) // 2
+        phi_seeds = [((l1,) + rest, kernel_seed(k + 1, l1, rest))
+                     for l1 in range(2 * k + 2) for rest in tuples_with_sum_at_most(n - 1, cap)]
+    else:
+        phi_seeds = monomials
+    out = [({"ell": ell, "branch": "phi"}, branch(seed, _phi_factor)) for ell, seed in phi_seeds]
+    if kind != "generic":
+        out += [({"ell": ell, "branch": "psi"}, branch(seed, _psi_factor)) for ell, seed in monomials]
+    return out
+
+
+def assert_reduced(form):
+    """The normal form every ring step returns, which ``_IntForm.__eq__``
+    relies on: a positive denominator coprime to the numerators as a whole,
+    and no zero numerators."""
+    nums = [*form.re.values(), *form.im.values()]
+    assert form.den > 0, form.den
+    assert math.gcd(form.den, *nums) == 1, (form.den, nums)
+    assert all(nums), "zero numerator"

@@ -44,6 +44,7 @@ from flagpde.poly import IMAG
 from oracles import (
     agree_on_monomials,
     assert_family_spans_kernel,
+    assert_reduced,
     constant_element_by_fractions,
     flag_basis_unshared,
     harmonic_element_by_fractions,
@@ -152,6 +153,13 @@ def test_harmonic_element_closed_form_matches_multinomials(eps, ells):
     assert typed_terms(harmonic_element(n, eps, ells)) == typed_terms(want)
 
 
+@given(st.integers(2, 4), st.integers(0, 6))
+@settings(max_examples=15, deadline=None)
+def test_harmonic_basis_elements_are_reduced(n, cap):
+    for e in harmonic_basis(n, cap).elements:
+        assert_reduced(e.solution.form)
+
+
 def test_harmonic_completeness():
     fam = harmonic_basis(3, 5)
     assert_family_spans_kernel(fam, ("x1", "x2", "x3"), 5)
@@ -219,6 +227,25 @@ def test_flag_basis_matches_unshared_build(spec, cap):
     for e, (_, sol) in zip(fam.elements, want):
         assert e.solution.vars == sol.vars
         assert e.solution.to_json_terms() == sol.to_json_terms()
+
+
+@st.composite
+def flag_specs(draw):
+    """A flag equation of 2-3 blocks of orders 1-3 whose coefficients are
+    small rational or Gaussian-rational polynomials, possibly zero."""
+    n = draw(st.integers(2, 3))
+    vs = ("x1", "x2", "x3")[:n]
+    orders = tuple(draw(st.integers(1, 3)) for _ in vs)
+    coeffs = draw(st.sampled_from((coefficients(), gaussian_coefficients())))
+    fs = tuple(draw(polynomials(vars=vs[:k], max_terms=2, max_exp=2, coeffs=coeffs)) for k in range(1, n))
+    return FlagEquationSpec(orders, fs, vs)
+
+
+@given(flag_specs(), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_flag_basis_elements_are_reduced(spec, cap):
+    for e in flag_basis(spec, cap).elements:
+        assert_reduced(e.solution.form)
 
 
 def test_flag_basis_higher_coefficient_powers():

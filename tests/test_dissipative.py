@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagpde import (
     Compose,
@@ -24,7 +26,9 @@ from flagpde import (
 from flagpde.linalg import kernel_on_slice
 
 from oracles import (
+    anisymmetric_elements_by_iteration,
     assert_family_spans_kernel,
+    assert_reduced,
     dissipation_polynomial_by_fractions,
     dissipative_element_formula,
     typed_terms,
@@ -177,6 +181,41 @@ def test_anisymmetric_completeness(lam):
 
 
 # -- EPD reduction ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("lam, eps", [
+    (Fraction(5, 2), 1), (Fraction(-7, 3), -1), (1, -1),
+    (-2, 1), (-4, -1),
+    (-1, -1), (-3, 1), (-5, -1),
+])
+def test_anisymmetric_closed_form_matches_iterated_laplacians(n, lam, eps):
+    """Generic, negative even and negative odd lambda: the multinomial closed
+    form gives each element exactly the polynomial of the iterated build."""
+    cap = 4 if n == 3 else 6
+    fam = anisymmetric_basis(n, lam, eps, cap)
+    want = anisymmetric_elements_by_iteration(n, lam, eps, cap)
+    assert [e.index for e in fam.elements] == [index for index, _ in want]
+    for e, (_, sol) in zip(fam.elements, want):
+        assert e.solution.vars == sol.vars
+        assert e.solution == sol
+
+
+LAMBDAS = (Fraction(1, 2), Fraction(-5, 3), 2, -1, -2, -3, -4, -5)
+
+
+@given(st.integers(1, 3), st.integers(0, 6))
+@settings(max_examples=15, deadline=None)
+def test_dissipative_elements_are_reduced(n, cap):
+    for e in dissipative_wave_basis(n, cap).elements:
+        assert_reduced(e.solution.form)
+
+
+@given(st.integers(1, 3), st.sampled_from(LAMBDAS), st.sampled_from((1, -1)), st.integers(0, 4))
+@settings(max_examples=20, deadline=None)
+def test_anisymmetric_elements_are_reduced(n, lam, eps, cap):
+    for e in anisymmetric_basis(n, lam, eps, cap).elements:
+        assert_reduced(e.solution.form)
+
 
 def test_epd_power_branches_on_constants():
     v = constant(1).with_variables(("t", "x1"))

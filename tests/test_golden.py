@@ -4,7 +4,10 @@ Each hash is the sha256 of ``json.dumps(family.to_json(), sort_keys=True)``.
 The flag, constant, harmonic and dissipative hashes were recorded before
 the Horner nested inverse and the shared stage prefixes replaced the
 quadratic loops, the anisymmetric ones before integral coefficients were
-kept as ``int``, so a refactor of the exact core that changes any
+kept as ``int``, and the n = 1 and n = 3 dissipative hashes with the
+lambda = -1 and lambda = 5/2 anisymmetric ones before the Laplacian-power
+families moved from iterated Laplacians to their multinomial closed form,
+so a refactor of the exact core that changes any
 coefficient, exponent, term order or index of these families fails here.
 
 The solver and ``basis`` command hashes pin outputs whose serialization
@@ -67,12 +70,16 @@ FAMILIES = {
     "constant_322": lambda: constant_coefficient_basis((3, 2, 2), 4),
     "harmonic_3": lambda: harmonic_basis(3, 5),
     "dissipative_2": lambda: dissipative_wave_basis(2, 5),
+    "dissipative_3": lambda: dissipative_wave_basis(3, 5),
+    "dissipative_1": lambda: dissipative_wave_basis(1, 6),
     "anisym_3_2_plus": lambda: anisymmetric_basis(3, Fraction(3, 2), 1, 4),
     "anisym_3_2_minus": lambda: anisymmetric_basis(3, Fraction(3, 2), -1, 4),
     "anisym_m2_plus": lambda: anisymmetric_basis(3, -2, 1, 4),
     "anisym_m2_minus": lambda: anisymmetric_basis(3, -2, -1, 4),
     "anisym_m3_plus": lambda: anisymmetric_basis(3, -3, 1, 4),
     "anisym_m3_minus": lambda: anisymmetric_basis(3, -3, -1, 4),
+    "anisym_m1_minus_2": lambda: anisymmetric_basis(2, -1, -1, 6),
+    "anisym_5_2_plus_1": lambda: anisymmetric_basis(1, Fraction(5, 2), 1, 6),
 }
 
 GOLDEN = {
@@ -85,12 +92,16 @@ GOLDEN = {
     "constant_322": "b0109ccacf71bdddad430b2ed744942a154369acb0bf5fd57b2b4894a5f2e289",
     "harmonic_3": "15508dead90339595ce8d83b9068a4810fc19a0230157aaa928cd71741f6c309",
     "dissipative_2": "433dacb8512cf24c6b70d1f2a9fd13e2f1da43e7456e2a6fb9b95ecfceebebd6",
+    "dissipative_3": "2f494b5ea848f3b4a6b260c4e826784926dd07538e34d2781fe8f1608bdedbef",
+    "dissipative_1": "2c01d8801551a51a9f80830c64c030bd5b6d8a3b07d61bc2e7c81c5fda785721",
     "anisym_3_2_plus": "9eea69fd6f917141618c2c835d67d857587db6df728641e4c0ade2f714e39aff",
     "anisym_3_2_minus": "51b247fdc38302f6aa5f057f40e382c022b89d2d1d0d7fa5feaf9fabd72437fd",
     "anisym_m2_plus": "ac0b1f3051c900e6abc5863426b2a39be53a7433fc47cd8224eacd3665178fca",
     "anisym_m2_minus": "72ff283640cf9f13a3017b6db3fd224e8f1a4424784277e794253fd0f445dc94",
     "anisym_m3_plus": "d7e0d77ed10134702296db01c80c956d5dba6cfdbd99567edd18cadf05153ae2",
     "anisym_m3_minus": "7ee28ad6c0b8e14996ba72de9a37aa98b8c8d9a28eaa5ea6f30ebf883442d5d2",
+    "anisym_m1_minus_2": "1cdca187aa52a1a7cc0e4c4b1e3845714832a1ef355080e82e54d282aa555849",
+    "anisym_5_2_plus_1": "0b139af7635ed693cfef39cfa82192b43a389f5f1035ef26895d97fe79472470",
 }
 
 

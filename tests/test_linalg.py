@@ -27,9 +27,16 @@ from flagpde.linalg import (
     polys_rank,
     polys_to_matrix,
 )
+from flagpde.combinatorics import tuples_with_sum
 from flagpde.poly import IMAG, GaussianRational
 
-from oracles import dense_nullspace, dense_rank, dense_rref, kernel_on_slice_per_monomial
+from oracles import (
+    dense_nullspace,
+    dense_rank,
+    dense_rref,
+    kernel_on_slice_per_monomial,
+    tuples_with_sum_recursive,
+)
 from strategies import gaussian_coefficients, polynomials
 
 SMALL = st.integers(-3, 3)
@@ -224,6 +231,14 @@ def test_g2_bracket_rows():
         rows = basis + [dense(lie.mat_bracket(mats[a], mats[b]))]
         assert matrix_rank(rows) == dense_rank(rows, width) == 14
     assert matrix_rank(basis + [[Fraction(1)] * width]) == 15
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_tuples_with_sum_matches_the_recursive_enumeration(length):
+    """Stars and bars lists the tuples in the recursive generator's order,
+    which the family indices and the slice columns follow."""
+    for total in range(-1, 11):
+        assert list(tuples_with_sum(length, total)) == list(tuples_with_sum_recursive(length, total))
 
 
 def test_empty_and_zero_rows():

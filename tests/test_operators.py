@@ -42,6 +42,7 @@ from flagpde.poly import NonIntegrableTermError, _int_form
 
 from oracles import (
     apply_trig_termwise,
+    assert_reduced,
     compose_forms_in_full,
     diff_stepwise,
     dict_product,
@@ -239,6 +240,8 @@ def triangular_systems(draw):
 def test_nested_inverse_matches_term_by_term_series(system):
     inv, p = system
     out = inv.apply(p)
+    # the Horner chain skips every gcd pass, and apply_form reduces once
+    assert_reduced(out.form)
     assert out == nested_inverse_term_by_term(inv, p)
     assert inv.as_operator()(out) == p
 
