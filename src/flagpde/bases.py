@@ -219,17 +219,23 @@ def _laplacian_tables(cap: int):
     return perms, exps
 
 
-def _laplacian_terms(ells, tables):
+def _laplacian_terms(ells, tables, max_r=None):
     """(R, prod_i perm(l_i, 2 r_i)/r_i!, l - 2r) for every r with 2 r_i <= l_i,
     R = |r|, from ``_laplacian_tables``: since D^(2r) x^l = perm(l, 2r) x^(l-2r),
     these are the terms of the multinomial closed form
     Lap^R(x^l) = sum_{|r| = R} R!/r! prod_i perm(l_i, 2 r_i) x^(l - 2r),
-    each without its factor R!."""
+    each without its factor R!.  With max_r, only the terms with R <= max_r."""
     perms, exps = tables
     nums = [perms[l] for l in ells]
     tops = [exps[l] for l in ells]
+    if max_r is None:
+        max_r = sum(map(len, nums)) - len(nums)
+    else:
+        nums = [p[: max_r + 1] for p in nums]
     for rs in itertools.product(*map(range, map(len, nums))):
-        yield sum(rs), math.prod(map(list.__getitem__, nums, rs)), tuple(map(list.__getitem__, tops, rs))
+        big_r = sum(rs)
+        if big_r <= max_r:
+            yield big_r, math.prod(map(list.__getitem__, nums, rs)), tuple(map(list.__getitem__, tops, rs))
 
 
 def _harmonic_tables(cap: int):

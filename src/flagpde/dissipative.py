@@ -143,7 +143,7 @@ def _profile_table(read):
     return profile
 
 
-def _laplacian_power_sum(seed: dict, den: int, tables, profile) -> _IntForm:
+def _laplacian_power_sum(seed: dict, den: int, tables, profile, max_power=None) -> _IntForm:
     """sum_R p_R(t) Lap^R(seed) over (t, x1..xn), reduced once, for a seed
     {x exponent: integer numerator} over den, the tables of
     ``bases._laplacian_tables`` and the profiles of ``_profile_table``.
@@ -151,14 +151,16 @@ def _laplacian_power_sum(seed: dict, den: int, tables, profile) -> _IntForm:
     Lap^R comes from its closed form (``bases._laplacian_terms``, with the
     factor R! in the profile).  The x-part of each R is summed over the seed
     terms, and R runs up to the last R with Lap^R(seed) != 0 (every later
-    power vanishes too); no other profile is read.  The seeds are
+    power vanishes too); no other profile is read.  A seed known to lie in
+    ker Lap^(max_power+1) passes max_power, and the terms of the powers
+    above it, which cancel, are not built.  The seeds are
     homogeneous, so the x-parts of distinct R have distinct degrees, and
     each term of the outer product of an x-part with its profile is a term
     of the result.
     """
     xparts = []
     for seed_exp, a in seed.items():
-        for big_r, num, exp in _laplacian_terms(seed_exp, tables):
+        for big_r, num, exp in _laplacian_terms(seed_exp, tables, max_power):
             while len(xparts) <= big_r:
                 xparts.append({})
             part = xparts[big_r]
@@ -242,13 +244,15 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     # the odd-lambda phi seeds reach x1^(2k+1+cap), lam = -2k-1
     tables = _laplacian_tables(cap - int(lam) if kind == "negative_odd" else cap)
 
-    def branch(seeds, factor, name):
+    def branch(seeds, factor, name, max_power=None):
         """One element per (ell, (seed, den)) pair: sum_R eps^R factor(lam, R)
         Lap^R(seed), with the profiles of factor read once per family."""
         profile = _profile_table(lambda r: epsilon**r * factor(lam, r))
         return [
-            BasisElement({"ell": ell, "branch": name},
-                         _laplacian_power_sum(seed, den, tables, profile).to_poly(vs, frozenset()))
+            BasisElement(
+                {"ell": ell, "branch": name},
+                _laplacian_power_sum(seed, den, tables, profile, max_power).to_poly(vs, frozenset()),
+            )
             for ell, (seed, den) in seeds
         ]
 
@@ -263,9 +267,9 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
             for l1 in range(2 * k + 2)
             for rest in tuples_with_sum_at_most(n - 1, cap)
         ]
+        elements = branch(phi_seeds, _phi_factor, "phi", k)
     else:
-        phi_seeds = monomials
-    elements = branch(phi_seeds, _phi_factor, "phi")
+        elements = branch(monomials, _phi_factor, "phi")
     if kind != "generic":
         elements += branch(monomials, _psi_factor, "psi")
     return _checked(

@@ -420,7 +420,7 @@ class NestedRightInverse(LinearOperator):
             return q
         acc = self._stage(s - 1, ws.pop(), plan)
         while ws:
-            acc = self._stage(s - 1, ws.pop().minus_product(f, acc, reduce=False), plan)
+            acc = self._stage(s - 1, ws.pop().minus_product(f, acc), plan)
         return acc
 
     def __repr__(self):

@@ -576,11 +576,11 @@ class _IntForm:
     step of this module runs here.  The steps return forms without zero
     entries in which den and all the numerators have gcd 1 (one math.gcd
     pass per result), so equal values have equal fields.  ``diff``,
-    ``integrate``, ``minus_product`` and ``scaled`` skip the gcd pass when
-    called with reduce=False; such a form has no zero entries but may carry
-    a common factor, so it must not be compared, wrapped or returned.  Only a
-    chain of steps that reduces its own result once uses them
-    (``operators.NestedRightInverse``).  ``_int_form`` puts a Polynomial over
+    ``integrate`` and ``scaled`` skip the gcd pass when called with
+    reduce=False, and ``minus_product`` always does; such a form has no zero
+    entries but may carry a common factor, so it must not be compared,
+    wrapped or returned.  Only a chain of steps that reduces its own result
+    once uses them (``operators.NestedRightInverse``).  ``_int_form`` puts a Polynomial over
     another variable order and ``to_poly`` wraps a form as one.
     """
 
@@ -646,17 +646,17 @@ class _IntForm:
         _add_product(re, im, self, other, 1)
         return _reduced(_nonzero(re), _nonzero(im), self.den * other.den)
 
-    def minus_product(self, f: "_IntForm", g: "_IntForm", reduce: bool = True) -> "_IntForm":
+    def minus_product(self, f: "_IntForm", g: "_IntForm") -> "_IntForm":
         """self - f*g in one pass: the product's numerators are added into
-        self's at the lcm of the denominators, and the result reduced once
-        (or, with reduce=False, only cleared of zero entries)."""
+        self's at the lcm of the denominators.  The result is cleared of zero
+        entries but left unreduced, for a chain that reduces once."""
         pden = f.den * g.den
         d = math.lcm(self.den, pden)
         k = d // self.den
         re = {e: a * k for e, a in self.re.items()}
         im = {e: a * k for e, a in self.im.items()}
         _add_product(re, im, f, g, -(d // pden))
-        return (_reduced if reduce else _IntForm)(_nonzero(re), _nonzero(im), d)
+        return _IntForm(_nonzero(re), _nonzero(im), d)
 
     def scaled(self, value, reduce: bool = True) -> "_IntForm":
         """The form times an exact scalar."""

@@ -607,3 +607,22 @@ def test_flag_element_with_one_coefficient_changed_fails(spec, cap, delta):
                     changed.verify_annihilation()
                 rejected += 1
     assert rejected > len(fam)
+
+
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=3), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_laplacian_terms_are_the_iterated_laplacian(ells, max_r):
+    """R! times the closed-form terms of one R is Lap^R(x^l), taken by
+    iterating the Laplacian; a bound max_r keeps exactly the terms R <= max_r."""
+    from flagpde.bases import _laplacian_tables, _laplacian_terms
+
+    vs = tuple(f"x{i}" for i in range(1, len(ells) + 1))
+    tables = _laplacian_tables(max(ells))
+    terms = list(_laplacian_terms(tuple(ells), tables))
+    power = Polynomial(vs, {tuple(ells): 1})
+    for big_r in range(sum(ells) // 2 + 2):
+        want = {e: c * math.factorial(big_r) for r, c, e in terms if r == big_r}
+        assert power == Polynomial(vs, want)
+        power = sum((power.diff(v, 2) for v in vs[1:]), power.diff(vs[0], 2))
+    bounded = list(_laplacian_terms(tuple(ells), tables, max_r))
+    assert bounded == [t for t in terms if t[0] <= max_r]

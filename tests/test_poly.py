@@ -13,7 +13,7 @@ from flagpde import (
     constant,
     variable,
 )
-from flagpde.poly import NonIntegrableTermError, _int_form, _IntForm, _shifted_sum
+from flagpde.poly import NonIntegrableTermError, _int_form, _IntForm, _reduced, _shifted_sum
 
 from oracles import diff_stepwise, dict_product, dict_sum, evaluate_through_terms, integrate_by_reciprocal
 from strategies import gaussian_coefficients, polynomials
@@ -386,11 +386,12 @@ def test_integer_form_calculus_matches_dict_oracles(p, i, m, c):
 @given(FORM_POLYS, FORM_POLYS, FORM_POLYS)
 @settings(max_examples=60)
 def test_minus_product_is_a_difference_of_a_product(w, f, g):
-    """w - f*g in one pass equals the product and the difference taken in
-    turn, over denominators and imaginary parts that differ."""
+    """w - f*g in one pass equals, once reduced, the product and the
+    difference taken in turn, over denominators and imaginary parts that
+    differ; the unreduced result already has no zero entries."""
     got = w.form.minus_product(f.form, g.form)
-    _assert_reduced(got)
-    assert got == w.form - f.form * g.form
+    assert got.den > 0 and all(got.re.values()) and all(got.im.values())
+    assert _reduced(got.re, got.im, got.den) == w.form - f.form * g.form
 
 
 @given(st.lists(st.tuples(FORM_POLYS, st.integers(0, 3), st.integers(-4, 4).filter(bool)), max_size=4),
