@@ -18,19 +18,13 @@ with a positive integer (a Z[i] row is first multiplied by the conjugate
 of its lead).  A kernel vector is read off as integers over the lcm of the
 pivot leads it touches.
 
-Rank is certified cheaply. Nonempty rows whose first columns are pairwise
-distinct are independent, so their count is the rank with no elimination
-at all; polynomials whose lexicographically least exponents differ are
-such rows. Reduction mod the 61-bit prime ``P`` (with
-sqrt(-1) sent to ``SQRT_MINUS_ONE``, a square root of -1 mod P) is a ring
-homomorphism, so the rank mod P never exceeds the exact rank. When the rank
-mod P is full, min(rows, nonzero columns), it is therefore the exact rank.
-Otherwise (a rank deficient mod P, a denominator divisible by P, or an entry
-of another type) the rank comes from the exact integer elimination.
-Nullspaces and slice kernels are always exact: integer elimination and
-back-substitution to the reduced row echelon form, which is unique up to
-the scale of each row for a fixed column order, so kernel bases are
-canonical.
+A rank needs no elimination when the nonempty rows have pairwise
+distinct first columns: such rows are independent, so their count is the
+rank; polynomials whose lexicographically least exponents differ are such
+rows.  Otherwise the rank is the pivot count of the integer elimination.
+Nullspaces and slice kernels run the same elimination through to the
+reduced row echelon form, which is unique up to the scale of each row for
+a fixed column order, so kernel bases are canonical.
 """
 
 from __future__ import annotations
@@ -39,6 +33,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
+from .operators import _chain_order, form_map
 from .poly import GaussianRational, Polynomial, _int_form, _nonzero, _parts, _reduced
 
 __all__ = [
@@ -53,37 +48,24 @@ __all__ = [
     "polys_to_matrix",
 ]
 
-P = 2305843009213693921
-"""A 61-bit prime with P = 1 (mod 4), so -1 is a square mod P."""
-
-SQRT_MINUS_ONE = 583529827753931384
-"""S with S * S = -1 (mod P): the image of sqrt(-1) in Z/P."""
-
-
-def _row_reduce(rows, p=None, reduced=False):
-    """Sparse elimination; returns {pivot column: pivot row}.
+def _row_reduce(rows, reduced=False):
+    """Sparse fraction-free elimination; returns {pivot column: pivot row}.
 
     Each row is a dict {column: nonzero entry}; columns are any mutually
-    comparable keys. With a prime ``p`` the entries are residues in
-    [0, p), the arithmetic is mod p, and every pivot row leads with a 1.
-    Otherwise the rows are first scaled to integers (``_integer_rows``) and
-    eliminated without fractions: every pivot row is primitive, with int
-    entries (or (re, im) int pairs over Z[i]), and leads with a positive
-    integer. No pivot row holds an earlier pivot column (row echelon form).
-    With ``reduced`` every pivot column is also cleared from the other pivot
-    rows (reduced row echelon form, up to the scale of each row). The input
-    rows are left unchanged.
+    comparable keys.  The rows are first scaled to integers
+    (``_integer_rows``) and eliminated without fractions: every pivot row is
+    primitive, with int entries (or (re, im) int pairs over Z[i]), and leads
+    with a positive integer.  No pivot row holds an earlier pivot column
+    (row echelon form).  With ``reduced`` every pivot column is also cleared
+    from the other pivot rows (reduced row echelon form, up to the scale of
+    each row).  The input rows are left unchanged.
     """
     pivots = {}
-    for row in rows if p else _integer_rows(rows):
-        row = _remainder(row, pivots, p)
+    for row in _integer_rows(rows):
+        row = _remainder(row, pivots)
         if row:
             c = min(row)
-            if p:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {k: v * inv % p for k, v in row.items()}
-            else:
-                pivots[c] = _primitive(row, c)
+            pivots[c] = _primitive(row, c)
     if reduced:
         # last pivot first, so each pivot row is already clear of the later
         # pivot columns when it is subtracted from the rows above it
@@ -92,18 +74,18 @@ def _row_reduce(rows, p=None, reduced=False):
             c, prow = order[i], pivots[order[i]]
             for earlier in order[:i]:
                 if c in pivots[earlier]:
-                    pivots[earlier] = _eliminate(pivots[earlier], prow, c, p)
+                    pivots[earlier] = _eliminate(pivots[earlier], prow, c)
     return pivots
 
 
-def _remainder(row, pivots, p=None):
+def _remainder(row, pivots):
     """row reduced by the pivot rows of a ``_row_reduce`` result until its
     first column has no pivot; it is empty when row lies in their span.
 
-    Without ``p`` the row must be over the pivots' ring, ints or (re, im)
-    int pairs; each step is the fraction-free ``_eliminate``, so the result
-    is a nonzero integer multiple of row minus a combination of the pivot
-    rows, divided by its content.  The input row is left unchanged.
+    The row must be over the pivots' ring, ints or (re, im) int pairs; each
+    step is the fraction-free ``_eliminate``, so the result is a nonzero
+    integer multiple of row minus a combination of the pivot rows, divided
+    by its content.  The input row is left unchanged.
     """
     row = dict(row)
     while row:
@@ -111,30 +93,21 @@ def _remainder(row, pivots, p=None):
         prow = pivots.get(c)
         if prow is None:
             break
-        row = _eliminate(row, prow, c, p)
+        row = _eliminate(row, prow, c)
     return row
 
 
-def _eliminate(row, prow, c, p):
+def _eliminate(row, prow, c):
     """row with its column c cleared by prow, which leads at c; row may be
     changed in place.
 
-    Mod p, prow leads with 1 and the step is row - row[c] * prow.  Over Z
-    and Z[i] prow leads with a positive integer L, and with a = row[c] the
-    step is L*row - a*prow, first with gcd(L, a) divided out of both
+    prow leads with a positive integer L, and with a = row[c] the step is
+    L*row - a*prow over Z or Z[i], first with gcd(L, a) divided out of both
     factors, then divided by the content of the result.
     """
     # a key missing from row gets -a * v, which is nonzero in an integral
     # domain, so an entry that cancels was present and can be deleted
     a = row[c]
-    if p:
-        for k, v in prow.items():
-            x = (row.get(k, 0) - a * v) % p
-            if x:
-                row[k] = x
-            else:
-                del row[k]
-        return row
     if type(a) is tuple:
         ar, ai = a
         lead = prow[c][0]
@@ -190,13 +163,14 @@ def _primitive(row, c):
 def _integer_rows(rows):
     """The rows scaled to integers, each by the lcm of its denominators.
 
-    When any entry is Gaussian, a GaussianRational or an (re, im) pair,
-    every entry becomes an (re, im) pair of ints; rows of ints are kept."""
+    When any entry is Gaussian, a GaussianRational or an (re, im) pair of
+    ints, every entry becomes an (re, im) pair of ints; rows of ints alone,
+    or of int pairs alone, are kept."""
     rows = list(rows)
     types = set()
     for row in rows:
         types.update(map(type, row.values()))
-    if types <= {int}:
+    if types <= {int} or types == {tuple}:
         return rows
     if GaussianRational in types or tuple in types:
         out = []
@@ -215,58 +189,18 @@ def _integer_rows(rows):
     return out
 
 
-def _residue(value, inverses):
-    """The image of an exact entry in Z/P, or None when it has none here."""
-    if isinstance(value, int):
-        return value % P
-    if isinstance(value, Fraction):
-        den = value.denominator
-        if den == 1:
-            return value.numerator % P
-        inv = inverses.get(den)
-        if inv is None:
-            if not den % P:
-                return None
-            inv = inverses[den] = pow(den, -1, P)
-        return value.numerator * inv % P
-    if isinstance(value, GaussianRational):
-        re, im = _residue(value.re, inverses), _residue(value.im, inverses)
-        return None if re is None or im is None else (re + SQRT_MINUS_ONE * im) % P
-    return None
-
-
-def _residues(rows):
-    """The sparse rows mod P, or None when an entry has no image in Z/P."""
-    inverses = {}
-    out = []
-    for row in rows:
-        res = {}
-        for k, v in row.items():
-            x = _residue(v, inverses)
-            if x is None:
-                return None
-            if x:
-                res[k] = x
-        out.append(res)
-    return out
-
-
 def _rank(rows) -> int:
     """Exact rank of sparse rows.
 
     When the nonempty rows have pairwise distinct first columns they are
     independent: the row with the smallest first column is the only one
     with an entry there, so any vanishing combination gives it weight 0,
-    and so on down.  Else the rank is certified mod P when full, and exact
-    otherwise.
+    and so on down.  Else the rank is the pivot count of the integer
+    elimination.
     """
-    nonempty = [row for row in rows if row]
-    if len({min(row) for row in nonempty}) == len(nonempty):
-        return len(nonempty)
-    full = min(len(rows), len(set().union(*rows)))
-    residues = _residues(rows)
-    if residues is not None and len(_row_reduce(residues, P)) == full:
-        return full
+    rows = [row for row in rows if row]
+    if len({min(row) for row in rows}) == len(rows):
+        return len(rows)
     return len(_row_reduce(rows))
 
 
@@ -346,13 +280,13 @@ def _aligned(polys):
 def _numerator_rows(polys):
     """Each polynomial's numerators over one shared variable order as a
     sparse row: its coefficients times its denominator, which leaves the
-    dimension of the span unchanged."""
+    dimension of the span unchanged.  The entries are ints, or (re, im)
+    int pairs in every row when any polynomial is Gaussian."""
     vars_ = tuple(dict.fromkeys(v for p in polys for v in p.vars))
     forms = [_int_form(p, vars_) for p in polys]
-    return [
-        {**f.re, **{e: GaussianRational(f.re.get(e, 0), b) for e, b in f.im.items()}} if f.im else f.re
-        for f in forms
-    ]
+    if any(f.im for f in forms):
+        return [{e: (f.re.get(e, 0), f.im.get(e, 0)) for e in {**f.re, **f.im}} for f in forms]
+    return [f.re for f in forms]
 
 
 def polys_to_matrix(polys):
@@ -433,8 +367,6 @@ def kernel_on_slice(op, slice_monomials):
     the images.  Each kernel polynomial is one pass over the slice
     numerators (``_combinations``).
     """
-    from .operators import _chain_order, form_map  # operators imports this module
-
     if not slice_monomials:
         return []
     vs, _ = _chain_order(slice_monomials, [op])
@@ -460,14 +392,11 @@ def kernel_on_slice(op, slice_monomials):
     image = form_map(op, vs + (tag,))(_reduced(re, im, d))
     # rows index the support of the images, columns the slice polynomials;
     # a Gaussian image gives (re, im) entries
+    re, im = image.re, image.im
+    entries = {e: (re.get(e, 0), im.get(e, 0)) for e in {**re, **im}} if im else re
     rows = {}
-    for exp, a in image.re.items():
+    for exp, a in entries.items():
         rows.setdefault(exp[:-1], {})[exp[-1]] = a
-    if image.im:
-        rows = {key: {j: (a, 0) for j, a in row.items()} for key, row in rows.items()}
-        for exp, b in image.im.items():
-            row = rows.setdefault(exp[:-1], {})
-            row[exp[-1]] = (row.get(exp[-1], (0, 0))[0], b)
     pivots = _row_reduce(list(rows.values()), reduced=True)
     laurent = frozenset().union(*(p.laurent for p in slice_monomials))
     return [

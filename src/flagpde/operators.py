@@ -29,7 +29,11 @@ sum_alpha c_alpha d^alpha (``differential_form``), unique in the Weyl
 algebra, with integer-form coefficients over one variable order that the
 caller fixes; ``forms_commute`` and ``operators_agree_on_sample`` compare
 such forms, ``forms_commute`` through the commutator alone, without the
-Leibniz terms of A after B and B after A that cancel.  ``form_applicator``
+Leibniz terms of A after B and B after A that cancel.
+``operators_agree_on_sample`` is the one agreement check: operators
+without a normal form it compares as integer forms on every monomial of
+degree <= 2, and ``SeriesConfig`` proves its right-inverse law through
+it.  ``form_applicator``
 applies one over the order ``apply`` uses; every residual check runs
 through it.  ``form_map`` applies one over a caller's order, for an
 operator that a call applies again and again, or to a whole tagged batch
@@ -53,7 +57,6 @@ from fractions import Fraction
 from operator import add
 
 from .combinatorics import falling, tuples_with_sum_at_most
-from .linalg import monomials_up_to_degree
 from .poly import (
     GaussianRational,
     Polynomial,
@@ -737,14 +740,21 @@ def max_derivative_order(op: LinearOperator) -> int:
 def operators_agree_on_sample(op_a, op_b, vars) -> bool:
     """Whether op_a and op_b act alike, decided exactly: by equal normal
     forms, a proof in every degree, when both have one; else (integrations,
-    right inverses) on every monomial of total degree <= 2 over vars."""
+    right inverses) on every monomial of total degree <= 2 over the sorted
+    vars (x when there are none), as integer forms over those variables
+    followed by the operators' own."""
     vs, _ = _chain_order([], [op_a, op_b])
     form_a = differential_form(op_a, vs)
     form_b = differential_form(op_b, vs) if form_a is not None else None
     if form_b is not None:
         return form_a == form_b
+    sample = tuple(sorted(vars)) or ("x",)
+    vs = tuple(dict.fromkeys(sample + vs))
+    pad = (0,) * (len(vs) - len(sample))
+    apply_a, apply_b = form_map(op_a, vs), form_map(op_b, vs)
     return all(
-        op_a(p) == op_b(p) for p in monomials_up_to_degree(sorted(vars) or ["x"], 2)
+        apply_a(m) == apply_b(m)
+        for m in (_IntForm({exp + pad: 1}, {}, 1) for exp in tuples_with_sum_at_most(len(sample), 2))
     )
 
 
@@ -753,12 +763,11 @@ class SeriesConfig:
     """Hypotheses for the perturbation series: T1 with right inverse, plus T2.
 
     On construction the right-inverse law T1(T1inv(p)) = p is checked
-    exactly, as ``operators_agree_on_sample`` checks it: by normal forms
-    when T1 T1inv has one, else on every monomial of degree <= 2 over the
-    sorted variables of both, as integer forms with T1 through one
-    ``form_map``.  The series solvers then verify every output.
-    Termination is detected by the series hitting the exact zero
-    polynomial; ``iteration_bound`` is only a safety valve.
+    exactly by ``operators_agree_on_sample``, over the variables of both:
+    by normal forms when T1 T1inv has one, else on every monomial of degree
+    <= 2.  The series solvers then verify every output.  Termination is
+    detected by the series hitting the exact zero polynomial;
+    ``iteration_bound`` is only a safety valve.
     """
 
     t1: LinearOperator
@@ -767,17 +776,8 @@ class SeriesConfig:
 
     def __post_init__(self):
         t1, inverse = self.t1, self.t1_inverse
-        vs = tuple(sorted(operator_variables(t1) | operator_variables(inverse))) or ("x",)
-        form = differential_form(Compose(t1, inverse), vs)
-        if form is not None:
-            holds = form == differential_form(identity(), vs)
-        else:
-            apply_t1 = form_map(t1, vs)
-            holds = all(
-                apply_t1(inverse.apply_form(m, vs)) == m
-                for m in (_IntForm({exp: 1}, {}, 1) for exp in tuples_with_sum_at_most(len(vs), 2))
-            )
-        if not holds:
+        vars_ = operator_variables(t1) | operator_variables(inverse)
+        if not operators_agree_on_sample(Compose(t1, inverse), identity(), vars_):
             raise OperatorHypothesisError("t1_inverse is not a right inverse of t1")
 
     def iteration_bound(self, seed) -> int:

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 import flagpde as fp
 from flagpde import lie
 from flagpde.linalg import (
-    P,
-    SQRT_MINUS_ONE,
     _aligned,
     _integer_rows,
     _kernel_vectors,
+    _numerator_rows,
     _remainder,
     _row_reduce,
     bidegree_monomials,
@@ -38,6 +37,12 @@ from oracles import (
     tuples_with_sum_recursive,
 )
 from strategies import gaussian_coefficients, polynomials
+
+# a 61-bit prime P = 1 (mod 4) and a square root of -1 mod P: entries and
+# denominators divisible by P, and rows that lose rank mod P, are exact-rank
+# edge cases for any elimination that works modulo a prime of this size
+P = 2305843009213693921
+SQRT_MINUS_ONE = 583529827753931384
 
 SMALL = st.integers(-3, 3)
 FRACTIONS = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
@@ -169,25 +174,6 @@ def test_rank_certificate_of_distinct_first_columns(case):
     assert matrix_rank(rows) == want
 
 
-def _is_prime(n):
-    # Miller-Rabin with the first twelve prime bases is exact below 3.3e24
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        if all(pow(x, 2 ** r, n) != n - 1 for r in range(1, s)):
-            return False
-    return True
-
-
-def test_modulus_and_square_root_of_minus_one():
-    assert P.bit_length() == 61 and P % 4 == 1 and _is_prime(P)
-    assert SQRT_MINUS_ONE * SQRT_MINUS_ONE % P == P - 1
-
-
 def test_entry_divisible_by_p_falls_back():
     assert matrix_rank([[P]]) == 1
     assert matrix_rank([[Fraction(P, 3)]]) == 1
@@ -231,6 +217,26 @@ def test_g2_bracket_rows():
         rows = basis + [dense(lie.mat_bracket(mats[a], mats[b]))]
         assert matrix_rank(rows) == dense_rank(rows, width) == 14
     assert matrix_rank(basis + [[Fraction(1)] * width]) == 15
+
+
+def _adjacent_mixes(polys):
+    return [a + 3 * b for a, b in zip(polys, polys[1:])]
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(lambda: fp.harmonic_basis(4, 5), id="harmonic n=4 cap 5"),
+    pytest.param(lambda: fp.dissipative_wave_basis(3, 4), id="dissipative n=3 cap 4"),
+])
+def test_polys_rank_of_families_with_colliding_leading_monomials(family):
+    """Adjacent mixes a + 3b of a family's elements are independent, but their
+    least exponents collide, so the rank comes from the elimination; with
+    the elements themselves added the span stays the family's."""
+    sols = family().solutions()
+    mixes = _adjacent_mixes(sols)
+    assert len({min(row) for row in _numerator_rows(mixes)}) < len(mixes)
+    for polys, want in ((mixes, len(mixes)), (sols + mixes, len(sols))):
+        rows, keys, _ = polys_to_matrix(polys)
+        assert polys_rank(polys) == dense_rank(rows, len(keys)) == want
 
 
 @pytest.mark.parametrize("length", range(7))
