@@ -6,6 +6,17 @@ of.  Annihilation is asserted at generation time, through one
 ``operators.form_applicator`` for all elements, so a returned family is
 already verified; linear independence and desk-scale completeness checks
 live in ``verify_independence`` and the test suite's kernel oracles.
+
+Every constant-coefficient family (constant, harmonic, damped-wave,
+anisymmetric, sl and g2) is one series u = sum_R p_R L^R(x^l), built by
+``_closed_form_series``.  L = sum_j c_j d^(beta_j) acts on separate
+variable blocks, so L^R(x^l) = sum_{|r|=R} R!/r! prod_j c_j^(r_j)
+prod_v perm(l_v, r_j beta_v) x^(l - r_j beta_j).  A ``_BlockTable`` per
+block holds c^r prod_v perm(l_v, r beta_v)/r!, and a ``_profile`` per
+family holds R! p_R over one denominator: (-1)^R R! (d^alpha)^(-R) x^c for
+a corner operator d^alpha (``_corner_profile``), the t-profiles and
+kernel-seed profiles of ``dissipative``.  An element is the products of
+table entries times the profile of their R, reduced once.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from .poly import (
     Polynomial,
     _int_form,
     _IntForm,
+    _reduced,
     _shifted_sum,
     _sum_forms,
     variable,
@@ -145,12 +157,103 @@ def _default_vars(n: int):
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
+# -- the closed-form series ------------------------------------------------------
+
+class _BlockTable(dict):
+    """The block c d^beta of L (module docstring), beta the positive orders
+    of its variables: for their exponents l, the list over r of
+    (r, c^r prod_v perm(l_v, r beta_v)/r!, l - r beta) while r beta <= l.
+    r! divides the product of r beta_v consecutive integers, so the entries
+    are integers.  Each l is filled on first use."""
+
+    __slots__ = ("coeff", "orders")
+
+    def __init__(self, coeff: int, orders: tuple):
+        super().__init__()
+        self.coeff, self.orders = coeff, orders
+
+    def __missing__(self, l):
+        c, orders = self.coeff, self.orders
+        self[l] = entries = [
+            (r, c**r * math.prod(map(math.perm, l, [r * o for o in orders])) // math.factorial(r),
+             tuple(e - r * o for e, o in zip(l, orders)))
+            for r in range(min(map(int.__floordiv__, l, orders)) + 1)
+        ]
+        return entries
+
+
+def _profile(entries) -> list:
+    """The profile from its entries (pairs, den_R), R = 0.., holding R! p_R
+    as (corner exponent, integer numerator) pairs over den_R: per top T,
+    the lcm d_T of den_0..den_T and each R <= T's pairs over d_T."""
+    out, d = [], 1
+    for top, (_, den) in enumerate(entries):
+        d = math.lcm(d, den)
+        out.append((d, [[(j, c * (d // den)) for j, c in pairs] for pairs, den in entries[: top + 1]]))
+    return out
+
+
+def _corner_profile(corner: tuple, orders: tuple, top: int) -> list:
+    """The profile R! p_R, R <= top, of p_R = (-1)^R (d^orders)^(-R) x^corner
+    (zero constants): (-1)^R x^(corner + R orders) over the integer
+    prod_v perm(corner_v + R orders_v, R orders_v) / R!."""
+    entries = []
+    for r in range(top + 1):
+        exp = tuple(c + r * o for c, o in zip(corner, orders))
+        den = math.prod(map(math.perm, exp, [r * o for o in orders])) // math.factorial(r)
+        entries.append(([(exp, -1 if r & 1 else 1)], den))
+    return _profile(entries)
+
+
+def _closed_form_series(profile, blocks, seed: dict, den: int = 1, max_power=None,
+                        move=None) -> _IntForm:
+    """sum_R p_R L^R(seed), reduced once (module docstring), from the tables
+    of L's blocks in order and a ``_profile``.  seed is {exponent over the
+    blocks' variables: integer numerator} over den.  The result is over the
+    corner variables, then the blocks', reordered by move(exponent) if given.
+
+    R stops at the last power with a nonzero term and at max_power, for a
+    seed in ker L^(max_power+1).  Distinct R give distinct block exponents
+    (a one-term seed's exponent fixes each r; the seeds with several terms
+    are homogeneous for a homogeneous L), so the outer product with the
+    profile makes no term twice.
+    """
+    splits, top = [], 0
+    for exp, a in seed.items():
+        start, tabs = 0, []
+        for table in blocks:
+            stop = start + len(table.orders)
+            tabs.append(table[exp[start:stop]])
+            start = stop
+        splits.append((a, tabs))
+        top = max(top, sum(map(len, tabs)) - len(tabs))
+    bound = top if max_power is None else min(top, max_power)
+    terms = []
+    for a, tabs in splits:
+        part = [(0, a, ())]
+        for entries in tabs:
+            part = [(r + s, n * m, e + f) for r, n, e in part
+                    for s, m, f in (entries if bound == top else entries[: bound - r + 1])]
+        terms += part
+    if len(splits) > 1:
+        sums = {}
+        for r, n, e in terms:
+            sums[r, e] = sums.get((r, e), 0) + n
+        terms = [(r, n, e) for (r, e), n in sums.items() if n]
+    d, scaled = profile[bound]
+    re = {j + e: c * n for r, n, e in terms for j, c in scaled[r]}
+    if move is not None:
+        re = {move(e): a for e, a in re.items()}
+    return _reduced(re, {}, d * den)
+
+
 # -- constant-coefficient equations -------------------------------------------
 
 def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
     """Solution basis of sum_i d^(m_i)/dx_i^(m_i) u = 0, truncated by index cap.
 
-    Elements are indexed by (l1 in 0..m1-1, l2.., ln) with l2 + ... + ln <= cap.
+    Elements are indexed by (l1 in 0..m1-1, l2.., ln) with l2 + ... + ln <= cap:
+    the series of corner d^(m1)/dx1^(m1) on x1^l1 and the blocks d^(m_i)/dx_i^(m_i).
     """
     orders = tuple(int(m) for m in orders)
     n = len(orders)
@@ -162,111 +265,24 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
     vars_ = _default_vars(n)
     annihilator = Sum(Derivative(v, m) for v, m in zip(vars_, orders))
     m1 = orders[0]
-    # per variable x_i (i >= 2) and exponent l, over k = 0..l // m_i: the
-    # exponents l - k m_i and the integers perm(l, k m_i)/k!; shared by the family
-    tables = [
-        [([l - k * m for k in range(l // m + 1)],
-          [math.perm(l, k * m) // math.factorial(k) for k in range(l // m + 1)])
-         for l in range(cap + 1)]
-        for m in orders[1:]
-    ]
+    blocks = [_BlockTable(1, (m,)) for m in orders[1:]]
     elements = []
     for l1 in range(m1):
-        # per K <= cap: the integer perm(l1 + K m1, K m1)/K!
-        dens = [math.perm(l1 + k * m1, k * m1) // math.factorial(k) for k in range(cap + 1)]
+        profile = _corner_profile((l1,), (m1,), cap)
         for rest in tuples_with_sum_at_most(n - 1, cap):
-            exps, nums = zip(*(t[l] for t, l in zip(tables, rest)))
-            sol = _constant_element(l1, m1, exps, nums, dens).to_poly(vars_, frozenset())
+            sol = _closed_form_series(profile, blocks, {rest: 1}).to_poly(vars_, frozenset())
             elements.append(BasisElement({"ell": (l1,) + rest}, sol))
     return _checked(elements, annihilator, {"cap": cap, "orders": list(orders)})
 
 
-def _constant_element(l1: int, m1: int, exps, nums, dens) -> _IntForm:
-    """The element for (l1, l2..ln) from the per-variable tables of
-    ``constant_coefficient_basis`` for l2..ln and the integers dens[K] of l1.
-
-    The coefficient of x1^(l1 + K m1) prod_i x_i^(l_i - k_i m_i), K = sum k_i,
-    is (-1)^K multinomial(ks) l1!/(l1 + K m1)! prod_i perm(l_i, k_i m_i),
-    that is (-1)^K prod_i perm(l_i, k_i m_i)/k_i!  over  perm(l1 + K m1, K m1)/K!.
-    Both quotients are exact: a product of k m consecutive integers is
-    divisible by (k m)!, so by k!.
-    """
-    terms = {}
-    for ks in itertools.product(*(range(len(e)) for e in exps)):
-        big_k = sum(ks)
-        num = math.prod(map(list.__getitem__, nums, ks))
-        exp = (l1 + big_k * m1,) + tuple(map(list.__getitem__, exps, ks))
-        terms[exp] = (-num if big_k & 1 else num, dens[big_k])
-    return _over_one_denominator(terms)
-
-
-def _over_one_denominator(terms: dict) -> _IntForm:
-    """The reduced form of {exponent: (numerator, denominator)}, every
-    numerator nonzero: the lcm of the denominators in lowest terms leaves
-    the numerators and it coprime."""
-    den = math.lcm(*(d // math.gcd(a, d) for a, d in terms.values()))
-    return _IntForm({exp: a * den // d for exp, (a, d) in terms.items()}, {}, den)
-
-
 # -- harmonic polynomials ------------------------------------------------------
-
-def _laplacian_tables(cap: int):
-    """Per exponent l <= cap and r <= l/2: the integers perm(l, 2r)/r! and
-    the exponents l - 2r, read by ``_laplacian_terms``."""
-    perms = [[math.perm(l, 2 * r) // math.factorial(r) for r in range(l // 2 + 1)]
-             for l in range(cap + 1)]
-    exps = [list(range(l, -1, -2)) for l in range(cap + 1)]
-    return perms, exps
-
-
-def _laplacian_terms(ells, tables, max_r=None):
-    """(R, prod_i perm(l_i, 2 r_i)/r_i!, l - 2r) for every r with 2 r_i <= l_i,
-    R = |r|, from ``_laplacian_tables``: since D^(2r) x^l = perm(l, 2r) x^(l-2r),
-    these are the terms of the multinomial closed form
-    Lap^R(x^l) = sum_{|r| = R} R!/r! prod_i perm(l_i, 2 r_i) x^(l - 2r),
-    each without its factor R!.  With max_r, only the terms with R <= max_r."""
-    perms, exps = tables
-    nums = [perms[l] for l in ells]
-    tops = [exps[l] for l in ells]
-    if max_r is None:
-        max_r = sum(map(len, nums)) - len(nums)
-    else:
-        nums = [p[: max_r + 1] for p in nums]
-    for rs in itertools.product(*map(range, map(len, nums))):
-        big_r = sum(rs)
-        if big_r <= max_r:
-            yield big_r, math.prod(map(list.__getitem__, nums, rs)), tuple(map(list.__getitem__, tops, rs))
-
-
-def _harmonic_tables(cap: int):
-    """The tables of every harmonic element with eps + l2 + ... + ln <= cap:
-    the Laplacian tables and, per eps, the denominators
-    perm(2R, R) (1 + 2 eps R) for R <= cap/2."""
-    dens = [[math.perm(2 * r, r) * (1 + 2 * eps * r) for r in range(cap // 2 + 1)]
-            for eps in (0, 1)]
-    return _laplacian_tables(cap), dens
-
-
-def _harmonic_form(eps: int, ells: tuple, tables) -> _IntForm:
-    """The harmonic element for eps and l2..ln from ``_harmonic_tables``.
-
-    The coefficient of x1^(eps + 2R) prod_i x_i^(l_i - 2 r_i), R = sum r_i,
-    is (-1)^R R! prod_i perm(l_i, 2 r_i)/r_i!  over  (2R)! (1 + 2 eps R),
-    and R!/(2R)! = 1/perm(2R, R).
-    """
-    lap, dens = tables
-    dens = dens[eps]
-    terms = {}
-    for big_r, num, exp in _laplacian_terms(ells, lap):
-        terms[(eps + 2 * big_r,) + exp] = (-num if big_r & 1 else num, dens[big_r])
-    return _over_one_denominator(terms)
-
 
 def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
     """One solution of the Laplace equation, indexed by eps in {0,1} and l2..ln.
 
-    Alternating even-derivative reduction of the seed monomial x2^l2...xn^ln,
-    with the x1 powers supplied by iterated double integration.
+    The series of corner d^2/dx1^2 on x1^eps and the blocks d^2/dx_i^2 on
+    x2^l2...xn^ln: alternating even-derivative reduction of the seed, with
+    the x1 powers supplied by iterated double integration.
     """
     vars_ = _default_vars(n) if vars_ is None else tuple(vars_)
     ells = tuple(ells)
@@ -274,8 +290,9 @@ def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
     if eps not in (0, 1) or len(vars_) != len(ells) + 1 or len(set(vars_)) != len(vars_):
         raise ValueError(f"need eps 0 or 1 and len(ells) + 1 distinct variables, "
                          f"got eps={eps}, ells={ells}, vars={vars_}")
-    tables = _harmonic_tables(eps + sum(ells))
-    return _harmonic_form(eps, ells, tables).to_poly(vars_, frozenset())
+    profile = _corner_profile((eps,), (2,), sum(ells) // 2)
+    return _closed_form_series(profile, [_BlockTable(1, (2,))] * len(ells), {ells: 1}).to_poly(
+        vars_, frozenset())
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:
@@ -283,15 +300,22 @@ def harmonic_basis(n: int, cap: int) -> BasisFamily:
     if n < 2:
         raise ValueError("need at least two variables")
     _check_cap(cap)
+    annihilator = Sum(Derivative(v, 2) for v in _default_vars(n))
+    return _checked(_harmonic_elements(n, cap, tuples_with_sum_at_most), annihilator, {"cap": cap, "n": n})
+
+
+def _harmonic_elements(n: int, cap: int, ells_of) -> list:
+    """The elements of ``harmonic_element`` for eps in {0, 1} and l2..ln in
+    ells_of(n - 1, cap - eps), with one block table and one profile per eps."""
     vars_ = _default_vars(n)
-    annihilator = Sum(Derivative(v, 2) for v in vars_)
-    tables = _harmonic_tables(cap)
+    blocks = [_BlockTable(1, (2,))] * (n - 1)
     elements = []
-    for eps in (0, 1):
-        for ells in tuples_with_sum_at_most(n - 1, cap - eps):
-            sol = _harmonic_form(eps, ells, tables).to_poly(vars_, frozenset())
+    for eps in range(min(cap, 1) + 1):
+        profile = _corner_profile((eps,), (2,), cap // 2)
+        for ells in ells_of(n - 1, cap - eps):
+            sol = _closed_form_series(profile, blocks, {ells: 1}).to_poly(vars_, frozenset())
             elements.append(BasisElement({"eps": eps, "ell": ells}, sol))
-    return _checked(elements, annihilator, {"cap": cap, "n": n})
+    return elements
 
 
 # -- general flag equations ------------------------------------------------------

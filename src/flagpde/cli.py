@@ -52,7 +52,7 @@ from .lie import (
 )
 from .operators import SeriesTerminationError, VerificationError
 from .poly import Polynomial, variable
-from .trees import InvalidTreeError, Tree, check_splitting, compute_splitting, tricomi_operator
+from .trees import Tree, check_splitting, compute_splitting, tricomi_operator
 
 
 class InputError(ValueError):
@@ -729,10 +729,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except (InputError, InvalidTreeError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except ValueError as err:  # InputError and trees.InvalidTreeError among them
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except VerificationError as err:

@@ -5,7 +5,8 @@ right inverse (operators.DampedIntegration).  Iterating that inverse on 1
 produces the family of dissipation polynomials xi(a, i), which satisfy the
 exact descent d(xi_i) = xi_(i-1); they supply the time dependence of every
 family in this module, with the purely imaginary a = 2*freq*sqrt(-1) in
-the Klein-Gordon case.
+the Klein-Gordon case.  The damped-wave and anisymmetric families are
+series sum_R p_R(t) Lap^R(seed) of ``bases._closed_form_series``.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import math
 from .bases import (
     BasisElement,
     BasisFamily,
+    _BlockTable,
     _check_cap,
     _checked,
-    _laplacian_tables,
-    _laplacian_terms,
+    _closed_form_series,
+    _profile,
 )
 from .combinatorics import tuples_with_sum_at_most
 from .operators import (
@@ -38,9 +40,6 @@ from .poly import (
     GaussianRational,
     Polynomial,
     TrigPolynomial,
-    _IntForm,
-    _nonzero,
-    _reduced,
     variable,
 )
 
@@ -95,10 +94,10 @@ def _laplacian(vars_):
 def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
     """Solution basis of u_tt + u_t = sum_i u_(xi xi), indexed by monomials.
 
-    The element for index l is sum_i xi(1, i)(t) * Lap^i(x^l); the Laplacian
-    powers terminate and each xi supplies the matching time correction.
-    The powers come from their closed form (``_laplacian_power_sum``), and
-    each xi(1, i) is built once per family.
+    The element for index l is sum_i xi(1, i)(t) * Lap^i(x^l), the series
+    of ``bases._closed_form_series`` with profile xi(1, i) and one block
+    d^2/dx_i^2 per variable; the Laplacian powers terminate and each xi
+    supplies the matching time correction.
     """
     if n < 1:
         raise ValueError("need at least one spatial variable")
@@ -113,72 +112,21 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
         )
     )
     vs = ("t",) + x_vars
-    tables = _laplacian_tables(cap)
-    profile = _profile_table(lambda i: dissipation_polynomial(Fraction(1), i))
+    blocks = [_BlockTable(1, (2,))] * n
+    profile = _folded_profile(dissipation_polynomial(Fraction(1), r) for r in range(cap // 2 + 1))
     elements = [
-        BasisElement({"ell": ell}, _laplacian_power_sum({ell: 1}, 1, tables, profile).to_poly(vs, frozenset()))
+        BasisElement({"ell": ell}, _closed_form_series(profile, blocks, {ell: 1}).to_poly(vs, frozenset()))
         for ell in tuples_with_sum_at_most(n, cap)
     ]
     return _checked(elements, annihilator, {"cap": cap, "n": n})
 
 
-def _profile_table(read):
-    """The t-profiles p_R(t) of a Laplacian-power family, as a function of R.
-
-    read(R) is p_R as a Polynomial in t; it is read once per R, in order and
-    only up to the largest R asked for.  The value for R is the pairs
-    (t exponent, numerator * R!) over the denominator of p_R: the R! of the
-    closed form of Lap^R sits here, once per family.
-    """
-    table = []
-
-    def profile(big_r):
-        while len(table) <= big_r:
-            r = len(table)
-            form = read(r).form
-            fact = math.factorial(r)
-            table.append(([(e[0], a * fact) for e, a in form.re.items()], form.den))
-        return table[big_r]
-
-    return profile
-
-
-def _laplacian_power_sum(seed: dict, den: int, tables, profile, max_power=None) -> _IntForm:
-    """sum_R p_R(t) Lap^R(seed) over (t, x1..xn), reduced once, for a seed
-    {x exponent: integer numerator} over den, the tables of
-    ``bases._laplacian_tables`` and the profiles of ``_profile_table``.
-
-    Lap^R comes from its closed form (``bases._laplacian_terms``, with the
-    factor R! in the profile).  The x-part of each R is summed over the seed
-    terms, and R runs up to the last R with Lap^R(seed) != 0 (every later
-    power vanishes too); no other profile is read.  A seed known to lie in
-    ker Lap^(max_power+1) passes max_power, and the terms of the powers
-    above it, which cancel, are not built.  The seeds are
-    homogeneous, so the x-parts of distinct R have distinct degrees, and
-    each term of the outer product of an x-part with its profile is a term
-    of the result.
-    """
-    xparts = []
-    for seed_exp, a in seed.items():
-        for big_r, num, exp in _laplacian_terms(seed_exp, tables, max_power):
-            while len(xparts) <= big_r:
-                xparts.append({})
-            part = xparts[big_r]
-            part[exp] = part.get(exp, 0) + a * num
-    if len(seed) > 1:
-        xparts = [_nonzero(part) for part in xparts]
-        if not all(xparts):
-            xparts = xparts[: xparts.index({})]
-    d = math.lcm(*(profile(r)[1] for r in range(len(xparts))))
-    re = {}
-    for r, part in enumerate(xparts):
-        pairs, pden = profile(r)
-        k = d // pden
-        for j, c in pairs:
-            c *= k
-            j = (j,)
-            re.update({j + exp: c * a for exp, a in part.items()})
-    return _reduced(re, {}, d * den)
+def _folded_profile(polys) -> list:
+    """The ``bases._profile`` of the t-profiles p_0, p_1, .. (Polynomials in t)."""
+    return _profile([
+        ([(e, a * math.factorial(r)) for e, a in p.form.re.items()], p.form.den)
+        for r, p in enumerate(polys)
+    ])
 
 
 def classify_lambda(lam: Fraction) -> str:
@@ -241,17 +189,16 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     kind = classify_lambda(lam)
 
     vs = ("t",) + x_vars
-    # the odd-lambda phi seeds reach x1^(2k+1+cap), lam = -2k-1
-    tables = _laplacian_tables(cap - int(lam) if kind == "negative_odd" else cap)
+    blocks = [_BlockTable(1, (2,))] * n
 
-    def branch(seeds, factor, name, max_power=None):
+    def branch(seeds, factor, top, name, max_power=None):
         """One element per (ell, (seed, den)) pair: sum_R eps^R factor(lam, R)
-        Lap^R(seed), with the profiles of factor read once per family."""
-        profile = _profile_table(lambda r: epsilon**r * factor(lam, r))
+        Lap^R(seed) for R <= top, with the profiles read once per family."""
+        profile = _folded_profile(epsilon**r * factor(lam, r) for r in range(top + 1))
         return [
             BasisElement(
                 {"ell": ell, "branch": name},
-                _laplacian_power_sum(seed, den, tables, profile, max_power).to_poly(vs, frozenset()),
+                _closed_form_series(profile, blocks, seed, den, max_power).to_poly(vs, frozenset()),
             )
             for ell, (seed, den) in seeds
         ]
@@ -259,44 +206,27 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     monomials = [(ell, ({ell: 1}, 1)) for ell in tuples_with_sum_at_most(n, cap)]
     if kind == "negative_odd":
         # lam = -2k-1: the phi factors are undefined from R = k+1 on, so the
-        # phi branch takes the seeds with Lap^(k+1) = 0, spanned by the
-        # alternating x1-power expansions below.
+        # phi branch takes the seeds with Lap^(k+1) = 0 and top part
+        # x1^l1 x_rest^rest, l1 < 2k+2: the series over the Laplacian of x2..xn
+        # with p_R = (-1)^R C(k+R, R) x1^(l1+2R)/(l1+2R)!
         k = (-int(lam) - 1) // 2
-        phi_seeds = [
-            ((l1,) + rest, _iterated_kernel_seed(k + 1, l1, rest, tables))
-            for l1 in range(2 * k + 2)
-            for rest in tuples_with_sum_at_most(n - 1, cap)
-        ]
-        elements = branch(phi_seeds, _phi_factor, "phi", k)
+        phi_seeds = []
+        for l1 in range(2 * k + 2):
+            profile = _profile([([((l1 + 2 * r,), (-1) ** r * math.perm(k + r, r))], math.factorial(l1 + 2 * r))
+                                for r in range(cap // 2 + 1)])
+            for rest in tuples_with_sum_at_most(n - 1, cap):
+                seed = _closed_form_series(profile, blocks[1:], {rest: 1})
+                phi_seeds.append(((l1,) + rest, (seed.re, seed.den)))
+        elements = branch(phi_seeds, _phi_factor, k, "phi", k)
     else:
-        elements = branch(monomials, _phi_factor, "phi")
+        elements = branch(monomials, _phi_factor, cap // 2, "phi")
     if kind != "generic":
-        elements += branch(monomials, _psi_factor, "psi")
+        elements += branch(monomials, _psi_factor, cap // 2, "psi")
     return _checked(
         elements,
         annihilator,
         {"cap": cap, "n": n, "lambda": str(lam), "epsilon": epsilon, "kind": kind},
     )
-
-
-def _iterated_kernel_seed(power: int, l1: int, rest: tuple, tables):
-    """Element of ker(Lap^power) with top part x1^l1 * x_rest^rest, l1 < 2*power,
-    as ({x exponent: integer numerator}, denominator) over (x1..xn), from the
-    tables of ``bases._laplacian_tables``.
-
-    Alternating series sum_r (-1)^r C(power+r-1, r) x1^(l1+2r)/(l1+2r)!
-    * Lap_rest^r (x_rest^rest), with Lap_rest the Laplacian that omits x1.
-    By the closed form of Lap_rest^r, the coefficient of
-    x1^(l1+2r) x_rest^(rest-2q), r = |q|, is (-1)^r perm(power+r-1, r)
-    prod_i perm(rest_i, 2 q_i)/q_i! over (l1+2r)!; all of them are put over
-    (l1 + 2 r_max)!, r_max = sum_i floor(rest_i/2).
-    """
-    top = l1 + 2 * sum(l // 2 for l in rest)
-    seed = {}
-    for r, num, exp in _laplacian_terms(rest, tables):
-        num *= math.perm(power + r - 1, r) * math.perm(top, top - l1 - 2 * r)
-        seed[(l1 + 2 * r,) + exp] = -num if r & 1 else num
-    return seed, math.factorial(top)
 
 
 def epd_transform(v: Polynomial, m: int, branch: str) -> Polynomial:
@@ -339,7 +269,11 @@ def klein_gordon_solutions(a, monomial):
     for a nonzero rational frequency a.  The complex series solution of the
     gauged equation v_tt + 2ia v_t = v_xx + x v_yy + y v_zz is computed from
     the seed monomial x^m1 y^m2 z^m3, then e^(iat) v is split into its real
-    and imaginary parts.  Both outputs are verified exactly in the trig ring.
+    and imaginary parts.  The first output is verified exactly in the trig
+    ring, and that proves the second: on (cos, sin) parts the second is
+    -J of the first, J(P, Q) = (Q, -P), and ``TrigApplicator`` writes the
+    operator as M0 + M1 J with M0 and M1 acting on each part, so it maps
+    (-Q, P) to (-B, A) whenever it maps (P, Q) to (A, B).
     """
     a = Fraction(a)
     if not a:
@@ -374,8 +308,6 @@ def klein_gordon_solutions(a, monomial):
             Scale(a * a),
         )
     )
-    check = TrigApplicator(kg, a, "t", (v_re, v_im))
-    for sol in (first, second):
-        if not check(sol).is_zero():
-            raise VerificationError("Klein-Gordon output fails the defining identity")
+    if not TrigApplicator(kg, a, "t", (v_re, v_im))(first).is_zero():
+        raise VerificationError("Klein-Gordon output fails the defining identity")
     return first, second

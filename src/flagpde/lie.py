@@ -6,8 +6,8 @@ family acts on F[x1..xn], the special linear family on F[x.., y..] with the
 contragredient twist on the y block, and the exceptional family through
 fourteen sparse seven-by-seven matrices whose entries p + q*sqrt(2) hold
 integer p and q; entry (i, j) becomes the term x_i d/dx_j, split into a
-rational and a sqrt(2) part.  Module bases are produced by the same
-perturbation-series shapes as the flag solvers.  ``kernel_oracle`` is
+rational and a sqrt(2) part.  The module bases are series of
+``bases._closed_form_series``.  ``kernel_oracle`` is
 ``linalg.kernel_on_slice``, the exact kernel of an operator on a graded
 monomial slice, under the name this module has always exported.
 
@@ -26,13 +26,21 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 
-from .bases import BasisElement, BasisFamily, _checked, _harmonic_form, _harmonic_tables
-from .combinatorics import multinomial, tuples_with_sum
+from .bases import (
+    BasisElement,
+    BasisFamily,
+    _BlockTable,
+    _checked,
+    _closed_form_series,
+    _corner_profile,
+    _harmonic_elements,
+)
+from .combinatorics import tuples_with_sum
 from .linalg import _remainder, _row_reduce, kernel_on_slice
 from .operators import (
     Compose,
@@ -332,45 +340,8 @@ def harmonic_module_basis(n: int, k: int) -> BasisFamily:
     """Basis of the degree-k harmonic polynomials in n variables."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    vars_ = tuple(f"x{i}" for i in range(1, n + 1))
-    annihilator = Sum(Derivative(v, 2) for v in vars_)
-    tables = _harmonic_tables(k)
-    elements = []
-    for eps in (0, 1):
-        if eps > k:
-            continue
-        for ells in tuples_with_sum(n - 1, k - eps):
-            sol = _harmonic_form(eps, ells, tables).to_poly(vars_, frozenset())
-            elements.append(BasisElement({"eps": eps, "ell": ells}, sol))
-    return _checked(elements, annihilator, {"n": n, "k": k})
-
-
-def _sl_branch_element(n, lead, pairs, swap: bool) -> Polynomial:
-    """One alternating contraction series element for the doubled variables.
-
-    lead is the power of x1 (or y1 when swap), pairs lists (m_r, l_r) for
-    r = 2..n; index r contracts x_r against y_r and pumps the contracted
-    degree into the x1 y1 corner.
-    """
-    x_name = "y1" if swap else "x1"
-    y_name = "x1" if swap else "y1"
-    terms = {}
-    vars_ = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"y{i}" for i in range(1, n + 1))
-    index = {v: i for i, v in enumerate(vars_)}
-    ranges = [range(min(m, l) + 1) for m, l in pairs]
-    for tup in itertools.product(*ranges):
-        big = sum(tup)
-        coeff = Fraction((-1) ** big * math.factorial(lead), math.factorial(lead + big))
-        exp = [0] * (2 * n)
-        for r, (i_r, (m_r, l_r)) in enumerate(zip(tup, pairs), start=2):
-            coeff *= math.comb(m_r, i_r) * math.comb(l_r, i_r) * math.factorial(i_r)
-            exp[index[f"x{r}"]] = m_r - i_r
-            exp[index[f"y{r}"]] = l_r - i_r
-        exp[index[x_name]] = lead + big
-        exp[index[y_name]] = big
-        key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(vars_, {e: c for e, c in terms.items() if c})
+    annihilator = Sum(Derivative(f"x{i}", 2) for i in range(1, n + 1))
+    return _checked(_harmonic_elements(n, k, tuples_with_sum), annihilator, {"n": n, "k": k})
 
 
 def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
@@ -378,72 +349,59 @@ def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
 
     Two branches: the first pumps surplus x1 powers (lead m with
     m + sum m_r = l1, sum l_r = l2), the second symmetrically pumps y1
-    (lead m' >= 1 with sum m'_r = l1, m' + sum l'_r = l2); every element is
-    killed by the contraction operator sum d/dx_i d/dy_i.
+    (lead m' >= 1 with sum m'_r = l1, m' + sum l'_r = l2).  Each element is
+    the series of corner d/dx1 d/dy1 on x1^m (or y1^m') and the blocks
+    d/dx_r d/dy_r, r >= 2, on prod_r x_r^(m_r) y_r^(l_r), so it is killed by
+    the contraction sum d/dx_i d/dy_i.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if l1 < 0 or l2 < 0:
         raise ValueError(f"the bidegree must be non-negative, got l1={l1}, l2={l2}")
     annihilator = sl_laplacian(n)
+    vars_ = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"y{i}" for i in range(1, n + 1))
+    blocks = [_BlockTable(1, (1, 1))] * (n - 1)
+    # the series runs over (x1, y1, x2, y2, ..), the variables regrouped once
+    move = itemgetter(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
     elements = []
-    for m in range(l1 + 1):
-        for ms in tuples_with_sum(n - 1, l1 - m):
-            for ls in tuples_with_sum(n - 1, l2):
-                sol = _sl_branch_element(n, m, list(zip(ms, ls)), swap=False)
-                elements.append(
-                    BasisElement({"branch": 1, "m": m, "mr": ms, "lr": ls}, sol)
-                )
-    for mp in range(1, l2 + 1):
-        for ms in tuples_with_sum(n - 1, l1):
-            for ls in tuples_with_sum(n - 1, l2 - mp):
-                sol = _sl_branch_element(n, mp, list(zip(ms, ls)), swap=True)
-                elements.append(
-                    BasisElement({"branch": 2, "m": mp, "mr": ms, "lr": ls}, sol)
-                )
+    for branch, leads in ((1, range(l1 + 1)), (2, range(1, l2 + 1))):
+        for m in leads:
+            corner, deg_x, deg_y = ((m, 0), l1 - m, l2) if branch == 1 else ((0, m), l1, l2 - m)
+            profile = _corner_profile(corner, (1, 1), min(deg_x, deg_y))
+            for ms in tuples_with_sum(n - 1, deg_x):
+                for ls in tuples_with_sum(n - 1, deg_y):
+                    seed = tuple(e for pair in zip(ms, ls) for e in pair)
+                    sol = _closed_form_series(profile, blocks, {seed: 1}, move=move)
+                    elements.append(BasisElement({"branch": branch, "m": m, "mr": ms, "lr": ls},
+                                                 sol.to_poly(vars_, frozenset())))
     return _checked(elements, annihilator, {"n": n, "l1": l1, "l2": l2})
 
 
 def g2_module_basis(k: int) -> BasisFamily:
     """Basis of the degree-k module of the seven-variable exceptional action.
 
-    Elements are indexed by (eps, m2..m7) with eps + sum m = k, pairing the
-    variables (2,5), (3,6), (4,7); the alternating contraction series sits
-    in the kernel of the invariant Laplacian exactly.
+    Elements are indexed by (eps, m2..m7) with eps + sum m = k.  Each is the
+    series of corner d^2/dx1^2 on x1^eps and the blocks 2 d/dx_a d/dx_b of
+    the pairs (2,5), (3,6), (4,7) on x2^m2...x7^m7, so it lies in the kernel
+    of the invariant Laplacian exactly.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     vars_ = tuple(f"x{i}" for i in range(1, 8))
     annihilator = g2_laplacian(1)
+    blocks = [_BlockTable(2, (1, 1))] * 3
+    # the series runs over (x1, x2, x5, x3, x6, x4, x7), regrouped once
+    move = itemgetter(0, 1, 3, 5, 2, 4, 6)
     elements = []
     for eps in (0, 1):
         if eps > k:
             continue
+        profile = _corner_profile((eps,), (2,), k // 2)
         for ms in tuples_with_sum(6, k - eps):
-            sol = _g2_element(eps, ms, vars_)
+            seed = (ms[0], ms[3], ms[1], ms[4], ms[2], ms[5])
+            sol = _closed_form_series(profile, blocks, {seed: 1}, move=move).to_poly(vars_, frozenset())
             elements.append(BasisElement({"eps": eps, "m": ms}, sol))
     return _checked(elements, annihilator, {"k": k})
-
-
-def _g2_element(eps: int, ms, vars_) -> Polynomial:
-    # ms lists (m2..m7); contraction index i_s couples m_(s) with m_(s+3).
-    pairs = [(ms[0], ms[3]), (ms[1], ms[4]), (ms[2], ms[5])]
-    terms = {}
-    ranges = [range(min(a, b) + 1) for a, b in pairs]
-    for tup in itertools.product(*ranges):
-        big = sum(tup)
-        coeff = Fraction((-1) ** big * 2**big * multinomial(tup))
-        coeff *= Fraction(math.factorial(eps), math.factorial(eps + 2 * big))
-        for (a, b), i in zip(pairs, tup):
-            coeff *= math.comb(a, i) * math.comb(b, i) * math.factorial(i) ** 2
-        exp = [0] * 7
-        exp[0] = eps + 2 * big
-        for s, i in enumerate(tup):
-            exp[1 + s] = pairs[s][0] - i
-            exp[4 + s] = pairs[s][1] - i
-        key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(vars_, {e: c for e, c in terms.items() if c})
 
 
 # -- singular vectors ------------------------------------------------------------

@@ -919,6 +919,58 @@ def harmonic_element_by_fractions(n, eps, ells):
     return Polynomial(tuple(f"x{i}" for i in range(1, n + 1)), terms)
 
 
+def sl_branch_element_by_fractions(n, lead, pairs, swap):
+    """One sl module element with each coefficient a chain of Fraction
+    products, summed term by term: the builder ``lie.sl_module_basis`` had
+    before the closed-form series.
+
+    lead is the power of x1 (or y1 when swap), pairs lists (m_r, l_r) for
+    r = 2..n; index r contracts x_r against y_r and pumps the contracted
+    degree into the x1 y1 corner.
+    """
+    x_name = "y1" if swap else "x1"
+    y_name = "x1" if swap else "y1"
+    terms = {}
+    vars_ = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"y{i}" for i in range(1, n + 1))
+    index = {v: i for i, v in enumerate(vars_)}
+    for tup in itertools.product(*(range(min(m, l) + 1) for m, l in pairs)):
+        big = sum(tup)
+        coeff = Fraction((-1) ** big * math.factorial(lead), math.factorial(lead + big))
+        exp = [0] * (2 * n)
+        for r, (i_r, (m_r, l_r)) in enumerate(zip(tup, pairs), start=2):
+            coeff *= math.comb(m_r, i_r) * math.comb(l_r, i_r) * math.factorial(i_r)
+            exp[index[f"x{r}"]] = m_r - i_r
+            exp[index[f"y{r}"]] = l_r - i_r
+        exp[index[x_name]] = lead + big
+        exp[index[y_name]] = big
+        key = tuple(exp)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return Polynomial(vars_, {e: c for e, c in terms.items() if c})
+
+
+def g2_element_by_fractions(eps, ms):
+    """One g2 module element with each coefficient a chain of Fraction
+    products, summed term by term: the builder ``lie.g2_module_basis`` had
+    before the closed-form series.  ms lists (m2..m7); contraction index i_s
+    couples m_(s) with m_(s+3)."""
+    pairs = [(ms[0], ms[3]), (ms[1], ms[4]), (ms[2], ms[5])]
+    terms = {}
+    for tup in itertools.product(*(range(min(a, b) + 1) for a, b in pairs)):
+        big = sum(tup)
+        coeff = Fraction((-1) ** big * 2**big * multinomial(tup))
+        coeff *= Fraction(math.factorial(eps), math.factorial(eps + 2 * big))
+        for (a, b), i in zip(pairs, tup):
+            coeff *= math.comb(a, i) * math.comb(b, i) * math.factorial(i) ** 2
+        exp = [0] * 7
+        exp[0] = eps + 2 * big
+        for s, i in enumerate(tup):
+            exp[1 + s] = pairs[s][0] - i
+            exp[4 + s] = pairs[s][1] - i
+        key = tuple(exp)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return Polynomial(tuple(f"x{i}" for i in range(1, 8)), {e: c for e, c in terms.items() if c})
+
+
 def dissipation_polynomial_by_fractions(a, i):
     """xi(a, i) with a^(-k) rebuilt by k multiplications for every term."""
     from flagpde.poly import GaussianRational

@@ -609,20 +609,34 @@ def test_flag_element_with_one_coefficient_changed_fails(spec, cap, delta):
     assert rejected > len(fam)
 
 
-@given(st.lists(st.integers(0, 7), min_size=1, max_size=3), st.integers(0, 8))
-@settings(max_examples=60, deadline=None)
-def test_laplacian_terms_are_the_iterated_laplacian(ells, max_r):
-    """R! times the closed-form terms of one R is Lap^R(x^l), taken by
-    iterating the Laplacian; a bound max_r keeps exactly the terms R <= max_r."""
-    from flagpde.bases import _laplacian_tables, _laplacian_terms
+# blocks c d^beta of L: c in 1..2, beta over one or two variables, orders 1..3
+blocks_of_l = st.lists(st.tuples(st.integers(1, 2), st.lists(st.integers(1, 3), min_size=1, max_size=2)),
+                       min_size=1, max_size=3)
 
-    vs = tuple(f"x{i}" for i in range(1, len(ells) + 1))
-    tables = _laplacian_tables(max(ells))
-    terms = list(_laplacian_terms(tuple(ells), tables))
-    power = Polynomial(vs, {tuple(ells): 1})
-    for big_r in range(sum(ells) // 2 + 2):
-        want = {e: c * math.factorial(big_r) for r, c, e in terms if r == big_r}
-        assert power == Polynomial(vs, want)
-        power = sum((power.diff(v, 2) for v in vs[1:]), power.diff(vs[0], 2))
-    bounded = list(_laplacian_terms(tuple(ells), tables, max_r))
-    assert bounded == [t for t in terms if t[0] <= max_r]
+
+@given(blocks_of_l, st.data(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_laplacian_terms_are_the_iterated_laplacian(spec, data, max_r):
+    """R! times the closed-form terms of one R is L^R(x^l), taken by
+    iterating L = sum_j c_j d^(beta_j) over separate one- and two-variable
+    blocks; a bound max_r keeps exactly the terms R <= max_r.  The profile
+    s^R marks each R's terms."""
+    from flagpde.bases import _BlockTable, _closed_form_series, _profile
+
+    width = sum(len(orders) for _, orders in spec)
+    ells = tuple(data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width)))
+    xs = tuple(f"x{i}" for i in range(1, width + 1))
+    blocks, parts, i = [], [], 0
+    for c, orders in spec:
+        blocks.append(_BlockTable(c, tuple(orders)))
+        parts.append(Compose(Scale(c), *(Derivative(xs[i + j], o) for j, o in enumerate(orders))))
+        i += len(orders)
+    marker = _profile([([((r,), 1)], 1) for r in range(sum(ells) + 1)])
+    terms = _closed_form_series(marker, blocks, {ells: 1}).to_poly(("s",) + xs, frozenset()).terms
+    power = Polynomial(xs, {ells: 1})
+    for big_r in range(sum(ells) + 2):
+        want = {e[1:]: c * math.factorial(big_r) for e, c in terms.items() if e[0] == big_r}
+        assert power == Polynomial(xs, want)
+        power = Sum(parts)(power)
+    bounded = _closed_form_series(marker, blocks, {ells: 1}, max_power=max_r)
+    assert bounded.to_poly(("s",) + xs, frozenset()).terms == {e: c for e, c in terms.items() if e[0] <= max_r}

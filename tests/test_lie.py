@@ -49,7 +49,14 @@ from flagpde.operators import (
     operators_agree_on_sample,
 )
 
-from oracles import agree_on_monomials, commutation_checks_by_monomials
+from oracles import (
+    agree_on_monomials,
+    commutation_checks_by_monomials,
+    g2_element_by_fractions,
+    harmonic_element_by_fractions,
+    sl_branch_element_by_fractions,
+    typed_terms,
+)
 
 
 # -- orthogonal family --------------------------------------------------------------
@@ -105,7 +112,23 @@ def test_harmonic_module_matches_kernel_oracle():
         assert polys_in_span(sols, kernel) and polys_in_span(kernel, sols)
 
 
+@pytest.mark.parametrize("n, k", [(2, 7), (3, 6), (4, 5), (5, 4)])
+def test_harmonic_module_elements_match_fraction_products(n, k):
+    for e in harmonic_module_basis(n, k).elements:
+        want = harmonic_element_by_fractions(n, e.index["eps"], e.index["ell"])
+        assert typed_terms(e.solution) == typed_terms(want)
+
+
 # -- special linear family --------------------------------------------------------------
+
+@pytest.mark.parametrize("n, l1, l2", [(n, l1, l2) for n in (2, 3, 4) for l1 in range(4) for l2 in range(4)])
+def test_sl_elements_match_fraction_products(n, l1, l2):
+    for e in sl_module_basis(n, l1, l2).elements:
+        index = e.index
+        pairs = list(zip(index["mr"], index["lr"]))
+        want = sl_branch_element_by_fractions(n, index["m"], pairs, swap=index["branch"] == 2)
+        assert typed_terms(e.solution) == typed_terms(want)
+
 
 def test_sl_invariant_is_annihilated():
     for n in (2, 3):
@@ -299,6 +322,13 @@ def test_g2_module_bases():
     sols = [e.solution for e in fam2.elements]
     assert len(kernel) == len(sols) == polys_rank(sols)
     assert polys_in_span(sols, kernel)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_g2_elements_match_fraction_products(k):
+    for e in g2_module_basis(k).elements:
+        want = g2_element_by_fractions(e.index["eps"], e.index["m"])
+        assert typed_terms(e.solution) == typed_terms(want)
 
 
 def test_g2_module_matches_series_route():

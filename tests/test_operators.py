@@ -549,6 +549,18 @@ def test_trig_applicator_built_once_matches_termwise_oracle(op, u, v):
         shared(TrigPolynomial(u.cos_part, u.sin_part, u.frequency + 1))
 
 
+@given(trig_operators(), trig_polynomials())
+@settings(max_examples=40, deadline=None)
+def test_trig_applicator_commutes_with_the_quarter_turn(op, u):
+    """When the applicator maps (P, Q) to (A, B), it maps (-Q, P) to
+    (-B, A): the reason klein_gordon_solutions checks only its first
+    solution, whose quarter turn is the second."""
+    turned = TrigPolynomial(-u.sin_part, u.cos_part, u.frequency)
+    apply = TrigApplicator(op, u.frequency, "t", (u.cos_part, u.sin_part))
+    image = apply(u)
+    assert apply(turned) == TrigPolynomial(-image.sin_part, image.cos_part, u.frequency)
+
+
 @given(trig_operators(), trig_polynomials(),
        st.sampled_from((Integrate("x"), DampedIntegration(Fraction(2), "t"),
                         NestedRightInverse([(1, Derivative("x"))]))),
