@@ -43,7 +43,6 @@ from .lie import (
     commutation_checks,
     g2_module_basis,
     harmonic_module_basis,
-    kernel_oracle,
     sl_module_basis,
     verify_singular,
 )

@@ -4,14 +4,17 @@ Subcommands mirror the library: basis generation, the Klein-Gordon solver,
 tree validation and splitting checks, the two IVP solvers, the Lie module
 bases, and the constant-coefficient ODE helper.
 
-Exit codes: 0 on success, 2 for input problems (bad arguments, schema
-violations, invalid trees), 3 when a verification fails or a numeric series
-does not settle or overflows.  A report is json.dumps(report,
-sort_keys=True, indent=2, default=Polynomial.to_json_terms) plus a newline,
-written through --out or to stdout: the payloads keep their polynomials,
-and ``_dumps`` writes each one straight from its integer numerators.  It is
-deterministic: identical inputs produce byte-identical files; wall time is
-only printed to stderr.
+Each command returns its payload; ``main`` alone writes the report and sets
+the exit code.  Exit codes: 0 on success, 2 for input problems (bad
+arguments, schema violations, invalid trees), 3 when a verification fails
+(by an exception, before any report, or as a listed check whose status is
+"failed") or a numeric series does not settle or overflows.  A report is
+json.dumps(report, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
+plus a newline, written through --out or to stdout (a grid payload under a
+.csv --out as CSV): the payloads keep their polynomials, and ``_dumps``
+writes each one straight from its integer numerators.  It is deterministic:
+identical inputs produce byte-identical files; wall time is only printed to
+stderr.
 
 ``main`` may be called repeatedly in one process.  The argument parser is
 built once, on the first call, and every call parses into a fresh
@@ -337,19 +340,27 @@ def _write_terms(p: Polynomial, depth, out):
     out += ("\n", "  " * depth, "]")
 
 
-def _emit(args, payload, file_paths=()):
-    report = {
-        "command": args._argv,
-        "inputsDigest": _digest(args._argv, file_paths),
-        "result": payload,
-    }
-    text = _dumps(report) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
+def _emit(args, payload):
+    """Write payload's report, or a grid payload's CSV to a .csv --out.  The
+    digest covers the command line and the input files the command named."""
+    as_csv = args.out and args.out.endswith(".csv") and "grid" in payload
+    if as_csv:
+        grid = payload["grid"]
+        lines = [",".join(f"x{i + 1}" for i in range(len(grid[0]))) + ",value"]
+        lines += [",".join(map(repr, pt)) + f",{val!r}" for pt, val in zip(grid, payload["values"])]
+        text = "\n".join(lines) + "\n"
     else:
+        paths = [path for path in (getattr(args, name, None) for name in ("spec", "tree", "symbols", "data"))
+                 if path]
+        text = _dumps({"command": args._argv, "inputsDigest": _digest(args._argv, paths), "result": payload}) + "\n"
+    if not args.out:
         sys.stdout.write(text)
+        return
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    print(f"wrote {args.out}")
+    if as_csv:
+        print(json.dumps(payload["verification"], sort_keys=True))
 
 
 def _fraction(text: str) -> Fraction:
@@ -419,9 +430,7 @@ def _cmd_basis(args):
         family = anisymmetric_basis(args.n, _fraction(args.lam), args.epsilon, args.cap)
     else:
         raise InputError(f"unknown basis kind {args.kind}")
-    payload = _family_payload(family, verify_independence=not args.no_independence)
-    _emit(args, payload, file_paths=[args.spec] if getattr(args, "spec", None) else [])
-    return 0
+    return _family_payload(family, verify_independence=not args.no_independence)
 
 
 def _cmd_solve_kg(args):
@@ -436,30 +445,26 @@ def _cmd_solve_kg(args):
         "monomial": monomial,
         "solutions": [{"cos": sol.cos_part, "sin": sol.sin_part} for sol in (first, second)],
     }
-    _emit(args, _with_checks(payload, [
+    return _with_checks(payload, [
         ("series residual", "passed"),
         ("klein-gordon residual", "passed"),
-    ]))
-    return 0
+    ])
 
 
 def _cmd_tree(args):
     data = _load_json(args.tree, TREE_SCHEMA, "tree")
     tree = Tree.from_json(data)
     if args.action == "validate":
-        _emit(args, {"valid": True, "tree": tree.to_json()}, file_paths=[args.tree])
-        return 0
+        return {"valid": True, "tree": tree.to_json()}
     if args.action == "xi":
         splitting = compute_splitting(tree)
         from .operators import op_to_json
 
-        payload = {
+        return {
             "tree": tree.to_json(),
             "tricomi": op_to_json(tricomi_operator(tree)),
             "exponents": splitting.exponents,
         }
-        _emit(args, payload, file_paths=[args.tree])
-        return 0
     if args.action == "check-splitting":
         report = check_splitting(tree, args.cap, args.tcap)
         payload = {
@@ -470,8 +475,7 @@ def _cmd_tree(args):
             "proof": report.proof,
         }
         # check_splitting raises VerificationError on the first mismatch
-        _emit(args, _with_checks(payload, [("splitting", "passed")]), file_paths=[args.tree])
-        return 0
+        return _with_checks(payload, [("splitting", "passed")])
     raise InputError(f"unknown tree action {args.action}")
 
 
@@ -532,9 +536,7 @@ def _cmd_ivp_flag(args):
     axes = [(0.0, 1.0)] + [(-a, a) for a in half_widths]
     points = _grid_points(args.grid, axes)
     solution = solve_flag_ivp(symbols, traces, points, check_tol=IVP_TOLERANCE)
-    payload = _ivp_payload(points, solution.values, solution.trace_residual)
-    _write_ivp(args, payload, points, solution.values, [args.symbols, args.data])
-    return 0
+    return _ivp_payload(points, solution.values, solution.trace_residual)
 
 
 def _cmd_ivp_tree(args):
@@ -549,8 +551,7 @@ def _cmd_ivp_tree(args):
     solution = solve_tree_wave_ivp(tree, g0, g1, t, points, check_tol=IVP_TOLERANCE)
     payload = _ivp_payload(points, solution.values, solution.trace_residual)
     payload["t"] = t
-    _write_ivp(args, payload, points, solution.values, [args.tree, args.data])
-    return 0
+    return payload
 
 
 def _ivp_payload(points, values, residual):
@@ -563,19 +564,6 @@ def _ivp_payload(points, values, residual):
             "passed": residual <= IVP_TOLERANCE,
         },
     }
-
-
-def _write_ivp(args, payload, points, values, file_paths):
-    if getattr(args, "out", None) and args.out.endswith(".csv"):
-        with open(args.out, "w") as fh:
-            width = len(points[0])
-            fh.write(",".join(f"x{i + 1}" for i in range(width)) + ",value\n")
-            for pt, val in zip(points, values):
-                fh.write(",".join(repr(c) for c in pt) + f",{val!r}\n")
-        print(f"wrote {args.out}")
-        print(json.dumps(payload["verification"], sort_keys=True))
-    else:
-        _emit(args, payload, file_paths=file_paths)
 
 
 def _cmd_lie(args):
@@ -598,18 +586,17 @@ def _cmd_lie(args):
         family = g2_module_basis(args.k)
         extra = _singular_weight(g2_singular_config(), variable("x4") ** args.k)
     elif args.kind == "check":
-        report = commutation_checks()
-        failed = [k for k, v in report.items() if v is False]
-        _emit(args, {"checks": {k: v for k, v in report.items()}, "failed": failed})
-        return 3 if failed else 0
+        report = commutation_checks(args.n)
+        reading = report.pop("laplacian reading")
+        return _with_checks({"laplacianReading": reading},
+                            [(name, "passed" if ok else "failed") for name, ok in report.items()])
     else:
         raise InputError(f"unknown lie kind {args.kind}")
     payload = _family_payload(family, verify_independence=True)
     payload.update(extra)
     payload["annihilated"] = any(c["name"] == "annihilation" and c["status"] == "passed"
                                  for c in payload["checks"])
-    _emit(args, payload)
-    return 0
+    return payload
 
 
 def _singular_weight(config, top):
@@ -631,14 +618,12 @@ def _cmd_ode(args):
     exact = all(d == c for d, c in zip(derivs, problem.initial))
     if not exact:
         raise VerificationError("initial derivatives not reproduced exactly")
-    payload = {
+    # the float value is not checked; the list shows the one check that ran
+    return _with_checks({
         "t": args.t,
         "value": value,
         "initialDerivatives": [str(d) for d in derivs],
-        "verified": True,
-    }
-    _emit(args, payload)
-    return 0
+    }, [("initial derivatives", "passed")])
 
 
 @functools.cache
@@ -652,7 +637,6 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--out", help="write the result JSON (or CSV for grids) here")
-        p.add_argument("--seed", type=int, default=0, help="kept for compatibility; seeds nothing")
 
     p = sub.add_parser("basis", help="generate a verified solution family")
     p.add_argument("kind", choices=["constant", "harmonic", "flag", "dissipative", "anisym"])
@@ -728,7 +712,8 @@ def main(argv=None) -> int:
     args._argv = argv
     started = time.monotonic()
     try:
-        code = args.func(args)
+        payload = args.func(args)
+        _emit(args, payload)
     except ValueError as err:  # InputError and trees.InvalidTreeError among them
         print(f"input error: {err}", file=sys.stderr)
         return 2
@@ -739,7 +724,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
     print(f"wall time: {time.monotonic() - started:.3f}s", file=sys.stderr)
-    return code
+    return 3 if any(check["status"] == "failed" for check in payload.get("checks", ())) else 0
 
 
 if __name__ == "__main__":

@@ -7,9 +7,7 @@ contragredient twist on the y block, and the exceptional family through
 fourteen sparse seven-by-seven matrices whose entries p + q*sqrt(2) hold
 integer p and q; entry (i, j) becomes the term x_i d/dx_j, split into a
 rational and a sqrt(2) part.  The module bases are series of
-``bases._closed_form_series``.  ``kernel_oracle`` is
-``linalg.kernel_on_slice``, the exact kernel of an operator on a graded
-monomial slice, under the name this module has always exported.
+``bases._closed_form_series``.
 
 The commutation suite proves its operator identities instead of sampling
 them: both sides are brought to the normal form sum_alpha c_alpha d^alpha
@@ -41,7 +39,7 @@ from .bases import (
     _harmonic_elements,
 )
 from .combinatorics import tuples_with_sum
-from .linalg import _remainder, _row_reduce, kernel_on_slice
+from .linalg import _remainder, _row_reduce
 from .operators import (
     Compose,
     Derivative,
@@ -67,7 +65,6 @@ __all__ = [
     "g2_module_basis",
     "g2_polynomial_action",
     "harmonic_module_basis",
-    "kernel_oracle",
     "select_g2_laplacian_reading",
     "sl_cartan",
     "sl_generator",
@@ -488,12 +485,6 @@ def g2_singular_config() -> SingularConfig:
     return SingularConfig(positives, cartans)
 
 
-# -- kernel oracle ------------------------------------------------------------------
-
-# the slice kernel under its public name in this module
-kernel_oracle = kernel_on_slice
-
-
 # -- commutation suite ----------------------------------------------------------------
 
 def commutation_checks(n_sl: int = 2, max_degree: int = 3) -> dict:
@@ -507,7 +498,10 @@ def commutation_checks(n_sl: int = 2, max_degree: int = 3) -> dict:
     signature only and does not change the result.  The seven-variable
     Laplacian's reading and its two laws come from the proof that
     select_g2_laplacian_reading runs once per process, on first use.
+    n_sl below 2 is an error: sl(0) and sl(1) would pass vacuously.
     """
+    if n_sl < 2:
+        raise ValueError(f"need n_sl >= 2, got {n_sl}")
     report = {}
 
     zeta = sl_invariant(n_sl)

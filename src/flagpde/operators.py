@@ -34,8 +34,12 @@ Leibniz terms of A after B and B after A that cancel.
 without a normal form it compares as integer forms on every monomial of
 degree <= 2, and ``SeriesConfig`` proves its right-inverse law through
 it.  ``form_applicator``
-applies one over the order ``apply`` uses; every residual check runs
-through it.  ``form_map`` applies one over a caller's order, for an
+applies one over the order ``apply`` uses.  The family annihilation check,
+``solve_by_series``, ``right_inverse_series`` and
+``bases.power_perturbation_solve`` check their residuals through it;
+``bases.twisted_flag_solve``, ``dissipative.epd_transform`` and
+``lie.verify_singular`` check theirs through ``apply`` and Polynomial
+arithmetic.  ``form_map`` applies one over a caller's order, for an
 operator that a call applies again and again, or to a whole tagged batch
 at once (``linalg.kernel_on_slice``).
 

@@ -331,10 +331,9 @@ def test_criterion_9_determinism(tmp_path):
 
     out = tmp_path / "det.json"
     for args in (
-        ["basis", "harmonic", "--n", "3", "--cap", "3", "--seed", "0", "--out", str(out)],
-        ["lie", "g2", "--k", "1", "--seed", "0", "--out", str(out)],
-        ["solve", "klein-gordon", "--a", "1/2", "--monomial", "0,2,0", "--seed", "0",
-         "--out", str(out)],
+        ["basis", "harmonic", "--n", "3", "--cap", "3", "--out", str(out)],
+        ["lie", "g2", "--k", "1", "--out", str(out)],
+        ["solve", "klein-gordon", "--a", "1/2", "--monomial", "0,2,0", "--out", str(out)],
     ):
         assert main(list(args)) == 0
         first = out.read_bytes()

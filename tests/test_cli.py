@@ -77,16 +77,11 @@ def test_solve_klein_gordon(tmp_path):
 
 
 def test_solve_klein_gordon_ignores_the_seed(tmp_path):
-    """--seed is accepted and seeds nothing: the result bytes agree.  The
-    report echoes the command line, so only "result" is compared."""
-    results = []
-    for seed in ("5", "0"):
-        out = tmp_path / f"kg-{seed}.json"
-        args = ["solve", "klein-gordon", "--a", "1/2", "--monomial", "2,1,1", "--seed", seed]
-        assert run_cli(args + ["--out", str(out)]) == 0
-        result = json.loads(out.read_text())["result"]
-        results.append(json.dumps(result, sort_keys=True, indent=2).encode())
-    assert results[0] == results[1]
+    """--seed seeded nothing and is gone: it is now an unknown argument."""
+    out = tmp_path / "kg.json"
+    args = ["solve", "klein-gordon", "--a", "1/2", "--monomial", "2,1,1", "--seed", "7", "--out", str(out)]
+    assert run_cli(args) == 2
+    assert not out.exists()
 
 
 def test_tree_validate_rejects_bad_tree(tmp_path):
@@ -119,7 +114,7 @@ def test_tree_xi_and_splitting(tmp_path):
     assert json.loads(out.read_text())["result"]["proof"] is True
 
 
-def test_ivp_flag_grid(tmp_path):
+def test_ivp_flag_grid(tmp_path, capsys):
     symbols = tmp_path / "symbols.json"
     symbols.write_text(json.dumps({
         "variables": ["D2"],
@@ -139,6 +134,9 @@ def test_ivp_flag_grid(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x1,x2,value"
     assert len(lines) == 10
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"wrote {out}"
+    assert json.loads(printed[1])["passed"] is True
 
 
 def test_ivp_tree_wave_grid(tmp_path):
@@ -174,6 +172,9 @@ def test_ode_subcommand(tmp_path):
     import math
 
     assert abs(data["result"]["value"] - math.cos(1.0)) < 1e-10
+    # the float value is unchecked, so the one listed check is the exact one
+    assert data["result"]["checks"] == [{"name": "initial derivatives", "status": "passed"}]
+    assert data["result"]["verified"] is True
 
 
 def test_ode_large_frequency(tmp_path):
@@ -271,7 +272,7 @@ def test_verification_failure_maps_to_exit_three(monkeypatch):
 
 def test_determinism_byte_identical(tmp_path):
     out = tmp_path / "a.json"
-    args = ["basis", "harmonic", "--n", "3", "--cap", "3", "--seed", "0", "--out", str(out)]
+    args = ["basis", "harmonic", "--n", "3", "--cap", "3", "--out", str(out)]
     assert run_cli(args) == 0
     first = out.read_bytes()
     assert run_cli(args) == 0
@@ -734,7 +735,7 @@ def _report_inputs(tmp_path):
     return {name: _write(tmp_path, f"{name}.json", json.dumps(data)) for name, data in files.items()}
 
 
-@pytest.mark.parametrize("args", [
+_ONE_OF_EACH_KIND = [
     ["basis", "constant", "--orders", "2,2", "--cap", "3"],
     ["basis", "harmonic", "--n", "3", "--cap", "3"],
     ["basis", "flag", "--spec", "{spec}", "--cap", "3"],
@@ -749,13 +750,90 @@ def _report_inputs(tmp_path):
     ["ivp", "flag", "--orders", "2", "--symbols", "{symbols}", "--data", "{flag}", "--grid", "3x3"],
     ["ivp", "tree-wave", "--tree", "{tree}", "--data", "{wave}", "--t", "0.05", "--grid", "2x2x2"],
     ["ode", "--coeffs", "0,-1", "--init", "1,0", "--t", "1.0"],
-], ids=lambda args: " ".join(a for a in args[:2] if not a.startswith("-")))
+]
+
+
+def _kind(args):
+    return " ".join(a for a in args[:2] if not a.startswith("-"))
+
+
+@pytest.mark.parametrize("args", _ONE_OF_EACH_KIND, ids=_kind)
 def test_report_is_its_indented_json_encoding(tmp_path, args):
     paths = _report_inputs(tmp_path)
     out = tmp_path / "out.json"
     assert run_cli([a.format(**paths) for a in args] + ["--out", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+
+@pytest.mark.parametrize("args", _ONE_OF_EACH_KIND, ids=_kind)
+def test_verified_means_every_listed_check_passed(tmp_path, args):
+    paths = _report_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    assert run_cli([a.format(**paths) for a in args] + ["--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    if "checks" in result:
+        assert result["verified"] is all(c["status"] == "passed" for c in result["checks"])
+    else:  # no "verified" without the checks it stands for
+        assert "verified" not in result
+
+
+def test_inputs_digest_covers_the_named_input_files(tmp_path):
+    paths = _report_inputs(tmp_path)
+    out = str(tmp_path / "out.json")
+    for argv, files in [
+        (["basis", "flag", "--spec", paths["spec"], "--cap", "2", "--out", out], [paths["spec"]]),
+        (["ivp", "flag", "--orders", "2", "--symbols", paths["symbols"], "--data", paths["flag"],
+          "--grid", "2x2", "--out", out], [paths["symbols"], paths["flag"]]),
+        (["ivp", "tree-wave", "--tree", paths["tree"], "--data", paths["wave"], "--t", "0.05",
+          "--grid", "2x2x2", "--out", out], [paths["tree"], paths["wave"]]),
+    ]:
+        assert run_cli(argv) == 0
+        assert json.loads(Path(out).read_text())["inputsDigest"] == cli._digest(argv, files)
+
+
+def test_lie_check_lists_its_checks(tmp_path):
+    out = tmp_path / "lie.json"
+    assert run_cli(["lie", "check", "--n", "2", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert set(result) == {"checks", "laplacianReading", "verified"}
+    assert result["laplacianReading"] == 1 and result["verified"] is True
+    assert [c["name"] for c in result["checks"]] == [
+        name for name in flagpde.commutation_checks(2) if name != "laplacian reading"]
+    assert {c["status"] for c in result["checks"]} == {"passed"}
+
+
+def test_lie_check_honours_n(monkeypatch):
+    seen = []
+
+    def recorded(n_sl):
+        seen.append(n_sl)
+        return {"laplacian reading": 1, "zeta invariant": True}
+
+    monkeypatch.setattr(cli, "commutation_checks", recorded)
+    assert run_cli(["lie", "check", "--n", "4"]) == 0
+    assert run_cli(["lie", "check"]) == 0
+    assert seen == [4, 3]
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+def test_lie_check_below_sl2_exits_two(capsys, n):
+    assert run_cli(["lie", "check", "--n", n]) == 2
+    assert "need n_sl >= 2" in capsys.readouterr().err
+
+
+def test_lie_check_failure_writes_its_report_and_exits_three(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "commutation_checks", lambda n_sl: {
+        "zeta invariant": True, "laplacian reading": 1, "closure": False})
+    out = tmp_path / "lie.json"
+    assert run_cli(["lie", "check", "--out", str(out)]) == 3
+    result = json.loads(out.read_text())["result"]
+    assert result == {
+        "checks": [{"name": "zeta invariant", "status": "passed"}, {"name": "closure", "status": "failed"}],
+        "laplacianReading": 1,
+        "verified": False,
+    }
 
 
 def test_repeated_main_calls_share_no_argument_state(tmp_path):

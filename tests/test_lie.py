@@ -8,7 +8,6 @@ from flagpde import (
     commutation_checks,
     g2_module_basis,
     harmonic_module_basis,
-    kernel_oracle,
     sl_module_basis,
     variable,
     verify_singular,
@@ -34,6 +33,7 @@ from flagpde.lie import (
 )
 from flagpde.linalg import (
     bidegree_monomials,
+    kernel_on_slice,
     monomials_of_degree,
     polys_in_span,
     polys_rank,
@@ -106,7 +106,7 @@ def test_harmonic_module_matches_kernel_oracle():
     for n, k in ((3, 3), (4, 2), (2, 4), (3, 5), (4, 5)):
         fam = harmonic_module_basis(n, k)
         vars_ = tuple(f"x{i}" for i in range(1, n + 1))
-        kernel = kernel_oracle(fam.annihilator, monomials_of_degree(vars_, k))
+        kernel = kernel_on_slice(fam.annihilator, monomials_of_degree(vars_, k))
         sols = [e.solution for e in fam.elements]
         assert len(kernel) == len(sols) == polys_rank(sols)
         assert polys_in_span(sols, kernel) and polys_in_span(kernel, sols)
@@ -148,7 +148,7 @@ def _sl_module_checked(n, l1, l2):
     assert fam.verify_independence()
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     y_vars = tuple(f"y{i}" for i in range(1, n + 1))
-    kernel = kernel_oracle(sl_laplacian(n), bidegree_monomials(x_vars, y_vars, l1, l2))
+    kernel = kernel_on_slice(sl_laplacian(n), bidegree_monomials(x_vars, y_vars, l1, l2))
     assert len(kernel) == len(fam)
     return fam
 
@@ -318,7 +318,7 @@ def test_g2_module_bases():
     assert any(e.solution == variable("x4") for e in fam1.elements)
     fam2 = g2_module_basis(2)
     vars_ = tuple(f"x{i}" for i in range(1, 8))
-    kernel = kernel_oracle(g2_laplacian(1), monomials_of_degree(vars_, 2))
+    kernel = kernel_on_slice(g2_laplacian(1), monomials_of_degree(vars_, 2))
     sols = [e.solution for e in fam2.elements]
     assert len(kernel) == len(sols) == polys_rank(sols)
     assert polys_in_span(sols, kernel)
@@ -371,15 +371,21 @@ def test_g2_decomposition_of_degree_two():
 def test_kernel_oracle_simple_cases():
     lap = Sum((Derivative("x", 2), Derivative("y", 2)))
     cubics = monomials_of_degree(("x", "y"), 3)
-    assert len(kernel_oracle(lap, cubics)) == 2
+    assert len(kernel_on_slice(lap, cubics)) == 2
     zero_op = Sum(())
-    assert len(kernel_oracle(zero_op, cubics)) == len(cubics)
+    assert len(kernel_on_slice(zero_op, cubics)) == len(cubics)
 
 
 def test_commutation_suite_all_green():
     report = commutation_checks()
     failures = [k for k, v in report.items() if v is False]
     assert not failures, failures
+
+
+@pytest.mark.parametrize("n_sl", (1, 0, -1))
+def test_commutation_checks_reject_an_sl_below_two(n_sl):
+    with pytest.raises(ValueError, match="need n_sl >= 2"):
+        commutation_checks(n_sl)
 
 
 @pytest.mark.parametrize("max_degree", range(5))
