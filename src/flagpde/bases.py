@@ -2,10 +2,15 @@
 
 Every generator in this module produces a BasisFamily: an indexed list of
 exact polynomial solutions together with the operator they are solutions
-of.  Annihilation is asserted at generation time, through one
-``operators.form_applicator`` for all elements, so a returned family is
-already verified; linear independence and desk-scale completeness checks
-live in ``verify_independence`` and the test suite's kernel oracles.
+of.  Annihilation is proved at generation time, so a returned family is
+already verified: the closed-form families below by the series lemma
+(``_SeriesLemma``), whose certificate checks the tables and profiles the
+elements are folded from once per family; ``flag_basis`` and the
+negative odd lambda anisymmetric family end to end, through one
+``operators.form_applicator`` for all elements
+(``BasisFamily.verify_annihilation``).  Linear independence and
+desk-scale completeness checks live in ``verify_independence`` and the
+test suite's kernel oracles.
 
 Every constant-coefficient family (constant, harmonic, damped-wave,
 anisymmetric, sl and g2) is one series u = sum_R p_R L^R(x^l), built by
@@ -25,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .combinatorics import multinomial, tuples_with_sum, tuples_with_sum_at_most
@@ -32,6 +38,7 @@ from .linalg import polys_rank
 from .operators import (
     Compose,
     Derivative,
+    FormApplicator,
     Integrate,
     LinearOperator,
     MultiplyBy,
@@ -41,9 +48,12 @@ from .operators import (
     SeriesConfig,
     Sum,
     VerificationError,
+    _add_form_term,
     _chain_order,
+    differential_form,
     form_applicator,
     form_map,
+    forms_commute,
     operator_variables,
     operators_agree_on_sample,
     solve_by_series,
@@ -142,9 +152,14 @@ def _json_scalar(v):
     return v
 
 
-def _checked(elements, annihilator, truncation) -> BasisFamily:
+def _checked(elements, annihilator, truncation, lemma=None) -> BasisFamily:
+    """The family, its annihilation proved by the lemma's certificate when a
+    ``_SeriesLemma`` built the elements, else checked on every element."""
     fam = BasisFamily(elements, annihilator, truncation)
-    fam.verify_annihilation()
+    if lemma is None:
+        fam.verify_annihilation()
+    else:
+        lemma.prove(annihilator)
     return fam
 
 
@@ -247,6 +262,91 @@ def _closed_form_series(profile, blocks, seed: dict, den: int = 1, max_power=Non
     return _reduced(re, {}, d * den)
 
 
+class _SeriesLemma:
+    """The operators of one closed-form family, the series that builds its
+    elements, and the lemma that proves them solutions.
+
+    The caller states A = K + M L: K on the corner variables, the corner
+    multiplier M (a Polynomial in them) and the blocks (c, beta, variables)
+    of L = sum_j c_j d^(beta_j) on disjoint others.  For u = sum_(R <= T)
+    p_R L^R(seed), K p_0 = 0, K p_R = -M p_(R-1) and L^(T+1)(seed) = 0 give
+    A u = M p_T L^(T+1)(seed) = 0.  ``prove`` checks that once per family,
+    whatever the element count, on the tables and profiles ``element``
+    used: the block c d^beta maps each table entry r to (r+1) times entry
+    r+1 and the last to 0, from entry 0 = x^l, so entry r is B^r(x^l)/r!
+    and the series reaches L^(T+1)(seed) = 0; every profile's
+    P_R = R! p_R has K P_0 = 0 and K P_R = -R M P_(R-1); and A has the
+    normal form of K + M L.  The multinomial fold of
+    ``_closed_form_series`` (the tables of commuting blocks give L^R/R!)
+    stays trusted; the tests check it against the iterated L, and every
+    lemma family against ``BasisFamily.verify_annihilation``.
+    """
+
+    __slots__ = ("corner", "operator", "multiplier", "blocks", "variables", "layout", "_move", "_profiles")
+
+    def __init__(self, corner: tuple, operator: LinearOperator, multiplier: Polynomial,
+                 blocks, variables: tuple):
+        self.corner, self.operator, self.multiplier, self.variables = corner, operator, multiplier, variables
+        tables = {}
+        self.blocks = [(tables.setdefault((c, orders), _BlockTable(c, orders)), vs) for c, orders, vs in blocks]
+        # the series runs over the corner variables, then each block's
+        self.layout = layout = corner + sum((vs for _, vs in self.blocks), ())
+        self._move = None if layout == variables else itemgetter(*map(layout.index, variables))
+        self._profiles = {}
+
+    def element(self, profile, seed: dict, den: int = 1, max_power=None) -> Polynomial:
+        """``_closed_form_series`` over the blocks, as a Polynomial over the
+        family's variables.  A series cut at max_power does not meet the
+        lemma's L^(T+1)(seed) = 0, so its family is checked end to end."""
+        self._profiles[id(profile)] = profile
+        form = _closed_form_series(profile, [t for t, _ in self.blocks], seed, den, max_power, self._move)
+        return form.to_poly(self.variables, frozenset())
+
+    def prove(self, annihilator: LinearOperator):
+        """The lemma's checks (class docstring); VerificationError on a failure."""
+        corner, layout, blocks = self.corner, self.layout, self.blocks
+        if (len(set(layout)) != len(layout) or not operator_variables(self.operator) <= set(corner)
+                or not self.multiplier.support_vars() <= set(corner)
+                or not operator_variables(annihilator) <= set(layout)):
+            raise VerificationError("series lemma: K and M must act on the corner variables, "
+                                    "the blocks on disjoint others, and A on these alone")
+        k = differential_form(self.operator, layout)
+        m = _int_form(self.multiplier, layout)
+        # the normal form of K + M L: M c_j at d^(beta_j), block by block
+        stated = dict(k)
+        for table, vs in blocks:
+            _add_form_term(stated, tuple(zip(map(layout.index, vs), table.orders)), m.scaled(table.coeff))
+        if differential_form(annihilator, layout) != stated:
+            raise VerificationError("series lemma: the annihilator is not K + M L")
+        for table in {id(t): t for t, _ in blocks}.values():
+            c, orders = table.coeff, table.orders
+            for l, entries in table.items():
+                stepped, r, n, e, rem = [], 0, 1, l, 0
+                while n and not rem:
+                    stepped.append((r, n, e))
+                    n, rem = divmod(c * n * math.prod(map(math.perm, e, orders)), r + 1)
+                    r, e = r + 1, tuple(a - o for a, o in zip(e, orders))
+                if rem or entries != stepped:
+                    raise VerificationError(f"series lemma: the table of {c} d^{orders} at {l} "
+                                            f"is not its block's powers")
+        apply_k = FormApplicator(k, layout, frozenset()).apply_form
+        pad = (0,) * (len(layout) - len(corner))
+        for profile in self._profiles.values():
+            # every top's entries are the last top's over a divisor of its denominator
+            d_last, last = profile[-1]
+            if any(d_last % d or [[(j, a * (d_last // d)) for j, a in pairs] for pairs in scaled]
+                   != last[: len(scaled)] for d, scaled in profile):
+                raise VerificationError("series lemma: the profile's tops disagree")
+            prev = None
+            for r, pairs in enumerate(last):
+                p = _IntForm({j + pad: a for j, a in pairs}, {}, 1)
+                image = apply_k(p) if prev is None else apply_k(p) + (m * prev).scaled(r)
+                if image:
+                    raise VerificationError(f"series lemma: profile entry {r} breaks "
+                                            f"K P_R = -R M P_(R-1)")
+                prev = p
+
+
 # -- constant-coefficient equations -------------------------------------------
 
 def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
@@ -254,6 +354,9 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
 
     Elements are indexed by (l1 in 0..m1-1, l2.., ln) with l2 + ... + ln <= cap:
     the series of corner d^(m1)/dx1^(m1) on x1^l1 and the blocks d^(m_i)/dx_i^(m_i).
+    The lemma (``_SeriesLemma``) proves them with K = d^(m1)/dx1^(m1), M = 1
+    and P_R = (-1)^R R! (K^(-R))(x1^l1), so K P_0 = 0 (l1 < m1) and
+    K P_R = -R P_(R-1).
     """
     orders = tuple(int(m) for m in orders)
     n = len(orders)
@@ -265,14 +368,14 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
     vars_ = _default_vars(n)
     annihilator = Sum(Derivative(v, m) for v, m in zip(vars_, orders))
     m1 = orders[0]
-    blocks = [_BlockTable(1, (m,)) for m in orders[1:]]
+    lemma = _SeriesLemma(vars_[:1], Derivative(vars_[0], m1), Polynomial.const(1),
+                         [(1, (m,), (v,)) for v, m in zip(vars_[1:], orders[1:])], vars_)
     elements = []
     for l1 in range(m1):
         profile = _corner_profile((l1,), (m1,), cap)
         for rest in tuples_with_sum_at_most(n - 1, cap):
-            sol = _closed_form_series(profile, blocks, {rest: 1}).to_poly(vars_, frozenset())
-            elements.append(BasisElement({"ell": (l1,) + rest}, sol))
-    return _checked(elements, annihilator, {"cap": cap, "orders": list(orders)})
+            elements.append(BasisElement({"ell": (l1,) + rest}, lemma.element(profile, {rest: 1})))
+    return _checked(elements, annihilator, {"cap": cap, "orders": list(orders)}, lemma)
 
 
 # -- harmonic polynomials ------------------------------------------------------
@@ -301,21 +404,24 @@ def harmonic_basis(n: int, cap: int) -> BasisFamily:
         raise ValueError("need at least two variables")
     _check_cap(cap)
     annihilator = Sum(Derivative(v, 2) for v in _default_vars(n))
-    return _checked(_harmonic_elements(n, cap, tuples_with_sum_at_most), annihilator, {"cap": cap, "n": n})
+    elements, lemma = _harmonic_elements(n, cap, tuples_with_sum_at_most)
+    return _checked(elements, annihilator, {"cap": cap, "n": n}, lemma)
 
 
-def _harmonic_elements(n: int, cap: int, ells_of) -> list:
+def _harmonic_elements(n: int, cap: int, ells_of) -> tuple:
     """The elements of ``harmonic_element`` for eps in {0, 1} and l2..ln in
-    ells_of(n - 1, cap - eps), with one block table and one profile per eps."""
+    ells_of(n - 1, cap - eps), and the lemma that built them: K = d^2/dx1^2,
+    M = 1, the blocks d^2/dx_i^2 (one table) and one profile
+    P_R = (-1)^R R! (K^(-R))(x1^eps) per eps, with K P_R = -R P_(R-1)."""
     vars_ = _default_vars(n)
-    blocks = [_BlockTable(1, (2,))] * (n - 1)
+    lemma = _SeriesLemma(vars_[:1], Derivative(vars_[0], 2), Polynomial.const(1),
+                         [(1, (2,), (v,)) for v in vars_[1:]], vars_)
     elements = []
     for eps in range(min(cap, 1) + 1):
         profile = _corner_profile((eps,), (2,), cap // 2)
         for ells in ells_of(n - 1, cap - eps):
-            sol = _closed_form_series(profile, blocks, {ells: 1}).to_poly(vars_, frozenset())
-            elements.append(BasisElement({"eps": eps, "ell": ells}, sol))
-    return elements
+            elements.append(BasisElement({"eps": eps, "ell": ells}, lemma.element(profile, {ells: 1})))
+    return elements, lemma
 
 
 # -- general flag equations ------------------------------------------------------
@@ -488,7 +594,8 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     """Kernel element of T0^m - sum_p T0^(m-p) T_p from seeds h, g.
 
     T0 must commute with each perturbation and the perturbations with each
-    other, proved by comparing normal forms (``operators_agree_on_sample``);
+    other, proved on the m+1 normal forms, built once (``forms_commute``),
+    or by ``operators_agree_on_sample`` for an operator without one;
     T0^m must annihilate h.  The output is the multinomial series over
     tuples (i_1..i_m) weighting (T0inv)^(sum p*i_p)(h) with
     prod T_p^(i_p)(g), verified exactly.
@@ -499,8 +606,14 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     vars_ = operator_variables(t0) | {v for op in perturbations for v in operator_variables(op)}
     vars_ |= set(h.vars) | set(g.vars)
     ops = [t0, *perturbations]
+    order, _ = _chain_order([], ops)
+    forms = [differential_form(op, order) for op in ops]
     for a, b in itertools.combinations(range(m + 1), 2):
-        if not operators_agree_on_sample(Compose(ops[a], ops[b]), Compose(ops[b], ops[a]), vars_):
+        if forms[a] is not None and forms[b] is not None:
+            commute = forms_commute(forms[a], forms[b])
+        else:
+            commute = operators_agree_on_sample(Compose(ops[a], ops[b]), Compose(ops[b], ops[a]), vars_)
+        if not commute:
             failed = f"T0 does not commute with T{b}" if a == 0 else f"T{a} and T{b} do not commute"
             raise OperatorHypothesisError(f"power-perturbation hypotheses violated: {failed}")
     vs, laurent = _chain_order([h, g], [t0_inverse, t0, *perturbations])

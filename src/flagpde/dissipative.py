@@ -6,21 +6,24 @@ produces the family of dissipation polynomials xi(a, i), which satisfy the
 exact descent d(xi_i) = xi_(i-1); they supply the time dependence of every
 family in this module, with the purely imaginary a = 2*freq*sqrt(-1) in
 the Klein-Gordon case.  The damped-wave and anisymmetric families are
-series sum_R p_R(t) Lap^R(seed) of ``bases._closed_form_series``.
+series sum_R p_R(t) Lap^R(seed) of ``bases._closed_form_series``, proved
+solutions by ``bases._SeriesLemma`` (the negative odd lambda family
+element by element).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .bases import (
     BasisElement,
     BasisFamily,
-    _BlockTable,
     _check_cap,
     _checked,
     _closed_form_series,
     _profile,
+    _SeriesLemma,
 )
 from .combinatorics import tuples_with_sum_at_most
 from .operators import (
@@ -97,7 +100,10 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
     The element for index l is sum_i xi(1, i)(t) * Lap^i(x^l), the series
     of ``bases._closed_form_series`` with profile xi(1, i) and one block
     d^2/dx_i^2 per variable; the Laplacian powers terminate and each xi
-    supplies the matching time correction.
+    supplies the matching time correction.  The lemma
+    (``bases._SeriesLemma``) proves it with K = d^2/dt^2 + d/dt, M = -1 and
+    P_R = R! xi(1, R), so K P_0 = 0 and K P_R = R P_(R-1) (the descent
+    d(xi_R) = xi_(R-1)).
     """
     if n < 1:
         raise ValueError("need at least one spatial variable")
@@ -111,14 +117,12 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
             Compose(Scale(Fraction(-1)), lap),
         )
     )
-    vs = ("t",) + x_vars
-    blocks = [_BlockTable(1, (2,))] * n
+    lemma = _SeriesLemma(("t",), Sum((Derivative("t", 2), Derivative("t", 1))), Polynomial.const(-1),
+                         [(1, (2,), (x,)) for x in x_vars], ("t",) + x_vars)
     profile = _folded_profile(dissipation_polynomial(Fraction(1), r) for r in range(cap // 2 + 1))
-    elements = [
-        BasisElement({"ell": ell}, _closed_form_series(profile, blocks, {ell: 1}).to_poly(vs, frozenset()))
-        for ell in tuples_with_sum_at_most(n, cap)
-    ]
-    return _checked(elements, annihilator, {"cap": cap, "n": n})
+    elements = [BasisElement({"ell": ell}, lemma.element(profile, {ell: 1}))
+                for ell in tuples_with_sum_at_most(n, cap)]
+    return _checked(elements, annihilator, {"cap": cap, "n": n}, lemma)
 
 
 def _folded_profile(polys) -> list:
@@ -167,6 +171,11 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     over the seed monomials; negative even integers add an extra branch
     with the t^(1-lam) profiles; negative odd integers lam = -2k-1 restrict
     the first branch to seeds killed by Lap^(k+1) and keep the second.
+    The lemma (``bases._SeriesLemma``) proves the first two regimes with
+    K = t d^2/dt^2 + lam d/dt, M = -eps t and P_R = R! eps^R phi_R (or
+    psi_R), so K P_0 = 0 and K P_R = R eps t P_(R-1).  Its phi branch is
+    cut at R = k, which the tables do not prove, so the negative odd
+    family is checked on every element.
     """
     if n < 1:
         raise ValueError("need at least one spatial variable")
@@ -187,21 +196,16 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         )
     )
     kind = classify_lambda(lam)
-
-    vs = ("t",) + x_vars
-    blocks = [_BlockTable(1, (2,))] * n
+    weighted_t = Sum((Compose(MultiplyBy(t_poly), Derivative("t", 2)), Compose(Scale(lam), Derivative("t", 1))))
+    lemma = _SeriesLemma(("t",), weighted_t, -epsilon * t_poly, [(1, (2,), (x,)) for x in x_vars],
+                         ("t",) + x_vars)
 
     def branch(seeds, factor, top, name, max_power=None):
         """One element per (ell, (seed, den)) pair: sum_R eps^R factor(lam, R)
         Lap^R(seed) for R <= top, with the profiles read once per family."""
         profile = _folded_profile(epsilon**r * factor(lam, r) for r in range(top + 1))
-        return [
-            BasisElement(
-                {"ell": ell, "branch": name},
-                _closed_form_series(profile, blocks, seed, den, max_power).to_poly(vs, frozenset()),
-            )
-            for ell, (seed, den) in seeds
-        ]
+        return [BasisElement({"ell": ell, "branch": name}, lemma.element(profile, seed, den, max_power))
+                for ell, (seed, den) in seeds]
 
     monomials = [(ell, ({ell: 1}, 1)) for ell in tuples_with_sum_at_most(n, cap)]
     if kind == "negative_odd":
@@ -210,12 +214,13 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         # x1^l1 x_rest^rest, l1 < 2k+2: the series over the Laplacian of x2..xn
         # with p_R = (-1)^R C(k+R, R) x1^(l1+2R)/(l1+2R)!
         k = (-int(lam) - 1) // 2
+        blocks = [table for table, _ in lemma.blocks[1:]]
         phi_seeds = []
         for l1 in range(2 * k + 2):
             profile = _profile([([((l1 + 2 * r,), (-1) ** r * math.perm(k + r, r))], math.factorial(l1 + 2 * r))
                                 for r in range(cap // 2 + 1)])
             for rest in tuples_with_sum_at_most(n - 1, cap):
-                seed = _closed_form_series(profile, blocks[1:], {rest: 1})
+                seed = _closed_form_series(profile, blocks, {rest: 1})
                 phi_seeds.append(((l1,) + rest, (seed.re, seed.den)))
         elements = branch(phi_seeds, _phi_factor, k, "phi", k)
     else:
@@ -226,6 +231,7 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         elements,
         annihilator,
         {"cap": cap, "n": n, "lambda": str(lam), "epsilon": epsilon, "kind": kind},
+        None if kind == "negative_odd" else lemma,
     )
 
 
@@ -261,6 +267,26 @@ def epd_transform(v: Polynomial, m: int, branch: str) -> Polynomial:
     return u
 
 
+@functools.cache
+def _gauged_series(a: Fraction) -> SeriesConfig:
+    """The series hypotheses of the gauged equation at frequency a:
+    T1 = d^2/dt^2 + 2ia d/dt, its damped right inverse and
+    T2 = -(d^2/dx^2 + x d^2/dy^2 + y d^2/dz^2).  They depend on a alone, so
+    ``SeriesConfig`` proves the right-inverse law once per frequency per
+    process; a failed proof raises and is not kept."""
+    x, y = variable("x"), variable("y")
+    tricomi = Sum(
+        (
+            Derivative("x", 2),
+            Compose(MultiplyBy(x), Derivative("y", 2)),
+            Compose(MultiplyBy(y), Derivative("z", 2)),
+        )
+    )
+    two_ia = GaussianRational(0, 2 * a)
+    t1 = Sum((Derivative("t", 2), Compose(Scale(two_ia), Derivative("t", 1))))
+    return SeriesConfig(t1, DampedIntegration(two_ia, "t"), Compose(Scale(Fraction(-1)), tricomi))
+
+
 def klein_gordon_solutions(a, monomial):
     """Two real trig-polynomial solutions of the generalized Klein-Gordon equation
 
@@ -280,20 +306,8 @@ def klein_gordon_solutions(a, monomial):
         raise ValueError("degenerate frequency")
     m1, m2, m3 = monomial
     x, y = variable("x"), variable("y")
-    tricomi = Sum(
-        (
-            Derivative("x", 2),
-            Compose(MultiplyBy(x), Derivative("y", 2)),
-            Compose(MultiplyBy(y), Derivative("z", 2)),
-        )
-    )
-    two_ia = GaussianRational(0, 2 * a)
-    t1 = Sum((Derivative("t", 2), Compose(Scale(two_ia), Derivative("t", 1))))
-    t1_inv = DampedIntegration(two_ia, "t")
-    t2 = Compose(Scale(Fraction(-1)), tricomi)
-    cfg = SeriesConfig(t1, t1_inv, t2)
     seed = Polynomial(("x", "y", "z"), {(m1, m2, m3): Fraction(1)})
-    v = solve_by_series(cfg, Polynomial.const(1, ("t",)), seed)
+    v = solve_by_series(_gauged_series(a), Polynomial.const(1, ("t",)), seed)
 
     v_re, v_im = v.real_part(), v.imag_part()
     first = TrigPolynomial(v_re, -v_im, a)            # Re(e^(iat) v)

@@ -7,7 +7,7 @@ contragredient twist on the y block, and the exceptional family through
 fourteen sparse seven-by-seven matrices whose entries p + q*sqrt(2) hold
 integer p and q; entry (i, j) becomes the term x_i d/dx_j, split into a
 rational and a sqrt(2) part.  The module bases are series of
-``bases._closed_form_series``.
+``bases._closed_form_series``, proved solutions by ``bases._SeriesLemma``.
 
 The commutation suite proves its operator identities instead of sampling
 them: both sides are brought to the normal form sum_alpha c_alpha d^alpha
@@ -26,17 +26,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from types import MappingProxyType
 
 from .bases import (
     BasisElement,
     BasisFamily,
-    _BlockTable,
     _checked,
-    _closed_form_series,
     _corner_profile,
     _harmonic_elements,
+    _SeriesLemma,
 )
 from .combinatorics import tuples_with_sum
 from .linalg import _remainder, _row_reduce
@@ -334,11 +332,13 @@ def _euler_operator(vars_) -> LinearOperator:
 # -- module bases ------------------------------------------------------------------
 
 def harmonic_module_basis(n: int, k: int) -> BasisFamily:
-    """Basis of the degree-k harmonic polynomials in n variables."""
+    """Basis of the degree-k harmonic polynomials in n variables, proved by
+    the lemma of ``bases._harmonic_elements``."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
     annihilator = Sum(Derivative(f"x{i}", 2) for i in range(1, n + 1))
-    return _checked(_harmonic_elements(n, k, tuples_with_sum), annihilator, {"n": n, "k": k})
+    elements, lemma = _harmonic_elements(n, k, tuples_with_sum)
+    return _checked(elements, annihilator, {"n": n, "k": k}, lemma)
 
 
 def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
@@ -349,7 +349,10 @@ def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
     (lead m' >= 1 with sum m'_r = l1, m' + sum l'_r = l2).  Each element is
     the series of corner d/dx1 d/dy1 on x1^m (or y1^m') and the blocks
     d/dx_r d/dy_r, r >= 2, on prod_r x_r^(m_r) y_r^(l_r), so it is killed by
-    the contraction sum d/dx_i d/dy_i.
+    the contraction sum d/dx_i d/dy_i.  The lemma (``bases._SeriesLemma``)
+    proves it with K = d/dx1 d/dy1, M = 1 and, per lead,
+    P_R = (-1)^R R! (K^(-R))(x1^m or y1^m'), so K P_0 = 0 and
+    K P_R = -R P_(R-1).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -357,9 +360,9 @@ def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
         raise ValueError(f"the bidegree must be non-negative, got l1={l1}, l2={l2}")
     annihilator = sl_laplacian(n)
     vars_ = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"y{i}" for i in range(1, n + 1))
-    blocks = [_BlockTable(1, (1, 1))] * (n - 1)
-    # the series runs over (x1, y1, x2, y2, ..), the variables regrouped once
-    move = itemgetter(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+    lemma = _SeriesLemma(("x1", "y1"), Compose(Derivative("x1", 1), Derivative("y1", 1)),
+                         Polynomial.const(1), [(1, (1, 1), (f"x{r}", f"y{r}")) for r in range(2, n + 1)],
+                         vars_)
     elements = []
     for branch, leads in ((1, range(l1 + 1)), (2, range(1, l2 + 1))):
         for m in leads:
@@ -368,10 +371,9 @@ def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
             for ms in tuples_with_sum(n - 1, deg_x):
                 for ls in tuples_with_sum(n - 1, deg_y):
                     seed = tuple(e for pair in zip(ms, ls) for e in pair)
-                    sol = _closed_form_series(profile, blocks, {seed: 1}, move=move)
                     elements.append(BasisElement({"branch": branch, "m": m, "mr": ms, "lr": ls},
-                                                 sol.to_poly(vars_, frozenset())))
-    return _checked(elements, annihilator, {"n": n, "l1": l1, "l2": l2})
+                                                 lemma.element(profile, {seed: 1})))
+    return _checked(elements, annihilator, {"n": n, "l1": l1, "l2": l2}, lemma)
 
 
 def g2_module_basis(k: int) -> BasisFamily:
@@ -380,15 +382,16 @@ def g2_module_basis(k: int) -> BasisFamily:
     Elements are indexed by (eps, m2..m7) with eps + sum m = k.  Each is the
     series of corner d^2/dx1^2 on x1^eps and the blocks 2 d/dx_a d/dx_b of
     the pairs (2,5), (3,6), (4,7) on x2^m2...x7^m7, so it lies in the kernel
-    of the invariant Laplacian exactly.
+    of the invariant Laplacian exactly.  The lemma (``bases._SeriesLemma``)
+    proves it with K = d^2/dx1^2, M = 1 and, per eps,
+    P_R = (-1)^R R! (K^(-R))(x1^eps), so K P_0 = 0 and K P_R = -R P_(R-1).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     vars_ = tuple(f"x{i}" for i in range(1, 8))
     annihilator = g2_laplacian(1)
-    blocks = [_BlockTable(2, (1, 1))] * 3
-    # the series runs over (x1, x2, x5, x3, x6, x4, x7), regrouped once
-    move = itemgetter(0, 1, 3, 5, 2, 4, 6)
+    lemma = _SeriesLemma(("x1",), Derivative("x1", 2), Polynomial.const(1),
+                         [(2, (1, 1), (f"x{a}", f"x{b}")) for a, b in ((2, 5), (3, 6), (4, 7))], vars_)
     elements = []
     for eps in (0, 1):
         if eps > k:
@@ -396,9 +399,8 @@ def g2_module_basis(k: int) -> BasisFamily:
         profile = _corner_profile((eps,), (2,), k // 2)
         for ms in tuples_with_sum(6, k - eps):
             seed = (ms[0], ms[3], ms[1], ms[4], ms[2], ms[5])
-            sol = _closed_form_series(profile, blocks, {seed: 1}, move=move).to_poly(vars_, frozenset())
-            elements.append(BasisElement({"eps": eps, "m": ms}, sol))
-    return _checked(elements, annihilator, {"k": k})
+            elements.append(BasisElement({"eps": eps, "m": ms}, lemma.element(profile, {seed: 1})))
+    return _checked(elements, annihilator, {"k": k}, lemma)
 
 
 # -- singular vectors ------------------------------------------------------------

@@ -34,7 +34,8 @@ Leibniz terms of A after B and B after A that cancel.
 without a normal form it compares as integer forms on every monomial of
 degree <= 2, and ``SeriesConfig`` proves its right-inverse law through
 it.  ``form_applicator``
-applies one over the order ``apply`` uses.  The family annihilation check,
+applies one over the order ``apply`` uses.  The end-to-end family
+annihilation check (``bases.BasisFamily.verify_annihilation``),
 ``solve_by_series``, ``right_inverse_series`` and
 ``bases.power_perturbation_solve`` check their residuals through it;
 ``bases.twisted_flag_solve``, ``dissipative.epd_transform`` and
@@ -497,13 +498,14 @@ def differential_form(op: LinearOperator, vars: tuple):
                 _add_form_term(out, alpha, c)
         return out
     if isinstance(op, Compose):
-        out = {(): _IntForm.one(len(vars))}
+        # the last factor's form starts the fold: composing with the identity adds nothing
+        out = None
         for sub in reversed(op.ops):
             form = differential_form(sub, vars)
             if form is None:
                 return None
-            out = _compose_forms(form, out)
-        return out
+            out = form if out is None else _compose_forms(form, out)
+        return {(): _IntForm.one(len(vars))} if out is None else out
     return None
 
 

@@ -18,13 +18,18 @@ from flagpde import (
     Scale,
     Sum,
     VerificationError,
+    anisymmetric_basis,
     constant,
     constant_coefficient_basis,
+    dissipative_wave_basis,
     flag_basis,
+    g2_module_basis,
     harmonic_basis,
+    harmonic_module_basis,
     power_perturbation_solve,
     riemannian_to_tx,
     riemannian_wave_solution,
+    sl_module_basis,
     twisted_flag_solve,
     variable,
 )
@@ -375,6 +380,15 @@ def test_power_perturbation_rejects_noncommuting_perturbations():
         )
 
 
+
+def test_power_perturbation_samples_an_operator_without_a_normal_form():
+    """The integral in T1 has no normal form, so that pair is sampled:
+    d/dt after (integral dt) d/dx keeps g_x, the other order drops g_x at t = 0."""
+    xx = variable("x")
+    bad = Compose(Integrate("t"), Derivative("x"))
+    with pytest.raises(OperatorHypothesisError, match="T0 does not commute with T1"):
+        power_perturbation_solve(Derivative("t"), Integrate("t"), [bad], 1, constant(1).with_variables(("t",)), xx)
+
 # -- twisted two-block equations ----------------------------------------------------------------
 
 def test_twisted_single_term():
@@ -640,3 +654,142 @@ def test_laplacian_terms_are_the_iterated_laplacian(spec, data, max_r):
         power = Sum(parts)(power)
     bounded = _closed_form_series(marker, blocks, {ells: 1}, max_power=max_r)
     assert bounded.to_poly(("s",) + xs, frozenset()).terms == {e: c for e, c in terms.items() if e[0] <= max_r}
+
+
+# -- the series lemma ----------------------------------------------------------------
+
+def _lemma_families():
+    """One small family per builder that the series lemma proves."""
+    return {
+        "constant": lambda: constant_coefficient_basis((2, 3, 1), 3),
+        "harmonic": lambda: harmonic_basis(3, 4),
+        "harmonic module": lambda: harmonic_module_basis(3, 4),
+        "sl": lambda: sl_module_basis(3, 2, 2),
+        "g2": lambda: g2_module_basis(3),
+        "dissipative": lambda: dissipative_wave_basis(2, 4),
+        "anisymmetric generic": lambda: anisymmetric_basis(2, Fraction(1, 2), -1, 4),
+        "anisymmetric negative even": lambda: anisymmetric_basis(2, -2, 1, 4),
+    }
+
+
+LEMMA_FAMILIES = sorted(_lemma_families())
+
+
+def _wrong_table_entry(monkeypatch):
+    """Each filled table's last entry gets numerator n + 1."""
+    from flagpde.bases import _BlockTable
+
+    fill = _BlockTable.__missing__
+
+    def wrong(self, l):
+        entries = fill(self, l)
+        r, n, e = entries[-1]
+        entries[-1] = (r, n + 1, e)
+        return entries
+
+    monkeypatch.setattr(_BlockTable, "__missing__", wrong)
+
+
+def _wrong_profile_entry(monkeypatch):
+    """Every profile's P_1 is doubled before the profile is folded."""
+    from flagpde import bases, dissipative
+
+    fold = bases._profile
+
+    def wrong(entries):
+        entries = list(entries)
+        if len(entries) > 1:
+            pairs, den = entries[1]
+            entries[1] = ([(j, 2 * c) for j, c in pairs], den)
+        return fold(entries)
+
+    monkeypatch.setattr(bases, "_profile", wrong)
+    monkeypatch.setattr(dissipative, "_profile", wrong)
+
+
+def _wrong_annihilator(monkeypatch):
+    """Each builder hands its check the annihilator A + 1 in place of A."""
+    from flagpde import bases, dissipative, lie
+
+    check = bases._checked
+
+    def wrong(elements, annihilator, truncation, lemma=None):
+        return check(elements, Sum((annihilator, Scale(1))), truncation, lemma)
+
+    for module in (bases, dissipative, lie):
+        monkeypatch.setattr(module, "_checked", wrong)
+
+
+@pytest.mark.parametrize("sabotage, message", [
+    (_wrong_table_entry, "table"),
+    (_wrong_profile_entry, "profile"),
+    (_wrong_annihilator, "annihilator is not K"),
+])
+@pytest.mark.parametrize("name", LEMMA_FAMILIES)
+def test_series_lemma_rejects_a_sabotaged_family(monkeypatch, name, sabotage, message):
+    build = _lemma_families()[name]
+    sabotage(monkeypatch)
+    with pytest.raises(VerificationError, match=f"series lemma: .*{message}"):
+        build()
+
+
+def test_a_wrong_table_entry_exits_three_through_the_cli(monkeypatch):
+    from flagpde.cli import main
+
+    assert main(["basis", "harmonic", "--n", "3", "--cap", "3"]) == 0
+    _wrong_table_entry(monkeypatch)
+    assert main(["basis", "harmonic", "--n", "3", "--cap", "3"]) == 3
+
+
+def test_only_flag_and_negative_odd_families_are_checked_element_by_element(monkeypatch):
+    calls = []
+    check = BasisFamily.verify_annihilation
+    monkeypatch.setattr(BasisFamily, "verify_annihilation", lambda self: calls.append(len(self)) or check(self))
+    for build in _lemma_families().values():
+        build()
+    assert calls == []
+    flag_basis(FlagEquationSpec((2, 1), (x1,)), 3)
+    anisymmetric_basis(2, -3, 1, 4)
+    assert len(calls) == 2
+
+
+def test_a_sabotaged_negative_odd_family_is_caught_end_to_end(monkeypatch):
+    _wrong_table_entry(monkeypatch)
+    with pytest.raises(VerificationError, match="not annihilated exactly"):
+        anisymmetric_basis(2, -3, 1, 4)
+
+
+# lambda generic or a negative even integer: the regimes the lemma proves
+lemma_lambdas = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(
+        lambda lam: lam and not (lam.denominator == 1 and lam <= -1 and lam % 2)),
+    st.sampled_from([-2, -4, -6]),
+)
+lemma_shapes = st.one_of(
+    st.tuples(st.just("constant"), st.lists(st.integers(1, 3), min_size=2, max_size=4), st.integers(0, 4)),
+    st.tuples(st.just("harmonic"), st.integers(2, 4), st.integers(0, 6)),
+    st.tuples(st.just("harmonic module"), st.integers(2, 4), st.integers(0, 6)),
+    st.tuples(st.just("sl"), st.integers(2, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("g2"), st.integers(0, 4)),
+    st.tuples(st.just("dissipative"), st.integers(1, 3), st.integers(0, 6)),
+    st.tuples(st.just("anisymmetric"), st.integers(1, 3), lemma_lambdas, st.sampled_from([1, -1]),
+              st.integers(0, 6)),
+)
+
+
+@given(lemma_shapes)
+@settings(max_examples=80, deadline=None)
+def test_lemma_families_pass_the_end_to_end_check(shape):
+    """The lemma trusts the fold of the block tables into L^R/R!; every
+    family it proves is annihilated element by element as well."""
+    build = {
+        "constant": constant_coefficient_basis,
+        "harmonic": harmonic_basis,
+        "harmonic module": harmonic_module_basis,
+        "sl": sl_module_basis,
+        "g2": g2_module_basis,
+        "dissipative": dissipative_wave_basis,
+        "anisymmetric": anisymmetric_basis,
+    }[shape[0]]
+    family = build(*shape[1:])
+    assert family.verify_annihilation()

@@ -285,6 +285,21 @@ def test_klein_gordon_rejects_zero_frequency():
         klein_gordon_solutions(Fraction(0), (0, 0, 0))
 
 
+
+def test_klein_gordon_proves_its_series_law_once_per_frequency(monkeypatch):
+    from flagpde import dissipative, operators
+
+    proofs = []
+    agree = operators.operators_agree_on_sample
+    monkeypatch.setattr(operators, "operators_agree_on_sample",
+                        lambda *args: proofs.append(args) or agree(*args))
+    dissipative._gauged_series.cache_clear()
+    first = klein_gordon_solutions(Fraction(3, 7), (1, 2, 1))
+    assert klein_gordon_solutions(Fraction(6, 14), (1, 2, 1)) == first
+    assert len(proofs) == 1
+    klein_gordon_solutions(Fraction(5, 7), (1, 2, 1))
+    assert len(proofs) == 2
+
 @pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2)])
 def test_zeta_profiles_match_closed_forms(a):
     # real/imaginary split of the damped-inverse iterates at frequency 2ai
