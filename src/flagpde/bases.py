@@ -59,7 +59,6 @@ from .operators import (
     solve_by_series,
 )
 from .poly import (
-    GaussianRational,
     Polynomial,
     _int_form,
     _IntForm,
@@ -426,45 +425,36 @@ def _harmonic_elements(n: int, cap: int, ells_of) -> tuple:
 
 # -- general flag equations ------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FlagEquationSpec:
     """Orders m1..mn and coefficients f1..f(n-1) of a triangular equation.
 
     The equation is d^(m1)/dx1 + f1 d^(m2)/dx2 + ... with f_i a polynomial in
-    x1..xi only (checked on construction).
+    x1..xi only.  Its one nested right inverse, built here, checks that
+    shape and serves every stage of ``flag_basis``; the spec is frozen, so
+    the inverse stays the inverse of its equation.
     """
 
     orders: tuple
     coefficients: tuple
     variables: tuple = ()
+    _inverse: NestedRightInverse = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.orders = tuple(int(m) for m in self.orders)
-        if any(m < 1 for m in self.orders):
+        orders = tuple(int(m) for m in self.orders)
+        if any(m < 1 for m in orders):
             # D^0 never kills a seed, so the family would never end
-            raise ValueError(f"orders must be positive, got {self.orders}")
-        n = len(self.orders)
-        if not self.variables:
-            self.variables = _default_vars(n)
-        if len(self.variables) != n:
-            raise ValueError(f"need one variable per order, got {self.variables} for {n} orders")
-        coeffs = []
-        for c in self.coefficients:
-            if isinstance(c, (int, Fraction, GaussianRational)):
-                c = Polynomial.const(c)
-            coeffs.append(c)
-        self.coefficients = tuple(coeffs)
+            raise ValueError(f"orders must be positive, got {orders}")
+        n = len(orders)
+        variables = tuple(self.variables) or _default_vars(n)
+        if len(variables) != n:
+            raise ValueError(f"need one variable per order, got {variables} for {n} orders")
         if len(self.coefficients) != n - 1:
             raise ValueError("need exactly n-1 coefficients")
-        for i, c in enumerate(self.coefficients, start=1):
-            allowed = set(self.variables[:i])
-            extra = c.support_vars() - allowed
-            if extra:
-                from .operators import NotAFlagSystemError
-
-                raise NotAFlagSystemError(
-                    f"not a flag system: coefficient {i} depends on {sorted(extra)}"
-                )
+        inv = NestedRightInverse(zip((1, *self.coefficients), map(Derivative, variables, orders)))
+        for name, value in (("orders", orders), ("variables", variables),
+                            ("coefficients", inv.coeffs[1:]), ("_inverse", inv)):
+            object.__setattr__(self, name, value)
 
     def operator(self) -> LinearOperator:
         parts = [Derivative(self.variables[0], self.orders[0])]
@@ -473,32 +463,31 @@ class FlagEquationSpec:
         return Sum(parts)
 
     def nested_inverse(self, upto: int) -> NestedRightInverse:
-        entries = [(Polynomial.const(1), Derivative(self.variables[0], self.orders[0]))]
-        for i in range(1, upto):
-            entries.append(
-                (self.coefficients[i - 1], Derivative(self.variables[i], self.orders[i]))
-            )
-        return NestedRightInverse(entries)
+        """The first `upto` blocks of the spec's one inverse."""
+        inv = self._inverse
+        return NestedRightInverse(
+            zip(inv.coeffs[:upto], map(Derivative, inv.vars_[:upto], inv.orders[:upto]))
+        )
 
 
-def _sigma_step(inv: NestedRightInverse, vs: tuple, f: _IntForm, pos: int, m: int,
-                chain: list, ell: int) -> _IntForm:
-    """Extend a solution h of the earlier blocks by the seed x_pos^ell.
+def _sigma_step(inv: NestedRightInverse, stage: int, vs: tuple, f: _IntForm, pos: int,
+                m: int, chain: list, ell: int) -> _IntForm:
+    """Extend a solution h of the first `stage` blocks by the seed x_pos^ell.
 
-    Returns sum_i (-inv f)^i(h) * D^i(seed), where `inv` is the nested right
-    inverse of the earlier blocks, f the coefficient and D = d^m/dx_pos^m
-    of the new block, all as integer forms over the build's variable order
-    vs.  D^i(seed) is
+    Returns sum_i (-R f)^i(h) * D^i(seed), where R is stage `stage` of the
+    spec's one nested inverse `inv` (which checked the shape and serves
+    every stage), f the coefficient and D = d^m/dx_pos^m of the new block,
+    all as integer forms over the build's variable order vs.  D^i(seed) is
     falling(ell, i*m) x_pos^(ell - i*m), so each product is an exponent
     shift, and the shifted pieces are summed in one pass.  chain[i] holds
-    (-inv f)^i(h), chain[0] = h; each missing power is one step from the
+    (-R f)^i(h), chain[0] = h; each missing power is one step from the
     previous one and is appended, so seeds extending the same h share it.
     """
     pieces = []
     i, k = 0, 1
     while k:
         if i == len(chain):
-            chain.append(-inv.apply_form(f * chain[-1], vs))
+            chain.append(-inv._apply_stage(stage, f * chain[-1], vs))
         pieces.append((chain[i], ell - i * m, k))
         i += 1
         k = math.perm(ell, i * m)
@@ -511,18 +500,20 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     Elements carry index (l1 in 0..m1-1, l2.., ln) with l2 + ... + ln <= cap.
     The partial solution after stage k depends only on the prefix
     (l1, l2..l(k+1)), so each prefix is solved once, together with the
-    powers (-inv f)^i of it that the next stage needs, and shared by every
+    powers (-R f)^i of it that the next stage needs, and shared by every
     element that starts with it; the prefixes live in a dictionary local to
-    this call.  The whole build runs on integer forms over
-    ``spec.variables``, and each element is the Polynomial holding its form.
+    this call.  Every stage runs on the spec's one nested inverse, which
+    checked the shape when the spec was built, and on its ``plan``.  The
+    whole build runs on integer forms over ``spec.variables``, and each
+    element is the Polynomial holding its form.
     """
     _check_cap(cap)
     n = len(spec.orders)
     vs = spec.variables
     annihilator = spec.operator()
     laurent = frozenset().union(*(c.laurent for c in spec.coefficients))
-    inverses = [spec.nested_inverse(stage) for stage in range(1, n)]
-    coeffs = [_int_form(c, vs) for c in spec.coefficients]
+    inv = spec._inverse
+    plan = inv.plan(vs)
     chains: dict[tuple, list] = {}
     elements = []
     for l1 in range(spec.orders[0]):
@@ -534,8 +525,8 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
                 prefix = ell[: stage + 1]
                 nxt = chains.get(prefix)
                 if nxt is None:
-                    nxt = [_sigma_step(inverses[stage - 1], vs, coeffs[stage - 1],
-                                       stage, spec.orders[stage], chain, ell[stage])]
+                    pos, m, f, _ = plan[stage]
+                    nxt = [_sigma_step(inv, stage, vs, f, pos, m, chain, ell[stage])]
                     if stage < n - 1:
                         chains[prefix] = nxt
                 chain = nxt

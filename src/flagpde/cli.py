@@ -43,8 +43,8 @@ from .bases import (
     harmonic_basis,
 )
 from .dissipative import anisymmetric_basis, dissipative_wave_basis, klein_gordon_solutions
-from .ivp import OdeProblem, TrigData, ode_derivatives_at_zero, solve_constant_ode, \
-    solve_flag_ivp, solve_tree_wave_ivp
+from .ivp import OdeProblem, TrigData, _derivatives_at_zero, _solved_ode, solve_flag_ivp, \
+    solve_tree_wave_ivp
 from .lie import (
     commutation_checks,
     g2_module_basis,
@@ -414,15 +414,10 @@ def _cmd_basis(args):
         if not args.spec:
             raise InputError("basis flag requires --spec")
         data = _load_json(args.spec, FLAG_SPEC_SCHEMA, "flag spec")
-        variables = tuple(data.get("variables", ()))
         n = len(data["orders"])
-        if not variables:
-            variables = tuple(f"x{i}" for i in range(1, n + 1))
-        coefficients = [
-            Polynomial.from_json_terms(terms, variables)
-            for terms in data["coefficients"]
-        ]
-        spec = FlagEquationSpec(tuple(data["orders"]), tuple(coefficients), variables)
+        variables = tuple(data.get("variables", ())) or tuple(f"x{i}" for i in range(1, n + 1))
+        coefficients = [Polynomial.from_json_terms(t, variables) for t in data["coefficients"]]
+        spec = FlagEquationSpec(data["orders"], coefficients, variables)
         family = flag_basis(spec, args.cap)
     elif args.kind == "dissipative":
         family = dissipative_wave_basis(args.n, args.cap)
@@ -615,8 +610,9 @@ def _cmd_ode(args):
     coeffs = [_fraction(v) for v in args.coeffs.split(",")]
     init = [_fraction(v) for v in args.init.split(",")]
     problem = OdeProblem(tuple(coeffs), tuple(init))
-    value = solve_constant_ode(problem, _finite_t(args.t))
-    derivs = ode_derivatives_at_zero(problem)
+    # the check reads the amplitudes the value was assembled from
+    value, sums, amps = _solved_ode(problem, _finite_t(args.t))
+    derivs = _derivatives_at_zero(sums, amps)
     exact = all(d == c for d, c in zip(derivs, problem.initial))
     if not exact:
         raise VerificationError("initial derivatives not reproduced exactly")

@@ -329,21 +329,30 @@ def solve_constant_ode(problem: OdeProblem, t: float) -> float:
     The ODE is the zero mode of the flag evaluator: k = (), phase 1, x1 = t.
     Coefficients and amplitudes beyond the float range raise ValueError.
     """
-    b = problem.coefficients
-    values = [complex(_float_image(v, "ODE coefficient")) for v in b]
-    exact = _amplitudes(_weight_sums(b, len(b), Fraction(1)), problem.initial)
-    amps = [_float_image(a, "ODE amplitude") for a in exact]
-    mode = _FlagMode((), values, amps, [0.0] * len(b))
-    return _flag_value([mode], _mode_weights([mode], t), [(1.0, 0.0)])
+    return _solved_ode(problem, t)[0]
 
 
 def ode_derivatives_at_zero(problem: OdeProblem):
     """Exact y^(r)(0) of the assembled solution, for r below the order."""
     b = problem.coefficients
-    m = len(b)
-    sums = _weight_sums(b, m, Fraction(1))
-    amps = _amplitudes(sums, problem.initial)
-    return [sum(amps[s] * sums[r - s] for s in range(r + 1)) for r in range(m)]
+    sums = _weight_sums(b, len(b), Fraction(1))
+    return _derivatives_at_zero(sums, _amplitudes(sums, problem.initial))
+
+
+def _solved_ode(problem: OdeProblem, t: float) -> tuple:
+    """y(t) with the exact weight sums and amplitudes it was assembled from."""
+    b = problem.coefficients
+    values = [complex(_float_image(v, "ODE coefficient")) for v in b]
+    sums = _weight_sums(b, len(b), Fraction(1))
+    exact = _amplitudes(sums, problem.initial)
+    amps = [_float_image(a, "ODE amplitude") for a in exact]
+    mode = _FlagMode((), values, amps, [0.0] * len(b))
+    return _flag_value([mode], _mode_weights([mode], t), [(1.0, 0.0)]), sums, exact
+
+
+def _derivatives_at_zero(sums, amps) -> list:
+    """y^(r)(0) = sum_s A_s sums[r - s] for r below the order."""
+    return [sum(amps[s] * sums[r - s] for s in range(r + 1)) for r in range(len(amps))]
 
 
 # -- trig-polynomial initial data ----------------------------------------------------

@@ -17,12 +17,12 @@ Every node acts on integer forms (``poly._IntForm``: integer numerators
 over one common denominator, the layout of FLINT's fmpq_mpoly, and what a
 Polynomial holds) through ``apply_form(q, vars)``: Derivative and
 Integrate are the form's d^m/dx^m and m-fold antiderivative, MultiplyBy a
-product with its multiplier put over each variable order once, Scale a
-scalar multiple, Sum and Compose folds, and DampedIntegration its finite
-expansion.  ``LinearOperator.apply`` is written once: it puts p's form
-over p.vars followed by the operator's variables in tree order and runs
-``apply_form``.  ``apply_trig`` is written once, on the normal form below,
-through ``TrigApplicator``.
+product with its multiplier put over the order, Scale a scalar multiple,
+Sum and Compose folds, and DampedIntegration its finite expansion.
+``LinearOperator.apply`` is written once: it puts p's form over p.vars
+followed by the operator's variables in tree order and runs ``apply_form``.
+``apply_trig`` is written once, on the normal form below, through
+``TrigApplicator``.
 
 A polynomial-coefficient differential operator has the normal form
 sum_alpha c_alpha d^alpha (``differential_form``), unique in the Weyl
@@ -177,19 +177,15 @@ class Integrate(LinearOperator):
 
 
 class MultiplyBy(LinearOperator):
-    """Multiplication by a polynomial, put over each variable order once."""
+    """Multiplication by a polynomial."""
 
-    __slots__ = ("poly", "_forms")
+    __slots__ = ("poly",)
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
-        self._forms = {}
 
     def form(self, vars: tuple) -> _IntForm:
-        f = self._forms.get(vars)
-        if f is None:
-            f = self._forms[vars] = _int_form(self.poly, vars)
-        return f
+        return _int_form(self.poly, vars)
 
     def apply_form(self, q, vars):
         return self.form(vars) * q
@@ -314,17 +310,19 @@ class NestedRightInverse(LinearOperator):
     perturbation series terminates on every polynomial input.  Every block
     after the first needs a positive order, since D^0 never kills a term.
     A negative exponent in a block variable after the first raises
-    ValueError, since its derivatives never vanish.
+    ValueError, since its derivatives never vanish.  The constructor is the
+    one place that coerces the coefficients and checks this shape.
 
-    Stage s inverts the first s blocks.  With R the stage s-1 inverse, f the
-    s-th coefficient and D = Dvs^ms, it returns sum_i (-R f)^i R D^i(q),
+    Stage s inverts the first s blocks, so one inverse serves every prefix
+    (``bases.flag_basis``).  With R the stage s-1 inverse, f the s-th
+    coefficient and D = Dvs^ms, it returns sum_i (-R f)^i R D^i(q),
     evaluated in Horner form: w_i = D^i(q) up to the last nonzero w_I, then
     acc = R(w_I) and acc = R(w_i - f*acc) for i = I-1 down to 0.  R is
     linear, so this is the same sum with I+1 calls of stage s-1 instead of
     (I+1)(I+2)/2.  The stages run on integer forms over one variable order,
     with the blocks put over each order once by ``plan``.  The Horner chain
     (the derivatives, the steps w_i - f*acc and the first-stage integrals)
-    skips the gcd pass of each step, and ``apply_form`` reduces its result
+    skips the gcd pass of each step, and ``_apply_stage`` reduces its result
     once, so no unreduced form leaves this class.
     """
 
@@ -352,12 +350,12 @@ class NestedRightInverse(LinearOperator):
             raise NotAFlagSystemError("not a flag system: leading coefficient must be constant")
         if coeffs[0].is_zero():
             raise NotAFlagSystemError("not a flag system: leading coefficient is zero")
-        for k, c in enumerate(coeffs[1:], start=2):
-            allowed = set(vars_[: k - 1])
-            extra = c.support_vars() - allowed
+        for k in range(1, len(coeffs)):
+            extra = coeffs[k].support_vars() - set(vars_[:k])
             if extra:
                 raise NotAFlagSystemError(
-                    f"not a flag system: coefficient {k} depends on {sorted(extra)}"
+                    f"not a flag system: the coefficient of the {vars_[k]} block"
+                    f" depends on {sorted(extra)}"
                 )
         self.coeffs = tuple(coeffs)
         self.vars_ = tuple(vars_)
@@ -396,6 +394,10 @@ class NestedRightInverse(LinearOperator):
         return plan
 
     def apply_form(self, q, vars):
+        return self._apply_stage(len(self.coeffs), q, vars)
+
+    def _apply_stage(self, s: int, q: _IntForm, vars: tuple) -> _IntForm:
+        """The inverse of the first s blocks on q, reduced once."""
         plan = self.plan(vars)
         if any(min(exp) < 0 for exp in itertools.chain(q.re, q.im)):
             # negative powers in the input: check their block variables at every stage
@@ -404,7 +406,7 @@ class NestedRightInverse(LinearOperator):
                 (pos, m, f, neg or any(exp[pos] < 0 for exp in terms))
                 for pos, m, f, neg in plan[1:]
             ]
-        out = self._stage(len(plan), q, plan)
+        out = self._stage(s, q, plan)
         return _reduced(out.re, out.im, out.den)
 
     def _stage(self, s: int, q: _IntForm, plan) -> _IntForm:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from flagpde import (
     GaussianRational,
     Integrate,
     MultiplyBy,
+    NestedRightInverse,
     Polynomial,
     Scale,
     Sum,
@@ -37,6 +39,7 @@ from flagpde.bases import ChainError, harmonic_element
 from flagpde.linalg import kernel_on_slice, monomials_of_degree, polys_in_span
 from flagpde.operators import (
     FormApplicator,
+    NotAFlagSystemError,
     OperatorHypothesisError,
     differential_form,
     form_applicator,
@@ -265,6 +268,48 @@ def test_flag_spec_rejects_a_block_of_order_zero():
         FlagEquationSpec((2, 0), (x1,))
     with pytest.raises(ValueError, match="positive"):
         FlagEquationSpec((0, 2), (x1,))
+
+
+def test_flag_spec_takes_its_variables_as_any_sequence():
+    listed = FlagEquationSpec((2, 2), (x1,), ["x1", "x2"])
+    family = flag_basis(listed, 3)
+    assert listed.variables == ("x1", "x2")
+    want = flag_basis(FlagEquationSpec((2, 2), (x1,), ("x1", "x2")), 3)
+    assert [e.index for e in family.elements] == [e.index for e in want.elements]
+    assert [e.solution for e in family.elements] == [e.solution for e in want.elements]
+
+
+def test_flag_spec_rejects_a_repeated_variable_when_built():
+    with pytest.raises(NotAFlagSystemError, match="repeated"):
+        FlagEquationSpec((1, 1), (0,), ("x", "x"))
+    assert issubclass(NotAFlagSystemError, ValueError)
+
+
+def test_flag_spec_rejects_a_coefficient_of_a_later_variable_by_its_block():
+    with pytest.raises(NotAFlagSystemError, match=r"x3 block depends on \['x3'\]"):
+        FlagEquationSpec((2, 2, 2), (x1, x2 * x3))
+    with pytest.raises(NotAFlagSystemError, match=r"x2 block depends on \['x2'\]"):
+        FlagEquationSpec((1, 1), (x2,))
+
+
+def test_flag_shape_is_checked_once_per_spec(monkeypatch):
+    """The spec builds one nested inverse, and flag_basis runs every stage
+    on it without building another."""
+    built = []
+    init = NestedRightInverse.__init__
+
+    def counted(self, entries):
+        built.append(self)
+        init(self, entries)
+
+    monkeypatch.setattr(NestedRightInverse, "__init__", counted)
+    spec = FlagEquationSpec((2, 1, 2, 1), (x1 + 1, x2 - x1, x3))
+    assert len(built) == 1
+    flag_basis(spec, 3)
+    assert len(built) == 1
+    # the inverse was built from these coefficients, so they cannot change
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.coefficients = (x1, x2, x3)
 
 
 # -- curved background wave --------------------------------------------------------------
