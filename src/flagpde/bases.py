@@ -40,6 +40,7 @@ from .operators import (
     Derivative,
     FormApplicator,
     Integrate,
+    KernelPreconditionError,
     LinearOperator,
     MultiplyBy,
     NestedRightInverse,
@@ -54,6 +55,7 @@ from .operators import (
     form_applicator,
     form_map,
     forms_commute,
+    op_to_json,
     operator_variables,
     operators_agree_on_sample,
     solve_by_series,
@@ -129,8 +131,6 @@ class BasisFamily:
     def _payload(self):
         """to_json() with each solution left a Polynomial, for a writer that
         serializes polynomials itself."""
-        from .operators import op_to_json
-
         return {
             "elements": [
                 {"indexMeta": {k: _json_scalar(v) for k, v in e.index.items()},
@@ -379,22 +379,20 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
 
 # -- harmonic polynomials ------------------------------------------------------
 
-def harmonic_element(n: int, eps: int, ells, vars_=None) -> Polynomial:
+def harmonic_element(n: int, eps: int, ells) -> Polynomial:
     """One solution of the Laplace equation, indexed by eps in {0,1} and l2..ln.
 
     The series of corner d^2/dx1^2 on x1^eps and the blocks d^2/dx_i^2 on
     x2^l2...xn^ln: alternating even-derivative reduction of the seed, with
     the x1 powers supplied by iterated double integration.
     """
-    vars_ = _default_vars(n) if vars_ is None else tuple(vars_)
     ells = tuple(ells)
     # the terms below are canonical once these hold
-    if eps not in (0, 1) or len(vars_) != len(ells) + 1 or len(set(vars_)) != len(vars_):
-        raise ValueError(f"need eps 0 or 1 and len(ells) + 1 distinct variables, "
-                         f"got eps={eps}, ells={ells}, vars={vars_}")
+    if eps not in (0, 1) or len(ells) != n - 1:
+        raise ValueError(f"need eps 0 or 1 and n - 1 exponents, got n={n}, eps={eps}, ells={ells}")
     profile = _corner_profile((eps,), (2,), sum(ells) // 2)
     return _closed_form_series(profile, [_BlockTable(1, (2,))] * len(ells), {ells: 1}).to_poly(
-        vars_, frozenset())
+        _default_vars(n), frozenset())
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:
@@ -612,8 +610,6 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     for _ in range(m):
         hk = t0.apply_form(hk, vs)
     if hk:
-        from .operators import KernelPreconditionError
-
         raise KernelPreconditionError("kernel precondition violated")
 
     max_level = 2 + g.total_degree() * max(1, m)

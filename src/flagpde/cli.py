@@ -43,27 +43,24 @@ from .bases import (
     harmonic_basis,
 )
 from .dissipative import anisymmetric_basis, dissipative_wave_basis, klein_gordon_solutions
-from .ivp import OdeProblem, TrigData, _derivatives_at_zero, _solved_ode, solve_flag_ivp, \
-    solve_tree_wave_ivp
+from .ivp import TRACE_TOLERANCE, OdeProblem, TrigData, _derivatives_at_zero, _solved_ode, \
+    solve_flag_ivp, solve_tree_wave_ivp
 from .lie import (
     commutation_checks,
     g2_module_basis,
     g2_singular_config,
     harmonic_module_basis,
     sl_module_basis,
+    sl_singular_config,
     verify_singular,
 )
-from .operators import SeriesTerminationError, VerificationError
+from .operators import SeriesTerminationError, VerificationError, op_to_json
 from .poly import Polynomial, variable
 from .trees import Tree, check_splitting, compute_splitting, tricomi_operator
 
 
 class InputError(ValueError):
     pass
-
-
-IVP_TOLERANCE = 1e-9
-"""The initial trace residual the IVP commands accept, and report."""
 
 
 TREE_SCHEMA = {
@@ -455,8 +452,6 @@ def _cmd_tree(args):
         return {"valid": True, "tree": tree.to_json()}
     if args.action == "xi":
         splitting = compute_splitting(tree)
-        from .operators import op_to_json
-
         return {
             "tree": tree.to_json(),
             "tricomi": op_to_json(tricomi_operator(tree)),
@@ -532,7 +527,7 @@ def _cmd_ivp_flag(args):
         raise InputError(f"need {m} symbols, got {len(symbols)}")
     axes = [(0.0, 1.0)] + [(-a, a) for a in half_widths]
     points = _grid_points(args.grid, axes)
-    solution = solve_flag_ivp(symbols, traces, points, check_tol=IVP_TOLERANCE)
+    solution = solve_flag_ivp(symbols, traces, points)
     return _ivp_payload(points, solution.values, solution.trace_residual)
 
 
@@ -545,20 +540,21 @@ def _cmd_ivp_tree(args):
     g1 = TrigData.from_json(data.get("g1", {"modes": []}), half_widths)
     axes = [(-a, a) for a in half_widths]
     points = _grid_points(args.grid, axes)
-    solution = solve_tree_wave_ivp(tree, g0, g1, t, points, check_tol=IVP_TOLERANCE)
+    solution = solve_tree_wave_ivp(tree, g0, g1, t, points)
     payload = _ivp_payload(points, solution.values, solution.trace_residual)
     payload["t"] = t
     return payload
 
 
 def _ivp_payload(points, values, residual):
+    """The grid, its values and the trace check the solver ran."""
     return {
         "grid": [list(pt) for pt in points],
         "values": values,
         "verification": {
             "initialTraceResidual": residual,
-            "tolerance": IVP_TOLERANCE,
-            "passed": residual <= IVP_TOLERANCE,
+            "tolerance": TRACE_TOLERANCE,
+            "passed": residual <= TRACE_TOLERANCE,
         },
     }
 
@@ -570,15 +566,7 @@ def _cmd_lie(args):
     elif args.kind == "sl":
         family = sl_module_basis(args.n, args.l1, args.l2)
         top = variable("x1") ** args.l1 * variable(f"y{args.n}") ** args.l2
-        from .lie import SingularConfig, sl_cartan, sl_generator
-
-        positives = [
-            (f"E{i}{j}", sl_generator(args.n, i, j))
-            for i in range(1, args.n + 1)
-            for j in range(i + 1, args.n + 1)
-        ]
-        config = SingularConfig(positives, [(f"h{i}", h) for i, h in enumerate(sl_cartan(args.n), 1)])
-        extra = _singular_weight(config, top)
+        extra = _singular_weight(sl_singular_config(args.n), top)
     elif args.kind == "g2":
         family = g2_module_basis(args.k)
         extra = _singular_weight(g2_singular_config(), variable("x4") ** args.k)

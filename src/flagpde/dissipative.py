@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-def dissipation_polynomial(a, i: int, tvar: str = "t") -> Polynomial:
+def dissipation_polynomial(a, i: int) -> Polynomial:
     """The i-th iterate of the damped right inverse on 1, as a closed form.
 
     xi_0 = 1, xi_1 = t/a, and for i >= 2
@@ -72,9 +72,9 @@ def dissipation_polynomial(a, i: int, tvar: str = "t") -> Polynomial:
         raise ValueError("index must be non-negative")
     ainv = (GaussianRational(1) / a) if isinstance(a, GaussianRational) else 1 / a
     if i == 0:
-        return Polynomial.const(1, (tvar,))
+        return Polynomial.const(1, ("t",))
     if i == 1:
-        return Polynomial((tvar,), {(1,): ainv})
+        return Polynomial(("t",), {(1,): ainv})
     apow = [Fraction(1)]  # apow[k] = a^(-k), up to k = 2i - 1
     for _ in range(2 * i - 1):
         apow.append(apow[-1] * ainv)
@@ -87,7 +87,7 @@ def dissipation_polynomial(a, i: int, tvar: str = "t") -> Polynomial:
         coeff = Fraction((-1) ** r * math.perm(i + r - 1, r - 1),
                          math.factorial(i - r - 1) * math.factorial(r))
         terms[(i - r,)] = coeff * apow[r + i]
-    return Polynomial((tvar,), terms)
+    return Polynomial(("t",), terms)
 
 
 def _laplacian(vars_):

@@ -36,8 +36,10 @@ each mode evolves independently.
   closed form: the mode wave exp(i theta) evolves to exp(i theta + Xi(t)),
   with Xi the summed splitting exponents evaluated at the mode.
 
-All solvers verify the reproduced initial traces at the evaluation points
-before returning.
+The flag, heat and wave solvers check the reproduced initial traces at the
+evaluation points against TRACE_TOLERANCE before returning.
+``solve_constant_ode`` checks nothing; the ``ode`` command checks its exact
+initial derivatives.
 """
 
 from __future__ import annotations
@@ -75,6 +77,16 @@ _GUARD_BITS = 40
 
 # the most weights (terms, for one argument) a graded exponential may sum
 WEIGHT_LIMIT = 8 * 2**10
+
+# the most operator powers d_T^i (carriers) a tree-wave mode may build
+CARRIER_LIMIT = 120
+
+# the largest initial trace residual a solver returns; it also bounds the
+# tree-wave series' rounding error relative to its values
+TRACE_TOLERANCE = 1e-9
+
+# the relative accuracy a graded exponential's fixed point is sized for
+_RELATIVE_ACCURACY = 1e-12
 
 
 def _weight_sums(args, count: int, one):
@@ -159,7 +171,7 @@ def _truncated_quotient(n: int, d: int) -> int:
     return n // d if n >= 0 else -(-n // d)
 
 
-def _graded_exponentials(orders, args, rel_tol: float = 1e-12) -> list:
+def _graded_exponentials(orders, args) -> list:
     """Y_r(args) for each order r in `orders`, from one run of the recurrence.
 
     See generalized_exponential.  S_w does not depend on r, so the scaled sums
@@ -173,7 +185,7 @@ def _graded_exponentials(orders, args, rel_tol: float = 1e-12) -> list:
         return [_one_argument_value(r, args[0]) for r in orders]
     m = len(args)
     bound = _magnitude_bound([abs(a) for a in args])
-    bits = math.frexp(bound)[1] + max(0, -math.frexp(rel_tol)[1]) + _GUARD_BITS
+    bits = math.frexp(bound)[1] - math.frexp(_RELATIVE_ACCURACY)[1] + _GUARD_BITS
     ints, shift = _dyadic(args)
     nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
     units = [(1 << bits, 0)]
@@ -210,7 +222,7 @@ def _graded_exponentials(orders, args, rel_tol: float = 1e-12) -> list:
     return values
 
 
-def generalized_exponential(r: int, args, rel_tol: float = 1e-12) -> complex:
+def generalized_exponential(r: int, args) -> complex:
     """sum over tuples i of multinomial(i) * prod args^i / (r + sum_s s*i_s)!.
 
     A single argument is summed in closed form through the exponential: the
@@ -221,8 +233,8 @@ def generalized_exponential(r: int, args, rel_tol: float = 1e-12) -> complex:
     recurrence S_w = sum_p a_p S_(w-p-1), which does not depend on r.  The
     scaled sums U_w = S_w / w!, starting from U_0 = 1, obey
     U_w = sum_p a_p U_(w-p-1) (w-p-1)!/w! and are carried in integer fixed
-    point with log2(B) + log2(1/rel_tol) + 40 fractional bits, where B, the
-    series Y_0 at the argument moduli, bounds sum |U_w| and how far the
+    point with log2(B / _RELATIVE_ACCURACY) + 40 fractional bits, where B,
+    the series Y_0 at the argument moduli, bounds sum |U_w| and how far the
     truncation error made at one weight can grow through the recurrence.
     Then r! Y_r = sum_w U_w / C(r+w, r) is accumulated with one truncated
     quotient per weight, divided by r! and rounded once.  Error, in units of
@@ -231,14 +243,14 @@ def generalized_exponential(r: int, args, rel_tol: float = 1e-12) -> complex:
     truncations of N weights put at most N B units into sum |U_w|.  Order r
     divides those errors by C(r+w, r) >= 1, so they are no larger than order
     0's, and its own quotients add at most one unit per weight: r! Y_r is
-    within N (B + 1) units, at most N rel_tol 2^-38, below rel_tol * 2^-25
-    for N up to WEIGHT_LIMIT, however much the terms cancel and however
-    large r is.  The sum stops after m consecutive U_w that are
-    exactly zero (the recurrence then stays at zero).  Arguments whose series
-    overflows the float range, or that need more than WEIGHT_LIMIT weights,
-    raise SeriesTerminationError.
+    within N (B + 1) units, at most N 2^-38 _RELATIVE_ACCURACY, below
+    2^-25 _RELATIVE_ACCURACY for N up to WEIGHT_LIMIT, however much the
+    terms cancel and however large r is.  The sum stops after m consecutive
+    U_w that are exactly zero (the recurrence then stays at zero).  Arguments
+    whose series overflows the float range, or that need more than
+    WEIGHT_LIMIT weights, raise SeriesTerminationError.
     """
-    return _graded_exponentials([r], args, rel_tol)[0]
+    return _graded_exponentials([r], args)[0]
 
 
 # -- constant-coefficient modes; the ODE is the zero mode ---------------------------
@@ -404,16 +416,15 @@ class TrigData:
         return total
 
     @staticmethod
-    def from_json(data, half_widths=None) -> "TrigData":
-        hw = half_widths if half_widths is not None else data["halfWidths"]
+    def from_json(data, half_widths) -> "TrigData":
         modes = {
             tuple(m["k"]): (m.get("cos", 0.0), m.get("sin", 0.0)) for m in data["modes"]
         }
-        return TrigData(tuple(hw), modes)
+        return TrigData(tuple(half_widths), modes)
 
 
-def _checked_residual(residuals, check_tol: float) -> float:
-    """The largest trace residual, raising unless it is at most check_tol.
+def _checked_residual(residuals) -> float:
+    """The largest trace residual, raising unless it is at most TRACE_TOLERANCE.
 
     A NaN residual is kept as the result (max() would drop it) and fails
     the check, which is written so that NaN cannot pass it.
@@ -424,8 +435,8 @@ def _checked_residual(residuals, check_tol: float) -> float:
             worst = r
             break
         worst = max(worst, r)
-    if not worst <= check_tol:
-        raise VerificationError(f"initial trace residual {worst} exceeds {check_tol}")
+    if not worst <= TRACE_TOLERANCE:
+        raise VerificationError(f"initial trace residual {worst} exceeds {TRACE_TOLERANCE}")
     return worst
 
 
@@ -455,7 +466,7 @@ def _mode_phases(modes, half_widths, point) -> list:
     return out
 
 
-def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagIvpSolution:
+def solve_flag_ivp(symbols, data, eval_points) -> FlagIvpSolution:
     """Solve d^m/dx1^m u = sum_p d^(m-p)/dx1^(m-p) f_p(D) u with given traces.
 
     `symbols` lists the m polynomial symbols f_p in variables D2..Dn;
@@ -464,6 +475,8 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
     (tuples (x1, x2..xn)) after verifying the reproduced traces.
     """
     m = len(symbols)
+    if not m:
+        raise ValueError("need at least one order")
     if len(data) != m:
         raise ValueError("need one initial trace per order")
     half_widths = data[0].half_widths
@@ -504,7 +517,7 @@ def solve_flag_ivp(symbols, data, eval_points, check_tol: float = 1e-9) -> FlagI
             point = tuple(pt[1:])
             trace = _flag_value(modes, derivs, phases[point])
             residuals.append(abs(trace - data[s].value_at(point)))
-    worst = _checked_residual(residuals, check_tol)
+    worst = _checked_residual(residuals)
     return FlagIvpSolution(m, half_widths, modes, list(eval_points), values, worst)
 
 
@@ -543,8 +556,7 @@ class TreeHeatSolution:
         return total
 
 
-def solve_tree_heat_ivp(tree: Tree, g0: TrigData, t: float, eval_points,
-                        check_tol: float = 1e-9) -> TreeHeatSolution:
+def solve_tree_heat_ivp(tree: Tree, g0: TrigData, t: float, eval_points) -> TreeHeatSolution:
     """Solve u_t = d_T u with u(0) = g0 by the nodewise splitting.
 
     exp(t d_T) factors into the product of the nodes' heat flows, so each
@@ -558,7 +570,7 @@ def solve_tree_heat_ivp(tree: Tree, g0: TrigData, t: float, eval_points,
     sol = TreeHeatSolution(compute_splitting(tree), g0.half_widths, g0, list(eval_points), t, [], 0.0)
     sol.values = [sol.at(t, pt) for pt in eval_points]
     sol.trace_residual = _checked_residual(
-        (abs(sol.at(0.0, pt) - g0.value_at(pt)) for pt in eval_points), check_tol
+        abs(sol.at(0.0, pt) - g0.value_at(pt)) for pt in eval_points
     )
     return sol
 
@@ -566,6 +578,9 @@ def solve_tree_heat_ivp(tree: Tree, g0: TrigData, t: float, eval_points,
 # -- the tree wave IVP ----------------------------------------------------------------
 
 _UNIT_ROUNDOFF = 2.0**-53
+
+# a mode series stops after two steps below this, relative to 1 plus its values
+_SETTLED_STEP = 1e-14
 
 
 def _carrier_apply(tree: Tree, omegas, carrier: dict) -> dict:
@@ -612,14 +627,12 @@ class TreeWaveSeriesSolution:
     t: float
     values: list
     trace_residual: float
-    max_terms: int = 120
-    check_tol: float = 1e-9
 
     def _carrier(self, k, i: int) -> dict:
         """The carrier of d_T^i on mode k, applying the operator as needed."""
         chain = self.carriers[k]
         while len(chain) <= i:
-            if len(chain) > self.max_terms:
+            if len(chain) > CARRIER_LIMIT:
                 raise SeriesTerminationError("mode series did not settle within the carrier cap")
             chain.append(_carrier_apply(self.tree, wave_numbers(k, self.half_widths), chain[-1]))
         return chain[i]
@@ -637,14 +650,14 @@ class TreeWaveSeriesSolution:
             size += abs(term)
         return total, size
 
-    def mode_series(self, k, t: float, point, tol: float = 1e-14):
+    def mode_series(self, k, t: float, point):
         """(even, odd) complex mode values: sum t^(2i)/(2i)! d^i and
         sum t^(2i+1)/(2i+1)! d^i applied to the mode wave at the point.
 
         Carriers are built only as far as the series needs them.  The sums
         keep Higham's running bound u * sum |t-weight| * sum |c| |x|^e on
-        their rounding error and raise when it exceeds check_tol relative to
-        the larger of 1 and the values.
+        their rounding error and raise when it exceeds TRACE_TOLERANCE
+        relative to the larger of 1 and the values.
         """
         phase = cmath.exp(1j * _phase(k, self.half_widths, point))
         even = odd = 0j
@@ -667,11 +680,11 @@ class TreeWaveSeriesSolution:
             # powers can vanish at a point while higher ones do not
             step = (abs(te) + abs(to)) * size
             spread += step
-            quiet = quiet + 1 if step < tol * (1.0 + abs(even) + abs(odd)) else 0
+            quiet = quiet + 1 if step < _SETTLED_STEP * (1.0 + abs(even) + abs(odd)) else 0
             if quiet >= 2:
                 break
         bound = _UNIT_ROUNDOFF * spread
-        if bound > self.check_tol * max(1.0, abs(even), abs(odd)):
+        if bound > TRACE_TOLERANCE * max(1.0, abs(even), abs(odd)):
             raise VerificationError(
                 f"mode {k} series at t={t} may have lost {bound:.3g} to cancellation"
             )
@@ -692,14 +705,13 @@ class TreeWaveSeriesSolution:
 
 
 def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
-                        eval_points, check_tol: float = 1e-9,
-                        max_terms: int = 120) -> TreeWaveSeriesSolution:
+                        eval_points) -> TreeWaveSeriesSolution:
     """Solve u_tt = d_T u with u(0) = g0, u_t(0) = g1 by direct series.
 
     Per mode the operator powers d_T^i are applied symbolically to the mode
     wave (a polynomial carrier times the phase), and the even/odd factorial
     series in t are summed adaptively at each evaluation point.  A mode
-    builds at most max_terms operator powers, and only as many as the
+    builds at most CARRIER_LIMIT operator powers, and only as many as the
     series at the requested times need.
     """
     if not math.isfinite(t):
@@ -711,10 +723,7 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
     carriers = {
         k: [{(0,) * tree.nodes: 1 + 0j}] for k in sorted(set(g0.modes) | set(g1.modes))
     }
-    sol = TreeWaveSeriesSolution(
-        tree, g0.half_widths, g0, g1, carriers, list(eval_points), t, [], 0.0,
-        max_terms, check_tol,
-    )
+    sol = TreeWaveSeriesSolution(tree, g0.half_widths, g0, g1, carriers, list(eval_points), t, [], 0.0)
     sol.values = [sol.at(t, pt) for pt in eval_points]
     residuals = []
     for pt in eval_points:
@@ -729,7 +738,7 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
             even, _ = series[k]
             vel += b1 * even.real + c1 * even.imag
         residuals.append(abs(vel - g1.value_at(pt)))
-    sol.trace_residual = _checked_residual(residuals, check_tol)
+    sol.trace_residual = _checked_residual(residuals)
     return sol
 
 

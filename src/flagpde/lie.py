@@ -69,6 +69,7 @@ __all__ = [
     "sl_invariant",
     "sl_laplacian",
     "sl_module_basis",
+    "sl_singular_config",
     "so_generator",
     "so_highest_harmonic",
     "so_singular_config",
@@ -478,6 +479,12 @@ def so_singular_config(n: int) -> SingularConfig:
             [("E(+)", raising(1)), ("E(-)", raising(-1))], [("h1", h1), ("h2", h2)]
         )
     raise ValueError("configurations are recorded for n = 3 and n = 4 only")
+
+
+def sl_singular_config(n: int) -> SingularConfig:
+    """The raising operators E_ij (i < j) and the Cartan operators h_i of sl(n)."""
+    positives = [(f"E{i}{j}", sl_generator(n, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    return SingularConfig(positives, [(f"h{i}", h) for i, h in enumerate(sl_cartan(n), 1)])
 
 
 def g2_singular_config() -> SingularConfig:

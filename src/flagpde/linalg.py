@@ -33,6 +33,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
+from .combinatorics import tuples_with_sum, tuples_with_sum_at_most
 from .operators import _chain_order, form_map
 from .poly import GaussianRational, Polynomial, _int_form, _nonzero, _parts, _reduced
 
@@ -323,15 +324,11 @@ def polys_in_span(basis, candidates) -> bool:
 
 def monomials_of_degree(vars, degree: int):
     """All monomials of exact total degree `degree` as Polynomials."""
-    from .combinatorics import tuples_with_sum
-
     vars = tuple(vars)
     return [Polynomial(vars, {exp: Fraction(1)}) for exp in tuples_with_sum(len(vars), degree)]
 
 
 def monomials_up_to_degree(vars, degree: int):
-    from .combinatorics import tuples_with_sum_at_most
-
     vars = tuple(vars)
     return [
         Polynomial(vars, {exp: Fraction(1)})
@@ -341,8 +338,6 @@ def monomials_up_to_degree(vars, degree: int):
 
 def bidegree_monomials(x_vars, y_vars, deg_x: int, deg_y: int):
     """Monomials homogeneous of degree deg_x in x_vars and deg_y in y_vars."""
-    from .combinatorics import tuples_with_sum
-
     x_vars, y_vars = tuple(x_vars), tuple(y_vars)
     vars_ = x_vars + y_vars
     out = []

@@ -30,6 +30,7 @@ that order so equal polynomials print and dump identically.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -899,8 +900,6 @@ class TrigPolynomial:
         raise TypeError("TrigPolynomial is not hashable")
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
-        import cmath
-
         t = complex(values[self.time_var])
         a = float(self.frequency)
         return self.cos_part.evaluate(values) * cmath.cos(a * t) + self.sin_part.evaluate(

@@ -52,6 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .combinatorics import tuples_with_sum_at_most
 from .operators import (
     Compose,
     Derivative,
@@ -240,10 +241,11 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     the sum of its tagged images, and the two agree exactly when they agree
     on every monomial.  A mismatch raises VerificationError naming the
     monomial of the smallest tag in the difference and that tag's lowest
-    t power.
+    t power.  A negative cap raises ValueError: it would check nothing.
     """
-    from .combinatorics import tuples_with_sum_at_most
-
+    if degree_cap < 0 or t_power_cap < 0:
+        raise ValueError(f"the caps must be non-negative, got degree_cap={degree_cap}, "
+                         f"t_power_cap={t_power_cap}")
     n = tree.nodes
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     vs = ("t",) + x_vars + ("tag",)

@@ -114,6 +114,16 @@ def test_tree_xi_and_splitting(tmp_path):
     assert json.loads(out.read_text())["result"]["proof"] is True
 
 
+@pytest.mark.parametrize("caps", [["--tcap", "-1"], ["--cap", "-1"]])
+def test_tree_splitting_rejects_a_negative_cap(tmp_path, capsys, caps):
+    tree = _write(tmp_path, "t.json", json.dumps({"nodes": 2, "edges": [[1, 2]]}))
+    out = tmp_path / "split.json"
+    assert run_cli(["tree", "check-splitting", "--tree", tree, *caps, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be non-negative" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ivp_flag_grid(tmp_path, capsys):
     symbols = tmp_path / "symbols.json"
     symbols.write_text(json.dumps({
@@ -588,6 +598,9 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("jsonschema", "re
     (["basis", "flag", "--spec", "{spec}", "--cap", "2"],
      {"spec": {"orders": [1, 1], "coefficients": [[{"exp": {"x2": 1}, "re": "1"}]]}},
      ("not a flag system", "x2")),
+    (["ivp", "flag", "--orders", "0", "--grid", "2x3", "--symbols", "{symbols}", "--data", "{data}"],
+     {"symbols": {"symbols": []}, "data": {"halfWidths": [1.0], "conditions": []}},
+     "need at least one order"),
 ])
 def test_malformed_input_exits_two_without_a_traceback(tmp_path, capsys, args, files, message):
     paths = {name: _write(tmp_path, f"{name}.json", json.dumps(body)) for name, body in files.items()}
@@ -722,16 +735,19 @@ def test_ivp_flag_symbol_value_overflow_exits_three(tmp_path, capsys):
 
 
 def test_ivp_payload_reports_the_checked_tolerance(tmp_path):
-    from flagpde.cli import IVP_TOLERANCE
+    from flagpde.ivp import TRACE_TOLERANCE
 
+    paths = _report_inputs(tmp_path)
     out = tmp_path / "out.json"
-    args = ["ivp", "flag", "--orders", "1", "--grid", "2x2", "--out", str(out),
+    flag = ["ivp", "flag", "--orders", "1", "--grid", "2x2",
             "--symbols", _write(tmp_path, "s.json", json.dumps(_FLAG_SYMBOLS)),
             "--data", _write(tmp_path, "d.json", '{"halfWidths": [1.0], "modes": [{"k": [1], "cos": 1.0}]}')]
-    assert run_cli(args) == 0
-    verification = json.loads(out.read_text())["result"]["verification"]
-    assert verification["tolerance"] == IVP_TOLERANCE == 1e-9
-    assert verification["passed"] is (verification["initialTraceResidual"] <= IVP_TOLERANCE)
+    wave = ["ivp", "tree-wave", "--tree", paths["tree"], "--data", paths["wave"], "--t", "0.05", "--grid", "2x2x2"]
+    for args in (flag, wave):
+        assert run_cli(args + ["--out", str(out)]) == 0
+        verification = json.loads(out.read_text())["result"]["verification"]
+        assert verification["tolerance"] == TRACE_TOLERANCE == 1e-9
+        assert verification["passed"] is (verification["initialTraceResidual"] <= TRACE_TOLERANCE)
 
 
 # -- the report writer and repeated calls ----------------------------------------------------

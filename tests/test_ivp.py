@@ -517,12 +517,40 @@ def test_nan_data_fails_every_trace_check():
 def test_checked_residual_keeps_a_nan_after_finite_residuals():
     from flagpde.ivp import _checked_residual
 
-    assert _checked_residual([1e-12, 3e-12, 0.0], 1e-9) == 3e-12
-    assert _checked_residual([], 1e-9) == 0.0
+    assert _checked_residual([1e-12, 3e-12, 0.0]) == 3e-12
+    assert _checked_residual([]) == 0.0
     with pytest.raises(VerificationError, match="nan"):
-        _checked_residual([1e-12, math.nan, 0.0], 1e-9)
+        _checked_residual([1e-12, math.nan, 0.0])
     with pytest.raises(VerificationError, match="exceeds"):
-        _checked_residual([1e-12, 2e-9], 1e-9)
+        _checked_residual([1e-12, 2e-9])
+
+
+def test_every_trace_check_reads_the_one_tolerance(monkeypatch, tmp_path, capsys):
+    """A tolerance no residual can meet fails each solver's trace check,
+    and the ivp flag command exits 3 without a report."""
+    from flagpde.cli import main
+
+    monkeypatch.setattr(ivp, "TRACE_TOLERANCE", -1.0)
+    tree, pts = Tree(2, [(1, 2)]), [(0.1, 0.2)]
+    g0, zero = TrigData((1.0, 1.0), {(1, 0): (1.0, 0.0)}), TrigData((1.0, 1.0), {})
+    with pytest.raises(VerificationError):
+        solve_flag_ivp([_d2sq()], [TrigData((1.0,), {(1,): (1.0, 0.0)})], pts)
+    with pytest.raises(VerificationError):
+        solve_tree_heat_ivp(tree, g0, 0.1, pts)
+    with pytest.raises(VerificationError):
+        solve_tree_wave_ivp(tree, g0, zero, 0.1, pts)
+    (tmp_path / "s.json").write_text('{"variables": ["D2"], "symbols": [[{"exp": {"D2": 2}, "re": "1"}]]}')
+    (tmp_path / "d.json").write_text('{"halfWidths": [1.0], "modes": [{"k": [1], "cos": 1.0}]}')
+    out = tmp_path / "out.json"
+    assert main(["ivp", "flag", "--orders", "1", "--grid", "2x2", "--out", str(out),
+                 "--symbols", str(tmp_path / "s.json"), "--data", str(tmp_path / "d.json")]) == 3
+    assert "verification failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flag_ivp_needs_an_order():
+    with pytest.raises(ValueError, match="at least one order"):
+        solve_flag_ivp([], [], [(0.5, 0.1)])
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -718,9 +746,9 @@ def test_tree_wave_traces_take_one_zero_time_pass_per_point(monkeypatch):
     calls = []
     mode_series = ivp.TreeWaveSeriesSolution.mode_series
 
-    def counted(self, k, t, point, tol=1e-14):
+    def counted(self, k, t, point):
         calls.append((k, t, tuple(point)))
-        return mode_series(self, k, t, point, tol)
+        return mode_series(self, k, t, point)
 
     monkeypatch.setattr(ivp.TreeWaveSeriesSolution, "mode_series", counted)
     sol = solve_tree_wave_ivp(tree, g0, g1, 0.05, pts)
@@ -739,12 +767,13 @@ def test_tree_wave_traces_take_one_zero_time_pass_per_point(monkeypatch):
     assert sol.trace_residual == max(residuals)
 
 
-def test_tree_wave_series_carrier_cap_raises():
+def test_tree_wave_series_carrier_cap_raises(monkeypatch):
     from flagpde import solve_tree_wave_series
 
+    monkeypatch.setattr(ivp, "CARRIER_LIMIT", 3)
     tree, g0, g1 = _chain3_data()
     with pytest.raises(SeriesTerminationError):
-        solve_tree_wave_series(tree, g0, g1, 0.05, [(0.1, 0.2, 0.3)], max_terms=3)
+        solve_tree_wave_series(tree, g0, g1, 0.05, [(0.1, 0.2, 0.3)])
 
 
 def test_tree_wave_series_cancellation_raises():

@@ -171,6 +171,12 @@ def test_splitting_report_says_whether_the_sweep_is_a_proof():
     assert check_splitting(tree, 3, 3).proof is False  # the CLI default caps
 
 
+@pytest.mark.parametrize("cap, tcap", [(-1, 3), (3, -1)])
+def test_splitting_check_rejects_a_negative_cap(cap, tcap):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        check_splitting(Tree(2, [(1, 2)]), cap, tcap)
+
+
 @pytest.mark.parametrize("tree, cap, tcap", [
     (CHAIN3, 0, 3),
     (Tree(3, [(1, 2), (1, 3)]), 0, 2),
