@@ -13,15 +13,15 @@ desk-scale completeness checks live in ``verify_independence`` and the
 test suite's kernel oracles.
 
 Every constant-coefficient family (constant, harmonic, damped-wave,
-anisymmetric, sl and g2) is one series u = sum_R p_R L^R(x^l), built by
-``_closed_form_series``.  L = sum_j c_j d^(beta_j) acts on separate
-variable blocks, so L^R(x^l) = sum_{|r|=R} R!/r! prod_j c_j^(r_j)
-prod_v perm(l_v, r_j beta_v) x^(l - r_j beta_j).  A ``_BlockTable`` per
-block holds c^r prod_v perm(l_v, r beta_v)/r!, and a ``_profile`` per
-family holds R! p_R over one denominator: (-1)^R R! (d^alpha)^(-R) x^c for
-a corner operator d^alpha (``_corner_profile``), the t-profiles and
-kernel-seed profiles of ``dissipative``.  An element is the products of
-table entries times the profile of their R, reduced once.
+anisymmetric, sl and g2) is built from one series u = sum_R p_R L^R(x^l)
+of a monomial seed x^l, ``_closed_form_series``.  L = sum_j c_j d^(beta_j)
+acts on separate variable blocks, so L^R(x^l) = sum_{|r|=R} R!/r!
+prod_j c_j^(r_j) prod_v perm(l_v, r_j beta_v) x^(l - r_j beta_j).  A
+``_BlockTable`` per block holds c^r prod_v perm(l_v, r beta_v)/r!, and a
+``_profile`` holds R! p_R over one denominator: (-1)^R R! (d^alpha)^(-R)
+x^c for a corner operator d^alpha (``_corner_profile``), the t-profiles
+and kernel-seed profiles of ``dissipative``.  An element is the products
+of table entries times the profile of their R, reduced once.
 """
 
 from __future__ import annotations
@@ -196,18 +196,15 @@ class _BlockTable(dict):
         return entries
 
 
-def _profile(entries) -> list:
+def _profile(entries) -> tuple:
     """The profile from its entries (pairs, den_R), R = 0.., holding R! p_R
-    as (corner exponent, integer numerator) pairs over den_R: per top T,
-    the lcm d_T of den_0..den_T and each R <= T's pairs over d_T."""
-    out, d = [], 1
-    for top, (_, den) in enumerate(entries):
-        d = math.lcm(d, den)
-        out.append((d, [[(j, c * (d // den)) for j, c in pairs] for pairs, den in entries[: top + 1]]))
-    return out
+    as (corner exponent, integer numerator) pairs over den_R: the lcm d of
+    all den_R and each R's pairs over d."""
+    d = math.lcm(*(den for _, den in entries))
+    return d, [[(j, c * (d // den)) for j, c in pairs] for pairs, den in entries]
 
 
-def _corner_profile(corner: tuple, orders: tuple, top: int) -> list:
+def _corner_profile(corner: tuple, orders: tuple, top: int) -> tuple:
     """The profile R! p_R, R <= top, of p_R = (-1)^R (d^orders)^(-R) x^corner
     (zero constants): (-1)^R x^(corner + R orders) over the integer
     prod_v perm(corner_v + R orders_v, R orders_v) / R!."""
@@ -219,46 +216,26 @@ def _corner_profile(corner: tuple, orders: tuple, top: int) -> list:
     return _profile(entries)
 
 
-def _closed_form_series(profile, blocks, seed: dict, den: int = 1, max_power=None,
-                        move=None) -> _IntForm:
-    """sum_R p_R L^R(seed), reduced once (module docstring), from the tables
-    of L's blocks in order and a ``_profile``.  seed is {exponent over the
-    blocks' variables: integer numerator} over den.  The result is over the
-    corner variables, then the blocks', reordered by move(exponent) if given.
+def _closed_form_series(profile, blocks, seed: tuple, move=None) -> _IntForm:
+    """sum_R p_R L^R(x^seed), reduced once (module docstring), from the
+    tables of L's blocks in order and a ``_profile``; seed is the exponent
+    tuple over the blocks' variables.  The result is over the corner
+    variables, then the blocks', reordered by move(exponent) if given.
 
-    R stops at the last power with a nonzero term and at max_power, for a
-    seed in ker L^(max_power+1).  Distinct R give distinct block exponents
-    (a one-term seed's exponent fixes each r; the seeds with several terms
-    are homogeneous for a homogeneous L), so the outer product with the
-    profile makes no term twice.
+    R runs to the last power with a nonzero term.  The seed's exponent
+    fixes each block's r, so distinct R give distinct block exponents and
+    the outer product with the profile makes no term twice.
     """
-    splits, top = [], 0
-    for exp, a in seed.items():
-        start, tabs = 0, []
-        for table in blocks:
-            stop = start + len(table.orders)
-            tabs.append(table[exp[start:stop]])
-            start = stop
-        splits.append((a, tabs))
-        top = max(top, sum(map(len, tabs)) - len(tabs))
-    bound = top if max_power is None else min(top, max_power)
-    terms = []
-    for a, tabs in splits:
-        part = [(0, a, ())]
-        for entries in tabs:
-            part = [(r + s, n * m, e + f) for r, n, e in part
-                    for s, m, f in (entries if bound == top else entries[: bound - r + 1])]
-        terms += part
-    if len(splits) > 1:
-        sums = {}
-        for r, n, e in terms:
-            sums[r, e] = sums.get((r, e), 0) + n
-        terms = [(r, n, e) for (r, e), n in sums.items() if n]
-    d, scaled = profile[bound]
+    terms, start = [(0, 1, ())], 0
+    for table in blocks:
+        stop = start + len(table.orders)
+        terms = [(r + s, n * m, e + f) for r, n, e in terms for s, m, f in table[seed[start:stop]]]
+        start = stop
+    d, scaled = profile
     re = {j + e: c * n for r, n, e in terms for j, c in scaled[r]}
     if move is not None:
         re = {move(e): a for e, a in re.items()}
-    return _reduced(re, {}, d * den)
+    return _reduced(re, {}, d)
 
 
 class _SeriesLemma:
@@ -268,12 +245,12 @@ class _SeriesLemma:
     The caller states A = K + M L: K on the corner variables, the corner
     multiplier M (a Polynomial in them) and the blocks (c, beta, variables)
     of L = sum_j c_j d^(beta_j) on disjoint others.  For u = sum_(R <= T)
-    p_R L^R(seed), K p_0 = 0, K p_R = -M p_(R-1) and L^(T+1)(seed) = 0 give
-    A u = M p_T L^(T+1)(seed) = 0.  ``prove`` checks that once per family,
+    p_R L^R(x^l), K p_0 = 0, K p_R = -M p_(R-1) and L^(T+1)(x^l) = 0 give
+    A u = M p_T L^(T+1)(x^l) = 0.  ``prove`` checks that once per family,
     whatever the element count, on the tables and profiles ``element``
     used: the block c d^beta maps each table entry r to (r+1) times entry
     r+1 and the last to 0, from entry 0 = x^l, so entry r is B^r(x^l)/r!
-    and the series reaches L^(T+1)(seed) = 0; every profile's
+    and the series reaches L^(T+1)(x^l) = 0; every profile's
     P_R = R! p_R has K P_0 = 0 and K P_R = -R M P_(R-1); and A has the
     normal form of K + M L.  The multinomial fold of
     ``_closed_form_series`` (the tables of commuting blocks give L^R/R!)
@@ -293,12 +270,11 @@ class _SeriesLemma:
         self._move = None if layout == variables else itemgetter(*map(layout.index, variables))
         self._profiles = {}
 
-    def element(self, profile, seed: dict, den: int = 1, max_power=None) -> Polynomial:
+    def element(self, profile, seed: tuple) -> Polynomial:
         """``_closed_form_series`` over the blocks, as a Polynomial over the
-        family's variables.  A series cut at max_power does not meet the
-        lemma's L^(T+1)(seed) = 0, so its family is checked end to end."""
+        family's variables."""
         self._profiles[id(profile)] = profile
-        form = _closed_form_series(profile, [t for t, _ in self.blocks], seed, den, max_power, self._move)
+        form = _closed_form_series(profile, [t for t, _ in self.blocks], seed, self._move)
         return form.to_poly(self.variables, frozenset())
 
     def prove(self, annihilator: LinearOperator):
@@ -330,14 +306,9 @@ class _SeriesLemma:
                                             f"is not its block's powers")
         apply_k = FormApplicator(k, layout, frozenset()).apply_form
         pad = (0,) * (len(layout) - len(corner))
-        for profile in self._profiles.values():
-            # every top's entries are the last top's over a divisor of its denominator
-            d_last, last = profile[-1]
-            if any(d_last % d or [[(j, a * (d_last // d)) for j, a in pairs] for pairs in scaled]
-                   != last[: len(scaled)] for d, scaled in profile):
-                raise VerificationError("series lemma: the profile's tops disagree")
+        for _, pairs_of in self._profiles.values():
             prev = None
-            for r, pairs in enumerate(last):
+            for r, pairs in enumerate(pairs_of):
                 p = _IntForm({j + pad: a for j, a in pairs}, {}, 1)
                 image = apply_k(p) if prev is None else apply_k(p) + (m * prev).scaled(r)
                 if image:
@@ -373,7 +344,7 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
     for l1 in range(m1):
         profile = _corner_profile((l1,), (m1,), cap)
         for rest in tuples_with_sum_at_most(n - 1, cap):
-            elements.append(BasisElement({"ell": (l1,) + rest}, lemma.element(profile, {rest: 1})))
+            elements.append(BasisElement({"ell": (l1,) + rest}, lemma.element(profile, rest)))
     return _checked(elements, annihilator, {"cap": cap, "orders": list(orders)}, lemma)
 
 
@@ -391,7 +362,7 @@ def harmonic_element(n: int, eps: int, ells) -> Polynomial:
     if eps not in (0, 1) or len(ells) != n - 1:
         raise ValueError(f"need eps 0 or 1 and n - 1 exponents, got n={n}, eps={eps}, ells={ells}")
     profile = _corner_profile((eps,), (2,), sum(ells) // 2)
-    return _closed_form_series(profile, [_BlockTable(1, (2,))] * len(ells), {ells: 1}).to_poly(
+    return _closed_form_series(profile, [_BlockTable(1, (2,))] * len(ells), ells).to_poly(
         _default_vars(n), frozenset())
 
 
@@ -417,7 +388,7 @@ def _harmonic_elements(n: int, cap: int, ells_of) -> tuple:
     for eps in range(min(cap, 1) + 1):
         profile = _corner_profile((eps,), (2,), cap // 2)
         for ells in ells_of(n - 1, cap - eps):
-            elements.append(BasisElement({"eps": eps, "ell": ells}, lemma.element(profile, {ells: 1})))
+            elements.append(BasisElement({"eps": eps, "ell": ells}, lemma.element(profile, ells)))
     return elements, lemma
 
 
@@ -592,20 +563,17 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     perturbations = list(perturbations)
     if len(perturbations) != m:
         raise ValueError("need exactly m perturbation operators")
-    vars_ = operator_variables(t0) | {v for op in perturbations for v in operator_variables(op)}
-    vars_ |= set(h.vars) | set(g.vars)
     ops = [t0, *perturbations]
-    order, _ = _chain_order([], ops)
-    forms = [differential_form(op, order) for op in ops]
+    vs, laurent = _chain_order([h, g], [t0_inverse, *ops])
+    forms = [differential_form(op, vs) for op in ops]
     for a, b in itertools.combinations(range(m + 1), 2):
         if forms[a] is not None and forms[b] is not None:
             commute = forms_commute(forms[a], forms[b])
         else:
-            commute = operators_agree_on_sample(Compose(ops[a], ops[b]), Compose(ops[b], ops[a]), vars_)
+            commute = operators_agree_on_sample(Compose(ops[a], ops[b]), Compose(ops[b], ops[a]), vs)
         if not commute:
             failed = f"T0 does not commute with T{b}" if a == 0 else f"T{a} and T{b} do not commute"
             raise OperatorHypothesisError(f"power-perturbation hypotheses violated: {failed}")
-    vs, laurent = _chain_order([h, g], [t0_inverse, t0, *perturbations])
     hk = h0 = _int_form(h, vs)
     for _ in range(m):
         hk = t0.apply_form(hk, vs)

@@ -506,9 +506,11 @@ def _grid_points(spec: str, axes):
 
 
 def _cmd_ivp_flag(args):
+    m = args.orders
+    if m < 1:
+        raise InputError(f"need at least one order, got --orders {m}")
     sym_data = _load_json(args.symbols, SYMBOLS_SCHEMA, "symbols")
     data = _load_json(args.data, DATA_SCHEMA, "data")
-    m = args.orders
     half_widths = tuple(data["halfWidths"])
     conditions = data.get("conditions")
     if conditions is None:

@@ -6,9 +6,10 @@ produces the family of dissipation polynomials xi(a, i), which satisfy the
 exact descent d(xi_i) = xi_(i-1); they supply the time dependence of every
 family in this module, with the purely imaginary a = 2*freq*sqrt(-1) in
 the Klein-Gordon case.  The damped-wave and anisymmetric families are
-series sum_R p_R(t) Lap^R(seed) of ``bases._closed_form_series``, proved
-solutions by ``bases._SeriesLemma`` (the negative odd lambda family
-element by element).
+series sum_R p_R(t) Lap^R(x^l) of ``bases._closed_form_series``, proved
+solutions by ``bases._SeriesLemma``.  The phi branch of a negative odd
+lambda = -2k-1 applies the Laplacian k times to a kernel seed that is
+itself such a series, and that family is checked element by element.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .operators import (
     Sum,
     TrigApplicator,
     VerificationError,
+    form_map,
     solve_by_series,
 )
 from .poly import (
@@ -43,6 +45,8 @@ from .poly import (
     GaussianRational,
     Polynomial,
     TrigPolynomial,
+    _int_form,
+    _sum_forms,
     variable,
 )
 
@@ -120,12 +124,12 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
     lemma = _SeriesLemma(("t",), Sum((Derivative("t", 2), Derivative("t", 1))), Polynomial.const(-1),
                          [(1, (2,), (x,)) for x in x_vars], ("t",) + x_vars)
     profile = _folded_profile(dissipation_polynomial(Fraction(1), r) for r in range(cap // 2 + 1))
-    elements = [BasisElement({"ell": ell}, lemma.element(profile, {ell: 1}))
+    elements = [BasisElement({"ell": ell}, lemma.element(profile, ell))
                 for ell in tuples_with_sum_at_most(n, cap)]
     return _checked(elements, annihilator, {"cap": cap, "n": n}, lemma)
 
 
-def _folded_profile(polys) -> list:
+def _folded_profile(polys) -> tuple:
     """The ``bases._profile`` of the t-profiles p_0, p_1, .. (Polynomials in t)."""
     return _profile([
         ([(e, a * math.factorial(r)) for e, a in p.form.re.items()], p.form.den)
@@ -169,13 +173,15 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
 
     Three regimes: for generic lam a single branch sums eps^r phi_r Lap^r
     over the seed monomials; negative even integers add an extra branch
-    with the t^(1-lam) profiles; negative odd integers lam = -2k-1 restrict
-    the first branch to seeds killed by Lap^(k+1) and keep the second.
-    The lemma (``bases._SeriesLemma``) proves the first two regimes with
+    with the t^(1-lam) profiles; negative odd integers lam = -2k-1 keep the
+    second branch and replace the first by sum_(r <= k) eps^r phi_r Lap^r(s)
+    over seeds s killed by Lap^(k+1), each s a series of a monomial over
+    x1..xn and its k Laplacians taken on integer forms.  The lemma
+    (``bases._SeriesLemma``) proves the monomial-seed branches with
     K = t d^2/dt^2 + lam d/dt, M = -eps t and P_R = R! eps^R phi_R (or
-    psi_R), so K P_0 = 0 and K P_R = R eps t P_(R-1).  Its phi branch is
-    cut at R = k, which the tables do not prove, so the negative odd
-    family is checked on every element.
+    psi_R), so K P_0 = 0 and K P_R = R eps t P_(R-1).  The negative odd phi
+    branch is not such a series, so that family is checked on every
+    element.
     """
     if n < 1:
         raise ValueError("need at least one spatial variable")
@@ -200,33 +206,38 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     lemma = _SeriesLemma(("t",), weighted_t, -epsilon * t_poly, [(1, (2,), (x,)) for x in x_vars],
                          ("t",) + x_vars)
 
-    def branch(seeds, factor, top, name, max_power=None):
-        """One element per (ell, (seed, den)) pair: sum_R eps^R factor(lam, R)
-        Lap^R(seed) for R <= top, with the profiles read once per family."""
-        profile = _folded_profile(epsilon**r * factor(lam, r) for r in range(top + 1))
-        return [BasisElement({"ell": ell, "branch": name}, lemma.element(profile, seed, den, max_power))
-                for ell, (seed, den) in seeds]
+    def branch(factor, name):
+        """One element per seed x^ell: sum_R eps^R factor(lam, R) Lap^R(x^ell),
+        with the profile read once per family."""
+        profile = _folded_profile(epsilon**r * factor(lam, r) for r in range(cap // 2 + 1))
+        return [BasisElement({"ell": ell, "branch": name}, lemma.element(profile, ell))
+                for ell in tuples_with_sum_at_most(n, cap)]
 
-    monomials = [(ell, ({ell: 1}, 1)) for ell in tuples_with_sum_at_most(n, cap)]
     if kind == "negative_odd":
         # lam = -2k-1: the phi factors are undefined from R = k+1 on, so the
-        # phi branch takes the seeds with Lap^(k+1) = 0 and top part
+        # phi branch takes the seeds s with Lap^(k+1)(s) = 0 and top part
         # x1^l1 x_rest^rest, l1 < 2k+2: the series over the Laplacian of x2..xn
-        # with p_R = (-1)^R C(k+R, R) x1^(l1+2R)/(l1+2R)!
+        # with p_R = (-1)^R C(k+R, R) x1^(l1+2R)/(l1+2R)!.  Each element is
+        # sum_(R <= k) eps^R phi_R Lap^R(s), over t, x1..xn.
         k = (-int(lam) - 1) // 2
+        vs = lemma.variables
         blocks = [table for table, _ in lemma.blocks[1:]]
-        phi_seeds = []
+        apply_lap = form_map(lap, vs)
+        phis = [_int_form(epsilon**r * _phi_factor(lam, r), vs) for r in range(k + 1)]
+        elements = []
         for l1 in range(2 * k + 2):
             profile = _profile([([((l1 + 2 * r,), (-1) ** r * math.perm(k + r, r))], math.factorial(l1 + 2 * r))
                                 for r in range(cap // 2 + 1)])
             for rest in tuples_with_sum_at_most(n - 1, cap):
-                seed = _closed_form_series(profile, blocks, {rest: 1})
-                phi_seeds.append(((l1,) + rest, (seed.re, seed.den)))
-        elements = branch(phi_seeds, _phi_factor, k, "phi", k)
+                powers = [_closed_form_series(profile, blocks, rest, lambda e: (0,) + e)]
+                for _ in range(k):
+                    powers.append(apply_lap(powers[-1]))
+                u = _sum_forms([phi * p for phi, p in zip(phis, powers)])
+                elements.append(BasisElement({"ell": (l1,) + rest, "branch": "phi"}, u.to_poly(vs, frozenset())))
     else:
-        elements = branch(monomials, _phi_factor, cap // 2, "phi")
+        elements = branch(_phi_factor, "phi")
     if kind != "generic":
-        elements += branch(monomials, _psi_factor, cap // 2, "psi")
+        elements += branch(_psi_factor, "psi")
     return _checked(
         elements,
         annihilator,

@@ -469,7 +469,8 @@ def _mode_phases(modes, half_widths, point) -> list:
 def solve_flag_ivp(symbols, data, eval_points) -> FlagIvpSolution:
     """Solve d^m/dx1^m u = sum_p d^(m-p)/dx1^(m-p) f_p(D) u with given traces.
 
-    `symbols` lists the m polynomial symbols f_p in variables D2..Dn;
+    `symbols` lists the m polynomial symbols f_p in variables D2..Dn, one
+    per half width (any other variable raises ValueError);
     `data` lists the m initial traces (TrigData, shared half widths) giving
     d^s u/dx1^s at x1 = 0.  Returns the solution sampled at eval_points
     (tuples (x1, x2..xn)) after verifying the reproduced traces.
@@ -483,6 +484,10 @@ def solve_flag_ivp(symbols, data, eval_points) -> FlagIvpSolution:
     for d in data:
         if d.half_widths != half_widths:
             raise ValueError("all traces must share the same half widths")
+    allowed = [f"D{j + 2}" for j in range(len(half_widths))]
+    stray = sorted(set().union(*(f.support_vars() for f in symbols)) - set(allowed))
+    if stray:
+        raise ValueError(f"symbol variables {stray} are not among {allowed}")
 
     modes = []
     mode_sums = []  # _weight_sums per mode: the derivatives at 0 of its fundamental solutions

@@ -373,7 +373,7 @@ def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
                 for ls in tuples_with_sum(n - 1, deg_y):
                     seed = tuple(e for pair in zip(ms, ls) for e in pair)
                     elements.append(BasisElement({"branch": branch, "m": m, "mr": ms, "lr": ls},
-                                                 lemma.element(profile, {seed: 1})))
+                                                 lemma.element(profile, seed)))
     return _checked(elements, annihilator, {"n": n, "l1": l1, "l2": l2}, lemma)
 
 
@@ -400,7 +400,7 @@ def g2_module_basis(k: int) -> BasisFamily:
         profile = _corner_profile((eps,), (2,), k // 2)
         for ms in tuples_with_sum(6, k - eps):
             seed = (ms[0], ms[3], ms[1], ms[4], ms[2], ms[5])
-            elements.append(BasisElement({"eps": eps, "m": ms}, lemma.element(profile, {seed: 1})))
+            elements.append(BasisElement({"eps": eps, "m": ms}, lemma.element(profile, seed)))
     return _checked(elements, annihilator, {"k": k}, lemma)
 
 

@@ -601,6 +601,13 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("jsonschema", "re
     (["ivp", "flag", "--orders", "0", "--grid", "2x3", "--symbols", "{symbols}", "--data", "{data}"],
      {"symbols": {"symbols": []}, "data": {"halfWidths": [1.0], "conditions": []}},
      "need at least one order"),
+    (["ivp", "flag", "--orders", "1", "--grid", "2x3", "--symbols", "{symbols}", "--data", "{data}"],
+     {"symbols": {"variables": ["q"], "symbols": [[{"exp": {"q": 2}, "re": "1"}]]},
+      "data": {"halfWidths": [1.0], "modes": [{"k": [1], "cos": 1.0}]}},
+     ("symbol variables ['q']", "['D2']")),
+    (["ivp", "flag", "--orders", "-1", "--grid", "2x3", "--symbols", "{symbols}", "--data", "{data}"],
+     {"symbols": {"symbols": [[], []]}, "data": {"halfWidths": [1.0], "conditions": [{"modes": []}] * 2}},
+     "need at least one order, got --orders -1"),
 ])
 def test_malformed_input_exits_two_without_a_traceback(tmp_path, capsys, args, files, message):
     paths = {name: _write(tmp_path, f"{name}.json", json.dumps(body)) for name, body in files.items()}

@@ -7,7 +7,9 @@ quadratic loops, the anisymmetric ones before integral coefficients were
 kept as ``int``, and the n = 1 and n = 3 dissipative hashes with the
 lambda = -1 and lambda = 5/2 anisymmetric ones before the Laplacian-power
 families moved from iterated Laplacians to their multinomial closed form,
-so a refactor of the exact core that changes any
+the lambda = -5 one (two Laplacian powers in its phi branch) before that
+branch moved from a series of a many-term seed to Laplacians of its
+kernel seeds, so a refactor of the exact core that changes any
 coefficient, exponent, term order or index of these families fails here.
 
 The solver and ``basis`` command hashes pin outputs whose serialization
@@ -81,6 +83,7 @@ FAMILIES = {
     "anisym_m3_minus": lambda: anisymmetric_basis(3, -3, -1, 4),
     "anisym_m1_minus_2": lambda: anisymmetric_basis(2, -1, -1, 6),
     "anisym_5_2_plus_1": lambda: anisymmetric_basis(1, Fraction(5, 2), 1, 6),
+    "anisym_m5_plus_2": lambda: anisymmetric_basis(2, -5, 1, 6),
 }
 
 GOLDEN = {
@@ -103,6 +106,7 @@ GOLDEN = {
     "anisym_m3_minus": "7ee28ad6c0b8e14996ba72de9a37aa98b8c8d9a28eaa5ea6f30ebf883442d5d2",
     "anisym_m1_minus_2": "1cdca187aa52a1a7cc0e4c4b1e3845714832a1ef355080e82e54d282aa555849",
     "anisym_5_2_plus_1": "0b139af7635ed693cfef39cfa82192b43a389f5f1035ef26895d97fe79472470",
+    "anisym_m5_plus_2": "7388b57115ba3ddf3fa8bb0e44c376e7b34e436972f66753d4617db78d5969f2",
 }
 
 

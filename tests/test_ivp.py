@@ -553,6 +553,15 @@ def test_flag_ivp_needs_an_order():
         solve_flag_ivp([], [], [(0.5, 0.1)])
 
 
+def test_flag_ivp_rejects_a_symbol_outside_the_dual_variables():
+    """A symbol variable other than D2..Dn has no value at a mode; it is
+    refused by name instead of being read as 0."""
+    data = [TrigData((1.0,), {(1,): (1.0, 0.0)})]
+    assert abs(solve_flag_ivp([variable("D2") ** 2], data, [(1.0, 0.0)]).values[0]) < 1e-12
+    with pytest.raises(ValueError, match=r"\['x2'\] are not among \['D2'\]"):
+        solve_flag_ivp([variable("x2") ** 2], data, [(1.0, 0.0)])
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_tree_solvers_reject_non_finite_time(t):
     tree = Tree(2, [(1, 2)])
