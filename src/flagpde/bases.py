@@ -431,13 +431,6 @@ class FlagEquationSpec:
             parts.append(Compose(MultiplyBy(c), Derivative(self.variables[i], self.orders[i])))
         return Sum(parts)
 
-    def nested_inverse(self, upto: int) -> NestedRightInverse:
-        """The first `upto` blocks of the spec's one inverse."""
-        inv = self._inverse
-        return NestedRightInverse(
-            zip(inv.coeffs[:upto], map(Derivative, inv.vars_[:upto], inv.orders[:upto]))
-        )
-
 
 def _sigma_step(inv: NestedRightInverse, stage: int, vs: tuple, f: _IntForm, pos: int,
                 m: int, chain: list, ell: int) -> _IntForm:

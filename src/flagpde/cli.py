@@ -6,15 +6,18 @@ bases, and the constant-coefficient ODE helper.
 
 Each command returns its payload; ``main`` alone writes the report and sets
 the exit code.  Exit codes: 0 on success, 2 for input problems (bad
-arguments, schema violations, invalid trees), 3 when a verification fails
-(by an exception, before any report, or as a listed check whose status is
-"failed") or a numeric series does not settle or overflows.  A report is
+arguments, schema violations, invalid trees, an --out file that cannot be
+written), 3 when a verification fails (by an exception, before any report,
+or as a listed check whose status is "failed") or a numeric series does not
+settle or overflows.  A report is
 json.dumps(report, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
 plus a newline, written through --out or to stdout (a grid payload under a
 .csv --out as CSV): the payloads keep their polynomials, and ``_dumps``
-writes each one straight from its integer numerators.  It is deterministic:
-identical inputs produce byte-identical files; wall time is only printed to
-stderr.
+writes each one straight from its integer numerators.  A family's element
+list is written in one loop over its {"indexMeta", "solution"} records, and
+each term's exponent block is rendered once per variable order and depth in
+a report.  It is deterministic: identical inputs produce byte-identical
+files; wall time is only printed to stderr.
 
 ``main`` may be called repeatedly in one process.  The argument parser is
 built once, on the first call, and every call parses into a fresh
@@ -266,26 +269,31 @@ def _flat_encoder(depth: int):
 def _dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2,
     default=Polynomial.to_json_terms), byte for byte, for acyclic data: a
-    container of scalars in one C encoder call, a polynomial in one pass over
-    its ``text_terms``, the containers above them walked here."""
+    container of scalars in one C encoder call, a list of element records
+    (a family's ``elements``) in one loop, a polynomial in one pass over its
+    ``text_terms``, the containers above them walked here.  Each exponent
+    block is rendered once per variable order and depth, in a table that
+    lives for this call only."""
     if c_make_encoder is None:
         return json.dumps(obj, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
     out = []
-    _write(obj, 0, out)
+    _write(obj, 0, out, {})
     return "".join(out)
 
 
 _CONTAINERS = (dict, list, tuple, Polynomial)
 
 
-def _write(obj, depth, out):
+def _write(obj, depth, out, blocks):
     """Append the chunks of obj at nesting depth to out.  A polynomial is
-    written as the list its to_json_terms gives, without building that list."""
+    written as the list its to_json_terms gives, without building that list;
+    a list whose items are all element records goes to ``_write_elements``.
+    blocks is the exponent block table of this ``_dumps`` call."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
         return
     if isinstance(obj, Polynomial):
-        _write_terms(obj, depth, out)
+        _write_terms(obj, depth, out, blocks)
         return
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
@@ -297,6 +305,8 @@ def _write(obj, depth, out):
         text = "".join(_flat_encoder(depth)(obj, depth))
         out += (text[0], inner, text[1:-1], close)
         return
+    if not is_dict and type(obj[0]) is dict and "indexMeta" in obj[0] and _write_elements(obj, depth, out, blocks):
+        return
     sep, after = ("{" if is_dict else "[") + inner, "," + inner
     if is_dict:
         for key, value in sorted(obj.items()):
@@ -306,35 +316,118 @@ def _write(obj, depth, out):
                                     f"not {key.__class__.__name__}")
                 key = "".join(_flat_encoder(0)(key, 0))  # as json.dumps converts a key
             out += (sep, encode_basestring_ascii(key), ": ")
-            _write(value, depth + 1, out)
+            _write(value, depth + 1, out, blocks)
             sep = after
     else:
         for value in obj:
             out.append(sep)
-            _write(value, depth + 1, out)
+            _write(value, depth + 1, out, blocks)
             sep = after
     out.append(close)
 
 
-def _write_terms(p: Polynomial, depth, out):
+def _write_elements(items, depth, out, blocks) -> bool:
+    """Append the non-empty list items at nesting depth to out when every item
+    is an element record: a dict of exactly an "indexMeta" dict and a
+    Polynomial "solution", the index keyed by strings and valued by ints,
+    strings, or lists of ints and strings.  Return False, with out as it was,
+    at the first item that is not; the generic walk then writes the list.
+    Index keys are sorted once per distinct key set."""
+    start = len(out)
+    rec, field, value, item = ("\n" + "  " * (depth + k) for k in (1, 2, 3, 4))
+    head = rec + "{" + field + '"indexMeta": '
+    tail = "," + field + '"solution": '
+    value_sep, list_close, meta_close = "," + item, value + "]", field + "}"
+    key_set, names = None, ()
+    sep = "["
+    for record in items:
+        if type(record) is not dict or len(record) != 2:
+            break
+        meta, solution = record.get("indexMeta"), record.get("solution")
+        if type(meta) is not dict or not isinstance(solution, Polynomial):
+            break
+        if meta.keys() != key_set:
+            if not all(type(name) is str for name in meta):
+                break
+            key_set = meta.keys()
+            names = [(name, value + encode_basestring_ascii(name) + ": ") for name in sorted(meta)]
+        parts = []
+        for name, key in names:
+            v = meta[name]
+            kind = type(v)
+            if kind is int:
+                parts.append(key + int.__repr__(v))
+            elif kind is str:
+                parts.append(key + encode_basestring_ascii(v))
+            elif kind is not list:
+                break
+            elif not v:
+                parts.append(key + "[]")
+            else:
+                kinds = set(map(type, v))
+                if kinds == _INT:
+                    text = value_sep.join(map(int.__repr__, v))
+                elif kinds <= _INT_STR:
+                    text = value_sep.join([int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
+                                           for x in v])
+                else:
+                    break
+                parts.append(key + "[" + item + text + list_close)
+        else:
+            out += (sep, head, "{" + ",".join(parts) + meta_close if parts else "{}", tail)
+            _write_terms(solution, depth + 2, out, blocks)
+            out.append(rec + "}")
+            sep = ","
+            continue
+        break
+    else:
+        out += ("\n", "  " * depth, "]")
+        return True
+    del out[start:]
+    return False
+
+
+_INT, _INT_STR = {int}, {int, str}
+
+
+def _write_terms(p: Polynomial, depth, out, blocks):
     """Append p.to_json_terms() at nesting depth to out: one
     {"exp", "im", "re"} object per term, in canonical term order, with the
-    exponents keyed in sorted variable-name order."""
+    exponents keyed in sorted variable-name order.  Each term's text up to
+    its imaginary part is looked up in blocks, by variable order and depth,
+    and rendered on the first miss only.  The parts of ``text_terms`` are
+    digits, "-" and "/", so they are quoted without escaping."""
     terms = p.text_terms()
     if not terms:
         out.append("[]")
         return
-    item, field, exp_item = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
-    keys = [(encode_basestring_ascii(name) + ": ", i) for name, i in sorted(zip(p.vars, itertools.count()))]
-    exp_open, exp_sep, exp_close = "{" + exp_item, "," + exp_item, field + "}"
-    head, im_key, re_key = item + "{" + field + '"exp": ', "," + field + '"im": ', "," + field + '"re": '
+    table = blocks.get((p.vars, depth))
+    if table is None:
+        table = blocks[p.vars, depth] = _block_table(p.vars, depth)
+    heads, keys, opening, exp_sep, closing, empty = table
+    item, field = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    re_key, close = '",' + field + '"re": "', '"' + item + "}"
     sep = "["
     for exp, re, im in terms:
-        block = [key + str(exp[i]) for key, i in keys if exp[i]]
-        out += (sep, head, exp_open + exp_sep.join(block) + exp_close if block else "{}",
-                im_key, encode_basestring_ascii(im), re_key, encode_basestring_ascii(re), item, "}")
+        head = heads.get(exp)
+        if head is None:
+            block = [key + str(exp[i]) for key, i in keys if exp[i]]
+            head = heads[exp] = opening + exp_sep.join(block) + closing if block else empty
+        out += (sep, head, im, re_key, re, close)
         sep = ","
     out += ("\n", "  " * depth, "]")
+
+
+def _block_table(variables, depth):
+    """The exponent block table of one variable order at nesting depth: the
+    term heads rendered so far by exponent tuple, the exponent keys in sorted
+    name order with their positions, and the fixed text around a block.  A
+    term head is a term's text up to its imaginary part's opening quote."""
+    item, field, exp_item = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+    keys = [(encode_basestring_ascii(name) + ": ", i) for name, i in sorted(zip(variables, itertools.count()))]
+    opening = item + "{" + field + '"exp": '
+    im_key = "," + field + '"im": "'
+    return {}, keys, opening + "{" + exp_item, "," + exp_item, field + "}" + im_key, opening + "{}" + im_key
 
 
 def _emit(args, payload):
@@ -353,8 +446,11 @@ def _emit(args, payload):
     if not args.out:
         sys.stdout.write(text)
         return
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write report file {args.out}: {err}") from None
     print(f"wrote {args.out}")
     if as_csv:
         print(json.dumps(payload["verification"], sort_keys=True))

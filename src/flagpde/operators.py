@@ -362,13 +362,6 @@ class NestedRightInverse(LinearOperator):
         self.orders = tuple(orders)
         self._plans = {}
 
-    def as_operator(self) -> LinearOperator:
-        """The triangular operator this object inverts."""
-        return Sum(
-            Compose(MultiplyBy(c), Derivative(v, m))
-            for c, v, m in zip(self.coeffs, self.vars_, self.orders)
-        )
-
     def apply(self, p):
         # kept on the class so that perfbench/trace.py can wrap it by name
         return LinearOperator.apply(self, p)

@@ -206,6 +206,8 @@ def _collapsed(a: int, b: int, den: int):
 
 def _ratio_text(a: int, den: int) -> str:
     """a/den in lowest terms as str(Fraction(a, den)) writes it."""
+    if den == 1:
+        return str(a)
     g = math.gcd(a, den)
     return str(a // g) if g == den else f"{a // g}/{den // g}"
 
@@ -501,9 +503,12 @@ class Polynomial:
 
     def text_terms(self) -> list:
         """(exponent tuple, real part, imaginary part) per term in canonical
-        order, each part written as str(Fraction) writes it."""
+        order, each part written as str(Fraction) writes it.  The order is
+        total degree descending, ties lexicographically descending: a
+        lexicographic sort followed by a stable sort on the degree."""
         re, im, den = self.form.re, self.form.im, self.form.den
-        keys = sorted(re.keys() | im.keys() if im else re, key=lambda e: (sum(e), e), reverse=True)
+        keys = sorted(re.keys() | im.keys() if im else re, reverse=True)
+        keys.sort(key=sum, reverse=True)
         if not im:
             return [(exp, _ratio_text(re[exp], den), "0") for exp in keys]
         return [

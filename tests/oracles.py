@@ -6,7 +6,18 @@ import itertools
 import math
 from fractions import Fraction
 
-from flagpde import Compose, Derivative, MultiplyBy, Polynomial, Scale, Sum, TrigPolynomial, lie, variable
+from flagpde import (
+    Compose,
+    Derivative,
+    MultiplyBy,
+    NestedRightInverse,
+    Polynomial,
+    Scale,
+    Sum,
+    TrigPolynomial,
+    lie,
+    variable,
+)
 from flagpde.combinatorics import multinomial
 from flagpde.linalg import (
     kernel_on_slice,
@@ -693,6 +704,18 @@ def apply_trig_termwise(op, u):
 
 # -- the flag-family series, term by term ---------------------------------------------
 
+def nested_inverse(spec, upto):
+    """The nested right inverse of the first `upto` blocks of a flag spec."""
+    return NestedRightInverse(
+        zip((1, *spec.coefficients)[:upto], map(Derivative, spec.variables[:upto], spec.orders[:upto]))
+    )
+
+
+def inverted_operator(inv):
+    """The triangular operator sum_k f_k D_k that a nested right inverse inverts."""
+    return Sum(Compose(MultiplyBy(c), Derivative(v, m)) for c, v, m in zip(inv.coeffs, inv.vars_, inv.orders))
+
+
 def nested_inverse_term_by_term(inv, p):
     """The nested right inverse of `inv`'s blocks by the unfactored series.
 
@@ -722,7 +745,7 @@ def nested_inverse_term_by_term(inv, p):
 def sigma_step_term_by_term(spec, stage, h, ell):
     """Extension of h by seed x_(stage+1)^ell with each (-inv f)^i(h) rebuilt
     from h and inverted by `nested_inverse_term_by_term`."""
-    inv = spec.nested_inverse(stage)
+    inv = nested_inverse(spec, stage)
     f = spec.coefficients[stage - 1]
     v, m = spec.variables[stage], spec.orders[stage]
     total = Polynomial.zero()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import flagpde
 from flagpde import GaussianRational, Polynomial, variable
-from flagpde.bases import harmonic_basis
+from flagpde.bases import FlagEquationSpec, flag_basis, harmonic_basis
 from flagpde import cli
 from flagpde.cli import (
     DATA_SCHEMA,
@@ -29,7 +29,8 @@ from flagpde.cli import (
     _validate,
     main,
 )
-from flagpde.lie import SingularCheck
+from flagpde.lie import SingularCheck, g2_module_basis
+from flagpde.poly import IMAG
 
 from strategies import coefficients, gaussian_coefficients, polynomials
 
@@ -211,6 +212,15 @@ def test_ode_value_and_its_check_share_one_amplitude_pass(monkeypatch, tmp_path)
 def test_ode_overflowing_series_exits_three(capsys, coeffs, init):
     assert run_cli(["ode", "--coeffs", coeffs, "--init", init, "--t", "1"]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_out_exits_two_without_a_traceback(tmp_path, capsys, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
+    assert run_cli(["basis", "harmonic", "--n", "2", "--cap", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: cannot write report file {out}: " in err
+    assert "Traceback" not in err
 
 
 def test_unknown_arguments_exit_two():
@@ -923,12 +933,45 @@ def _report_polynomials(draw):
     return draw(polynomials(vs, max_terms=5, max_exp=3, laurent=laurent, coeffs=coeffs))
 
 
+# an element record's index holds ints, strings and flat lists of them; the
+# other values (nested lists, floats, None, ...) and non-string keys send the
+# list that holds the record to the generic walk
+_INDEX_VALUES = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    st.lists(st.one_of(st.integers(-9, 9), st.text(max_size=2)), max_size=3),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=2),
+    _SCALARS,
+)
+
+
+@st.composite
+def _element_records(draw):
+    """{"indexMeta", "solution"} as a family payload lists it, or one key,
+    value or type away from it."""
+    record = {"indexMeta": draw(_KEYS.flatmap(lambda keys: st.dictionaries(keys, _INDEX_VALUES, max_size=3))),
+              "solution": draw(_report_polynomials())}
+    shape = draw(st.sampled_from(["record"] * 4 + ["extra key", "plain solution", "tuple index"]))
+    if shape == "extra key":
+        record["order"] = 1
+    elif shape == "plain solution":
+        record["solution"] = record["solution"].to_json_terms()
+    elif shape == "tuple index":
+        record["indexMeta"] = {k: tuple(v) if isinstance(v, list) else v for k, v in record["indexMeta"].items()}
+    return record
+
+
 def _json_values():
     return st.recursive(st.one_of(_SCALARS, _report_polynomials()), lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+        st.lists(_element_records(), min_size=1, max_size=4),
+        st.lists(st.one_of(_element_records(), children), min_size=1, max_size=4),
     ), max_leaves=24)
+
+
+_XXY = {(2, 1): 1}
 
 
 @given(_json_values())
@@ -939,6 +982,23 @@ def _json_values():
 @example({"p": Polynomial.zero(("x",)), "q": [Polynomial.const(GaussianRational(Fraction(1, 2), -3))],
           "r": (Polynomial(("t",), {(0,): 1, (-2,): -7}, ("t",)),)})
 @example([variable("x10") * variable("x2") ** 2 + variable("y") - variable("x"), [variable("\u03be")]])
+@example([{"indexMeta": {"ell": [3, 0, 1], "eps": -1, "branch": "phi", "m": [], "lr": ["a", 2], "\u03be": "\u00e9"},
+           "solution": variable("x") ** 3 - 2 * variable("y")},
+          {"indexMeta": {}, "solution": Polynomial.zero(("x",))},
+          {"indexMeta": {"ell": [0], "eps": 10**40, "branch": "", "m": [], "lr": []}, "solution": variable("y")}])
+@example([{"indexMeta": {"ell": [1, 2]}, "solution": variable("x")},
+          {"indexMeta": {"ell": [[1], []]}, "solution": variable("y")}])  # a nested list is no index
+@example({"family": [{"indexMeta": {"ell": [2, 1]},
+                      "solution": Polynomial(("y", "x"), {(1, 0): GaussianRational(Fraction(1, 2), -3), (0, 2): 5})},
+                     {"indexMeta": {"ell": [0, -2]},
+                      "solution": Polynomial(("t", "x"), {(-2, 1): Fraction(-7, 3), (0, 0): 1}, ("t",))}]})
+@example([{"indexMeta": {"k": 1}, "solution": variable("x")}, {"indexMeta": {"k": 2}, "solution": "x"},
+          {"indexMeta": {"k": 3}, "solution": variable("y"), "extra": None}, 4,
+          {"indexMeta": {"k": 1.5}, "solution": variable("x")}, {"indexMeta": {2: 1}, "solution": variable("x")}])
+@example([1, {"indexMeta": {"k": True}, "solution": variable("x")}, {"indexMeta": {"k": None}, "solution": variable("x")}])
+@example({"a": [{"indexMeta": {}, "solution": Polynomial(("x", "y"), _XXY)},
+                {"indexMeta": {}, "solution": Polynomial(("y", "x"), _XXY)}],
+          "b": [[Polynomial(("x", "y"), _XXY)]], "c": Polynomial(("y", "x"), _XXY)})  # one exponent, two orders and depths
 def test_report_writer_matches_json_dumps(obj):
     assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
 
@@ -954,13 +1014,24 @@ def test_report_writer_rejects_what_json_dumps_rejects(obj):
 
 def test_report_writer_falls_back_without_the_c_encoder(monkeypatch):
     gaussian = Polynomial(("y", "x"), {(1, 0): GaussianRational(0, 1), (0, 2): Fraction(-1, 3)})
-    obj = {"b": [1, {"c": [], "p": gaussian}], "a": "x", "z": (Polynomial.zero(), gaussian)}
+    obj = {"b": [1, {"c": [], "p": gaussian}], "a": "x", "z": (Polynomial.zero(), gaussian),
+           "family": harmonic_basis(2, 3)._payload()}
     with_c = _dumps(obj)
     monkeypatch.setattr(cli, "c_make_encoder", None)
     assert _dumps(obj) == with_c == json.dumps(obj, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
 
 
 def test_family_to_json_is_plain_data():
-    family = harmonic_basis(3, 2)
-    text = json.dumps(family.to_json(), sort_keys=True, indent=2)  # no default for polynomials
-    assert text == _dumps(family._payload())
+    x1, x2 = variable("x1"), variable("x2")
+    gaussian = FlagEquationSpec((2, 1, 2), (IMAG * x1 + 1, x1 * x2 - Fraction(1, 2)))
+    for family in (harmonic_basis(3, 2), g2_module_basis(3), flag_basis(gaussian, 3)):
+        text = json.dumps(family.to_json(), sort_keys=True, indent=2)  # no default for polynomials
+        assert text == _dumps(family._payload())
+
+
+def test_report_writer_keeps_no_exponent_blocks_between_calls():
+    family = harmonic_basis(3, 3)._payload()
+    nested = {"deeper": [family], "reordered": [Polynomial(("x3", "x2", "x1"), {(2, 0, 1): 1})]}
+    first = _dumps(family)
+    assert _dumps(nested) == json.dumps(nested, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
+    assert _dumps(family) == first == json.dumps(family, sort_keys=True, indent=2, default=Polynomial.to_json_terms)

@@ -382,6 +382,11 @@ def test_commutation_suite_all_green():
     assert not failures, failures
 
 
+def test_commutation_checks_pass_for_sl2_and_sl3():
+    rs = [commutation_checks(2), commutation_checks(3)]
+    assert all(r["laplacian reading"] == 1 and not [k for k, v in r.items() if v is False] for r in rs), rs
+
+
 @pytest.mark.parametrize("n_sl", (1, 0, -1))
 def test_commutation_checks_reject_an_sl_below_two(n_sl):
     with pytest.raises(ValueError, match="need n_sl >= 2"):

@@ -291,6 +291,19 @@ def test_kernel_on_slice_matches_the_assembly_by_products_and_sums(op, slice_):
     assert [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want]
 
 
+def test_polys_rank_of_harmonic_solutions_and_their_combinations():
+    s = fp.harmonic_basis(3, 4).solutions()
+    m = [a + 3 * b for a, b in zip(s, s[1:])]
+    assert polys_rank(m) == len(m) == 24 and polys_rank(s + m) == len(s) == 25
+
+
+def test_kernel_on_slice_of_the_laplacian_and_the_cauchy_riemann_operator():
+    xs = ("x1", "x2", "x3")
+    assert len(kernel_on_slice(fp.Sum(fp.Derivative(v, 2) for v in xs), monomials_of_degree(xs, 9))) == 19
+    cauchy_riemann = fp.Sum((fp.Derivative("x", 1), fp.Compose(fp.Scale(fp.IMAG), fp.Derivative("y", 1))))
+    assert len(kernel_on_slice(cauchy_riemann, monomials_of_degree(("x", "y"), 5))) == 1
+
+
 def test_kernel_on_slice_canonical_basis_is_pinned():
     op = fp.Sum((
         fp.Compose(fp.Scale(Fraction(2)), fp.Derivative("x1", 2)),
