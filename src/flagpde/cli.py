@@ -329,16 +329,13 @@ def _write(obj, depth, out, blocks):
 def _write_elements(items, depth, out, blocks) -> bool:
     """Append the non-empty list items at nesting depth to out when every item
     is an element record: a dict of exactly an "indexMeta" dict and a
-    Polynomial "solution", the index keyed by strings and valued by ints,
-    strings, or lists of ints and strings.  Return False, with out as it was,
-    at the first item that is not; the generic walk then writes the list.
-    Index keys are sorted once per distinct key set."""
+    Polynomial "solution", the index keyed by strings.  Return False, with
+    out as it was, at the first item that is not; the generic walk then
+    writes the list.  Index keys are sorted once per distinct key set."""
     start = len(out)
-    rec, field, value, item = ("\n" + "  " * (depth + k) for k in (1, 2, 3, 4))
-    head = rec + "{" + field + '"indexMeta": '
-    tail = "," + field + '"solution": '
-    value_sep, list_close, meta_close = "," + item, value + "]", field + "}"
-    key_set, names = None, ()
+    rec, field, value = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+    head, tail = rec + "{" + field + '"indexMeta": ', "," + field + '"solution": '
+    key_set, keys = None, ()
     sep = "["
     for record in items:
         if type(record) is not dict or len(record) != 2:
@@ -350,36 +347,14 @@ def _write_elements(items, depth, out, blocks) -> bool:
             if not all(type(name) is str for name in meta):
                 break
             key_set = meta.keys()
-            names = [(name, value + encode_basestring_ascii(name) + ": ") for name in sorted(meta)]
-        parts = []
-        for name, key in names:
-            v = meta[name]
-            kind = type(v)
-            if kind is int:
-                parts.append(key + int.__repr__(v))
-            elif kind is str:
-                parts.append(key + encode_basestring_ascii(v))
-            elif kind is not list:
-                break
-            elif not v:
-                parts.append(key + "[]")
-            else:
-                kinds = set(map(type, v))
-                if kinds == _INT:
-                    text = value_sep.join(map(int.__repr__, v))
-                elif kinds <= _INT_STR:
-                    text = value_sep.join([int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
-                                           for x in v])
-                else:
-                    break
-                parts.append(key + "[" + item + text + list_close)
-        else:
-            out += (sep, head, "{" + ",".join(parts) + meta_close if parts else "{}", tail)
-            _write_terms(solution, depth + 2, out, blocks)
-            out.append(rec + "}")
-            sep = ","
-            continue
-        break
+            keys = [(name, value + encode_basestring_ascii(name) + ": ") for name in sorted(meta)]
+        index = _index_text(meta, keys, depth + 2)
+        if index is None:
+            break
+        out += (sep, head, index, tail)
+        _write_terms(solution, depth + 2, out, blocks)
+        out.append(rec + "}")
+        sep = ","
     else:
         out += ("\n", "  " * depth, "]")
         return True
@@ -388,6 +363,38 @@ def _write_elements(items, depth, out, blocks) -> bool:
 
 
 _INT, _INT_STR = {int}, {int, str}
+
+
+def _index_text(meta, keys, depth):
+    """The text of an element's index at nesting depth, with keys giving its
+    names in sorted order and their written form; None when a value is not an
+    int, a string, or a list of ints and strings."""
+    if not keys:
+        return "{}"
+    inner, item = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    parts = []
+    for name, key in keys:
+        v = meta[name]
+        kind = type(v)
+        if kind is int:
+            parts.append(key + int.__repr__(v))
+        elif kind is str:
+            parts.append(key + encode_basestring_ascii(v))
+        elif kind is not list:
+            return None
+        elif not v:
+            parts.append(key + "[]")
+        else:
+            kinds = set(map(type, v))
+            if kinds == _INT:
+                text = ("," + item).join(map(int.__repr__, v))
+            elif kinds <= _INT_STR:
+                text = ("," + item).join([int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
+                                          for x in v])
+            else:
+                return None
+            parts.append(key + "[" + item + text + inner + "]")
+    return "{" + ",".join(parts) + "\n" + "  " * depth + "}"
 
 
 def _write_terms(p: Polynomial, depth, out, blocks):
