@@ -305,7 +305,8 @@ def _write(obj, depth, out, blocks):
         text = "".join(_flat_encoder(depth)(obj, depth))
         out += (text[0], inner, text[1:-1], close)
         return
-    if not is_dict and type(obj[0]) is dict and "indexMeta" in obj[0] and _write_elements(obj, depth, out, blocks):
+    if not is_dict and all(map(_is_element, obj)):
+        _write_elements(obj, depth, out, blocks)
         return
     sep, after = ("{" if is_dict else "[") + inner, "," + inner
     if is_dict:
@@ -326,75 +327,28 @@ def _write(obj, depth, out, blocks):
     out.append(close)
 
 
-def _write_elements(items, depth, out, blocks) -> bool:
-    """Append the non-empty list items at nesting depth to out when every item
-    is an element record: a dict of exactly an "indexMeta" dict and a
-    Polynomial "solution", the index keyed by strings.  Return False, with
-    out as it was, at the first item that is not; the generic walk then
-    writes the list.  Index keys are sorted once per distinct key set."""
-    start = len(out)
-    rec, field, value = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+def _is_element(record) -> bool:
+    """Whether record is an element record: a dict of exactly an "indexMeta"
+    and a Polynomial "solution"."""
+    return (type(record) is dict and len(record) == 2 and "indexMeta" in record
+            and isinstance(record.get("solution"), Polynomial))
+
+
+def _write_elements(records, depth, out, blocks):
+    """Append the non-empty list of element records at nesting depth to out,
+    one loop over the records: each index through ``_write``, each solution
+    through ``_write_terms``."""
+    rec, field = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
     head, tail = rec + "{" + field + '"indexMeta": ', "," + field + '"solution": '
-    key_set, keys = None, ()
     sep = "["
-    for record in items:
-        if type(record) is not dict or len(record) != 2:
-            break
-        meta, solution = record.get("indexMeta"), record.get("solution")
-        if type(meta) is not dict or not isinstance(solution, Polynomial):
-            break
-        if meta.keys() != key_set:
-            if not all(type(name) is str for name in meta):
-                break
-            key_set = meta.keys()
-            keys = [(name, value + encode_basestring_ascii(name) + ": ") for name in sorted(meta)]
-        index = _index_text(meta, keys, depth + 2)
-        if index is None:
-            break
-        out += (sep, head, index, tail)
-        _write_terms(solution, depth + 2, out, blocks)
+    for record in records:
+        out += (sep, head)
+        _write(record["indexMeta"], depth + 2, out, blocks)
+        out.append(tail)
+        _write_terms(record["solution"], depth + 2, out, blocks)
         out.append(rec + "}")
         sep = ","
-    else:
-        out += ("\n", "  " * depth, "]")
-        return True
-    del out[start:]
-    return False
-
-
-_INT, _INT_STR = {int}, {int, str}
-
-
-def _index_text(meta, keys, depth):
-    """The text of an element's index at nesting depth, with keys giving its
-    names in sorted order and their written form; None when a value is not an
-    int, a string, or a list of ints and strings."""
-    if not keys:
-        return "{}"
-    inner, item = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    parts = []
-    for name, key in keys:
-        v = meta[name]
-        kind = type(v)
-        if kind is int:
-            parts.append(key + int.__repr__(v))
-        elif kind is str:
-            parts.append(key + encode_basestring_ascii(v))
-        elif kind is not list:
-            return None
-        elif not v:
-            parts.append(key + "[]")
-        else:
-            kinds = set(map(type, v))
-            if kinds == _INT:
-                text = ("," + item).join(map(int.__repr__, v))
-            elif kinds <= _INT_STR:
-                text = ("," + item).join([int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
-                                          for x in v])
-            else:
-                return None
-            parts.append(key + "[" + item + text + inner + "]")
-    return "{" + ",".join(parts) + "\n" + "  " * depth + "}"
+    out += ("\n", "  " * depth, "]")
 
 
 def _write_terms(p: Polynomial, depth, out, blocks):
