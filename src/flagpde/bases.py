@@ -7,10 +7,10 @@ already verified: the closed-form families below by the series lemma
 (``_SeriesLemma``), whose certificate checks the tables and profiles the
 elements are folded from once per family; ``flag_basis`` and the
 negative odd lambda anisymmetric family end to end, through one
-``operators.form_applicator`` for all elements
-(``BasisFamily.verify_annihilation``).  Linear independence and
-desk-scale completeness checks live in ``verify_independence`` and the
-test suite's kernel oracles.
+``operators.form_map`` over the elements' variables, then the
+annihilator's, for all elements (``BasisFamily.verify_annihilation``).
+Linear independence and desk-scale completeness checks live in
+``verify_independence`` and the test suite's kernel oracles.
 
 Every constant-coefficient family (constant, harmonic, damped-wave,
 anisymmetric, sl and g2) is built from one series u = sum_R p_R L^R(x^l)
@@ -52,7 +52,6 @@ from .operators import (
     _add_form_term,
     _chain_order,
     differential_form,
-    form_applicator,
     form_map,
     forms_commute,
     op_to_json,
@@ -108,9 +107,10 @@ class BasisFamily:
         return [e.solution for e in self.elements]
 
     def verify_annihilation(self) -> bool:
-        apply = form_applicator(self.annihilator, self.solutions())
+        vs, _ = _chain_order(self.solutions(), [self.annihilator])
+        apply = form_map(self.annihilator, vs)
         for e in self.elements:
-            if not apply.annihilates(e.solution):
+            if apply(_int_form(e.solution, vs)):
                 raise VerificationError(
                     f"family element {e.index} is not annihilated exactly"
                 )
@@ -304,7 +304,7 @@ class _SeriesLemma:
                 if rem or entries != stepped:
                     raise VerificationError(f"series lemma: the table of {c} d^{orders} at {l} "
                                             f"is not its block's powers")
-        apply_k = FormApplicator(k, layout, frozenset()).apply_form
+        apply_k = FormApplicator(k).apply_form
         pad = (0,) * (len(layout) - len(corner))
         for _, pairs_of in self._profiles.values():
             prev = None
@@ -611,16 +611,16 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
         level += 1
     else:
         raise VerificationError("power-perturbation series did not terminate")
-    total = _sum_forms(pieces).to_poly(vs, laurent)
+    total = _sum_forms(pieces)
 
     # residual of T0^m - sum_p T0^(m-p) T_p
     residual = Sum((
         Compose([t0] * m),
         *(Compose(Scale(-1), *[t0] * (m - p), op) for p, op in enumerate(perturbations, start=1)),
     ))
-    if not form_applicator(residual, [total]).annihilates(total):
+    if form_map(residual, vs)(total):
         raise VerificationError("power-perturbation output not annihilated exactly")
-    return total
+    return total.to_poly(vs, laurent)
 
 
 # -- twisted two-block equations ---------------------------------------------------

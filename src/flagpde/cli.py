@@ -223,7 +223,9 @@ def _integers(instance, schema):
     return instance
 
 
-def _load_json(path: str, schema, label: str):
+def _load_json(path: str, schema, label: str, digest):
+    """The validated document in the UTF-8 file at path, whose bytes are
+    read once and fed to the report's input digest."""
     def reject(token):
         raise InputError(f"{label} file {path} holds the non-finite number {token}")
 
@@ -234,27 +236,20 @@ def _load_json(path: str, schema, label: str):
         return value
 
     try:
-        with open(path) as fh:
-            # NaN and +-Infinity, and literals such as 1e999 that overflow
-            data = json.load(fh, parse_constant=reject, parse_float=finite)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
         raise InputError(f"cannot read {label} file {path}: {err}") from None
+    digest.update(raw)
+    try:
+        # NaN and +-Infinity, and literals such as 1e999 that overflow
+        data = json.loads(raw.decode("utf-8"), parse_constant=reject, parse_float=finite)
+    except UnicodeDecodeError as err:
+        raise InputError(f"{label} file {path} is not UTF-8: {err}") from None
     except json.JSONDecodeError as err:
         raise InputError(f"{label} file {path} is not valid JSON: {err}") from None
     _validate(data, schema, path)
     return _integers(data, schema)
-
-
-def _digest(argv, file_paths):
-    h = hashlib.sha256()
-    h.update(json.dumps(argv, sort_keys=True).encode())
-    for path in file_paths:
-        try:
-            with open(path, "rb") as fh:
-                h.update(fh.read())
-        except OSError:
-            pass
-    return h.hexdigest()
 
 
 @functools.cache
@@ -393,7 +388,8 @@ def _block_table(variables, depth):
 
 def _emit(args, payload):
     """Write payload's report, or a grid payload's CSV to a .csv --out.  The
-    digest covers the command line and the input files the command named."""
+    digest covers the command line and the input files the command read, in
+    the order it read them."""
     as_csv = args.out and args.out.endswith(".csv") and "grid" in payload
     if as_csv:
         grid = payload["grid"]
@@ -401,9 +397,7 @@ def _emit(args, payload):
         lines += [",".join(map(repr, pt)) + f",{val!r}" for pt, val in zip(grid, payload["values"])]
         text = "\n".join(lines) + "\n"
     else:
-        paths = [path for path in (getattr(args, name, None) for name in ("spec", "tree", "symbols", "data"))
-                 if path]
-        text = _dumps({"command": args._argv, "inputsDigest": _digest(args._argv, paths), "result": payload}) + "\n"
+        text = _dumps({"command": args._argv, "inputsDigest": args._digest.hexdigest(), "result": payload}) + "\n"
     if not args.out:
         sys.stdout.write(text)
         return
@@ -467,7 +461,7 @@ def _cmd_basis(args):
     elif args.kind == "flag":
         if not args.spec:
             raise InputError("basis flag requires --spec")
-        data = _load_json(args.spec, FLAG_SPEC_SCHEMA, "flag spec")
+        data = _load_json(args.spec, FLAG_SPEC_SCHEMA, "flag spec", args._digest)
         n = len(data["orders"])
         variables = tuple(data.get("variables", ())) or tuple(f"x{i}" for i in range(1, n + 1))
         coefficients = [Polynomial.from_json_terms(t, variables) for t in data["coefficients"]]
@@ -503,7 +497,7 @@ def _cmd_solve_kg(args):
 
 
 def _cmd_tree(args):
-    data = _load_json(args.tree, TREE_SCHEMA, "tree")
+    data = _load_json(args.tree, TREE_SCHEMA, "tree", args._digest)
     tree = Tree.from_json(data)
     if args.action == "validate":
         return {"valid": True, "tree": tree.to_json()}
@@ -566,8 +560,8 @@ def _cmd_ivp_flag(args):
     m = args.orders
     if m < 1:
         raise InputError(f"need at least one order, got --orders {m}")
-    sym_data = _load_json(args.symbols, SYMBOLS_SCHEMA, "symbols")
-    data = _load_json(args.data, DATA_SCHEMA, "data")
+    sym_data = _load_json(args.symbols, SYMBOLS_SCHEMA, "symbols", args._digest)
+    data = _load_json(args.data, DATA_SCHEMA, "data", args._digest)
     half_widths = tuple(data["halfWidths"])
     conditions = data.get("conditions")
     if conditions is None:
@@ -592,8 +586,8 @@ def _cmd_ivp_flag(args):
 
 def _cmd_ivp_tree(args):
     t = _finite_t(args.t)
-    tree = Tree.from_json(_load_json(args.tree, TREE_SCHEMA, "tree"))
-    data = _load_json(args.data, DATA_SCHEMA, "data")
+    tree = Tree.from_json(_load_json(args.tree, TREE_SCHEMA, "tree", args._digest))
+    data = _load_json(args.data, DATA_SCHEMA, "data", args._digest)
     half_widths = tuple(data["halfWidths"])
     g0 = TrigData.from_json(data.get("g0", {"modes": data.get("modes", [])}), half_widths)
     g1 = TrigData.from_json(data.get("g1", {"modes": []}), half_widths)
@@ -755,6 +749,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     args._argv = argv
+    args._digest = hashlib.sha256(json.dumps(argv, sort_keys=True).encode())
     started = time.monotonic()
     try:
         payload = args.func(args)

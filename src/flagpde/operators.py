@@ -33,16 +33,20 @@ Leibniz terms of A after B and B after A that cancel.
 ``operators_agree_on_sample`` is the one agreement check: operators
 without a normal form it compares as integer forms on every monomial of
 degree <= 2, and ``SeriesConfig`` proves its right-inverse law through
-it.  ``form_applicator``
-applies one over the order ``apply`` uses.  The end-to-end family
-annihilation check (``bases.BasisFamily.verify_annihilation``),
-``solve_by_series``, ``right_inverse_series`` and
-``bases.power_perturbation_solve`` check their residuals through it;
-``bases.twisted_flag_solve``, ``dissipative.epd_transform`` and
-``lie.verify_singular`` check theirs through ``apply`` and Polynomial
-arithmetic.  ``form_map`` applies one over a caller's order, for an
-operator that a call applies again and again, or to a whole tagged batch
-at once (``linalg.kernel_on_slice``).
+it.
+
+An operator is applied in one of two ways.  ``op(p)`` (``apply``,
+``apply_trig``) is the one-shot tree fold on a Polynomial or a
+TrigPolynomial; ``bases.twisted_flag_solve``, ``dissipative.epd_transform``
+and ``lie.verify_singular`` check their residuals that way.
+``form_map(op, vars)`` maps integer forms over a caller's order: one
+``FormApplicator`` when op has a normal form, else op's own
+``apply_form``.  The end-to-end family annihilation check
+(``bases.BasisFamily.verify_annihilation``), ``solve_by_series``,
+``right_inverse_series`` and ``bases.power_perturbation_solve`` check
+their residuals through it over the order ``_chain_order`` gives, and it
+serves an operator that a call applies again and again, or to a whole
+tagged batch at once (``linalg.kernel_on_slice``).
 
 The module also hosts the series engine: given T1 with right inverse T1inv
 and a perturbation T2 that is locally nilpotent relative to a filtration,
@@ -93,7 +97,6 @@ __all__ = [
     "TrigApplicator",
     "VerificationError",
     "differential_form",
-    "form_applicator",
     "form_map",
     "forms_commute",
     "identity",
@@ -148,9 +151,6 @@ class LinearOperator:
         (``TrigApplicator``).  An operator without a normal form raises
         TypeError."""
         return TrigApplicator(self, u.frequency, u.time_var, (u.cos_part, u.sin_part))(u)
-
-    def annihilates(self, p) -> bool:
-        return self(p).is_zero()
 
     def __call__(self, p):
         if isinstance(p, TrigPolynomial):
@@ -572,11 +572,10 @@ _ROUTES = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
 
 
 class FormApplicator:
-    """A normal form sum_j c_j d^alpha_j applied to polynomials whose
-    variables are all in one fixed order.
+    """A normal form sum_j c_j d^alpha_j applied to integer forms over the
+    variable order the form is over.
 
-    The form is a ``differential_form`` over that order, and `laurent` the
-    Laurent variables of its outputs.  With D the common denominator of
+    The form is a ``differential_form``.  With D the common denominator of
     the coefficients and d that of the input q, D d op(q) = sum_j (D c_j)
     d^alpha_j (d q) is accumulated with integer falling factorials, one
     dict per real and imaginary part, over the denominator D d.  Each
@@ -586,11 +585,9 @@ class FormApplicator:
     one), else a sum of tuples.
     """
 
-    __slots__ = ("vars", "laurent", "_den", "_routes")
+    __slots__ = ("_den", "_routes")
 
-    def __init__(self, form: dict, vars: tuple, laurent: frozenset):
-        self.vars = vars
-        self.laurent = laurent
+    def __init__(self, form: dict):
         self._den = den = math.lcm(*(c.den for c in form.values()))
         # per route: the part of the input it reads, the sum it feeds, and
         # per block its (position, order) pairs and its signed coefficient
@@ -615,11 +612,10 @@ class FormApplicator:
             if blocks:
                 self._routes.append((part, target, blocks))
 
-    def _sums(self, q: _IntForm):
-        """The numerator dicts of the image of q over the denominator
-        q.den * self._den, possibly holding zero entries.  In a block
-        d^alpha a term with 0 <= e_i < m for some (i, m) in alpha gives
-        nothing and is skipped before any tuple is built."""
+    def apply_form(self, q: _IntForm) -> _IntForm:
+        """The image of the form q, reduced.  In a block d^alpha a term with
+        0 <= e_i < m for some (i, m) in alpha gives nothing and is skipped
+        before any tuple is built."""
         sums = ({}, {})
         perm = math.perm
         for part, target, blocks in self._routes:
@@ -642,21 +638,7 @@ class FormApplicator:
                             else:
                                 key = tuple(map(add, exp, shift))
                             out[key] = get(key, 0) + c * k
-        return sums
-
-    def apply_form(self, q: _IntForm) -> _IntForm:
-        """The image of the form q over this applicator's variable order."""
-        re, im = self._sums(q)
-        return _reduced(_nonzero(re), _nonzero(im), q.den * self._den)
-
-    def __call__(self, p: Polynomial) -> Polynomial:
-        image = self.apply_form(_int_form(p, self.vars))
-        return image.to_poly(self.vars, self.laurent | p.laurent)
-
-    def annihilates(self, p: Polynomial) -> bool:
-        """Whether the image of p is zero, read off the raw sums."""
-        re, im = self._sums(_int_form(p, self.vars))
-        return not any(re.values()) and not any(im.values())
+        return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den)
 
 
 class TrigApplicator:
@@ -668,11 +650,12 @@ class TrigApplicator:
     the binomial theorem splits the form into M0 (even powers of J) and
     M1 (odd), and L(P cos + Q sin) = (M0 P + M1 Q) cos + (M0 Q - M1 P) sin.
     M0 and M1 are FormApplicators over the variables of the given polys,
-    then the operator's; the parts of every trig polynomial applied must
-    lie over those.  An operator without a normal form raises TypeError.
+    then the operator's, the order the outputs are over; the parts of
+    every trig polynomial applied must lie over those.  An operator
+    without a normal form raises TypeError.
     """
 
-    __slots__ = ("frequency", "time_var", "_m0", "_m1")
+    __slots__ = ("frequency", "time_var", "_vars", "_laurent", "_m0", "_m1")
 
     def __init__(self, op: LinearOperator, frequency, time_var: str, polys):
         vs, laurent = _chain_order(polys, [op])
@@ -681,6 +664,7 @@ class TrigApplicator:
             raise TypeError(f"{op!r} is not defined on the trig-polynomial ring")
         self.frequency = a = Fraction(frequency)
         self.time_var = time_var
+        self._vars, self._laurent = vs, laurent
         t = vs.index(time_var) if time_var in vs else None
         halves = ({}, {})
         for alpha, c in form.items():
@@ -691,16 +675,15 @@ class TrigApplicator:
                 weight = math.comb(k, j) * a**j * (-1) ** (j // 2)
                 beta = tuple(sorted(rest + ((t, k - j),))) if j < k else rest
                 _add_form_term(halves[j % 2], beta, c.scaled(weight))
-        self._m0, self._m1 = (FormApplicator(h, vs, laurent) for h in halves)
+        self._m0, self._m1 = (FormApplicator(h) for h in halves)
 
     def __call__(self, u: TrigPolynomial) -> TrigPolynomial:
         if (u.frequency, u.time_var) != (self.frequency, self.time_var):
             raise ValueError(f"built for frequency {self.frequency} in {self.time_var}, "
                              f"got {u.frequency} in {u.time_var}")
-        m0, m1 = self._m0, self._m1
-        vs = m0.vars
+        m0, m1, vs = self._m0, self._m1, self._vars
         parts = (u.cos_part, u.sin_part)
-        laurent = m0.laurent.union(*(part.laurent for part in parts))
+        laurent = self._laurent.union(*(part.laurent for part in parts))
         p, q = (_int_form(part, vs) for part in parts)
         cos = (m0.apply_form(p) + m1.apply_form(q)).to_poly(vs, laurent)
         sin = (m0.apply_form(q) - m1.apply_form(p)).to_poly(vs, laurent)
@@ -710,24 +693,14 @@ class TrigApplicator:
 def form_map(op: LinearOperator, vars: tuple):
     """op as a map of integer forms over the order `vars`, which holds all of
     op's variables: one FormApplicator's ``apply_form`` when op has a
-    differential form, else op's own ``apply_form`` over vars.  A caller
-    that applies op again and again builds this once per call; no map is
+    differential form, else op's own ``apply_form`` over vars.  Its images
+    are reduced, so a residual check tests one for zero or compares it with
+    another form over vars.  A caller builds it once per call; no map is
     kept on the operator."""
     form = differential_form(op, vars)
     if form is None:
         return lambda q: op.apply_form(q, vars)
-    return FormApplicator(form, vars, frozenset()).apply_form
-
-
-def form_applicator(op: LinearOperator, polys):
-    """op on the given polys: a FormApplicator over their variables, then
-    op's, when every p is a Polynomial and op has a differential form, else
-    op itself (integrations, right inverses, trig polynomials)."""
-    if not all(isinstance(p, Polynomial) for p in polys):
-        return op
-    vs, laurent = _chain_order(polys, [op])
-    form = differential_form(op, vs)
-    return op if form is None else FormApplicator(form, vs, laurent)
+    return FormApplicator(form).apply_form
 
 
 def max_derivative_order(op: LinearOperator) -> int:
@@ -818,7 +791,8 @@ def solve_by_series(cfg: SeriesConfig, h: Polynomial, g: Polynomial) -> Polynomi
     vs, laurent = _chain_order([seed], [cfg.t2, cfg.t1_inverse])
     total = _series(cfg, _int_form(seed, vs), vs).to_poly(vs, laurent)
     op = Sum((cfg.t1, cfg.t2))
-    if not form_applicator(op, [total]).annihilates(total):
+    vs, _ = _chain_order([total], [op])
+    if form_map(op, vs)(_int_form(total, vs)):
         raise VerificationError(f"series output is not annihilated; residual {op(total)}")
     return total
 
@@ -828,9 +802,10 @@ def right_inverse_series(cfg: SeriesConfig, f: Polynomial) -> Polynomial:
     vs, laurent = _chain_order([f], [cfg.t1_inverse, cfg.t2])
     first = cfg.t1_inverse.apply_form(_int_form(f, vs), vs)
     total = _series(cfg, first, vs).to_poly(vs, laurent)
-    residual = form_applicator(Sum((cfg.t1, cfg.t2)), [total, f])(total) - f
-    if not residual.is_zero():
-        raise VerificationError(f"right inverse output mismatch; residual {residual}")
+    op = Sum((cfg.t1, cfg.t2))
+    vs, _ = _chain_order([total, f], [op])
+    if form_map(op, vs)(_int_form(total, vs)) != _int_form(f, vs):
+        raise VerificationError(f"right inverse output mismatch; residual {op(total) - f}")
     return total
 
 

@@ -18,8 +18,8 @@ series expansion, which also guards the commuting-symbols convention.  It
 reads each xi_i as a normal form (D_j as d/dx_j, the rest of each term as
 its integer-form coefficient) and applies it, like t*d_T (the normal form
 of d_T with every coefficient shifted by t), through one
-``operators.FormApplicator`` on integer forms over the variable order
-(t, x1..xn, tag), with the t-power cap applied as an exponent filter and
+``operators.FormApplicator`` per operator, built from its normal form
+over the variable order (t, x1..xn, tag), with the t-power cap applied as an exponent filter and
 each 1/j of the exponential series folded into the denominator.  Every
 monomial of the sweep goes through both sides in one batch: the j-th
 carries j in the trailing tag position, which no operator reads, so the
@@ -194,7 +194,7 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
                     coeff[vs.index(v)] = e
             form.setdefault(tuple(sorted(alpha)), ({}, {}))[part][tuple(coeff)] = a
     den = symbol.form.den
-    return FormApplicator({a: _IntForm(re, im, den) for a, (re, im) in form.items()}, vs, frozenset())
+    return FormApplicator({a: _IntForm(re, im, den) for a, (re, im) in form.items()})
 
 
 def _t_capped(q: _IntForm, tcap: int, j: int = 1) -> _IntForm:
@@ -208,9 +208,9 @@ def _t_capped(q: _IntForm, tcap: int, j: int = 1) -> _IntForm:
 
 
 def _apply_exp_symbol(symbol: FormApplicator, q: _IntForm, tcap: int) -> _IntForm:
-    """Truncated exp(symbol) applied to the form q over symbol.vars; every
-    symbol term carries at least one power of t, so the series stops after
-    tcap rounds."""
+    """Truncated exp(symbol) applied to the form q over the order the
+    symbol's normal form is over; every symbol term carries at least one
+    power of t, so the series stops after tcap rounds."""
     term = _t_capped(q, tcap)
     terms = [term]
     j = 1
@@ -250,7 +250,7 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     vs = ("t",) + x_vars + ("tag",)
     form = differential_form(tricomi_operator(tree), vs)
-    heat = FormApplicator({a: c.shifted(0, 1, 1) for a, c in form.items()}, vs, frozenset())
+    heat = FormApplicator({a: c.shifted(0, 1, 1) for a, c in form.items()})
     exponents = [_symbol_applicator(xi, vs) for xi in compute_splitting(tree).exponents]
     monomials = list(tuples_with_sum_at_most(n, degree_cap))
     batch = _IntForm({(0,) + exp + (j,): 1 for j, exp in enumerate(monomials)}, {}, 1)

@@ -39,15 +39,17 @@ from flagpde.bases import ChainError, harmonic_element
 from flagpde.linalg import kernel_on_slice, monomials_of_degree, polys_in_span
 from flagpde.operators import (
     FormApplicator,
+    KernelPreconditionError,
     NotAFlagSystemError,
     OperatorHypothesisError,
+    _chain_order,
     differential_form,
-    form_applicator,
+    form_map,
     forms_commute,
     operator_variables,
     operators_agree_on_sample,
 )
-from flagpde.poly import IMAG
+from flagpde.poly import IMAG, _int_form
 
 from oracles import (
     agree_on_monomials,
@@ -398,6 +400,22 @@ def test_power_perturbation_rejects_noncommuting():
         power_perturbation_solve(Derivative("t"), Integrate("t"), [bad], 1, constant(1).with_variables(("t",)), xx)
 
 
+def test_power_perturbation_rejects_an_output_outside_the_kernel():
+    """T0inv is trusted, not proved: twice the integral makes the series
+    wrong, and the residual check of the summed form sees it."""
+    t, xx = variable("t"), variable("x")
+    with pytest.raises(VerificationError, match="not annihilated exactly"):
+        power_perturbation_solve(
+            Derivative("t"), Compose(Scale(2), Integrate("t")), [Sum(()), Derivative("x", 2)], 2, t, xx**2
+        )
+
+
+def test_power_perturbation_rejects_a_seed_outside_the_kernel():
+    t, xx = variable("t"), variable("x")
+    with pytest.raises(KernelPreconditionError, match="kernel precondition"):
+        power_perturbation_solve(Derivative("t"), Integrate("t"), [Derivative("x", 3)], 1, t, xx)
+
+
 @pytest.mark.parametrize("power", [2, 4])
 def test_power_perturbation_proves_commutation_in_every_degree(power):
     """[d/dt, t d^4/dx^4] = d^4/dx^4 vanishes on every polynomial of degree
@@ -531,10 +549,13 @@ def differential_operators(draw, max_order=3):
        st.tuples(st.integers(0, 3), st.integers(0, 3)))
 @settings(max_examples=150, deadline=None)
 def test_integer_annihilation_matches_operator_application(op, p, q, exps):
-    app = form_applicator(op, [p, q])
-    assert isinstance(app, FormApplicator)
-    assert app(p) == op(p)
-    assert app(q) == op(q)
+    """form_map over the order of verify_annihilation gives the tree fold's
+    image, as an integer form, and a zero image exactly where it does."""
+    vs, _ = _chain_order([p, q], [op])
+    apply = form_map(op, vs)
+    assert isinstance(apply.__self__, FormApplicator)
+    assert apply(_int_form(p, vs)) == _int_form(op(p), vs)
+    assert apply(_int_form(q, vs)) == _int_form(op(q), vs)
     # an operator that kills the monomial m = x^a y^b: op - op(m) * d^(a,b) / (a! b!)
     a, b = exps
     m = Polynomial(("x", "y"), {exps: 1})
@@ -542,9 +563,10 @@ def test_integer_annihilation_matches_operator_application(op, p, q, exps):
                      Derivative("x", a), Derivative("y", b))
     killer = Sum((op, Compose(MultiplyBy(-op(m)), to_one)))
     assert killer(m).is_zero()
-    app = form_applicator(killer, [m, m + p])
-    assert app(m).is_zero()
-    assert app(m + p) == killer(m + p)
+    vs, _ = _chain_order([m, m + p], [killer])
+    apply = form_map(killer, vs)
+    assert not apply(_int_form(m, vs))
+    assert apply(_int_form(m + p, vs)) == _int_form(killer(m + p), vs)
 
 
 def test_flag_spec_takes_a_gaussian_constant_coefficient():
@@ -636,7 +658,7 @@ def test_forms_commute_matches_the_monomial_oracle(pair):
 
 def test_operators_outside_the_differential_class_use_application():
     op = Sum((Derivative("x"), Integrate("y")))
-    assert form_applicator(op, [x1]) is op
+    assert differential_form(op, ("x", "y")) is None
     fam = BasisFamily([BasisElement({}, Polynomial.zero(("x",)))], op)
     assert fam.verify_annihilation()
     fam = BasisFamily([BasisElement({}, variable("y"))], op)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -83,6 +84,15 @@ def test_solve_klein_gordon_ignores_the_seed(tmp_path):
     args = ["solve", "klein-gordon", "--a", "1/2", "--monomial", "2,1,1", "--seed", "7", "--out", str(out)]
     assert run_cli(args) == 2
     assert not out.exists()
+
+
+def test_tree_validate_accepts_a_valid_tree(tmp_path):
+    tree = _write(tmp_path, "t.json", json.dumps({"nodes": 4, "edges": [[1, 2], [2, 3], [2, 4]]}))
+    out = tmp_path / "valid.json"
+    assert run_cli(["tree", "validate", "--tree", tree, "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["valid"] is True
+    assert result["tree"] == {"nodes": 4, "edges": [[1, 2], [2, 3], [2, 4]]}
 
 
 def test_tree_validate_rejects_bad_tree(tmp_path):
@@ -193,7 +203,10 @@ def test_ode_large_frequency(tmp_path):
     assert run_cli(["ode", "--coeffs", "0,-100", "--init", "1,0", "--t", "5", "--out", str(out)]) == 0
     import math
 
-    assert json.loads(out.read_text())["result"]["value"] == pytest.approx(math.cos(50.0), rel=1e-14)
+    result = json.loads(out.read_text())["result"]
+    assert result["value"] == pytest.approx(math.cos(50.0), rel=1e-14)
+    assert abs(result["value"] - math.cos(50)) <= 1e-12
+    assert result["checks"] == [{"name": "initial derivatives", "status": "passed"}]
 
 
 def test_ode_value_and_its_check_share_one_amplitude_pass(monkeypatch, tmp_path):
@@ -504,15 +517,16 @@ _INT_SPEC = {"orders": [2, 1], "coefficients": [[{"exp": {"x1": 1}, "re": "1", "
 def test_integral_floats_load_as_ints(tmp_path):
     """Where a schema says integer, an integral float is read as its int;
     where it says number, a float stays a float."""
-    spec = cli._load_json(_write(tmp_path, "s.json", json.dumps(_FLOAT_SPEC)), FLAG_SPEC_SCHEMA, "flag spec")
+    spec = cli._load_json(_write(tmp_path, "s.json", json.dumps(_FLOAT_SPEC)), FLAG_SPEC_SCHEMA, "flag spec",
+                          hashlib.sha256())
     assert spec == _INT_SPEC and type(spec["orders"][0]) is int
     assert type(spec["coefficients"][0][0]["exp"]["x1"]) is int
     tree = cli._load_json(_write(tmp_path, "t.json", '{"nodes": 3.0, "edges": [[1, 2.0], [2, 3]]}'),
-                          TREE_SCHEMA, "tree")
+                          TREE_SCHEMA, "tree", hashlib.sha256())
     assert tree == {"nodes": 3, "edges": [[1, 2], [2, 3]]} and type(tree["nodes"]) is int
     assert type(tree["edges"][0][1]) is int
     data = cli._load_json(_write(tmp_path, "d.json", '{"halfWidths": [2.0], "modes": [{"k": [1.0], "cos": 1.0}]}'),
-                          DATA_SCHEMA, "data")
+                          DATA_SCHEMA, "data", hashlib.sha256())
     assert type(data["modes"][0]["k"][0]) is int
     assert type(data["halfWidths"][0]) is float and type(data["modes"][0]["cos"]) is float
 
@@ -828,29 +842,78 @@ def test_verified_means_every_listed_check_passed(tmp_path, args):
         assert "verified" not in result
 
 
+def _inputs_digest(argv, files):
+    """sha256 of the sorted-key JSON of argv, then of each file's bytes."""
+    h = hashlib.sha256(json.dumps(argv, sort_keys=True).encode())
+    for path in files:
+        h.update(Path(path).read_bytes())
+    return h.hexdigest()
+
+
+_DIGEST_RUNS = [
+    (["basis", "flag", "--spec", "{spec}", "--cap", "2"], ["spec"]),
+    (["tree", "check-splitting", "--tree", "{tree}", "--cap", "2", "--tcap", "1"], ["tree"]),
+    (["ivp", "flag", "--orders", "2", "--symbols", "{symbols}", "--data", "{flag}", "--grid", "2x2"],
+     ["symbols", "flag"]),
+    (["ivp", "tree-wave", "--tree", "{tree}", "--data", "{wave}", "--t", "0.05", "--grid", "2x2x2"],
+     ["tree", "wave"]),
+    (["basis", "harmonic", "--n", "2", "--cap", "2"], []),
+]
+
+
 def test_inputs_digest_covers_the_named_input_files(tmp_path):
     paths = _report_inputs(tmp_path)
     out = str(tmp_path / "out.json")
-    for argv, files in [
-        (["basis", "flag", "--spec", paths["spec"], "--cap", "2", "--out", out], [paths["spec"]]),
-        (["ivp", "flag", "--orders", "2", "--symbols", paths["symbols"], "--data", paths["flag"],
-          "--grid", "2x2", "--out", out], [paths["symbols"], paths["flag"]]),
-        (["ivp", "tree-wave", "--tree", paths["tree"], "--data", paths["wave"], "--t", "0.05",
-          "--grid", "2x2x2", "--out", out], [paths["tree"], paths["wave"]]),
-    ]:
+    for args, names in _DIGEST_RUNS:
+        argv = [a.format(**paths) for a in args] + ["--out", out]
         assert run_cli(argv) == 0
-        assert json.loads(Path(out).read_text())["inputsDigest"] == cli._digest(argv, files)
+        expected = _inputs_digest(argv, [paths[name] for name in names])
+        assert json.loads(Path(out).read_text())["inputsDigest"] == expected
+
+
+def test_each_input_file_is_opened_once(tmp_path, monkeypatch):
+    paths = _report_inputs(tmp_path)
+    opened = []
+
+    def counted(path, *rest, **kw):
+        opened.append(str(path))
+        return open(path, *rest, **kw)
+
+    monkeypatch.setattr(cli, "open", counted, raising=False)
+    out = str(tmp_path / "out.json")
+    for args, names in _DIGEST_RUNS:
+        opened.clear()
+        assert run_cli([a.format(**paths) for a in args] + ["--out", out]) == 0
+        assert opened == [paths[name] for name in names] + [out]
+
+
+@pytest.mark.parametrize("body, message", [
+    (None, "cannot read flag spec file"),
+    (b'{"orders": [1, 1], "coefficients": [[]]', "is not valid JSON"),
+    (b"\xef\xbb\xbf" + json.dumps(_INT_SPEC).encode(), "is not valid JSON: Unexpected UTF-8 BOM"),
+    (b'{"orders": [1, 1], "variables": ["caf\xe9", "b"], "coefficients": [[]]}', "is not UTF-8"),
+], ids=["missing", "truncated", "utf-8 bom", "latin-1"])
+def test_unreadable_input_file_exits_two_and_names_it(tmp_path, capsys, body, message):
+    path = tmp_path / "spec.json"
+    if body is not None:
+        path.write_bytes(body)
+    out = tmp_path / "out.json"
+    assert run_cli(["basis", "flag", "--spec", str(path), "--cap", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_lie_check_lists_its_checks(tmp_path):
     out = tmp_path / "lie.json"
-    assert run_cli(["lie", "check", "--n", "2", "--out", str(out)]) == 0
-    result = json.loads(out.read_text())["result"]
-    assert set(result) == {"checks", "laplacianReading", "verified"}
-    assert result["laplacianReading"] == 1 and result["verified"] is True
-    assert [c["name"] for c in result["checks"]] == [
-        name for name in flagpde.commutation_checks(2) if name != "laplacian reading"]
-    assert {c["status"] for c in result["checks"]} == {"passed"}
+    for n in (["--n", "2"], []):  # the default is sl(3)
+        assert run_cli(["lie", "check", *n, "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert set(result) == {"checks", "laplacianReading", "verified"}
+        assert result["laplacianReading"] == 1 and result["verified"] is True
+        assert [c["name"] for c in result["checks"]] == [
+            name for name in flagpde.commutation_checks(2) if name != "laplacian reading"]
+        assert {c["status"] for c in result["checks"]} == {"passed"}
 
 
 def test_lie_check_honours_n(monkeypatch):
@@ -1034,3 +1097,63 @@ def test_report_writer_keeps_no_exponent_blocks_between_calls():
     first = _dumps(family)
     assert _dumps(nested) == json.dumps(nested, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
     assert _dumps(family) == first == json.dumps(family, sort_keys=True, indent=2, default=Polynomial.to_json_terms)
+
+
+# -- checks of written reports, with the inputs and bounds of the workflow's console-script step ----
+
+_TREE4 = {"nodes": 4, "edges": [[1, 2], [2, 3], [2, 4]]}
+_SYMBOLS2 = {"variables": ["D2"], "symbols": [[{"exp": {"D2": 2}, "re": "1"}], [{"exp": {"D2": 2}, "re": "1"}]]}
+
+
+def _result(tmp_path, args):
+    out = tmp_path / "out.json"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())["result"]
+
+
+def test_order_three_ode_value_on_stdout(capsys):
+    import math
+
+    assert run_cli(["ode", "--coeffs", "0,-1,0", "--init", "1,0,-1", "--t", "3"]) == 0
+    value = json.loads(capsys.readouterr().out)["result"]["value"]
+    assert abs(value - math.cos(3)) <= 1e-12, value
+
+
+@pytest.mark.parametrize("caps, checked, proof", [([], 35, False), (["--cap", "6", "--tcap", "3"], None, True)],
+                         ids=["default caps", "cap 6 tcap 3"])
+def test_splitting_report_of_a_four_node_tree(tmp_path, caps, checked, proof):
+    tree = _write(tmp_path, "tree4.json", json.dumps(_TREE4))
+    result = _result(tmp_path, ["tree", "check-splitting", "--tree", tree, *caps])
+    assert result["verified"] is True and result["proof"] is proof
+    assert checked is None or result["monomialsChecked"] == checked
+
+
+@pytest.mark.parametrize("kind", ["wave", "flag"])
+def test_ivp_report_verification_keys(tmp_path, kind):
+    if kind == "wave":
+        tree = _write(tmp_path, "tree2.json", '{"nodes": 2, "edges": [[1, 2]]}')
+        data = _write(tmp_path, "wave2.json", json.dumps({
+            "halfWidths": [1.0, 1.0], "g0": {"modes": [{"k": [1, 0], "cos": 1.0}]},
+            "g1": {"modes": [{"k": [0, 1], "sin": 0.5}]}}))
+        args = ["ivp", "tree-wave", "--tree", tree, "--data", data, "--t", "0.3", "--grid", "3x3"]
+    else:
+        symbols = _write(tmp_path, "symbols.json", json.dumps(_SYMBOLS2))
+        data = _write(tmp_path, "flag2.json", json.dumps({"halfWidths": [1.0], "conditions": [
+            {"modes": [{"k": [1], "cos": 1.0}]}, {"modes": [{"k": [2], "sin": 1.0}]}]}))
+        args = ["ivp", "flag", "--orders", "2", "--symbols", symbols, "--data", data, "--grid", "3x3"]
+    verification = _result(tmp_path, args)["verification"]
+    assert verification["tolerance"] == 1e-9 and verification["passed"] is True, verification
+
+
+def test_input_files_validate_without_jsonschema(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "jsonschema", None)  # importing it now raises ImportError
+    tree = _write(tmp_path, "tree4.json", json.dumps(_TREE4))
+    bad = _write(tmp_path, "bad_tree.json", '{"nodes": 2, "edges": [[1, true]]}')
+    symbols = _write(tmp_path, "symbols.json", json.dumps(
+        {"variables": ["D2"], "symbols": [[], [{"exp": {"D2": 2}, "re": "1"}]]}))
+    flag = _write(tmp_path, "flag.json", json.dumps(
+        {"halfWidths": [1.0], "conditions": [{"modes": [{"k": [1], "cos": 1.0}]}, {"modes": []}]}))
+    assert run_cli(["tree", "check-splitting", "--tree", tree]) == 0
+    assert run_cli(["ivp", "flag", "--orders", "2", "--symbols", symbols, "--data", flag, "--grid", "2x3"]) == 0
+    assert run_cli(["tree", "validate", "--tree", bad]) == 2
+    assert "schema violation at /edges/0/1" in capsys.readouterr().err

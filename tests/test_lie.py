@@ -89,6 +89,24 @@ def test_so_highest_vector_is_singular():
             assert all(w == 0 for w in check.weight[1:])
 
 
+_x1, _y2 = variable("x1"), variable("y2")
+
+
+@pytest.mark.parametrize("config, f, failures", [
+    # E12 = x1 d/dx2 - y2 d/dy1
+    (lambda: lie.sl_singular_config(2), variable("y1"), [("E12", -_y2)]),
+    # each failing pair is zero in its rational part: the radical part is reported
+    (lambda: lie.g2_singular_config(), _x1,
+     [("E1", -variable("x5")), ("E3", -variable("x6")), ("E4", -variable("x4"))]),
+    # killed by E12, but h1 scales x1 by 1 and x1 y2 by 2: the residual is h1(f) - 2f
+    (lambda: lie.sl_singular_config(2), _x1 + _x1 * _y2, [("h1", -_x1)]),
+], ids=["sl2 generator", "g2 pair", "cartan weight"])
+def test_verify_singular_names_the_failing_operator(config, f, failures):
+    check = verify_singular(config(), f)
+    assert not check.ok and check.weight is None
+    assert check.failures == failures
+
+
 def test_so_highest_vector_in_module_span():
     f = so_highest_harmonic(3, 2)
     fam = harmonic_module_basis(3, 2)
@@ -247,7 +265,7 @@ def test_sparse_bracket_multiplies_in_z_sqrt2():
 def test_g2_invariant_annihilated():
     eta = g2_invariant()
     for gen in g2_polynomial_action().values():
-        assert gen.annihilates(eta)
+        assert gen.rational(eta).is_zero() and gen.radical(eta).is_zero()
 
 
 def test_g2_laplacian_reading_selected():

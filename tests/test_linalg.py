@@ -291,6 +291,18 @@ def test_kernel_on_slice_matches_the_assembly_by_products_and_sums(op, slice_):
     assert [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want]
 
 
+def test_kernel_on_slice_with_gaussian_entries_on_a_gaussian_slice():
+    """d^2/dx^2 + i d^2/dy^2 on (1 + j i) times the j-th cubic: the kernel
+    vectors have Gaussian entries, and the slice polynomials imaginary parts."""
+    op = fp.Sum((fp.Derivative("x", 2), fp.Compose(fp.Scale(IMAG), fp.Derivative("y", 2))))
+    slice_ = [(1 + j * IMAG) * m for j, m in enumerate(monomials_of_degree(("x", "y"), 3))]
+    got = kernel_on_slice(op, slice_)
+    assert len(got) == 2 and all(op(p).is_zero() for p in got)
+    assert any(isinstance(c, GaussianRational) for p in got for c in p.terms.values())
+    want = _kernel_by_products_and_sums(op, slice_)
+    assert [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want]
+
+
 def test_polys_rank_of_harmonic_solutions_and_their_combinations():
     s = fp.harmonic_basis(3, 4).solutions()
     m = [a + 3 * b for a, b in zip(s, s[1:])]

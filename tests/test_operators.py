@@ -30,6 +30,7 @@ from flagpde.operators import (
     OperatorHypothesisError,
     SeriesTerminationError,
     TrigApplicator,
+    VerificationError,
     differential_form,
     form_map,
     forms_commute,
@@ -38,7 +39,8 @@ from flagpde.operators import (
     operators_agree_on_sample,
 )
 
-from flagpde.poly import NonIntegrableTermError, _int_form
+from flagpde import operators
+from flagpde.poly import NonIntegrableTermError, _int_form, _IntForm
 
 from oracles import (
     apply_trig_termwise,
@@ -110,6 +112,22 @@ def test_operator_json_round_trip():
     assert back(p) == op(p)
 
 
+def test_damped_integration_json_round_trip_with_a_gaussian_rate():
+    op = DampedIntegration(GaussianRational(Fraction(1, 2), -3), "s")
+    data = op_to_json(op)
+    assert data == {"op": "damped_integration", "var": "s", "re": "1/2", "im": "-3"}
+    back = op_from_json(data)
+    assert back == op
+    s = variable("s")
+    assert back(s**3 * x) == op(s**3 * x)
+    assert op_from_json(op_to_json(DampedIntegration(3, "s"))) == DampedIntegration(Fraction(3), "s")
+
+
+def test_unknown_operator_tag_is_rejected():
+    with pytest.raises(ValueError, match="unknown operator tag 'rotate'"):
+        op_from_json({"op": "rotate", "var": "x"})
+
+
 # -- the series engine -----------------------------------------------------------
 
 
@@ -170,6 +188,23 @@ def test_right_inverse_series_property(f):
     cfg = _laplace_config()
     r = right_inverse_series(cfg, f)
     assert cfg.t1(r) + cfg.t2(r) == f
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda cfg: solve_by_series(cfg, x, y**2), "series output is not annihilated"),
+    (lambda cfg: right_inverse_series(cfg, y**2), "right inverse output mismatch"),
+])
+def test_series_solvers_reject_a_corrupted_output(monkeypatch, solve, message):
+    """x^2 y^2 added to the summed series is not in the kernel of the
+    Laplacian, so the exact residual check sees it."""
+    series = operators._series
+
+    def corrupted(cfg, term, vs):
+        return series(cfg, term, vs) + _IntForm({(2,) * len(vs): 1}, {}, 1)
+
+    monkeypatch.setattr(operators, "_series", corrupted)
+    with pytest.raises(VerificationError, match=message):
+        solve(_laplace_config())
 
 
 def test_config_validation_catches_wrong_inverse():
@@ -444,14 +479,13 @@ def block_operators(draw):
 @given(block_operators(), node_inputs(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
 @settings(max_examples=100, deadline=None)
 def test_form_applicator_matches_the_tree_walk(op, p, exps):
-    """One FormApplicator gives the image and the zero test of walking the
-    operator tree, on inputs it kills and inputs it does not."""
+    """One FormApplicator gives the image, and so the zero test, of walking
+    the operator tree, on inputs it kills and inputs it does not."""
     vs = ("x", "y")
-    app = FormApplicator(differential_form(op, vs), vs, frozenset(("y",)))
+    app = FormApplicator(differential_form(op, vs))
     q = _int_form(p, vs)
     walked = op.apply_form(q, vs)
     assert app.apply_form(q) == walked
-    assert app.annihilates(p) == (not walked)
     assert form_map(op, vs)(q) == walked
     # an operator that kills the monomial m = x^a y^b: op - op(m) d^(a,b)/(a! b!)
     a, b = exps
@@ -459,20 +493,21 @@ def test_form_applicator_matches_the_tree_walk(op, p, exps):
     to_one = Compose(Scale(Fraction(1, math.factorial(a) * math.factorial(b))),
                      Derivative("x", a), Derivative("y", b))
     killer = Sum((op, Compose(MultiplyBy(-op(m)), to_one)))
-    app = FormApplicator(differential_form(killer, vs), vs, frozenset(("y",)))
+    apply = form_map(killer, vs)
     for r in (m, m + p):
         walked = killer.apply_form(_int_form(r, vs), vs)
-        assert app.apply_form(_int_form(r, vs)) == walked
-        assert app.annihilates(r) == (not walked)
-    assert app.annihilates(m)
+        assert apply(_int_form(r, vs)) == walked
+    assert not apply(_int_form(m, vs))
 
 
 def test_annihilation_reads_the_imaginary_sums_too():
     vs = ("x", "y")
     op = Compose(MultiplyBy(constant(GaussianRational(0, 2))), Derivative("x"))
-    app = FormApplicator(differential_form(op, vs), vs, frozenset())
-    assert not app.annihilates(x + y)
-    assert app.annihilates(y)
+    apply = form_map(op, vs)
+    image = apply(_int_form(x + y, vs))
+    assert image  # 2i: no real part, so the zero test reads the imaginary one
+    assert (image.re, image.im) == ({}, {(0, 0): 2})
+    assert not apply(_int_form(y, vs))
 
 
 def test_form_map_applies_operators_without_a_normal_form_as_they_are():

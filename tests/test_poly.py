@@ -128,6 +128,15 @@ def test_gaussian_field_axioms():
     assert (IMAG * IMAG) == -1
 
 
+def test_gaussian_powers_by_squaring():
+    a = GaussianRational(Fraction(1, 2), Fraction(-3))
+    assert a**0 == 1 and a**1 == a
+    assert a**5 == a * a * a * a * a
+    assert a**-1 == a.inverse() and a**-3 == (a * a * a).inverse()
+    assert a**-2 * a**2 == 1
+    assert IMAG**4 == 1 and IMAG**-1 == -IMAG
+
+
 def test_gaussian_collapse_to_fraction_in_polynomial():
     p = (IMAG * x) * (IMAG * x)
     assert p == -(x**2)

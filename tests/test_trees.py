@@ -214,7 +214,8 @@ def test_symbol_applicator_matches_termwise_application():
                 app = _symbol_applicator(xi, vs)
                 for exp in tuples_with_sum_at_most(n, 3):
                     mono = Polynomial(vs, {(0,) + exp: 1})
-                    assert app(mono) == apply_symbol_termwise(xi, mono)
+                    image = app.apply_form(_int_form(mono, vs)).to_poly(vs, frozenset())
+                    assert image == apply_symbol_termwise(xi, mono)
 
 
 def _sabotaged(tree, pick):
@@ -247,6 +248,23 @@ def test_sabotaged_splittings_raise_the_termwise_mismatch(monkeypatch):
                     else:
                         assert check_splitting(tree, 3, 3).monomials_checked == expected
     assert raised == 50
+
+
+def test_sabotage_above_the_finite_cap_is_caught_by_the_proof_sweep(monkeypatch):
+    """t^3 D1^6 added to xi_1 kills every monomial of degree <= 3, so the
+    finite sweep at cap 3 passes; the proof sweep at cap 6 = 2 * tcap sees
+    it on x1^6 at t^3."""
+    import flagpde.trees as trees
+
+    tree = Tree(4, [(1, 2), (2, 3), (2, 4)])
+    s = compute_splitting(tree)
+    s.exponents[0] = s.exponents[0] + variable("t") ** 3 * variable("D1") ** 6
+    monkeypatch.setattr(trees, "compute_splitting", lambda _tree: s)
+    report = check_splitting(tree, 3, 3)
+    assert report.proof is False
+    with pytest.raises(VerificationError) as got:
+        check_splitting(tree, 6, 3)
+    assert str(got.value) == "splitting mismatch on monomial {'x1': 6, 'x2': 0, 'x3': 0, 'x4': 0} at t^3"
 
 
 # -- symbol evaluation --------------------------------------------------------------------
