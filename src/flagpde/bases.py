@@ -30,7 +30,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple
 
 from .combinatorics import multinomial, tuples_with_sum, tuples_with_sum_at_most
@@ -60,10 +59,18 @@ from .operators import (
     solve_by_series,
 )
 from .poly import (
+    _W,
+    EXP_MAX,
+    ExponentRangeError,
     Polynomial,
     _int_form,
     _IntForm,
+    _layout,
+    _mover,
+    _pack,
+    _padded,
     _reduced,
+    _remapped,
     _shifted_sum,
     _sum_forms,
     variable,
@@ -173,10 +180,23 @@ def _default_vars(n: int):
 
 # -- the closed-form series ------------------------------------------------------
 
+def _offset(exps) -> int:
+    """The key offset of non-negative exponents over their own fields: the
+    packed key less that of the zero exponent, so offsets of consecutive
+    variable runs concatenate as (a << _W * len(b)) + b."""
+    key = 0
+    for e in exps:
+        if not 0 <= e <= EXP_MAX:
+            raise ExponentRangeError(f"exponent {e} is outside [0, {EXP_MAX}]")
+        key = (key << _W) + e
+    return key
+
+
 class _BlockTable(dict):
     """The block c d^beta of L (module docstring), beta the positive orders
     of its variables: for their exponents l, the list over r of
-    (r, c^r prod_v perm(l_v, r beta_v)/r!, l - r beta) while r beta <= l.
+    (r, c^r prod_v perm(l_v, r beta_v)/r!, offset of l - r beta) while
+    r beta <= l, each exponent tuple as its key offset (``_offset``).
     r! divides the product of r beta_v consecutive integers, so the entries
     are integers.  Each l is filled on first use."""
 
@@ -188,9 +208,10 @@ class _BlockTable(dict):
 
     def __missing__(self, l):
         c, orders = self.coeff, self.orders
+        key, step = _offset(l), _offset(orders)
         self[l] = entries = [
             (r, c**r * math.prod(map(math.perm, l, [r * o for o in orders])) // math.factorial(r),
-             tuple(e - r * o for e, o in zip(l, orders)))
+             key - r * step)
             for r in range(min(map(int.__floordiv__, l, orders)) + 1)
         ]
         return entries
@@ -198,8 +219,9 @@ class _BlockTable(dict):
 
 def _profile(entries) -> tuple:
     """The profile from its entries (pairs, den_R), R = 0.., holding R! p_R
-    as (corner exponent, integer numerator) pairs over den_R: the lcm d of
-    all den_R and each R's pairs over d."""
+    as (corner key, integer numerator) pairs over den_R, the key packed
+    over the corner variables: the lcm d of all den_R and each R's pairs
+    over d."""
     d = math.lcm(*(den for _, den in entries))
     return d, [[(j, c * (d // den)) for j, c in pairs] for pairs, den in entries]
 
@@ -212,30 +234,45 @@ def _corner_profile(corner: tuple, orders: tuple, top: int) -> tuple:
     for r in range(top + 1):
         exp = tuple(c + r * o for c, o in zip(corner, orders))
         den = math.prod(map(math.perm, exp, [r * o for o in orders])) // math.factorial(r)
-        entries.append(([(exp, -1 if r & 1 else 1)], den))
+        entries.append(([(_pack(exp), -1 if r & 1 else 1)], den))
     return _profile(entries)
 
 
-def _closed_form_series(profile, blocks, seed: tuple, move=None) -> _IntForm:
+def _closed_form_series(profile, blocks, seed: tuple, corner: int) -> _IntForm:
     """sum_R p_R L^R(x^seed), reduced once (module docstring), from the
-    tables of L's blocks in order and a ``_profile``; seed is the exponent
-    tuple over the blocks' variables.  The result is over the corner
-    variables, then the blocks', reordered by move(exponent) if given.
+    tables of L's blocks in order and a ``_profile`` over `corner`
+    variables; seed is the exponent tuple over the blocks' variables.  The
+    result is over the corner variables, then the blocks': each key the
+    corner key above the concatenated block offsets.
 
     R runs to the last power with a nonzero term.  The seed's exponent
     fixes each block's r, so distinct R give distinct block exponents and
     the outer product with the profile makes no term twice.
     """
-    terms, start = [(0, 1, ())], 0
+    terms, start = [(0, 1, 0)], 0
     for table in blocks:
         stop = start + len(table.orders)
-        terms = [(r + s, n * m, e + f) for r, n, e in terms for s, m, f in table[seed[start:stop]]]
+        shift = _W * (stop - start)
+        terms = [(r + s, n * m, (e << shift) + f) for r, n, e in terms for s, m, f in table[seed[start:stop]]]
         start = stop
     d, scaled = profile
-    re = {j + e: c * n for r, n, e in terms for j, c in scaled[r]}
-    if move is not None:
-        re = {move(e): a for e, a in re.items()}
-    return _reduced(re, {}, d)
+    shift, bias = _W * start, _layout(start)[0]
+    re = {(j << shift) + e + bias: c * n for r, n, e in terms for j, c in scaled[r]}
+    return _reduced(re, {}, d, corner + start)
+
+
+class _MovedKeys(dict):
+    """move(key) by key, each computed on its first lookup."""
+
+    __slots__ = ("move",)
+
+    def __init__(self, move):
+        super().__init__()
+        self.move = move
+
+    def __missing__(self, key):
+        self[key] = moved = self.move(key)
+        return moved
 
 
 class _SeriesLemma:
@@ -267,14 +304,17 @@ class _SeriesLemma:
         self.blocks = [(tables.setdefault((c, orders), _BlockTable(c, orders)), vs) for c, orders, vs in blocks]
         # the series runs over the corner variables, then each block's
         self.layout = layout = corner + sum((vs for _, vs in self.blocks), ())
-        self._move = None if layout == variables else itemgetter(*map(layout.index, variables))
+        # the elements share most of their monomials, so each key is moved once
+        self._move = None if layout == variables else _MovedKeys(_mover(layout, variables))
         self._profiles = {}
 
     def element(self, profile, seed: tuple) -> Polynomial:
         """``_closed_form_series`` over the blocks, as a Polynomial over the
         family's variables."""
         self._profiles[id(profile)] = profile
-        form = _closed_form_series(profile, [t for t, _ in self.blocks], seed, self._move)
+        form = _closed_form_series(profile, [t for t, _ in self.blocks], seed, len(self.corner))
+        if self._move is not None:
+            form = _remapped(form, self._move.__getitem__, len(self.variables))
         return form.to_poly(self.variables, frozenset())
 
     def prove(self, annihilator: LinearOperator):
@@ -298,18 +338,18 @@ class _SeriesLemma:
             for l, entries in table.items():
                 stepped, r, n, e, rem = [], 0, 1, l, 0
                 while n and not rem:
-                    stepped.append((r, n, e))
+                    stepped.append((r, n, _offset(e)))
                     n, rem = divmod(c * n * math.prod(map(math.perm, e, orders)), r + 1)
                     r, e = r + 1, tuple(a - o for a, o in zip(e, orders))
                 if rem or entries != stepped:
                     raise VerificationError(f"series lemma: the table of {c} d^{orders} at {l} "
                                             f"is not its block's powers")
         apply_k = FormApplicator(k).apply_form
-        pad = (0,) * (len(layout) - len(corner))
+        pad = len(layout) - len(corner)
         for _, pairs_of in self._profiles.values():
             prev = None
             for r, pairs in enumerate(pairs_of):
-                p = _IntForm({j + pad: a for j, a in pairs}, {}, 1)
+                p = _padded(_IntForm(dict(pairs), {}, 1, len(corner)), pad)
                 image = apply_k(p) if prev is None else apply_k(p) + (m * prev).scaled(r)
                 if image:
                     raise VerificationError(f"series lemma: profile entry {r} breaks "
@@ -362,7 +402,7 @@ def harmonic_element(n: int, eps: int, ells) -> Polynomial:
     if eps not in (0, 1) or len(ells) != n - 1:
         raise ValueError(f"need eps 0 or 1 and n - 1 exponents, got n={n}, eps={eps}, ells={ells}")
     profile = _corner_profile((eps,), (2,), sum(ells) // 2)
-    return _closed_form_series(profile, [_BlockTable(1, (2,))] * len(ells), ells).to_poly(
+    return _closed_form_series(profile, [_BlockTable(1, (2,))] * len(ells), ells, 1).to_poly(
         _default_vars(n), frozenset())
 
 
@@ -453,7 +493,7 @@ def _sigma_step(inv: NestedRightInverse, stage: int, vs: tuple, f: _IntForm, pos
         pieces.append((chain[i], ell - i * m, k))
         i += 1
         k = math.perm(ell, i * m)
-    return _shifted_sum(pieces, pos)
+    return _shifted_sum(pieces, pos, len(vs))
 
 
 def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
@@ -479,7 +519,7 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     chains: dict[tuple, list] = {}
     elements = []
     for l1 in range(spec.orders[0]):
-        root = [_IntForm({(l1,) + (0,) * (n - 1): 1}, {}, 1)]
+        root = [_IntForm({_pack((l1,) + (0,) * (n - 1)): 1}, {}, 1, n)]
         for rest in tuples_with_sum_at_most(n - 1, cap):
             ell = (l1,) + rest
             chain = root
@@ -611,7 +651,7 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
         level += 1
     else:
         raise VerificationError("power-perturbation series did not terminate")
-    total = _sum_forms(pieces)
+    total = _sum_forms(pieces) if pieces else _IntForm.zero(len(vs))
 
     # residual of T0^m - sum_p T0^(m-p) T_p
     residual = Sum((

@@ -58,7 +58,7 @@ from .lie import (
     verify_singular,
 )
 from .operators import SeriesTerminationError, VerificationError, op_to_json
-from .poly import Polynomial, variable
+from .poly import _BIAS, Polynomial, _codec, _text_terms, variable
 from .trees import Tree, check_splitting, compute_splitting, tricomi_operator
 
 
@@ -266,7 +266,7 @@ def _dumps(obj) -> str:
     default=Polynomial.to_json_terms), byte for byte, for acyclic data: a
     container of scalars in one C encoder call, a list of element records
     (a family's ``elements``) in one loop, a polynomial in one pass over its
-    ``text_terms``, the containers above them walked here.  Each exponent
+    ``poly._text_terms``, the containers above them walked here.  Each exponent
     block is rendered once per variable order and depth, in a table that
     lives for this call only."""
     if c_make_encoder is None:
@@ -349,41 +349,57 @@ def _write_elements(records, depth, out, blocks):
 def _write_terms(p: Polynomial, depth, out, blocks):
     """Append p.to_json_terms() at nesting depth to out: one
     {"exp", "im", "re"} object per term, in canonical term order, with the
-    exponents keyed in sorted variable-name order.  Each term's text up to
-    its imaginary part is looked up in blocks, by variable order and depth,
-    and rendered on the first miss only.  The parts of ``text_terms`` are
-    digits, "-" and "/", so they are quoted without escaping."""
-    terms = p.text_terms()
-    if not terms:
+    exponents keyed in sorted variable-name order.  Each term's total
+    degree, which orders it, and its text up to its imaginary part are
+    looked up in blocks by variable order and depth (``_BlockTable``),
+    keyed by the term's packed exponent key, which is decoded on the first
+    miss only.  The parts of ``poly._text_terms`` are digits, "-" and "/",
+    so they are quoted without escaping."""
+    form = p.form
+    if not form:
         out.append("[]")
         return
     table = blocks.get((p.vars, depth))
     if table is None:
-        table = blocks[p.vars, depth] = _block_table(p.vars, depth)
-    heads, keys, opening, exp_sep, closing, empty = table
+        table = blocks[p.vars, depth] = _BlockTable(p.vars, depth)
+    heads = table.heads
     item, field = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
     re_key, close = '",' + field + '"re": "', '"' + item + "}"
     sep = "["
-    for exp, re, im in terms:
-        head = heads.get(exp)
-        if head is None:
-            block = [key + str(exp[i]) for key, i in keys if exp[i]]
-            head = heads[exp] = opening + exp_sep.join(block) + closing if block else empty
-        out += (sep, head, im, re_key, re, close)
+    # the order reads every key's degree from the table, filling its misses
+    for key, re, im in _text_terms(form, table):
+        out += (sep, heads[key], im, re_key, re, close)
         sep = ","
     out += ("\n", "  " * depth, "]")
 
 
-def _block_table(variables, depth):
+class _BlockTable(dict):
     """The exponent block table of one variable order at nesting depth: the
-    term heads rendered so far by exponent tuple, the exponent keys in sorted
-    name order with their positions, and the fixed text around a block.  A
-    term head is a term's text up to its imaginary part's opening quote."""
-    item, field, exp_item = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
-    keys = [(encode_basestring_ascii(name) + ": ", i) for name, i in sorted(zip(variables, itertools.count()))]
-    opening = item + "{" + field + '"exp": '
-    im_key = "," + field + '"im": "'
-    return {}, keys, opening + "{" + exp_item, "," + exp_item, field + "}" + im_key, opening + "{}" + im_key
+    total degree of each term by packed exponent key, and in ``heads`` its
+    head, its text up to its imaginary part's opening quote.  A missing key
+    is decoded once, its fields read in C, and both are filled."""
+
+    __slots__ = ("heads", "_read", "_size", "_names", "_text")
+
+    def __init__(self, variables, depth):
+        super().__init__()
+        item, field, exp_item = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+        opening = item + "{" + field + '"exp": '
+        im_key = "," + field + '"im": "'
+        fields, self._size, _ = _codec(len(variables))
+        self.heads, self._read = {}, fields.unpack
+        # the exponent keys in sorted name order with their positions
+        self._names = [(encode_basestring_ascii(name) + ": ", i)
+                       for name, i in sorted(zip(variables, itertools.count()))]
+        self._text = (opening + "{" + exp_item, "," + exp_item, field + "}" + im_key, opening + "{}" + im_key)
+
+    def __missing__(self, key):
+        raw = self._read(key.to_bytes(self._size, "big"))
+        opening, exp_sep, closing, empty = self._text
+        block = [name + str(raw[i] - _BIAS) for name, i in self._names if raw[i] != _BIAS]
+        self.heads[key] = opening + exp_sep.join(block) + closing if block else empty
+        self[key] = degree = sum(raw) - _BIAS * len(raw)
+        return degree
 
 
 def _emit(args, payload):
@@ -451,13 +467,27 @@ def _with_checks(payload, checks):
     return payload
 
 
+# the kind-specific options of basis, by dest and flag, and the kinds that read each
+_BASIS_OPTIONS = (
+    ("orders", "--orders", {"constant"}),
+    ("spec", "--spec", {"flag"}),
+    ("lam", "--lambda", {"anisym"}),
+    ("epsilon", "--epsilon", {"anisym"}),
+    ("n", "--n", {"harmonic", "dissipative", "anisym"}),
+)
+
+
 def _cmd_basis(args):
+    for dest, flag, kinds in _BASIS_OPTIONS:
+        if getattr(args, dest) is not None and args.kind not in kinds:
+            raise InputError(f"basis {args.kind} does not read {flag}")
+    n = 2 if args.n is None else args.n
     if args.kind == "constant":
         if not args.orders:
             raise InputError("basis constant requires --orders")
         family = constant_coefficient_basis(_int_list(args.orders), args.cap)
     elif args.kind == "harmonic":
-        family = harmonic_basis(args.n, args.cap)
+        family = harmonic_basis(n, args.cap)
     elif args.kind == "flag":
         if not args.spec:
             raise InputError("basis flag requires --spec")
@@ -468,11 +498,12 @@ def _cmd_basis(args):
         spec = FlagEquationSpec(data["orders"], coefficients, variables)
         family = flag_basis(spec, args.cap)
     elif args.kind == "dissipative":
-        family = dissipative_wave_basis(args.n, args.cap)
+        family = dissipative_wave_basis(n, args.cap)
     elif args.kind == "anisym":
         if not args.lam:
             raise InputError("basis anisym requires --lambda")
-        family = anisymmetric_basis(args.n, _fraction(args.lam), args.epsilon, args.cap)
+        epsilon = 1 if args.epsilon is None else args.epsilon
+        family = anisymmetric_basis(n, _fraction(args.lam), epsilon, args.cap)
     else:
         raise InputError(f"unknown basis kind {args.kind}")
     return _family_payload(family, verify_independence=not args.no_independence)
@@ -679,12 +710,15 @@ def _build_parser():
 
     p = sub.add_parser("basis", help="generate a verified solution family")
     p.add_argument("kind", choices=["constant", "harmonic", "flag", "dissipative", "anisym"])
+    # a kind-specific option defaults to None, so that _cmd_basis can refuse
+    # one given to a kind that does not read it
     p.add_argument("--orders", help="comma-separated derivative orders (constant)")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, help="number of spatial variables (harmonic, dissipative, "
+                                         "anisym; default 2)")
     p.add_argument("--cap", type=int, default=4)
     p.add_argument("--spec", help="flag equation JSON (flag)")
     p.add_argument("--lambda", dest="lam", help="time-weight parameter (anisym)")
-    p.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
+    p.add_argument("--epsilon", type=int, choices=[1, -1], help="sign of the Laplacian term (anisym; default 1)")
     p.add_argument("--no-independence", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_basis)

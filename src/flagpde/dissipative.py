@@ -45,8 +45,9 @@ from .poly import (
     GaussianRational,
     Polynomial,
     TrigPolynomial,
-    _int_form,
-    _sum_forms,
+    _IntForm,
+    _pack,
+    _shifted_sum,
     variable,
 )
 
@@ -130,7 +131,8 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
 
 
 def _folded_profile(polys) -> tuple:
-    """The ``bases._profile`` of the t-profiles p_0, p_1, .. (Polynomials in t)."""
+    """The ``bases._profile`` of the t-profiles p_0, p_1, .. (Polynomials in
+    t, whose keys are the corner keys over t)."""
     return _profile([
         ([(e, a * math.factorial(r)) for e, a in p.form.re.items()], p.form.den)
         for r, p in enumerate(polys)
@@ -217,22 +219,26 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         # lam = -2k-1: the phi factors are undefined from R = k+1 on, so the
         # phi branch takes the seeds s with Lap^(k+1)(s) = 0 and top part
         # x1^l1 x_rest^rest, l1 < 2k+2: the series over the Laplacian of x2..xn
-        # with p_R = (-1)^R C(k+R, R) x1^(l1+2R)/(l1+2R)!.  Each element is
-        # sum_(R <= k) eps^R phi_R Lap^R(s), over t, x1..xn.
+        # with p_R = (-1)^R C(k+R, R) x1^(l1+2R)/(l1+2R)!, over the corner
+        # (t, x1) at t^0.  Each element is sum_(R <= k) eps^R phi_R Lap^R(s),
+        # over t, x1..xn, with eps^R phi_R = (a_R / b_R) t^(2R): the pieces
+        # Lap^R(s) over their denominators times b_R, shifted by t^(2R) with
+        # the factors a_R, summed in one pass.
         k = (-int(lam) - 1) // 2
         vs = lemma.variables
         blocks = [table for table, _ in lemma.blocks[1:]]
         apply_lap = form_map(lap, vs)
-        phis = [_int_form(epsilon**r * _phi_factor(lam, r), vs) for r in range(k + 1)]
+        phis = [epsilon**r * _phi_factor(lam, r).coefficient({"t": 2 * r}) for r in range(k + 1)]
         elements = []
         for l1 in range(2 * k + 2):
-            profile = _profile([([((l1 + 2 * r,), (-1) ** r * math.perm(k + r, r))], math.factorial(l1 + 2 * r))
-                                for r in range(cap // 2 + 1)])
+            profile = _profile([([(_pack((0, l1 + 2 * r)), (-1) ** r * math.perm(k + r, r))],
+                                 math.factorial(l1 + 2 * r)) for r in range(cap // 2 + 1)])
             for rest in tuples_with_sum_at_most(n - 1, cap):
-                powers = [_closed_form_series(profile, blocks, rest, lambda e: (0,) + e)]
+                powers = [_closed_form_series(profile, blocks, rest, 2)]
                 for _ in range(k):
                     powers.append(apply_lap(powers[-1]))
-                u = _sum_forms([phi * p for phi, p in zip(phis, powers)])
+                u = _shifted_sum([(_IntForm(p.re, p.im, p.den * phi.denominator, p.n), 2 * r, phi.numerator)
+                                  for r, (phi, p) in enumerate(zip(phis, powers))], 0, len(vs))
                 elements.append(BasisElement({"ell": (l1,) + rest, "branch": "phi"}, u.to_poly(vs, frozenset())))
     else:
         elements = branch(_phi_factor, "phi")

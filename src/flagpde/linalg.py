@@ -35,7 +35,20 @@ from math import gcd, lcm
 
 from .combinatorics import tuples_with_sum, tuples_with_sum_at_most
 from .operators import _chain_order, form_map
-from .poly import GaussianRational, Polynomial, _int_form, _nonzero, _parts, _reduced
+from .poly import (
+    _BIAS,
+    _MASK,
+    _W,
+    EXP_MAX,
+    ExponentRangeError,
+    GaussianRational,
+    Polynomial,
+    _int_form,
+    _layout,
+    _nonzero,
+    _parts,
+    _reduced,
+)
 
 __all__ = [
     "bidegree_monomials",
@@ -377,34 +390,40 @@ def kernel_on_slice(op, slice_monomials):
         else ({e: a * (d // f.den) for e, a in f.re.items()}, {e: b * (d // f.den) for e, b in f.im.items()})
         for f in forms
     ]
-    pad = (0,) * (len(vs) - len(vars_))
+    if len(parts) > EXP_MAX + 1:
+        raise ExponentRangeError(f"a tag field holds at most {EXP_MAX + 1} slice entries")
+    # each key over vars_ moved above op's own variables and the tag field
+    pad = len(vs) - len(vars_)
+    shift, base = _W * (pad + 1), (_layout(pad)[0] << _W) + _BIAS
     re, im = {}, {}
     for j, (fre, fim) in enumerate(parts):
+        tagged = base + j
         for e, a in fre.items():
-            re[e + pad + (j,)] = a
+            re[(e << shift) + tagged] = a
         for e, b in fim.items():
-            im[e + pad + (j,)] = b
-    image = form_map(op, vs + (tag,))(_reduced(re, im, d))
+            im[(e << shift) + tagged] = b
+    image = form_map(op, vs + (tag,))(_reduced(re, im, d, len(vs) + 1))
     # rows index the support of the images, columns the slice polynomials;
     # a Gaussian image gives (re, im) entries
     re, im = image.re, image.im
     entries = {e: (re.get(e, 0), im.get(e, 0)) for e in {**re, **im}} if im else re
     rows = {}
-    for exp, a in entries.items():
-        rows.setdefault(exp[:-1], {})[exp[-1]] = a
+    for key, a in entries.items():
+        rows.setdefault(key >> _W, {})[(key & _MASK) - _BIAS] = a
     pivots = _row_reduce(list(rows.values()), reduced=True)
     laurent = frozenset().union(*(p.laurent for p in slice_monomials))
     return [
         form.to_poly(vars_, laurent)
-        for form in _combinations(parts, d, _integer_kernel(pivots, len(slice_monomials)).values())
+        for form in _combinations(parts, d, _integer_kernel(pivots, len(slice_monomials)).values(), len(vars_))
     ]
 
 
-def _combinations(parts, d, kernel):
-    """The forms sum_j vec[j] * (re_j + i im_j) / (den * d) for the
-    (den, vec) of ``_integer_kernel``, vec sparse with int or (re, im) int
-    pair entries and parts[j] = (re_j, im_j) the slice numerators over d:
-    each one pass over the numerators it touches, reduced once."""
+def _combinations(parts, d, kernel, n):
+    """The forms over n variables sum_j vec[j] * (re_j + i im_j) / (den * d)
+    for the (den, vec) of ``_integer_kernel``, vec sparse with int or
+    (re, im) int pair entries and parts[j] = (re_j, im_j) the slice
+    numerators over d: each one pass over the numerators it touches,
+    reduced once."""
     out = []
     for den, vec in kernel:
         re, im = {}, {}
@@ -421,5 +440,5 @@ def _combinations(parts, d, kernel):
                 re[e] = re.get(e, 0) + v * a
             for e, b in fim.items():
                 im[e] = im.get(e, 0) + v * b
-        out.append(_reduced(_nonzero(re), _nonzero(im), den * d))
+        out.append(_reduced(_nonzero(re), _nonzero(im), den * d, n))
     return out

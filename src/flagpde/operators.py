@@ -63,16 +63,22 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .combinatorics import falling, tuples_with_sum_at_most
 from .poly import (
+    _BIAS,
+    _MASK,
+    _W,
+    ExponentRangeError,
     GaussianRational,
     Polynomial,
     TrigPolynomial,
+    _check_fields,
     _int_form,
     _IntForm,
+    _layout,
     _nonzero,
+    _pack,
     _reduced,
     _parts,
     _sum_forms,
@@ -206,7 +212,7 @@ class Scale(LinearOperator):
         self.scalar = scalar
 
     def apply_form(self, q, vars):
-        return q.scaled(self.scalar) if self.scalar else _IntForm.zero()
+        return q.scaled(self.scalar) if self.scalar else _IntForm.zero(len(vars))
 
     def __eq__(self, other):
         return isinstance(other, Scale) and self.scalar == other.scalar
@@ -222,6 +228,8 @@ class Sum(LinearOperator):
         self.ops = tuple(ops)
 
     def apply_form(self, q, vars):
+        if not self.ops:
+            return _IntForm.zero(len(vars))
         return _sum_forms([op.apply_form(q, vars) for op in self.ops])
 
     def __eq__(self, other):
@@ -278,9 +286,11 @@ class DampedIntegration(LinearOperator):
 
     def apply_form(self, q, vars):
         pos = vars.index(self.tvar)
-        if any(exp[pos] < 0 for exp in itertools.chain(q.re, q.im)):
+        if pos in q.negative_positions():
             # the derivatives of a negative power never vanish
             raise ValueError(f"damped integration: negative power of {self.tvar}")
+        if not q:
+            return q
         ainv = self._ainv
         factor = ainv
         pieces = []
@@ -374,10 +384,7 @@ class NestedRightInverse(LinearOperator):
         plan = self._plans.get(vars)
         if plan is None:
             forms = [_int_form(c, vars) for c in self.coeffs[1:]]
-            negative = {
-                i for f in forms for exp in itertools.chain(f.re, f.im)
-                for i, e in enumerate(exp) if e < 0
-            }
+            negative = set().union(*(f.negative_positions() for f in forms))
             lead = coeff_inverse(self.coeffs[0].constant_term())
             plan = [(vars.index(self.vars_[0]), self.orders[0], lead, False)]
             for f, v, m in zip(forms, self.vars_[1:], self.orders[1:]):
@@ -392,15 +399,12 @@ class NestedRightInverse(LinearOperator):
     def _apply_stage(self, s: int, q: _IntForm, vars: tuple) -> _IntForm:
         """The inverse of the first s blocks on q, reduced once."""
         plan = self.plan(vars)
-        if any(min(exp) < 0 for exp in itertools.chain(q.re, q.im)):
+        negative = q.negative_positions()
+        if negative:
             # negative powers in the input: check their block variables at every stage
-            terms = list(itertools.chain(q.re, q.im))
-            plan = plan[:1] + [
-                (pos, m, f, neg or any(exp[pos] < 0 for exp in terms))
-                for pos, m, f, neg in plan[1:]
-            ]
+            plan = plan[:1] + [(pos, m, f, neg or pos in negative) for pos, m, f, neg in plan[1:]]
         out = self._stage(s, q, plan)
-        return _reduced(out.re, out.im, out.den)
+        return _reduced(out.re, out.im, out.den, out.n)
 
     def _stage(self, s: int, q: _IntForm, plan) -> _IntForm:
         """Stage s on q, left unreduced: no step of the chain takes a gcd
@@ -409,7 +413,7 @@ class NestedRightInverse(LinearOperator):
         if s == 1:
             out = q.integrate(pos, m, reduce=False)
             return out if f == 1 else out.scaled(f, reduce=False)
-        if is_laurent and any(exp[pos] < 0 for exp in itertools.chain(q.re, q.im)):
+        if is_laurent and pos in q.negative_positions():
             # the derivatives of a negative power never vanish
             raise ValueError(
                 f"nested right inverse: negative exponent in block variable {self.vars_[s - 1]}"
@@ -578,11 +582,16 @@ class FormApplicator:
     The form is a ``differential_form``.  With D the common denominator of
     the coefficients and d that of the input q, D d op(q) = sum_j (D c_j)
     d^alpha_j (d q) is accumulated with integer falling factorials, one
-    dict per real and imaginary part, over the denominator D d.  Each
-    coefficient term x^c of a block d^alpha is kept as the shift c - alpha,
-    so a term of q maps to its image exponent in one tuple step: a slice
-    when the shift moves one position (a bare derivative, or x_i times
-    one), else a sum of tuples.
+    dict per real and imaginary part, over the denominator D d.  The keys
+    are ``poly._IntForm``'s packed exponent keys (n fields of _W bits, the
+    first variable highest, each exponent biased by _BIAS into [EXP_MIN,
+    EXP_MAX]).  Each coefficient term x^c of a block d^alpha is kept as
+    one key step, the key of x^c less that of x^0 and the orders alpha,
+    so a term of q maps to its image key by one int sum, and a field is
+    read as ((key >> s) & _MASK) - _BIAS only for the falling factorials.
+    The sums are checked once for a field out of range (``poly._check_fields``),
+    and an order above _BIAS, whose step could wrap a field, raises
+    ExponentRangeError here.
     """
 
     __slots__ = ("_den", "_routes")
@@ -590,34 +599,34 @@ class FormApplicator:
     def __init__(self, form: dict):
         self._den = den = math.lcm(*(c.den for c in form.values()))
         # per route: the part of the input it reads, the sum it feeds, and
-        # per block its (position, order) pairs and its signed coefficient
-        # terms as (moved position, its shift, whole shift or None, numerator)
+        # per block its (field shift, order) pairs and its signed
+        # coefficient terms as (key step, numerator)
+        # per block: its orders, the key of x^0 raised by them, and its scale
+        read = []
+        for alpha, c in form.items():
+            orders, lowered = [], _layout(c.n)[0]
+            for i, m in alpha:
+                if m > _BIAS:
+                    raise ExponentRangeError(f"a derivative order in {alpha} exceeds {_BIAS}")
+                orders.append((_W * (c.n - 1 - i), m))
+                lowered += m << orders[-1][0]
+            read.append((tuple(orders), lowered, den // c.den, c))
         self._routes = []
         for part, side, target, sign in _ROUTES:
             blocks = []
-            for alpha, c in form.items():
-                k = sign * (den // c.den)
-                cterms = []
-                for exp, a in (c.im if side else c.re).items():
-                    shift = list(exp)
-                    for i, m in alpha:
-                        shift[i] -= m
-                    moved = [(i, d) for i, d in enumerate(shift) if d]
-                    if len(moved) == 1:
-                        cterms.append((*moved[0], None, a * k))
-                    else:
-                        cterms.append((None, None, tuple(shift), a * k))
+            for orders, lowered, k, c in read:
+                cterms = [(key - lowered, a * sign * k) for key, a in (c.im if side else c.re).items()]
                 if cterms:
-                    blocks.append((alpha, cterms))
+                    blocks.append((orders, cterms))
             if blocks:
                 self._routes.append((part, target, blocks))
 
     def apply_form(self, q: _IntForm) -> _IntForm:
         """The image of the form q, reduced.  In a block d^alpha a term with
         0 <= e_i < m for some (i, m) in alpha gives nothing and is skipped
-        before any tuple is built."""
+        before any key is made."""
         sums = ({}, {})
-        perm = math.perm
+        perm, mask, bias = math.perm, _MASK, _BIAS
         for part, target, blocks in self._routes:
             terms = (q.im if part else q.re).items()
             if not terms:
@@ -625,20 +634,18 @@ class FormApplicator:
             out = sums[target]
             get = out.get
             for orders, cterms in blocks:
-                for exp, k in terms:
-                    for i, m in orders:
-                        e = exp[i]
+                for key, k in terms:
+                    for s, m in orders:
+                        e = ((key >> s) & mask) - bias
                         if 0 <= e < m:
                             break
                         k *= perm(e, m) if e >= 0 else falling(e, m)
                     else:
-                        for i, d, shift, c in cterms:
-                            if shift is None:
-                                key = exp[:i] + (exp[i] + d,) + exp[i + 1 :]
-                            else:
-                                key = tuple(map(add, exp, shift))
-                            out[key] = get(key, 0) + c * k
-        return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den)
+                        for step, c in cterms:
+                            image = key + step
+                            out[image] = get(image, 0) + c * k
+        _check_fields(_layout(q.n)[1], *sums)
+        return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den, q.n)
 
 
 class TrigApplicator:
@@ -728,7 +735,8 @@ def operators_agree_on_sample(op_a, op_b, vars) -> bool:
     apply_a, apply_b = form_map(op_a, vs), form_map(op_b, vs)
     return all(
         apply_a(m) == apply_b(m)
-        for m in (_IntForm({exp + pad: 1}, {}, 1) for exp in tuples_with_sum_at_most(len(sample), 2))
+        for m in (_IntForm({_pack(exp + pad): 1}, {}, 1, len(vs))
+                  for exp in tuples_with_sum_at_most(len(sample), 2))
     )
 
 

@@ -1,20 +1,33 @@
 """Exact sparse polynomial arithmetic over the rationals and Gaussian rationals.
 
 A polynomial is one integer form (``_IntForm``): integer numerators for
-the real and the imaginary part of each term, keyed by exponent tuples over
-the polynomial's variable order, over one positive common denominator that
-shares no factor with them all, the layout of FLINT's fmpq_poly.  Every
-ring step (sum, difference, product, scalar multiple, power, derivative,
-antiderivative, substitution, real and imaginary part, equality) runs on
-forms; operands over different variable orders are aligned by one remap of
-their exponent tuples.  No step divides in floating point, and floats and
-bools are refused as coefficients and exponents.
+the real and the imaginary part of each term, keyed by packed exponent
+keys over the polynomial's variable order, over one positive common
+denominator that shares no factor with them all, the layout of FLINT's
+fmpq_poly.  Every ring step (sum, difference, product, scalar multiple,
+power, derivative, antiderivative, substitution, real and imaginary part,
+equality) runs on forms; operands over different variable orders are
+aligned by one remap of their keys.  No step divides in floating point,
+and floats and bools are refused as coefficients and exponents.
+
+A packed key holds the exponents of a term over n variables in n fields of
+``_W`` bits, the first variable in the highest field, each field holding
+e + ``_BIAS``, so a key is sum_i (e_i + _BIAS) << _W*(n-1-i) (Kronecker
+substitution, as in Monagan and Pearce's sparse multiplication).  A
+product of monomials is then one int sum ka + kb - bias(n), and a shift of
+x_i by k adds k << _W*(n-1-i).  Keys in descending int order are the
+exponent tuples in descending lexicographic order.  An exponent must lie
+in [EXP_MIN, EXP_MAX]; the top bit of every field, its guard bit, is clear
+in a valid key, and any carry or borrow out of a field sets one, so every
+step checks the keys it made once per result and raises
+ExponentRangeError rather than let a field wrap into its neighbour.
 
 ``Polynomial.terms`` is a read-only view, built on each read, that maps
 every exponent tuple to its exact coefficient in the smallest type: an
 ``int`` when integral, else a ``fractions.Fraction``, and a
 ``GaussianRational`` (re + im*sqrt(-1) with rational parts) only when the
-imaginary part is nonzero.  Printing and serialization read that view.
+imaginary part is nonzero.  Printing and serialization read that view or
+decode the keys they write.
 
 Exponents are non-negative unless the variable was declared Laurent at
 construction time, in which case negative powers are allowed everywhere
@@ -31,15 +44,20 @@ that order so equal polynomials print and dump identically.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import struct
 from fractions import Fraction
-from operator import add as _add
+from operator import and_, itemgetter, or_, sub
 from typing import Iterable, Mapping, Union
 
 from .combinatorics import falling
 
 __all__ = [
+    "EXP_MAX",
+    "EXP_MIN",
+    "ExponentRangeError",
     "Fraction",
     "GaussianRational",
     "IMAG",
@@ -53,6 +71,70 @@ __all__ = [
 
 class NonIntegrableTermError(ValueError):
     """Raised when integration meets an exponent of -1 in the target variable."""
+
+
+class ExponentRangeError(ValueError):
+    """An exponent lies outside [EXP_MIN, EXP_MAX], the range a key field holds."""
+
+
+# -- packed exponent keys (module docstring) --------------------------------------
+
+# 16 bits, so that a key's bytes are its fields as big-endian unsigned shorts
+_W = 16
+_GUARD = 1 << (_W - 1)
+_BIAS = 1 << (_W - 2)
+_MASK = (1 << _W) - 1
+EXP_MIN, EXP_MAX = -_BIAS, _BIAS - 1
+
+
+@functools.cache
+def _layout(n: int) -> tuple:
+    """(bias, guard) over n fields: the key of the zero exponent, and the
+    guard bits that a valid key leaves clear."""
+    ones = ((1 << (_W * n)) - 1) // _MASK
+    return _BIAS * ones, _GUARD * ones
+
+
+@functools.cache
+def _codec(n: int) -> tuple:
+    """(struct of n fields, byte length, per-field biases): a key's fields
+    read in C as fields.unpack(key.to_bytes(size, "big"))."""
+    return struct.Struct(f">{n}H"), 2 * n, (_BIAS,) * n
+
+
+def _pack(exp) -> int:
+    """The key of an exponent tuple."""
+    key = 0
+    for e in exp:
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise _out_of_range(e)
+        key = (key << _W) + e + _BIAS
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The exponent tuple of a key over n variables."""
+    fields, size, biases = _codec(n)
+    return tuple(map(sub, fields.unpack(key.to_bytes(size, "big")), biases))
+
+
+def _delta(k: int, s: int) -> int:
+    """The key step that adds k to the field at bit s.  A step of more than
+    _GUARD would carry past the guard bit, so it raises."""
+    if not -_GUARD <= k <= _GUARD:
+        raise ExponentRangeError(f"an exponent step of {k} leaves [{EXP_MIN}, {EXP_MAX}]")
+    return k << s
+
+
+def _check_fields(guard: int, re: dict, im: dict):
+    """Raise unless no key of re or im has a guard bit set: a sum or a step
+    whose field left [EXP_MIN, EXP_MAX] raises here, once per result."""
+    if functools.reduce(or_, itertools.chain(re, im), 0) & guard:
+        raise ExponentRangeError(f"an exponent leaves [{EXP_MIN}, {EXP_MAX}]")
+
+
+def _out_of_range(e: int) -> ExponentRangeError:
+    return ExponentRangeError(f"exponent {e} is outside [{EXP_MIN}, {EXP_MAX}]")
 
 
 _INEXACT = (float, complex, bool)
@@ -241,20 +323,25 @@ class Polynomial:
             exp = tuple(exp)
             if len(exp) != len(vs):
                 raise ValueError(f"exponent {exp} does not match variables {vs}")
+            key = 0
             for v, e in zip(vs, exp):
                 if type(e) is not int:
                     raise TypeError(f"not an integer exponent: {e!r}")
                 if e < 0 and v not in lr:
                     raise ValueError(f"negative exponent for non-Laurent variable {v}")
+                if not EXP_MIN <= e <= EXP_MAX:
+                    raise _out_of_range(e)
+                key = (key << _W) + e + _BIAS
             re, im = _parts(c)
             if re or im:
-                entries.append((exp, re, im))
+                entries.append((key, re, im))
                 den = math.lcm(den, re.denominator, im.denominator)
         # the lcm of the reduced denominators leaves numerators and den coprime
         form = _IntForm(
-            {exp: re.numerator * (den // re.denominator) for exp, re, _ in entries if re},
-            {exp: im.numerator * (den // im.denominator) for exp, _, im in entries if im},
+            {key: re.numerator * (den // re.denominator) for key, re, _ in entries if re},
+            {key: im.numerator * (den // im.denominator) for key, _, im in entries if im},
             den,
+            len(vs),
         )
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "laurent", lr)
@@ -281,12 +368,13 @@ class Polynomial:
         """{exponent tuple: coefficient}, built from the form on each read,
         each coefficient collapsed to an int, a Fraction or a GaussianRational."""
         re, im, den = self.form.re, self.form.im, self.form.den
+        n = len(self.vars)
         if den == 1 and not im:
-            return dict(re)
-        out = {exp: _collapsed(a, im.get(exp, 0), den) for exp, a in re.items()}
-        for exp, b in im.items():
-            if exp not in re:
-                out[exp] = _collapsed(0, b, den)
+            return {_unpack(key, n): a for key, a in re.items()}
+        out = {_unpack(key, n): _collapsed(a, im.get(key, 0), den) for key, a in re.items()}
+        for key, b in im.items():
+            if key not in re:
+                out[_unpack(key, n)] = _collapsed(0, b, den)
         return out
 
     def is_zero(self) -> bool:
@@ -298,12 +386,10 @@ class Polynomial:
 
     def support_vars(self) -> frozenset:
         """Variables that occur with a nonzero exponent in some term."""
-        used = set()
-        for exp in itertools.chain(self.form.re, self.form.im):
-            for v, e in zip(self.vars, exp):
-                if e:
-                    used.add(v)
-        return frozenset(used)
+        # a field of key ^ bias is nonzero exactly where the exponent is
+        bias = _layout(len(self.vars))[0]
+        used = functools.reduce(or_, (key ^ bias for key in itertools.chain(self.form.re, self.form.im)), 0)
+        return frozenset(v for v, e in zip(self.vars, _unpack(used, len(self.vars))) if e != -_BIAS)
 
     def constant_term(self):
         return self.coefficient({})
@@ -313,7 +399,10 @@ class Polynomial:
         for v, e in exponents.items():
             if e and v not in self.vars:
                 return 0
-        key = tuple(exponents.get(v, 0) for v in self.vars)
+        try:
+            key = _pack([exponents.get(v, 0) for v in self.vars])
+        except ExponentRangeError:
+            return 0
         f = self.form
         return _collapsed(f.re.get(key, 0), f.im.get(key, 0), f.den)
 
@@ -414,7 +503,7 @@ class Polynomial:
         if order == 0:
             return self
         if var not in self.vars:
-            return _IntForm.zero().to_poly(self.vars, self.laurent)
+            return _IntForm.zero(len(self.vars)).to_poly(self.vars, self.laurent)
         return self.form.diff(self.vars.index(var), order).to_poly(self.vars, self.laurent)
 
     def integrate(self, var: str) -> "Polynomial":
@@ -446,12 +535,16 @@ class Polynomial:
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1 :]
         lr = self.laurent - {var}
-        # the terms by their exponent of var, over the remaining variables
+        # the terms by their exponent of var, over the remaining variables:
+        # the fields above var's moved down one field, those below kept
+        s = _W * (len(rest) - i)
+        low = (1 << s) - 1
         groups = {}
         for k, part in enumerate((self.form.re, self.form.im)):
-            for exp, a in part.items():
-                groups.setdefault(exp[i], ({}, {}))[k][exp[:i] + exp[i + 1 :]] = a
-        pieces = [(e, _IntForm(re, im, self.form.den)) for e, (re, im) in groups.items()]
+            for key, a in part.items():
+                e = ((key >> s) & _MASK) - _BIAS
+                groups.setdefault(e, ({}, {}))[k][((key >> (s + _W)) << s) | (key & low)] = a
+        pieces = [(e, _IntForm(re, im, self.form.den, len(rest))) for e, (re, im) in groups.items()]
         if _is_scalar(value):
             if not value and any(e < 0 for e, _ in pieces):
                 raise ZeroDivisionError("substituting zero into a negative power")
@@ -465,9 +558,8 @@ class Polynomial:
             base, powers = _int_form(value, vs), [_IntForm.one(len(vs))]
             for _ in range(max((e for e, _ in pieces), default=0)):
                 powers.append(powers[-1] * base)
-            pad = (0,) * (len(vs) - len(rest))
-            forms = [_remapped(f, lambda exp: exp + pad) * powers[e] for e, f in pieces]
-        return _sum_forms(forms).to_poly(vs, lr)
+            forms = [_padded(f, len(vs) - len(rest)) * powers[e] for e, f in pieces]
+        return (_sum_forms(forms) if forms else _IntForm.zero(len(vs))).to_poly(vs, lr)
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every variable must be assigned."""
@@ -479,20 +571,23 @@ class Polynomial:
         # the numerators over den, in the order of the `terms` view; a / den
         # rounds correctly, as float() of the view's coefficient does
         re, im, den = self.form.re, self.form.im, self.form.den
+        n = len(point)
         total = 0j
-        for exp in itertools.chain(re, (e for e in im if e not in re)):
-            term = complex(re.get(exp, 0) / den, im.get(exp, 0) / den)
-            for val, e in zip(point, exp):
+        for key in itertools.chain(re, (k for k in im if k not in re)):
+            term = complex(re.get(key, 0) / den, im.get(key, 0) / den)
+            for val, e in zip(point, _unpack(key, n)):
                 if e:
                     term *= val**e
             total += term
         return total
 
     def real_part(self) -> "Polynomial":
-        return _reduced(self.form.re, {}, self.form.den).to_poly(self.vars, self.laurent)
+        f = self.form
+        return _reduced(f.re, {}, f.den, f.n).to_poly(self.vars, self.laurent)
 
     def imag_part(self) -> "Polynomial":
-        return _reduced(self.form.im, {}, self.form.den).to_poly(self.vars, self.laurent)
+        f = self.form
+        return _reduced(f.im, {}, f.den, f.n).to_poly(self.vars, self.laurent)
 
     # -- canonical form and serialization ---------------------------------------
 
@@ -503,17 +598,11 @@ class Polynomial:
 
     def text_terms(self) -> list:
         """(exponent tuple, real part, imaginary part) per term in canonical
-        order, each part written as str(Fraction) writes it.  The order is
-        total degree descending, ties lexicographically descending: a
-        lexicographic sort followed by a stable sort on the degree."""
-        re, im, den = self.form.re, self.form.im, self.form.den
-        keys = sorted(re.keys() | im.keys() if im else re, reverse=True)
-        keys.sort(key=sum, reverse=True)
-        if not im:
-            return [(exp, _ratio_text(re[exp], den), "0") for exp in keys]
-        return [
-            (exp, _ratio_text(re.get(exp, 0), den), _ratio_text(im.get(exp, 0), den)) for exp in keys
-        ]
+        order, each part written as str(Fraction) writes it (``_text_terms``)."""
+        n = len(self.vars)
+        exps = {key: _unpack(key, n) for key in itertools.chain(self.form.re, self.form.im)}
+        degrees = {key: sum(exp) for key, exp in exps.items()}
+        return [(exps[key], re, im) for key, re, im in _text_terms(self.form, degrees)]
 
     def to_json_terms(self):
         return [
@@ -574,9 +663,18 @@ class Polynomial:
 
 
 class _IntForm:
-    """sum_e (re[e] + im[e]*sqrt(-1)) x^e / den over a variable order the
-    caller holds fixed: integer numerator dicts over one positive common
+    """sum_e (re[e] + im[e]*sqrt(-1)) x^e / den over n variables in an order
+    the caller holds fixed: integer numerator dicts over one positive common
     denominator, the layout of FLINT's fmpq_poly.
+
+    The dicts are keyed by packed exponent keys (module docstring): n
+    fields of _W = 16 bits, the first variable in the highest, each holding
+    e + _BIAS with _BIAS = 2^14, so every exponent lies in [EXP_MIN,
+    EXP_MAX] = [-2^14, 2^14 - 1] and the top bit of a field (the guard bit)
+    stays clear.  A step that moves exponents raises ExponentRangeError
+    where a field would wrap: a product or a shift checks the guard bits of
+    its result dicts once (``_check_fields``); ``diff`` and ``integrate``,
+    which read the moved exponent anyway, test it against the range.
 
     Every Polynomial is one of these over its own variables, and every ring
     step of this module runs here.  The steps return forms without zero
@@ -586,31 +684,41 @@ class _IntForm:
     reduce=False, and ``minus_product`` always does; such a form has no zero
     entries but may carry a common factor, so it must not be compared,
     wrapped or returned.  Only a chain of steps that reduces its own result
-    once uses them (``operators.NestedRightInverse``).  ``_int_form`` puts a Polynomial over
-    another variable order and ``to_poly`` wraps a form as one.
+    once uses them (``operators.NestedRightInverse``).  ``_int_form`` puts a
+    Polynomial over another variable order and ``to_poly`` wraps a form as
+    one.
     """
 
-    __slots__ = ("re", "im", "den")
+    __slots__ = ("re", "im", "den", "n")
 
-    def __init__(self, re: dict, im: dict, den: int):
+    def __init__(self, re: dict, im: dict, den: int, n: int):
         self.re = re
         self.im = im
         self.den = den
+        self.n = n
 
     @staticmethod
-    def zero() -> "_IntForm":
-        return _IntForm({}, {}, 1)
+    def zero(n: int) -> "_IntForm":
+        return _IntForm({}, {}, 1, n)
 
     @staticmethod
-    def one(width: int) -> "_IntForm":
-        return _IntForm({(0,) * width: 1}, {}, 1)
+    def one(n: int) -> "_IntForm":
+        return _IntForm({_layout(n)[0]: 1}, {}, 1, n)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
     def total_degree(self) -> int:
         """Maximum term degree (0 for the zero form)."""
-        return max((sum(exp) for exp in itertools.chain(self.re, self.im)), default=0)
+        n = self.n
+        return max((sum(_unpack(key, n)) for key in itertools.chain(self.re, self.im)), default=0)
+
+    def negative_positions(self) -> set:
+        """The positions of the variables with a negative exponent in some
+        term: a field is below _BIAS exactly when its bit _W-2 is clear."""
+        n = self.n
+        low = functools.reduce(and_, itertools.chain(self.re, self.im), -1)
+        return {i for i in range(n) if not (low >> (_W * (n - i) - 2)) & 1}
 
     def __eq__(self, other):
         # ring steps return reduced forms, so equal values have equal fields
@@ -631,7 +739,7 @@ class _IntForm:
 
     def __neg__(self):
         return _IntForm(
-            {e: -a for e, a in self.re.items()}, {e: -a for e, a in self.im.items()}, self.den
+            {e: -a for e, a in self.re.items()}, {e: -a for e, a in self.im.items()}, self.den, self.n
         )
 
     def __add__(self, other: "_IntForm") -> "_IntForm":
@@ -644,13 +752,13 @@ class _IntForm:
         d = math.lcm(self.den, other.den)
         ka, kb = d // self.den, sign * (d // other.den)
         return _reduced(
-            _scaled_sum(self.re, ka, other.re, kb), _scaled_sum(self.im, ka, other.im, kb), d
+            _scaled_sum(self.re, ka, other.re, kb), _scaled_sum(self.im, ka, other.im, kb), d, self.n
         )
 
     def __mul__(self, other: "_IntForm") -> "_IntForm":
         re, im = {}, {}
         _add_product(re, im, self, other, 1)
-        return _reduced(_nonzero(re), _nonzero(im), self.den * other.den)
+        return _reduced(_nonzero(re), _nonzero(im), self.den * other.den, self.n)
 
     def minus_product(self, f: "_IntForm", g: "_IntForm") -> "_IntForm":
         """self - f*g in one pass: the product's numerators are added into
@@ -662,7 +770,7 @@ class _IntForm:
         re = {e: a * k for e, a in self.re.items()}
         im = {e: a * k for e, a in self.im.items()}
         _add_product(re, im, f, g, -(d // pden))
-        return _IntForm(_nonzero(re), _nonzero(im), d)
+        return _IntForm(_nonzero(re), _nonzero(im), d, self.n)
 
     def scaled(self, value, reduce: bool = True) -> "_IntForm":
         """The form times an exact scalar."""
@@ -674,53 +782,67 @@ class _IntForm:
         if ci:
             re = _scaled_sum(re, 1, self.im, -ci)
             im = _scaled_sum(im, 1, self.re, ci)
-        return (_reduced if reduce else _IntForm)(re, im, self.den * cd)
+        return _reduced(re, im, self.den * cd, self.n) if reduce else _IntForm(re, im, self.den * cd, self.n)
 
     def shifted(self, i: int, k: int, factor: int) -> "_IntForm":
         """The form times factor * x_i^k."""
-        return _reduced(
-            {e[:i] + (e[i] + k,) + e[i + 1 :]: a * factor for e, a in self.re.items()},
-            {e[:i] + (e[i] + k,) + e[i + 1 :]: a * factor for e, a in self.im.items()},
-            self.den,
-        )
+        return _shifted_sum([(self, k, factor)], i, self.n)
 
     def diff(self, i: int, m: int, reduce: bool = True) -> "_IntForm":
-        """d^m/dx_i^m, each exponent e giving the integer e (e-1) ... (e-m+1)."""
+        """d^m/dx_i^m, each exponent e giving the integer e (e-1) ... (e-m+1).
+        A term that survives has e >= m, or e < 0, where e - m may leave the
+        range and raises."""
+        n = self.n
+        s = _W * (n - 1 - i)
+        step, mask, bias, perm = m << s, _MASK, _BIAS, math.perm
         parts = []
         for d in (self.re, self.im):
             out = {}
-            for exp, a in d.items():
-                e = exp[i]
-                k = math.perm(e, m) if e >= 0 else falling(e, m)
+            for key, a in d.items():
+                e = ((key >> s) & mask) - bias
+                if e >= 0:
+                    k = perm(e, m)
+                elif e - m < EXP_MIN:
+                    raise _out_of_range(e - m)
+                else:
+                    k = falling(e, m)
                 if k:
-                    out[exp[:i] + (e - m,) + exp[i + 1 :]] = a * k
+                    out[key - step] = a * k
             parts.append(out)
-        return (_reduced if reduce else _IntForm)(parts[0], parts[1], self.den)
+        return _reduced(parts[0], parts[1], self.den, n) if reduce else _IntForm(parts[0], parts[1], self.den, n)
 
     def integrate(self, i: int, m: int, reduce: bool = True) -> "_IntForm":
         """m-fold antiderivative in x_i with zero constants: x^e maps to
         x^(e+m) e!/(e+m)!, the rising products (e+1)...(e+m) folded into the
         denominator through their lcm.  An exponent e with -m <= e <= -1
         reaches x^-1 on the way and raises NonIntegrableTermError."""
+        n = self.n
+        s, mask = _W * (n - 1 - i), _MASK
+        # per field value of x_i, its rising product; checking each e + m
+        # keeps every field in range
         rising = {}
-        for exp in itertools.chain(self.re, self.im):
-            e = exp[i]
-            if e not in rising:
+        for key in itertools.chain(self.re, self.im):
+            f = (key >> s) & mask
+            if f not in rising:
+                e = f - _BIAS
                 if -m <= e <= -1:
                     raise NonIntegrableTermError("non-integrable Laurent term")
-                rising[e] = math.perm(e + m, m) if e >= 0 else falling(e + m, m)
-        scale = math.lcm(*rising.values()) if rising else 1
-        for e, r in rising.items():
-            rising[e] = scale // r
-        return (_reduced if reduce else _IntForm)(
-            {e[:i] + (e[i] + m,) + e[i + 1 :]: a * rising[e[i]] for e, a in self.re.items()},
-            {e[:i] + (e[i] + m,) + e[i + 1 :]: a * rising[e[i]] for e, a in self.im.items()},
-            self.den * scale,
-        )
+                if e + m > EXP_MAX:
+                    raise _out_of_range(e + m)
+                rising[f] = math.perm(e + m, m) if e >= 0 else falling(e + m, m)
+        scale = math.lcm(*rising.values())
+        for f, r in rising.items():
+            rising[f] = scale // r
+        step = m << s
+        re = {key + step: a * rising[(key >> s) & mask] for key, a in self.re.items()}
+        im = {key + step: a * rising[(key >> s) & mask] for key, a in self.im.items()}
+        return _reduced(re, im, self.den * scale, n) if reduce else _IntForm(re, im, self.den * scale, n)
 
 
 def _add_product(re: dict, im: dict, x: _IntForm, y: _IntForm, k: int):
-    """Add k times the numerators of x*y into the dicts re and im."""
+    """Add k times the numerators of x*y into the dicts re and im: each pair
+    of terms is one key sum ka + kb - bias."""
+    bias, guard = _layout(x.n)
     # (a + i b)(c + i d) = (ac - bd) + i (ad + bc); an empty part skips its routes
     for xs, ys, out, sign in (
         (x.re, y.re, re, k),
@@ -733,9 +855,11 @@ def _add_product(re: dict, im: dict, x: _IntForm, y: _IntForm, k: int):
         get = out.get
         for ea, ca in xs.items():
             ca *= sign
+            ea -= bias
             for eb, cb in ys.items():
-                key = tuple(map(_add, ea, eb))
+                key = ea + eb
                 out[key] = get(key, 0) + ca * cb
+    _check_fields(guard, re, im)
 
 
 def _scaled_sum(x: dict, kx: int, y: dict, ky: int) -> dict:
@@ -752,11 +876,13 @@ def _scaled_sum(x: dict, kx: int, y: dict, ky: int) -> dict:
 
 
 def _sum_forms(forms) -> _IntForm:
-    """The sum of forms over one variable order, every numerator brought to
-    the lcm of their denominators and the result reduced once."""
+    """The sum of a non-empty list of forms over one variable order, every
+    numerator brought to the lcm of their denominators and the result
+    reduced once."""
+    n = forms[0].n
     forms = [f for f in forms if f]
     if len(forms) < 2:
-        return forms[0] if forms else _IntForm.zero()
+        return forms[0] if forms else _IntForm.zero(n)
     d = math.lcm(*(f.den for f in forms))
     re, im = {}, {}
     for f in forms:
@@ -765,71 +891,108 @@ def _sum_forms(forms) -> _IntForm:
             get = out.get
             for e, a in part.items():
                 out[e] = get(e, 0) + a * k
-    return _reduced(_nonzero(re), _nonzero(im), d)
+    return _reduced(_nonzero(re), _nonzero(im), d, n)
 
 
-def _shifted_sum(pieces, i: int) -> _IntForm:
-    """sum factor * x_i^k * form over the (form, k, factor) pieces, forms over
-    one variable order, in one pass at the lcm of their denominators and
-    reduced once."""
+def _shifted_sum(pieces, i: int, n: int) -> _IntForm:
+    """sum factor * x_i^k * form over the (form, k, factor) pieces, forms
+    over one order of n variables, in one pass at the lcm of their
+    denominators and reduced once: each shift is one key step."""
+    s = _W * (n - 1 - i)
     d = math.lcm(*(f.den for f, _, _ in pieces))
     re, im = {}, {}
     for f, k, factor in pieces:
         scale = factor * (d // f.den)
+        step = _delta(k, s)
         for out, part in ((re, f.re), (im, f.im)):
             get = out.get
             for e, a in part.items():
-                key = e[:i] + (e[i] + k,) + e[i + 1 :]
+                key = e + step
                 out[key] = get(key, 0) + a * scale
-    return _reduced(_nonzero(re), _nonzero(im), d)
+    _check_fields(_layout(n)[1], re, im)
+    return _reduced(_nonzero(re), _nonzero(im), d, n)
 
 
 def _nonzero(d: dict) -> dict:
     return {e: a for e, a in d.items() if a}
 
 
-def _reduced(re: dict, im: dict, den: int) -> _IntForm:
-    """The form with numerators and denominator divided by their gcd."""
+def _reduced(re: dict, im: dict, den: int, n: int) -> _IntForm:
+    """The form over n variables with numerators and denominator divided by
+    their gcd."""
     if den == 1 or not (re or im):
-        return _IntForm(re, im, 1)
+        return _IntForm(re, im, 1, n)
     g = math.gcd(den, *re.values(), *im.values())
     if g != 1:
         re = {e: a // g for e, a in re.items()}
         im = {e: a // g for e, a in im.items()}
         den //= g
-    return _IntForm(re, im, den)
+    return _IntForm(re, im, den, n)
 
 
-def _remapped(form: _IntForm, move) -> _IntForm:
-    """The form with every exponent tuple e replaced by move(e)."""
+def _remapped(form: _IntForm, move, n: int) -> _IntForm:
+    """The form over n variables with every key k replaced by move(k)."""
     return _IntForm(
-        {move(e): a for e, a in form.re.items()}, {move(e): b for e, b in form.im.items()}, form.den
+        {move(e): a for e, a in form.re.items()}, {move(e): b for e, b in form.im.items()}, form.den, n
     )
+
+
+def _padded(form: _IntForm, m: int) -> _IntForm:
+    """The form over its variables followed by m more, at exponent 0."""
+    s, pad = _W * m, _layout(m)[0]
+    return _IntForm({(key << s) + pad: a for key, a in form.re.items()},
+                    {(key << s) + pad: b for key, b in form.im.items()}, form.den, form.n + m)
+
+
+@functools.cache
+def _mover(src: tuple, dst: tuple):
+    """The key map from the variable order src to dst, where a variable of
+    src missing from dst must have exponent 0: the fields of a key read in
+    C, each of dst's taken from its variable in src or set to exponent 0,
+    and packed again."""
+    (fields, size, _), (packed, _, _) = _codec(len(src)), _codec(len(dst))
+    # index len(src) is a zero-exponent field appended to the read ones; take
+    # gets one index more than dst has, so that it returns a tuple for any
+    # dst, and the extra field is dropped
+    take = itemgetter(*(src.index(v) if v in src else len(src) for v in dst), len(src))
+    dropped = [(i, v) for i, v in enumerate(src) if v not in dst]
+
+    def move(key):
+        raw = fields.unpack(key.to_bytes(size, "big")) + (_BIAS,)
+        for i, v in dropped:
+            if raw[i] != _BIAS:
+                raise ValueError(f"variable {v} is not in {dst}")
+        return int.from_bytes(packed.pack(*take(raw)[:-1]), "big")
+
+    return move
 
 
 def _int_form(p: Polynomial, vars: tuple) -> _IntForm:
     """p's form over the variable order `vars`: the form itself when p is
-    over vars already, else one remap of its exponent tuples.  A variable
-    of p missing from `vars` must have exponent 0 throughout."""
+    over vars already, else one remap of its keys.  A variable of p missing
+    from `vars` must have exponent 0 throughout."""
     if p.vars == vars:
         return p.form
     n = len(p.vars)
     if vars[:n] == p.vars:
-        pad = (0,) * (len(vars) - n)
-        return _remapped(p.form, lambda exp: exp + pad)
-    idx = [vars.index(v) if v in vars else None for v in p.vars]
-    width = len(vars)
+        return _padded(p.form, len(vars) - n)
+    return _remapped(p.form, _mover(p.vars, vars), len(vars))
 
-    def move(exp):
-        nexp = [0] * width
-        for pos, v, e in zip(idx, p.vars, exp):
-            if pos is not None:
-                nexp[pos] = e
-            elif e:
-                raise ValueError(f"variable {v} is not in {vars}")
-        return tuple(nexp)
 
-    return _remapped(p.form, move)
+def _text_terms(form: _IntForm, degrees) -> list:
+    """(key, real part, imaginary part) per term of the form in canonical
+    order, each part written as str(Fraction) writes it; degrees maps each
+    key to its total degree.  The order is total degree descending, ties
+    lexicographically descending: a sort of the keys, whose int order is
+    the lexicographic one, followed by a stable sort on the degree."""
+    re, im, den = form.re, form.im, form.den
+    keys = sorted(re.keys() | im.keys() if im else re, reverse=True)
+    keys.sort(key=degrees.__getitem__, reverse=True)
+    if not im:
+        return [(key, _ratio_text(re[key], den), "0") for key in keys]
+    return [
+        (key, _ratio_text(re.get(key, 0), den), _ratio_text(im.get(key, 0), den)) for key in keys
+    ]
 
 
 def variable(name: str, laurent: bool = False) -> Polynomial:

@@ -62,7 +62,7 @@ from .operators import (
     VerificationError,
     differential_form,
 )
-from .poly import Polynomial, _IntForm, _reduced, _sum_forms, variable
+from .poly import _BIAS, _W, Polynomial, _IntForm, _pack, _reduced, _sum_forms, _unpack, variable
 
 __all__ = [
     "InvalidTreeError",
@@ -183,27 +183,30 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
     with its derivatives."""
     form: dict = {}
     for part, terms in enumerate((symbol.form.re, symbol.form.im)):
-        for exp, a in terms.items():
+        for key, a in terms.items():
             alpha, coeff = [], [0] * len(vs)
-            for v, e in zip(symbol.vars, exp):
+            for v, e in zip(symbol.vars, _unpack(key, len(symbol.vars))):
                 if not e:
                     continue
                 if v.startswith("D"):
                     alpha.append((vs.index("x" + v[1:]), e))
                 else:
                     coeff[vs.index(v)] = e
-            form.setdefault(tuple(sorted(alpha)), ({}, {}))[part][tuple(coeff)] = a
+            form.setdefault(tuple(sorted(alpha)), ({}, {}))[part][_pack(coeff)] = a
     den = symbol.form.den
-    return FormApplicator({a: _IntForm(re, im, den) for a, (re, im) in form.items()})
+    return FormApplicator({a: _IntForm(re, im, den, len(vs)) for a, (re, im) in form.items()})
 
 
 def _t_capped(q: _IntForm, tcap: int, j: int = 1) -> _IntForm:
-    """The terms of q of t-degree at most tcap (t leads the variable order),
-    divided by j."""
+    """The terms of q of t-degree at most tcap, divided by j.  t leads the
+    variable order, so its field is the top of the key, and a key below
+    that of t^(tcap+1) x^EXP_MIN has t-degree at most tcap."""
+    limit = (tcap + 1 + _BIAS) << (_W * (q.n - 1))
     return _reduced(
-        {e: a for e, a in q.re.items() if e[0] <= tcap},
-        {e: a for e, a in q.im.items() if e[0] <= tcap},
+        {e: a for e, a in q.re.items() if e < limit},
+        {e: a for e, a in q.im.items() if e < limit},
         q.den * j,
+        q.n,
     )
 
 
@@ -253,14 +256,14 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     heat = FormApplicator({a: c.shifted(0, 1, 1) for a, c in form.items()})
     exponents = [_symbol_applicator(xi, vs) for xi in compute_splitting(tree).exponents]
     monomials = list(tuples_with_sum_at_most(n, degree_cap))
-    batch = _IntForm({(0,) + exp + (j,): 1 for j, exp in enumerate(monomials)}, {}, 1)
+    batch = _IntForm({_pack((0,) + exp + (j,)): 1 for j, exp in enumerate(monomials)}, {}, 1, len(vs))
     lhs = _apply_exp_symbol(heat, batch, t_power_cap)
     rhs = batch
     for xi in exponents:
         rhs = _apply_exp_symbol(xi, rhs, t_power_cap)
     if lhs != rhs:
         diff = lhs - rhs
-        terms = list(itertools.chain(diff.re, diff.im))
+        terms = [_unpack(key, len(vs)) for key in itertools.chain(diff.re, diff.im)]
         tag = min(e[-1] for e in terms)
         tpow = min(e[0] for e in terms if e[-1] == tag)
         raise VerificationError(

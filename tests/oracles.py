@@ -1049,7 +1049,7 @@ def anisymmetric_elements_by_iteration(n, lam, epsilon, cap):
     from flagpde.combinatorics import tuples_with_sum_at_most
     from flagpde.dissipative import _phi_factor, _psi_factor, classify_lambda
     from flagpde.operators import form_map
-    from flagpde.poly import _int_form, _IntForm, _shifted_sum, _sum_forms
+    from flagpde.poly import _int_form, _shifted_sum, _sum_forms
 
     lam = Fraction(lam)
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
@@ -1066,7 +1066,7 @@ def anisymmetric_elements_by_iteration(n, lam, epsilon, cap):
         return _sum_forms(pieces).to_poly(vs, frozenset())
 
     def kernel_seed(power, l1, rest):
-        piece = _IntForm({(0, 0) + tuple(rest): 1}, {}, 1)
+        piece = packed_form({(0, 0) + tuple(rest): 1})
         pieces = []
         r = 0
         while piece:
@@ -1074,10 +1074,10 @@ def anisymmetric_elements_by_iteration(n, lam, epsilon, cap):
             pieces.append((piece.scaled(coeff), l1 + 2 * r, 1))
             piece = lap_rest(piece)
             r += 1
-        return _shifted_sum(pieces, 1)
+        return _shifted_sum(pieces, 1, len(vs))
 
     kind = classify_lambda(lam)
-    monomials = [(ell, _IntForm({(0,) + ell: 1}, {}, 1)) for ell in tuples_with_sum_at_most(n, cap)]
+    monomials = [(ell, packed_form({(0,) + ell: 1})) for ell in tuples_with_sum_at_most(n, cap)]
     if kind == "negative_odd":
         k = (-int(lam) - 1) // 2
         phi_seeds = [((l1,) + rest, kernel_seed(k + 1, l1, rest))
@@ -1098,3 +1098,84 @@ def assert_reduced(form):
     assert form.den > 0, form.den
     assert math.gcd(form.den, *nums) == 1, (form.den, nums)
     assert all(nums), "zero numerator"
+
+
+# -- integer forms keyed by exponent tuples ------------------------------------------
+
+def packed_form(re, im=None, den=1):
+    """The integer form (``poly._IntForm``) with these numerators, given as
+    dicts keyed by exponent tuples of one length: every key packed by
+    ``poly._pack``, the one way a test builds a form from tuples."""
+    from flagpde.poly import _IntForm, _pack
+
+    im = im or {}
+    n = len(next(iter(re or im)))
+    return _IntForm({_pack(e): a for e, a in re.items()}, {_pack(e): b for e, b in im.items()}, den, n)
+
+
+def tuple_sum(a, b, sign=1):
+    """a + sign * b on {exponent tuple: coefficient} dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_product(a, b):
+    """a * b, each pair of terms adding its exponent tuples entry by entry."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_power(a, k, n):
+    """a ** k over n variables, by repeated products from the constant 1."""
+    out = {(0,) * n: 1}
+    for _ in range(k):
+        out = tuple_product(out, a)
+    return out
+
+
+def tuple_diff(a, i, m):
+    """d^m/dx_i^m, each coefficient times e (e-1) ... (e-m+1)."""
+    out = {}
+    for e, c in a.items():
+        for j in range(m):
+            c = c * (e[i] - j)
+        if c:
+            out[e[:i] + (e[i] - m,) + e[i + 1:]] = c
+    return out
+
+
+def tuple_integrate(a, i, m):
+    """m antiderivatives in x_i, one reciprocal at a time; an exponent that
+    reaches -1 raises NonIntegrableTermError."""
+    from flagpde.poly import NonIntegrableTermError
+
+    for _ in range(m):
+        out = {}
+        for e, c in a.items():
+            if e[i] == -1:
+                raise NonIntegrableTermError("non-integrable Laurent term")
+            out[e[:i] + (e[i] + 1,) + e[i + 1:]] = c * Fraction(1, e[i] + 1)
+        a = out
+    return a
+
+
+def tuple_shift(a, i, k, factor):
+    """factor * x_i^k * a."""
+    return {e[:i] + (e[i] + k,) + e[i + 1:]: c * factor for e, c in a.items()}
+
+
+def tuple_remap(a, src, dst):
+    """a over the variable order src put over dst, which holds src's variables."""
+    return {tuple(dict(zip(src, e)).get(v, 0) for v in dst): c for e, c in a.items()}
+
+
+def tuple_order(a):
+    """The exponent tuples in canonical order: total degree descending, ties
+    lexicographically descending."""
+    return sorted(a, key=lambda e: (sum(e), e), reverse=True)

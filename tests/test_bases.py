@@ -702,6 +702,7 @@ def test_laplacian_terms_are_the_iterated_laplacian(spec, data):
     iterating L = sum_j c_j d^(beta_j) over separate one- and two-variable
     blocks.  The profile s^R marks each R's terms."""
     from flagpde.bases import _BlockTable, _closed_form_series, _profile
+    from flagpde.poly import _pack
 
     width = sum(len(orders) for _, orders in spec)
     ells = tuple(data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width)))
@@ -711,8 +712,8 @@ def test_laplacian_terms_are_the_iterated_laplacian(spec, data):
         blocks.append(_BlockTable(c, tuple(orders)))
         parts.append(Compose(Scale(c), *(Derivative(xs[i + j], o) for j, o in enumerate(orders))))
         i += len(orders)
-    marker = _profile([([((r,), 1)], 1) for r in range(sum(ells) + 1)])
-    terms = _closed_form_series(marker, blocks, ells).to_poly(("s",) + xs, frozenset()).terms
+    marker = _profile([([(_pack((r,)), 1)], 1) for r in range(sum(ells) + 1)])
+    terms = _closed_form_series(marker, blocks, ells, 1).to_poly(("s",) + xs, frozenset()).terms
     power = Polynomial(xs, {ells: 1})
     for big_r in range(sum(ells) + 2):
         want = {e[1:]: c * math.factorial(big_r) for e, c in terms.items() if e[0] == big_r}

@@ -267,6 +267,66 @@ def test_negative_cap_exits_two(tmp_path, capsys, args):
     assert not out.exists()
 
 
+# the options each basis kind needs, and for each kind the options it does not read
+_BASIS_NEEDS = {
+    "constant": ["--orders", "2,2"],
+    "harmonic": [],
+    "flag": ["--spec", "{spec}"],
+    "dissipative": [],
+    "anisym": ["--lambda", "3/2"],
+}
+_FOREIGN = {
+    "--orders": "1,1",
+    "--spec": "/nonexistent.json",
+    "--lambda": "-3",
+    "--epsilon": "1",
+    "--n": "2",
+}
+_READS = {
+    "constant": {"--orders"},
+    "harmonic": {"--n"},
+    "flag": {"--spec"},
+    "dissipative": {"--n"},
+    "anisym": {"--lambda", "--epsilon", "--n"},
+}
+
+
+def _flag_spec_file(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"orders": [1, 1], "coefficients": [[{"exp": {"x1": 1}, "re": "1", "im": "0"}]]}))
+    return spec
+
+
+@pytest.mark.parametrize("kind, option", [
+    (kind, option) for kind in _BASIS_NEEDS for option in _FOREIGN if option not in _READS[kind]
+])
+def test_basis_refuses_an_option_its_kind_does_not_read(tmp_path, capsys, kind, option):
+    """An option given explicitly to a kind that ignores it exits 2 and names
+    the option, even at its default value, before any file is read."""
+    spec = _flag_spec_file(tmp_path)
+    out = tmp_path / "out.json"
+    args = [a.format(spec=spec) for a in _BASIS_NEEDS[kind]] + [option, _FOREIGN[option]]
+    assert run_cli(["basis", kind, *args, "--cap", "1", "--out", str(out)]) == 2
+    assert f"basis {kind} does not read {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(_BASIS_NEEDS))
+def test_basis_takes_every_option_its_kind_reads(tmp_path, kind):
+    """The options a kind reads are accepted, and given at their defaults
+    they write the report that leaving them out writes."""
+    spec = _flag_spec_file(tmp_path)
+    needs = [a.format(spec=spec) for a in _BASIS_NEEDS[kind]]
+    defaults = {"--n": "2", "--epsilon": "1"}
+    given = [a for option in sorted(_READS[kind] & set(defaults)) for a in (option, defaults[option])]
+    reports = []
+    for extra in ([], given):
+        out = tmp_path / f"out{len(reports)}.json"
+        assert run_cli(["basis", kind, *needs, *extra, "--cap", "2", "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["result"])
+    assert reports[0] == reports[1]
+
+
 def test_jobs_flag_is_rejected():
     assert run_cli(["basis", "harmonic", "--n", "3", "--cap", "3", "--jobs", "2"]) == 2
 

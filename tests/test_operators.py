@@ -43,6 +43,7 @@ from flagpde import operators
 from flagpde.poly import NonIntegrableTermError, _int_form, _IntForm
 
 from oracles import (
+    packed_form,
     apply_trig_termwise,
     assert_reduced,
     compose_forms_in_full,
@@ -200,7 +201,7 @@ def test_series_solvers_reject_a_corrupted_output(monkeypatch, solve, message):
     series = operators._series
 
     def corrupted(cfg, term, vs):
-        return series(cfg, term, vs) + _IntForm({(2,) * len(vs): 1}, {}, 1)
+        return series(cfg, term, vs) + packed_form({(2,) * len(vs): 1})
 
     monkeypatch.setattr(operators, "_series", corrupted)
     with pytest.raises(VerificationError, match=message):
@@ -506,7 +507,7 @@ def test_annihilation_reads_the_imaginary_sums_too():
     apply = form_map(op, vs)
     image = apply(_int_form(x + y, vs))
     assert image  # 2i: no real part, so the zero test reads the imaginary one
-    assert (image.re, image.im) == ({}, {(0, 0): 2})
+    assert image == packed_form({}, {(0, 0): 2})
     assert not apply(_int_form(y, vs))
 
 

@@ -13,9 +13,33 @@ from flagpde import (
     constant,
     variable,
 )
-from flagpde.poly import NonIntegrableTermError, _int_form, _IntForm, _reduced, _shifted_sum
+from flagpde.poly import (
+    EXP_MAX,
+    EXP_MIN,
+    ExponentRangeError,
+    NonIntegrableTermError,
+    _int_form,
+    _IntForm,
+    _reduced,
+    _shifted_sum,
+)
 
-from oracles import diff_stepwise, dict_product, dict_sum, evaluate_through_terms, integrate_by_reciprocal
+from oracles import (
+    diff_stepwise,
+    dict_product,
+    dict_sum,
+    evaluate_through_terms,
+    integrate_by_reciprocal,
+    packed_form,
+    tuple_diff,
+    tuple_integrate,
+    tuple_order,
+    tuple_power,
+    tuple_product,
+    tuple_remap,
+    tuple_shift,
+    tuple_sum,
+)
 from strategies import gaussian_coefficients, polynomials
 
 
@@ -400,7 +424,7 @@ def test_minus_product_is_a_difference_of_a_product(w, f, g):
     differ; the unreduced result already has no zero entries."""
     got = w.form.minus_product(f.form, g.form)
     assert got.den > 0 and all(got.re.values()) and all(got.im.values())
-    assert _reduced(got.re, got.im, got.den) == w.form - f.form * g.form
+    assert _reduced(got.re, got.im, got.den, got.n) == w.form - f.form * g.form
 
 
 @given(st.lists(st.tuples(FORM_POLYS, st.integers(0, 3), st.integers(-4, 4).filter(bool)), max_size=4),
@@ -408,8 +432,8 @@ def test_minus_product_is_a_difference_of_a_product(w, f, g):
 @settings(max_examples=60)
 def test_shifted_sum_is_a_sum_of_shifts(pieces, i):
     """sum factor * x_i^k * form in one pass equals the shifts added in turn."""
-    got = _shifted_sum([(p.form, k, c) for p, k, c in pieces], i)
-    want = _IntForm.zero()
+    got = _shifted_sum([(p.form, k, c) for p, k, c in pieces], i, len(FORM_VARS))
+    want = _IntForm.zero(len(FORM_VARS))
     for p, k, c in pieces:
         want = want + p.form.shifted(i, k, c)
     _assert_reduced(got)
@@ -419,7 +443,101 @@ def test_shifted_sum_is_a_sum_of_shifts(pieces, i):
 def test_integer_form_reorders_and_drops_unused_variables():
     p = Polynomial(("z", "w", "x"), {(1, 0, 2): Fraction(1, 2), (0, 0, 1): IMAG})
     form = _int_form(p, FORM_VARS)
-    assert form.den == 2 and form.re == {(2, 0, 1): 1} and form.im == {(1, 0, 0): 2}
+    assert form == packed_form({(2, 0, 1): 1}, {(1, 0, 0): 2}, 2)
     assert form.to_poly(FORM_VARS, frozenset()) == p
     with pytest.raises(ValueError, match="w"):
         _int_form(Polynomial(("w",), {(1,): 1}), FORM_VARS)
+
+
+# -- packed keys against tuple keys ----------------------------------------------------
+
+PACKED_VARS = ("x", "y", "z")
+# Laurent in x and z; exponents well inside the field range
+PACKED_TERMS = st.dictionaries(
+    st.tuples(st.integers(-40, 40), st.integers(0, 40), st.integers(-3, 3)),
+    gaussian_coefficients(), max_size=5,
+)
+
+
+def _packed(terms):
+    return Polynomial(PACKED_VARS, terms, ("x", "z"))
+
+
+@given(PACKED_TERMS, PACKED_TERMS, st.integers(0, 2), st.integers(0, 3), st.integers(-5, 5),
+       st.integers(-4, 4).filter(bool), st.permutations(PACKED_VARS + ("w",)))
+@settings(max_examples=80, deadline=None)
+def test_packed_keys_agree_with_tuple_keys(a, b, i, m, k, factor, order):
+    """Every ring step on packed keys gives the terms, and text_terms the
+    order, that the same step gives on exponent tuples."""
+    p, q = _packed(a), _packed(b)
+    assert (p + q).terms == tuple_sum(a, b)
+    assert (p - q).terms == tuple_sum(a, b, -1)
+    assert (p * q).terms == tuple_product(a, b)
+    assert (p**2).terms == tuple_power(a, 2, 3)
+    assert p.form.diff(i, m).to_poly(PACKED_VARS, p.laurent).terms == tuple_diff(a, i, m)
+    assert p.form.shifted(i, k, factor).to_poly(PACKED_VARS, p.laurent).terms == tuple_shift(a, i, k, factor)
+    pieces = [(p.form, k, factor), (q.form, m, 1)]
+    want = tuple_sum(tuple_shift(a, i, k, factor), tuple_shift(b, i, m, 1))
+    assert _shifted_sum(pieces, i, 3).to_poly(PACKED_VARS, p.laurent).terms == want
+    try:
+        want = tuple_integrate(a, i, m)
+    except NonIntegrableTermError:
+        with pytest.raises(NonIntegrableTermError):
+            p.form.integrate(i, m)
+    else:
+        assert p.form.integrate(i, m).to_poly(PACKED_VARS, p.laurent).terms == want
+    order = tuple(order)
+    assert _int_form(p, order).to_poly(order, p.laurent).terms == tuple_remap(a, PACKED_VARS, order)
+    assert [e for e, _, _ in p.text_terms()] == tuple_order(a)
+
+
+def test_field_edge_exponents_round_trip():
+    p = Polynomial(("x", "y"), {(EXP_MAX, EXP_MIN): 3, (0, EXP_MAX): 1, (EXP_MIN, 0): 2}, ("x", "y"))
+    assert p.terms == {(EXP_MAX, EXP_MIN): 3, (0, EXP_MAX): 1, (EXP_MIN, 0): 2}
+    assert [e for e, _, _ in p.text_terms()] == [(0, EXP_MAX), (EXP_MAX, EXP_MIN), (EXP_MIN, 0)]
+    assert Polynomial.from_json_terms(p.to_json_terms(), ("x", "y"), ("x", "y")) == p
+    assert p.coefficient({"x": EXP_MAX + 1}) == 0
+
+
+def _edge_steps():
+    """Each step that can carry an exponent one past the field range, on
+    operands at its edge, next to a variable whose field a wrap would
+    change."""
+    x, y = variable("x"), Polynomial(("x", "y"), {(0, 1): 1})
+    y_inv = Polynomial(("x", "y"), {(0, -1): 1}, ("y",))
+    top = Polynomial(("x", "y"), {(0, EXP_MAX): 1})
+    bottom = Polynomial(("x", "y"), {(0, EXP_MIN): 1}, ("y",))
+    half = Polynomial(("x", "y"), {(0, EXP_MAX // 2 + 1): 1})
+    return {
+        "constructor": lambda: Polynomial(("x", "y"), {(0, EXP_MAX + 1): 1}),
+        "constructor below": lambda: Polynomial(("x", "y"), {(0, EXP_MIN - 1): 1}, ("y",)),
+        "from_json_terms": lambda: Polynomial.from_json_terms([{"exp": {"y": EXP_MAX + 1}, "re": "1"}],
+                                                              ("x", "y")),
+        "product": lambda: top * y,
+        "product below": lambda: bottom * y_inv,
+        "power": lambda: half**2,
+        "integrate": lambda: top.integrate("y"),
+        "integrate_n": lambda: Polynomial(("x", "y"), {(0, 2): 1}).integrate_n("y", EXP_MAX),
+        "derivative below": lambda: bottom.diff("y"),
+        "shift": lambda: top.form.shifted(1, 1, 1),
+        "shifted sum": lambda: _shifted_sum([(top.form, 1, 1)], 1, 2),
+        "top field": lambda: Polynomial(("x", "y"), {(EXP_MAX, 0): 1}) * x,
+    }
+
+
+@pytest.mark.parametrize("step", sorted(_edge_steps()))
+def test_an_exponent_one_past_the_field_raises(step):
+    with pytest.raises(ExponentRangeError):
+        _edge_steps()[step]()
+
+
+def test_products_at_the_field_edge_fit():
+    """The largest and smallest exponents are reached by a product, and the
+    neighbouring field keeps its exponent."""
+    top = Polynomial(("x", "y"), {(1, EXP_MAX - 1): 1})
+    bottom = Polynomial(("x", "y"), {(1, EXP_MIN + 1): 1}, ("y",))
+    y = Polynomial(("x", "y"), {(0, 1): 1})
+    y_inv = Polynomial(("x", "y"), {(0, -1): 1}, ("y",))
+    assert (top * y).terms == {(1, EXP_MAX): 1}
+    assert (bottom * y_inv).terms == {(1, EXP_MIN): 1}
+    assert (bottom * y_inv).form.negative_positions() == {1}
