@@ -65,12 +65,10 @@ from .poly import (
     Polynomial,
     _int_form,
     _IntForm,
-    _layout,
     _mover,
     _pack,
     _padded,
     _reduced,
-    _remapped,
     _shifted_sum,
     _sum_forms,
     variable,
@@ -180,23 +178,10 @@ def _default_vars(n: int):
 
 # -- the closed-form series ------------------------------------------------------
 
-def _offset(exps) -> int:
-    """The key offset of non-negative exponents over their own fields: the
-    packed key less that of the zero exponent, so offsets of consecutive
-    variable runs concatenate as (a << _W * len(b)) + b."""
-    key = 0
-    for e in exps:
-        if not 0 <= e <= EXP_MAX:
-            raise ExponentRangeError(f"exponent {e} is outside [0, {EXP_MAX}]")
-        key = (key << _W) + e
-    return key
-
-
 class _BlockTable(dict):
     """The block c d^beta of L (module docstring), beta the positive orders
     of its variables: for their exponents l, the list over r of
-    (r, c^r prod_v perm(l_v, r beta_v)/r!, offset of l - r beta) while
-    r beta <= l, each exponent tuple as its key offset (``_offset``).
+    (r, c^r prod_v perm(l_v, r beta_v)/r!, l - r beta) while r beta <= l.
     r! divides the product of r beta_v consecutive integers, so the entries
     are integers.  Each l is filled on first use."""
 
@@ -208,10 +193,9 @@ class _BlockTable(dict):
 
     def __missing__(self, l):
         c, orders = self.coeff, self.orders
-        key, step = _offset(l), _offset(orders)
         self[l] = entries = [
             (r, c**r * math.prod(map(math.perm, l, [r * o for o in orders])) // math.factorial(r),
-             key - r * step)
+             tuple(e - r * o for e, o in zip(l, orders)))
             for r in range(min(map(int.__floordiv__, l, orders)) + 1)
         ]
         return entries
@@ -238,41 +222,62 @@ def _corner_profile(corner: tuple, orders: tuple, top: int) -> tuple:
     return _profile(entries)
 
 
-def _closed_form_series(profile, blocks, seed: tuple, corner: int) -> _IntForm:
-    """sum_R p_R L^R(x^seed), reduced once (module docstring), from the
-    tables of L's blocks in order and a ``_profile`` over `corner`
-    variables; seed is the exponent tuple over the blocks' variables.  The
-    result is over the corner variables, then the blocks': each key the
-    corner key above the concatenated block offsets.
+class _PlacedTable(dict):
+    """A block's ``_BlockTable`` entries as key offsets in the series'
+    variable order, `shifts` the bits of the block's variables there: the
+    entry of l - r beta is sum_v (l_v - r beta_v) << shift_v, so the
+    offsets of a term's blocks add up to its key offset, wherever each
+    block's variables sit.  Each l is placed on first use."""
+
+    __slots__ = ("table", "shifts")
+
+    def __init__(self, table: _BlockTable, shifts: tuple):
+        super().__init__()
+        self.table, self.shifts = table, shifts
+
+    def __missing__(self, l):
+        base = step = 0
+        for e, o, s in zip(l, self.table.orders, self.shifts):
+            if not 0 <= e <= EXP_MAX:
+                raise ExponentRangeError(f"seed exponent {e} is outside [0, {EXP_MAX}]")
+            base, step = base + (e << s), step + (o << s)
+        self[l] = placed = [(r, n, base - r * step) for r, n, _ in self.table[l]]
+        return placed
+
+
+def _placed(tables, block_vars, order: tuple) -> list:
+    """A ``_PlacedTable`` per table, its block over the variables in the
+    same place of block_vars, for the variable order."""
+    shift = {v: _W * (len(order) - 1 - i) for i, v in enumerate(order)}
+    return [_PlacedTable(table, tuple(map(shift.__getitem__, vs))) for table, vs in zip(tables, block_vars)]
+
+
+def _placed_profile(profile, place) -> tuple:
+    """The profile with each corner key moved by place to its key over the
+    series' variable order, every other variable at exponent 0."""
+    d, scaled = profile
+    return d, [[(place(j), c) for j, c in pairs] for pairs in scaled]
+
+
+def _closed_form_series(profile, blocks, seed: tuple, n: int) -> _IntForm:
+    """sum_R p_R L^R(x^seed), reduced once (module docstring), over an
+    order of n variables, from the ``_PlacedTable`` of each of L's blocks
+    in seed order and a ``_placed_profile``; seed is the exponent tuple
+    over the blocks' variables.  Each key is its corner key plus the
+    offsets of its blocks.
 
     R runs to the last power with a nonzero term.  The seed's exponent
     fixes each block's r, so distinct R give distinct block exponents and
     the outer product with the profile makes no term twice.
     """
     terms, start = [(0, 1, 0)], 0
-    for table in blocks:
-        stop = start + len(table.orders)
-        shift = _W * (stop - start)
-        terms = [(r + s, n * m, (e << shift) + f) for r, n, e in terms for s, m, f in table[seed[start:stop]]]
+    for placed in blocks:
+        stop = start + len(placed.table.orders)
+        terms = [(r + s, n * m, e + f) for r, n, e in terms for s, m, f in placed[seed[start:stop]]]
         start = stop
-    d, scaled = profile
-    shift, bias = _W * start, _layout(start)[0]
-    re = {(j << shift) + e + bias: c * n for r, n, e in terms for j, c in scaled[r]}
-    return _reduced(re, {}, d, corner + start)
-
-
-class _MovedKeys(dict):
-    """move(key) by key, each computed on its first lookup."""
-
-    __slots__ = ("move",)
-
-    def __init__(self, move):
-        super().__init__()
-        self.move = move
-
-    def __missing__(self, key):
-        self[key] = moved = self.move(key)
-        return moved
+    d, corners = profile
+    re = {j + e: c * a for r, a, e in terms for j, c in corners[r]}
+    return _reduced(re, {}, d, n)
 
 
 class _SeriesLemma:
@@ -295,7 +300,8 @@ class _SeriesLemma:
     lemma family against ``BasisFamily.verify_annihilation``.
     """
 
-    __slots__ = ("corner", "operator", "multiplier", "blocks", "variables", "layout", "_move", "_profiles")
+    __slots__ = ("corner", "operator", "multiplier", "blocks", "variables", "layout", "_placed", "_place",
+                 "_profiles")
 
     def __init__(self, corner: tuple, operator: LinearOperator, multiplier: Polynomial,
                  blocks, variables: tuple):
@@ -304,17 +310,19 @@ class _SeriesLemma:
         self.blocks = [(tables.setdefault((c, orders), _BlockTable(c, orders)), vs) for c, orders, vs in blocks]
         # the series runs over the corner variables, then each block's
         self.layout = layout = corner + sum((vs for _, vs in self.blocks), ())
-        # the elements share most of their monomials, so each key is moved once
-        self._move = None if layout == variables else _MovedKeys(_mover(layout, variables))
+        # the elements are built over the family's variables directly
+        self._placed = _placed([t for t, _ in self.blocks], [vs for _, vs in self.blocks], variables)
+        self._place = _mover(corner, variables)
+        # per profile, by id: the profile and its placed form
         self._profiles = {}
 
     def element(self, profile, seed: tuple) -> Polynomial:
         """``_closed_form_series`` over the blocks, as a Polynomial over the
         family's variables."""
-        self._profiles[id(profile)] = profile
-        form = _closed_form_series(profile, [t for t, _ in self.blocks], seed, len(self.corner))
-        if self._move is not None:
-            form = _remapped(form, self._move.__getitem__, len(self.variables))
+        known = self._profiles.get(id(profile))
+        if known is None:
+            known = self._profiles[id(profile)] = (profile, _placed_profile(profile, self._place))
+        form = _closed_form_series(known[1], self._placed, seed, len(self.variables))
         return form.to_poly(self.variables, frozenset())
 
     def prove(self, annihilator: LinearOperator):
@@ -338,7 +346,7 @@ class _SeriesLemma:
             for l, entries in table.items():
                 stepped, r, n, e, rem = [], 0, 1, l, 0
                 while n and not rem:
-                    stepped.append((r, n, _offset(e)))
+                    stepped.append((r, n, e))
                     n, rem = divmod(c * n * math.prod(map(math.perm, e, orders)), r + 1)
                     r, e = r + 1, tuple(a - o for a, o in zip(e, orders))
                 if rem or entries != stepped:
@@ -346,7 +354,7 @@ class _SeriesLemma:
                                             f"is not its block's powers")
         apply_k = FormApplicator(k).apply_form
         pad = len(layout) - len(corner)
-        for _, pairs_of in self._profiles.values():
+        for (_, pairs_of), _ in self._profiles.values():
             prev = None
             for r, pairs in enumerate(pairs_of):
                 p = _padded(_IntForm(dict(pairs), {}, 1, len(corner)), pad)
@@ -402,8 +410,10 @@ def harmonic_element(n: int, eps: int, ells) -> Polynomial:
     if eps not in (0, 1) or len(ells) != n - 1:
         raise ValueError(f"need eps 0 or 1 and n - 1 exponents, got n={n}, eps={eps}, ells={ells}")
     profile = _corner_profile((eps,), (2,), sum(ells) // 2)
-    return _closed_form_series(profile, [_BlockTable(1, (2,))] * len(ells), ells, 1).to_poly(
-        _default_vars(n), frozenset())
+    vars_ = _default_vars(n)
+    blocks = _placed([_BlockTable(1, (2,))] * len(ells), [(v,) for v in vars_[1:]], vars_)
+    profile = _placed_profile(profile, _mover(vars_[:1], vars_))
+    return _closed_form_series(profile, blocks, ells, n).to_poly(vars_, frozenset())
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:

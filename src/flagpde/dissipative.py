@@ -23,6 +23,7 @@ from .bases import (
     _check_cap,
     _checked,
     _closed_form_series,
+    _placed_profile,
     _profile,
     _SeriesLemma,
 )
@@ -46,6 +47,7 @@ from .poly import (
     Polynomial,
     TrigPolynomial,
     _IntForm,
+    _mover,
     _pack,
     _shifted_sum,
     variable,
@@ -226,15 +228,17 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         # the factors a_R, summed in one pass.
         k = (-int(lam) - 1) // 2
         vs = lemma.variables
-        blocks = [table for table, _ in lemma.blocks[1:]]
+        blocks = lemma._placed[1:]
+        place = _mover(("t", "x1"), vs)
         apply_lap = form_map(lap, vs)
         phis = [epsilon**r * _phi_factor(lam, r).coefficient({"t": 2 * r}) for r in range(k + 1)]
         elements = []
         for l1 in range(2 * k + 2):
             profile = _profile([([(_pack((0, l1 + 2 * r)), (-1) ** r * math.perm(k + r, r))],
                                  math.factorial(l1 + 2 * r)) for r in range(cap // 2 + 1)])
+            profile = _placed_profile(profile, place)
             for rest in tuples_with_sum_at_most(n - 1, cap):
-                powers = [_closed_form_series(profile, blocks, rest, 2)]
+                powers = [_closed_form_series(profile, blocks, rest, len(vs))]
                 for _ in range(k):
                     powers.append(apply_lap(powers[-1]))
                 u = _shifted_sum([(_IntForm(p.re, p.im, p.den * phi.denominator, p.n), 2 * r, phi.numerator)

@@ -588,29 +588,31 @@ class FormApplicator:
     EXP_MAX]).  Each coefficient term x^c of a block d^alpha is kept as
     one key step, the key of x^c less that of x^0 and the orders alpha,
     so a term of q maps to its image key by one int sum, and a field is
-    read as ((key >> s) & _MASK) - _BIAS only for the falling factorials.
-    The sums are checked once for a field out of range (``poly._check_fields``),
-    and an order above _BIAS, whose step could wrap a field, raises
-    ExponentRangeError here.
+    read as (key >> s) & _MASK only for the falling factorials.  The image
+    keys are or-ed together and checked once for a field out of range
+    (``poly._check_fields``), and an order above _BIAS, whose step could
+    wrap a field, raises ExponentRangeError here.
     """
 
     __slots__ = ("_den", "_routes")
 
     def __init__(self, form: dict):
         self._den = den = math.lcm(*(c.den for c in form.values()))
-        # per route: the part of the input it reads, the sum it feeds, and
-        # per block its (field shift, order) pairs and its signed
-        # coefficient terms as (key step, numerator)
-        # per block: its orders, the key of x^0 raised by them, and its scale
+        # per block: per order its field shift, the order and the field value
+        # _BIAS + m that a surviving term reaches; the key of x^0 raised by
+        # the orders; and its scale
         read = []
         for alpha, c in form.items():
             orders, lowered = [], _layout(c.n)[0]
             for i, m in alpha:
                 if m > _BIAS:
                     raise ExponentRangeError(f"a derivative order in {alpha} exceeds {_BIAS}")
-                orders.append((_W * (c.n - 1 - i), m))
+                orders.append((_W * (c.n - 1 - i), m, _BIAS + m))
                 lowered += m << orders[-1][0]
             read.append((tuple(orders), lowered, den // c.den, c))
+        # per route: the part of the input it reads, the sum it feeds, and
+        # per block its orders and its signed coefficient terms as
+        # (key step, numerator)
         self._routes = []
         for part, side, target, sign in _ROUTES:
             blocks = []
@@ -625,7 +627,7 @@ class FormApplicator:
         """The image of the form q, reduced.  In a block d^alpha a term with
         0 <= e_i < m for some (i, m) in alpha gives nothing and is skipped
         before any key is made."""
-        sums = ({}, {})
+        sums, seen = ({}, {}), 0
         perm, mask, bias = math.perm, _MASK, _BIAS
         for part, target, blocks in self._routes:
             terms = (q.im if part else q.re).items()
@@ -635,16 +637,18 @@ class FormApplicator:
             get = out.get
             for orders, cterms in blocks:
                 for key, k in terms:
-                    for s, m in orders:
-                        e = ((key >> s) & mask) - bias
-                        if 0 <= e < m:
+                    # the field holds e + bias, and 0 <= e < m kills the term
+                    for s, m, top in orders:
+                        f = (key >> s) & mask
+                        if bias <= f < top:
                             break
-                        k *= perm(e, m) if e >= 0 else falling(e, m)
+                        k *= perm(f - bias, m) if f >= bias else falling(f - bias, m)
                     else:
                         for step, c in cterms:
                             image = key + step
+                            seen |= image
                             out[image] = get(image, 0) + c * k
-        _check_fields(_layout(q.n)[1], *sums)
+        _check_fields(seen, q.n)
         return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den, q.n)
 
 

@@ -126,10 +126,11 @@ def _delta(k: int, s: int) -> int:
     return k << s
 
 
-def _check_fields(guard: int, re: dict, im: dict):
-    """Raise unless no key of re or im has a guard bit set: a sum or a step
-    whose field left [EXP_MIN, EXP_MAX] raises here, once per result."""
-    if functools.reduce(or_, itertools.chain(re, im), 0) & guard:
+def _check_fields(seen: int, n: int):
+    """Raise when seen, the bitwise or of the keys a step made over n
+    variables, has a guard bit set: a sum or a step whose field left
+    [EXP_MIN, EXP_MAX] raises here, once per result."""
+    if seen & _layout(n)[1]:
         raise ExponentRangeError(f"an exponent leaves [{EXP_MIN}, {EXP_MAX}]")
 
 
@@ -672,9 +673,10 @@ class _IntForm:
     e + _BIAS with _BIAS = 2^14, so every exponent lies in [EXP_MIN,
     EXP_MAX] = [-2^14, 2^14 - 1] and the top bit of a field (the guard bit)
     stays clear.  A step that moves exponents raises ExponentRangeError
-    where a field would wrap: a product or a shift checks the guard bits of
-    its result dicts once (``_check_fields``); ``diff`` and ``integrate``,
-    which read the moved exponent anyway, test it against the range.
+    where a field would wrap: a product or a shift ors together the keys
+    it makes and checks their guard bits once (``_check_fields``); ``diff``
+    and ``integrate``, which read the moved exponent anyway, test it
+    against the range.
 
     Every Polynomial is one of these over its own variables, and every ring
     step of this module runs here.  The steps return forms without zero
@@ -842,7 +844,7 @@ class _IntForm:
 def _add_product(re: dict, im: dict, x: _IntForm, y: _IntForm, k: int):
     """Add k times the numerators of x*y into the dicts re and im: each pair
     of terms is one key sum ka + kb - bias."""
-    bias, guard = _layout(x.n)
+    bias, seen = _layout(x.n)[0], 0
     # (a + i b)(c + i d) = (ac - bd) + i (ad + bc); an empty part skips its routes
     for xs, ys, out, sign in (
         (x.re, y.re, re, k),
@@ -858,8 +860,9 @@ def _add_product(re: dict, im: dict, x: _IntForm, y: _IntForm, k: int):
             ea -= bias
             for eb, cb in ys.items():
                 key = ea + eb
+                seen |= key
                 out[key] = get(key, 0) + ca * cb
-    _check_fields(guard, re, im)
+    _check_fields(seen, x.n)
 
 
 def _scaled_sum(x: dict, kx: int, y: dict, ky: int) -> dict:
@@ -900,7 +903,7 @@ def _shifted_sum(pieces, i: int, n: int) -> _IntForm:
     denominators and reduced once: each shift is one key step."""
     s = _W * (n - 1 - i)
     d = math.lcm(*(f.den for f, _, _ in pieces))
-    re, im = {}, {}
+    re, im, seen = {}, {}, 0
     for f, k, factor in pieces:
         scale = factor * (d // f.den)
         step = _delta(k, s)
@@ -908,8 +911,9 @@ def _shifted_sum(pieces, i: int, n: int) -> _IntForm:
             get = out.get
             for e, a in part.items():
                 key = e + step
+                seen |= key
                 out[key] = get(key, 0) + a * scale
-    _check_fields(_layout(n)[1], re, im)
+    _check_fields(seen, n)
     return _reduced(_nonzero(re), _nonzero(im), d, n)
 
 

@@ -62,7 +62,7 @@ from .operators import (
     VerificationError,
     differential_form,
 )
-from .poly import _BIAS, _W, Polynomial, _IntForm, _pack, _reduced, _sum_forms, _unpack, variable
+from .poly import _BIAS, _W, Polynomial, _IntForm, _layout, _pack, _reduced, _sum_forms, _unpack, variable
 
 __all__ = [
     "InvalidTreeError",
@@ -181,18 +181,23 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
     """The symbol as an operator over vs = (t, x1..xn).  A node's symbol
     only differentiates its descendants, so its multiplier x_p commutes
     with its derivatives."""
+    # per symbol variable: the position in vs that its D differentiates,
+    # or the field shift in vs of its multiplier x_p or t
+    places = [(vs.index("x" + v[1:]), None) if v.startswith("D") else (None, _W * (len(vs) - 1 - vs.index(v)))
+              for v in symbol.vars]
+    width, bias = len(symbol.vars), _layout(len(vs))[0]
     form: dict = {}
     for part, terms in enumerate((symbol.form.re, symbol.form.im)):
         for key, a in terms.items():
-            alpha, coeff = [], [0] * len(vs)
-            for v, e in zip(symbol.vars, _unpack(key, len(symbol.vars))):
+            alpha, coeff = [], bias
+            for (pos, shift), e in zip(places, _unpack(key, width)):
                 if not e:
                     continue
-                if v.startswith("D"):
-                    alpha.append((vs.index("x" + v[1:]), e))
+                if pos is not None:
+                    alpha.append((pos, e))
                 else:
-                    coeff[vs.index(v)] = e
-            form.setdefault(tuple(sorted(alpha)), ({}, {}))[part][_pack(coeff)] = a
+                    coeff += e << shift
+            form.setdefault(tuple(sorted(alpha)), ({}, {}))[part][coeff] = a
     den = symbol.form.den
     return FormApplicator({a: _IntForm(re, im, den, len(vs)) for a, (re, im) in form.items()})
 

@@ -701,19 +701,21 @@ def test_laplacian_terms_are_the_iterated_laplacian(spec, data):
     """R! times the closed-form terms of one R is L^R(x^l), taken by
     iterating L = sum_j c_j d^(beta_j) over separate one- and two-variable
     blocks.  The profile s^R marks each R's terms."""
-    from flagpde.bases import _BlockTable, _closed_form_series, _profile
-    from flagpde.poly import _pack
+    from flagpde.bases import _BlockTable, _closed_form_series, _placed, _placed_profile, _profile
+    from flagpde.poly import _mover, _pack
 
     width = sum(len(orders) for _, orders in spec)
     ells = tuple(data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width)))
     xs = tuple(f"x{i}" for i in range(1, width + 1))
-    blocks, parts, i = [], [], 0
+    tables, block_vars, parts, i = [], [], [], 0
     for c, orders in spec:
-        blocks.append(_BlockTable(c, tuple(orders)))
+        tables.append(_BlockTable(c, tuple(orders)))
+        block_vars.append(xs[i:i + len(orders)])
         parts.append(Compose(Scale(c), *(Derivative(xs[i + j], o) for j, o in enumerate(orders))))
         i += len(orders)
-    marker = _profile([([(_pack((r,)), 1)], 1) for r in range(sum(ells) + 1)])
-    terms = _closed_form_series(marker, blocks, ells, 1).to_poly(("s",) + xs, frozenset()).terms
+    vs = ("s",) + xs
+    marker = _placed_profile(_profile([([(_pack((r,)), 1)], 1) for r in range(sum(ells) + 1)]), _mover(("s",), vs))
+    terms = _closed_form_series(marker, _placed(tables, block_vars, vs), ells, len(vs)).to_poly(vs, frozenset()).terms
     power = Polynomial(xs, {ells: 1})
     for big_r in range(sum(ells) + 2):
         want = {e[1:]: c * math.factorial(big_r) for e, c in terms.items() if e[0] == big_r}
