@@ -40,7 +40,7 @@ from flagpde.operators import (
 )
 
 from flagpde import operators
-from flagpde.poly import NonIntegrableTermError, _int_form, _IntForm
+from flagpde.poly import NonIntegrableTermError, _int_form
 
 from oracles import (
     packed_form,
