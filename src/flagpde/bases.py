@@ -37,7 +37,6 @@ from .linalg import polys_rank
 from .operators import (
     Compose,
     Derivative,
-    FormApplicator,
     Integrate,
     KernelPreconditionError,
     LinearOperator,
@@ -58,21 +57,8 @@ from .operators import (
     operators_agree_on_sample,
     solve_by_series,
 )
-from .poly import (
-    _W,
-    EXP_MAX,
-    ExponentRangeError,
-    Polynomial,
-    _int_form,
-    _IntForm,
-    _mover,
-    _pack,
-    _padded,
-    _reduced,
-    _shifted_sum,
-    _sum_forms,
-    variable,
-)
+from .poly import (EXP_MAX, ExponentRangeError, FormApplicator, Polynomial, _int_form, _IntForm, _mover, _pack,
+                   _padded, _reduced, _shifted_sum, _sum_forms, _unit, variable)
 
 __all__ = [
     "BasisElement",
@@ -224,23 +210,23 @@ def _corner_profile(corner: tuple, orders: tuple, top: int) -> tuple:
 
 class _PlacedTable(dict):
     """A block's ``_BlockTable`` entries as key offsets in the series'
-    variable order, `shifts` the bits of the block's variables there: the
-    entry of l - r beta is sum_v (l_v - r beta_v) << shift_v, so the
-    offsets of a term's blocks add up to its key offset, wherever each
-    block's variables sit.  Each l is placed on first use."""
+    variable order, `units` the key steps of the block's variables there
+    (``poly._unit``): the entry of l - r beta is sum_v (l_v - r beta_v)
+    unit_v, so the offsets of a term's blocks add up to its key offset,
+    wherever each block's variables sit.  Each l is placed on first use."""
 
-    __slots__ = ("table", "shifts")
+    __slots__ = ("table", "units")
 
-    def __init__(self, table: _BlockTable, shifts: tuple):
+    def __init__(self, table: _BlockTable, units: tuple):
         super().__init__()
-        self.table, self.shifts = table, shifts
+        self.table, self.units = table, units
 
     def __missing__(self, l):
         base = step = 0
-        for e, o, s in zip(l, self.table.orders, self.shifts):
+        for e, o, u in zip(l, self.table.orders, self.units):
             if not 0 <= e <= EXP_MAX:
                 raise ExponentRangeError(f"seed exponent {e} is outside [0, {EXP_MAX}]")
-            base, step = base + (e << s), step + (o << s)
+            base, step = base + e * u, step + o * u
         self[l] = placed = [(r, n, base - r * step) for r, n, _ in self.table[l]]
         return placed
 
@@ -248,8 +234,8 @@ class _PlacedTable(dict):
 def _placed(tables, block_vars, order: tuple) -> list:
     """A ``_PlacedTable`` per table, its block over the variables in the
     same place of block_vars, for the variable order."""
-    shift = {v: _W * (len(order) - 1 - i) for i, v in enumerate(order)}
-    return [_PlacedTable(table, tuple(map(shift.__getitem__, vs))) for table, vs in zip(tables, block_vars)]
+    unit = {v: _unit(len(order), i) for i, v in enumerate(order)}
+    return [_PlacedTable(table, tuple(map(unit.__getitem__, vs))) for table, vs in zip(tables, block_vars)]
 
 
 def _placed_profile(profile, place) -> tuple:
@@ -386,14 +372,21 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
     vars_ = _default_vars(n)
     annihilator = Sum(Derivative(v, m) for v, m in zip(vars_, orders))
     m1 = orders[0]
-    lemma = _SeriesLemma(vars_[:1], Derivative(vars_[0], m1), Polynomial.const(1),
-                         [(1, (m,), (v,)) for v, m in zip(vars_[1:], orders[1:])], vars_)
+    lemma = _constant_lemma(orders)
     elements = []
     for l1 in range(m1):
         profile = _corner_profile((l1,), (m1,), cap)
         for rest in tuples_with_sum_at_most(n - 1, cap):
             elements.append(BasisElement({"ell": (l1,) + rest}, lemma.element(profile, rest)))
     return _checked(elements, annihilator, {"cap": cap, "orders": list(orders)}, lemma)
+
+
+def _constant_lemma(orders: tuple) -> _SeriesLemma:
+    """The lemma of sum_i d^(m_i)/dx_i^(m_i) over x1..xn: K = d^(m1)/dx1^(m1),
+    M = 1 and the blocks d^(m_i)/dx_i^(m_i), i >= 2."""
+    vars_ = _default_vars(len(orders))
+    return _SeriesLemma(vars_[:1], Derivative(vars_[0], orders[0]), Polynomial.const(1),
+                        [(1, (m,), (v,)) for v, m in zip(vars_[1:], orders[1:])], vars_)
 
 
 # -- harmonic polynomials ------------------------------------------------------
@@ -409,11 +402,7 @@ def harmonic_element(n: int, eps: int, ells) -> Polynomial:
     # the terms below are canonical once these hold
     if eps not in (0, 1) or len(ells) != n - 1:
         raise ValueError(f"need eps 0 or 1 and n - 1 exponents, got n={n}, eps={eps}, ells={ells}")
-    profile = _corner_profile((eps,), (2,), sum(ells) // 2)
-    vars_ = _default_vars(n)
-    blocks = _placed([_BlockTable(1, (2,))] * len(ells), [(v,) for v in vars_[1:]], vars_)
-    profile = _placed_profile(profile, _mover(vars_[:1], vars_))
-    return _closed_form_series(profile, blocks, ells, n).to_poly(vars_, frozenset())
+    return _constant_lemma((2,) * n).element(_corner_profile((eps,), (2,), sum(ells) // 2), ells)
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:
@@ -431,9 +420,7 @@ def _harmonic_elements(n: int, cap: int, ells_of) -> tuple:
     ells_of(n - 1, cap - eps), and the lemma that built them: K = d^2/dx1^2,
     M = 1, the blocks d^2/dx_i^2 (one table) and one profile
     P_R = (-1)^R R! (K^(-R))(x1^eps) per eps, with K P_R = -R P_(R-1)."""
-    vars_ = _default_vars(n)
-    lemma = _SeriesLemma(vars_[:1], Derivative(vars_[0], 2), Polynomial.const(1),
-                         [(1, (2,), (v,)) for v in vars_[1:]], vars_)
+    lemma = _constant_lemma((2,) * n)
     elements = []
     for eps in range(min(cap, 1) + 1):
         profile = _corner_profile((eps,), (2,), cap // 2)

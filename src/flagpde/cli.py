@@ -58,7 +58,7 @@ from .lie import (
     verify_singular,
 )
 from .operators import SeriesTerminationError, VerificationError, op_to_json
-from .poly import _BIAS, Polynomial, _codec, _text_terms, variable
+from .poly import Polynomial, _text_terms, _unpack, variable
 from .trees import Tree, check_splitting, compute_splitting, tricomi_operator
 
 
@@ -351,7 +351,7 @@ def _write_terms(p: Polynomial, depth, out, blocks):
     {"exp", "im", "re"} object per term, in canonical term order, with the
     exponents keyed in sorted variable-name order.  Each term's total
     degree, which orders it, and its text up to its imaginary part are
-    looked up in blocks by variable order and depth (``_BlockTable``),
+    looked up in blocks by variable order and depth (``_ExponentTable``),
     keyed by the term's packed exponent key, which is decoded on the first
     miss only.  The parts of ``poly._text_terms`` are digits, "-" and "/",
     so they are quoted without escaping."""
@@ -361,7 +361,7 @@ def _write_terms(p: Polynomial, depth, out, blocks):
         return
     table = blocks.get((p.vars, depth))
     if table is None:
-        table = blocks[p.vars, depth] = _BlockTable(p.vars, depth)
+        table = blocks[p.vars, depth] = _ExponentTable(p.vars, depth)
     heads = table.heads
     item, field = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
     re_key, close = '",' + field + '"re": "', '"' + item + "}"
@@ -373,32 +373,31 @@ def _write_terms(p: Polynomial, depth, out, blocks):
     out += ("\n", "  " * depth, "]")
 
 
-class _BlockTable(dict):
+class _ExponentTable(dict):
     """The exponent block table of one variable order at nesting depth: the
     total degree of each term by packed exponent key, and in ``heads`` its
     head, its text up to its imaginary part's opening quote.  A missing key
-    is decoded once, its fields read in C, and both are filled."""
+    is decoded once (``poly._unpack``) and both are filled."""
 
-    __slots__ = ("heads", "_read", "_size", "_names", "_text")
+    __slots__ = ("heads", "_n", "_names", "_text")
 
     def __init__(self, variables, depth):
         super().__init__()
         item, field, exp_item = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
         opening = item + "{" + field + '"exp": '
         im_key = "," + field + '"im": "'
-        fields, self._size, _ = _codec(len(variables))
-        self.heads, self._read = {}, fields.unpack
+        self.heads, self._n = {}, len(variables)
         # the exponent keys in sorted name order with their positions
         self._names = [(encode_basestring_ascii(name) + ": ", i)
                        for name, i in sorted(zip(variables, itertools.count()))]
         self._text = (opening + "{" + exp_item, "," + exp_item, field + "}" + im_key, opening + "{}" + im_key)
 
     def __missing__(self, key):
-        raw = self._read(key.to_bytes(self._size, "big"))
+        exp = _unpack(key, self._n)
         opening, exp_sep, closing, empty = self._text
-        block = [name + str(raw[i] - _BIAS) for name, i in self._names if raw[i] != _BIAS]
+        block = [name + str(exp[i]) for name, i in self._names if exp[i]]
         self.heads[key] = opening + exp_sep.join(block) + closing if block else empty
-        self[key] = degree = sum(raw) - _BIAS * len(raw)
+        self[key] = degree = sum(exp)
         return degree
 
 

@@ -35,20 +35,7 @@ from math import gcd, lcm
 
 from .combinatorics import tuples_with_sum, tuples_with_sum_at_most
 from .operators import _chain_order, form_map
-from .poly import (
-    _BIAS,
-    _MASK,
-    _W,
-    EXP_MAX,
-    ExponentRangeError,
-    GaussianRational,
-    Polynomial,
-    _int_form,
-    _layout,
-    _nonzero,
-    _parts,
-    _reduced,
-)
+from .poly import GaussianRational, Polynomial, _int_form, _nonzero, _parts, _reduced, _tagged, _untagged
 
 __all__ = [
     "bidegree_monomials",
@@ -367,13 +354,15 @@ def kernel_on_slice(op, slice_monomials):
     the canonical basis read off the reduced row echelon form, with columns
     in slice order, over the slice's variables.  The slice numerators are
     brought to one denominator once.  The slice is mapped as one tagged
-    batch: its j-th entry carries j in one extra trailing exponent
-    position, which op does not read, so one ``operators.form_map`` over
-    the slice's variables, op's and the tag gives every image at once.
-    Each term of the batch image is the entry at (its exponent without the
-    tag, its tag) of the image numerators, which span the same kernel as
-    the images.  Each kernel polynomial is one pass over the slice
-    numerators (``_combinations``).
+    batch (``poly._tagged``): its j-th entry carries j in one extra
+    trailing exponent position, which op does not read, so one
+    ``operators.form_map`` over the slice's variables, op's and the tag
+    gives every image at once.  Each term of the batch image is the entry
+    at (its exponent without the tag, its tag) of the image numerators
+    (``poly._untagged``), which span the same kernel as the images; a
+    slice longer than a tag field holds raises ExponentRangeError.  Each
+    kernel polynomial is one pass over the slice numerators
+    (``_combinations``).
     """
     if not slice_monomials:
         return []
@@ -384,61 +373,39 @@ def kernel_on_slice(op, slice_monomials):
     # the slice's variables lead vs; op's own variables follow
     vars_ = tuple(dict.fromkeys(v for p in slice_monomials for v in p.vars))
     forms = [_int_form(p, vars_) for p in slice_monomials]
-    d = lcm(*(f.den for f in forms))
-    parts = [
-        (f.re, f.im) if f.den == d
-        else ({e: a * (d // f.den) for e, a in f.re.items()}, {e: b * (d // f.den) for e, b in f.im.items()})
-        for f in forms
-    ]
-    if len(parts) > EXP_MAX + 1:
-        raise ExponentRangeError(f"a tag field holds at most {EXP_MAX + 1} slice entries")
-    # each key over vars_ moved above op's own variables and the tag field
-    pad = len(vs) - len(vars_)
-    shift, base = _W * (pad + 1), (_layout(pad)[0] << _W) + _BIAS
-    re, im = {}, {}
-    for j, (fre, fim) in enumerate(parts):
-        tagged = base + j
-        for e, a in fre.items():
-            re[(e << shift) + tagged] = a
-        for e, b in fim.items():
-            im[(e << shift) + tagged] = b
-    image = form_map(op, vs + (tag,))(_reduced(re, im, d, len(vs) + 1))
+    # op's own variables pad the keys between the slice's and the tag
+    batch = _tagged(forms, len(vs) - len(vars_))
     # rows index the support of the images, columns the slice polynomials;
     # a Gaussian image gives (re, im) entries
-    re, im = image.re, image.im
-    entries = {e: (re.get(e, 0), im.get(e, 0)) for e in {**re, **im}} if im else re
-    rows = {}
-    for key, a in entries.items():
-        rows.setdefault(key >> _W, {})[(key & _MASK) - _BIAS] = a
+    rows = _untagged(form_map(op, vs + (tag,))(batch))
     pivots = _row_reduce(list(rows.values()), reduced=True)
     laurent = frozenset().union(*(p.laurent for p in slice_monomials))
-    return [
-        form.to_poly(vars_, laurent)
-        for form in _combinations(parts, d, _integer_kernel(pivots, len(slice_monomials)).values(), len(vars_))
-    ]
+    kernel = _integer_kernel(pivots, len(slice_monomials)).values()
+    d = lcm(*(f.den for f in forms))
+    return [form.to_poly(vars_, laurent) for form in _combinations(forms, d, kernel, len(vars_))]
 
 
-def _combinations(parts, d, kernel, n):
-    """The forms over n variables sum_j vec[j] * (re_j + i im_j) / (den * d)
+def _combinations(forms, d, kernel, n):
+    """The forms over n variables sum_j vec[j] N_j (d / den_j) / (den d)
     for the (den, vec) of ``_integer_kernel``, vec sparse with int or
-    (re, im) int pair entries and parts[j] = (re_j, im_j) the slice
-    numerators over d: each one pass over the numerators it touches,
-    reduced once."""
+    (re, im) int pair entries, N_j = re_j + i im_j the numerators of
+    forms[j] over den_j and d their lcm: each one pass over the numerators
+    it touches, reduced once."""
     out = []
     for den, vec in kernel:
         re, im = {}, {}
         for j, v in vec.items():
-            fre, fim = parts[j]
-            if type(v) is tuple:
+            f, k = forms[j], d // forms[j].den
+            v, vi = (v[0] * k, v[1] * k) if type(v) is tuple else (v * k, 0)
+            if vi:
                 # (v + i vi)(a + i b) = v a - vi b + i (v b + vi a)
-                v, vi = v
-                for e, b in fim.items():
+                for e, b in f.im.items():
                     re[e] = re.get(e, 0) - vi * b
-                for e, a in fre.items():
+                for e, a in f.re.items():
                     im[e] = im.get(e, 0) + vi * a
-            for e, a in fre.items():
+            for e, a in f.re.items():
                 re[e] = re.get(e, 0) + v * a
-            for e, b in fim.items():
+            for e, b in f.im.items():
                 im[e] = im.get(e, 0) + v * b
         out.append(_reduced(_nonzero(re), _nonzero(im), den * d, n))
     return out

@@ -41,12 +41,14 @@ TrigPolynomial; ``bases.twisted_flag_solve``, ``dissipative.epd_transform``
 and ``lie.verify_singular`` check their residuals that way.
 ``form_map(op, vars)`` maps integer forms over a caller's order: one
 ``FormApplicator`` when op has a normal form, else op's own
-``apply_form``.  The end-to-end family annihilation check
-(``bases.BasisFamily.verify_annihilation``), ``solve_by_series``,
-``right_inverse_series`` and ``bases.power_perturbation_solve`` check
-their residuals through it over the order ``_chain_order`` gives, and it
-serves an operator that a call applies again and again, or to a whole
-tagged batch at once (``linalg.kernel_on_slice``).
+``apply_form``.  ``FormApplicator`` lives in ``poly``, the one module
+that reads exponent keys, and is re-exported here.  The end-to-end family
+annihilation check (``bases.BasisFamily.verify_annihilation``),
+``solve_by_series``, ``right_inverse_series`` and
+``bases.power_perturbation_solve`` check their residuals through it over
+the order ``_chain_order`` gives, and it serves an operator that a call
+applies again and again, or to a whole tagged batch at once
+(``linalg.kernel_on_slice``).
 
 The module also hosts the series engine: given T1 with right inverse T1inv
 and a perturbation T2 that is locally nilpotent relative to a filtration,
@@ -64,26 +66,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import falling, tuples_with_sum_at_most
-from .poly import (
-    _BIAS,
-    _MASK,
-    _W,
-    ExponentRangeError,
-    GaussianRational,
-    Polynomial,
-    TrigPolynomial,
-    _check_fields,
-    _int_form,
-    _IntForm,
-    _layout,
-    _nonzero,
-    _pack,
-    _reduced,
-    _parts,
-    _sum_forms,
-    coeff_inverse,
-)
+from .combinatorics import tuples_with_sum_at_most
+from .poly import (FormApplicator, GaussianRational, Polynomial, TrigPolynomial, _int_form, _IntForm, _pack,
+                   _parts, _reduced, _sum_forms, coeff_inverse)
 
 __all__ = [
     "Compose",
@@ -567,89 +552,6 @@ def forms_commute(form_a: dict, form_b: dict) -> bool:
     _add_composition(out, form_a, form_b, sign=1, leading=False)
     _add_composition(out, form_b, form_a, sign=-1, leading=False)
     return not out
-
-
-# (part of p, part of the coefficients, real (0) or imaginary (1) sum, sign):
-# with c = c_re + i c_im and p = p_re + i p_im,
-# c p = (c_re p_re - c_im p_im) + i (c_re p_im + c_im p_re)
-_ROUTES = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
-
-
-class FormApplicator:
-    """A normal form sum_j c_j d^alpha_j applied to integer forms over the
-    variable order the form is over.
-
-    The form is a ``differential_form``.  With D the common denominator of
-    the coefficients and d that of the input q, D d op(q) = sum_j (D c_j)
-    d^alpha_j (d q) is accumulated with integer falling factorials, one
-    dict per real and imaginary part, over the denominator D d.  The keys
-    are ``poly._IntForm``'s packed exponent keys (n fields of _W bits, the
-    first variable highest, each exponent biased by _BIAS into [EXP_MIN,
-    EXP_MAX]).  Each coefficient term x^c of a block d^alpha is kept as
-    one key step, the key of x^c less that of x^0 and the orders alpha,
-    so a term of q maps to its image key by one int sum, and a field is
-    read as (key >> s) & _MASK only for the falling factorials.  The image
-    keys are or-ed together and checked once for a field out of range
-    (``poly._check_fields``), and an order above _BIAS, whose step could
-    wrap a field, raises ExponentRangeError here.
-    """
-
-    __slots__ = ("_den", "_routes")
-
-    def __init__(self, form: dict):
-        self._den = den = math.lcm(*(c.den for c in form.values()))
-        # per block: per order its field shift, the order and the field value
-        # _BIAS + m that a surviving term reaches; the key of x^0 raised by
-        # the orders; and its scale
-        read = []
-        for alpha, c in form.items():
-            orders, lowered = [], _layout(c.n)[0]
-            for i, m in alpha:
-                if m > _BIAS:
-                    raise ExponentRangeError(f"a derivative order in {alpha} exceeds {_BIAS}")
-                orders.append((_W * (c.n - 1 - i), m, _BIAS + m))
-                lowered += m << orders[-1][0]
-            read.append((tuple(orders), lowered, den // c.den, c))
-        # per route: the part of the input it reads, the sum it feeds, and
-        # per block its orders and its signed coefficient terms as
-        # (key step, numerator)
-        self._routes = []
-        for part, side, target, sign in _ROUTES:
-            blocks = []
-            for orders, lowered, k, c in read:
-                cterms = [(key - lowered, a * sign * k) for key, a in (c.im if side else c.re).items()]
-                if cterms:
-                    blocks.append((orders, cterms))
-            if blocks:
-                self._routes.append((part, target, blocks))
-
-    def apply_form(self, q: _IntForm) -> _IntForm:
-        """The image of the form q, reduced.  In a block d^alpha a term with
-        0 <= e_i < m for some (i, m) in alpha gives nothing and is skipped
-        before any key is made."""
-        sums, seen = ({}, {}), 0
-        perm, mask, bias = math.perm, _MASK, _BIAS
-        for part, target, blocks in self._routes:
-            terms = (q.im if part else q.re).items()
-            if not terms:
-                continue
-            out = sums[target]
-            get = out.get
-            for orders, cterms in blocks:
-                for key, k in terms:
-                    # the field holds e + bias, and 0 <= e < m kills the term
-                    for s, m, top in orders:
-                        f = (key >> s) & mask
-                        if bias <= f < top:
-                            break
-                        k *= perm(f - bias, m) if f >= bias else falling(f - bias, m)
-                    else:
-                        for step, c in cterms:
-                            image = key + step
-                            seen |= image
-                            out[image] = get(image, 0) + c * k
-        _check_fields(seen, q.n)
-        return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den, q.n)
 
 
 class TrigApplicator:

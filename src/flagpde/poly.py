@@ -22,6 +22,14 @@ in a valid key, and any carry or borrow out of a field sets one, so every
 step checks the keys it made once per result and raises
 ExponentRangeError rather than let a field wrap into its neighbour.
 
+This module alone reads the fields of a key.  Other modules work through:
+``_pack`` and ``_unpack`` (an exponent tuple to its key and back),
+``_unit`` (the key step of one variable), ``_lead_floor`` (the least key
+of a first exponent), ``_int_form``, ``_padded`` and ``_mover`` (a form
+over another variable order), the tag codec ``_tagged``/``_untagged`` (a
+batch of forms as one form and its image split back), and
+``FormApplicator``, the kernel that maps forms by a normal form.
+
 ``Polynomial.terms`` is a read-only view, built on each read, that maps
 every exponent tuple to its exact coefficient in the smallest type: an
 ``int`` when integral, else a ``fractions.Fraction``, and a
@@ -49,7 +57,7 @@ import itertools
 import math
 import struct
 from fractions import Fraction
-from operator import and_, itemgetter, or_, sub
+from operator import and_, itemgetter, or_
 from typing import Iterable, Mapping, Union
 
 from .combinatorics import falling
@@ -97,9 +105,10 @@ def _layout(n: int) -> tuple:
 
 @functools.cache
 def _codec(n: int) -> tuple:
-    """(struct of n fields, byte length, per-field biases): a key's fields
-    read in C as fields.unpack(key.to_bytes(size, "big"))."""
-    return struct.Struct(f">{n}H"), 2 * n, (_BIAS,) * n
+    """(struct of n unsigned fields, the same signed, byte length, key of the
+    zero exponent): a key's fields read in C as
+    fields.unpack(key.to_bytes(size, "big"))."""
+    return struct.Struct(f">{n}H"), struct.Struct(f">{n}h"), 2 * n, _layout(n)[0]
 
 
 def _pack(exp) -> int:
@@ -113,9 +122,23 @@ def _pack(exp) -> int:
 
 
 def _unpack(key: int, n: int) -> tuple:
-    """The exponent tuple of a key over n variables."""
-    fields, size, biases = _codec(n)
-    return tuple(map(sub, fields.unpack(key.to_bytes(size, "big")), biases))
+    """The exponent tuple of a key over n variables.  A field e + _BIAS with
+    its bit _W-2 flipped, and that bit copied into the one above, is the
+    signed short e."""
+    _, signed, size, bias = _codec(n)
+    key ^= bias
+    return signed.unpack((key | (key & bias) << 1).to_bytes(size, "big"))
+
+
+def _unit(n: int, i: int) -> int:
+    """The key step that adds 1 to the exponent of the i-th of n variables."""
+    return 1 << (_W * (n - 1 - i))
+
+
+def _lead_floor(n: int, e: int) -> int:
+    """The least key over n variables whose first exponent is e: a key lies
+    below it exactly when its first exponent lies below e."""
+    return (e + _BIAS) << (_W * (n - 1))
 
 
 def _delta(k: int, s: int) -> int:
@@ -518,7 +541,11 @@ class Polynomial:
     def integrate_n(self, var: str, order: int) -> "Polynomial":
         """`order` antiderivatives in `var` in one step: x^a maps to
         x^(a+order) a!/(a+order)!, and an exponent a with
-        -order <= a <= -1 raises NonIntegrableTermError."""
+        -order <= a <= -1 raises NonIntegrableTermError.
+
+        The library itself does not call it.  It stays because
+        perfbench/trace.py wraps it by name and tests/oracles.py uses it,
+        until the tracer's name list is removed (ROADMAP 20)."""
         return self._integrated(var, order) if order > 0 else self
 
     def _integrated(self, var, order):
@@ -668,15 +695,12 @@ class _IntForm:
     the caller holds fixed: integer numerator dicts over one positive common
     denominator, the layout of FLINT's fmpq_poly.
 
-    The dicts are keyed by packed exponent keys (module docstring): n
-    fields of _W = 16 bits, the first variable in the highest, each holding
-    e + _BIAS with _BIAS = 2^14, so every exponent lies in [EXP_MIN,
-    EXP_MAX] = [-2^14, 2^14 - 1] and the top bit of a field (the guard bit)
-    stays clear.  A step that moves exponents raises ExponentRangeError
-    where a field would wrap: a product or a shift ors together the keys
-    it makes and checks their guard bits once (``_check_fields``); ``diff``
-    and ``integrate``, which read the moved exponent anyway, test it
-    against the range.
+    The dicts are keyed by packed exponent keys (module docstring), every
+    exponent in [EXP_MIN, EXP_MAX] = [-2^14, 2^14 - 1].  A step that moves
+    exponents raises ExponentRangeError where a field would wrap: a product
+    or a shift ors together the keys it makes and checks their guard bits
+    once (``_check_fields``); ``diff`` and ``integrate``, which read the
+    moved exponent anyway, test it against the range.
 
     Every Polynomial is one of these over its own variables, and every ring
     step of this module runs here.  The steps return forms without zero
@@ -954,7 +978,7 @@ def _mover(src: tuple, dst: tuple):
     src missing from dst must have exponent 0: the fields of a key read in
     C, each of dst's taken from its variable in src or set to exponent 0,
     and packed again."""
-    (fields, size, _), (packed, _, _) = _codec(len(src)), _codec(len(dst))
+    (fields, _, size, _), packed = _codec(len(src)), _codec(len(dst))[0]
     # index len(src) is a zero-exponent field appended to the read ones; take
     # gets one index more than dst has, so that it returns a tuple for any
     # dst, and the extra field is dropped
@@ -997,6 +1021,122 @@ def _text_terms(form: _IntForm, degrees) -> list:
     return [
         (key, _ratio_text(re.get(key, 0), den), _ratio_text(im.get(key, 0), den)) for key in keys
     ]
+
+
+# -- the tag codec ------------------------------------------------------------------
+
+def _tagged(forms, pad: int) -> _IntForm:
+    """The forms, over one order of n variables, as one batch form over
+    n + pad + 1 variables at the lcm of their denominators: each key
+    followed by pad zero exponents and a tag field holding the form's
+    index.  An operator that reads neither the padding nor the tag maps the
+    batch to the sum of its tagged images, which ``_untagged`` splits back.
+    More forms than a tag field holds raise ExponentRangeError."""
+    if len(forms) > EXP_MAX + 1:
+        raise ExponentRangeError(f"a tag field holds at most {EXP_MAX + 1} entries, got {len(forms)}")
+    d = math.lcm(*(f.den for f in forms))
+    shift, base = _W * (pad + 1), _layout(pad + 1)[0]
+    re, im = {}, {}
+    for j, f in enumerate(forms):
+        tagged, k = base + j, d // f.den
+        for e, a in f.re.items():
+            re[(e << shift) + tagged] = a * k
+        for e, b in f.im.items():
+            im[(e << shift) + tagged] = b * k
+    return _reduced(re, im, d, forms[0].n + pad + 1)
+
+
+def _untagged(image: _IntForm) -> dict:
+    """A batch image split back by tag: {key without the tag: {tag: entry}},
+    each entry a numerator, or a (re, im) pair of them when the image has
+    an imaginary part."""
+    re, im = image.re, image.im
+    entries = {e: (re.get(e, 0), im.get(e, 0)) for e in {**re, **im}} if im else re
+    rows = {}
+    for key, a in entries.items():
+        rows.setdefault(key >> _W, {})[(key & _MASK) - _BIAS] = a
+    return rows
+
+
+# (part of p, part of the coefficients, real (0) or imaginary (1) sum, sign):
+# with c = c_re + i c_im and p = p_re + i p_im,
+# c p = (c_re p_re - c_im p_im) + i (c_re p_im + c_im p_re)
+_ROUTES = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
+
+
+class FormApplicator:
+    """A normal form sum_j c_j d^alpha_j applied to integer forms over the
+    variable order the form is over.
+
+    The form is an ``operators.differential_form``.  With D the common
+    denominator of the coefficients and d that of the input q, D d op(q) =
+    sum_j (D c_j) d^alpha_j (d q) is accumulated with integer falling
+    factorials, one dict per real and imaginary part, over the denominator
+    D d.  Each coefficient term x^c of a block d^alpha is kept as one key
+    step, the key of x^c less that of x^0 and the orders alpha,
+    so a term of q maps to its image key by one int sum, and a field is
+    read as (key >> s) & _MASK only for the falling factorials.  The image
+    keys are or-ed together and checked once for a field out of range
+    (``_check_fields``), and an order above _BIAS, whose step could wrap a
+    field, raises ExponentRangeError here.
+    """
+
+    __slots__ = ("_den", "_routes")
+
+    def __init__(self, form: dict):
+        self._den = den = math.lcm(*(c.den for c in form.values()))
+        # per block: per order its field shift, the order and the field value
+        # _BIAS + m that a surviving term reaches; the key of x^0 raised by
+        # the orders; and its scale
+        read = []
+        for alpha, c in form.items():
+            orders, lowered = [], _layout(c.n)[0]
+            for i, m in alpha:
+                if m > _BIAS:
+                    raise ExponentRangeError(f"a derivative order in {alpha} exceeds {_BIAS}")
+                orders.append((_W * (c.n - 1 - i), m, _BIAS + m))
+                lowered += m << orders[-1][0]
+            read.append((tuple(orders), lowered, den // c.den, c))
+        # per route: the part of the input it reads, the sum it feeds, and
+        # per block its orders and its signed coefficient terms as
+        # (key step, numerator)
+        self._routes = []
+        for part, side, target, sign in _ROUTES:
+            blocks = []
+            for orders, lowered, k, c in read:
+                cterms = [(key - lowered, a * sign * k) for key, a in (c.im if side else c.re).items()]
+                if cterms:
+                    blocks.append((orders, cterms))
+            if blocks:
+                self._routes.append((part, target, blocks))
+
+    def apply_form(self, q: _IntForm) -> _IntForm:
+        """The image of the form q, reduced.  In a block d^alpha a term with
+        0 <= e_i < m for some (i, m) in alpha gives nothing and is skipped
+        before any key is made."""
+        sums, seen = ({}, {}), 0
+        perm, mask, bias = math.perm, _MASK, _BIAS
+        for part, target, blocks in self._routes:
+            terms = (q.im if part else q.re).items()
+            if not terms:
+                continue
+            out = sums[target]
+            get = out.get
+            for orders, cterms in blocks:
+                for key, k in terms:
+                    # the field holds e + bias, and 0 <= e < m kills the term
+                    for s, m, top in orders:
+                        f = (key >> s) & mask
+                        if bias <= f < top:
+                            break
+                        k *= perm(f - bias, m) if f >= bias else falling(f - bias, m)
+                    else:
+                        for step, c in cterms:
+                            image = key + step
+                            seen |= image
+                            out[image] = get(image, 0) + c * k
+        _check_fields(seen, q.n)
+        return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den, q.n)
 
 
 def variable(name: str, laurent: bool = False) -> Polynomial:

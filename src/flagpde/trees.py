@@ -18,7 +18,7 @@ series expansion, which also guards the commuting-symbols convention.  It
 reads each xi_i as a normal form (D_j as d/dx_j, the rest of each term as
 its integer-form coefficient) and applies it, like t*d_T (the normal form
 of d_T with every coefficient shifted by t), through one
-``operators.FormApplicator`` per operator, built from its normal form
+``poly.FormApplicator`` per operator, built from its normal form
 over the variable order (t, x1..xn, tag), with the t-power cap applied as an exponent filter and
 each 1/j of the exponential series folded into the denominator.  Every
 monomial of the sweep goes through both sides in one batch: the j-th
@@ -56,13 +56,13 @@ from .combinatorics import tuples_with_sum_at_most
 from .operators import (
     Compose,
     Derivative,
-    FormApplicator,
     MultiplyBy,
     Sum,
     VerificationError,
     differential_form,
 )
-from .poly import _BIAS, _W, Polynomial, _IntForm, _layout, _pack, _reduced, _sum_forms, _unpack, variable
+from .poly import (ExponentRangeError, FormApplicator, Polynomial, _IntForm, _lead_floor, _pack, _reduced,
+                   _sum_forms, _tagged, _unit, _unpack, _untagged, variable)
 
 __all__ = [
     "InvalidTreeError",
@@ -182,31 +182,31 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
     only differentiates its descendants, so its multiplier x_p commutes
     with its derivatives."""
     # per symbol variable: the position in vs that its D differentiates,
-    # or the field shift in vs of its multiplier x_p or t
-    places = [(vs.index("x" + v[1:]), None) if v.startswith("D") else (None, _W * (len(vs) - 1 - vs.index(v)))
+    # or the key step in vs of its multiplier x_p or t
+    places = [(vs.index("x" + v[1:]), None) if v.startswith("D") else (None, _unit(len(vs), vs.index(v)))
               for v in symbol.vars]
-    width, bias = len(symbol.vars), _layout(len(vs))[0]
+    width, zero = len(symbol.vars), _pack((0,) * len(vs))
     form: dict = {}
     for part, terms in enumerate((symbol.form.re, symbol.form.im)):
         for key, a in terms.items():
-            alpha, coeff = [], bias
-            for (pos, shift), e in zip(places, _unpack(key, width)):
+            alpha, coeff = [], zero
+            for (pos, unit), e in zip(places, _unpack(key, width)):
                 if not e:
                     continue
                 if pos is not None:
                     alpha.append((pos, e))
                 else:
-                    coeff += e << shift
+                    coeff += e * unit
             form.setdefault(tuple(sorted(alpha)), ({}, {}))[part][coeff] = a
     den = symbol.form.den
     return FormApplicator({a: _IntForm(re, im, den, len(vs)) for a, (re, im) in form.items()})
 
 
 def _t_capped(q: _IntForm, tcap: int, j: int = 1) -> _IntForm:
-    """The terms of q of t-degree at most tcap, divided by j.  t leads the
-    variable order, so its field is the top of the key, and a key below
-    that of t^(tcap+1) x^EXP_MIN has t-degree at most tcap."""
-    limit = (tcap + 1 + _BIAS) << (_W * (q.n - 1))
+    """The terms of q of t-degree at most tcap, divided by j: t leads the
+    variable order, so those are the keys below ``_lead_floor`` of
+    tcap + 1."""
+    limit = _lead_floor(q.n, tcap + 1)
     return _reduced(
         {e: a for e, a in q.re.items() if e < limit},
         {e: a for e, a in q.im.items() if e < limit},
@@ -249,7 +249,9 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     the sum of its tagged images, and the two agree exactly when they agree
     on every monomial.  A mismatch raises VerificationError naming the
     monomial of the smallest tag in the difference and that tag's lowest
-    t power.  A negative cap raises ValueError: it would check nothing.
+    t power.  A negative cap raises ValueError: it would check nothing, and
+    a degree_cap with more monomials than a tag field holds raises
+    ExponentRangeError.
     """
     if degree_cap < 0 or t_power_cap < 0:
         raise ValueError(f"the caps must be non-negative, got degree_cap={degree_cap}, "
@@ -257,20 +259,22 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     n = tree.nodes
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     vs = ("t",) + x_vars + ("tag",)
+    monomials = list(tuples_with_sum_at_most(n, degree_cap))
+    try:
+        batch = _tagged([_IntForm({_pack((0,) + exp): 1}, {}, 1, n + 1) for exp in monomials], 0)
+    except ExponentRangeError as err:
+        raise ExponentRangeError(f"degree_cap={degree_cap} is too large: {err}") from err
     form = differential_form(tricomi_operator(tree), vs)
     heat = FormApplicator({a: c.shifted(0, 1, 1) for a, c in form.items()})
     exponents = [_symbol_applicator(xi, vs) for xi in compute_splitting(tree).exponents]
-    monomials = list(tuples_with_sum_at_most(n, degree_cap))
-    batch = _IntForm({_pack((0,) + exp + (j,)): 1 for j, exp in enumerate(monomials)}, {}, 1, len(vs))
     lhs = _apply_exp_symbol(heat, batch, t_power_cap)
     rhs = batch
     for xi in exponents:
         rhs = _apply_exp_symbol(xi, rhs, t_power_cap)
     if lhs != rhs:
-        diff = lhs - rhs
-        terms = [_unpack(key, len(vs)) for key in itertools.chain(diff.re, diff.im)]
-        tag = min(e[-1] for e in terms)
-        tpow = min(e[0] for e in terms if e[-1] == tag)
+        rows = _untagged(lhs - rhs)
+        tag = min(min(tags) for tags in rows.values())
+        tpow = min(_unpack(key, n + 1)[0] for key, tags in rows.items() if tag in tags)
         raise VerificationError(
             f"splitting mismatch on monomial {dict(zip(x_vars, monomials[tag]))} at t^{tpow}"
         )

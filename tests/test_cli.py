@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import flagpde
-from flagpde import GaussianRational, Polynomial, variable
+from flagpde import BasisElement, BasisFamily, GaussianRational, Polynomial, variable
 from flagpde.bases import FlagEquationSpec, flag_basis, harmonic_basis
 from flagpde import cli
 from flagpde.cli import (
@@ -31,6 +31,7 @@ from flagpde.cli import (
     main,
 )
 from flagpde.lie import SingularCheck, g2_module_basis
+from flagpde.operators import op_from_json
 from flagpde.poly import IMAG
 
 from strategies import coefficients, gaussian_coefficients, polynomials
@@ -692,6 +693,9 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("jsonschema", "re
     (["ivp", "flag", "--orders", "-1", "--grid", "2x3", "--symbols", "{symbols}", "--data", "{data}"],
      {"symbols": {"symbols": [[], []]}, "data": {"halfWidths": [1.0], "conditions": [{"modes": []}] * 2}},
      "need at least one order, got --orders -1"),
+    (["tree", "check-splitting", "--tree", "{tree}", "--cap", "21", "--tcap", "1"],
+     {"tree": {"nodes": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}},
+     ("degree_cap=21", "at most 16384 entries, got 65780")),
 ])
 def test_malformed_input_exits_two_without_a_traceback(tmp_path, capsys, args, files, message):
     paths = {name: _write(tmp_path, f"{name}.json", json.dumps(body)) for name, body in files.items()}
@@ -1217,3 +1221,32 @@ def test_input_files_validate_without_jsonschema(tmp_path, monkeypatch, capsys):
     assert run_cli(["ivp", "flag", "--orders", "2", "--symbols", symbols, "--data", flag, "--grid", "2x3"]) == 0
     assert run_cli(["tree", "validate", "--tree", bad]) == 2
     assert "schema violation at /edges/0/1" in capsys.readouterr().err
+
+
+# the family reports the console-script step writes, by file name
+_WRITTEN_FAMILIES = {
+    "h": ["basis", "harmonic", "--n", "3", "--cap", "3"],
+    "h49": ["basis", "harmonic", "--n", "4", "--cap", "9"],
+    "d35": ["basis", "dissipative", "--n", "3", "--cap", "5"],
+    "a24": ["basis", "anisym", "--n", "2", "--lambda", "-3", "--cap", "4"],
+    "d16": ["basis", "dissipative", "--n", "1", "--cap", "6"],
+    "a35": ["basis", "anisym", "--n", "3", "--lambda", "-3", "--epsilon", "-1", "--cap", "5"],
+    "a56": ["basis", "anisym", "--n", "2", "--lambda", "-5", "--cap", "6"],
+    "a35m1": ["basis", "anisym", "--n", "3", "--lambda", "-1", "--cap", "5"],
+    "gflag": ["basis", "flag", "--spec", "{spec}", "--cap", "4"],
+    "g2": ["lie", "g2", "--k", "4"],
+    "sl": ["lie", "sl", "--n", "3", "--l1", "2", "--l2", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITTEN_FAMILIES))
+def test_written_family_is_annihilated_when_read_back(tmp_path, name):
+    """The family of a written report, rebuilt from the file alone, is
+    annihilated exactly by the annihilator the file records."""
+    out = tmp_path / f"{name}.json"
+    args = [a.format(**_report_inputs(tmp_path)) for a in _WRITTEN_FAMILIES[name]]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    family = BasisFamily([BasisElement(e["indexMeta"], Polynomial.from_json_terms(e["solution"]))
+                          for e in result["elements"]], op_from_json(result["annihilator"]))
+    assert result["elements"] and family.verify_annihilation()

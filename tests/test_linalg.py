@@ -27,7 +27,7 @@ from flagpde.linalg import (
     polys_to_matrix,
 )
 from flagpde.combinatorics import tuples_with_sum
-from flagpde.poly import IMAG, GaussianRational
+from flagpde.poly import EXP_MAX, IMAG, ExponentRangeError, GaussianRational
 
 from oracles import (
     dense_nullspace,
@@ -283,12 +283,21 @@ def _kernel_by_products_and_sums(op, slice_monomials):
 @pytest.mark.parametrize("op, slice_", [
     (lie.sl_laplacian(3), bidegree_monomials(("x1", "x2", "x3"), ("y1", "y2", "y3"), 3, 3)),
     (fp.Sum(fp.Derivative(f"x{i}", 2) for i in range(1, 5)), monomials_of_degree(("x1", "x2", "x3", "x4"), 6)),
-], ids=["sl3 bidegree (3, 3)", "laplacian n=4 degree 6"])
+    (fp.Sum(fp.Derivative(f"x{i}", 2) for i in range(1, 4)),
+     [(Fraction(j % 5 + 1, j % 3 + 2) + Fraction(1, j + 2) * IMAG) * m
+      for j, m in enumerate(monomials_of_degree(("x1", "x2", "x3"), 4))]),
+], ids=["sl3 bidegree (3, 3)", "laplacian n=4 degree 6", "laplacian n=3 degree 4, mixed denominators"])
 def test_kernel_on_slice_matches_the_assembly_by_products_and_sums(op, slice_):
     got = kernel_on_slice(op, slice_)
     want = _kernel_by_products_and_sums(op, slice_)
     assert len(got) == len(want) > 0
     assert [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want]
+
+
+def test_kernel_on_slice_refuses_more_entries_than_a_tag_field_holds():
+    slice_ = [fp.Polynomial(("x", "y"), {(j % 128, j // 128): 1}) for j in range(EXP_MAX + 2)]
+    with pytest.raises(ExponentRangeError, match="at most 16384 entries, got 16385"):
+        kernel_on_slice(fp.Derivative("x"), slice_)
 
 
 def test_kernel_on_slice_with_gaussian_entries_on_a_gaussian_slice():

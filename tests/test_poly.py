@@ -1,10 +1,13 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagpde
 from flagpde import (
     GaussianRational,
     IMAG,
@@ -541,3 +544,22 @@ def test_products_at_the_field_edge_fit():
     assert (top * y).terms == {(1, EXP_MAX): 1}
     assert (bottom * y_inv).terms == {(1, EXP_MIN): 1}
     assert (bottom * y_inv).form.negative_positions() == {1}
+
+
+# names of the packed key layout that only poly may read
+_LAYOUT_NAMES = {"_W", "_BIAS", "_MASK", "_GUARD", "_layout", "_codec", "_check_fields", "_delta"}
+
+
+def test_key_layout_is_private_to_poly():
+    """Every module but poly works through poly's key helpers: none imports
+    or names a layout constant or a field-level helper."""
+    found = []
+    for path in sorted(Path(flagpde.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            found += [(path.name, node.lineno, name) for name in names if name in _LAYOUT_NAMES]
+    assert not found

@@ -22,7 +22,7 @@ from flagpde.trees import (
     _symbol_applicator,
     all_trees,
 )
-from flagpde.poly import _int_form
+from flagpde.poly import ExponentRangeError, _int_form
 
 from oracles import _truncate_t, apply_symbol_termwise, check_splitting_termwise
 
@@ -175,6 +175,14 @@ def test_splitting_report_says_whether_the_sweep_is_a_proof():
 def test_splitting_check_rejects_a_negative_cap(cap, tcap):
     with pytest.raises(ValueError, match="must be non-negative"):
         check_splitting(Tree(2, [(1, 2)]), cap, tcap)
+
+
+def test_splitting_check_names_the_cap_a_tag_field_cannot_hold():
+    """A 5-node chain at degree cap 21 has C(26, 5) = 65780 monomials, more
+    than the 16384 tags of one batch."""
+    chain5 = Tree(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    with pytest.raises(ExponentRangeError, match=r"degree_cap=21 .*at most 16384 entries, got 65780"):
+        check_splitting(chain5, 21, 1)
 
 
 @pytest.mark.parametrize("tree, cap, tcap", [
