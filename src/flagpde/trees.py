@@ -10,8 +10,9 @@ exp(xi_n) ... exp(xi_1), one per node.  Each xi_i is a polynomial in t, in
 commuting formal derivative symbols D1..Dn, and (for i >= 2) in the single
 parent multiplier x_p(i).  The recursion runs bottom-up from the tips:
 
-    tilde_xi_i(t) = integral_0^t (D_i + sum of children tilde_xi_s(y))^2 dy
+    tilde_xi_i(t) = integral_0^t (D_i + sum of children tilde_xi_s(y))^2 dy,
 
+that is the antiderivative in t, zero at t = 0, of (D_i + sum tilde_xi_s(t))^2,
 with tilde_xi = t*D^2 at a tip, and xi_i = x_p(i) * tilde_xi_i for i >= 2.
 ``check_splitting`` verifies the operator identity mechanically by exact
 series expansion, which also guards the commuting-symbols convention.  It
@@ -33,10 +34,10 @@ The sweep is a proof in every x-degree once degree_cap >= 2 * t_power_cap:
   so every c_beta vanishes in turn.
 - Order bound.  Every xi_i term has D-degree at most 2 times its t-degree.
   A tip's tilde_xi = t*D^2 meets it with equality.  If every child's
-  term does, every term of the inner sum D_i + sum tilde_xi_s(y) has
-  D-degree at most 2 * (its y-degree) + 1, so a product of two of them
-  has D-degree at most 2(a + b) + 2 at y-degree a + b; the y-integral
-  raises the y-degree by one, and the multiplier x_p changes neither
+  term does, every term of the inner sum D_i + sum tilde_xi_s has
+  D-degree at most 2 * (its t-degree) + 1, so a product of two of them
+  has D-degree at most 2(a + b) + 2 at t-degree a + b; the antiderivative
+  in t raises the t-degree by one, and the multiplier x_p changes neither
   degree.
 
 t*d_T has order 2 per power of t, and orders add under composition, so
@@ -157,6 +158,22 @@ class TricomiSplitting:
 
 
 def compute_splitting(tree: Tree) -> TricomiSplitting:
+    """The nodewise exponents xi_1..xi_n of exp(t*d_T), built bottom-up:
+
+        tilde_xi_i(t) = integral_0^t (D_i + sum of children tilde_xi_s(y))^2 dy,
+
+    tilde_xi = t*D_i^2 at a tip, and xi_i = x_p(i) * tilde_xi_i for i >= 2.
+    The integrand f(y) is a polynomial, so integral_0^t f(y) dy = F(t) - F(0)
+    for any antiderivative F of f, and the zero-constant antiderivative has
+    F(0) = 0, since each of its terms carries a power of t.  So tilde_xi_i
+    is that antiderivative in t of (D_i + sum tilde_xi_s(t))^2, with each
+    tilde_xi_s used as it stands: no renaming t -> y -> t.
+
+    Variable order (the term order and the exponent keys of ``str(xi)`` and
+    of ``tree xi --out`` follow it): a tip's tilde_xi is over (t, D_i); an
+    inner node's is over D_i, then each child's variables in child order
+    without t, then t; xi_i puts x_p(i) first.
+    """
     n = tree.nodes
     tilde: dict[int, Polynomial] = {}
     # Bottom-up: descendants of a node carry higher indices, so a reverse
@@ -164,16 +181,12 @@ def compute_splitting(tree: Tree) -> TricomiSplitting:
     for i in range(n, 0, -1):
         kids = tree.children(i)
         if not kids:
-            tilde[i] = variable("t") * variable(f"D{i}") ** 2
+            tilde[i] = Polynomial(("t", f"D{i}"), {(1, 2): 1})
             continue
-        inner = variable(f"D{i}")
-        for s in kids:
-            inner = inner + tilde[s].substitute("t", variable("y"))
-        squared = inner * inner
-        tilde[i] = squared.integrate("y").substitute("y", variable("t"))
-    exponents = [tilde[1]]
-    for i in range(2, n + 1):
-        exponents.append(variable(f"x{tree.parent(i)}") * tilde[i])
+        order = (f"D{i}",) + tuple(v for s in kids for v in tilde[s].vars if v != "t") + ("t",)
+        inner = sum((tilde[s] for s in kids), variable(f"D{i}").with_variables(order))
+        tilde[i] = (inner * inner).integrate("t")
+    exponents = [tilde[1]] + [variable(f"x{tree.parent(i)}") * tilde[i] for i in range(2, n + 1)]
     return TricomiSplitting(tree, exponents)
 
 
@@ -298,9 +311,13 @@ def evaluate_symbol(splitting: TricomiSplitting, mode, half_widths, t, x) -> com
     """Value of the total splitting exponent at D_j = 2*pi*i*k_j/a_j.
 
     `mode` lists the integer wave numbers, `half_widths` the box half sizes,
-    `x` the spatial point.  Callers exponentiate the returned complex number.
+    `x` the spatial point, each with one entry per node (ValueError naming
+    the argument otherwise).  Callers exponentiate the returned complex number.
     """
     n = splitting.tree.nodes
+    for name, arg in (("mode", mode), ("half_widths", half_widths), ("x", x)):
+        if len(arg) != n:
+            raise ValueError(f"{name} has {len(arg)} entries, the tree has {n} nodes")
     if not all(a > 0 for a in half_widths):
         raise ValueError("half widths must be positive")
     values = {"t": complex(t)}
@@ -310,6 +327,5 @@ def evaluate_symbol(splitting: TricomiSplitting, mode, half_widths, t, x) -> com
         values[f"x{j + 1}"] = complex(x[j])
     total = 0j
     for xi in splitting.exponents:
-        needed = {v: values[v] for v in xi.vars}
-        total += xi.evaluate(needed)
+        total += xi.evaluate(values)
     return total

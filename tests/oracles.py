@@ -632,6 +632,30 @@ def _truncate_t(p, tcap):
     return Polynomial(p.vars, {e: c for e, c in p.terms.items() if e[i] <= tcap}, p.laurent)
 
 
+def splitting_by_substitution(tree):
+    """The splitting recursion as the paper writes it: each child's
+    tilde_xi_s is renamed t -> y, the square is integrated in y, and the
+    result is renamed y -> t."""
+    from flagpde.trees import TricomiSplitting
+
+    n = tree.nodes
+    tilde = {}
+    for i in range(n, 0, -1):
+        kids = tree.children(i)
+        if not kids:
+            tilde[i] = variable("t") * variable(f"D{i}") ** 2
+            continue
+        inner = variable(f"D{i}")
+        for s in kids:
+            inner = inner + tilde[s].substitute("t", variable("y"))
+        squared = inner * inner
+        tilde[i] = squared.integrate("y").substitute("y", variable("t"))
+    exponents = [tilde[1]]
+    for i in range(2, n + 1):
+        exponents.append(variable(f"x{tree.parent(i)}") * tilde[i])
+    return TricomiSplitting(tree, exponents)
+
+
 def check_splitting_termwise(splitting, degree_cap, t_power_cap):
     """The splitting check with the operator sum d_T and the termwise symbol
     application: exp(t d_T) and the nodewise exponential product, both

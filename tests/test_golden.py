@@ -15,7 +15,10 @@ coefficient, exponent, term order or index of these families fails here.
 The solver and ``basis`` command hashes pin outputs whose serialization
 depends on the variable order (term order and exponent keys follow it);
 they were recorded while every operator node still had a ``Polynomial``
-``apply`` of its own, before application moved to integer forms.
+``apply`` of its own, before application moved to integer forms.  The tree
+splitting hashes pin the variable order of every exponent too; they were
+recorded while the recursion still renamed t -> y and back around its
+integral.
 
 The ``repr`` strings of ``solve_constant_ode`` and ``solve_flag_ivp`` values
 were recorded while the ODE still had an evaluator of its own, before it
@@ -56,6 +59,7 @@ from flagpde import (
 )
 from flagpde.cli import main
 from flagpde.poly import IMAG
+from flagpde.trees import Tree, all_trees, compute_splitting
 
 x1, x2, x3 = variable("x1"), variable("x2"), variable("x3")
 
@@ -262,6 +266,31 @@ def test_basis_command_result_matches_golden_hash(name, tmp_path):
     assert main(["basis", *BASIS_COMMANDS[name], "--out", str(out)]) == 0
     payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == BASIS_GOLDEN[name]
+
+
+# -- the tree splitting -------------------------------------------------------------
+
+SPLITTING_GOLDEN = "dc9cfd57107913caf1d4ccb5e3b2ec9fe61e7577ef0e3e3d50bd3d100c372bc1"
+
+# the 4-node tree of the CI smoke test
+TREE_XI_GOLDEN = "3cd2e1ef5407caf5b0657d37c8b06bd8ae605dd0eecadc3ca6aba121e74be1d8"
+
+
+def test_splitting_exponents_match_golden_hash():
+    """Every exponent of every tree with at most five nodes, with its variables."""
+    trees = [tree for n in range(1, 6) for tree in all_trees(n)]
+    polys = [xi for tree in trees for xi in compute_splitting(tree).exponents]
+    assert len(polys) == 153
+    assert _poly_digest(*polys) == SPLITTING_GOLDEN
+
+
+def test_tree_xi_command_result_matches_golden_hash(tmp_path):
+    tree = tmp_path / "tree4.json"
+    tree.write_text(json.dumps(Tree(4, [(1, 2), (2, 3), (2, 4)]).to_json()))
+    out = tmp_path / "out.json"
+    assert main(["tree", "xi", "--tree", str(tree), "--out", str(out)]) == 0
+    payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == TREE_XI_GOLDEN
 
 
 # -- the text form -------------------------------------------------------------------

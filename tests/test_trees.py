@@ -24,7 +24,7 @@ from flagpde.trees import (
 )
 from flagpde.poly import ExponentRangeError, _int_form
 
-from oracles import _truncate_t, apply_symbol_termwise, check_splitting_termwise
+from oracles import _truncate_t, apply_symbol_termwise, check_splitting_termwise, splitting_by_substitution
 
 x1, x2, x3 = variable("x1"), variable("x2"), variable("x3")
 CHAIN3 = Tree(3, [(1, 2), (2, 3)])
@@ -111,6 +111,17 @@ def test_chain3_splitting_golden_values():
     assert s.exponents[0] == g1
     assert s.exponents[1] == g2
     assert s.exponents[2] == g3
+
+
+def test_splitting_matches_the_substitution_recursion():
+    # values and variable orders, on every tree with at most six nodes
+    trees = [tree for n in range(1, 7) for tree in all_trees(n)]
+    assert len(trees) == 154
+    for tree in trees:
+        want = splitting_by_substitution(tree).exponents
+        got = compute_splitting(tree).exponents
+        assert [xi.vars for xi in got] == [xi.vars for xi in want], tree
+        assert got == want, tree
 
 
 def test_single_node_splitting():
@@ -343,3 +354,13 @@ def test_evaluate_symbol_matches_golden_numerically():
         want += g.evaluate({v: assignment[v] for v in g.vars})
     got = evaluate_symbol(s, k, a, tval, point)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("arg", ["mode", "half_widths", "x"])
+@pytest.mark.parametrize("size", [1, 4])
+def test_evaluate_symbol_rejects_an_argument_without_one_entry_per_node(arg, size):
+    s = compute_splitting(CHAIN3)
+    args = {"mode": (1, 1, 1), "half_widths": (1.0, 1.0, 1.0), "x": (0.2, 0.3, 0.4)}
+    args[arg] = args[arg][:1] * size
+    with pytest.raises(ValueError, match=f"^{arg} has {size} entries, the tree has 3 nodes$"):
+        evaluate_symbol(s, args["mode"], args["half_widths"], 0.1, args["x"])
