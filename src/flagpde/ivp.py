@@ -14,10 +14,13 @@ each mode evolves independently.
   r.  So one run per (mode, x1) carries U_w = S_w / w! in integer fixed
   point, with enough bits to cover its cancellation (cos 60 from terms up
   to 6e24), and each live order r takes r! Y_r = sum_w U_w / C(r+w, r)
-  from it, one truncated quotient per weight.  The division shrinks the
-  carried errors and adds at most one unit per weight, so every order keeps
-  order 0's error bound, and its value does not depend on which other
-  orders are asked; a series needing more than WEIGHT_LIMIT weights raises.
+  from it, one truncated quotient per weight (order 0 divides by
+  C(w, 0) = 1, so it adds U_w exactly).  The division shrinks the carried
+  errors and adds at most one unit per weight, so every order keeps order
+  0's error bound, and its value does not depend on which other orders are
+  asked; a series needing more than WEIGHT_LIMIT weights raises.  The
+  evaluator returns finite values only: a NaN argument raises ValueError,
+  and a value beyond the float range raises SeriesTerminationError.
   Per mode, one exact run of the recurrence gives the derivatives at zero
   of the fundamental solutions: the triangular solve against the traces
   takes the amplitudes from them, and the trace check reads them again.
@@ -37,7 +40,9 @@ each mode evolves independently.
   with Xi the summed splitting exponents evaluated at the mode.
 
 The flag, heat and wave solvers check the reproduced initial traces at the
-evaluation points against TRACE_TOLERANCE before returning.
+evaluation points against TRACE_TOLERANCE before returning.  Every solver
+raises ValueError on a time (t or x1) that is not finite and on an
+evaluation point without one entry per coordinate.
 ``solve_constant_ode`` checks nothing; the ``ode`` command checks its exact
 initial derivatives.
 """
@@ -126,9 +131,12 @@ def _one_argument_value(r: int, y: complex) -> complex:
         raise SeriesTerminationError("Y-series not settling within the term limit")
     try:
         prefix = sum(y**j / math.factorial(j) for j in range(r))
-        return (cmath.exp(y) - prefix) / y**r
-    except OverflowError:
-        raise SeriesTerminationError("Y-series value overflows the float range") from None
+        value = (cmath.exp(y) - prefix) / y**r
+    except (OverflowError, ValueError):  # cmath.exp(x + i inf) is a domain error
+        value = complex(math.nan)
+    if not cmath.isfinite(value):
+        raise SeriesTerminationError("Y-series value overflows the float range")
+    return value
 
 
 def _magnitude_bound(moduli) -> float:
@@ -137,24 +145,22 @@ def _magnitude_bound(moduli) -> float:
     No term is negative, so nothing cancels.  The value bounds sum_w |U_w|
     of the fixed-point run, and also how far an error made at one weight can
     grow through the recurrence (j! (w-j)! <= w!).  The sum stops once m
-    consecutive terms are below 2^-60 of it and each later term is at most
-    half the largest of the m before it.
+    consecutive terms, the newest tested first, are below 2^-60 of it and
+    each later term is at most half the largest of the m before it.
     """
     m = len(moduli)
-    terms = [1.0]
-    total = 1.0
+    terms, total = [1.0], 1.0
     for w in range(1, WEIGHT_LIMIT + 1):
         term, falling = 0.0, 1.0
-        for p in range(min(m, w)):
+        for p in range(m if m < w else w):
             falling *= w - p
             term += moduli[p] * terms[w - p - 1] / falling
         terms.append(term)
         total += term
         if not math.isfinite(total):
             raise SeriesTerminationError("Y-series magnitude overflows")
-        if max(terms[-m:]) <= total * 2.0**-60:
-            gain = sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(min(m, w + 1)))
-            if gain <= 0.5:
+        if term <= total * 2.0**-60 and max(terms[-m:]) <= total * 2.0**-60:
+            if sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(min(m, w + 1))) <= 0.5:
                 return total
     raise SeriesTerminationError("Y-series not settling within the weight limit")
 
@@ -167,10 +173,6 @@ def _dyadic(args):
     return list(zip(ints[0::2], ints[1::2])), shift
 
 
-def _truncated_quotient(n: int, d: int) -> int:
-    return n // d if n >= 0 else -(-n // d)
-
-
 def _graded_exponentials(orders, args) -> list:
     """Y_r(args) for each order r in `orders`, from one run of the recurrence.
 
@@ -181,6 +183,8 @@ def _graded_exponentials(orders, args) -> list:
     if any(r < 0 for r in orders):
         raise ValueError("order must be non-negative")
     args = [complex(a) for a in args]
+    if any(cmath.isnan(a) for a in args):
+        raise ValueError(f"graded exponential argument is NaN: {args!r}")
     if len(args) == 1:
         return [_one_argument_value(r, args[0]) for r in orders]
     m = len(args)
@@ -188,38 +192,40 @@ def _graded_exponentials(orders, args) -> list:
     bits = math.frexp(bound)[1] - math.frexp(_RELATIVE_ACCURACY)[1] + _GUARD_BITS
     ints, shift = _dyadic(args)
     nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
+    perm, comb = math.perm, math.comb
     units = [(1 << bits, 0)]
-    totals = [[1 << bits, 0] for _ in orders]  # C(r, r) U_0
+    totals = [[r, 1 << bits, 0] for r in orders]  # r, then C(r, r) U_0
     zeros, w = 0, 0
     while zeros < m:
         w += 1
         if w > WEIGHT_LIMIT:
             raise SeriesTerminationError("Y-series not settling within the weight limit")
-        q = min(m, w)
+        q = m if m < w else w
         re = im = 0
         for p, ar, ai in nonzero:
             if p >= q:
                 break
             tr, ti = units[w - p - 1]
-            c = math.perm(w - p - 1, q - p - 1)
+            c = perm(w - p - 1, q - p - 1)
             re += (ar * tr - ai * ti) * c
             im += (ar * ti + ai * tr) * c
-        den = math.perm(w, q) << shift
-        re, im = _truncated_quotient(re, den), _truncated_quotient(im, den)
+        den = perm(w, q) << shift
+        re = re // den if re >= 0 else -(-re // den)
+        im = im // den if im >= 0 else -(-im // den)
         units.append((re, im))
         if re or im:
             zeros = 0
-            for r, total in zip(orders, totals):
-                c = math.comb(r + w, r)
-                total[0] += _truncated_quotient(re, c)
-                total[1] += _truncated_quotient(im, c)
+            for total in totals:
+                if r := total[0]:
+                    c = comb(r + w, r)
+                    total[1] += re // c if re >= 0 else -(-re // c)
+                    total[2] += im // c if im >= 0 else -(-im // c)
+                else:  # C(w, 0) = 1: the quotient is U_w itself
+                    total[1] += re
+                    total[2] += im
         else:
             zeros += 1
-    values = []
-    for r, (tr, ti) in zip(orders, totals):
-        scale = math.factorial(r) << bits
-        values.append(complex(tr / scale, ti / scale))
-    return values
+    return [complex(tr / (scale := math.factorial(r) << bits), ti / scale) for r, tr, ti in totals]
 
 
 def generalized_exponential(r: int, args) -> complex:
@@ -242,13 +248,16 @@ def generalized_exponential(r: int, args) -> complex:
     as S_(w-j) j!/w!, at most S_(w-j)/(w-j)! at the moduli, so the N
     truncations of N weights put at most N B units into sum |U_w|.  Order r
     divides those errors by C(r+w, r) >= 1, so they are no larger than order
-    0's, and its own quotients add at most one unit per weight: r! Y_r is
+    0's, and its own quotients add at most one unit per weight (order 0's
+    divisor C(w, 0) is 1, so it adds U_w exactly and none): r! Y_r is
     within N (B + 1) units, at most N 2^-38 _RELATIVE_ACCURACY, below
     2^-25 _RELATIVE_ACCURACY for N up to WEIGHT_LIMIT, however much the
     terms cancel and however large r is.  The sum stops after m consecutive
-    U_w that are exactly zero (the recurrence then stays at zero).  Arguments
-    whose series overflows the float range, or that need more than
-    WEIGHT_LIMIT weights, raise SeriesTerminationError.
+    U_w that are exactly zero (the recurrence then stays at zero).  The
+    value is always finite.  A NaN argument raises ValueError.  Arguments
+    whose series overflows the float range (an infinite one among them,
+    except that a single -inf gives the limit 0 at order 0), or that need
+    more than WEIGHT_LIMIT weights, raise SeriesTerminationError.
     """
     return _graded_exponentials([r], args)[0]
 
@@ -339,7 +348,8 @@ def solve_constant_ode(problem: OdeProblem, t: float) -> float:
     """Value y(t) assembled from the fundamental solutions t^r Y_r(b_p t^p).
 
     The ODE is the zero mode of the flag evaluator: k = (), phase 1, x1 = t.
-    Coefficients and amplitudes beyond the float range raise ValueError.
+    Coefficients and amplitudes beyond the float range, and a t that is not
+    finite, raise ValueError.
     """
     return _solved_ode(problem, t)[0]
 
@@ -353,6 +363,8 @@ def ode_derivatives_at_zero(problem: OdeProblem):
 
 def _solved_ode(problem: OdeProblem, t: float) -> tuple:
     """y(t) with the exact weight sums and amplitudes it was assembled from."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     b = problem.coefficients
     values = [complex(_float_image(v, "ODE coefficient")) for v in b]
     sums = _weight_sums(b, len(b), Fraction(1))
@@ -473,7 +485,9 @@ def solve_flag_ivp(symbols, data, eval_points) -> FlagIvpSolution:
     per half width (any other variable raises ValueError);
     `data` lists the m initial traces (TrigData, shared half widths) giving
     d^s u/dx1^s at x1 = 0.  Returns the solution sampled at eval_points
-    (tuples (x1, x2..xn)) after verifying the reproduced traces.
+    (tuples (x1, x2..xn)) after verifying the reproduced traces.  A point
+    without one entry per half width after x1, or with an x1 that is not
+    finite, raises ValueError.
     """
     m = len(symbols)
     if not m:
@@ -488,6 +502,11 @@ def solve_flag_ivp(symbols, data, eval_points) -> FlagIvpSolution:
     stray = sorted(set().union(*(f.support_vars() for f in symbols)) - set(allowed))
     if stray:
         raise ValueError(f"symbol variables {stray} are not among {allowed}")
+    for pt in eval_points:
+        if len(pt) != 1 + len(half_widths):
+            raise ValueError(f"point {pt!r} has {len(pt)} entries, need x1 and {len(half_widths)} more")
+        if not math.isfinite(pt[0]):
+            raise ValueError(f"x1 must be finite, got {pt[0]!r}")
 
     modes = []
     mode_sums = []  # _weight_sums per mode: the derivatives at 0 of its fundamental solutions
@@ -717,7 +736,8 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
     wave (a polynomial carrier times the phase), and the even/odd factorial
     series in t are summed adaptively at each evaluation point.  A mode
     builds at most CARRIER_LIMIT operator powers, and only as many as the
-    series at the requested times need.
+    series at the requested times need.  A point without one entry per node
+    raises ValueError.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
@@ -725,6 +745,9 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
         raise ValueError("position and velocity data must share half widths")
     if len(g0.half_widths) != tree.nodes:
         raise ValueError("data dimension must match the tree")
+    for pt in eval_points:
+        if len(pt) != tree.nodes:
+            raise ValueError(f"point {pt!r} has {len(pt)} entries, the tree has {tree.nodes} nodes")
     carriers = {
         k: [{(0,) * tree.nodes: 1 + 0j}] for k in sorted(set(g0.modes) | set(g1.modes))
     }

@@ -19,6 +19,13 @@ from flagpde import (
     variable,
 )
 from flagpde.combinatorics import multinomial
+from flagpde.ivp import (
+    _GUARD_BITS,
+    _RELATIVE_ACCURACY,
+    WEIGHT_LIMIT,
+    _dyadic,
+    _one_argument_value,
+)
 from flagpde.linalg import (
     kernel_on_slice,
     monomials_of_degree,
@@ -26,6 +33,7 @@ from flagpde.linalg import (
     polys_in_span,
     polys_rank,
 )
+from flagpde.operators import SeriesTerminationError
 
 
 def assert_family_spans_kernel(family, vars_, degree):
@@ -470,6 +478,92 @@ def graded_exponential_series(r, args, max_weight):
         im += ti
     den = top << shift * max_weight
     return complex(re / den, im / den)
+
+
+# The graded-exponential kernel as it stood before its inner loops were
+# tightened, kept line for line (renamed only) as the bit-for-bit reference.
+
+def magnitude_bound_reference(moduli) -> float:
+    """Y_0 at the argument moduli, summed in floats.
+
+    No term is negative, so nothing cancels.  The value bounds sum_w |U_w|
+    of the fixed-point run, and also how far an error made at one weight can
+    grow through the recurrence (j! (w-j)! <= w!).  The sum stops once m
+    consecutive terms are below 2^-60 of it and each later term is at most
+    half the largest of the m before it.
+    """
+    m = len(moduli)
+    terms = [1.0]
+    total = 1.0
+    for w in range(1, WEIGHT_LIMIT + 1):
+        term, falling = 0.0, 1.0
+        for p in range(min(m, w)):
+            falling *= w - p
+            term += moduli[p] * terms[w - p - 1] / falling
+        terms.append(term)
+        total += term
+        if not math.isfinite(total):
+            raise SeriesTerminationError("Y-series magnitude overflows")
+        if max(terms[-m:]) <= total * 2.0**-60:
+            gain = sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(min(m, w + 1)))
+            if gain <= 0.5:
+                return total
+    raise SeriesTerminationError("Y-series not settling within the weight limit")
+
+
+def _truncated_quotient(n: int, d: int) -> int:
+    return n // d if n >= 0 else -(-n // d)
+
+
+def graded_exponentials_reference(orders, args) -> list:
+    """Y_r(args) for each order r in `orders`, from one run of the recurrence.
+
+    See generalized_exponential.  S_w does not depend on r, so the scaled sums
+    U_w = S_w / w! are carried once, and r! Y_r = sum_w U_w / C(r+w, r) is
+    accumulated per order: Y_r does not depend on the other orders asked.
+    """
+    if any(r < 0 for r in orders):
+        raise ValueError("order must be non-negative")
+    args = [complex(a) for a in args]
+    if len(args) == 1:
+        return [_one_argument_value(r, args[0]) for r in orders]
+    m = len(args)
+    bound = magnitude_bound_reference([abs(a) for a in args])
+    bits = math.frexp(bound)[1] - math.frexp(_RELATIVE_ACCURACY)[1] + _GUARD_BITS
+    ints, shift = _dyadic(args)
+    nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
+    units = [(1 << bits, 0)]
+    totals = [[1 << bits, 0] for _ in orders]  # C(r, r) U_0
+    zeros, w = 0, 0
+    while zeros < m:
+        w += 1
+        if w > WEIGHT_LIMIT:
+            raise SeriesTerminationError("Y-series not settling within the weight limit")
+        q = min(m, w)
+        re = im = 0
+        for p, ar, ai in nonzero:
+            if p >= q:
+                break
+            tr, ti = units[w - p - 1]
+            c = math.perm(w - p - 1, q - p - 1)
+            re += (ar * tr - ai * ti) * c
+            im += (ar * ti + ai * tr) * c
+        den = math.perm(w, q) << shift
+        re, im = _truncated_quotient(re, den), _truncated_quotient(im, den)
+        units.append((re, im))
+        if re or im:
+            zeros = 0
+            for r, total in zip(orders, totals):
+                c = math.comb(r + w, r)
+                total[0] += _truncated_quotient(re, c)
+                total[1] += _truncated_quotient(im, c)
+        else:
+            zeros += 1
+    values = []
+    for r, (tr, ti) in zip(orders, totals):
+        scale = math.factorial(r) << bits
+        values.append(complex(tr / scale, ti / scale))
+    return values
 
 
 def fundamental_derivative_oracle(coeffs, s, r):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagpde import (
@@ -30,6 +30,8 @@ from oracles import (
     flag_values_per_point,
     fundamental_derivative_oracle,
     graded_exponential_series,
+    graded_exponentials_reference,
+    magnitude_bound_reference,
     tree_heat_mode_series,
     tree_wave_series_eager,
 )
@@ -94,6 +96,60 @@ def test_shared_run_gives_each_order_as_asked_alone(args, orders):
         assert repr(got) == repr(generalized_exponential(r, args))
         want = graded_exponential_series(r, args, 40)
         assert abs(got - want) <= 1e-13 * abs(want) + 1e-20 / math.factorial(r)
+
+
+# real or complex arguments of modulus up to a few hundred, exact and signed zeros among them
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-300, 300, allow_nan=False))
+_ARG = st.one_of(_PART, st.builds(complex, _PART, _PART))
+
+
+def _outcome(f, *args):
+    """The repr of what f returns, or the type of what it raises."""
+    try:
+        return repr(f(*args))
+    except (SeriesTerminationError, ArithmeticError, ValueError) as err:
+        return type(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_ARG, min_size=2, max_size=4),
+    st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True),
+)
+@example([800.0, 1.0], [0, 1])
+@example([complex(-0.0, 250.0), -0.0, 0.0], [30, 0, 7])
+def test_kernel_matches_the_reference_bit_for_bit(args, orders):
+    """The kernel gives every value, and the magnitude bound, bit for bit as
+    the reference copy of its loops does, and raises where that raises."""
+    want = _outcome(graded_exponentials_reference, orders, args)
+    assert _outcome(ivp._graded_exponentials, orders, args) == want
+    moduli = [abs(complex(a)) for a in args]
+    assert _outcome(ivp._magnitude_bound, moduli) == _outcome(magnitude_bound_reference, moduli)
+
+
+@pytest.mark.parametrize("args", [[math.nan], [1.0, math.nan], [complex(0.5, math.nan), 1.0]])
+def test_series_rejects_a_nan_argument(args):
+    with pytest.raises(ValueError, match="NaN"):
+        generalized_exponential(0, args)
+
+
+@pytest.mark.parametrize("y", [math.inf, complex(0.0, math.inf), complex(-1.0, -math.inf)])
+def test_one_argument_series_raises_instead_of_a_non_finite_value(y):
+    """exp(inf) came back as inf+nanj; the series overflows, so it raises."""
+    with pytest.raises(SeriesTerminationError, match="overflows the float range"):
+        generalized_exponential(0, [y])
+
+
+def test_one_argument_series_keeps_the_finite_limit_at_minus_infinity():
+    assert generalized_exponential(0, [-math.inf]) == 0j
+
+
+def test_flag_ivp_raises_where_the_mode_series_overflows():
+    """At x1 = 1e308 the argument x1 * 4 pi^2 is inf; the value was NaN with
+    a trace residual of 0.0."""
+    data = [TrigData((1.0,), {(1,): (1.0, 0.0)})]
+    with pytest.raises(SeriesTerminationError, match="overflows the float range"):
+        solve_flag_ivp([-variable("D2") ** 2], data, [(1e308, 0.1)])
 
 
 @pytest.mark.parametrize("args", [[0.0, 0.0], [0.0, 0.0, 0.0], [0.5, -0.25]])
@@ -570,6 +626,31 @@ def test_tree_solvers_reject_non_finite_time(t):
         solve_tree_heat_ivp(tree, g0, t, [(0.1, 0.2)])
     with pytest.raises(ValueError, match="finite"):
         solve_tree_wave_ivp(tree, g0, TrigData((1.0, 1.0), {}), t, [(0.1, 0.2)])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_ode_and_flag_solvers_reject_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        solve_constant_ode(OdeProblem((0, -1), (1, 0)), t)
+    data = [TrigData((1.0,), {(1,): (1.0, 0.0)})]
+    with pytest.raises(ValueError, match="finite"):
+        solve_flag_ivp([variable("D2") ** 2], data, [(0.5, 0.1), (t, 0.1)])
+
+
+@pytest.mark.parametrize("point", [(0.5,), (0.5, 0.1, 0.7)])
+def test_flag_ivp_rejects_a_point_of_the_wrong_length(point):
+    """zip cut the point to the half widths: (0.5,) was read as x2 = 0."""
+    data = [TrigData((1.0,), {(1,): (1.0, 0.0)})]
+    with pytest.raises(ValueError, match=f"has {len(point)} entries, need x1 and 1 more"):
+        solve_flag_ivp([variable("D2") ** 2], data, [point])
+
+
+@pytest.mark.parametrize("point", [(0.1,), (0.1, 0.2, 0.3)])
+def test_tree_wave_rejects_a_point_of_the_wrong_length(point):
+    tree = Tree(2, [(1, 2)])
+    g0 = TrigData((1.0, 1.0), {(1, 0): (1.0, 0.0)})
+    with pytest.raises(ValueError, match=f"has {len(point)} entries, the tree has 2 nodes"):
+        solve_tree_wave_ivp(tree, g0, TrigData((1.0, 1.0), {}), 0.1, [point])
 
 
 # -- the tree wave IVP ----------------------------------------------------------------------------
