@@ -248,16 +248,16 @@ def generalized_exponential(r: int, args) -> complex:
     as S_(w-j) j!/w!, at most S_(w-j)/(w-j)! at the moduli, so the N
     truncations of N weights put at most N B units into sum |U_w|.  Order r
     divides those errors by C(r+w, r) >= 1, so they are no larger than order
-    0's, and its own quotients add at most one unit per weight (order 0's
-    divisor C(w, 0) is 1, so it adds U_w exactly and none): r! Y_r is
+    0's, and its own quotients add at most one unit per weight (order 0
+    divides by C(w, 0) = 1, so it adds U_w exactly, with no unit): r! Y_r is
     within N (B + 1) units, at most N 2^-38 _RELATIVE_ACCURACY, below
     2^-25 _RELATIVE_ACCURACY for N up to WEIGHT_LIMIT, however much the
     terms cancel and however large r is.  The sum stops after m consecutive
     U_w that are exactly zero (the recurrence then stays at zero).  The
     value is always finite.  A NaN argument raises ValueError.  Arguments
-    whose series overflows the float range (an infinite one among them,
-    except that a single -inf gives the limit 0 at order 0), or that need
-    more than WEIGHT_LIMIT weights, raise SeriesTerminationError.
+    whose series overflows the float range (an infinite argument among
+    them; a lone -inf at order 0 gives its limit, 0), or that need more
+    than WEIGHT_LIMIT weights, raise SeriesTerminationError.
     """
     return _graded_exponentials([r], args)[0]
 
