@@ -20,6 +20,11 @@ splitting hashes pin the variable order of every exponent too; they were
 recorded while the recursion still renamed t -> y and back around its
 integral.
 
+The commutation suite's items and the ``lie check`` results were recorded
+while only the seven-variable Laplacian's reading was proved once per
+process and the rest of the exceptional half was proved again on every
+call.
+
 The ``repr`` strings of ``solve_constant_ode`` and ``solve_flag_ivp`` values
 were recorded while the ODE still had an evaluator of its own, before it
 became the zero mode of the flag evaluator, so a refactor of the numeric
@@ -58,6 +63,7 @@ from flagpde import (
     variable,
 )
 from flagpde.cli import main
+from flagpde.lie import commutation_checks
 from flagpde.poly import IMAG
 from flagpde.trees import Tree, all_trees, compute_splitting
 
@@ -291,6 +297,40 @@ def test_tree_xi_command_result_matches_golden_hash(tmp_path):
     assert main(["tree", "xi", "--tree", str(tree), "--out", str(out)]) == 0
     payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == TREE_XI_GOLDEN
+
+
+# -- the commutation suite -------------------------------------------------------------
+
+COMMUTATION_GOLDEN = [
+    ("zeta invariant", True),
+    ("contraction commutes with action", True),
+    ("zeta multiplication law", True),
+    ("eta invariant", True),
+    ("laplacian reading", 1),
+    ("g2 laplacian commutes with action", True),
+    ("eta multiplication law", True),
+    ("E3 = [E1,E2]", True),
+    ("[E1,E3] = 2 E4", True),
+    ("[E1,E4] = 3 E5", True),
+    ("E6 = [E5,E2]", True),
+    ("traceless", True),
+    ("closure", True),
+]
+
+LIE_CHECK_GOLDEN = "ff63b7fc86c82bde090dd63f78716f1e4f075b686db336c07bc5d396953e7896"
+
+
+@pytest.mark.parametrize("n_sl", (2, 3))
+def test_commutation_checks_match_golden_items(n_sl):
+    assert list(commutation_checks(n_sl).items()) == COMMUTATION_GOLDEN
+
+
+@pytest.mark.parametrize("args", ([], ["--n", "2"]), ids=("default", "n2"))
+def test_lie_check_command_result_matches_golden_hash(args, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["lie", "check", *args, "--out", str(out)]) == 0
+    payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == LIE_CHECK_GOLDEN
 
 
 # -- the text form -------------------------------------------------------------------
