@@ -466,27 +466,48 @@ def _with_checks(payload, checks):
     return payload
 
 
-# the kind-specific options of basis, by dest and flag, and the kinds that read each
-_BASIS_OPTIONS = (
-    ("orders", "--orders", {"constant"}),
-    ("spec", "--spec", {"flag"}),
-    ("lam", "--lambda", {"anisym"}),
-    ("epsilon", "--epsilon", {"anisym"}),
-    ("n", "--n", {"harmonic", "dissipative", "anisym"}),
-)
+# the kind-specific options of basis, lie and tree, by command: dest, flag,
+# the kinds that read it, and the value they read when it is not given
+_KIND_OPTIONS = {
+    "basis": (
+        ("orders", "--orders", {"constant"}, None),
+        ("spec", "--spec", {"flag"}, None),
+        ("lam", "--lambda", {"anisym"}, None),
+        ("epsilon", "--epsilon", {"anisym"}, 1),
+        ("n", "--n", {"harmonic", "dissipative", "anisym"}, 2),
+    ),
+    "lie": (
+        ("n", "--n", {"harmonic", "sl", "check"}, 3),
+        ("k", "--k", {"harmonic", "g2"}, 2),
+        ("l1", "--l1", {"sl"}, 1),
+        ("l2", "--l2", {"sl"}, 1),
+    ),
+    "tree": (
+        ("cap", "--cap", {"check-splitting"}, 3),
+        ("tcap", "--tcap", {"check-splitting"}, 3),
+    ),
+}
+
+
+def _kind_options(args, kind: str):
+    """Refuse a kind-specific option given to a kind that does not read it,
+    and set each one the kind reads but was not given to its default."""
+    for dest, flag, kinds, default in _KIND_OPTIONS[args.command]:
+        if kind not in kinds:
+            if getattr(args, dest) is not None:
+                raise InputError(f"{args.command} {kind} does not read {flag}")
+        elif getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _cmd_basis(args):
-    for dest, flag, kinds in _BASIS_OPTIONS:
-        if getattr(args, dest) is not None and args.kind not in kinds:
-            raise InputError(f"basis {args.kind} does not read {flag}")
-    n = 2 if args.n is None else args.n
+    _kind_options(args, args.kind)
     if args.kind == "constant":
         if not args.orders:
             raise InputError("basis constant requires --orders")
         family = constant_coefficient_basis(_int_list(args.orders), args.cap)
     elif args.kind == "harmonic":
-        family = harmonic_basis(n, args.cap)
+        family = harmonic_basis(args.n, args.cap)
     elif args.kind == "flag":
         if not args.spec:
             raise InputError("basis flag requires --spec")
@@ -497,12 +518,11 @@ def _cmd_basis(args):
         spec = FlagEquationSpec(data["orders"], coefficients, variables)
         family = flag_basis(spec, args.cap)
     elif args.kind == "dissipative":
-        family = dissipative_wave_basis(n, args.cap)
+        family = dissipative_wave_basis(args.n, args.cap)
     elif args.kind == "anisym":
         if not args.lam:
             raise InputError("basis anisym requires --lambda")
-        epsilon = 1 if args.epsilon is None else args.epsilon
-        family = anisymmetric_basis(n, _fraction(args.lam), epsilon, args.cap)
+        family = anisymmetric_basis(args.n, _fraction(args.lam), args.epsilon, args.cap)
     else:
         raise InputError(f"unknown basis kind {args.kind}")
     return _family_payload(family, verify_independence=not args.no_independence)
@@ -527,6 +547,7 @@ def _cmd_solve_kg(args):
 
 
 def _cmd_tree(args):
+    _kind_options(args, args.action)
     data = _load_json(args.tree, TREE_SCHEMA, "tree", args._digest)
     tree = Tree.from_json(data)
     if args.action == "validate":
@@ -643,6 +664,7 @@ def _ivp_payload(points, values, residual):
 
 
 def _cmd_lie(args):
+    _kind_options(args, args.kind)
     if args.kind == "harmonic":
         family = harmonic_module_basis(args.n, args.k)
         extra = {}
@@ -709,8 +731,8 @@ def _build_parser():
 
     p = sub.add_parser("basis", help="generate a verified solution family")
     p.add_argument("kind", choices=["constant", "harmonic", "flag", "dissipative", "anisym"])
-    # a kind-specific option defaults to None, so that _cmd_basis can refuse
-    # one given to a kind that does not read it
+    # a kind-specific option of basis, tree or lie defaults to None, so that
+    # _kind_options can refuse one given to a kind that does not read it
     p.add_argument("--orders", help="comma-separated derivative orders (constant)")
     p.add_argument("--n", type=int, help="number of spatial variables (harmonic, dissipative, "
                                          "anisym; default 2)")
@@ -733,8 +755,8 @@ def _build_parser():
     p = sub.add_parser("tree", help="tree model and splitting checks")
     p.add_argument("action", choices=["validate", "xi", "check-splitting"])
     p.add_argument("--tree", required=True)
-    p.add_argument("--cap", type=int, default=3)
-    p.add_argument("--tcap", type=int, default=3)
+    p.add_argument("--cap", type=int, help="degree cap (check-splitting; default 3)")
+    p.add_argument("--tcap", type=int, help="t-power cap (check-splitting; default 3)")
     common(p)
     p.set_defaults(func=_cmd_tree)
 
@@ -757,10 +779,10 @@ def _build_parser():
 
     p = sub.add_parser("lie", help="module bases and structure checks")
     p.add_argument("kind", choices=["harmonic", "sl", "g2", "check"])
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--l1", type=int, default=1)
-    p.add_argument("--l2", type=int, default=1)
+    p.add_argument("--n", type=int, help="the n of harmonic, sl and check (default 3)")
+    p.add_argument("--k", type=int, help="degree (harmonic, g2; default 2)")
+    p.add_argument("--l1", type=int, help="x degree (sl; default 1)")
+    p.add_argument("--l2", type=int, help="y degree (sl; default 1)")
     common(p)
     p.set_defaults(func=_cmd_lie)
 

@@ -129,6 +129,8 @@ def _one_argument_value(r: int, y: complex) -> complex:
             total += term
             term = term * y / (r + i)
         raise SeriesTerminationError("Y-series not settling within the term limit")
+    if y == -math.inf:  # a real -inf: the limit of the closed form is 0
+        return 0j
     try:
         prefix = sum(y**j / math.factorial(j) for j in range(r))
         value = (cmath.exp(y) - prefix) / y**r
@@ -254,12 +256,25 @@ def generalized_exponential(r: int, args) -> complex:
     2^-25 _RELATIVE_ACCURACY for N up to WEIGHT_LIMIT, however much the
     terms cancel and however large r is.  The sum stops after m consecutive
     U_w that are exactly zero (the recurrence then stays at zero).  The
-    value is always finite.  A NaN argument raises ValueError.  Arguments
-    whose series overflows the float range (an infinite argument among
-    them; a lone -inf at order 0 gives its limit, 0), or that need more
-    than WEIGHT_LIMIT weights, raise SeriesTerminationError.
+    value is always finite.  A NaN argument raises ValueError.  A lone real
+    -inf gives the limit of Y_r at -inf, 0, at every order.  Arguments
+    whose series overflows the float range (any other infinite argument
+    among them), or that need more than WEIGHT_LIMIT weights, raise
+    SeriesTerminationError.
     """
     return _graded_exponentials([r], args)[0]
+
+
+def _check_finite(name: str, value: float):
+    """Raise ValueError unless value, a time or an x1, is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_point(pt, size: int, need: str):
+    """Raise ValueError unless the point pt has size entries; need says which."""
+    if len(pt) != size:
+        raise ValueError(f"point {pt!r} has {len(pt)} entries, {need}")
 
 
 # -- constant-coefficient modes; the ODE is the zero mode ---------------------------
@@ -363,8 +378,7 @@ def ode_derivatives_at_zero(problem: OdeProblem):
 
 def _solved_ode(problem: OdeProblem, t: float) -> tuple:
     """y(t) with the exact weight sums and amplitudes it was assembled from."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    _check_finite("t", t)
     b = problem.coefficients
     values = [complex(_float_image(v, "ODE coefficient")) for v in b]
     sums = _weight_sums(b, len(b), Fraction(1))
@@ -464,6 +478,10 @@ class FlagIvpSolution:
     trace_residual: float
 
     def at(self, x1: float, point) -> float:
+        """The value at (x1, point), checked as solve_flag_ivp checks its points."""
+        n = len(self.half_widths)
+        _check_point((x1, *point), 1 + n, f"need x1 and {n} more")
+        _check_finite("x1", x1)
         return _flag_value(
             self.modes, _mode_weights(self.modes, x1), _mode_phases(self.modes, self.half_widths, point)
         )
@@ -502,11 +520,10 @@ def solve_flag_ivp(symbols, data, eval_points) -> FlagIvpSolution:
     stray = sorted(set().union(*(f.support_vars() for f in symbols)) - set(allowed))
     if stray:
         raise ValueError(f"symbol variables {stray} are not among {allowed}")
+    need = f"need x1 and {len(half_widths)} more"
     for pt in eval_points:
-        if len(pt) != 1 + len(half_widths):
-            raise ValueError(f"point {pt!r} has {len(pt)} entries, need x1 and {len(half_widths)} more")
-        if not math.isfinite(pt[0]):
-            raise ValueError(f"x1 must be finite, got {pt[0]!r}")
+        _check_point(pt, 1 + len(half_widths), need)
+        _check_finite("x1", pt[0])
 
     modes = []
     mode_sums = []  # _weight_sums per mode: the derivatives at 0 of its fundamental solutions
@@ -568,6 +585,12 @@ class TreeHeatSolution:
             raise SeriesTerminationError(f"mode {k} at t={t} overflows") from None
 
     def at(self, t: float, point) -> float:
+        """The value at time t and the point, checked as the solver checks its own."""
+        _check_finite("t", t)
+        _check_point(point, self.splitting.tree.nodes, f"the tree has {self.splitting.tree.nodes} nodes")
+        return self._value(t, point)
+
+    def _value(self, t: float, point) -> float:
         total = 0.0
         for k, (c, s) in self.g0.modes.items():
             w = self.mode_wave(k, t, point)
@@ -586,15 +609,17 @@ def solve_tree_heat_ivp(tree: Tree, g0: TrigData, t: float, eval_points) -> Tree
     exp(t d_T) factors into the product of the nodes' heat flows, so each
     mode wave exp(i theta) evolves in closed form to exp(i theta + Xi(t)),
     where Xi is the sum of the splitting exponents at D_j = 2 pi i k_j / a_j.
+    A point without one entry per node raises ValueError.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    _check_finite("t", t)
     if len(g0.half_widths) != tree.nodes:
         raise ValueError("data dimension must match the tree")
+    for pt in eval_points:
+        _check_point(pt, tree.nodes, f"the tree has {tree.nodes} nodes")
     sol = TreeHeatSolution(compute_splitting(tree), g0.half_widths, g0, list(eval_points), t, [], 0.0)
-    sol.values = [sol.at(t, pt) for pt in eval_points]
+    sol.values = [sol._value(t, pt) for pt in eval_points]
     sol.trace_residual = _checked_residual(
-        abs(sol.at(0.0, pt) - g0.value_at(pt)) for pt in eval_points
+        abs(sol._value(0.0, pt) - g0.value_at(pt)) for pt in eval_points
     )
     return sol
 
@@ -715,6 +740,9 @@ class TreeWaveSeriesSolution:
         return even, odd
 
     def at(self, t: float, point) -> float:
+        """The value at time t and the point, checked as the solver checks its own."""
+        _check_finite("t", t)
+        _check_point(point, self.tree.nodes, f"the tree has {self.tree.nodes} nodes")
         return self._value({k: self.mode_series(k, t, point) for k in self.carriers})
 
     def _value(self, series) -> float:
@@ -739,20 +767,18 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
     series at the requested times need.  A point without one entry per node
     raises ValueError.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    _check_finite("t", t)
     if g0.half_widths != g1.half_widths:
         raise ValueError("position and velocity data must share half widths")
     if len(g0.half_widths) != tree.nodes:
         raise ValueError("data dimension must match the tree")
     for pt in eval_points:
-        if len(pt) != tree.nodes:
-            raise ValueError(f"point {pt!r} has {len(pt)} entries, the tree has {tree.nodes} nodes")
+        _check_point(pt, tree.nodes, f"the tree has {tree.nodes} nodes")
     carriers = {
         k: [{(0,) * tree.nodes: 1 + 0j}] for k in sorted(set(g0.modes) | set(g1.modes))
     }
     sol = TreeWaveSeriesSolution(tree, g0.half_widths, g0, g1, carriers, list(eval_points), t, [], 0.0)
-    sol.values = [sol.at(t, pt) for pt in eval_points]
+    sol.values = [sol._value({k: sol.mode_series(k, t, pt) for k in carriers}) for pt in eval_points]
     residuals = []
     for pt in eval_points:
         # one t = 0 pass per point serves both traces

@@ -3,8 +3,22 @@
 ``ci`` lifts the per-example deadline, which a slow or shared runner can
 exceed on the exact-arithmetic tests; example counts are unchanged.  Select
 it with ``python -m pytest --hypothesis-profile=ci``.
+
+``fresh_reading`` empties the cache of the exceptional half's one proof
+(``lie._g2_reading``) before and after a test, so that the test sees the
+proof run and leaves no result of its own behind.
 """
 
+import pytest
 from hypothesis import settings
 
+from flagpde import lie
+
 settings.register_profile("ci", deadline=None)
+
+
+@pytest.fixture
+def fresh_reading():
+    lie._g2_reading.cache_clear()
+    yield
+    lie._g2_reading.cache_clear()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import flagpde
 from flagpde import BasisElement, BasisFamily, GaussianRational, Polynomial, variable
 from flagpde.bases import FlagEquationSpec, flag_basis, harmonic_basis
-from flagpde import cli
+from flagpde import cli, lie
 from flagpde.cli import (
     DATA_SCHEMA,
     FLAG_SPEC_SCHEMA,
@@ -696,6 +696,10 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("jsonschema", "re
     (["tree", "check-splitting", "--tree", "{tree}", "--cap", "21", "--tcap", "1"],
      {"tree": {"nodes": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}},
      ("degree_cap=21", "at most 16384 entries, got 65780")),
+    (["lie", "g2", "--k", "1", "--n", "9", "--l1", "4"], {}, "lie g2 does not read --n"),
+    (["lie", "check", "--k", "7"], {}, "lie check does not read --k"),
+    (["tree", "validate", "--tree", "{tree}", "--cap", "9", "--tcap", "9"],
+     {"tree": {"nodes": 2, "edges": [[1, 2]]}}, "tree validate does not read --cap"),
 ])
 def test_malformed_input_exits_two_without_a_traceback(tmp_path, capsys, args, files, message):
     paths = {name: _write(tmp_path, f"{name}.json", json.dumps(body)) for name, body in files.items()}
@@ -997,6 +1001,74 @@ def test_lie_check_honours_n(monkeypatch):
 def test_lie_check_below_sl2_exits_two(capsys, n):
     assert run_cli(["lie", "check", "--n", n]) == 2
     assert "need n_sl >= 2" in capsys.readouterr().err
+
+
+def test_lie_check_writes_a_false_g2_entry_as_failed(fresh_reading, monkeypatch, tmp_path):
+    monkeypatch.setattr(lie, "_closed_under_bracket", lambda mats: False)
+    out = tmp_path / "lie.json"
+    assert run_cli(["lie", "check", "--out", str(out)]) == 3
+    result = json.loads(out.read_text())["result"]
+    assert [c for c in result["checks"] if c["status"] != "passed"] == [{"name": "closure", "status": "failed"}]
+    assert result["verified"] is False
+
+
+def test_lie_check_result_is_the_same_on_later_calls_and_in_a_new_process(fresh_reading, tmp_path):
+    """The first call proves the exceptional half, the second reads it, and
+    a new process proves it again on its single call."""
+    args = ["lie", "check", "--n", "2", "--out"]
+    results = []
+    for name in ("first", "second"):
+        assert run_cli([*args, str(tmp_path / name)]) == 0
+        results.append(json.loads((tmp_path / name).read_text())["result"])
+    src = str(Path(flagpde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "flagpde.cli", *args, str(tmp_path / "fresh")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    results.append(json.loads((tmp_path / "fresh").read_text())["result"])
+    assert results[0]["verified"] is True
+    assert results[0] == results[1] == results[2]
+
+
+# the options each lie and tree kind reads, at their defaults
+_KIND_DEFAULTS = {
+    ("lie", "harmonic"): ["--n", "3", "--k", "2"],
+    ("lie", "sl"): ["--n", "3", "--l1", "1", "--l2", "1"],
+    ("lie", "g2"): ["--k", "2"],
+    ("lie", "check"): ["--n", "3"],
+    ("tree", "validate"): [],
+    ("tree", "xi"): [],
+    ("tree", "check-splitting"): ["--cap", "3", "--tcap", "3"],
+}
+_KIND_FOREIGN = {"lie": ["--n", "--k", "--l1", "--l2"], "tree": ["--cap", "--tcap"]}
+
+
+def _kind_args(tmp_path, command, kind, options):
+    if command == "lie":
+        return ["lie", kind, *options]
+    tree = _write(tmp_path, "tree.json", json.dumps({"nodes": 2, "edges": [[1, 2]]}))
+    return ["tree", kind, "--tree", str(tree), *options]
+
+
+@pytest.mark.parametrize("command, kind, option", [
+    (command, kind, option) for command, kind in _KIND_DEFAULTS for option in _KIND_FOREIGN[command]
+    if option not in _KIND_DEFAULTS[command, kind]
+])
+def test_lie_and_tree_refuse_an_option_their_kind_does_not_read(tmp_path, capsys, command, kind, option):
+    out = tmp_path / "out.json"
+    assert run_cli(_kind_args(tmp_path, command, kind, [option, "1", "--out", str(out)])) == 2
+    assert f"{command} {kind} does not read {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind", sorted(_KIND_DEFAULTS))
+def test_lie_and_tree_options_at_their_defaults_change_nothing(tmp_path, command, kind):
+    results = []
+    for options in ([], _KIND_DEFAULTS[command, kind]):
+        out = tmp_path / "out.json"
+        assert run_cli(_kind_args(tmp_path, command, kind, [*options, "--out", str(out)])) == 0
+        results.append(json.loads(out.read_text())["result"])
+    assert results[0] == results[1]
 
 
 def test_lie_check_failure_writes_its_report_and_exits_three(monkeypatch, tmp_path):

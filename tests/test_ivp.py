@@ -144,6 +144,14 @@ def test_one_argument_series_keeps_the_finite_limit_at_minus_infinity():
     assert generalized_exponential(0, [-math.inf]) == 0j
 
 
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_one_argument_series_has_limit_zero_at_minus_infinity_at_every_order(r):
+    """(e^y - sum_(j<r) y^j/j!) / y^r tends to 0; the closed form overflowed."""
+    assert generalized_exponential(r, [-math.inf]) == 0j
+    assert generalized_exponential(r, [complex(-math.inf, 0.0)]) == 0j
+    assert abs(generalized_exponential(r, [-1e6])) < 2e-6
+
+
 def test_flag_ivp_raises_where_the_mode_series_overflows():
     """At x1 = 1e308 the argument x1 * 4 pi^2 is inf; the value was NaN with
     a trace residual of 0.0."""
@@ -651,6 +659,51 @@ def test_tree_wave_rejects_a_point_of_the_wrong_length(point):
     g0 = TrigData((1.0, 1.0), {(1, 0): (1.0, 0.0)})
     with pytest.raises(ValueError, match=f"has {len(point)} entries, the tree has 2 nodes"):
         solve_tree_wave_ivp(tree, g0, TrigData((1.0, 1.0), {}), 0.1, [point])
+
+
+def test_tree_heat_rejects_a_point_of_the_wrong_length():
+    tree = Tree(2, [(1, 2)])
+    g0 = TrigData((1.0, 1.0), {(1, 0): (1.0, 0.0)})
+    for point in [(0.1,), (0.1, 0.2, 0.3)]:
+        with pytest.raises(ValueError, match=f"has {len(point)} entries, the tree has 2 nodes"):
+            solve_tree_heat_ivp(tree, g0, 0.1, [point])
+    with pytest.raises(ValueError, match="has 1 entries, the tree has 2 nodes"):
+        solve_tree_heat_ivp(tree, TrigData((1.0, 1.0), {}), 0.1, [(0.1,)])
+
+
+def _solved(kind):
+    """(solution, a time, a valid point, the point-length message) of each kind."""
+    if kind == "flag":
+        sol = solve_flag_ivp([variable("D2") ** 2], [TrigData((1.0,), {(1,): (1.0, 0.0)})], [(0.5, 0.0)])
+        return sol, 0.5, (0.0,), "need x1 and 1 more"
+    tree = Tree(2, [(1, 2)])
+    g0 = TrigData((1.0, 1.0), {(1, 0): (1.0, 0.0)})
+    if kind == "heat":
+        sol = solve_tree_heat_ivp(tree, g0, 0.1, [(0.1, 0.2)])
+    else:
+        sol = solve_tree_wave_ivp(tree, g0, TrigData((1.0, 1.0), {(0, 1): (0.5, 0.0)}), 0.1, [(0.1, 0.2)])
+    return sol, 0.1, (0.1, 0.2), "the tree has 2 nodes"
+
+
+@pytest.mark.parametrize("kind", ["flag", "heat", "wave"])
+def test_at_checks_the_point_as_the_solver_does(kind):
+    """zip cut the point in .at: the flag's at(0.5, ()) was its value at
+    x2 = 0, and a 2-node tree wave's at(0.1, (0.1,)) a value."""
+    sol, t, point, need = _solved(kind)
+    assert sol.at(t, point) == sol.values[0]
+    for bad in (point[:-1], point + (0.7,)):
+        with pytest.raises(ValueError, match=re.escape(need)):
+            sol.at(t, bad)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["flag", "heat", "wave"])
+def test_at_rejects_a_non_finite_time(kind, t):
+    """inf read as a NaN argument (flag) or as an overflow after 85 terms
+    (tree wave)."""
+    sol, _, point, _ = _solved(kind)
+    with pytest.raises(ValueError, match=f"{'x1' if kind == 'flag' else 't'} must be finite"):
+        sol.at(t, point)
 
 
 # -- the tree wave IVP ----------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 from fractions import Fraction
 
 import pytest
@@ -274,13 +275,6 @@ def test_g2_laplacian_reading_selected():
     assert results == {1: True, 2: False}
 
 
-@pytest.fixture
-def fresh_reading():
-    lie._g2_reading.cache_clear()
-    yield
-    lie._g2_reading.cache_clear()
-
-
 def test_g2_reading_is_proved_once_per_process(fresh_reading, monkeypatch):
     proof, calls = lie._g2_reading_checks, []
 
@@ -309,6 +303,50 @@ def test_failed_g2_reading_proof_is_not_kept(fresh_reading, monkeypatch):
     assert lie._g2_reading.cache_info().currsize == 0
     monkeypatch.undo()
     assert select_g2_laplacian_reading()[0] == 1
+
+
+def test_whole_g2_half_is_proved_once_per_process(fresh_reading, monkeypatch):
+    """The exceptional half runs once across the calls; the special linear
+    half once per commutation_checks call."""
+    calls = collections.Counter()
+
+    def count(name):
+        original = getattr(lie, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(lie, name, counted)
+
+    for name in ("_g2_reading_checks", "g2_bracket_report", "g2_polynomial_action", "sl_laplacian"):
+        count(name)
+    commutation_checks(2)
+    commutation_checks(3)
+    select_g2_laplacian_reading()
+    assert calls == {"_g2_reading_checks": 1, "g2_bracket_report": 1, "g2_polynomial_action": 1,
+                     "sl_laplacian": 2}
+
+
+def test_mutating_a_report_leaves_the_next_one_whole():
+    want = list(commutation_checks(2).items())
+    report = commutation_checks(2)
+    report.pop("laplacian reading")  # as cli._cmd_lie does
+    report["closure"] = False
+    report.clear()
+    assert list(commutation_checks(2).items()) == want
+    with pytest.raises(TypeError):
+        lie._g2_reading()[2]["closure"] = False
+
+
+def test_a_false_g2_entry_is_kept_and_reported(fresh_reading, monkeypatch):
+    """A False entry of the exceptional half is a result, not a failed
+    proof, so it is kept like a True one; the fixture clears it."""
+    monkeypatch.setattr(lie, "_closed_under_bracket", lambda mats: False)
+    for n_sl in (2, 3):
+        report = commutation_checks(n_sl)
+        assert report["closure"] is False
+        assert [name for name, ok in report.items() if ok is False] == ["closure"]
 
 
 def test_sabotaged_generator_leaves_no_reading():
