@@ -1004,7 +1004,11 @@ def test_lie_check_below_sl2_exits_two(capsys, n):
 
 
 def test_lie_check_writes_a_false_g2_entry_as_failed(fresh_reading, monkeypatch, tmp_path):
+    """A False entry of the exceptional half is a result, not a failed
+    proof, so it is kept like a True one; the fixture clears it."""
     monkeypatch.setattr(lie, "_closed_under_bracket", lambda mats: False)
+    report = lie.commutation_checks(2)
+    assert [name for name, ok in report.items() if ok is False] == ["closure"]
     out = tmp_path / "lie.json"
     assert run_cli(["lie", "check", "--out", str(out)]) == 3
     result = json.loads(out.read_text())["result"]

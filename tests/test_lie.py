@@ -339,16 +339,6 @@ def test_mutating_a_report_leaves_the_next_one_whole():
         lie._g2_reading()[2]["closure"] = False
 
 
-def test_a_false_g2_entry_is_kept_and_reported(fresh_reading, monkeypatch):
-    """A False entry of the exceptional half is a result, not a failed
-    proof, so it is kept like a True one; the fixture clears it."""
-    monkeypatch.setattr(lie, "_closed_under_bracket", lambda mats: False)
-    for n_sl in (2, 3):
-        report = commutation_checks(n_sl)
-        assert report["closure"] is False
-        assert [name for name, ok in report.items() if ok is False] == ["closure"]
-
-
 def test_sabotaged_generator_leaves_no_reading():
     action = g2_polynomial_action()
     gen = action["h1"]
