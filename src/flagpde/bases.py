@@ -5,23 +5,24 @@ exact polynomial solutions together with the operator they are solutions
 of.  Annihilation is proved at generation time, so a returned family is
 already verified: the closed-form families below by the series lemma
 (``_SeriesLemma``), whose certificate checks the tables and profiles the
-elements are folded from once per family; ``flag_basis`` and the
-negative odd lambda anisymmetric family end to end, through one
-``operators.form_map`` over the elements' variables, then the
+elements are folded from once per family; ``flag_basis`` end to end,
+through one ``operators.form_map`` over the elements' variables, then the
 annihilator's, for all elements (``BasisFamily.verify_annihilation``).
 Linear independence and desk-scale completeness checks live in
 ``verify_independence`` and the test suite's kernel oracles.
 
 Every constant-coefficient family (constant, harmonic, damped-wave,
 anisymmetric, sl and g2) is built from one series u = sum_R p_R L^R(x^l)
-of a monomial seed x^l, ``_closed_form_series``.  L = sum_j c_j d^(beta_j)
-acts on separate variable blocks, so L^R(x^l) = sum_{|r|=R} R!/r!
-prod_j c_j^(r_j) prod_v perm(l_v, r_j beta_v) x^(l - r_j beta_j).  A
-``_BlockTable`` per block holds c^r prod_v perm(l_v, r beta_v)/r!, and a
-``_profile`` holds R! p_R over one denominator: (-1)^R R! (d^alpha)^(-R)
-x^c for a corner operator d^alpha (``_corner_profile``), the t-profiles
-and kernel-seed profiles of ``dissipative``.  An element is the products
-of table entries times the profile of their R, reduced once.
+of a monomial seed x^l, ``_closed_form_series``; the phi branch of the
+negative odd lambda anisymmetric family is one over the corner (t, x1).
+L = sum_j c_j d^(beta_j) acts on separate variable blocks, so
+L^R(x^l) = sum_{|r|=R} R!/r! prod_j c_j^(r_j) prod_v perm(l_v, r_j beta_v)
+x^(l - r_j beta_j).  A ``_BlockTable`` per block holds
+c^r prod_v perm(l_v, r beta_v)/r!, and a ``_profile`` holds R! p_R over
+one denominator: (-1)^R R! (d^alpha)^(-R) x^c for a corner operator
+d^alpha (``_corner_profile``), the t-profiles and (t, x1)-profiles of
+``dissipative``.  An element is the products of table entries times the
+profile of their R, reduced once.
 """
 
 from __future__ import annotations
@@ -142,13 +143,14 @@ def _json_scalar(v):
     return v
 
 
-def _checked(elements, annihilator, truncation, lemma=None) -> BasisFamily:
-    """The family, its annihilation proved by the lemma's certificate when a
-    ``_SeriesLemma`` built the elements, else checked on every element."""
+def _checked(elements, annihilator, truncation, *lemmas) -> BasisFamily:
+    """The family, its annihilation proved by the certificates of the
+    ``_SeriesLemma``s that built the elements, else checked on every
+    element."""
     fam = BasisFamily(elements, annihilator, truncation)
-    if lemma is None:
+    if not lemmas:
         fam.verify_annihilation()
-    else:
+    for lemma in lemmas:
         lemma.prove(annihilator)
     return fam
 

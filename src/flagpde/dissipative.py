@@ -6,10 +6,10 @@ produces the family of dissipation polynomials xi(a, i), which satisfy the
 exact descent d(xi_i) = xi_(i-1); they supply the time dependence of every
 family in this module, with the purely imaginary a = 2*freq*sqrt(-1) in
 the Klein-Gordon case.  The damped-wave and anisymmetric families are
-series sum_R p_R(t) Lap^R(x^l) of ``bases._closed_form_series``, proved
-solutions by ``bases._SeriesLemma``.  The phi branch of a negative odd
-lambda = -2k-1 applies the Laplacian k times to a kernel seed that is
-itself such a series, and that family is checked element by element.
+series sum_R p_R L^R(x^l) built and proved solutions by
+``bases._SeriesLemma``: over the corner t with L the Laplacian, except the
+phi branch of a negative odd lambda = -2k-1, a series over the corner
+(t, x1) with L the Laplacian of x2..xn.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .bases import (
     BasisFamily,
     _check_cap,
     _checked,
-    _closed_form_series,
-    _placed_profile,
     _profile,
     _SeriesLemma,
 )
@@ -38,7 +36,6 @@ from .operators import (
     Sum,
     TrigApplicator,
     VerificationError,
-    form_map,
     solve_by_series,
 )
 from .poly import (
@@ -46,10 +43,6 @@ from .poly import (
     GaussianRational,
     Polynomial,
     TrigPolynomial,
-    _IntForm,
-    _mover,
-    _pack,
-    _shifted_sum,
     variable,
 )
 
@@ -105,7 +98,7 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
     """Solution basis of u_tt + u_t = sum_i u_(xi xi), indexed by monomials.
 
     The element for index l is sum_i xi(1, i)(t) * Lap^i(x^l), the series
-    of ``bases._closed_form_series`` with profile xi(1, i) and one block
+    of ``bases._SeriesLemma.element`` with profile xi(1, i) and one block
     d^2/dx_i^2 per variable; the Laplacian powers terminate and each xi
     supplies the matching time correction.  The lemma
     (``bases._SeriesLemma``) proves it with K = d^2/dt^2 + d/dt, M = -1 and
@@ -133,8 +126,8 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
 
 
 def _folded_profile(polys) -> tuple:
-    """The ``bases._profile`` of the t-profiles p_0, p_1, .. (Polynomials in
-    t, whose keys are the corner keys over t)."""
+    """The ``bases._profile`` of the profiles p_0, p_1, .. (Polynomials over
+    the corner variables, whose keys are the corner keys)."""
     return _profile([
         ([(e, a * math.factorial(r)) for e, a in p.form.re.items()], p.form.den)
         for r, p in enumerate(polys)
@@ -179,13 +172,18 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     over the seed monomials; negative even integers add an extra branch
     with the t^(1-lam) profiles; negative odd integers lam = -2k-1 keep the
     second branch and replace the first by sum_(r <= k) eps^r phi_r Lap^r(s)
-    over seeds s killed by Lap^(k+1), each s a series of a monomial over
-    x1..xn and its k Laplacians taken on integer forms.  The lemma
-    (``bases._SeriesLemma``) proves the monomial-seed branches with
-    K = t d^2/dt^2 + lam d/dt, M = -eps t and P_R = R! eps^R phi_R (or
-    psi_R), so K P_0 = 0 and K P_R = R eps t P_(R-1).  The negative odd phi
-    branch is not such a series, so that family is checked on every
-    element.
+    over the kernel seeds s = sum_R q_R(x1) Lap'^R(x2^l2..xn^ln) with
+    q_R = (-1)^R C(k+R, R) x1^(l1+2R)/(l1+2R)!, l1 < 2k+2, Lap' the
+    Laplacian of x2..xn.  The lemma (``bases._SeriesLemma``) proves the
+    monomial-seed branches with K = t d^2/dt^2 + lam d/dt, M = -eps t and
+    P_R = R! eps^R phi_R (or psi_R), so K P_0 = 0 and K P_R = R eps t P_(R-1).
+    The negative odd phi branch is one such series too, over the corner
+    (t, x1) with K = t d^2/dt^2 + lam d/dt - eps t d^2/dx1^2, the same M and
+    the blocks d^2/dx_i^2, i >= 2: Lap = d^2/dx1^2 + Lap' and
+    sum_i (-1)^i C(r, i) C(k+R-i, k) = C(k+R-r, k-r) give
+    R! p_R = (-1)^R sum_(r <= min(k, R + l1//2)) eps^r phi_r perm(k-r+R, R)
+    t^(2r) x1^(l1+2(R-r)) / (l1+2(R-r))!, whose r = 0 term is R! q_R.  Both
+    lemmas are proved against the family's annihilator.
     """
     if n < 1:
         raise ValueError("need at least one spatial variable")
@@ -198,17 +196,12 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     lap = _laplacian(x_vars)
     t_poly = variable("t")
-    annihilator = Sum(
-        (
-            Compose(MultiplyBy(t_poly), Derivative("t", 2)),
-            Compose(Scale(lam), Derivative("t", 1)),
-            Compose(Scale(-epsilon), MultiplyBy(t_poly), lap),
-        )
-    )
+    t_part = [Compose(MultiplyBy(t_poly), Derivative("t", 2)), Compose(Scale(lam), Derivative("t", 1))]
+    annihilator = Sum(t_part + [Compose(Scale(-epsilon), MultiplyBy(t_poly), lap)])
     kind = classify_lambda(lam)
-    weighted_t = Sum((Compose(MultiplyBy(t_poly), Derivative("t", 2)), Compose(Scale(lam), Derivative("t", 1))))
-    lemma = _SeriesLemma(("t",), weighted_t, -epsilon * t_poly, [(1, (2,), (x,)) for x in x_vars],
-                         ("t",) + x_vars)
+    x_blocks = [(1, (2,), (x,)) for x in x_vars]
+    lemma = _SeriesLemma(("t",), Sum(t_part), -epsilon * t_poly, x_blocks, ("t",) + x_vars)
+    lemmas = (lemma,)
 
     def branch(factor, name):
         """One element per seed x^ell: sum_R eps^R factor(lam, R) Lap^R(x^ell),
@@ -218,32 +211,24 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
                 for ell in tuples_with_sum_at_most(n, cap)]
 
     if kind == "negative_odd":
-        # lam = -2k-1: the phi factors are undefined from R = k+1 on, so the
-        # phi branch takes the seeds s with Lap^(k+1)(s) = 0 and top part
-        # x1^l1 x_rest^rest, l1 < 2k+2: the series over the Laplacian of x2..xn
-        # with p_R = (-1)^R C(k+R, R) x1^(l1+2R)/(l1+2R)!, over the corner
-        # (t, x1) at t^0.  Each element is sum_(R <= k) eps^R phi_R Lap^R(s),
-        # over t, x1..xn, with eps^R phi_R = (a_R / b_R) t^(2R): the pieces
-        # Lap^R(s) over their denominators times b_R, shifted by t^(2R) with
-        # the factors a_R, summed in one pass.
+        # lam = -2k-1: phi_r is undefined from r = k+1 on, so the phi branch
+        # is the docstring's series over the corner (t, x1), one profile p_R
+        # per l1 < 2k+2
         k = (-int(lam) - 1) // 2
-        vs = lemma.variables
-        blocks = lemma._placed[1:]
-        place = _mover(("t", "x1"), vs)
-        apply_lap = form_map(lap, vs)
+        phi_lemma = _SeriesLemma(
+            ("t", "x1"), Sum(t_part + [Compose(Scale(-epsilon), MultiplyBy(t_poly), Derivative("x1", 2))]),
+            -epsilon * t_poly, x_blocks[1:], ("t",) + x_vars)
+        lemmas = (phi_lemma, lemma)
         phis = [epsilon**r * _phi_factor(lam, r).coefficient({"t": 2 * r}) for r in range(k + 1)]
         elements = []
         for l1 in range(2 * k + 2):
-            profile = _profile([([(_pack((0, l1 + 2 * r)), (-1) ** r * math.perm(k + r, r))],
-                                 math.factorial(l1 + 2 * r)) for r in range(cap // 2 + 1)])
-            profile = _placed_profile(profile, place)
-            for rest in tuples_with_sum_at_most(n - 1, cap):
-                powers = [_closed_form_series(profile, blocks, rest, len(vs))]
-                for _ in range(k):
-                    powers.append(apply_lap(powers[-1]))
-                u = _shifted_sum([(_IntForm(p.re, p.im, p.den * phi.denominator, p.n), 2 * r, phi.numerator)
-                                  for r, (phi, p) in enumerate(zip(phis, powers))], 0, len(vs))
-                elements.append(BasisElement({"ell": (l1,) + rest, "branch": "phi"}, u.to_poly(vs, frozenset())))
+            profile = _folded_profile(
+                Polynomial(("t", "x1"), {(2 * r, l1 + 2 * (big_r - r)): phi * Fraction(
+                    (-1) ** big_r * math.comb(k - r + big_r, big_r), math.factorial(l1 + 2 * (big_r - r)))
+                    for r, phi in enumerate(phis[:big_r + l1 // 2 + 1])})
+                for big_r in range(cap // 2 + 1))
+            elements += [BasisElement({"ell": (l1,) + rest, "branch": "phi"}, phi_lemma.element(profile, rest))
+                         for rest in tuples_with_sum_at_most(n - 1, cap)]
     else:
         elements = branch(_phi_factor, "phi")
     if kind != "generic":
@@ -252,7 +237,7 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         elements,
         annihilator,
         {"cap": cap, "n": n, "lambda": str(lam), "epsilon": epsilon, "kind": kind},
-        None if kind == "negative_odd" else lemma,
+        *lemmas,
     )
 
 

@@ -272,9 +272,12 @@ def _check_finite(name: str, value: float):
 
 
 def _check_point(pt, size: int, need: str):
-    """Raise ValueError unless the point pt has size entries; need says which."""
+    """Raise ValueError unless the point pt has size entries, need says
+    which, and each of them is finite."""
     if len(pt) != size:
         raise ValueError(f"point {pt!r} has {len(pt)} entries, {need}")
+    if not all(map(math.isfinite, pt)):
+        raise ValueError(f"point {pt!r} has a non-finite coordinate")
 
 
 # -- constant-coefficient modes; the ODE is the zero mode ---------------------------
@@ -480,8 +483,8 @@ class FlagIvpSolution:
     def at(self, x1: float, point) -> float:
         """The value at (x1, point), checked as solve_flag_ivp checks its points."""
         n = len(self.half_widths)
-        _check_point((x1, *point), 1 + n, f"need x1 and {n} more")
         _check_finite("x1", x1)
+        _check_point((x1, *point), 1 + n, f"need x1 and {n} more")
         return _flag_value(
             self.modes, _mode_weights(self.modes, x1), _mode_phases(self.modes, self.half_widths, point)
         )
@@ -504,8 +507,8 @@ def solve_flag_ivp(symbols, data, eval_points) -> FlagIvpSolution:
     `data` lists the m initial traces (TrigData, shared half widths) giving
     d^s u/dx1^s at x1 = 0.  Returns the solution sampled at eval_points
     (tuples (x1, x2..xn)) after verifying the reproduced traces.  A point
-    without one entry per half width after x1, or with an x1 that is not
-    finite, raises ValueError.
+    without one entry per half width after x1, or with a coordinate that
+    is not finite, raises ValueError.
     """
     m = len(symbols)
     if not m:
@@ -523,7 +526,6 @@ def solve_flag_ivp(symbols, data, eval_points) -> FlagIvpSolution:
     need = f"need x1 and {len(half_widths)} more"
     for pt in eval_points:
         _check_point(pt, 1 + len(half_widths), need)
-        _check_finite("x1", pt[0])
 
     modes = []
     mode_sums = []  # _weight_sums per mode: the derivatives at 0 of its fundamental solutions
@@ -609,7 +611,8 @@ def solve_tree_heat_ivp(tree: Tree, g0: TrigData, t: float, eval_points) -> Tree
     exp(t d_T) factors into the product of the nodes' heat flows, so each
     mode wave exp(i theta) evolves in closed form to exp(i theta + Xi(t)),
     where Xi is the sum of the splitting exponents at D_j = 2 pi i k_j / a_j.
-    A point without one entry per node raises ValueError.
+    A point without one entry per node, or with a non-finite coordinate,
+    raises ValueError.
     """
     _check_finite("t", t)
     if len(g0.half_widths) != tree.nodes:
@@ -764,8 +767,8 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
     wave (a polynomial carrier times the phase), and the even/odd factorial
     series in t are summed adaptively at each evaluation point.  A mode
     builds at most CARRIER_LIMIT operator powers, and only as many as the
-    series at the requested times need.  A point without one entry per node
-    raises ValueError.
+    series at the requested times need.  A point without one entry per node,
+    or with a non-finite coordinate, raises ValueError.
     """
     _check_finite("t", t)
     if g0.half_widths != g1.half_widths:

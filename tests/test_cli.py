@@ -1309,6 +1309,7 @@ _WRITTEN_FAMILIES = {
     "a35": ["basis", "anisym", "--n", "3", "--lambda", "-3", "--epsilon", "-1", "--cap", "5"],
     "a56": ["basis", "anisym", "--n", "2", "--lambda", "-5", "--cap", "6"],
     "a35m1": ["basis", "anisym", "--n", "3", "--lambda", "-1", "--cap", "5"],
+    "a16": ["basis", "anisym", "--n", "1", "--lambda", "-3", "--cap", "6"],
     "gflag": ["basis", "flag", "--spec", "{spec}", "--cap", "4"],
     "g2": ["lie", "g2", "--k", "4"],
     "sl": ["lie", "sl", "--n", "3", "--l1", "2", "--l2", "2"],

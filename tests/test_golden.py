@@ -9,8 +9,11 @@ lambda = -1 and lambda = 5/2 anisymmetric ones before the Laplacian-power
 families moved from iterated Laplacians to their multinomial closed form,
 the lambda = -5 one (two Laplacian powers in its phi branch) before that
 branch moved from a series of a many-term seed to Laplacians of its
-kernel seeds, so a refactor of the exact core that changes any
-coefficient, exponent, term order or index of these families fails here.
+kernel seeds, and the n = 1 lambda = -3 and lambda = -1 ones (no block
+beside the corner) with the lambda = -7 one while that branch still applied
+the Laplacian to its kernel seeds element by element, so a refactor of
+the exact core that changes any coefficient, exponent, term order or index
+of these families fails here.
 
 The solver and ``basis`` command hashes pin outputs whose serialization
 depends on the variable order (term order and exponent keys follow it);
@@ -94,6 +97,9 @@ FAMILIES = {
     "anisym_m1_minus_2": lambda: anisymmetric_basis(2, -1, -1, 6),
     "anisym_5_2_plus_1": lambda: anisymmetric_basis(1, Fraction(5, 2), 1, 6),
     "anisym_m5_plus_2": lambda: anisymmetric_basis(2, -5, 1, 6),
+    "anisym_m3_plus_1": lambda: anisymmetric_basis(1, -3, 1, 6),
+    "anisym_m1_minus_1": lambda: anisymmetric_basis(1, -1, -1, 5),
+    "anisym_m7_plus_2": lambda: anisymmetric_basis(2, -7, 1, 6),
 }
 
 GOLDEN = {
@@ -117,6 +123,9 @@ GOLDEN = {
     "anisym_m1_minus_2": "1cdca187aa52a1a7cc0e4c4b1e3845714832a1ef355080e82e54d282aa555849",
     "anisym_5_2_plus_1": "0b139af7635ed693cfef39cfa82192b43a389f5f1035ef26895d97fe79472470",
     "anisym_m5_plus_2": "7388b57115ba3ddf3fa8bb0e44c376e7b34e436972f66753d4617db78d5969f2",
+    "anisym_m3_plus_1": "715f7e9a5b223c685c85be427bb024793183082946620bd7bdaa5872833902ed",
+    "anisym_m1_minus_1": "8ac9f34c9d308690a8455f2accaae5c81528d339eb8498d6881b0b31c0f58166",
+    "anisym_m7_plus_2": "86bf0516abac48165f77d4b2060df29015d5335bb50469a561e08bca98ceaff8",
 }
 
 

@@ -706,6 +706,21 @@ def test_at_rejects_a_non_finite_time(kind, t):
         sol.at(t, point)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: _solved("flag")[0].at(0.5, (math.nan,)),
+    lambda: _solved("flag")[0].at(0.5, (math.inf,)),
+    lambda: solve_flag_ivp([variable("D2") ** 2], [TrigData((1.0,), {(1,): (1.0, 0.0)})], [(0.5, math.inf)]),
+    lambda: solve_tree_heat_ivp(Tree(2, [(1, 2)]), TrigData((1.0, 1.0), {(1, 0): (1.0, 0.0)}), 0.1, [(math.inf, 0.2)]),
+    lambda: _solved("heat")[0].at(0.1, (math.nan, 0.2)),
+    lambda: _solved("wave")[0].at(0.1, (math.nan, 0.2)),
+], ids=["flag-at-nan", "flag-at-inf", "flag-solve-inf", "heat-solve-inf", "heat-at-nan", "wave-at-nan"])
+def test_a_non_finite_coordinate_is_bad_input(call):
+    """A NaN coordinate came back as a NaN value, an infinite one as a bare
+    math domain error or as the SeriesTerminationError of an overflow."""
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        call()
+
+
 # -- the tree wave IVP ----------------------------------------------------------------------------
 
 def test_tree_wave_single_node_closed_form():
