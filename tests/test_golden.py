@@ -11,9 +11,12 @@ the lambda = -5 one (two Laplacian powers in its phi branch) before that
 branch moved from a series of a many-term seed to Laplacians of its
 kernel seeds, and the n = 1 lambda = -3 and lambda = -1 ones (no block
 beside the corner) with the lambda = -7 one while that branch still applied
-the Laplacian to its kernel seeds element by element, so a refactor of
-the exact core that changes any coefficient, exponent, term order or index
-of these families fails here.
+the Laplacian to its kernel seeds element by element, and the module
+families (harmonic module, sl, g2) with the (2, 3, 1) constant family and
+``harmonic_element(4, 1, (2, 0, 3))`` while each series block still kept an
+exponent table shared by equal blocks and a key-offset table of its own,
+so a refactor of the exact core that changes any coefficient, exponent,
+term order or index of these families fails here.
 
 The solver and ``basis`` command hashes pin outputs whose serialization
 depends on the variable order (term order and exponent keys follow it);
@@ -57,6 +60,7 @@ from flagpde import (
     flag_basis,
     g2_module_basis,
     harmonic_basis,
+    harmonic_module_basis,
     klein_gordon_solutions,
     power_perturbation_solve,
     riemannian_wave_solution,
@@ -66,6 +70,7 @@ from flagpde import (
     variable,
 )
 from flagpde.cli import main
+from flagpde.bases import harmonic_element
 from flagpde.lie import commutation_checks
 from flagpde.poly import IMAG
 from flagpde.trees import Tree, all_trees, compute_splitting
@@ -100,6 +105,11 @@ FAMILIES = {
     "anisym_m3_plus_1": lambda: anisymmetric_basis(1, -3, 1, 6),
     "anisym_m1_minus_1": lambda: anisymmetric_basis(1, -1, -1, 5),
     "anisym_m7_plus_2": lambda: anisymmetric_basis(2, -7, 1, 6),
+    "constant_231": lambda: constant_coefficient_basis((2, 3, 1), 5),
+    "harmonic_module_4_5": lambda: harmonic_module_basis(4, 5),
+    "sl_3_2_2": lambda: sl_module_basis(3, 2, 2),
+    "sl_4_1_2": lambda: sl_module_basis(4, 1, 2),
+    "g2_3": lambda: g2_module_basis(3),
 }
 
 GOLDEN = {
@@ -126,6 +136,11 @@ GOLDEN = {
     "anisym_m3_plus_1": "715f7e9a5b223c685c85be427bb024793183082946620bd7bdaa5872833902ed",
     "anisym_m1_minus_1": "8ac9f34c9d308690a8455f2accaae5c81528d339eb8498d6881b0b31c0f58166",
     "anisym_m7_plus_2": "86bf0516abac48165f77d4b2060df29015d5335bb50469a561e08bca98ceaff8",
+    "constant_231": "00031a257ea4b416bc59f218a5851667192768af0597081bf119f68d145f3363",
+    "harmonic_module_4_5": "d34a747e85727aa871d1db560c6ba760b198f35e1f9294666c8279c1304262df",
+    "sl_3_2_2": "bd36031345288f7cc02d287451db4c62e32c17ff264788696059a2f48b81babc",
+    "sl_4_1_2": "f06967fec1684303485e05a42ba586c4a21e01f8df29c337276392d2d6687b72",
+    "g2_3": "b0c94bcc87de414e025fb4eee77c385ba41f7b03cdc005d4afed5083989d9ad5",
 }
 
 
@@ -239,6 +254,7 @@ SOLVERS = {
     "power_wave": lambda: (_power_wave(),),
     "power_mixed": lambda: (_power_mixed(),),
     "riemannian_3": lambda: (_riemannian(),),
+    "harmonic_element_4": lambda: (harmonic_element(4, 1, (2, 0, 3)),),
 }
 
 SOLVER_GOLDEN = {
@@ -248,6 +264,7 @@ SOLVER_GOLDEN = {
     "power_mixed": "c50eecd4b722ac22c1ebc62bb23cbb73112f1f0cc07845f1a7720a2769430d1d",
     "power_wave": "cb7b5f9cfec33c37d7a8232f09edbdbe9321c71eebe1eb91e301e3b844563416",
     "riemannian_3": "28ec4d142f49988b68d036eea14d1c04dfa33d1f29c70eb396a6c502f46e4f9e",
+    "harmonic_element_4": "ca7420b179cbcff620810e70eb34ada57ad119e4faffe83658420d0471311b5e",
 }
 
 
