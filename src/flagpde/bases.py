@@ -18,9 +18,10 @@ negative odd lambda anisymmetric family is one over the corner (t, x1).
 L = sum_j c_j d^(beta_j) acts on separate variable blocks, so
 L^R(x^l) = sum_{|r|=R} R!/r! prod_j c_j^(r_j) prod_v perm(l_v, r_j beta_v)
 x^(l - r_j beta_j).  A ``_BlockTable`` per block holds
-c^r prod_v perm(l_v, r beta_v)/r!, and a ``_profile`` holds R! p_R over
-one denominator: (-1)^R R! (d^alpha)^(-R) x^c for a corner operator
-d^alpha (``_corner_profile``), the t-profiles and (t, x1)-profiles of
+c^r prod_v perm(l_v, r beta_v)/r! and the key offset of x^(l - r beta),
+and a ``_profile`` holds R! p_R over one denominator, placed over the
+family's variables when the lemma makes it: (-1)^R R! (d^alpha)^(-R) x^c
+for a corner operator d^alpha, or the t- and (t, x1)-profiles of
 ``dissipative``.  An element is the products of table entries times the
 profile of their R, reduced once.
 """
@@ -31,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .combinatorics import multinomial, tuples_with_sum, tuples_with_sum_at_most
@@ -155,9 +157,13 @@ def _checked(elements, annihilator, truncation, *lemmas) -> BasisFamily:
     return fam
 
 
-def _check_cap(cap: int):
+def _check_cap(cap: int, seeded: bool = True):
+    """A negative cap, or one above EXP_MAX where the family has the seed
+    x_j^cap (seeded), raises before any element is built."""
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
+    if seeded:
+        _check_seed(cap)
 
 
 def _default_vars(n: int):
@@ -168,25 +174,41 @@ def _default_vars(n: int):
 
 class _BlockTable(dict):
     """The block c d^beta of L (module docstring), beta the positive orders
-    of its variables: for their exponents l, the list over r of
-    (r, c^r prod_v perm(l_v, r beta_v)/r!, l - r beta) while r beta <= l.
-    r! divides the product of r beta_v consecutive integers, so the entries
-    are integers.  Each l is filled on first use."""
+    of its variables, units their key steps (``poly._unit``) in the
+    family's order: for their exponents l, the list over r of
+    (r, c^r prod_v perm(l_v, r beta_v)/r!, sum_v (l_v - r beta_v) unit_v)
+    while r beta <= l, the last the key offset of x^(l - r beta), so the
+    offsets of a term's blocks add up to its key offset.  r! divides the
+    product of r beta_v consecutive integers, so the entries are integers.
+    Each l is checked and filled on first use."""
 
-    __slots__ = ("coeff", "orders")
+    __slots__ = ("coeff", "orders", "units")
 
-    def __init__(self, coeff: int, orders: tuple):
+    def __init__(self, coeff: int, orders: tuple, units: tuple):
         super().__init__()
-        self.coeff, self.orders = coeff, orders
+        self.coeff, self.orders, self.units = coeff, orders, units
 
     def __missing__(self, l):
-        c, orders = self.coeff, self.orders
+        _check_seed(*l)
+        c, orders, units = self.coeff, self.orders, self.units
+        base, step = sum(map(mul, l, units)), sum(map(mul, orders, units))
         self[l] = entries = [
-            (r, c**r * math.prod(map(math.perm, l, [r * o for o in orders])) // math.factorial(r),
-             tuple(e - r * o for e, o in zip(l, orders)))
+            (r, c**r * math.prod(map(math.perm, l, [r * o for o in orders])) // math.factorial(r), base - r * step)
             for r in range(min(map(int.__floordiv__, l, orders)) + 1)
         ]
         return entries
+
+
+def _check_seed(*exps):
+    """ExponentRangeError for the first seed exponent outside [0, EXP_MAX]."""
+    for e in exps:
+        if not 0 <= e <= EXP_MAX:
+            raise ExponentRangeError(f"seed exponent {e} is outside [0, {EXP_MAX}]")
+
+
+def _units(vs: tuple, order: tuple) -> tuple:
+    """The key steps (``poly._unit``) of the variables vs in the order."""
+    return tuple(_unit(len(order), order.index(v)) for v in vs)
 
 
 def _profile(entries) -> tuple:
@@ -198,70 +220,21 @@ def _profile(entries) -> tuple:
     return d, [[(j, c * (d // den)) for j, c in pairs] for pairs, den in entries]
 
 
-def _corner_profile(corner: tuple, orders: tuple, top: int) -> tuple:
-    """The profile R! p_R, R <= top, of p_R = (-1)^R (d^orders)^(-R) x^corner
-    (zero constants): (-1)^R x^(corner + R orders) over the integer
-    prod_v perm(corner_v + R orders_v, R orders_v) / R!."""
-    entries = []
-    for r in range(top + 1):
-        exp = tuple(c + r * o for c, o in zip(corner, orders))
-        den = math.prod(map(math.perm, exp, [r * o for o in orders])) // math.factorial(r)
-        entries.append(([(_pack(exp), -1 if r & 1 else 1)], den))
-    return _profile(entries)
-
-
-class _PlacedTable(dict):
-    """A block's ``_BlockTable`` entries as key offsets in the series'
-    variable order, `units` the key steps of the block's variables there
-    (``poly._unit``): the entry of l - r beta is sum_v (l_v - r beta_v)
-    unit_v, so the offsets of a term's blocks add up to its key offset,
-    wherever each block's variables sit.  Each l is placed on first use."""
-
-    __slots__ = ("table", "units")
-
-    def __init__(self, table: _BlockTable, units: tuple):
-        super().__init__()
-        self.table, self.units = table, units
-
-    def __missing__(self, l):
-        base = step = 0
-        for e, o, u in zip(l, self.table.orders, self.units):
-            if not 0 <= e <= EXP_MAX:
-                raise ExponentRangeError(f"seed exponent {e} is outside [0, {EXP_MAX}]")
-            base, step = base + e * u, step + o * u
-        self[l] = placed = [(r, n, base - r * step) for r, n, _ in self.table[l]]
-        return placed
-
-
-def _placed(tables, block_vars, order: tuple) -> list:
-    """A ``_PlacedTable`` per table, its block over the variables in the
-    same place of block_vars, for the variable order."""
-    unit = {v: _unit(len(order), i) for i, v in enumerate(order)}
-    return [_PlacedTable(table, tuple(map(unit.__getitem__, vs))) for table, vs in zip(tables, block_vars)]
-
-
-def _placed_profile(profile, place) -> tuple:
-    """The profile with each corner key moved by place to its key over the
-    series' variable order, every other variable at exponent 0."""
-    d, scaled = profile
-    return d, [[(place(j), c) for j, c in pairs] for pairs in scaled]
-
-
 def _closed_form_series(profile, blocks, seed: tuple, n: int) -> _IntForm:
     """sum_R p_R L^R(x^seed), reduced once (module docstring), over an
-    order of n variables, from the ``_PlacedTable`` of each of L's blocks
-    in seed order and a ``_placed_profile``; seed is the exponent tuple
-    over the blocks' variables.  Each key is its corner key plus the
-    offsets of its blocks.
+    order of n variables, from the (``_BlockTable``, variables) blocks of L
+    in seed order and a profile placed over that order; seed is the
+    exponent tuple over the blocks' variables.  Each key is its profile key
+    plus the offsets of its blocks.
 
     R runs to the last power with a nonzero term.  The seed's exponent
     fixes each block's r, so distinct R give distinct block exponents and
     the outer product with the profile makes no term twice.
     """
     terms, start = [(0, 1, 0)], 0
-    for placed in blocks:
-        stop = start + len(placed.table.orders)
-        terms = [(r + s, n * m, e + f) for r, n, e in terms for s, m, f in placed[seed[start:stop]]]
+    for table, _ in blocks:
+        stop = start + len(table.orders)
+        terms = [(r + s, n * m, e + f) for r, n, e in terms for s, m, f in table[seed[start:stop]]]
         start = stop
     d, corners = profile
     re = {j + e: c * a for r, a, e in terms for j, c in corners[r]}
@@ -277,40 +250,59 @@ class _SeriesLemma:
     of L = sum_j c_j d^(beta_j) on disjoint others.  For u = sum_(R <= T)
     p_R L^R(x^l), K p_0 = 0, K p_R = -M p_(R-1) and L^(T+1)(x^l) = 0 give
     A u = M p_T L^(T+1)(x^l) = 0.  ``prove`` checks that once per family,
-    whatever the element count, on the tables and profiles ``element``
-    used: the block c d^beta maps each table entry r to (r+1) times entry
-    r+1 and the last to 0, from entry 0 = x^l, so entry r is B^r(x^l)/r!
-    and the series reaches L^(T+1)(x^l) = 0; every profile's
+    whatever the element count, on the table entries ``element`` filled
+    and the profiles the lemma made (``profile``, ``corner_profile``): the
+    block c d^beta maps each table entry r to (r+1) times entry r+1 and the
+    last to 0, from entry 0 = x^l, so entry r is B^r(x^l)/r! and the series
+    reaches L^(T+1)(x^l) = 0, and each entry's offset is the key offset of
+    its exponents over the family's variables; every profile's
     P_R = R! p_R has K P_0 = 0 and K P_R = -R M P_(R-1); and A has the
-    normal form of K + M L.  The multinomial fold of
+    normal form of K + M L.  The placing of the profiles and the fold of
     ``_closed_form_series`` (the tables of commuting blocks give L^R/R!)
-    stays trusted; the tests check it against the iterated L, and every
+    stay trusted; the tests check them against the iterated L, and every
     lemma family against ``BasisFamily.verify_annihilation``.
     """
 
-    __slots__ = ("corner", "operator", "multiplier", "blocks", "variables", "layout", "_placed", "_place",
-                 "_profiles")
+    __slots__ = ("corner", "operator", "multiplier", "blocks", "variables", "layout", "_profiles")
 
     def __init__(self, corner: tuple, operator: LinearOperator, multiplier: Polynomial,
                  blocks, variables: tuple):
         self.corner, self.operator, self.multiplier, self.variables = corner, operator, multiplier, variables
-        tables = {}
-        self.blocks = [(tables.setdefault((c, orders), _BlockTable(c, orders)), vs) for c, orders, vs in blocks]
-        # the series runs over the corner variables, then each block's
-        self.layout = layout = corner + sum((vs for _, vs in self.blocks), ())
         # the elements are built over the family's variables directly
-        self._placed = _placed([t for t, _ in self.blocks], [vs for _, vs in self.blocks], variables)
-        self._place = _mover(corner, variables)
-        # per profile, by id: the profile and its placed form
-        self._profiles = {}
+        self.blocks = [(_BlockTable(c, orders, _units(vs, variables)), vs) for c, orders, vs in blocks]
+        # the series runs over the corner variables, then each block's
+        self.layout = corner + sum((vs for _, vs in self.blocks), ())
+        # the profiles made so far, keyed over the corner, for ``prove``
+        self._profiles = []
+
+    def profile(self, polys) -> tuple:
+        """The profile of the Polynomials p_0, p_1, .. in the corner, placed."""
+        forms = [_int_form(p, self.corner) for p in polys]
+        return self._recorded(_profile([([(j, a * math.factorial(r)) for j, a in f.re.items()], f.den)
+                                        for r, f in enumerate(forms)]))
+
+    def corner_profile(self, exps: tuple, orders: tuple, top: int) -> tuple:
+        """The profile R! p_R, R <= top, of p_R = (-1)^R (d^orders)^(-R) x^exps
+        over the corner (zero constants), placed: (-1)^R x^(exps + R orders)
+        over the integer prod_v perm(exps_v + R orders_v, R orders_v) / R!."""
+        entries = []
+        for r in range(top + 1):
+            exp = tuple(c + r * o for c, o in zip(exps, orders))
+            den = math.prod(map(math.perm, exp, [r * o for o in orders])) // math.factorial(r)
+            entries.append(([(_pack(exp), -1 if r & 1 else 1)], den))
+        return self._recorded(_profile(entries))
+
+    def _recorded(self, profile) -> tuple:
+        """The profile, recorded for ``prove``, placed over the family's variables."""
+        self._profiles.append(profile)
+        d, scaled = profile
+        place = _mover(self.corner, self.variables)
+        return d, [[(place(j), c) for j, c in pairs] for pairs in scaled]
 
     def element(self, profile, seed: tuple) -> Polynomial:
         """``_closed_form_series`` over the blocks, as a Polynomial over the
-        family's variables."""
-        known = self._profiles.get(id(profile))
-        if known is None:
-            known = self._profiles[id(profile)] = (profile, _placed_profile(profile, self._place))
-        form = _closed_form_series(known[1], self._placed, seed, len(self.variables))
+        family's variables, for a profile this lemma made."""
+        form = _closed_form_series(profile, self.blocks, seed, len(self.variables))
         return form.to_poly(self.variables, frozenset())
 
     def prove(self, annihilator: LinearOperator):
@@ -329,12 +321,12 @@ class _SeriesLemma:
             _add_form_term(stated, tuple(zip(map(layout.index, vs), table.orders)), m.scaled(table.coeff))
         if differential_form(annihilator, layout) != stated:
             raise VerificationError("series lemma: the annihilator is not K + M L")
-        for table in {id(t): t for t, _ in blocks}.values():
-            c, orders = table.coeff, table.orders
+        for table, vs in blocks:
+            c, orders, units = table.coeff, table.orders, _units(vs, self.variables)
             for l, entries in table.items():
                 stepped, r, n, e, rem = [], 0, 1, l, 0
                 while n and not rem:
-                    stepped.append((r, n, e))
+                    stepped.append((r, n, sum(map(mul, e, units))))
                     n, rem = divmod(c * n * math.prod(map(math.perm, e, orders)), r + 1)
                     r, e = r + 1, tuple(a - o for a, o in zip(e, orders))
                 if rem or entries != stepped:
@@ -342,7 +334,7 @@ class _SeriesLemma:
                                             f"is not its block's powers")
         apply_k = FormApplicator(k).apply_form
         pad = len(layout) - len(corner)
-        for (_, pairs_of), _ in self._profiles.values():
+        for _, pairs_of in self._profiles:
             prev = None
             for r, pairs in enumerate(pairs_of):
                 p = _padded(_IntForm(dict(pairs), {}, 1, len(corner)), pad)
@@ -377,7 +369,7 @@ def constant_coefficient_basis(orders, cap: int) -> BasisFamily:
     lemma = _constant_lemma(orders)
     elements = []
     for l1 in range(m1):
-        profile = _corner_profile((l1,), (m1,), cap)
+        profile = lemma.corner_profile((l1,), (m1,), cap)
         for rest in tuples_with_sum_at_most(n - 1, cap):
             elements.append(BasisElement({"ell": (l1,) + rest}, lemma.element(profile, rest)))
     return _checked(elements, annihilator, {"cap": cap, "orders": list(orders)}, lemma)
@@ -401,10 +393,12 @@ def harmonic_element(n: int, eps: int, ells) -> Polynomial:
     the x1 powers supplied by iterated double integration.
     """
     ells = tuple(ells)
-    # the terms below are canonical once these hold
+    # the terms below are canonical, and the profile's size bounded, once these hold
     if eps not in (0, 1) or len(ells) != n - 1:
         raise ValueError(f"need eps 0 or 1 and n - 1 exponents, got n={n}, eps={eps}, ells={ells}")
-    return _constant_lemma((2,) * n).element(_corner_profile((eps,), (2,), sum(ells) // 2), ells)
+    _check_seed(*ells)
+    lemma = _constant_lemma((2,) * n)
+    return lemma.element(lemma.corner_profile((eps,), (2,), sum(ells) // 2), ells)
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:
@@ -425,7 +419,7 @@ def _harmonic_elements(n: int, cap: int, ells_of) -> tuple:
     lemma = _constant_lemma((2,) * n)
     elements = []
     for eps in range(min(cap, 1) + 1):
-        profile = _corner_profile((eps,), (2,), cap // 2)
+        profile = lemma.corner_profile((eps,), (2,), cap // 2)
         for ells in ells_of(n - 1, cap - eps):
             elements.append(BasisElement({"eps": eps, "ell": ells}, lemma.element(profile, ells)))
     return elements, lemma
@@ -508,8 +502,9 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     whole build runs on integer forms over ``spec.variables``, and each
     element is the Polynomial holding its form.
     """
-    _check_cap(cap)
     n = len(spec.orders)
+    # one variable reads no cap: its elements are x1^l1, l1 < m1
+    _check_cap(cap, seeded=n > 1)
     vs = spec.variables
     annihilator = spec.operator()
     laurent = frozenset().union(*(c.laurent for c in spec.coefficients))

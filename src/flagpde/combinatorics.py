@@ -45,6 +45,7 @@ def tuples_with_sum(length: int, total: int) -> Iterator[tuple]:
 
 
 def tuples_with_sum_at_most(length: int, cap: int) -> Iterator[tuple]:
-    for s in range(cap + 1):
+    """The tuples of each sum 0..cap in turn; of length 0, sum 0 alone."""
+    for s in range(cap + 1 if length else min(cap, 0) + 1):
         yield from tuples_with_sum(length, s)
 

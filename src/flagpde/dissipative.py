@@ -22,7 +22,6 @@ from .bases import (
     BasisFamily,
     _check_cap,
     _checked,
-    _profile,
     _SeriesLemma,
 )
 from .combinatorics import tuples_with_sum_at_most
@@ -119,19 +118,10 @@ def dissipative_wave_basis(n: int, cap: int) -> BasisFamily:
     )
     lemma = _SeriesLemma(("t",), Sum((Derivative("t", 2), Derivative("t", 1))), Polynomial.const(-1),
                          [(1, (2,), (x,)) for x in x_vars], ("t",) + x_vars)
-    profile = _folded_profile(dissipation_polynomial(Fraction(1), r) for r in range(cap // 2 + 1))
+    profile = lemma.profile(dissipation_polynomial(Fraction(1), r) for r in range(cap // 2 + 1))
     elements = [BasisElement({"ell": ell}, lemma.element(profile, ell))
                 for ell in tuples_with_sum_at_most(n, cap)]
     return _checked(elements, annihilator, {"cap": cap, "n": n}, lemma)
-
-
-def _folded_profile(polys) -> tuple:
-    """The ``bases._profile`` of the profiles p_0, p_1, .. (Polynomials over
-    the corner variables, whose keys are the corner keys)."""
-    return _profile([
-        ([(e, a * math.factorial(r)) for e, a in p.form.re.items()], p.form.den)
-        for r, p in enumerate(polys)
-    ])
 
 
 def classify_lambda(lam: Fraction) -> str:
@@ -206,7 +196,7 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
     def branch(factor, name):
         """One element per seed x^ell: sum_R eps^R factor(lam, R) Lap^R(x^ell),
         with the profile read once per family."""
-        profile = _folded_profile(epsilon**r * factor(lam, r) for r in range(cap // 2 + 1))
+        profile = lemma.profile(epsilon**r * factor(lam, r) for r in range(cap // 2 + 1))
         return [BasisElement({"ell": ell, "branch": name}, lemma.element(profile, ell))
                 for ell in tuples_with_sum_at_most(n, cap)]
 
@@ -222,7 +212,7 @@ def anisymmetric_basis(n: int, lam, epsilon: int, cap: int) -> BasisFamily:
         phis = [epsilon**r * _phi_factor(lam, r).coefficient({"t": 2 * r}) for r in range(k + 1)]
         elements = []
         for l1 in range(2 * k + 2):
-            profile = _folded_profile(
+            profile = phi_lemma.profile(
                 Polynomial(("t", "x1"), {(2 * r, l1 + 2 * (big_r - r)): phi * Fraction(
                     (-1) ** big_r * math.comb(k - r + big_r, big_r), math.factorial(l1 + 2 * (big_r - r)))
                     for r, phi in enumerate(phis[:big_r + l1 // 2 + 1])})

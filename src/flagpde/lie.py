@@ -6,8 +6,8 @@ family acts on F[x1..xn], the special linear family on F[x.., y..] with the
 contragredient twist on the y block, and the exceptional family through
 fourteen sparse seven-by-seven matrices whose entries p + q*sqrt(2) hold
 integer p and q; entry (i, j) becomes the term x_i d/dx_j, split into a
-rational and a sqrt(2) part.  The module bases are series of
-``bases._closed_form_series``, proved solutions by ``bases._SeriesLemma``.
+rational and a sqrt(2) part.  The module bases are built and proved
+solutions by ``bases._SeriesLemma``.
 
 The commutation suite proves its operator identities instead of sampling
 them: both sides are brought to the normal form sum_alpha c_alpha d^alpha
@@ -31,8 +31,8 @@ from types import MappingProxyType
 from .bases import (
     BasisElement,
     BasisFamily,
+    _check_seed,
     _checked,
-    _corner_profile,
     _harmonic_elements,
     _SeriesLemma,
 )
@@ -229,7 +229,7 @@ def sl_laplacian(n: int) -> LinearOperator:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairOperator:
     """rational + sqrt(2) * radical, acting on rational-coefficient
     polynomials: it kills p exactly when both parts do."""
@@ -248,6 +248,12 @@ def g2_polynomial_action():
         rad = [(q, i, j) for (i, j), (_, q) in entries if q]
         out[name] = PairOperator(name, _first_order(rat), _first_order(rad))
     return out
+
+
+@functools.cache
+def _g2_action():
+    """``g2_polynomial_action``, built once per process; read-only, its operators frozen."""
+    return MappingProxyType(g2_polynomial_action())
 
 
 def g2_invariant() -> Polynomial:
@@ -286,7 +292,7 @@ def _g2_reading():
     """The one proof of the exceptional half of the commutation suite:
     (reading, read-only {first_var: passed}, its read-only report entries
     in commutation_checks' order).  A failed reading raises, so is not kept."""
-    eta, action = g2_invariant(), g2_polynomial_action()
+    eta, action = g2_invariant(), _g2_action()
     checks = _g2_reading_checks(eta, action)
     reading, results = _select_reading(checks)
     invariant = all(part(eta).is_zero() for gen in action.values() for part in (gen.rational, gen.radical))
@@ -339,6 +345,7 @@ def harmonic_module_basis(n: int, k: int) -> BasisFamily:
     the lemma of ``bases._harmonic_elements``."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
+    _check_seed(k)
     annihilator = Sum(Derivative(f"x{i}", 2) for i in range(1, n + 1))
     elements, lemma = _harmonic_elements(n, k, tuples_with_sum)
     return _checked(elements, annihilator, {"n": n, "k": k}, lemma)
@@ -361,6 +368,7 @@ def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
         raise ValueError("need n >= 2")
     if l1 < 0 or l2 < 0:
         raise ValueError(f"the bidegree must be non-negative, got l1={l1}, l2={l2}")
+    _check_seed(l1, l2)
     annihilator = sl_laplacian(n)
     vars_ = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"y{i}" for i in range(1, n + 1))
     lemma = _SeriesLemma(("x1", "y1"), Compose(Derivative("x1", 1), Derivative("y1", 1)),
@@ -370,7 +378,7 @@ def sl_module_basis(n: int, l1: int, l2: int) -> BasisFamily:
     for branch, leads in ((1, range(l1 + 1)), (2, range(1, l2 + 1))):
         for m in leads:
             corner, deg_x, deg_y = ((m, 0), l1 - m, l2) if branch == 1 else ((0, m), l1, l2 - m)
-            profile = _corner_profile(corner, (1, 1), min(deg_x, deg_y))
+            profile = lemma.corner_profile(corner, (1, 1), min(deg_x, deg_y))
             for ms in tuples_with_sum(n - 1, deg_x):
                 for ls in tuples_with_sum(n - 1, deg_y):
                     seed = tuple(e for pair in zip(ms, ls) for e in pair)
@@ -391,6 +399,7 @@ def g2_module_basis(k: int) -> BasisFamily:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    _check_seed(k)
     vars_ = tuple(f"x{i}" for i in range(1, 8))
     annihilator = g2_laplacian(1)
     lemma = _SeriesLemma(("x1",), Derivative("x1", 2), Polynomial.const(1),
@@ -399,7 +408,7 @@ def g2_module_basis(k: int) -> BasisFamily:
     for eps in (0, 1):
         if eps > k:
             continue
-        profile = _corner_profile((eps,), (2,), k // 2)
+        profile = lemma.corner_profile((eps,), (2,), k // 2)
         for ms in tuples_with_sum(6, k - eps):
             seed = (ms[0], ms[3], ms[1], ms[4], ms[2], ms[5])
             elements.append(BasisElement({"eps": eps, "m": ms}, lemma.element(profile, seed)))
@@ -489,7 +498,8 @@ def sl_singular_config(n: int) -> SingularConfig:
 
 
 def g2_singular_config() -> SingularConfig:
-    action = g2_polynomial_action()
+    """E1..E6 and h1, h2 of the exceptional action's one build (``_g2_action``)."""
+    action = _g2_action()
     positives = [(f"E{i}", action[f"E{i}"]) for i in range(1, 7)]
     cartans = [("h1", action["h1"].rational), ("h2", action["h2"].rational)]
     return SingularConfig(positives, cartans)

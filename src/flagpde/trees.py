@@ -62,7 +62,7 @@ from .operators import (
     VerificationError,
     differential_form,
 )
-from .poly import (ExponentRangeError, FormApplicator, Polynomial, _IntForm, _lead_floor, _pack, _reduced,
+from .poly import (EXP_MAX, ExponentRangeError, FormApplicator, Polynomial, _IntForm, _lead_floor, _pack, _reduced,
                    _sum_forms, _tagged, _unit, _unpack, _untagged, variable)
 
 __all__ = [
@@ -270,13 +270,14 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
         raise ValueError(f"the caps must be non-negative, got degree_cap={degree_cap}, "
                          f"t_power_cap={t_power_cap}")
     n = tree.nodes
+    count = math.comb(degree_cap + n, n)  # the monomials, counted before they are listed
+    if count > EXP_MAX + 1:
+        raise ExponentRangeError(f"degree_cap={degree_cap} is too large: a tag field holds at most "
+                                 f"{EXP_MAX + 1} entries, got {count}")
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))
     vs = ("t",) + x_vars + ("tag",)
     monomials = list(tuples_with_sum_at_most(n, degree_cap))
-    try:
-        batch = _tagged([_IntForm({_pack((0,) + exp): 1}, {}, 1, n + 1) for exp in monomials], 0)
-    except ExponentRangeError as err:
-        raise ExponentRangeError(f"degree_cap={degree_cap} is too large: {err}") from err
+    batch = _tagged([_IntForm({_pack((0,) + exp): 1}, {}, 1, n + 1) for exp in monomials], 0)
     form = differential_form(tricomi_operator(tree), vs)
     heat = FormApplicator({a: c.shifted(0, 1, 1) for a, c in form.items()})
     exponents = [_symbol_applicator(xi, vs) for xi in compute_splitting(tree).exponents]

@@ -4,9 +4,10 @@
 exceed on the exact-arithmetic tests; example counts are unchanged.  Select
 it with ``python -m pytest --hypothesis-profile=ci``.
 
-``fresh_reading`` empties the cache of the exceptional half's one proof
-(``lie._g2_reading``) before and after a test, so that the test sees the
-proof run and leaves no result of its own behind.
+``fresh_reading`` empties the caches of the exceptional half's one proof
+(``lie._g2_reading``) and of the exceptional action's one build
+(``lie._g2_action``) before and after a test, so that the test sees both
+run and leaves no result of its own behind.
 """
 
 import pytest
@@ -20,5 +21,7 @@ settings.register_profile("ci", deadline=None)
 @pytest.fixture
 def fresh_reading():
     lie._g2_reading.cache_clear()
+    lie._g2_action.cache_clear()
     yield
     lie._g2_reading.cache_clear()
+    lie._g2_action.cache_clear()

@@ -52,7 +52,7 @@ from flagpde.operators import (
     operator_variables,
     operators_agree_on_sample,
 )
-from flagpde.poly import IMAG, _int_form
+from flagpde.poly import EXP_MAX, IMAG, ExponentRangeError, _int_form
 
 from oracles import (
     agree_on_monomials,
@@ -704,21 +704,21 @@ def test_laplacian_terms_are_the_iterated_laplacian(spec, data):
     """R! times the closed-form terms of one R is L^R(x^l), taken by
     iterating L = sum_j c_j d^(beta_j) over separate one- and two-variable
     blocks.  The profile s^R marks each R's terms."""
-    from flagpde.bases import _BlockTable, _closed_form_series, _placed, _placed_profile, _profile
-    from flagpde.poly import _mover, _pack
+    from flagpde.bases import _SeriesLemma
 
     width = sum(len(orders) for _, orders in spec)
     ells = tuple(data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width)))
     xs = tuple(f"x{i}" for i in range(1, width + 1))
-    tables, block_vars, parts, i = [], [], [], 0
+    blocks, parts, i = [], [], 0
     for c, orders in spec:
-        tables.append(_BlockTable(c, tuple(orders)))
-        block_vars.append(xs[i:i + len(orders)])
+        blocks.append((c, tuple(orders), xs[i:i + len(orders)]))
         parts.append(Compose(Scale(c), *(Derivative(xs[i + j], o) for j, o in enumerate(orders))))
         i += len(orders)
     vs = ("s",) + xs
-    marker = _placed_profile(_profile([([(_pack((r,)), 1)], 1) for r in range(sum(ells) + 1)]), _mover(("s",), vs))
-    terms = _closed_form_series(marker, _placed(tables, block_vars, vs), ells, len(vs)).to_poly(vs, frozenset()).terms
+    lemma = _SeriesLemma(("s",), Derivative("s"), Polynomial.const(1), blocks, vs)
+    s = variable("s")
+    marker = lemma.profile(s**r * Fraction(1, math.factorial(r)) for r in range(sum(ells) + 1))
+    terms = lemma.element(marker, ells).terms
     power = Polynomial(xs, {ells: 1})
     for big_r in range(sum(ells) + 2):
         want = {e[1:]: c * math.factorial(big_r) for e, c in terms.items() if e[0] == big_r}
@@ -761,9 +761,25 @@ def _wrong_table_entry(monkeypatch):
     monkeypatch.setattr(_BlockTable, "__missing__", wrong)
 
 
+def _wrong_table_offset(monkeypatch):
+    """Each filled table's last entry gets the key offset of one more in
+    its block's first variable."""
+    from flagpde.bases import _BlockTable
+
+    fill = _BlockTable.__missing__
+
+    def wrong(self, l):
+        entries = fill(self, l)
+        r, n, e = entries[-1]
+        entries[-1] = (r, n, e + self.units[0])
+        return entries
+
+    monkeypatch.setattr(_BlockTable, "__missing__", wrong)
+
+
 def _wrong_profile_entry(monkeypatch):
     """Every profile's P_1 is doubled before the profile is folded."""
-    from flagpde import bases, dissipative
+    from flagpde import bases
 
     fold = bases._profile
 
@@ -775,7 +791,6 @@ def _wrong_profile_entry(monkeypatch):
         return fold(entries)
 
     monkeypatch.setattr(bases, "_profile", wrong)
-    monkeypatch.setattr(dissipative, "_profile", wrong)
 
 
 def _wrong_annihilator(monkeypatch):
@@ -793,6 +808,7 @@ def _wrong_annihilator(monkeypatch):
 
 @pytest.mark.parametrize("sabotage, message", [
     (_wrong_table_entry, "table"),
+    (_wrong_table_offset, "table"),
     (_wrong_profile_entry, "profile"),
     (_wrong_annihilator, "annihilator is not K"),
 ])
@@ -812,12 +828,13 @@ def test_a_wrong_table_entry_exits_three_through_the_cli(monkeypatch):
     assert main(["basis", "harmonic", "--n", "3", "--cap", "3"]) == 3
 
 
-_SERIES_LAYOUT_NAMES = {"_closed_form_series", "_placed", "_placed_profile", "_PlacedTable"}
+_SERIES_LAYOUT_NAMES = {"_closed_form_series", "_BlockTable", "_profile"}
 
 
 def test_series_layout_is_private_to_bases():
     """Every module but bases builds its series through ``_SeriesLemma``:
-    none imports or names the placed tables, profiles or the fold."""
+    none imports or names the block tables, the profile fold or the series
+    fold."""
     found = []
     for path in sorted(Path(flagpde.__file__).parent.glob("*.py")):
         if path.name == "bases.py":
@@ -839,6 +856,73 @@ def test_only_flag_families_are_checked_element_by_element(monkeypatch):
     assert calls == []
     flag_basis(FlagEquationSpec((2, 1), (x1,)), 3)
     assert len(calls) == 1
+
+
+def _unbuilt(monkeypatch, *modules):
+    """Make the index enumerators and the series lemma of the modules raise
+    if called, so that a refusal that comes too late fails at once rather
+    than running on."""
+    def built(*args):
+        raise AssertionError(f"built from {args} before the input was refused")
+
+    for module in modules:
+        for name in ("tuples_with_sum", "tuples_with_sum_at_most", "_SeriesLemma"):
+            monkeypatch.setattr(module, name, built, raising=False)
+
+
+# every family with the seed x_j^cap (or x_j^k, x1^l1, y_j^l2) one past EXP_MAX
+OUT_OF_RANGE = EXP_MAX + 1
+FAMILIES_WITH_A_SEED_BEYOND_THE_RANGE = {
+    "constant": lambda: constant_coefficient_basis((2, 2), OUT_OF_RANGE),
+    "harmonic": lambda: harmonic_basis(2, OUT_OF_RANGE),
+    "dissipative": lambda: dissipative_wave_basis(1, OUT_OF_RANGE),
+    "anisymmetric": lambda: anisymmetric_basis(1, -3, 1, OUT_OF_RANGE),
+    "flag": lambda: flag_basis(FlagEquationSpec((2, 1), (x1,)), OUT_OF_RANGE),
+    "harmonic module": lambda: harmonic_module_basis(2, OUT_OF_RANGE),
+    "sl l1": lambda: sl_module_basis(2, OUT_OF_RANGE, 0),
+    "sl l2": lambda: sl_module_basis(2, 0, OUT_OF_RANGE),
+    "g2": lambda: g2_module_basis(OUT_OF_RANGE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES_WITH_A_SEED_BEYOND_THE_RANGE))
+def test_a_seed_beyond_the_exponent_range_is_refused_before_any_element(monkeypatch, name):
+    from flagpde import bases, combinatorics, dissipative, lie
+
+    _unbuilt(monkeypatch, bases, combinatorics, dissipative, lie)
+    with pytest.raises(ExponentRangeError, match=rf"seed exponent {OUT_OF_RANGE} is outside \[0, {EXP_MAX}\]"):
+        FAMILIES_WITH_A_SEED_BEYOND_THE_RANGE[name]()
+
+
+def test_a_one_variable_flag_family_reads_no_cap(monkeypatch):
+    """Its elements are x1^l1, l1 < m1, for any cap: no variable is listed
+    past the empty tuple."""
+    from flagpde import combinatorics
+
+    listed = combinatorics.tuples_with_sum
+
+    def checked(length, total):
+        if length == 0 and total > 0:
+            raise AssertionError("sums listed past the empty tuple")
+        return listed(length, total)
+
+    monkeypatch.setattr(combinatorics, "tuples_with_sum", checked)
+    assert list(combinatorics.tuples_with_sum_at_most(0, 10**20)) == [()]
+    fam = flag_basis(FlagEquationSpec((2,), ()), 10**20)
+    assert [e.index for e in fam.elements] == [{"ell": (0,)}, {"ell": (1,)}]
+    assert fam.truncation["cap"] == 10**20
+
+
+@pytest.mark.parametrize("ells, bad", [((-1, 0), -1), ((0, OUT_OF_RANGE), OUT_OF_RANGE)])
+def test_harmonic_element_checks_its_exponents_before_it_builds(monkeypatch, ells, bad):
+    from flagpde import bases
+
+    def unbuilt(orders):
+        raise AssertionError("the lemma was built before the exponents were checked")
+
+    monkeypatch.setattr(bases, "_constant_lemma", unbuilt)
+    with pytest.raises(ExponentRangeError, match=rf"seed exponent {bad} is outside \[0, {EXP_MAX}\]"):
+        harmonic_element(3, 0, ells)
 
 
 # lambda generic or a negative integer: the lemma proves every regime

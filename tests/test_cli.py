@@ -710,6 +710,56 @@ def test_malformed_input_exits_two_without_a_traceback(tmp_path, capsys, args, f
     assert "Traceback" not in err
 
 
+BEYOND = str(10**20)
+
+
+@pytest.mark.parametrize("args", [
+    ["basis", "constant", "--orders", "2,2", "--cap", BEYOND],
+    ["basis", "harmonic", "--n", "2", "--cap", BEYOND],
+    ["basis", "dissipative", "--n", "1", "--cap", BEYOND],
+    ["basis", "anisym", "--n", "1", "--lambda", "3/2", "--cap", BEYOND],
+    ["basis", "flag", "--spec", "{spec}", "--cap", BEYOND],
+    ["lie", "harmonic", "--n", "2", "--k", BEYOND],
+    ["lie", "sl", "--n", "2", "--l1", BEYOND, "--l2", "0"],
+    ["lie", "g2", "--k", BEYOND],
+])
+def test_a_seed_beyond_the_exponent_range_exits_two_at_once(monkeypatch, tmp_path, capsys, args):
+    """The family's seed x_j^cap (or x_j^k, x1^l1) can never be built, so
+    the command exits 2 before it lists a single index or builds a lemma."""
+    from flagpde import bases, combinatorics, dissipative
+
+    def built(*args):
+        raise AssertionError(f"built from {args} before the input was refused")
+
+    for module in (bases, combinatorics, dissipative, lie):
+        for name in ("tuples_with_sum", "tuples_with_sum_at_most", "_SeriesLemma"):
+            monkeypatch.setattr(module, name, built, raising=False)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"orders": [2, 1], "coefficients": [[{"exp": {"x1": 1}, "re": "1", "im": "0"}]],
+                                "variables": ["x1", "x2"]}))
+    out = tmp_path / "out.json"
+    assert run_cli([a.format(spec=spec) for a in args] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"seed exponent {BEYOND} is outside [0, 16383]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_tree_splitting_refuses_a_cap_with_too_many_monomials_at_once(monkeypatch, tmp_path, capsys):
+    from flagpde import trees
+
+    def listed(*args):
+        raise AssertionError("monomials listed before they were counted")
+
+    monkeypatch.setattr(trees, "tuples_with_sum_at_most", listed)
+    tree = _write(tmp_path, "t.json", json.dumps({"nodes": 4, "edges": [[1, 2], [2, 3], [2, 4]]}))
+    out = tmp_path / "split.json"
+    assert run_cli(["tree", "check-splitting", "--tree", tree, "--cap", "100000", "--tcap", "1",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "degree_cap=100000 is too large: a tag field holds at most 16384 entries" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("l1, l2", [(-1, 1), (1, -1)])
 def test_lie_sl_rejects_a_negative_degree_by_name(capsys, l1, l2):
     assert run_cli(["lie", "sl", "--n", "2", "--l1", str(l1), "--l2", str(l2)]) == 2

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -326,6 +327,27 @@ def test_whole_g2_half_is_proved_once_per_process(fresh_reading, monkeypatch):
     select_g2_laplacian_reading()
     assert calls == {"_g2_reading_checks": 1, "g2_bracket_report": 1, "g2_polynomial_action": 1,
                      "sl_laplacian": 2}
+
+
+def test_g2_action_is_built_once_per_process(fresh_reading, monkeypatch):
+    """The singular configs and the exceptional half share one build of the
+    fourteen operators, which no config can change; the public builder
+    still returns a new dict on each call."""
+    calls, build = [], lie.g2_polynomial_action
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(lie, "g2_polynomial_action", counted)
+    first, second = g2_singular_config(), g2_singular_config()
+    commutation_checks(2)
+    assert len(calls) == 1
+    assert [op for _, op in first.positives] == [op for _, op in second.positives]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.positives[0][1].rational = MultiplyBy(variable("x1"))
+    monkeypatch.undo()
+    assert g2_polynomial_action() is not g2_polynomial_action()
 
 
 def test_mutating_a_report_leaves_the_next_one_whole():

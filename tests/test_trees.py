@@ -196,6 +196,20 @@ def test_splitting_check_names_the_cap_a_tag_field_cannot_hold():
         check_splitting(chain5, 21, 1)
 
 
+def test_splitting_check_counts_the_monomials_before_it_lists_them(monkeypatch):
+    """A 2-node tree at degree cap 1000 has C(1002, 2) = 501501 monomials;
+    the check refuses them without listing one."""
+    from flagpde import trees
+
+    def listed(*args):
+        raise AssertionError("monomials listed before they were counted")
+
+    monkeypatch.setattr(trees, "tuples_with_sum_at_most", listed)
+    with pytest.raises(ExponentRangeError,
+                       match=r"degree_cap=1000 is too large: a tag field holds at most 16384 entries, got 501501"):
+        check_splitting(Tree(2, [(1, 2)]), 1000, 1)
+
+
 @pytest.mark.parametrize("tree, cap, tcap", [
     (CHAIN3, 0, 3),
     (Tree(3, [(1, 2), (1, 3)]), 0, 2),
