@@ -33,8 +33,11 @@ call.
 
 The ``repr`` strings of ``solve_constant_ode`` and ``solve_flag_ivp`` values
 were recorded while the ODE still had an evaluator of its own, before it
-became the zero mode of the flag evaluator, so a refactor of the numeric
-side that changes a single bit of these values fails here.
+became the zero mode of the flag evaluator, and the Klein-Gordon values
+(real, sparse arguments) while every argument list still ran the complex
+recurrence at every weight after a float magnitude pass summed to 2^-60,
+so a refactor of the numeric side that changes a single bit of these
+values fails here.
 """
 
 import hashlib
@@ -192,6 +195,11 @@ FLAG_IVPS = {
          TrigData((1.1, 0.6), {(0, 0): (0.75, 0.0), (1, -1): (-0.2, 0.4)}),
          TrigData((1.1, 0.6), {(2, 1): (0.0, 1.0), (0, 1): (0.6, 0.1)})],
         [(0.0, 0.1, 0.2), (0.3, -0.7, 0.4), (0.9, 0.5, -0.45), (0.3, 0.5, -0.45)]),
+    "klein_gordon": lambda: solve_flag_ivp(
+        [Polynomial.zero(("D2",)), D2 * D2 - Fraction(1, 4)],
+        [TrigData((0.7,), {(3,): (1.0, 0.0), (1,): (-0.5, 0.25), (0,): (0.4, 0.0)}),
+         TrigData((0.7,), {(1,): (0.0, 1.5), (2,): (0.3, -0.2)})],
+        [(0.0, 0.15), (0.6, -0.35), (1.3, 0.2), (2.71, 0.55)]),
 }
 
 FLAG_GOLDEN = {
@@ -201,6 +209,8 @@ FLAG_GOLDEN = {
                   "-0.11482821243174873"],
     "third_order_2d": ["-1.8905928574402449", "-0.10715183742227127", "0.15531103045404968",
                        "-0.17378517571334323"],
+    "klein_gordon": ["-0.09101829079143497", "1.5805880823570684", "-0.13069346487097294",
+                     "0.41863492886293713"],
 }
 
 
