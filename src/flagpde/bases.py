@@ -397,8 +397,11 @@ def harmonic_element(n: int, eps: int, ells) -> Polynomial:
     if eps not in (0, 1) or len(ells) != n - 1:
         raise ValueError(f"need eps 0 or 1 and n - 1 exponents, got n={n}, eps={eps}, ells={ells}")
     _check_seed(*ells)
+    top = sum(ells) // 2
+    if eps + 2 * top > EXP_MAX:  # the profile's last x1 power, before any of it is built
+        raise ExponentRangeError(f"x1 degree {eps + 2 * top} is outside [0, {EXP_MAX}]")
     lemma = _constant_lemma((2,) * n)
-    return lemma.element(lemma.corner_profile((eps,), (2,), sum(ells) // 2), ells)
+    return lemma.element(lemma.corner_profile((eps,), (2,), top), ells)
 
 
 def harmonic_basis(n: int, cap: int) -> BasisFamily:

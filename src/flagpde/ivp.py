@@ -141,17 +141,26 @@ def _one_argument_value(r: int, y: complex) -> complex:
     return value
 
 
-def _magnitude_bound(moduli) -> float:
-    """Y_0 at the argument moduli, summed in floats.
+def _magnitude_exponent(moduli) -> int:
+    """The binary exponent e of B, Y_0 at the argument moduli summed in floats:
+    2^(e-1) <= B < 2^e.
 
-    No term is negative, so nothing cancels.  The value bounds sum_w |U_w|
-    of the fixed-point run, and also how far an error made at one weight can
-    grow through the recurrence (j! (w-j)! <= w!).  The sum stops once m
-    consecutive terms, the newest tested first, are below 2^-60 of it and
-    each later term is at most half the largest of the m before it.
+    No term is negative, so nothing cancels.  B bounds sum_w |U_w| of the
+    fixed-point run, and also how far an error made at one weight can grow
+    through the recurrence (j! (w-j)! <= w!).  The float sum B stops once m
+    consecutive terms are below 2^-60 of it and the ratio test holds:
+    sum_p |a_p| / perm(w + 1, p + 1) <= 1/2, so each later term is at most
+    half the largest, M, of the m before it.  The test then holds at every
+    later weight too, and the rest of the sum is below m M, so the pass
+    returns e as soon as the total's mantissa leaves room for 2 m M and the
+    rounding of the additions still to come; it only does so where those
+    terms are below 2^-60 of the total within the weight limit, so the
+    stopped sum has the same exponent and raises where it raises.
     """
     m = len(moduli)
     terms, total = [1.0], 1.0
+    settled = False  # the ratio test held at a weight >= m, so it holds at every later one
+    retest = m  # the first weight at which the ratio test may hold, as far as known
     for w in range(1, WEIGHT_LIMIT + 1):
         term, falling = 0.0, 1.0
         for p in range(m if m < w else w):
@@ -162,8 +171,20 @@ def _magnitude_bound(moduli) -> float:
         if not math.isfinite(total):
             raise SeriesTerminationError("Y-series magnitude overflows")
         if term <= total * 2.0**-60 and max(terms[-m:]) <= total * 2.0**-60:
-            if sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(min(m, w + 1))) <= 0.5:
-                return total
+            if settled or sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(m)) <= 0.5:
+                return math.frexp(total)[1]
+        elif w >= retest:
+            if not settled:
+                gain = sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(m))
+                settled = gain <= 0.5
+                # the test falls no faster than ((w + 2 - m) / (w' + 2 - m))^m
+                retest = min((w + 2 - m) * (2 * gain) ** (1 / m) + m - 2, WEIGHT_LIMIT)
+            # at most 62 m more terms, m per halving, reach 2^-60 of the total; each
+            # addition rounds by at most 2^(e-54), so 62 m of them by less than m 2^(e-48)
+            if settled and w + 62 * m <= WEIGHT_LIMIT:
+                mantissa, e = math.frexp(total)
+                if mantissa + math.ldexp(2 * m * max(terms[-m:]), -e) + m * 2.0**-47 < 1.0:
+                    return e
     raise SeriesTerminationError("Y-series not settling within the weight limit")
 
 
@@ -181,6 +202,11 @@ def _graded_exponentials(orders, args) -> list:
     See generalized_exponential.  S_w does not depend on r, so the scaled sums
     U_w = S_w / w! are carried once, and r! Y_r = sum_w U_w / C(r+w, r) is
     accumulated per order: Y_r does not depend on the other orders asked.
+    Two shortcuts leave every integer of the run as it is.  U_w is zero
+    unless g = gcd{p + 1 : a_p != 0} divides w (by induction from U_0), so
+    the other weights append a zero without any sum, counted by the stop
+    rule like every zero.  Real arguments make every imaginary integer zero,
+    so their run carries the real ones alone.
     """
     if any(r < 0 for r in orders):
         raise ValueError("order must be non-negative")
@@ -189,11 +215,22 @@ def _graded_exponentials(orders, args) -> list:
         raise ValueError(f"graded exponential argument is NaN: {args!r}")
     if len(args) == 1:
         return [_one_argument_value(r, args[0]) for r in orders]
-    m = len(args)
-    bound = _magnitude_bound([abs(a) for a in args])
-    bits = math.frexp(bound)[1] - math.frexp(_RELATIVE_ACCURACY)[1] + _GUARD_BITS
+    bits = _magnitude_exponent([abs(a) for a in args]) - math.frexp(_RELATIVE_ACCURACY)[1] + _GUARD_BITS
     ints, shift = _dyadic(args)
     nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
+    step = math.gcd(*(p + 1 for p, _, _ in nonzero)) or 1  # all zero: skip nothing
+    run = (len(args), bits, shift, step)
+    if any(ai for _, _, ai in nonzero):
+        totals = _complex_run(orders, nonzero, *run)
+    else:
+        totals = [(r, tr, 0) for r, tr in _real_run(orders, [(p, ar) for p, ar, _ in nonzero], *run)]
+    return [complex(tr / (scale := math.factorial(r) << bits), ti / scale) for r, tr, ti in totals]
+
+
+def _complex_run(orders, nonzero, m, bits, shift, step) -> list:
+    """[r, r! Y_r 2^bits real, imaginary] per order: the recurrence on the
+    integer pairs (re, im), a_p = (ar + i ai) / 2^shift for (p, ar, ai) in
+    nonzero, stopped after m consecutive zero U_w."""
     perm, comb = math.perm, math.comb
     units = [(1 << bits, 0)]
     totals = [[r, 1 << bits, 0] for r in orders]  # r, then C(r, r) U_0
@@ -202,6 +239,10 @@ def _graded_exponentials(orders, args) -> list:
         w += 1
         if w > WEIGHT_LIMIT:
             raise SeriesTerminationError("Y-series not settling within the weight limit")
+        if w % step:
+            units.append((0, 0))
+            zeros += 1
+            continue
         q = m if m < w else w
         re = im = 0
         for p, ar, ai in nonzero:
@@ -227,7 +268,44 @@ def _graded_exponentials(orders, args) -> list:
                     total[2] += im
         else:
             zeros += 1
-    return [complex(tr / (scale := math.factorial(r) << bits), ti / scale) for r, tr, ti in totals]
+    return totals
+
+
+def _real_run(orders, nonzero, m, bits, shift, step) -> list:
+    """[r, r! Y_r 2^bits] per order: _complex_run for real arguments, (p, ar)
+    in nonzero, whose imaginary integers are all zero."""
+    perm, comb = math.perm, math.comb
+    units = [1 << bits]
+    totals = [[r, 1 << bits] for r in orders]
+    zeros, w = 0, 0
+    while zeros < m:
+        w += 1
+        if w > WEIGHT_LIMIT:
+            raise SeriesTerminationError("Y-series not settling within the weight limit")
+        if w % step:
+            units.append(0)
+            zeros += 1
+            continue
+        q = m if m < w else w
+        u = 0
+        for p, a in nonzero:
+            if p >= q:
+                break
+            u += a * units[w - p - 1] * perm(w - p - 1, q - p - 1)
+        den = perm(w, q) << shift
+        u = u // den if u >= 0 else -(-u // den)
+        units.append(u)
+        if u:
+            zeros = 0
+            for total in totals:
+                if r := total[0]:
+                    c = comb(r + w, r)
+                    total[1] += u // c if u >= 0 else -(-u // c)
+                else:
+                    total[1] += u
+        else:
+            zeros += 1
+    return totals
 
 
 def generalized_exponential(r: int, args) -> complex:
@@ -241,18 +319,19 @@ def generalized_exponential(r: int, args) -> complex:
     recurrence S_w = sum_p a_p S_(w-p-1), which does not depend on r.  The
     scaled sums U_w = S_w / w!, starting from U_0 = 1, obey
     U_w = sum_p a_p U_(w-p-1) (w-p-1)!/w! and are carried in integer fixed
-    point with log2(B / _RELATIVE_ACCURACY) + 40 fractional bits, where B,
-    the series Y_0 at the argument moduli, bounds sum |U_w| and how far the
-    truncation error made at one weight can grow through the recurrence.
+    point with e - f + 40 fractional bits: 2^(e-1) <= B < 2^e for B, the
+    series Y_0 at the argument moduli (_magnitude_exponent), which bounds
+    sum |U_w| and how far the truncation error made at one weight can grow
+    through the recurrence, and 2^(f-1) <= _RELATIVE_ACCURACY < 2^f.
     Then r! Y_r = sum_w U_w / C(r+w, r) is accumulated with one truncated
     quotient per weight, divided by r! and rounded once.  Error, in units of
     the last fixed-point bit: a unit of truncation at weight j reaches U_w
     as S_(w-j) j!/w!, at most S_(w-j)/(w-j)! at the moduli, so the N
-    truncations of N weights put at most N B units into sum |U_w|.  Order r
-    divides those errors by C(r+w, r) >= 1, so they are no larger than order
-    0's, and its own quotients add at most one unit per weight (order 0
-    divides by C(w, 0) = 1, so it adds U_w exactly, with no unit): r! Y_r is
-    within N (B + 1) units, at most N 2^-38 _RELATIVE_ACCURACY, below
+    truncations of N weights put at most N 2^e units into sum |U_w|.  Order
+    r divides those errors by C(r+w, r) >= 1, so they are no larger than
+    order 0's, and its own quotients add at most one unit per weight (order
+    0 divides by C(w, 0) = 1, so it adds U_w exactly, with no unit): r! Y_r
+    is within N (2^e + 1) units, at most N 2^-38 _RELATIVE_ACCURACY, below
     2^-25 _RELATIVE_ACCURACY for N up to WEIGHT_LIMIT, however much the
     terms cancel and however large r is.  The sum stops after m consecutive
     U_w that are exactly zero (the recurrence then stays at zero).  The

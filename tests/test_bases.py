@@ -1,6 +1,9 @@
 import ast
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -923,6 +926,28 @@ def test_harmonic_element_checks_its_exponents_before_it_builds(monkeypatch, ell
     monkeypatch.setattr(bases, "_constant_lemma", unbuilt)
     with pytest.raises(ExponentRangeError, match=rf"seed exponent {bad} is outside \[0, {EXP_MAX}\]"):
         harmonic_element(3, 0, ells)
+
+
+def test_harmonic_element_refuses_an_x1_degree_beyond_the_range_at_once():
+    """In-range exponents whose element needs x1^32767 raised only after
+    minutes of profile building; the degree is checked before it."""
+    script = """
+import time
+from flagpde.bases import harmonic_element
+from flagpde.poly import ExponentRangeError
+start = time.perf_counter()
+try:
+    harmonic_element(3, 1, (16383, 16383))
+except ExponentRangeError as err:
+    print(time.perf_counter() - start, err)
+"""
+    src = str(Path(flagpde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    seconds, message = proc.stdout.strip().split(" ", 1)
+    assert message == f"x1 degree 32767 is outside [0, {EXP_MAX}]"
+    assert float(seconds) < 0.5
 
 
 # lambda generic or a negative integer: the lemma proves every regime

@@ -118,13 +118,40 @@ def _outcome(f, *args):
 )
 @example([800.0, 1.0], [0, 1])
 @example([complex(-0.0, 250.0), -0.0, 0.0], [30, 0, 7])
+@example([0.0, -2500.0], [0, 1])
+@example([0.0, complex(0.0, 250.0), 0.0, 3.0], [0, 2, 9])
+@example([0.0, 0.0, -0.0], [0, 4])
 def test_kernel_matches_the_reference_bit_for_bit(args, orders):
-    """The kernel gives every value, and the magnitude bound, bit for bit as
-    the reference copy of its loops does, and raises where that raises."""
+    """The kernel gives every value, and the magnitude exponent, bit for bit
+    as the reference copy of its loops does, and raises where that raises."""
     want = _outcome(graded_exponentials_reference, orders, args)
     assert _outcome(ivp._graded_exponentials, orders, args) == want
     moduli = [abs(complex(a)) for a in args]
-    assert _outcome(ivp._magnitude_bound, moduli) == _outcome(magnitude_bound_reference, moduli)
+    assert _outcome(ivp._magnitude_exponent, moduli) == _outcome(_reference_exponent, moduli)
+
+
+def _reference_exponent(moduli) -> int:
+    return math.frexp(magnitude_bound_reference(moduli))[1]
+
+
+@pytest.mark.parametrize("shape, k", [
+    *(pytest.param(lambda a: [0.0, a], k, id=f"cosh-2^{k}") for k in (10, 20, 40)),
+    *(pytest.param(lambda a: [0.5, a, 0.25], k, id=f"three-2^{k}") for k in (40, 60)),
+])
+def test_magnitude_exponent_next_to_a_power_of_two(shape, k):
+    """[0, a] sums cosh(sqrt a).  Around the a where the reference sum first
+    reaches 2^k, from one ulp of a to 2^-28 of it below and above, the early
+    stop (or the 2^-60 rule, where the mantissa leaves no room) gives the
+    reference's exponent; three arguments leave the least room."""
+    lo, hi = 0.0, 1.0
+    while _reference_exponent(shape(hi)) <= k:
+        lo, hi = hi, 2 * hi
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _reference_exponent(shape(mid)) <= k else (lo, mid)
+    for ulps in (1, 2, 2**8, 2**16, 2**24):
+        for a in (hi * (1 - ulps * 2.0**-52), lo, hi, hi * (1 + ulps * 2.0**-52)):
+            assert ivp._magnitude_exponent(shape(a)) == _reference_exponent(shape(a))
 
 
 @pytest.mark.parametrize("args", [[math.nan], [1.0, math.nan], [complex(0.5, math.nan), 1.0]])
@@ -355,15 +382,15 @@ def test_flag_ivp_grid_matches_per_point_evaluation(symbols):
 
 def test_flag_ivp_bounds_each_mode_once_per_x1(monkeypatch):
     """Both orders of every mode come from one series run per (mode, x1):
-    one magnitude bound each, however many orders are live."""
+    one magnitude pass each, however many orders are live."""
     calls = []
-    bound = ivp._magnitude_bound
+    exponent = ivp._magnitude_exponent
 
     def counted(moduli):
         calls.append(moduli)
-        return bound(moduli)
+        return exponent(moduli)
 
-    monkeypatch.setattr(ivp, "_magnitude_bound", counted)
+    monkeypatch.setattr(ivp, "_magnitude_exponent", counted)
     data = [TrigData((1.0,), {(1,): (1.0, 0.5), (2,): (-0.5, 0.25)}),
             TrigData((1.0,), {(1,): (0.25, 0.0), (2,): (0.0, 1.0)})]
     pts = [(x1, x2) for x1 in (0.0, 0.25, 0.5) for x2 in (-0.5, 0.5)]
