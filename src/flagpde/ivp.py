@@ -200,13 +200,13 @@ def _graded_exponentials(orders, args) -> list:
     """Y_r(args) for each order r in `orders`, from one run of the recurrence.
 
     See generalized_exponential.  S_w does not depend on r, so the scaled sums
-    U_w = S_w / w! are carried once, and r! Y_r = sum_w U_w / C(r+w, r) is
-    accumulated per order: Y_r does not depend on the other orders asked.
-    Two shortcuts leave every integer of the run as it is.  U_w is zero
-    unless g = gcd{p + 1 : a_p != 0} divides w (by induction from U_0), so
-    the other weights append a zero without any sum, counted by the stop
-    rule like every zero.  Real arguments make every imaginary integer zero,
-    so their run carries the real ones alone.
+    U_w = S_w / w! are carried once, and each order sums its own
+    r! Y_r = sum_w U_w / C(r+w, r) from them: Y_r does not depend on the
+    other orders asked.  Two shortcuts leave every integer of the run as it
+    is.  U_w is zero unless g = gcd{p + 1 : a_p != 0} divides w (by
+    induction from U_0), so the other weights append a zero without any sum,
+    counted by the stop rule like every zero.  Real arguments make every
+    imaginary integer zero, so their run carries the real ones alone.
     """
     if any(r < 0 for r in orders):
         raise ValueError("order must be non-negative")
@@ -215,25 +215,25 @@ def _graded_exponentials(orders, args) -> list:
         raise ValueError(f"graded exponential argument is NaN: {args!r}")
     if len(args) == 1:
         return [_one_argument_value(r, args[0]) for r in orders]
+    m = len(args)
     bits = _magnitude_exponent([abs(a) for a in args]) - math.frexp(_RELATIVE_ACCURACY)[1] + _GUARD_BITS
     ints, shift = _dyadic(args)
     nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
     step = math.gcd(*(p + 1 for p, _, _ in nonzero)) or 1  # all zero: skip nothing
-    run = (len(args), bits, shift, step)
     if any(ai for _, _, ai in nonzero):
-        totals = _complex_run(orders, nonzero, *run)
+        re, im = _complex_units(nonzero, m, bits, shift, step)
     else:
-        totals = [(r, tr, 0) for r, tr in _real_run(orders, [(p, ar) for p, ar, _ in nonzero], *run)]
-    return [complex(tr / (scale := math.factorial(r) << bits), ti / scale) for r, tr, ti in totals]
+        re, im = _real_units([(p, ar) for p, ar, _ in nonzero], m, bits, shift, step), []
+    return [complex(_order_total(re, r) / (scale := math.factorial(r) << bits), _order_total(im, r) / scale)
+            for r in orders]
 
 
-def _complex_run(orders, nonzero, m, bits, shift, step) -> list:
-    """[r, r! Y_r 2^bits real, imaginary] per order: the recurrence on the
-    integer pairs (re, im), a_p = (ar + i ai) / 2^shift for (p, ar, ai) in
-    nonzero, stopped after m consecutive zero U_w."""
-    perm, comb = math.perm, math.comb
+def _complex_units(nonzero, m, bits, shift, step) -> tuple:
+    """The real and imaginary parts of U_0, U_1, .. in fixed point, a_p =
+    (ar + i ai) / 2^shift for (p, ar, ai) in nonzero, up to m consecutive
+    zero U_w."""
+    perm = math.perm
     units = [(1 << bits, 0)]
-    totals = [[r, 1 << bits, 0] for r in orders]  # r, then C(r, r) U_0
     zeros, w = 0, 0
     while zeros < m:
         w += 1
@@ -256,27 +256,15 @@ def _complex_run(orders, nonzero, m, bits, shift, step) -> list:
         re = re // den if re >= 0 else -(-re // den)
         im = im // den if im >= 0 else -(-im // den)
         units.append((re, im))
-        if re or im:
-            zeros = 0
-            for total in totals:
-                if r := total[0]:
-                    c = comb(r + w, r)
-                    total[1] += re // c if re >= 0 else -(-re // c)
-                    total[2] += im // c if im >= 0 else -(-im // c)
-                else:  # C(w, 0) = 1: the quotient is U_w itself
-                    total[1] += re
-                    total[2] += im
-        else:
-            zeros += 1
-    return totals
+        zeros = 0 if re or im else zeros + 1
+    return [re for re, _ in units], [im for _, im in units]
 
 
-def _real_run(orders, nonzero, m, bits, shift, step) -> list:
-    """[r, r! Y_r 2^bits] per order: _complex_run for real arguments, (p, ar)
-    in nonzero, whose imaginary integers are all zero."""
-    perm, comb = math.perm, math.comb
+def _real_units(nonzero, m, bits, shift, step) -> list:
+    """_complex_units for real arguments, (p, ar) in nonzero, whose
+    imaginary parts are all zero: the real parts alone."""
+    perm = math.perm
     units = [1 << bits]
-    totals = [[r, 1 << bits] for r in orders]
     zeros, w = 0, 0
     while zeros < m:
         w += 1
@@ -295,17 +283,21 @@ def _real_run(orders, nonzero, m, bits, shift, step) -> list:
         den = perm(w, q) << shift
         u = u // den if u >= 0 else -(-u // den)
         units.append(u)
+        zeros = 0 if u else zeros + 1
+    return units
+
+
+def _order_total(units, r: int) -> int:
+    """r! Y_r in fixed point: sum_w U_w / C(r+w, r), one truncated quotient
+    per weight (order 0 divides by C(w, 0) = 1, so it adds U_w exactly)."""
+    if not r:
+        return sum(units)
+    total = 0
+    for w, u in enumerate(units):
         if u:
-            zeros = 0
-            for total in totals:
-                if r := total[0]:
-                    c = comb(r + w, r)
-                    total[1] += u // c if u >= 0 else -(-u // c)
-                else:
-                    total[1] += u
-        else:
-            zeros += 1
-    return totals
+            c = math.comb(r + w, r)
+            total += u // c if u >= 0 else -(-u // c)
+    return total
 
 
 def generalized_exponential(r: int, args) -> complex:
