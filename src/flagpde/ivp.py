@@ -170,20 +170,19 @@ def _magnitude_exponent(moduli) -> int:
         total += term
         if not math.isfinite(total):
             raise SeriesTerminationError("Y-series magnitude overflows")
-        if term <= total * 2.0**-60 and max(terms[-m:]) <= total * 2.0**-60:
-            if settled or sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(m)) <= 0.5:
-                return math.frexp(total)[1]
-        elif w >= retest:
+        small = term <= total * 2.0**-60 and max(terms[-m:]) <= total * 2.0**-60
+        if small or w >= retest:
             if not settled:
                 gain = sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(m))
                 settled = gain <= 0.5
                 # the test falls no faster than ((w + 2 - m) / (w' + 2 - m))^m
                 retest = min((w + 2 - m) * (2 * gain) ** (1 / m) + m - 2, WEIGHT_LIMIT)
-            # at most 62 m more terms, m per halving, reach 2^-60 of the total; each
-            # addition rounds by at most 2^(e-54), so 62 m of them by less than m 2^(e-48)
-            if settled and w + 62 * m <= WEIGHT_LIMIT:
+            if settled:
+                # at most 62 m more terms, m per halving, reach 2^-60 of the total; each
+                # addition rounds by at most 2^(e-54), so 62 m of them by less than m 2^(e-48)
                 mantissa, e = math.frexp(total)
-                if mantissa + math.ldexp(2 * m * max(terms[-m:]), -e) + m * 2.0**-47 < 1.0:
+                if small or (w + 62 * m <= WEIGHT_LIMIT and
+                             mantissa + math.ldexp(2 * m * max(terms[-m:]), -e) + m * 2.0**-47 < 1.0):
                     return e
     raise SeriesTerminationError("Y-series not settling within the weight limit")
 
