@@ -159,8 +159,6 @@ def _magnitude_exponent(moduli) -> int:
     """
     m = len(moduli)
     terms, total = [1.0], 1.0
-    settled = False  # the ratio test held at a weight >= m, so it holds at every later one
-    retest = m  # the first weight at which the ratio test may hold, as far as known
     for w in range(1, WEIGHT_LIMIT + 1):
         term, falling = 0.0, 1.0
         for p in range(m if m < w else w):
@@ -170,20 +168,16 @@ def _magnitude_exponent(moduli) -> int:
         total += term
         if not math.isfinite(total):
             raise SeriesTerminationError("Y-series magnitude overflows")
-        small = term <= total * 2.0**-60 and max(terms[-m:]) <= total * 2.0**-60
-        if small or w >= retest:
-            if not settled:
-                gain = sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(m))
-                settled = gain <= 0.5
-                # the test falls no faster than ((w + 2 - m) / (w' + 2 - m))^m
-                retest = min((w + 2 - m) * (2 * gain) ** (1 / m) + m - 2, WEIGHT_LIMIT)
-            if settled:
-                # at most 62 m more terms, m per halving, reach 2^-60 of the total; each
-                # addition rounds by at most 2^(e-54), so 62 m of them by less than m 2^(e-48)
-                mantissa, e = math.frexp(total)
-                if small or (w + 62 * m <= WEIGHT_LIMIT and
-                             mantissa + math.ldexp(2 * m * max(terms[-m:]), -e) + m * 2.0**-47 < 1.0):
-                    return e
+        if w < m:
+            continue
+        top = max(terms[-m:])
+        mantissa, e = math.frexp(total)
+        # at most 62 m more terms, m per halving, reach 2^-60 of the total; each
+        # addition rounds by at most 2^(e-54), so 62 m of them by less than m 2^(e-48)
+        room = top <= total * 2.0**-60 or (w + 62 * m <= WEIGHT_LIMIT and
+                                           mantissa + math.ldexp(2 * m * top, -e) + m * 2.0**-47 < 1.0)
+        if room and sum(moduli[p] / math.perm(w + 1, p + 1) for p in range(m)) <= 0.5:
+            return e
     raise SeriesTerminationError("Y-series not settling within the weight limit")
 
 
@@ -219,27 +213,28 @@ def _graded_exponentials(orders, args) -> list:
     ints, shift = _dyadic(args)
     nonzero = [(p, ar, ai) for p, (ar, ai) in enumerate(ints) if ar or ai]
     step = math.gcd(*(p + 1 for p, _, _ in nonzero)) or 1  # all zero: skip nothing
-    if any(ai for _, _, ai in nonzero):
-        re, im = _complex_units(nonzero, m, bits, shift, step)
-    else:
-        re, im = _real_units([(p, ar) for p, ar, _ in nonzero], m, bits, shift, step), []
+    re, im = _units(nonzero, m, bits, shift, step)
     return [complex(_order_total(re, r) / (scale := math.factorial(r) << bits), _order_total(im, r) / scale)
             for r in orders]
 
 
-def _complex_units(nonzero, m, bits, shift, step) -> tuple:
+def _units(nonzero, m, bits, shift, step) -> tuple:
     """The real and imaginary parts of U_0, U_1, .. in fixed point, a_p =
     (ar + i ai) / 2^shift for (p, ar, ai) in nonzero, up to m consecutive
-    zero U_w."""
+    zero U_w.  Real arguments keep every imaginary part zero, so for them
+    only the real parts are carried and the imaginary list is empty."""
     perm = math.perm
-    units = [(1 << bits, 0)]
+    re_units = [1 << bits]
+    im_units = [0] if any(ai for _, _, ai in nonzero) else None
     zeros, w = 0, 0
     while zeros < m:
         w += 1
         if w > WEIGHT_LIMIT:
             raise SeriesTerminationError("Y-series not settling within the weight limit")
         if w % step:
-            units.append((0, 0))
+            re_units.append(0)
+            if im_units is not None:
+                im_units.append(0)
             zeros += 1
             continue
         q = m if m < w else w
@@ -247,43 +242,22 @@ def _complex_units(nonzero, m, bits, shift, step) -> tuple:
         for p, ar, ai in nonzero:
             if p >= q:
                 break
-            tr, ti = units[w - p - 1]
             c = perm(w - p - 1, q - p - 1)
-            re += (ar * tr - ai * ti) * c
-            im += (ar * ti + ai * tr) * c
+            tr = re_units[w - p - 1]
+            if im_units is None:
+                re += ar * tr * c
+            else:
+                ti = im_units[w - p - 1]
+                re += (ar * tr - ai * ti) * c
+                im += (ar * ti + ai * tr) * c
         den = perm(w, q) << shift
         re = re // den if re >= 0 else -(-re // den)
-        im = im // den if im >= 0 else -(-im // den)
-        units.append((re, im))
+        re_units.append(re)
+        if im_units is not None:
+            im = im // den if im >= 0 else -(-im // den)
+            im_units.append(im)
         zeros = 0 if re or im else zeros + 1
-    return [re for re, _ in units], [im for _, im in units]
-
-
-def _real_units(nonzero, m, bits, shift, step) -> list:
-    """_complex_units for real arguments, (p, ar) in nonzero, whose
-    imaginary parts are all zero: the real parts alone."""
-    perm = math.perm
-    units = [1 << bits]
-    zeros, w = 0, 0
-    while zeros < m:
-        w += 1
-        if w > WEIGHT_LIMIT:
-            raise SeriesTerminationError("Y-series not settling within the weight limit")
-        if w % step:
-            units.append(0)
-            zeros += 1
-            continue
-        q = m if m < w else w
-        u = 0
-        for p, a in nonzero:
-            if p >= q:
-                break
-            u += a * units[w - p - 1] * perm(w - p - 1, q - p - 1)
-        den = perm(w, q) << shift
-        u = u // den if u >= 0 else -(-u // den)
-        units.append(u)
-        zeros = 0 if u else zeros + 1
-    return units
+    return re_units, im_units or []
 
 
 def _order_total(units, r: int) -> int:
