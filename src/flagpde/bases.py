@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .combinatorics import multinomial, tuples_with_sum, tuples_with_sum_at_most
+from .combinatorics import tuples_with_sum_at_most
 from .linalg import polys_rank
 from .operators import (
     Compose,
@@ -586,9 +586,15 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     T0 must commute with each perturbation and the perturbations with each
     other, proved on the m+1 normal forms, built once (``forms_commute``),
     or by ``operators_agree_on_sample`` for an operator without one;
-    T0^m must annihilate h.  The output is the multinomial series over
-    tuples (i_1..i_m) weighting (T0inv)^(sum p*i_p)(h) with
-    prod T_p^(i_p)(g), verified exactly.
+    T0^m must annihilate h.  The output is the multinomial series
+    sum_i multinomial(i) (T0inv)^(sum p*i_p)(h) prod T_p^(i_p)(g), summed by
+    weight w = sum p*i_p: u = sum_w (T0inv)^w(h) G_w with G_0 = g and
+    G_w = sum_(p <= min(m, w)) T_p(G_(w-p)), since each ordering of the parts
+    ends in some T_p and the T_p commute.  The sum stops after m zero G_w in
+    a row, which make every later G_w zero.  An input whose tuple levels
+    sum i_p die by L <= 2 + deg(g) max(1, m) has them by w = m L, so a
+    series still alive past w = m (3 + deg(g) max(1, m)) is refused
+    (``VerificationError``).  The output is verified exactly.
     """
     perturbations = list(perturbations)
     if len(perturbations) != m:
@@ -610,45 +616,24 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     if hk:
         raise KernelPreconditionError("kernel precondition violated")
 
-    max_level = 2 + g.total_degree() * max(1, m)
-    g_parts: dict[tuple, _IntForm] = {(0,) * m: _int_form(g, vs)}
+    last = m * (3 + g.total_degree() * max(1, m))
     perturb = [form_map(op, vs) for op in perturbations]
-
-    def g_part(tup):
-        if tup in g_parts:
-            return g_parts[tup]
-        for r in range(m):
-            if tup[r]:
-                prev = tup[:r] + (tup[r] - 1,) + tup[r + 1 :]
-                out = perturb[r](g_part(prev))
-                break
-        g_parts[tup] = out
-        return out
-
-    h_powers = [h0]
-
-    def h_part(w):
-        while len(h_powers) <= w:
-            h_powers.append(t0_inverse.apply_form(h_powers[-1], vs))
-        return h_powers[w]
-
-    pieces = []
-    level = 0
-    while level <= max_level:
-        alive = False
-        for tup in tuples_with_sum(m, level):
-            gp = g_part(tup)
-            if not gp:
-                continue
-            alive = True
-            weight = sum((p + 1) * i for p, i in enumerate(tup))
-            pieces.append((h_part(weight) * gp).scaled(multinomial(tup)))
-        if not alive and level > 0:
-            break
-        level += 1
-    else:
-        raise VerificationError("power-perturbation series did not terminate")
-    total = _sum_forms(pieces) if pieces else _IntForm.zero(len(vs))
+    parts = [_int_form(g, vs)]
+    # with m = 0, parts[-m:] would be the whole list
+    while m and any(parts[-m:]):
+        w = len(parts)
+        if w > last:
+            raise VerificationError("power-perturbation series did not terminate")
+        parts.append(_sum_forms([perturb[p - 1](parts[w - p]) for p in range(1, min(m, w) + 1) if parts[w - p]]))
+    del parts[len(parts) - m:]  # the m zeros that ended the series
+    pieces = [_IntForm.zero(len(vs))]
+    hw = h0
+    for w, part in enumerate(parts):
+        if w:
+            hw = t0_inverse.apply_form(hw, vs)
+        if part:
+            pieces.append(hw * part)
+    total = _sum_forms(pieces)
 
     # residual of T0^m - sum_p T0^(m-p) T_p
     residual = Sum((

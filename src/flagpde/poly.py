@@ -503,7 +503,13 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        out = _IntForm.one(len(self.vars))
+        # the ring is a domain, so p^n holds x_v^(n max_v) and x_v^(n min_v)
+        n = len(self.vars)
+        for column in zip(*(_unpack(key, n) for key in itertools.chain(self.form.re, self.form.im))):
+            for e in (exponent * max(column), exponent * min(column)):
+                if not EXP_MIN <= e <= EXP_MAX:
+                    raise _out_of_range(e)
+        out = _IntForm.one(n)
         for _ in range(exponent):
             out = out * self.form
         return out.to_poly(self.vars, self.laurent)

@@ -1154,6 +1154,61 @@ def tuples_with_sum_recursive(length, total):
             yield (first,) + rest
 
 
+def power_perturbation_by_tuples(t0, t0_inverse, perturbations, m, h, g):
+    """The series of ``bases.power_perturbation_solve`` summed tuple by
+    tuple, the loop its sum by weight replaced: tuples (i_1..i_m) level by
+    level, each adding multinomial(i) (T0inv)^(sum p*i_p)(h) prod T_p^(i_p)(g),
+    the tuple parts memoised.  No hypothesis or residual is checked."""
+    from flagpde.combinatorics import tuples_with_sum
+    from flagpde.operators import VerificationError, _chain_order, form_map
+    from flagpde.poly import _int_form, _IntForm, _sum_forms
+
+    perturbations = list(perturbations)
+    vs, laurent = _chain_order([h, g], [t0_inverse, t0, *perturbations])
+    h0 = _int_form(h, vs)
+
+    max_level = 2 + g.total_degree() * max(1, m)
+    g_parts: dict[tuple, _IntForm] = {(0,) * m: _int_form(g, vs)}
+    perturb = [form_map(op, vs) for op in perturbations]
+
+    def g_part(tup):
+        if tup in g_parts:
+            return g_parts[tup]
+        for r in range(m):
+            if tup[r]:
+                prev = tup[:r] + (tup[r] - 1,) + tup[r + 1 :]
+                out = perturb[r](g_part(prev))
+                break
+        g_parts[tup] = out
+        return out
+
+    h_powers = [h0]
+
+    def h_part(w):
+        while len(h_powers) <= w:
+            h_powers.append(t0_inverse.apply_form(h_powers[-1], vs))
+        return h_powers[w]
+
+    pieces = []
+    level = 0
+    while level <= max_level:
+        alive = False
+        for tup in tuples_with_sum(m, level):
+            gp = g_part(tup)
+            if not gp:
+                continue
+            alive = True
+            weight = sum((p + 1) * i for p, i in enumerate(tup))
+            pieces.append((h_part(weight) * gp).scaled(multinomial(tup)))
+        if not alive and level > 0:
+            break
+        level += 1
+    else:
+        raise VerificationError("power-perturbation series did not terminate")
+    total = _sum_forms(pieces) if pieces else _IntForm.zero(len(vs))
+    return total.to_poly(vs, laurent)
+
+
 def anisymmetric_elements_by_iteration(n, lam, epsilon, cap):
     """(index, solution) pairs of `anisymmetric_basis`, each Laplacian power
     taken by applying the Laplacian's normal form to the previous one: the

@@ -64,6 +64,7 @@ from oracles import (
     constant_element_by_fractions,
     flag_basis_unshared,
     harmonic_element_by_fractions,
+    power_perturbation_by_tuples,
     sigma_word_value,
     typed_terms,
 )
@@ -457,6 +458,59 @@ def test_power_perturbation_samples_an_operator_without_a_normal_form():
     bad = Compose(Integrate("t"), Derivative("x"))
     with pytest.raises(OperatorHypothesisError, match="T0 does not commute with T1"):
         power_perturbation_solve(Derivative("t"), Integrate("t"), [bad], 1, constant(1).with_variables(("t",)), xx)
+
+
+def test_power_perturbation_refuses_a_series_that_never_dies():
+    """Multiplication by x commutes with d/dt, and G_w = x^(w+1) never
+    vanishes, so the series runs into its bound and is refused."""
+    xx = variable("x")
+    with pytest.raises(VerificationError, match="did not terminate"):
+        power_perturbation_solve(
+            Derivative("t"), Integrate("t"), [MultiplyBy(xx)], 1, constant(1).with_variables(("t",)), xx
+        )
+
+
+def test_power_perturbation_with_no_perturbation_is_zero():
+    """T0^0 is the identity, so the precondition forces h = 0 and the sum is zero."""
+    xx = variable("x")
+    u = power_perturbation_solve(Derivative("t"), Integrate("t"), [], 0, Polynomial.zero(("t",)), xx)
+    assert u.is_zero()
+
+
+_small_rationals = st.fractions(-3, 3, max_denominator=4)
+_xy_orders = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+
+
+@st.composite
+def _xy_perturbations(draw):
+    """0-3 terms c d^a/dx^a d^b/dy^b, a + b >= 1, so each is nilpotent."""
+    terms = draw(st.lists(st.tuples(_small_rationals, _xy_orders), max_size=3))
+    return Sum(tuple(Compose(Scale(c), Derivative("x", a), Derivative("y", b)) for c, (a, b) in terms))
+
+
+@st.composite
+def _xy_seeds(draw):
+    """A sum of three monomials in x and y of degree at most 5."""
+    g = Polynomial.zero(("x", "y"))
+    for _ in range(3):
+        a = draw(st.integers(0, 5))
+        b = draw(st.integers(0, 5 - a))
+        g = g + Polynomial(("x", "y"), {(a, b): draw(_small_rationals)})
+    return g
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(_xy_perturbations(), min_size=m, max_size=m), st.integers(0, m - 1), _xy_seeds())))
+@settings(max_examples=40, deadline=None)
+def test_power_perturbation_matches_the_tuple_series(case):
+    """The sum by weight equals the multinomial sum over index tuples, byte for byte."""
+    m, perturbations, j, g = case
+    h = variable("t") ** j
+    u = power_perturbation_solve(Derivative("t"), Integrate("t"), perturbations, m, h, g)
+    expected = power_perturbation_by_tuples(Derivative("t"), Integrate("t"), perturbations, m, h, g)
+    assert u == expected
+    assert u.to_json_terms() == expected.to_json_terms()
+
 
 # -- twisted two-block equations ----------------------------------------------------------------
 

@@ -546,6 +546,28 @@ def test_products_at_the_field_edge_fit():
     assert (bottom * y_inv).form.negative_positions() == {1}
 
 
+@pytest.mark.parametrize("base, exponent", [
+    (Polynomial(("x",), {(1,): 1, (0,): 1}), EXP_MAX + 1),
+    (Polynomial(("x", "y"), {(1, 2): 1}), (EXP_MAX + 1) // 2),
+    (Polynomial(("x",), {(-1,): 1}, ("x",)), -EXP_MIN + 1),
+])
+def test_a_power_beyond_the_range_is_refused_before_it_multiplies(monkeypatch, base, exponent):
+    """p^n holds x_v^(n max_v) and x_v^(n min_v), so a power whose top or
+    bottom exponent leaves the range raises before the first product."""
+    def multiplied(*args):
+        raise AssertionError("multiplied before the power was refused")
+
+    monkeypatch.setattr(_IntForm, "__mul__", multiplied)
+    with pytest.raises(ExponentRangeError):
+        base**exponent
+
+
+def test_powers_reaching_the_range_edge_fit():
+    assert variable("x") ** EXP_MAX == Polynomial(("x",), {(EXP_MAX,): 1})
+    x_inv = Polynomial(("x",), {(-1,): 1}, ("x",))
+    assert x_inv ** -EXP_MIN == Polynomial(("x",), {(EXP_MIN,): 1}, ("x",))
+
+
 # names of the packed key layout that only poly may read
 _LAYOUT_NAMES = {"_W", "_BIAS", "_MASK", "_GUARD", "_layout", "_codec", "_check_fields", "_delta"}
 
