@@ -587,14 +587,11 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     other, proved on the m+1 normal forms, built once (``forms_commute``),
     or by ``operators_agree_on_sample`` for an operator without one;
     T0^m must annihilate h.  The output is the multinomial series
-    sum_i multinomial(i) (T0inv)^(sum p*i_p)(h) prod T_p^(i_p)(g), summed by
-    weight w = sum p*i_p: u = sum_w (T0inv)^w(h) G_w with G_0 = g and
-    G_w = sum_(p <= min(m, w)) T_p(G_(w-p)), since each ordering of the parts
-    ends in some T_p and the T_p commute.  The sum stops after m zero G_w in
-    a row, which make every later G_w zero.  An input whose tuple levels
-    sum i_p die by L <= 2 + deg(g) max(1, m) has them by w = m L, so a
-    series still alive past w = m (3 + deg(g) max(1, m)) is refused
-    (``VerificationError``).  The output is verified exactly.
+    sum_i multinomial(i) (T0inv)^(sum p*i_p)(h) prod T_p^(i_p)(g) summed by
+    weight: u = sum_w (T0inv)^w(h) G_w, G_0 = g, G_w = sum_p T_p(G_(w-p)), as
+    each ordering of the parts ends in some T_p and the T_p commute.  m zero
+    G_w in a row end it; a series still alive past w = m (3 + deg(g) max(1, m))
+    raises VerificationError.  The output is verified exactly.
     """
     perturbations = list(perturbations)
     if len(perturbations) != m:
