@@ -584,14 +584,15 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
     """Kernel element of T0^m - sum_p T0^(m-p) T_p from seeds h, g.
 
     T0 must commute with each perturbation and the perturbations with each
-    other, proved on the m+1 normal forms, built once (``forms_commute``),
-    or by ``operators_agree_on_sample`` for an operator without one;
-    T0^m must annihilate h.  The output is the multinomial series
-    sum_i multinomial(i) (T0inv)^(sum p*i_p)(h) prod T_p^(i_p)(g) summed by
-    weight: u = sum_w (T0inv)^w(h) G_w, G_0 = g, G_w = sum_p T_p(G_(w-p)), as
-    each ordering of the parts ends in some T_p and the T_p commute.  m zero
-    G_w in a row end it; a series still alive past w = m (3 + deg(g) max(1, m))
-    raises VerificationError.  The output is verified exactly.
+    other, proved on the m+1 normal forms, built once (``forms_commute``)
+    and applied again by the series, or by ``operators_agree_on_sample``
+    for an operator without one; T0^m must annihilate h.  The output is the
+    multinomial series sum_i multinomial(i) (T0inv)^(sum p*i_p)(h)
+    prod T_p^(i_p)(g) summed by weight: u = sum_w (T0inv)^w(h) G_w, G_0 = g,
+    G_w = sum_p T_p(G_(w-p)), as each ordering of the parts ends in some T_p
+    and the T_p commute.  m zero G_w in a row end it; a series still alive
+    past w = m (3 + deg(g) max(1, m)) raises VerificationError.  The output
+    is verified exactly.
     """
     perturbations = list(perturbations)
     if len(perturbations) != m:
@@ -614,7 +615,8 @@ def power_perturbation_solve(t0, t0_inverse, perturbations, m: int,
         raise KernelPreconditionError("kernel precondition violated")
 
     last = m * (3 + g.total_degree() * max(1, m))
-    perturb = [form_map(op, vs) for op in perturbations]
+    perturb = [FormApplicator(form).apply_form if form is not None else (lambda q, op=op: op.apply_form(q, vs))
+               for op, form in zip(perturbations, forms[1:])]
     parts = [_int_form(g, vs)]
     # with m = 0, parts[-m:] would be the whole list
     while m and any(parts[-m:]):

@@ -518,12 +518,10 @@ def _cmd_basis(args):
         family = flag_basis(spec, args.cap)
     elif args.kind == "dissipative":
         family = dissipative_wave_basis(args.n, args.cap)
-    elif args.kind == "anisym":
+    else:  # anisym; argparse refuses any other kind
         if not args.lam:
             raise InputError("basis anisym requires --lambda")
         family = anisymmetric_basis(args.n, _fraction(args.lam), args.epsilon, args.cap)
-    else:
-        raise InputError(f"unknown basis kind {args.kind}")
     return _family_payload(family, verify_independence=not args.no_independence)
 
 
@@ -558,18 +556,17 @@ def _cmd_tree(args):
             "tricomi": op_to_json(tricomi_operator(tree)),
             "exponents": splitting.exponents,
         }
-    if args.action == "check-splitting":
-        report = check_splitting(tree, args.cap, args.tcap)
-        payload = {
-            "tree": tree.to_json(),
-            "degreeCap": report.degree_cap,
-            "tPowerCap": report.t_power_cap,
-            "monomialsChecked": report.monomials_checked,
-            "proof": report.proof,
-        }
-        # check_splitting raises VerificationError on the first mismatch
-        return _with_checks(payload, [("splitting", "passed")])
-    raise InputError(f"unknown tree action {args.action}")
+    # check-splitting; argparse refuses any other action
+    report = check_splitting(tree, args.cap, args.tcap)
+    payload = {
+        "tree": tree.to_json(),
+        "degreeCap": report.degree_cap,
+        "tPowerCap": report.t_power_cap,
+        "monomialsChecked": report.monomials_checked,
+        "proof": report.proof,
+    }
+    # check_splitting raises VerificationError on the first mismatch
+    return _with_checks(payload, [("splitting", "passed")])
 
 
 def _linspace(lo: float, hi: float, n: int) -> list:
@@ -664,6 +661,11 @@ def _ivp_payload(points, values, residual):
 
 def _cmd_lie(args):
     _kind_options(args, args.kind)
+    if args.kind == "check":
+        report = commutation_checks(args.n)
+        reading = report.pop("laplacian reading")
+        return _with_checks({"laplacianReading": reading},
+                            [(name, "passed" if ok else "failed") for name, ok in report.items()])
     if args.kind == "harmonic":
         family = harmonic_module_basis(args.n, args.k)
         extra = {}
@@ -671,16 +673,9 @@ def _cmd_lie(args):
         family = sl_module_basis(args.n, args.l1, args.l2)
         top = variable("x1") ** args.l1 * variable(f"y{args.n}") ** args.l2
         extra = _singular_weight(sl_singular_config(args.n), top)
-    elif args.kind == "g2":
+    else:  # g2; argparse refuses any other kind
         family = g2_module_basis(args.k)
         extra = _singular_weight(g2_singular_config(), variable("x4") ** args.k)
-    elif args.kind == "check":
-        report = commutation_checks(args.n)
-        reading = report.pop("laplacian reading")
-        return _with_checks({"laplacianReading": reading},
-                            [(name, "passed" if ok else "failed") for name, ok in report.items()])
-    else:
-        raise InputError(f"unknown lie kind {args.kind}")
     payload = _family_payload(family, verify_independence=True)
     payload.update(extra)
     payload["annihilated"] = any(c["name"] == "annihilation" and c["status"] == "passed"

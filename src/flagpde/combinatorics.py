@@ -3,19 +3,8 @@
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from typing import Iterator
-
-
-def multinomial(parts) -> int:
-    """(p1 + ... + pm)! / (p1! ... pm!) computed without large intermediates."""
-    total = 0
-    out = 1
-    for p in parts:
-        total += p
-        out *= math.comb(total, p)
-    return out
 
 
 def falling(m: int, k: int) -> int:

@@ -2,12 +2,13 @@
 exceptional algebra acting on seven variables.
 
 Generators act as first-order operators sum c * x_i d/dx_j.  The orthogonal
-family acts on F[x1..xn], the special linear family on F[x.., y..] with the
-contragredient twist on the y block, and the exceptional family through
-fourteen sparse seven-by-seven matrices whose entries p + q*sqrt(2) hold
-integer p and q; entry (i, j) becomes the term x_i d/dx_j, split into a
-rational and a sqrt(2) part.  The module bases are built and proved
-solutions by ``bases._SeriesLemma``.
+family acts on F[x1..xn], with its raising operators built by one
+paired-variable rule for every n >= 3 (``so_singular_config``); the special
+linear family on F[x.., y..] with the contragredient twist on the y block;
+and the exceptional family through fourteen sparse seven-by-seven matrices
+whose entries p + q*sqrt(2) hold integer p and q; entry (i, j) becomes the
+term x_i d/dx_j, split into a rational and a sqrt(2) part.  The module
+bases are built and proved solutions by ``bases._SeriesLemma``.
 
 The commutation suite proves its operator identities instead of sampling
 them: both sides are brought to the normal form sum_alpha c_alpha d^alpha
@@ -472,23 +473,23 @@ def so_highest_harmonic(n: int, k: int) -> Polynomial:
 
 
 def so_singular_config(n: int) -> SingularConfig:
-    """Complexified raising operators for the small orthogonal algebras."""
-    if n == 3:
-        e = Sum((so_generator(3, 1, 3), Compose(Scale(IMAG), so_generator(3, 2, 3))))
-        h = Compose(Scale(-IMAG), so_generator(3, 1, 2))
-        return SingularConfig([("E", e)], [("h1", h)])
-    if n == 4:
-        def raising(t):
-            base = Sum((so_generator(4, 1, 3), Compose(Scale(IMAG), so_generator(4, 2, 3))))
-            tail = Sum((so_generator(4, 1, 4), Compose(Scale(IMAG), so_generator(4, 2, 4))))
-            return Sum((base, Compose(Scale(IMAG * t), tail)))
+    """Complexified raising and Cartan operators of so(n), n >= 3, on the
+    pairs (x_(2a-1), x_(2a)) (Fulton and Harris, GTM 129, sections 18-19).
 
-        h1 = Compose(Scale(-IMAG), so_generator(4, 1, 2))
-        h2 = Compose(Scale(-IMAG), so_generator(4, 3, 4))
-        return SingularConfig(
-            [("E(+)", raising(1)), ("E(-)", raising(-1))], [("h1", h1), ("h2", h2)]
-        )
-    raise ValueError("configurations are recorded for n = 3 and n = 4 only")
+    With Z_a(j) = L_(2a-1,j) + i L_(2a,j): Z_a(2b-1) + i t Z_a(2b) for a < b
+    and t = +-1, Z_a(j) for the unpaired x_n of odd n; h_a = -i L_(2a-1,2a)."""
+    if n < 3:
+        raise ValueError("so(n) singular configurations need n >= 3")
+
+    def z(a, j):
+        return Sum((so_generator(n, 2 * a - 1, j), Compose(Scale(IMAG), so_generator(n, 2 * a, j))))
+
+    pairs = range(1, n // 2 + 1)
+    positives = [(f"E{a}{b}({s})", Sum((z(a, 2 * b - 1), Compose(Scale(IMAG * t), z(a, 2 * b)))))
+                 for a, b in itertools.combinations(pairs, 2) for s, t in (("+", 1), ("-", -1))]
+    positives += [(f"E{a}", z(a, j)) for a in pairs for j in range(2 * len(pairs) + 1, n + 1)]
+    cartans = [(f"h{a}", Compose(Scale(-IMAG), so_generator(n, 2 * a - 1, 2 * a))) for a in pairs]
+    return SingularConfig(positives, cartans)
 
 
 def sl_singular_config(n: int) -> SingularConfig:

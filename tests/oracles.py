@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 from flagpde import (
+    IMAG,
     Compose,
     Derivative,
     MultiplyBy,
@@ -18,7 +19,6 @@ from flagpde import (
     lie,
     variable,
 )
-from flagpde.combinatorics import multinomial
 from flagpde.ivp import (
     _GUARD_BITS,
     _RELATIVE_ACCURACY,
@@ -33,7 +33,38 @@ from flagpde.linalg import (
     polys_in_span,
     polys_rank,
 )
+from flagpde.lie import SingularConfig, so_generator
 from flagpde.operators import SeriesTerminationError
+
+
+def multinomial(parts) -> int:
+    """(p1 + ... + pm)! / (p1! ... pm!) computed without large intermediates."""
+    total = 0
+    out = 1
+    for p in parts:
+        total += p
+        out *= math.comb(total, p)
+    return out
+
+
+def so_singular_config_by_hand(n: int) -> SingularConfig:
+    """Complexified raising operators for the small orthogonal algebras."""
+    if n == 3:
+        e = Sum((so_generator(3, 1, 3), Compose(Scale(IMAG), so_generator(3, 2, 3))))
+        h = Compose(Scale(-IMAG), so_generator(3, 1, 2))
+        return SingularConfig([("E", e)], [("h1", h)])
+    if n == 4:
+        def raising(t):
+            base = Sum((so_generator(4, 1, 3), Compose(Scale(IMAG), so_generator(4, 2, 3))))
+            tail = Sum((so_generator(4, 1, 4), Compose(Scale(IMAG), so_generator(4, 2, 4))))
+            return Sum((base, Compose(Scale(IMAG * t), tail)))
+
+        h1 = Compose(Scale(-IMAG), so_generator(4, 1, 2))
+        h2 = Compose(Scale(-IMAG), so_generator(4, 3, 4))
+        return SingularConfig(
+            [("E(+)", raising(1)), ("E(-)", raising(-1))], [("h1", h1), ("h2", h2)]
+        )
+    raise ValueError("configurations are recorded for n = 3 and n = 4 only")
 
 
 def assert_family_spans_kernel(family, vars_, degree):

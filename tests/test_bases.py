@@ -220,12 +220,18 @@ def test_flag_basis_word_oracle_more_indices():
 
 
 def test_flag_basis_zero_coefficient_power_matches_constant():
-    # power zero on a coefficient degenerates to the constant-coefficient family
-    spec = FlagEquationSpec((2, 2), (constant(1),))
-    fam = flag_basis(spec, 4)
-    ref = constant_coefficient_basis((2, 2), 4)
-    for e, r in zip(fam.elements, ref.elements):
-        assert e.solution == r.solution
+    """Unit coefficients (power zero) degenerate to the constant-coefficient
+    family: the nested inverse and the series lemma give the same elements,
+    index for index, in the same variable and term order."""
+    for orders, cap in (((2, 2), 6), ((2, 2, 2), 5), ((3, 2), 6), ((2, 3, 2), 4), ((1, 2, 2), 5)):
+        spec = FlagEquationSpec(orders, (constant(1),) * (len(orders) - 1))
+        fam = flag_basis(spec, cap)
+        ref = constant_coefficient_basis(orders, cap)
+        assert len(fam.elements) == len(ref.elements)
+        for e, r in zip(fam.elements, ref.elements):
+            assert e.index == r.index
+            assert e.solution.vars == r.solution.vars
+            assert e.solution.to_json_terms() == r.solution.to_json_terms()
 
 
 @pytest.mark.parametrize("spec, cap", [
@@ -468,6 +474,24 @@ def test_power_perturbation_refuses_a_series_that_never_dies():
         power_perturbation_solve(
             Derivative("t"), Integrate("t"), [MultiplyBy(xx)], 1, constant(1).with_variables(("t",)), xx
         )
+
+
+def test_power_perturbation_builds_each_normal_form_once(monkeypatch):
+    """The series applies the normal forms built for the commutation proof;
+    form_map builds only the residual's."""
+    calls = []
+
+    def counting(op, vs):
+        calls.append(op)
+        return form_map(op, vs)
+
+    monkeypatch.setattr(flagpde.bases, "form_map", counting)
+    t, xx, yy = variable("t"), variable("x"), variable("y")
+    u = power_perturbation_solve(
+        Derivative("t"), Integrate("t"), [Derivative("x", 2), Derivative("y", 2), Derivative("x")], 3, t, xx**3 * yy**2
+    )
+    assert not u.is_zero()
+    assert len(calls) == 1
 
 
 def test_power_perturbation_with_no_perturbation_is_zero():

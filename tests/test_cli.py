@@ -700,6 +700,10 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("jsonschema", "re
     (["lie", "check", "--k", "7"], {}, "lie check does not read --k"),
     (["tree", "validate", "--tree", "{tree}", "--cap", "9", "--tcap", "9"],
      {"tree": {"nodes": 2, "edges": [[1, 2]]}}, "tree validate does not read --cap"),
+    # argparse refuses an unknown kind before any command runs
+    (["basis", "bogus"], {}, "invalid choice: 'bogus'"),
+    (["tree", "bogus"], {}, "invalid choice: 'bogus'"),
+    (["lie", "bogus"], {}, "invalid choice: 'bogus'"),
 ])
 def test_malformed_input_exits_two_without_a_traceback(tmp_path, capsys, args, files, message):
     paths = {name: _write(tmp_path, f"{name}.json", json.dumps(body)) for name, body in files.items()}

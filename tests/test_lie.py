@@ -48,6 +48,8 @@ from flagpde.operators import (
     Scale,
     Sum,
     VerificationError,
+    differential_form,
+    forms_commute,
     operators_agree_on_sample,
 )
 
@@ -57,6 +59,7 @@ from oracles import (
     g2_element_by_fractions,
     harmonic_element_by_fractions,
     sl_branch_element_by_fractions,
+    so_singular_config_by_hand,
     typed_terms,
 )
 
@@ -81,17 +84,60 @@ def test_so_bracket_structure_sample():
 
 
 def test_so_highest_vector_is_singular():
-    for n in (3, 4):
+    """(x1 + i x2)^k is killed by every raising operator of so(n), with
+    weight (k, 0, ..., 0); so(3)..so(8) have 1, 2, 4, 6, 9 and 12 positive
+    roots."""
+    for n, roots in zip(range(3, 9), (1, 2, 4, 6, 9, 12)):
         config = so_singular_config(n)
-        for k in (1, 2, 3):
-            f = so_highest_harmonic(n, k)
-            check = verify_singular(config, f)
+        assert len(config.positives) == roots
+        assert len(config.cartans) == n // 2
+        for k in range(5):
+            check = verify_singular(config, so_highest_harmonic(n, k))
             assert check.ok, check.failures
-            assert check.weight[0] == k
-            assert all(w == 0 for w in check.weight[1:])
+            assert check.weight == [k] + [0] * (n // 2 - 1)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_so_singular_config_matches_the_hand_written_one(n):
+    """The paired-variable rule gives the recorded n = 3 and n = 4 operators,
+    generator for generator, by normal form."""
+    vs = tuple(f"x{i}" for i in range(1, n + 1))
+    rule, by_hand = so_singular_config(n), so_singular_config_by_hand(n)
+    for ours, theirs in ((rule.positives, by_hand.positives), (rule.cartans, by_hand.cartans)):
+        assert len(ours) == len(theirs)
+        for (_, a), (_, b) in zip(ours, theirs):
+            assert differential_form(a, vs) == differential_form(b, vs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_so_singular_config_needs_three_variables(n):
+    with pytest.raises(ValueError, match="n >= 3"):
+        so_singular_config(n)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_so_operator_identities(n):
+    """Each identity is proved on normal forms, so in every degree: every
+    L_ij commutes with the Laplacian and kills r^2 = sum x_i^2, and
+    Lap r^2 = r^2 Lap + 4E + 2n with E the Euler operator."""
+    vs = tuple(f"x{i}" for i in range(1, n + 1))
+    lap = Sum(Derivative(v, 2) for v in vs)
+    r2 = sum((variable(v) ** 2 for v in vs), Polynomial.zero(vs))
+    lap_form = differential_form(lap, vs)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rotation = so_generator(n, i, j)
+            assert forms_commute(differential_form(rotation, vs), lap_form)
+            assert rotation(r2).is_zero()
+    euler = Sum(Compose(MultiplyBy(variable(v)), Derivative(v, 1)) for v in vs)
+    lhs = Compose(lap, MultiplyBy(r2))
+    rhs = Sum((Compose(MultiplyBy(r2), lap), Compose(Scale(Fraction(4)), euler), Scale(Fraction(2 * n))))
+    assert differential_form(lhs, vs) is not None and differential_form(rhs, vs) is not None
+    assert operators_agree_on_sample(lhs, rhs, vs)
 
 
 _x1, _y2 = variable("x1"), variable("y2")
+_w, _x3, _x4, _x5 = variable("x1") - IMAG * variable("x2"), variable("x3"), variable("x4"), variable("x5")
 
 
 @pytest.mark.parametrize("config, f, failures", [
@@ -102,7 +148,11 @@ _x1, _y2 = variable("x1"), variable("y2")
      [("E1", -variable("x5")), ("E3", -variable("x6")), ("E4", -variable("x4"))]),
     # killed by E12, but h1 scales x1 by 1 and x1 y2 by 2: the residual is h1(f) - 2f
     (lambda: lie.sl_singular_config(2), _x1 + _x1 * _y2, [("h1", -_x1)]),
-], ids=["sl2 generator", "g2 pair", "cartan weight"])
+    # (x1 - i x2)^2 is the lowest weight vector of its so(5) module, so the raising operators move it
+    (lambda: so_singular_config(5), (_w**2).with_variables(("x1", "x2", "x3", "x4", "x5")),
+     [("E12(+)", -4 * _w * (_x3 + IMAG * _x4)), ("E12(-)", -4 * _w * (_x3 - IMAG * _x4)),
+      ("E1", -4 * _w * _x5)]),
+], ids=["sl2 generator", "g2 pair", "cartan weight", "so5 lowering vector"])
 def test_verify_singular_names_the_failing_operator(config, f, failures):
     check = verify_singular(config(), f)
     assert not check.ok and check.weight is None
