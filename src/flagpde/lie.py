@@ -1,14 +1,17 @@
 """Polynomial representations: orthogonal, special linear, and the rank-two
 exceptional algebra acting on seven variables.
 
-Generators act as first-order operators sum c * x_i d/dx_j.  The orthogonal
-family acts on F[x1..xn], with its raising operators built by one
-paired-variable rule for every n >= 3 (``so_singular_config``); the special
-linear family on F[x.., y..] with the contragredient twist on the y block;
-and the exceptional family through fourteen sparse seven-by-seven matrices
-whose entries p + q*sqrt(2) hold integer p and q; entry (i, j) becomes the
-term x_i d/dx_j, split into a rational and a sqrt(2) part.  The module
-bases are built and proved solutions by ``bases._SeriesLemma``.
+Each generator is the linear vector field sum c * x_i d/dx_j of its
+matrix (``operators.LinearVectorField``, built from its entries), which is
+its own normal form; so are the Cartan operators and the Euler operator.
+The orthogonal family acts on F[x1..xn], with its raising operators built
+by one paired-variable rule for every n >= 3 (``so_singular_config``) as
+sums of scaled rotation entries; the special linear family on F[x.., y..]
+with the contragredient twist on the y block; and the exceptional family
+through fourteen sparse seven-by-seven matrices whose entries
+p + q*sqrt(2) hold integer p and q; entry (i, j) becomes the term
+x_i d/dx_j, split into a rational and a sqrt(2) field.  The module bases
+are built and proved solutions by ``bases._SeriesLemma``.
 
 The commutation suite proves its operator identities instead of sampling
 them: both sides are brought to the normal form sum_alpha c_alpha d^alpha
@@ -43,15 +46,17 @@ from .operators import (
     Compose,
     Derivative,
     LinearOperator,
+    LinearVectorField,
     MultiplyBy,
     Scale,
     Sum,
     VerificationError,
+    _chain_order,
     differential_form,
     forms_commute,
     operators_agree_on_sample,
 )
-from .poly import IMAG, Polynomial, coeff_inverse, variable
+from .poly import IMAG, Polynomial, _int_form, coeff_inverse, variable
 
 __all__ = [
     "PairOperator",
@@ -181,40 +186,36 @@ def g2_bracket_report():
 
 # -- polynomial actions -----------------------------------------------------------
 
-def _first_order(coeff_pairs) -> LinearOperator:
-    """sum c * x_i d/dx_j from a list of (c, i, j); c is an exact scalar."""
-    parts = []
-    for c, i, j in coeff_pairs:
-        if not c:
-            continue
-        parts.append(
-            Compose(MultiplyBy(variable(f"x{i}") * c), Derivative(f"x{j}", 1))
-        )
-    return Sum(parts)
+def _first_order(coeff_pairs) -> LinearVectorField:
+    """sum c * x_i d/dx_j from a list of (c, i, j) with distinct (i, j); c is
+    an exact scalar."""
+    return LinearVectorField({(f"x{i}", f"x{j}"): c for c, i, j in coeff_pairs})
 
 
-def so_generator(n: int, i: int, j: int) -> LinearOperator:
+def _combination(*terms) -> LinearVectorField:
+    """sum s * V over (s, V) pairs of exact scalars and linear vector fields."""
+    entries = {}
+    for s, field in terms:
+        for key, c in field.entries.items():
+            entries[key] = entries.get(key, 0) + s * c
+    return LinearVectorField(entries)
+
+
+def so_generator(n: int, i: int, j: int) -> LinearVectorField:
     """Rotation generator x_i d/dx_j - x_j d/dx_i."""
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
-    return _first_order([(Fraction(1), i, j), (Fraction(-1), j, i)])
+    return _first_order([(1, i, j), (-1, j, i)])
 
 
-def sl_generator(n: int, i: int, j: int) -> LinearOperator:
+def sl_generator(n: int, i: int, j: int) -> LinearVectorField:
     """x_i d/dx_j - y_j d/dy_i on the doubled variable set."""
-    parts = [
-        Compose(MultiplyBy(variable(f"x{i}")), Derivative(f"x{j}", 1)),
-        Compose(MultiplyBy(-variable(f"y{j}")), Derivative(f"y{i}", 1)),
-    ]
-    return Sum(parts)
+    return LinearVectorField({(f"x{i}", f"x{j}"): 1, (f"y{j}", f"y{i}"): -1})
 
 
 def sl_cartan(n: int):
     """Diagonal differences h_i = E_ii - E_(i+1)(i+1), i = 1..n-1."""
-    return [
-        Sum((sl_generator(n, i, i), Compose(Scale(Fraction(-1)), sl_generator(n, i + 1, i + 1))))
-        for i in range(1, n)
-    ]
+    return [_combination((1, sl_generator(n, i, i)), (-1, sl_generator(n, i + 1, i + 1))) for i in range(1, n)]
 
 
 def sl_invariant(n: int) -> Polynomial:
@@ -333,10 +334,8 @@ def _select_reading(checks):
     return chosen[0], results
 
 
-def _euler_operator(vars_) -> LinearOperator:
-    return Sum(
-        Compose(MultiplyBy(variable(v)), Derivative(v, 1)) for v in vars_
-    )
+def _euler_operator(vars_) -> LinearVectorField:
+    return LinearVectorField({(v, v): 1 for v in vars_})
 
 
 # -- module bases ------------------------------------------------------------------
@@ -436,30 +435,38 @@ class SingularCheck:
 def verify_singular(config: SingularConfig, f: Polynomial) -> SingularCheck:
     """Check annihilation by the positive generators and extract the weight.
 
-    Each generator is applied by the tree fold, each part of a pair on its
-    own; a failure names the generator and its first nonzero residual."""
+    f and every operator, each part of a pair on its own, are put over one
+    variable order once per call, and each residual is an integer form
+    (each operator's ``apply_form``): a Polynomial is built only for a
+    failure, which names the generator and its first nonzero residual, or
+    for a weight."""
     if f.is_zero():
         raise ValueError("the zero polynomial is not singular")
+    positives = [(name, (op.rational, op.radical) if isinstance(op, PairOperator) else (op,))
+                 for name, op in config.positives]
+    vs, laurent = _chain_order([f], [part for _, parts in positives for part in parts]
+                               + [h for _, h in config.cartans])
+    q = _int_form(f, vs)
     failures = []
-    for name, op in config.positives:
-        for part in (op.rational, op.radical) if isinstance(op, PairOperator) else (op,):
-            residual = part(f)
-            if not residual.is_zero():
-                failures.append((name, residual))
+    for name, parts in positives:
+        for part in parts:
+            residual = part.apply_form(q, vs)
+            if residual:
+                failures.append((name, residual.to_poly(vs, laurent)))
                 break
     if failures:
         return SingularCheck(False, None, failures)
     weight = []
     for name, h in config.cartans:
-        image = h(f)
-        if image.is_zero():
+        image = h.apply_form(q, vs)
+        if not image:
             weight.append(Fraction(0))
             continue
         exp, lead = f.sorted_terms()[0]
-        lam = image.coefficient({v: e for v, e in zip(f.vars, exp)}) * coeff_inverse(lead)
-        if image != f * lam:
-            failures.append((name, image - f * lam))
-            return SingularCheck(False, None, failures)
+        lam = image.to_poly(vs, laurent).coefficient(dict(zip(f.vars, exp))) * coeff_inverse(lead)
+        residual = image - q.scaled(lam)
+        if residual:
+            return SingularCheck(False, None, [(name, residual.to_poly(vs, laurent))])
         weight.append(lam)
     return SingularCheck(True, weight, [])
 
@@ -482,13 +489,13 @@ def so_singular_config(n: int) -> SingularConfig:
         raise ValueError("so(n) singular configurations need n >= 3")
 
     def z(a, j):
-        return Sum((so_generator(n, 2 * a - 1, j), Compose(Scale(IMAG), so_generator(n, 2 * a, j))))
+        return _combination((1, so_generator(n, 2 * a - 1, j)), (IMAG, so_generator(n, 2 * a, j)))
 
     pairs = range(1, n // 2 + 1)
-    positives = [(f"E{a}{b}({s})", Sum((z(a, 2 * b - 1), Compose(Scale(IMAG * t), z(a, 2 * b)))))
+    positives = [(f"E{a}{b}({s})", _combination((1, z(a, 2 * b - 1)), (IMAG * t, z(a, 2 * b))))
                  for a, b in itertools.combinations(pairs, 2) for s, t in (("+", 1), ("-", -1))]
     positives += [(f"E{a}", z(a, j)) for a in pairs for j in range(2 * len(pairs) + 1, n + 1)]
-    cartans = [(f"h{a}", Compose(Scale(-IMAG), so_generator(n, 2 * a - 1, 2 * a))) for a in pairs]
+    cartans = [(f"h{a}", _combination((-IMAG, so_generator(n, 2 * a - 1, 2 * a)))) for a in pairs]
     return SingularConfig(positives, cartans)
 
 

@@ -2,8 +2,16 @@
 
 Operators are immutable expression trees over six generators: Derivative,
 Integrate, MultiplyBy, Scale (scalar multiple of the identity), Sum and
-Compose (applied right to left).  Application is exact and linear.  Two
-extra lazily-evaluated nodes live here as well:
+Compose (applied right to left).  Application is exact and linear.  One
+node is its own normal form:
+
+* ``LinearVectorField(entries)``: the first-order operator
+  sum c * x_i d/dx_j of a matrix, from its entries {(x_i, x_j): c}; its
+  normal form is one block d/dx_j per column with the linear coefficient
+  sum_i c * x_i, and it is applied through one ``FormApplicator`` per
+  variable order, built on first use and kept on the node.
+
+Two extra lazily-evaluated nodes live here as well:
 
 * ``DampedIntegration(a, t)``: the right inverse of a*d/dt + d^2/dt^2
   obtained by integrating the geometric expansion sum_r a^(-r-1) (-d/dt)^r.
@@ -18,7 +26,8 @@ over one common denominator, the layout of FLINT's fmpq_mpoly, and what a
 Polynomial holds) through ``apply_form(q, vars)``: Derivative and
 Integrate are the form's d^m/dx^m and m-fold antiderivative, MultiplyBy a
 product with its multiplier put over the order, Scale a scalar multiple,
-Sum and Compose folds, and DampedIntegration its finite expansion.
+Sum and Compose folds, LinearVectorField its FormApplicator, and
+DampedIntegration its finite expansion.
 ``LinearOperator.apply`` is written once: it puts p's form over p.vars
 followed by the operator's variables in tree order and runs ``apply_form``.
 ``apply_trig`` is written once, on the normal form below, through
@@ -37,8 +46,9 @@ it.
 
 An operator is applied in one of two ways.  ``op(p)`` (``apply``,
 ``apply_trig``) is the one-shot tree fold on a Polynomial or a
-TrigPolynomial; ``bases.twisted_flag_solve``, ``dissipative.epd_transform``
-and ``lie.verify_singular`` check their residuals that way.
+TrigPolynomial; ``bases.twisted_flag_solve`` and ``dissipative.epd_transform``
+check their residuals that way, and ``lie.verify_singular`` runs each
+operator's ``apply_form`` over one order per call.
 ``form_map(op, vars)`` maps integer forms over a caller's order: one
 ``FormApplicator`` when op has a normal form, else op's own
 ``apply_form``.  ``FormApplicator`` lives in ``poly``, the one module
@@ -68,7 +78,7 @@ from fractions import Fraction
 
 from .combinatorics import tuples_with_sum_at_most
 from .poly import (FormApplicator, GaussianRational, Polynomial, TrigPolynomial, _int_form, _IntForm, _pack,
-                   _parts, _reduced, _sum_forms, coeff_inverse)
+                   _parts, _reduced, _sum_forms, _unit, coeff_inverse)
 
 __all__ = [
     "Compose",
@@ -77,6 +87,7 @@ __all__ = [
     "FormApplicator",
     "Integrate",
     "KernelPreconditionError",
+    "LinearVectorField",
     "MultiplyBy",
     "NestedRightInverse",
     "NotAFlagSystemError",
@@ -248,6 +259,48 @@ class Compose(LinearOperator):
 
 def identity() -> LinearOperator:
     return Compose()
+
+
+class LinearVectorField(LinearOperator):
+    """The first-order operator sum c * x_i d/dx_j of a matrix, from its
+    entries {(x_i, x_j): c} with exact scalars c; zero entries are dropped.
+
+    It is its own normal form: column x_j contributes the block d/dx_j with
+    the linear coefficient sum_i c * x_i (``form``), so it is applied through
+    one FormApplicator per variable order, built on first use and kept."""
+
+    __slots__ = ("entries", "_applicators")
+
+    def __init__(self, entries):
+        self.entries = {key: c for key, c in dict(entries).items() if c}
+        self._applicators = {}
+
+    def form(self, vars: tuple) -> dict:
+        """The normal form over vars: {((position of x_j, 1),): sum_i c * x_i}."""
+        n = len(vars)
+        zero = _pack((0,) * n)
+        columns = {}
+        for (xi, xj), c in self.entries.items():
+            columns.setdefault(vars.index(xj), []).append((zero + _unit(n, vars.index(xi)), *_parts(c)))
+        out = {}
+        for j, terms in columns.items():
+            den = math.lcm(*(part.denominator for _, re, im in terms for part in (re, im)))
+            re = {key: re.numerator * (den // re.denominator) for key, re, _ in terms if re}
+            im = {key: im.numerator * (den // im.denominator) for key, _, im in terms if im}
+            out[((j, 1),)] = _reduced(re, im, den, n)
+        return out
+
+    def apply_form(self, q, vars):
+        applicator = self._applicators.get(vars)
+        if applicator is None:
+            applicator = self._applicators[vars] = FormApplicator(self.form(vars))
+        return applicator.apply_form(q)
+
+    def __eq__(self, other):
+        return isinstance(other, LinearVectorField) and self.entries == other.entries
+
+    def __repr__(self):
+        return f"LinearVectorField({self.entries})"
 
 
 class DampedIntegration(LinearOperator):
@@ -431,6 +484,9 @@ def _variables_in_order(op: LinearOperator):
     elif isinstance(op, (Sum, Compose)):
         for sub in op.ops:
             yield from _variables_in_order(sub)
+    elif isinstance(op, LinearVectorField):
+        for pair in op.entries:
+            yield from pair
     elif isinstance(op, DampedIntegration):
         yield op.tvar
     elif isinstance(op, NestedRightInverse):
@@ -462,14 +518,17 @@ def differential_form(op: LinearOperator, vars: tuple):
     Returns {alpha: c_alpha}: alpha is a tuple of (position in vars, order)
     pairs sorted by position, () for the identity, and c_alpha a nonzero
     integer form over vars, which holds every variable of op.  Derivative,
-    MultiplyBy, Scale, Sum and Compose are covered; Compose moves each
-    derivative right past the coefficients after it by the Leibniz rule.
+    MultiplyBy, LinearVectorField (its own ``form``), Scale, Sum and Compose
+    are covered; Compose moves each derivative right past the coefficients
+    after it by the Leibniz rule.
     Any other node (integrations, right inverses) gives None.
     """
     if isinstance(op, Derivative):
         return {((vars.index(op.var), op.order),) if op.order else (): _IntForm.one(len(vars))}
     if isinstance(op, MultiplyBy):
         return {} if op.poly.is_zero() else {(): op.form(vars)}
+    if isinstance(op, LinearVectorField):
+        return op.form(vars)
     if isinstance(op, Scale):
         return {(): _IntForm.one(len(vars)).scaled(op.scalar)} if op.scalar else {}
     if isinstance(op, Sum):

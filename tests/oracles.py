@@ -33,8 +33,9 @@ from flagpde.linalg import (
     polys_in_span,
     polys_rank,
 )
-from flagpde.lie import SingularConfig, so_generator
+from flagpde.lie import PairOperator, SingularCheck, SingularConfig, g2_matrices, so_generator
 from flagpde.operators import SeriesTerminationError
+from flagpde.poly import coeff_inverse
 
 
 def multinomial(parts) -> int:
@@ -65,6 +66,130 @@ def so_singular_config_by_hand(n: int) -> SingularConfig:
             [("E(+)", raising(1)), ("E(-)", raising(-1))], [("h1", h1), ("h2", h2)]
         )
     raise ValueError("configurations are recorded for n = 3 and n = 4 only")
+
+
+# -- the Lie generators as operator trees -------------------------------------------
+#
+# Each generator built as a tree of Sum, Compose(MultiplyBy, Derivative) and
+# Compose(Scale, ...) nodes, and verify_singular applying each one by the
+# tree fold: the reference for lie's linear vector fields.
+
+def first_order_by_tree(coeff_pairs):
+    """sum c * x_i d/dx_j from a list of (c, i, j); c is an exact scalar."""
+    parts = []
+    for c, i, j in coeff_pairs:
+        if not c:
+            continue
+        parts.append(
+            Compose(MultiplyBy(variable(f"x{i}") * c), Derivative(f"x{j}", 1))
+        )
+    return Sum(parts)
+
+
+def so_generator_by_tree(n: int, i: int, j: int):
+    """Rotation generator x_i d/dx_j - x_j d/dx_i."""
+    if not (1 <= i < j <= n):
+        raise ValueError("need 1 <= i < j <= n")
+    return first_order_by_tree([(Fraction(1), i, j), (Fraction(-1), j, i)])
+
+
+def sl_generator_by_tree(n: int, i: int, j: int):
+    """x_i d/dx_j - y_j d/dy_i on the doubled variable set."""
+    parts = [
+        Compose(MultiplyBy(variable(f"x{i}")), Derivative(f"x{j}", 1)),
+        Compose(MultiplyBy(-variable(f"y{j}")), Derivative(f"y{i}", 1)),
+    ]
+    return Sum(parts)
+
+
+def sl_cartan_by_tree(n: int):
+    """Diagonal differences h_i = E_ii - E_(i+1)(i+1), i = 1..n-1."""
+    return [
+        Sum((sl_generator_by_tree(n, i, i), Compose(Scale(Fraction(-1)), sl_generator_by_tree(n, i + 1, i + 1))))
+        for i in range(1, n)
+    ]
+
+
+def g2_polynomial_action_by_tree():
+    """The fourteen generators as first-order operators on F[x1..x7]."""
+    out = {}
+    for name, m in g2_matrices().items():
+        entries = sorted(m.items())
+        rat = [(p, i, j) for (i, j), (p, _) in entries if p]
+        rad = [(q, i, j) for (i, j), (_, q) in entries if q]
+        out[name] = PairOperator(name, first_order_by_tree(rat), first_order_by_tree(rad))
+    return out
+
+
+def euler_operator_by_tree(vars_):
+    return Sum(
+        Compose(MultiplyBy(variable(v)), Derivative(v, 1)) for v in vars_
+    )
+
+
+def verify_singular_by_tree(config: SingularConfig, f: Polynomial) -> SingularCheck:
+    """Check annihilation by the positive generators and extract the weight.
+
+    Each generator is applied by the tree fold, each part of a pair on its
+    own; a failure names the generator and its first nonzero residual."""
+    if f.is_zero():
+        raise ValueError("the zero polynomial is not singular")
+    failures = []
+    for name, op in config.positives:
+        for part in (op.rational, op.radical) if isinstance(op, PairOperator) else (op,):
+            residual = part(f)
+            if not residual.is_zero():
+                failures.append((name, residual))
+                break
+    if failures:
+        return SingularCheck(False, None, failures)
+    weight = []
+    for name, h in config.cartans:
+        image = h(f)
+        if image.is_zero():
+            weight.append(Fraction(0))
+            continue
+        exp, lead = f.sorted_terms()[0]
+        lam = image.coefficient({v: e for v, e in zip(f.vars, exp)}) * coeff_inverse(lead)
+        if image != f * lam:
+            failures.append((name, image - f * lam))
+            return SingularCheck(False, None, failures)
+        weight.append(lam)
+    return SingularCheck(True, weight, [])
+
+
+def so_singular_config_by_tree(n: int) -> SingularConfig:
+    """Complexified raising and Cartan operators of so(n), n >= 3, on the
+    pairs (x_(2a-1), x_(2a)) (Fulton and Harris, GTM 129, sections 18-19).
+
+    With Z_a(j) = L_(2a-1,j) + i L_(2a,j): Z_a(2b-1) + i t Z_a(2b) for a < b
+    and t = +-1, Z_a(j) for the unpaired x_n of odd n; h_a = -i L_(2a-1,2a)."""
+    if n < 3:
+        raise ValueError("so(n) singular configurations need n >= 3")
+
+    def z(a, j):
+        return Sum((so_generator_by_tree(n, 2 * a - 1, j), Compose(Scale(IMAG), so_generator_by_tree(n, 2 * a, j))))
+
+    pairs = range(1, n // 2 + 1)
+    positives = [(f"E{a}{b}({s})", Sum((z(a, 2 * b - 1), Compose(Scale(IMAG * t), z(a, 2 * b)))))
+                 for a, b in itertools.combinations(pairs, 2) for s, t in (("+", 1), ("-", -1))]
+    positives += [(f"E{a}", z(a, j)) for a in pairs for j in range(2 * len(pairs) + 1, n + 1)]
+    cartans = [(f"h{a}", Compose(Scale(-IMAG), so_generator_by_tree(n, 2 * a - 1, 2 * a))) for a in pairs]
+    return SingularConfig(positives, cartans)
+
+
+def sl_singular_config_by_tree(n: int) -> SingularConfig:
+    """The raising operators E_ij (i < j) and the Cartan operators h_i of sl(n)."""
+    positives = [(f"E{i}{j}", sl_generator_by_tree(n, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    return SingularConfig(positives, [(f"h{i}", h) for i, h in enumerate(sl_cartan_by_tree(n), 1)])
+
+
+def g2_singular_config_by_tree() -> SingularConfig:
+    """E1..E6 and h1, h2 of the tree-built exceptional action."""
+    action = g2_polynomial_action_by_tree()
+    positives = [(f"E{i}", action[f"E{i}"]) for i in range(1, 7)]
+    cartans = [("h1", action["h1"].rational), ("h2", action["h2"].rational)]
+    return SingularConfig(positives, cartans)
 
 
 def assert_family_spans_kernel(family, vars_, degree):

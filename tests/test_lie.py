@@ -3,6 +3,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagpde import (
     IMAG,
@@ -44,6 +46,7 @@ from flagpde import lie
 from flagpde.operators import (
     Compose,
     Derivative,
+    LinearVectorField,
     MultiplyBy,
     Scale,
     Sum,
@@ -56,12 +59,22 @@ from flagpde.operators import (
 from oracles import (
     agree_on_monomials,
     commutation_checks_by_monomials,
+    euler_operator_by_tree,
     g2_element_by_fractions,
+    g2_polynomial_action_by_tree,
+    g2_singular_config_by_tree,
     harmonic_element_by_fractions,
     sl_branch_element_by_fractions,
+    sl_cartan_by_tree,
+    sl_generator_by_tree,
+    sl_singular_config_by_tree,
+    so_generator_by_tree,
     so_singular_config_by_hand,
+    so_singular_config_by_tree,
     typed_terms,
+    verify_singular_by_tree,
 )
+from strategies import gaussian_coefficients
 
 
 # -- orthogonal family --------------------------------------------------------------
@@ -482,6 +495,120 @@ def test_g2_decomposition_of_degree_two():
     fam = g2_module_basis(2)
     combined = [e.solution for e in fam.elements] + [g2_invariant()]
     assert polys_rank(combined) == 28
+
+
+# -- the generators as linear vector fields ---------------------------------------------------
+
+def _xs(n):
+    return tuple(f"x{i}" for i in range(1, n + 1))
+
+
+def _xys(n):
+    return _xs(n) + tuple(f"y{i}" for i in range(1, n + 1))
+
+
+def _generator_cases():
+    """(id, thunk giving (linear vector field, tree, variables)) per generator."""
+    cases = []
+    for n in range(2, 6):
+        cases += [(f"sl{n} E{i}{j}", lambda n=n, i=i, j=j: (sl_generator(n, i, j), sl_generator_by_tree(n, i, j),
+                                                             _xys(n)))
+                  for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        cases += [(f"sl{n} h{i}", lambda n=n, i=i: (sl_cartan(n)[i - 1], sl_cartan_by_tree(n)[i - 1], _xys(n)))
+                  for i in range(1, n)]
+    for n in range(3, 9):
+        cases += [(f"so{n} L{i}{j}", lambda n=n, i=i, j=j: (so_generator(n, i, j), so_generator_by_tree(n, i, j),
+                                                            _xs(n)))
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for kind in ("positives", "cartans"):
+            size = len(getattr(so_singular_config(n), kind))
+            cases += [(f"so{n} {kind} {k}",
+                       lambda n=n, kind=kind, k=k: (getattr(so_singular_config(n), kind)[k][1],
+                                                    getattr(so_singular_config_by_tree(n), kind)[k][1], _xs(n)))
+                      for k in range(size)]
+    for name in sorted(g2_matrices()):
+        for part in ("rational", "radical"):
+            cases.append((f"g2 {name} {part}",
+                          lambda name=name, part=part: (getattr(g2_polynomial_action()[name], part),
+                                                        getattr(g2_polynomial_action_by_tree()[name], part), _xs(7))))
+    cases.append(("euler x1..x7", lambda: (lie._euler_operator(_xs(7)), euler_operator_by_tree(_xs(7)), _xs(7))))
+    return cases
+
+
+_GENERATOR_CASES = _generator_cases()
+
+
+@pytest.mark.parametrize("build", [b for _, b in _GENERATOR_CASES], ids=[i for i, _ in _GENERATOR_CASES])
+def test_generator_is_the_linear_vector_field_of_its_tree(build):
+    """Every generator is one LinearVectorField with the normal form of the
+    operator tree it replaces."""
+    field, tree, vs = build()
+    assert isinstance(field, LinearVectorField)
+    assert differential_form(field, vs) == differential_form(tree, vs)
+
+
+_SINGULAR_CONFIGS = {
+    **{f"so{n}": (lambda n=n: so_singular_config(n), lambda n=n: so_singular_config_by_tree(n), _xs(n))
+       for n in (3, 4, 5)},
+    **{f"sl{n}": (lambda n=n: lie.sl_singular_config(n), lambda n=n: sl_singular_config_by_tree(n), _xys(n))
+       for n in (2, 3)},
+    "g2": (g2_singular_config, g2_singular_config_by_tree, _xs(7)),
+}
+
+
+def _top(name, vs):
+    """Polynomials in which every raising operator of the config kills:
+    powers of x1 + i x2 for so(n), of x1 and y_n for sl(n), of x4 for G2."""
+    if name.startswith("so"):
+        return [(variable("x1") + IMAG * variable("x2")).with_variables(vs)]
+    if name.startswith("sl"):
+        return [variable("x1"), variable(vs[-1])]
+    return [variable("x4")]
+
+
+@st.composite
+def _singular_candidates(draw):
+    """A config name and f with at most 4 terms of degree at most 4, over
+    all of the config's variables or only its top ones (``_top``)."""
+    name = draw(st.sampled_from(sorted(_SINGULAR_CONFIGS)))
+    vs = _SINGULAR_CONFIGS[name][2]
+    bases = draw(st.sampled_from([[variable(v) for v in vs], _top(name, vs)]))
+    f = Polynomial.zero(vs)
+    for _ in range(draw(st.integers(1, 4))):
+        term = Polynomial.const(draw(gaussian_coefficients()), vs)
+        for k in draw(st.lists(st.integers(0, len(bases) - 1), max_size=4)):
+            term = term * bases[k]
+        f = f + term
+    return name, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(_singular_candidates())
+def test_verify_singular_matches_the_tree_fold(candidate):
+    """One variable order per call and residuals as forms give the result of
+    applying every tree-built generator by its own fold."""
+    name, f = candidate
+    if f.is_zero():
+        return
+    build, build_by_tree, _ = _SINGULAR_CONFIGS[name]
+    ours, theirs = verify_singular(build(), f), verify_singular_by_tree(build_by_tree(), f)
+    assert ours.ok == theirs.ok and ours.weight == theirs.weight
+    assert [n for n, _ in ours.failures] == [n for n, _ in theirs.failures]
+    assert all(a == b for (_, a), (_, b) in zip(ours.failures, theirs.failures))
+
+
+@pytest.mark.parametrize("name, f", [
+    ("so3", so_highest_harmonic(3, 4)), ("so5", so_highest_harmonic(5, 3)), ("g2", variable("x4") ** 3),
+    ("sl3", variable("x1") ** 2 * variable("y3")), ("sl2", variable("x1") + variable("y2") ** 2),
+    ("so4", so_highest_harmonic(4, 2) + so_highest_harmonic(4, 1)),
+])
+def test_verify_singular_matches_the_tree_fold_on_top_vectors(name, f):
+    """The weight and the Cartan failures of both routes agree."""
+    build, build_by_tree, _ = _SINGULAR_CONFIGS[name]
+    ours, theirs = verify_singular(build(), f), verify_singular_by_tree(build_by_tree(), f)
+    assert (ours.ok, ours.weight) == (theirs.ok, theirs.weight)
+    assert [n for n, _ in ours.failures] == [n for n, _ in theirs.failures]
+    assert all(a == b for (_, a), (_, b) in zip(ours.failures, theirs.failures))
 
 
 # -- the oracle and the suite ------------------------------------------------------------------
