@@ -74,7 +74,14 @@ from flagpde import (
 )
 from flagpde.cli import main
 from flagpde.bases import harmonic_element
-from flagpde.lie import commutation_checks
+from flagpde.lie import (
+    commutation_checks,
+    g2_singular_config,
+    sl_singular_config,
+    so_highest_harmonic,
+    so_singular_config,
+    verify_singular,
+)
 from flagpde.poly import IMAG
 from flagpde.trees import Tree, all_trees, compute_splitting
 
@@ -367,6 +374,60 @@ def test_lie_check_command_result_matches_golden_hash(args, tmp_path):
     assert main(["lie", "check", *args, "--out", str(out)]) == 0
     payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == LIE_CHECK_GOLDEN
+
+
+# -- singular vectors ----------------------------------------------------------------
+
+def _sl_tops(n):
+    return [(sl_singular_config(n), variable("x1") ** l1 * variable(f"y{n}") ** l2)
+            for l1 in range(4) for l2 in range(4)]
+
+
+SINGULAR_CASES = {
+    "so": lambda: [(so_singular_config(n), so_highest_harmonic(n, k)) for n in range(3, 9) for k in range(5)],
+    "sl2": lambda: _sl_tops(2),
+    "sl3": lambda: _sl_tops(3),
+    "g2": lambda: [(g2_singular_config(), variable("x4") ** k) for k in range(1, 5)],
+    "failures": lambda: [
+        # (x1 - i x2)^2 is the lowest weight vector of its so(5) module
+        (so_singular_config(5),
+         ((variable("x1") - IMAG * variable("x2")) ** 2).with_variables(tuple(f"x{i}" for i in range(1, 6)))),
+        # killed by E12, but h1 scales x1 by 1 and x1 y2 by 2
+        (sl_singular_config(2), variable("x1") + variable("x1") * variable("y2")),
+    ],
+}
+
+SINGULAR_GOLDEN = {
+    "so": "49fd72ae7084f88647b4b4fb994bb0e0982384d10ac65702759b694f211752c5",
+    "sl2": "cfa0c0592f69d49e70e00d8faa234a1bdc483d65129d86407e8b595060eceb19",
+    "sl3": "a44445c3409bb59cd83c452c0f2f5ac3cf19eac2a8836dafb3de435ae1e56022",
+    "g2": "dd64333cb4003868f4e21e92f55303514dd66d7dc48c3c51dd68eb57d494c258",
+    "failures": "ee6538fdbb914aecd01878b9819f5bb54b709d3060ca8dc2cab8a5e8a840588c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_CASES))
+def test_verify_singular_matches_golden_hash(name):
+    """ok, the repr of each weight, and each failure's name and residual
+    digest, recorded while every call still built its own operators and
+    read each weight off a Polynomial."""
+    records = []
+    for config, f in SINGULAR_CASES[name]():
+        check = verify_singular(config, f)
+        records.append([check.ok, None if check.weight is None else [repr(w) for w in check.weight],
+                        [[op, _poly_digest(residual)] for op, residual in check.failures]])
+    payload = json.dumps(records)
+    assert hashlib.sha256(payload.encode()).hexdigest() == SINGULAR_GOLDEN[name]
+
+
+LIE_SL_GOLDEN = "6720aa375c2d9600658ad30cd11dc23266150e2924d4887d9fe079aa289d2471"
+
+
+def test_lie_sl_command_result_matches_golden_hash(tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["lie", "sl", "--n", "3", "--l1", "2", "--l2", "1", "--out", str(out)]) == 0
+    payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == LIE_SL_GOLDEN
 
 
 # -- the text form -------------------------------------------------------------------
