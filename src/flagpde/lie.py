@@ -13,6 +13,16 @@ p + q*sqrt(2) hold integer p and q; entry (i, j) becomes the term
 x_i d/dx_j, split into a rational and a sqrt(2) field.  The module bases
 are built and proved solutions by ``bases._SeriesLemma``.
 
+The fixed operators are built once per process and are read-only (a
+``LinearVectorField``'s entries cannot be written, nor a ``PairOperator``'s
+parts): the fourteen exceptional ones (``_g2_action``), each sl field
+x_i d/dx_j - y_j d/dy_i and Cartan h_i, which do not depend on n
+(``sl_generator``, ``sl_cartan``), and the raising and Cartan operators of
+``so_singular_config`` for the 32 most recently used n.  Each public call
+returns a new list or ``SingularConfig`` holding the shared nodes, so each
+node's applicator for a variable order is built once and reused by every
+later ``verify_singular``, ``commutation_checks`` and ``lie`` command.
+
 The commutation suite proves its operator identities instead of sampling
 them: both sides are brought to the normal form sum_alpha c_alpha d^alpha
 over x1..x7 or x1..xn, y1..yn, with integer-form coefficients, which is
@@ -56,7 +66,7 @@ from .operators import (
     forms_commute,
     operators_agree_on_sample,
 )
-from .poly import IMAG, Polynomial, _int_form, coeff_inverse, variable
+from .poly import IMAG, Polynomial, _collapsed, _int_form, _unpack, coeff_inverse, variable
 
 __all__ = [
     "PairOperator",
@@ -209,13 +219,26 @@ def so_generator(n: int, i: int, j: int) -> LinearVectorField:
 
 
 def sl_generator(n: int, i: int, j: int) -> LinearVectorField:
-    """x_i d/dx_j - y_j d/dy_i on the doubled variable set."""
-    return LinearVectorField({(f"x{i}", f"x{j}"): 1, (f"y{j}", f"y{i}"): -1})
+    """x_i d/dx_j - y_j d/dy_i on the doubled variable set: the one
+    read-only node of (i, j) (``_sl_field``)."""
+    return _sl_field(i, j)
 
 
 def sl_cartan(n: int):
-    """Diagonal differences h_i = E_ii - E_(i+1)(i+1), i = 1..n-1."""
-    return [_combination((1, sl_generator(n, i, i)), (-1, sl_generator(n, i + 1, i + 1))) for i in range(1, n)]
+    """Diagonal differences h_i = E_ii - E_(i+1)(i+1), i = 1..n-1, as a new
+    list of the one read-only node of each i (``_sl_cartan_field``)."""
+    return [_sl_cartan_field(i) for i in range(1, n)]
+
+
+# neither field depends on n, so sl(n) for every n shares them
+@functools.lru_cache(maxsize=1024)
+def _sl_field(i: int, j: int) -> LinearVectorField:
+    return LinearVectorField({(f"x{i}", f"x{j}"): 1, (f"y{j}", f"y{i}"): -1})
+
+
+@functools.lru_cache(maxsize=1024)
+def _sl_cartan_field(i: int) -> LinearVectorField:
+    return _combination((1, _sl_field(i, i)), (-1, _sl_field(i + 1, i + 1)))
 
 
 def sl_invariant(n: int) -> Polynomial:
@@ -437,9 +460,10 @@ def verify_singular(config: SingularConfig, f: Polynomial) -> SingularCheck:
 
     f and every operator, each part of a pair on its own, are put over one
     variable order once per call, and each residual is an integer form
-    (each operator's ``apply_form``): a Polynomial is built only for a
-    failure, which names the generator and its first nonzero residual, or
-    for a weight."""
+    (each operator's ``apply_form``).  Each weight is read off the Cartan
+    image's form at the key of f's leading term, found once per call, so a
+    Polynomial is built only for a failure, which names the generator and
+    its first nonzero residual."""
     if f.is_zero():
         raise ValueError("the zero polynomial is not singular")
     positives = [(name, (op.rational, op.radical) if isinstance(op, PairOperator) else (op,))
@@ -456,14 +480,18 @@ def verify_singular(config: SingularConfig, f: Polynomial) -> SingularCheck:
                 break
     if failures:
         return SingularCheck(False, None, failures)
+    # f's leading term, first in ``Polynomial.sorted_terms``' order: the int
+    # order of the keys is the lexicographic one of their exponents
+    n = len(vs)
+    key = max(itertools.chain(q.re, q.im), key=lambda k: (sum(_unpack(k, n)), k))
+    inverse = coeff_inverse(_collapsed(q.re.get(key, 0), q.im.get(key, 0), q.den))
     weight = []
     for name, h in config.cartans:
         image = h.apply_form(q, vs)
         if not image:
             weight.append(Fraction(0))
             continue
-        exp, lead = f.sorted_terms()[0]
-        lam = image.to_poly(vs, laurent).coefficient(dict(zip(f.vars, exp))) * coeff_inverse(lead)
+        lam = _collapsed(image.re.get(key, 0), image.im.get(key, 0), image.den) * inverse
         residual = image - q.scaled(lam)
         if residual:
             return SingularCheck(False, None, [(name, residual.to_poly(vs, laurent))])
@@ -484,9 +512,17 @@ def so_singular_config(n: int) -> SingularConfig:
     pairs (x_(2a-1), x_(2a)) (Fulton and Harris, GTM 129, sections 18-19).
 
     With Z_a(j) = L_(2a-1,j) + i L_(2a,j): Z_a(2b-1) + i t Z_a(2b) for a < b
-    and t = +-1, Z_a(j) for the unpaired x_n of odd n; h_a = -i L_(2a-1,2a)."""
+    and t = +-1, Z_a(j) for the unpaired x_n of odd n; h_a = -i L_(2a-1,2a).
+    Each call returns new lists of the read-only nodes of ``_so_operators``."""
     if n < 3:
         raise ValueError("so(n) singular configurations need n >= 3")
+    positives, cartans = _so_operators(n)
+    return SingularConfig(list(positives), list(cartans))
+
+
+@functools.lru_cache(maxsize=32)
+def _so_operators(n: int) -> tuple:
+    """(raising, Cartan) of ``so_singular_config(n)`` as tuples of (name, node)."""
 
     def z(a, j):
         return _combination((1, so_generator(n, 2 * a - 1, j)), (IMAG, so_generator(n, 2 * a, j)))
@@ -496,7 +532,7 @@ def so_singular_config(n: int) -> SingularConfig:
                  for a, b in itertools.combinations(pairs, 2) for s, t in (("+", 1), ("-", -1))]
     positives += [(f"E{a}", z(a, j)) for a in pairs for j in range(2 * len(pairs) + 1, n + 1)]
     cartans = [(f"h{a}", _combination((-IMAG, so_generator(n, 2 * a - 1, 2 * a)))) for a in pairs]
-    return SingularConfig(positives, cartans)
+    return tuple(positives), tuple(cartans)
 
 
 def sl_singular_config(n: int) -> SingularConfig:

@@ -71,14 +71,16 @@ polynomial.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .combinatorics import tuples_with_sum_at_most
 from .poly import (FormApplicator, GaussianRational, Polynomial, TrigPolynomial, _int_form, _IntForm, _pack,
-                   _parts, _reduced, _sum_forms, _unit, coeff_inverse)
+                   _parts, _reduced, _sum_forms, _unit, _unpack, coeff_inverse)
 
 __all__ = [
     "Compose",
@@ -267,13 +269,23 @@ class LinearVectorField(LinearOperator):
 
     It is its own normal form: column x_j contributes the block d/dx_j with
     the linear coefficient sum_i c * x_i (``form``), so it is applied through
-    one FormApplicator per variable order, built on first use and kept."""
+    one FormApplicator per variable order, built on first use and kept for
+    the last ``_ORDERS_KEPT`` orders.  The node is read-only: ``entries`` is
+    a read-only mapping and setting an attribute raises, so one node can be
+    shared (``lie`` builds its fixed generators once per process)."""
 
     __slots__ = ("entries", "_applicators")
+    _ORDERS_KEPT = 8
 
     def __init__(self, entries):
-        self.entries = {key: c for key, c in dict(entries).items() if c}
-        self._applicators = {}
+        object.__setattr__(self, "entries", MappingProxyType({key: c for key, c in dict(entries).items() if c}))
+        object.__setattr__(self, "_applicators", {})
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def form(self, vars: tuple) -> dict:
         """The normal form over vars: {((position of x_j, 1),): sum_i c * x_i}."""
@@ -291,16 +303,19 @@ class LinearVectorField(LinearOperator):
         return out
 
     def apply_form(self, q, vars):
-        applicator = self._applicators.get(vars)
+        applicators = self._applicators
+        applicator = applicators.get(vars)
         if applicator is None:
-            applicator = self._applicators[vars] = FormApplicator(self.form(vars))
+            if len(applicators) >= self._ORDERS_KEPT:
+                del applicators[next(iter(applicators))]
+            applicator = applicators[vars] = FormApplicator(self.form(vars))
         return applicator.apply_form(q)
 
     def __eq__(self, other):
         return isinstance(other, LinearVectorField) and self.entries == other.entries
 
     def __repr__(self):
-        return f"LinearVectorField({self.entries})"
+        return f"LinearVectorField({dict(self.entries)})"
 
 
 class DampedIntegration(LinearOperator):
@@ -713,8 +728,8 @@ class SeriesConfig:
     exactly by ``operators_agree_on_sample``, over the variables of both:
     by normal forms when T1 T1inv has one, else on every monomial of degree
     <= 2.  The series solvers then verify every output.  Termination is
-    detected by the series hitting the exact zero polynomial;
-    ``iteration_bound`` is only a safety valve.
+    detected by the series hitting the exact zero polynomial, and a series
+    still nonzero after ``iteration_bound`` steps raises.
     """
 
     t1: LinearOperator
@@ -727,9 +742,62 @@ class SeriesConfig:
         if not operators_agree_on_sample(Compose(t1, inverse), identity(), vars_):
             raise OperatorHypothesisError("t1_inverse is not a right inverse of t1")
 
-    def iteration_bound(self, seed) -> int:
-        """The safety bound for a seed given as a Polynomial or an integer form."""
-        return 2 + seed.total_degree() * max(1, max_derivative_order(self.t2))
+    def iteration_bound(self, seed: Polynomial) -> int:
+        """The step bound of the series from seed: the larger of
+        2 + deg(seed) * (largest derivative order in T2) and, where T2 has a
+        flag weighting (``_flag_weights``), 2 + the weighted degree of seed,
+        which bounds the steps of every seed without a negative exponent on
+        a weighted variable."""
+        bound = 2 + seed.total_degree() * max(1, max_derivative_order(self.t2))
+        if self._weights:
+            w = [self._weights.get(v, 0) for v in seed.vars]
+            n = len(w)
+            keys = itertools.chain(seed.form.re, seed.form.im)
+            bound = max(bound, 2 + max((sum(a * e for a, e in zip(w, _unpack(key, n))) for key in keys), default=0))
+        return bound
+
+    @functools.cached_property
+    def _weights(self):
+        return _flag_weights(self.t2, operator_variables(self.t1_inverse))
+
+
+def _flag_weights(t2: LinearOperator, fixed: frozenset):
+    """{variable: weight} under which each step of the series lowers the
+    weighted degree sum_v w_v * (exponent of v) by at least 1, or None.
+
+    T1inv reads only the variables in fixed, which weigh 0, so it leaves the
+    weighted degree alone.  T2 must be of flag shape: each block of its
+    normal form is one pure derivative d^m/dx_i^m, at most one per variable
+    and none of a fixed one, and the blocks can be ordered so that each
+    coefficient holds no variable of its own or a later block, and no
+    negative power of an earlier one.  Then w_i = ceil((1 + max_e sum_j
+    e_j w_j) / m) over the coefficient's terms x^e, so each term of T2 lowers
+    the weighted degree by at least 1, and the variables without a block
+    weigh 0."""
+    vs = tuple(dict.fromkeys(_variables_in_order(t2)))
+    form = differential_form(t2, vs)
+    if not form:
+        return None
+    n, blocks = len(vs), {}
+    for alpha, c in form.items():
+        if len(alpha) != 1 or vs[alpha[0][0]] in fixed:
+            return None
+        (i, m), = alpha
+        if i in blocks:
+            return None
+        blocks[i] = (m, [_unpack(key, n) for key in itertools.chain(c.re, c.im)])
+    weights = [0] * n
+    while blocks:
+        ready = [i for i, (_, exps) in blocks.items() if not any(e[j] for e in exps for j in blocks)]
+        if not ready:
+            return None
+        for i in ready:
+            m, exps = blocks.pop(i)
+            if any(e[j] < 0 for e in exps for j in range(n) if weights[j]):
+                return None
+            top = max(sum(a * w for a, w in zip(e, weights)) for e in exps)
+            weights[i] = (top + m) // m
+    return {v: w for v, w in zip(vs, weights) if w}
 
 
 def _chain_order(polys, ops):
@@ -745,7 +813,7 @@ def _chain_order(polys, ops):
 def _series(cfg: SeriesConfig, term: _IntForm, vs: tuple) -> _IntForm:
     """sum_i (-T1inv T2)^i (term) on integer forms over the order vs."""
     terms = [term]
-    for _ in range(cfg.iteration_bound(term)):
+    for _ in range(cfg.iteration_bound(term.to_poly(vs, frozenset()))):
         if not term:
             break
         term = -cfg.t1_inverse.apply_form(cfg.t2.apply_form(term, vs), vs)

@@ -413,6 +413,87 @@ def test_g2_action_is_built_once_per_process(fresh_reading, monkeypatch):
     assert g2_polynomial_action() is not g2_polynomial_action()
 
 
+def _sl_and_so_configs():
+    return (lambda: lie.sl_singular_config(3), lambda: so_singular_config(4), lambda: so_singular_config(5))
+
+
+def test_sl_and_so_builders_share_their_operators(fresh_reading):
+    """Each node is built once per process; each call returns new lists."""
+    assert sl_generator(3, 1, 2) is sl_generator(3, 1, 2) is sl_generator(2, 1, 2)
+    first, second = sl_cartan(3), sl_cartan(3)
+    assert first is not second and len(first) == 2
+    assert all(a is b for a, b in zip(first, second))
+    for build in _sl_and_so_configs():
+        one, two = build(), build()
+        for a, b in ((one.positives, two.positives), (one.cartans, two.cartans)):
+            assert a is not b and len(a) == len(b)
+            assert all(name_a == name_b and op_a is op_b for (name_a, op_a), (name_b, op_b) in zip(a, b))
+    assert lie.sl_singular_config(3).positives[0][1] is sl_generator(3, 1, 2)
+
+
+def test_changing_a_config_leaves_the_next_one_whole(fresh_reading):
+    for build in _sl_and_so_configs():
+        want = build()
+        config = build()
+        config.positives.append(("E99", sl_generator(3, 2, 1)))
+        config.positives.pop(0)
+        config.cartans.clear()
+        again = build()
+        assert again.positives == want.positives and again.cartans == want.cartans
+    cartans = sl_cartan(3)
+    cartans.append(sl_generator(3, 2, 1))
+    assert len(sl_cartan(3)) == 2
+
+
+def test_shared_nodes_are_read_only(fresh_reading):
+    so3 = so_singular_config(3)
+    for node in (sl_generator(2, 1, 2), sl_cartan(3)[0], so3.positives[0][1], so3.cartans[0][1]):
+        with pytest.raises(TypeError):
+            node.entries[("x1", "x1")] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.entries = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node.entries
+    check = verify_singular(lie.sl_singular_config(2), variable("x1") ** 2 * variable("y2"))
+    assert check.ok and check.weight == [3]
+
+
+def test_a_sabotaged_config_is_reported_as_before(fresh_reading):
+    """A swapped-in generator is read like any other and changes no shared node."""
+    x1, x2, y1, y2 = (variable(v) for v in ("x1", "x2", "y1", "y2"))
+    f = x1**2 * y2
+    lowering = lie.sl_singular_config(2)
+    lowering.positives[0] = ("E12", sl_generator(2, 2, 1))
+    assert verify_singular(lowering, f).failures == [("E12", 2 * x1 * x2 * y2 - x1**2 * y1)]
+    # x1 d/dx1 + x2 d/dx1 scales the leading term x1^2 y2 by 2: the rest is the residual
+    skewed = lie.sl_singular_config(2)
+    skewed.cartans[0] = ("h1", LinearVectorField({("x1", "x1"): 1, ("x2", "x1"): 1}))
+    check = verify_singular(skewed, f)
+    assert not check.ok and check.weight is None
+    assert check.failures == [("h1", 2 * x1 * x2 * y2)]
+    check = verify_singular(lie.sl_singular_config(2), f)
+    assert check.ok and check.weight == [3]
+
+
+def test_commutation_checks_prove_the_sl_half_on_each_call(monkeypatch):
+    """The shared nodes save their builds, not the proofs: each call proves
+    the contraction's commutation with every sl generator and the zeta law."""
+    commutation_checks(2)  # the exceptional half is proved before the count
+    calls = collections.Counter()
+    for name in ("forms_commute", "operators_agree_on_sample"):
+        original = getattr(lie, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(lie, name, counted)
+    for n_sl in (2, 2, 3):
+        commutation_checks(n_sl)
+    # n^2 - n raising and lowering generators and n - 1 Cartans per call
+    assert calls == {"forms_commute": 3 + 3 + 8, "operators_agree_on_sample": 3}
+
+
 def test_mutating_a_report_leaves_the_next_one_whole():
     want = list(commutation_checks(2).items())
     report = commutation_checks(2)

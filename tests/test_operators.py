@@ -9,6 +9,7 @@ from flagpde import (
     Compose,
     DampedIntegration,
     Derivative,
+    FlagEquationSpec,
     GaussianRational,
     Integrate,
     MultiplyBy,
@@ -19,6 +20,7 @@ from flagpde import (
     Sum,
     TrigPolynomial,
     constant,
+    flag_basis,
     right_inverse_series,
     solve_by_series,
     variable,
@@ -168,6 +170,46 @@ def test_series_termination_guard():
     cfg = SeriesConfig(Derivative("x", 2), Integrate("x", 2), MultiplyBy(y))
     with pytest.raises(SeriesTerminationError, match="did not nilpotate"):
         solve_by_series(cfg, x, y)
+
+
+z = variable("z")
+_FLAG_COEFFS = (-2 * x**2 - 3 * x, y**2, -2 * y**2 + 3 * y * z)
+
+
+def _flag_series_config():
+    """T1 = d^2/dx^2, T1inv = its double integral and T2 with orders
+    (2, 1, 1) on y, z, w and the coefficients _FLAG_COEFFS: the weights are
+    (1, 3, 5), and the seeds w^2, w^3, z w^2 and x w^3 need 8, 11, 10 and 11
+    steps, more than 2 + degree * (largest order in T2)."""
+    t2 = Sum(Compose(MultiplyBy(c), Derivative(v, m)) for c, v, m in zip(_FLAG_COEFFS, "yzw", (2, 1, 1)))
+    return SeriesConfig(Derivative("x", 2), Integrate("x", 2), t2)
+
+
+def test_flag_series_runs_to_its_weighted_bound():
+    cfg = _flag_series_config()
+    w = variable("w")
+    assert operators._flag_weights(cfg.t2, frozenset("x")) == {"y": 1, "z": 3, "w": 5}
+    assert [cfg.iteration_bound(s) for s in (w**2, w**3, z * w**2, x * w**3)] == [12, 17, 15, 17]
+    family = flag_basis(FlagEquationSpec((2, 2, 1, 1), _FLAG_COEFFS, ("x", "y", "z", "w")), 3)
+    assert len(family) == 40
+    for element in family.elements:
+        l1, l2, l3, l4 = element.index["ell"]
+        assert solve_by_series(cfg, x**l1, y**l2 * z**l3 * w**l4) == element.solution
+
+
+@pytest.mark.parametrize("t2", [
+    MultiplyBy(y),                                           # an identity block
+    Compose(Derivative("y"), Derivative("z")),               # a mixed block
+    Sum((Derivative("y"), Derivative("y", 2))),              # two blocks of one variable
+    Derivative("x"),                                         # a block of T1inv's variable
+    Compose(MultiplyBy(y), Derivative("y", 2)),              # a coefficient on its own variable
+    Sum((Compose(MultiplyBy(z), Derivative("y")), Compose(MultiplyBy(y), Derivative("z")))),  # a cycle
+    Sum((Derivative("y"), Compose(MultiplyBy(Polynomial(("y",), {(-1,): 1}, ("y",))), Derivative("z")))),
+], ids=["identity", "mixed", "two orders", "fixed", "own variable", "cycle", "negative power"])
+def test_non_flag_perturbations_keep_the_degree_bound(t2):
+    assert operators._flag_weights(t2, frozenset("x")) is None
+    cfg = SeriesConfig(Derivative("x", 2), Integrate("x", 2), t2)
+    assert cfg.iteration_bound(y**2 * z) == 2 + 3 * max(1, operators.max_derivative_order(t2))
 
 
 def test_right_inverse_series_zero():
