@@ -61,7 +61,8 @@ from .operators import (
     solve_by_series,
 )
 from .poly import (EXP_MAX, ExponentRangeError, FormApplicator, Polynomial, _int_form, _IntForm, _mover, _pack,
-                   _padded, _reduced, _shifted_sum, _sum_forms, _unit, variable)
+                   _padded, _reduced, _shifted_sum, _split_tagged, _sum_forms, _tag_variable, _tagged, _unit,
+                   variable)
 
 __all__ = [
     "BasisElement",
@@ -468,42 +469,23 @@ class FlagEquationSpec:
         return Sum(parts)
 
 
-def _sigma_step(inv: NestedRightInverse, stage: int, vs: tuple, f: _IntForm, pos: int,
-                m: int, chain: list, ell: int) -> _IntForm:
-    """Extend a solution h of the first `stage` blocks by the seed x_pos^ell.
-
-    Returns sum_i (-R f)^i(h) * D^i(seed), where R is stage `stage` of the
-    spec's one nested inverse `inv` (which checked the shape and serves
-    every stage), f the coefficient and D = d^m/dx_pos^m of the new block,
-    all as integer forms over the build's variable order vs.  D^i(seed) is
-    falling(ell, i*m) x_pos^(ell - i*m), so each product is an exponent
-    shift, and the shifted pieces are summed in one pass.  chain[i] holds
-    (-R f)^i(h), chain[0] = h; each missing power is one step from the
-    previous one and is appended, so seeds extending the same h share it.
-    """
-    pieces = []
-    i, k = 0, 1
-    while k:
-        if i == len(chain):
-            chain.append(-inv._apply_stage(stage, f * chain[-1], vs))
-        pieces.append((chain[i], ell - i * m, k))
-        i += 1
-        k = math.perm(ell, i * m)
-    return _shifted_sum(pieces, pos, len(vs))
-
-
 def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     """Solution basis of a triangular equation, built stage by stage.
 
     Elements carry index (l1 in 0..m1-1, l2.., ln) with l2 + ... + ln <= cap.
     The partial solution after stage k depends only on the prefix
-    (l1, l2..l(k+1)), so each prefix is solved once, together with the
-    powers (-R f)^i of it that the next stage needs, and shared by every
-    element that starts with it; the prefixes live in a dictionary local to
-    this call.  Every stage runs on the spec's one nested inverse, which
-    checked the shape when the spec was built, and on its ``plan``.  The
-    whole build runs on integer forms over ``spec.variables``, and each
-    element is the Polynomial holding its form.
+    (l1, l2..l(k+1)), so each prefix is solved once and shared by every
+    element that starts with it.  Stage k extends a prefix's solution h by
+    the seed x^l of the next block, l up to what the cap leaves, as
+    sum_i (-R f)^i(h) * D^i(x^l): R the stage-k inverse, f the block's
+    coefficient and D its derivative, so D^i(x^l) is falling(l, i*m)
+    x^(l - i*m) and each product an exponent shift, summed in one pass.
+    The powers (R f)^i(h) are built level by level (``_chains``): power i
+    of every prefix that needs power i+1 goes into one tagged batch, which
+    takes one application of the spec's nested inverse.  Every stage runs
+    on that one inverse, which checked the shape when the spec was built,
+    and on its ``plan``.  The whole build runs on integer forms over
+    ``spec.variables``, and each element is the Polynomial holding its form.
     """
     n = len(spec.orders)
     # one variable reads no cap: its elements are x1^l1, l1 < m1
@@ -513,24 +495,56 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     laurent = frozenset().union(*(c.laurent for c in spec.coefficients))
     inv = spec._inverse
     plan = inv.plan(vs)
-    chains: dict[tuple, list] = {}
+    tagged = vs + (_tag_variable(vs),)
+    # the solution of each prefix (l1, .., lk) after stage k - 1
+    level = {(l1,): _IntForm({_pack((l1,) + (0,) * (n - 1)): 1}, {}, 1, n) for l1 in range(spec.orders[0])}
+    for stage in range(1, n):
+        pos, m, _, _ = plan[stage]
+        room = {prefix: cap - sum(prefix[1:]) for prefix in level}
+        chains = _chains(inv, stage, tagged, level, {prefix: r // m for prefix, r in room.items()})
+        level = {prefix + (l,): _shifted_sum([(c, l - i * m, (-1) ** i * math.perm(l, i * m))
+                                              for i, c in enumerate(chain[: l // m + 1])], pos, n)
+                 for prefix, chain in chains.items() for l in range(room[prefix] + 1)}
     elements = []
     for l1 in range(spec.orders[0]):
-        root = [_IntForm({_pack((l1,) + (0,) * (n - 1)): 1}, {}, 1, n)]
         for rest in tuples_with_sum_at_most(n - 1, cap):
             ell = (l1,) + rest
-            chain = root
-            for stage in range(1, n):
-                prefix = ell[: stage + 1]
-                nxt = chains.get(prefix)
-                if nxt is None:
-                    pos, m, f, _ = plan[stage]
-                    nxt = [_sigma_step(inv, stage, vs, f, pos, m, chain, ell[stage])]
-                    if stage < n - 1:
-                        chains[prefix] = nxt
-                chain = nxt
-            elements.append(BasisElement({"ell": ell}, chain[0].to_poly(vs, laurent)))
+            elements.append(BasisElement({"ell": ell}, level[ell].to_poly(vs, laurent)))
     return _checked(elements, annihilator, {"cap": cap, "orders": list(spec.orders)})
+
+
+# the members of one batch, as many as a tag field tells apart (``poly._tagged``)
+_BATCH = EXP_MAX + 1
+
+
+def _chains(inv: NestedRightInverse, stage: int, tagged: tuple, heads: dict, needs: dict) -> dict:
+    """{prefix: [h, (R f)(h), .., (R f)^need(h)]} for the solution h of each
+    prefix in heads and its need in needs, with R stage `stage` of the
+    spec's one nested inverse `inv` and f the coefficient of the block it
+    adds, over the variable order `tagged`: the build's order and a tag.
+
+    The powers are built level by level.  The prefixes, most needed first,
+    are cut into chunks of at most ``_BATCH``; at level i, power i of every
+    prefix of a chunk whose need exceeds i is one tagged batch, multiplied
+    by f and mapped by R once, and the image split by tag gives power i+1
+    of each.  The image, cut to the prefixes that need a further power,
+    is the next level's batch.  A split power is not reduced, so it may
+    only feed ``_shifted_sum``, which reduces each sum once.
+    """
+    f = inv.plan(tagged)[stage][2]
+    chains = {prefix: [h] for prefix, h in heads.items()}
+    order = sorted((prefix for prefix in heads if needs[prefix]), key=needs.__getitem__, reverse=True)
+    for start in range(0, len(order), _BATCH):
+        chunk = order[start:start + _BATCH]
+        depth = [needs[prefix] for prefix in chunk]
+        batch, size = _tagged([heads[prefix] for prefix in chunk], 0), len(chunk)
+        for i in range(depth[0]):
+            keep = sum(d > i + 1 for d in depth)
+            powers, batch = _split_tagged(inv._apply_stage(stage, f * batch, tagged), size, keep)
+            for prefix, power in zip(chunk, powers):
+                chains[prefix].append(power)
+            size = keep
+    return chains
 
 
 # -- wave equation in a Riemannian background ------------------------------------

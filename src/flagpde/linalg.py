@@ -35,7 +35,8 @@ from math import gcd, lcm
 
 from .combinatorics import tuples_with_sum, tuples_with_sum_at_most
 from .operators import _chain_order, form_map
-from .poly import GaussianRational, Polynomial, _int_form, _nonzero, _parts, _reduced, _tagged, _untagged
+from .poly import (GaussianRational, Polynomial, _int_form, _nonzero, _parts, _reduced, _tag_variable, _tagged,
+                   _untagged)
 
 __all__ = [
     "bidegree_monomials",
@@ -367,9 +368,6 @@ def kernel_on_slice(op, slice_monomials):
     if not slice_monomials:
         return []
     vs, _ = _chain_order(slice_monomials, [op])
-    tag = "tag"
-    while tag in vs:
-        tag += "'"
     # the slice's variables lead vs; op's own variables follow
     vars_ = tuple(dict.fromkeys(v for p in slice_monomials for v in p.vars))
     forms = [_int_form(p, vars_) for p in slice_monomials]
@@ -377,7 +375,7 @@ def kernel_on_slice(op, slice_monomials):
     batch = _tagged(forms, len(vs) - len(vars_))
     # rows index the support of the images, columns the slice polynomials;
     # a Gaussian image gives (re, im) entries
-    rows = _untagged(form_map(op, vs + (tag,))(batch))
+    rows = _untagged(form_map(op, vs + (_tag_variable(vs),))(batch))
     pivots = _row_reduce(list(rows.values()), reduced=True)
     laurent = frozenset().union(*(p.laurent for p in slice_monomials))
     kernel = _integer_kernel(pivots, len(slice_monomials)).values()

@@ -270,15 +270,19 @@ class LinearVectorField(LinearOperator):
     It is its own normal form: column x_j contributes the block d/dx_j with
     the linear coefficient sum_i c * x_i (``form``), so it is applied through
     one FormApplicator per variable order, built on first use and kept for
-    the last ``_ORDERS_KEPT`` orders.  The node is read-only: ``entries`` is
-    a read-only mapping and setting an attribute raises, so one node can be
-    shared (``lie`` builds its fixed generators once per process)."""
+    the last ``_ORDERS_KEPT`` orders.  ``variables`` lists the variables of
+    the entries once each, in entry order.  The node is read-only:
+    ``entries`` is a read-only mapping and setting an attribute raises, so
+    one node can be shared (``lie`` builds its fixed generators once per
+    process)."""
 
-    __slots__ = ("entries", "_applicators")
+    __slots__ = ("entries", "variables", "_applicators")
     _ORDERS_KEPT = 8
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", MappingProxyType({key: c for key, c in dict(entries).items() if c}))
+        entries = MappingProxyType({key: c for key, c in dict(entries).items() if c})
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "variables", tuple(dict.fromkeys(v for pair in entries for v in pair)))
         object.__setattr__(self, "_applicators", {})
 
     def __setattr__(self, name, value):
@@ -377,9 +381,13 @@ class NestedRightInverse(LinearOperator):
     one place that coerces the coefficients and checks this shape.
 
     Stage s inverts the first s blocks, so one inverse serves every prefix
-    (``bases.flag_basis``).  With R the stage s-1 inverse, f the s-th
-    coefficient and D = Dvs^ms, it returns sum_i (-R f)^i R D^i(q),
-    evaluated in Horner form: w_i = D^i(q) up to the last nonzero w_I, then
+    (``bases.flag_basis``).  No stage reads a variable outside its blocks
+    and coefficients, so one application over the variables and a trailing
+    tag maps a tagged batch (``poly._tagged``) of the forms of many
+    prefixes at once: ``flag_basis`` makes one per level of a stage.  With
+    R the stage s-1 inverse, f the s-th coefficient and D = Dvs^ms, it
+    returns sum_i (-R f)^i R D^i(q), evaluated in Horner form:
+    w_i = D^i(q) up to the last nonzero w_I, then
     acc = R(w_I) and acc = R(w_i - f*acc) for i = I-1 down to 0.  R is
     linear, so this is the same sum with I+1 calls of stage s-1 instead of
     (I+1)(I+2)/2.  The stages run on integer forms over one variable order,
@@ -500,8 +508,7 @@ def _variables_in_order(op: LinearOperator):
         for sub in op.ops:
             yield from _variables_in_order(sub)
     elif isinstance(op, LinearVectorField):
-        for pair in op.entries:
-            yield from pair
+        yield from op.variables
     elif isinstance(op, DampedIntegration):
         yield op.tvar
     elif isinstance(op, NestedRightInverse):

@@ -26,9 +26,9 @@ This module alone reads the fields of a key.  Other modules work through:
 ``_pack`` and ``_unpack`` (an exponent tuple to its key and back),
 ``_unit`` (the key step of one variable), ``_lead_floor`` (the least key
 of a first exponent), ``_int_form``, ``_padded`` and ``_mover`` (a form
-over another variable order), the tag codec ``_tagged``/``_untagged`` (a
-batch of forms as one form and its image split back), and
-``FormApplicator``, the kernel that maps forms by a normal form.
+over another variable order), the tag codec ``_tagged``, ``_untagged``
+and ``_split_tagged`` (a batch of forms as one form and its image split
+back), and ``FormApplicator``, the kernel that maps forms by a normal form.
 
 ``Polynomial.terms`` is a read-only view, built on each read, that maps
 every exponent tuple to its exact coefficient in the smallest type: an
@@ -716,7 +716,10 @@ class _IntForm:
     reduce=False, and ``minus_product`` always does; such a form has no zero
     entries but may carry a common factor, so it must not be compared,
     wrapped or returned.  Only a chain of steps that reduces its own result
-    once uses them (``operators.NestedRightInverse``).  ``_int_form`` puts a
+    once uses them (``operators.NestedRightInverse``), and the forms that
+    ``_split_tagged`` splits from a batch image, which carry the image's
+    denominator, feed only ``_shifted_sum``, which reduces once (the chain
+    powers of ``bases.flag_basis``).  ``_int_form`` puts a
     Polynomial over another variable order and ``to_poly`` wraps a form as
     one.
     """
@@ -1062,6 +1065,34 @@ def _untagged(image: _IntForm) -> dict:
     for key, a in entries.items():
         rows.setdefault(key >> _W, {})[(key & _MASK) - _BIAS] = a
     return rows
+
+
+def _split_tagged(image: _IntForm, size: int, keep: int) -> tuple:
+    """A batch image of ``_tagged`` forms (no padding) split by tag: the
+    list of the forms of tags 0..size-1 over the batch's variables without
+    the tag, each at the image's denominator and so possibly carrying a
+    common factor (``_IntForm`` docstring), and the image cut to the tags
+    below keep, still tagged, for the next step of a chain."""
+    n, den, cut = image.n - 1, image.den, _BIAS + keep
+    res, ims = [{} for _ in range(size)], [{} for _ in range(size)]
+    kept = []
+    for part, parts in ((image.re, res), (image.im, ims)):
+        rest = {}
+        for key, a in part.items():
+            tag = key & _MASK
+            parts[tag - _BIAS][key >> _W] = a
+            if tag < cut:
+                rest[key] = a
+        kept.append(rest)
+    return [_IntForm(re, im, den, n) for re, im in zip(res, ims)], _IntForm(kept[0], kept[1], den, n + 1)
+
+
+def _tag_variable(vs: tuple) -> str:
+    """A name for a batch's tag variable that is not among vs."""
+    tag = "tag"
+    while tag in vs:
+        tag += "'"
+    return tag
 
 
 # (part of p, part of the coefficients, real (0) or imaginary (1) sum, sign):

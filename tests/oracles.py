@@ -1050,6 +1050,47 @@ def flag_basis_unshared(spec, cap):
     return out
 
 
+def flag_basis_per_prefix(spec, cap):
+    """The elements of `flag_basis` built prefix by prefix: each prefix's
+    powers (-R f)^i(h) are one stage-inverse application each, extended on
+    demand by the elements in index order and reduced one by one."""
+    from flagpde.bases import BasisElement, _check_cap
+    from flagpde.combinatorics import tuples_with_sum_at_most
+    from flagpde.poly import _IntForm, _pack, _shifted_sum
+
+    n = len(spec.orders)
+    _check_cap(cap, seeded=n > 1)
+    vs = spec.variables
+    laurent = frozenset().union(*(c.laurent for c in spec.coefficients))
+    inv = spec._inverse
+    plan = inv.plan(vs)
+    chains = {}
+    elements = []
+    for l1 in range(spec.orders[0]):
+        root = [_IntForm({_pack((l1,) + (0,) * (n - 1)): 1}, {}, 1, n)]
+        for rest in tuples_with_sum_at_most(n - 1, cap):
+            ell = (l1,) + rest
+            chain = root
+            for stage in range(1, n):
+                prefix = ell[: stage + 1]
+                nxt = chains.get(prefix)
+                if nxt is None:
+                    pos, m, f, _ = plan[stage]
+                    pieces, i, k = [], 0, 1
+                    while k:
+                        if i == len(chain):
+                            chain.append(-inv._apply_stage(stage, f * chain[-1], vs))
+                        pieces.append((chain[i], ell[stage] - i * m, k))
+                        i += 1
+                        k = math.perm(ell[stage], i * m)
+                    nxt = [_shifted_sum(pieces, pos, n)]
+                    if stage < n - 1:
+                        chains[prefix] = nxt
+                chain = nxt
+            elements.append(BasisElement({"ell": ell}, chain[0].to_poly(vs, laurent)))
+    return elements
+
+
 def diff_stepwise(p, var, order):
     """d^order/dvar^order multiplying each coefficient by e, e-1, .. in turn."""
     if order == 0:

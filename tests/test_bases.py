@@ -24,6 +24,7 @@ from flagpde import (
     NestedRightInverse,
     Polynomial,
     Scale,
+    SeriesConfig,
     Sum,
     VerificationError,
     anisymmetric_basis,
@@ -38,10 +39,13 @@ from flagpde import (
     riemannian_to_tx,
     riemannian_wave_solution,
     sl_module_basis,
+    solve_by_series,
     twisted_flag_solve,
     variable,
 )
+from flagpde import bases
 from flagpde.bases import ChainError, harmonic_element
+from flagpde.combinatorics import tuples_with_sum_at_most
 from flagpde.linalg import kernel_on_slice, monomials_of_degree, polys_in_span
 from flagpde.operators import (
     FormApplicator,
@@ -62,6 +66,7 @@ from oracles import (
     assert_family_spans_kernel,
     assert_reduced,
     constant_element_by_fractions,
+    flag_basis_per_prefix,
     flag_basis_unshared,
     harmonic_element_by_fractions,
     power_perturbation_by_tuples,
@@ -219,19 +224,133 @@ def test_flag_basis_word_oracle_more_indices():
         assert _element(fam, ell=ell) == sigma_word_value((2, 2, 2), (1, 1), ell)
 
 
-def test_flag_basis_zero_coefficient_power_matches_constant():
+@st.composite
+def triangular_specs(draw, kinds=("int", "gaussian", "laurent"), min_blocks=1):
+    """A flag equation of min_blocks-4 blocks of orders 1-3 whose
+    coefficients are small polynomials in the earlier variables, possibly
+    zero: with integer or Gaussian-rational coefficients, or with rational
+    ones and negative powers of the earlier variables."""
+    n = draw(st.integers(min_blocks, 4))
+    vs = ("x1", "x2", "x3", "x4")[:n]
+    orders = tuple(draw(st.integers(1, 3)) for _ in vs)
+    kind = draw(st.sampled_from(kinds))
+    coeffs = {"int": st.sampled_from((-3, -2, -1, 1, 2, 3)), "gaussian": gaussian_coefficients(),
+              "laurent": coefficients()}[kind]
+    fs = tuple(draw(polynomials(vs[:k], max_terms=2, max_exp=1, laurent=vs[:k] if kind == "laurent" else (),
+                                coeffs=coeffs)) for k in range(1, n))
+    return FlagEquationSpec(orders, fs, vs)
+
+
+def _built(elements):
+    """Each element's index, variables, denominator and numerators."""
+    return [(e.index, e.solution.vars, e.solution.form.den, e.solution.form.re, e.solution.form.im)
+            for e in elements]
+
+
+def _built_or_refused(build, spec, cap):
+    """``_built`` of build(spec, cap), or the type and text of the ValueError it raised."""
+    try:
+        return _built(build(spec, cap))
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("batch", [None, 2], ids=["one chunk", "chunks of 2"])
+@given(triangular_specs(), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_flag_basis_matches_the_per_prefix_build(batch, spec, cap):
+    """The level batches give every element the form, denominator and index
+    order of the per-prefix build, and refuse the specs it refuses; chunks
+    of 2 split every level of more than two prefixes.  The builds meet the
+    faults of a spec in different orders, so a spec with negative powers of
+    two variables, which can fail at either, must only be refused by both."""
+    with pytest.MonkeyPatch.context() as patch:
+        if batch:
+            patch.setattr(bases, "_BATCH", batch)
+        got = _built_or_refused(lambda spec, cap: flag_basis(spec, cap).elements, spec, cap)
+    want = _built_or_refused(flag_basis_per_prefix, spec, cap)
+    negative = {v for c in spec.coefficients for exp in c.terms for v, e in zip(c.vars, exp) if e < 0}
+    if len(negative) > 1 and isinstance(want, tuple):
+        assert isinstance(got, tuple)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("batch, count", [(bases._BATCH, 12), (3, 34), (2, 46)])
+def test_flag_basis_maps_each_level_of_a_chunk_once(monkeypatch, batch, count):
+    """One stage-inverse application per (stage, level, chunk): at level i
+    of a stage, the prefixes whose cap room allows seed power (i+1) m of
+    the next block, cut into chunks of at most ``_BATCH``."""
+    spec, cap = FlagEquationSpec((2, 1, 2, 1), (x1 + 1, x2 - x1, x3)), 5
+    calls = []
+    apply = NestedRightInverse._apply_stage
+    monkeypatch.setattr(NestedRightInverse, "_apply_stage",
+                        lambda self, stage, q, vs: calls.append(stage) or apply(self, stage, q, vs))
+    monkeypatch.setattr(bases, "_BATCH", batch)
+    flag_basis(spec, cap)
+    want = []
+    for stage in range(1, len(spec.orders)):
+        needs = [(cap - sum(rest)) // spec.orders[stage]
+                 for _ in range(spec.orders[0]) for rest in tuples_with_sum_at_most(stage - 1, cap)]
+        for i in range(max(needs)):
+            want += [stage] * math.ceil(sum(need > i for need in needs) / batch)
+    assert calls == want
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("build", [lambda spec, cap: flag_basis(spec, cap).elements, flag_basis_per_prefix],
+                         ids=["levels", "per prefix"])
+def test_flag_basis_refuses_a_negative_power_of_a_block_variable(build):
+    """The derivatives of x2^-1 never vanish, so stage 2 refuses it."""
+    spec = FlagEquationSpec((1, 1, 1), (x1, Polynomial(("x1", "x2"), {(0, -1): 1}, ("x2",))))
+    with pytest.raises(ValueError, match="nested right inverse: negative exponent in block variable x2"):
+        build(spec, 2)
+
+
+@pytest.mark.parametrize("build", [lambda spec, cap: flag_basis(spec, cap).elements, flag_basis_per_prefix],
+                         ids=["levels", "per prefix"])
+def test_flag_basis_refuses_a_product_beyond_the_exponent_range(build):
+    spec = FlagEquationSpec((2, 1), (x1**EXP_MAX,))
+    with pytest.raises(ExponentRangeError):
+        build(spec, 1)
+
+
+def test_flag_basis_names_its_tag_apart_from_the_spec_variables():
+    """A coefficient over (tag, x) is put over the build's variables and
+    the tag by its names, so a tag named like a spec variable would read
+    that variable's exponent."""
+    t, x = variable("tag"), variable("x")
+    spec = FlagEquationSpec((2, 1, 2), (x + 1, t * x - 2), ("x", "tag", "y"))
+    assert spec.coefficients[1].vars == ("tag", "x")
+    assert _built(flag_basis(spec, 4).elements) == _built(flag_basis_per_prefix(spec, 4))
+
+
+@given(triangular_specs(kinds=("int", "gaussian")), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_flag_basis_matches_the_flat_series(spec, cap):
+    """The nested inverse and the flat series sum_i (-T1inv T2)^i of
+    T1 = d^(m1)/dx1^(m1) and T2 = sum_k f_k d^(m_k)/dx_k^(m_k) give the
+    same elements."""
+    vs = spec.variables
+    t2 = Sum(Compose(MultiplyBy(f), Derivative(v, m))
+             for f, v, m in zip(spec.coefficients, vs[1:], spec.orders[1:]))
+    cfg = SeriesConfig(Derivative(vs[0], spec.orders[0]), Integrate(vs[0], spec.orders[0]), t2)
+    for e in flag_basis(spec, cap).elements:
+        seed = math.prod((variable(v) ** l for v, l in zip(vs[1:], e.index["ell"][1:])), start=constant(1))
+        assert solve_by_series(cfg, variable(vs[0]) ** e.index["ell"][0], seed) == e.solution
+
+
+@given(triangular_specs(kinds=("int",), min_blocks=2), st.integers(0, 5))
+@settings(max_examples=30, deadline=None)
+def test_flag_basis_zero_coefficient_power_matches_constant(spec, cap):
     """Unit coefficients (power zero) degenerate to the constant-coefficient
     family: the nested inverse and the series lemma give the same elements,
     index for index, in the same variable and term order."""
-    for orders, cap in (((2, 2), 6), ((2, 2, 2), 5), ((3, 2), 6), ((2, 3, 2), 4), ((1, 2, 2), 5)):
-        spec = FlagEquationSpec(orders, (constant(1),) * (len(orders) - 1))
-        fam = flag_basis(spec, cap)
-        ref = constant_coefficient_basis(orders, cap)
-        assert len(fam.elements) == len(ref.elements)
-        for e, r in zip(fam.elements, ref.elements):
-            assert e.index == r.index
-            assert e.solution.vars == r.solution.vars
-            assert e.solution.to_json_terms() == r.solution.to_json_terms()
+    spec = FlagEquationSpec(spec.orders, (constant(1),) * (len(spec.orders) - 1))
+    fam = flag_basis(spec, cap)
+    ref = constant_coefficient_basis(spec.orders, cap)
+    assert _built(fam.elements) == _built(ref.elements)
+    assert [e.solution.to_json_terms() for e in fam.elements] == [e.solution.to_json_terms() for e in ref.elements]
 
 
 @pytest.mark.parametrize("spec, cap", [
