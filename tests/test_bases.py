@@ -225,12 +225,12 @@ def test_flag_basis_word_oracle_more_indices():
 
 
 @st.composite
-def triangular_specs(draw, kinds=("int", "gaussian", "laurent"), min_blocks=1):
-    """A flag equation of min_blocks-4 blocks of orders 1-3 whose
+def triangular_specs(draw, kinds=("int", "gaussian", "laurent")):
+    """A flag equation of 1-4 blocks of orders 1-3 whose
     coefficients are small polynomials in the earlier variables, possibly
     zero: with integer or Gaussian-rational coefficients, or with rational
     ones and negative powers of the earlier variables."""
-    n = draw(st.integers(min_blocks, 4))
+    n = draw(st.integers(1, 4))
     vs = ("x1", "x2", "x3", "x4")[:n]
     orders = tuple(draw(st.integers(1, 3)) for _ in vs)
     kind = draw(st.sampled_from(kinds))
@@ -298,8 +298,12 @@ def test_flag_basis_maps_each_level_of_a_chunk_once(monkeypatch, batch, count):
     assert len(calls) == count
 
 
-@pytest.mark.parametrize("build", [lambda spec, cap: flag_basis(spec, cap).elements, flag_basis_per_prefix],
-                         ids=["levels", "per prefix"])
+# the level batches and the per-prefix build, each giving a list of elements
+FLAG_BUILDS = [pytest.param(lambda spec, cap: flag_basis(spec, cap).elements, id="levels"),
+               pytest.param(flag_basis_per_prefix, id="per prefix")]
+
+
+@pytest.mark.parametrize("build", FLAG_BUILDS)
 def test_flag_basis_refuses_a_negative_power_of_a_block_variable(build):
     """The derivatives of x2^-1 never vanish, so stage 2 refuses it."""
     spec = FlagEquationSpec((1, 1, 1), (x1, Polynomial(("x1", "x2"), {(0, -1): 1}, ("x2",))))
@@ -307,8 +311,7 @@ def test_flag_basis_refuses_a_negative_power_of_a_block_variable(build):
         build(spec, 2)
 
 
-@pytest.mark.parametrize("build", [lambda spec, cap: flag_basis(spec, cap).elements, flag_basis_per_prefix],
-                         ids=["levels", "per prefix"])
+@pytest.mark.parametrize("build", FLAG_BUILDS)
 def test_flag_basis_refuses_a_product_beyond_the_exponent_range(build):
     spec = FlagEquationSpec((2, 1), (x1**EXP_MAX,))
     with pytest.raises(ExponentRangeError):
@@ -340,15 +343,14 @@ def test_flag_basis_matches_the_flat_series(spec, cap):
         assert solve_by_series(cfg, variable(vs[0]) ** e.index["ell"][0], seed) == e.solution
 
 
-@given(triangular_specs(kinds=("int",), min_blocks=2), st.integers(0, 5))
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4).map(tuple), st.integers(0, 5))
 @settings(max_examples=30, deadline=None)
-def test_flag_basis_zero_coefficient_power_matches_constant(spec, cap):
+def test_flag_basis_zero_coefficient_power_matches_constant(orders, cap):
     """Unit coefficients (power zero) degenerate to the constant-coefficient
     family: the nested inverse and the series lemma give the same elements,
     index for index, in the same variable and term order."""
-    spec = FlagEquationSpec(spec.orders, (constant(1),) * (len(spec.orders) - 1))
-    fam = flag_basis(spec, cap)
-    ref = constant_coefficient_basis(spec.orders, cap)
+    fam = flag_basis(FlagEquationSpec(orders, (constant(1),) * (len(orders) - 1)), cap)
+    ref = constant_coefficient_basis(orders, cap)
     assert _built(fam.elements) == _built(ref.elements)
     assert [e.solution.to_json_terms() for e in fam.elements] == [e.solution.to_json_terms() for e in ref.elements]
 
