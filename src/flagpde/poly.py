@@ -24,11 +24,12 @@ ExponentRangeError rather than let a field wrap into its neighbour.
 
 This module alone reads the fields of a key.  Other modules work through:
 ``_pack`` and ``_unpack`` (an exponent tuple to its key and back),
-``_unit`` (the key step of one variable), ``_lead_floor`` (the least key
-of a first exponent), ``_int_form``, ``_padded`` and ``_mover`` (a form
-over another variable order), the tag codec ``_tagged``, ``_untagged``
-and ``_split_tagged`` (a batch of forms as one form and its image split
-back), and ``FormApplicator``, the kernel that maps forms by a normal form.
+``_unit`` (the key step of one variable), ``_capped`` (the terms of a
+form up to a power of one variable), ``_int_form``, ``_padded`` and
+``_mover`` (a form over another variable order), the tag codec
+``_tagged``, ``_untagged`` and ``_split_tagged`` (a batch of forms as
+one form and its image split back), and ``FormApplicator``, the kernel
+that maps forms by a normal form.
 
 ``Polynomial.terms`` is a read-only view, built on each read, that maps
 every exponent tuple to its exact coefficient in the smallest type: an
@@ -133,12 +134,6 @@ def _unpack(key: int, n: int) -> tuple:
 def _unit(n: int, i: int) -> int:
     """The key step that adds 1 to the exponent of the i-th of n variables."""
     return 1 << (_W * (n - 1 - i))
-
-
-def _lead_floor(n: int, e: int) -> int:
-    """The least key over n variables whose first exponent is e: a key lies
-    below it exactly when its first exponent lies below e."""
-    return (e + _BIAS) << (_W * (n - 1))
 
 
 def _delta(k: int, s: int) -> int:
@@ -965,6 +960,18 @@ def _reduced(re: dict, im: dict, den: int, n: int) -> _IntForm:
         im = {e: a // g for e, a in im.items()}
         den //= g
     return _IntForm(re, im, den, n)
+
+
+def _capped(q: _IntForm, i: int, cap: int, j: int = 1) -> _IntForm:
+    """The terms of q whose i-th exponent is at most cap, divided by j and
+    reduced: each key is kept or dropped on its i-th field alone."""
+    s, top = _W * (q.n - 1 - i), cap + _BIAS
+    return _reduced(
+        {e: a for e, a in q.re.items() if (e >> s) & _MASK <= top},
+        {e: a for e, a in q.im.items() if (e >> s) & _MASK <= top},
+        q.den * j,
+        q.n,
+    )
 
 
 def _remapped(form: _IntForm, move, n: int) -> _IntForm:

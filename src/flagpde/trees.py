@@ -26,6 +26,21 @@ monomial of the sweep goes through both sides in one batch: the j-th
 carries j in the trailing tag position, which no operator reads, so the
 two sides are compared once for all of them.
 
+The check compares both sides up to t^t_power_cap, so it builds and applies
+only the xi_i terms up to that power:
+
+- Cap lemma.  In a symbol t is a multiplier; only the D_j act, as d/dx_j.
+  So a symbol term carrying t^p with p > c sends every input term above
+  t^c, where the cap drops it.  In the recursion, the terms of tilde_xi_i
+  up to t^c need the integrand (D_i + sum tilde_xi_s)^2 only up to
+  t^(c-1), and that needs each child tilde_xi_s only up to t^(c-1),
+  because D_i carries t^0 and t-degrees add under products.  Hence
+  ``compute_splitting(tree, t_power_cap=c)``, which cuts each child and
+  each integrand to t^(c-1), is the full splitting cut to t^c, and
+  ``check_splitting`` also cuts every xi it receives to t^c before it
+  builds its applicator.  A 7-node chain's full xi_1 reaches t^127, its
+  cut to t^3 has 4 terms.
+
 The sweep is a proof in every x-degree once degree_cap >= 2 * t_power_cap:
 
 - Order lemma.  An operator L = sum_alpha c_alpha(x) d^alpha of order at
@@ -62,8 +77,8 @@ from .operators import (
     VerificationError,
     differential_form,
 )
-from .poly import (EXP_MAX, ExponentRangeError, FormApplicator, Polynomial, _IntForm, _lead_floor, _pack, _reduced,
-                   _sum_forms, _tagged, _unit, _unpack, _untagged, variable)
+from .poly import (EXP_MAX, ExponentRangeError, FormApplicator, Polynomial, _capped, _IntForm, _pack, _sum_forms,
+                   _tagged, _unit, _unpack, _untagged, variable)
 
 __all__ = [
     "InvalidTreeError",
@@ -157,7 +172,7 @@ class TricomiSplitting:
     exponents: list  # one Polynomial per node, in vars t, D1..Dn, x1..xn
 
 
-def compute_splitting(tree: Tree) -> TricomiSplitting:
+def compute_splitting(tree: Tree, *, t_power_cap: int | None = None) -> TricomiSplitting:
     """The nodewise exponents xi_1..xi_n of exp(t*d_T), built bottom-up:
 
         tilde_xi_i(t) = integral_0^t (D_i + sum of children tilde_xi_s(y))^2 dy,
@@ -169,11 +184,19 @@ def compute_splitting(tree: Tree) -> TricomiSplitting:
     is that antiderivative in t of (D_i + sum tilde_xi_s(t))^2, with each
     tilde_xi_s used as it stands: no renaming t -> y -> t.
 
+    With t_power_cap = c, each xi_i is cut to its terms of t-degree at most
+    c, and no term above that is built: by the cap lemma (module docstring)
+    the children enter the integrand, and the integrand the antiderivative,
+    cut to t^(c-1).  Without a cap the splitting is whole.
+
     Variable order (the term order and the exponent keys of ``str(xi)`` and
-    of ``tree xi --out`` follow it): a tip's tilde_xi is over (t, D_i); an
-    inner node's is over D_i, then each child's variables in child order
-    without t, then t; xi_i puts x_p(i) first.
+    of ``tree xi --out`` follow it, capped or not): a tip's tilde_xi is over
+    (t, D_i); an inner node's is over D_i, then each child's variables in
+    child order without t, then t; xi_i puts x_p(i) first.
     """
+    def cut(p: Polynomial, below: int = 0) -> Polynomial:
+        return p if t_power_cap is None else _t_cut(p, t_power_cap - below)
+
     n = tree.nodes
     tilde: dict[int, Polynomial] = {}
     # Bottom-up: descendants of a node carry higher indices, so a reverse
@@ -181,13 +204,18 @@ def compute_splitting(tree: Tree) -> TricomiSplitting:
     for i in range(n, 0, -1):
         kids = tree.children(i)
         if not kids:
-            tilde[i] = Polynomial(("t", f"D{i}"), {(1, 2): 1})
+            tilde[i] = cut(Polynomial(("t", f"D{i}"), {(1, 2): 1}))
             continue
         order = (f"D{i}",) + tuple(v for s in kids for v in tilde[s].vars if v != "t") + ("t",)
-        inner = sum((tilde[s] for s in kids), variable(f"D{i}").with_variables(order))
-        tilde[i] = (inner * inner).integrate("t")
+        inner = sum((cut(tilde[s], 1) for s in kids), variable(f"D{i}").with_variables(order))
+        tilde[i] = cut(inner * inner, 1).integrate("t")
     exponents = [tilde[1]] + [variable(f"x{tree.parent(i)}") * tilde[i] for i in range(2, n + 1)]
     return TricomiSplitting(tree, exponents)
+
+
+def _t_cut(p: Polynomial, cap: int) -> Polynomial:
+    """The terms of p of t-degree at most cap, over p's variables."""
+    return _capped(p.form, p.vars.index("t"), cap).to_poly(p.vars, p.laurent)
 
 
 def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
@@ -215,28 +243,18 @@ def _symbol_applicator(symbol: Polynomial, vs: tuple) -> FormApplicator:
     return FormApplicator({a: _IntForm(re, im, den, len(vs)) for a, (re, im) in form.items()})
 
 
-def _t_capped(q: _IntForm, tcap: int, j: int = 1) -> _IntForm:
-    """The terms of q of t-degree at most tcap, divided by j: t leads the
-    variable order, so those are the keys below ``_lead_floor`` of
-    tcap + 1."""
-    limit = _lead_floor(q.n, tcap + 1)
-    return _reduced(
-        {e: a for e, a in q.re.items() if e < limit},
-        {e: a for e, a in q.im.items() if e < limit},
-        q.den * j,
-        q.n,
-    )
-
-
 def _apply_exp_symbol(symbol: FormApplicator, q: _IntForm, tcap: int) -> _IntForm:
     """Truncated exp(symbol) applied to the form q over the order the
-    symbol's normal form is over; every symbol term carries at least one
-    power of t, so the series stops after tcap rounds."""
-    term = _t_capped(q, tcap)
+    symbol's normal form is over, t first; every symbol term carries at
+    least one power of t, so the series stops after tcap rounds.  A symbol
+    term above t^tcap would only make terms that the cap drops (cap lemma,
+    module docstring), so callers build the symbol from its terms up to
+    t^tcap."""
+    term = _capped(q, 0, tcap)
     terms = [term]
     j = 1
     while True:
-        term = _t_capped(symbol.apply_form(term), tcap, j)
+        term = _capped(symbol.apply_form(term), 0, tcap, j)
         if not term:
             return _sum_forms(terms)
         terms.append(term)
@@ -265,6 +283,11 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     t power.  A negative cap raises ValueError: it would check nothing, and
     a degree_cap with more monomials than a tag field holds raises
     ExponentRangeError.
+
+    The exponents come from ``compute_splitting(tree,
+    t_power_cap=t_power_cap)``, and each is cut to t^t_power_cap again
+    before its applicator is built, so a full splitting handed in by
+    the same seam gives the same report (cap lemma, module docstring).
     """
     if degree_cap < 0 or t_power_cap < 0:
         raise ValueError(f"the caps must be non-negative, got degree_cap={degree_cap}, "
@@ -280,7 +303,8 @@ def check_splitting(tree: Tree, degree_cap: int, t_power_cap: int) -> SplittingR
     batch = _tagged([_IntForm({_pack((0,) + exp): 1}, {}, 1, n + 1) for exp in monomials], 0)
     form = differential_form(tricomi_operator(tree), vs)
     heat = FormApplicator({a: c.shifted(0, 1, 1) for a, c in form.items()})
-    exponents = [_symbol_applicator(xi, vs) for xi in compute_splitting(tree).exponents]
+    exponents = [_symbol_applicator(_t_cut(xi, t_power_cap), vs)
+                 for xi in compute_splitting(tree, t_power_cap=t_power_cap).exponents]
     lhs = _apply_exp_symbol(heat, batch, t_power_cap)
     rhs = batch
     for xi in exponents:

@@ -1,4 +1,5 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -270,7 +271,7 @@ def test_sabotaged_splittings_raise_the_termwise_mismatch(monkeypatch):
         for tree in all_trees(n):
             for pick in (max, min):
                 for s in _sabotaged(tree, pick):
-                    monkeypatch.setattr(trees, "compute_splitting", lambda _tree, s=s: s)
+                    monkeypatch.setattr(trees, "compute_splitting", lambda _tree, s=s, **_: s)
                     try:
                         expected = check_splitting_termwise(s, 3, 3)
                     except AssertionError as err:
@@ -292,12 +293,90 @@ def test_sabotage_above_the_finite_cap_is_caught_by_the_proof_sweep(monkeypatch)
     tree = Tree(4, [(1, 2), (2, 3), (2, 4)])
     s = compute_splitting(tree)
     s.exponents[0] = s.exponents[0] + variable("t") ** 3 * variable("D1") ** 6
-    monkeypatch.setattr(trees, "compute_splitting", lambda _tree: s)
+    monkeypatch.setattr(trees, "compute_splitting", lambda _tree, **_: s)
     report = check_splitting(tree, 3, 3)
     assert report.proof is False
     with pytest.raises(VerificationError) as got:
         check_splitting(tree, 6, 3)
     assert str(got.value) == "splitting mismatch on monomial {'x1': 6, 'x2': 0, 'x3': 0, 'x4': 0} at t^3"
+
+
+# -- the t-power cap (cap lemma, module docstring) ------------------------------------------
+
+TREES_UP_TO_5 = [tree for n in range(1, 6) for tree in all_trees(n)]
+
+
+@pytest.mark.parametrize("tcap", range(5))
+def test_capped_splitting_is_the_full_splitting_cut(tcap):
+    for tree in TREES_UP_TO_5:
+        full = compute_splitting(tree).exponents
+        capped = compute_splitting(tree, t_power_cap=tcap).exponents
+        assert [xi.vars for xi in capped] == [xi.vars for xi in full], tree
+        assert capped == [_truncate_t(xi, tcap) for xi in full], tree
+
+
+@pytest.mark.parametrize("cap, tcap", [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4), (2, 3), (2, 4)])
+def test_capped_check_agrees_with_the_termwise_sweep_of_the_full_splitting(monkeypatch, cap, tcap):
+    """The check with its capped splitting, and with a seam that ignores the
+    cap and hands it the full splitting (so only the applicator cut applies),
+    reports what the termwise sweep of the full splitting counts."""
+    import flagpde.trees as trees
+
+    for tree in TREES_UP_TO_5:
+        full = compute_splitting(tree)
+        report = check_splitting(tree, cap, tcap)
+        assert report.monomials_checked == check_splitting_termwise(full, cap, tcap), tree
+        with monkeypatch.context() as patched:
+            patched.setattr(trees, "compute_splitting", lambda _tree, **_: full)
+            assert check_splitting(tree, cap, tcap) == report, tree
+
+
+@pytest.mark.parametrize("tcap", range(5))
+def test_a_capped_check_sees_sabotage_up_to_its_cap_only(monkeypatch, tcap):
+    """D1^2 added to xi_1 at t^(tcap + 1) only makes terms the cap drops, so
+    the check passes, as the termwise sweep does; at t^tcap both raise the
+    same mismatch."""
+    import flagpde.trees as trees
+
+    tree = Tree(4, [(1, 2), (2, 3), (2, 4)])
+    for power, caught in ((tcap + 1, False), (tcap, True)):
+        s = compute_splitting(tree)
+        s.exponents[0] = s.exponents[0] + variable("t") ** power * variable("D1") ** 2
+        monkeypatch.setattr(trees, "compute_splitting", lambda _tree, s=s, **_: s)
+        if not caught:
+            assert check_splitting(tree, 3, tcap).monomials_checked == check_splitting_termwise(s, 3, tcap)
+            continue
+        with pytest.raises(AssertionError) as want:
+            check_splitting_termwise(s, 3, tcap)
+        with pytest.raises(VerificationError) as got:
+            check_splitting(tree, 3, tcap)
+        assert str(got.value) == str(want.value) == (
+            f"splitting mismatch on monomial {{'x1': 2, 'x2': 0, 'x3': 0, 'x4': 0}} at t^{tcap}")
+
+
+def test_long_chains_are_checked_from_their_capped_splittings():
+    """The full xi_1 of an 8-node chain reaches t^255; capped at t^3 it is
+    the 3-node chain's xi_1 cut to t^3, and the proof sweeps take well under
+    the 10 s alarm."""
+    chains = [Tree(n, [(i, i + 1) for i in range(1, n)]) for n in (7, 8)]
+
+    def overrun(signum, frame):
+        raise TimeoutError("the capped splitting checks took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(10)
+    try:
+        xi1 = compute_splitting(chains[1], t_power_cap=3).exponents[0]
+        assert len(xi1.terms) == 4
+        assert xi1 == _truncate_t(_golden_chain3()[0], 3)
+        for tree in chains:
+            for cap in (3, 6):
+                report = check_splitting(tree, cap, 3)
+                assert report.monomials_checked == math.comb(tree.nodes + cap, cap)
+                assert report.proof is (cap == 6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- symbol evaluation --------------------------------------------------------------------
