@@ -2,8 +2,9 @@
 tree Tricomi operators with their heat-flow splitting, spectral initial
 value solvers, and explicit Lie-algebra module bases.
 
-Everything symbolic is exact (rationals, Gaussian rationals, or rationals
-adjoined sqrt(2)); floating point only enters the numeric IVP evaluators.
+Everything symbolic is exact (rationals or Gaussian rationals; the
+exceptional algebra's generators are integer matrices in the coordinate
+z = x1/sqrt(2)); floating point only enters the numeric IVP evaluators.
 """
 
 __version__ = "0.1.0"

@@ -8,14 +8,15 @@ The orthogonal family acts on F[x1..xn], with its raising operators built
 by one paired-variable rule for every n >= 3 (``so_singular_config``) as
 sums of scaled rotation entries; the special linear family on F[x.., y..]
 with the contragredient twist on the y block; and the exceptional family
-through fourteen sparse seven-by-seven matrices whose entries
-p + q*sqrt(2) hold integer p and q; entry (i, j) becomes the term
-x_i d/dx_j, split into a rational and a sqrt(2) field.  The module bases
-are built and proved solutions by ``bases._SeriesLemma``.
+through fourteen sparse seven-by-seven integer matrices, entry (i, j)
+the term x_i d/dx_j, in the coordinates (z, x2..x7) with z = x1/sqrt(2)
+and z keeping the name x1; its module bases, invariant and Laplacian stay
+in the paper's coordinates (``g2_singular_config`` states the map).  The
+module bases are built and proved solutions by ``bases._SeriesLemma``.
 
 The fixed operators are built once per process and are read-only (a
-``LinearVectorField``'s entries cannot be written, nor a ``PairOperator``'s
-parts): the fourteen exceptional ones (``_g2_action``), each sl field
+``LinearVectorField``'s entries cannot be written): the fourteen
+exceptional ones (``_g2_action``), each sl field
 x_i d/dx_j - y_j d/dy_i and Cartan h_i, which do not depend on n
 (``sl_generator``, ``sl_cartan``), and the raising and Cartan operators of
 ``so_singular_config`` for the 32 most recently used n.  Each public call
@@ -30,6 +31,7 @@ unique in the Weyl algebra, so equal forms mean that the identity holds on
 every polynomial, in every degree.  Its exceptional half (eta invariance,
 the seven-variable Laplacian's reading and its two laws, the brackets and
 closure) has fixed inputs, so it is proved once per process, on first use,
+in the integral coordinates (on the images of eta and of each reading),
 and read after that; the special linear half is proved on each call.  A
 one-shot ``flagpde lie check`` still proves everything on its single call.
 """
@@ -69,7 +71,6 @@ from .operators import (
 from .poly import IMAG, Polynomial, _collapsed, _int_form, _unpack, coeff_inverse, variable
 
 __all__ = [
-    "PairOperator",
     "SingularConfig",
     "commutation_checks",
     "g2_bracket_report",
@@ -93,91 +94,77 @@ __all__ = [
 ]
 
 
-# -- the exceptional generators as sparse matrices over Z[sqrt(2)] ------------------
+# -- the exceptional generators as sparse integer matrices ------------------------
 
-# A matrix is a dict {(i, j): (p, q)} of its nonzero entries p + q*sqrt(2),
-# with Python-int p and q and rows and columns numbered 1..7 like the
-# variables: entry (i, j) acts as x_i d/dx_j.
+# A matrix is a dict {(i, j): c} of its nonzero int entries, with rows and
+# columns numbered 1..7 like the variables: entry (i, j) acts as x_i d/dx_j.
+# Over the paper's x1 some entries are q*sqrt(2); in z = x1/sqrt(2) each
+# row-1 entry is multiplied by sqrt(2) and each column-1 entry divided by
+# it, so (1, j) becomes 2q and (i, 1) becomes q, and every entry is an
+# integer (the module's admissible Z-form; Humphreys, GTM 9, sections 25-27).
 
 
 def _matrix(*pieces):
-    """A sparse matrix from (scale, i, j) pieces; scale is an int or a pair (p, q)."""
-    return {(i, j): s if isinstance(s, tuple) else (s, 0) for s, i, j in pieces}
+    """A sparse matrix from (c, i, j) pieces."""
+    return {(i, j): c for c, i, j in pieces}
 
 
 def g2_matrices():
-    """The fourteen generators inside sl(7) as sparse Z[sqrt(2)] matrices."""
-    r2, mr2 = (0, 1), (0, -1)  # sqrt(2), -sqrt(2)
+    """The fourteen generators inside sl(7) as sparse integer matrices."""
     return {
         "h1": _matrix((-2, 2, 2), (1, 3, 3), (1, 4, 4), (2, 5, 5), (-1, 6, 6), (-1, 7, 7)),
         "h2": _matrix((1, 2, 2), (-1, 3, 3), (-1, 5, 5), (1, 6, 6)),
-        "E1": _matrix((r2, 1, 2), (mr2, 5, 1), (-1, 3, 7), (1, 4, 6)),
+        "E1": _matrix((2, 1, 2), (-1, 5, 1), (-1, 3, 7), (1, 4, 6)),
         "E2": _matrix((1, 2, 3), (-1, 6, 5)),
-        "E3": _matrix((r2, 1, 3), (mr2, 6, 1), (1, 2, 7), (-1, 4, 5)),
-        "E4": _matrix((r2, 1, 7), (mr2, 4, 1), (1, 6, 2), (-1, 5, 3)),
+        "E3": _matrix((2, 1, 3), (-1, 6, 1), (1, 2, 7), (-1, 4, 5)),
+        "E4": _matrix((2, 1, 7), (-1, 4, 1), (1, 6, 2), (-1, 5, 3)),
         "E5": _matrix((1, 4, 2), (-1, 5, 7)),
         "E6": _matrix((1, 4, 3), (-1, 6, 7)),
-        "F1": _matrix((r2, 2, 1), (mr2, 1, 5), (-1, 7, 3), (1, 6, 4)),
+        "F1": _matrix((1, 2, 1), (-2, 1, 5), (-1, 7, 3), (1, 6, 4)),
         "F2": _matrix((1, 3, 2), (-1, 5, 6)),
-        "F3": _matrix((r2, 3, 1), (mr2, 1, 6), (1, 7, 2), (-1, 5, 4)),
-        "F4": _matrix((r2, 7, 1), (mr2, 1, 4), (1, 2, 6), (-1, 3, 5)),
+        "F3": _matrix((1, 3, 1), (-2, 1, 6), (1, 7, 2), (-1, 5, 4)),
+        "F4": _matrix((1, 7, 1), (-2, 1, 4), (1, 2, 6), (-1, 3, 5)),
         "F5": _matrix((1, 2, 4), (-1, 7, 5)),
         "F6": _matrix((1, 3, 4), (-1, 7, 6)),
     }
 
 
 def _product(a, b):
-    """The sparse matrix product ab; (p + q r)(s + t r) = ps + 2qt + (pt + qs) r."""
+    """The sparse matrix product ab."""
     rows_b = {}
     for (k, j), v in b.items():
         rows_b.setdefault(k, []).append((j, v))
     out = {}
-    for (i, k), (p, q) in a.items():
-        for j, (s, t) in rows_b.get(k, ()):
-            x, y = out.get((i, j), (0, 0))
-            out[(i, j)] = (x + p * s + 2 * q * t, y + p * t + q * s)
+    for (i, k), u in a.items():
+        for j, v in rows_b.get(k, ()):
+            out[(i, j)] = out.get((i, j), 0) + u * v
     return out
 
 
 def mat_bracket(a, b):
     """The commutator ab - ba of two sparse matrices."""
     out = _product(a, b)
-    for key, (s, t) in _product(b, a).items():
-        x, y = out.get(key, (0, 0))
-        out[key] = (x - s, y - t)
-    return {key: v for key, v in out.items() if v != (0, 0)}
+    for key, v in _product(b, a).items():
+        out[key] = out.get(key, 0) - v
+    return {key: v for key, v in out.items() if v}
 
 
 def _scaled(m, c: int):
-    return {key: (c * p, c * q) for key, (p, q) in m.items()}
+    return {key: c * v for key, v in m.items()}
 
 
 def _trace(m):
-    diagonal = [v for (i, j), v in m.items() if i == j]
-    return sum(p for p, _ in diagonal), sum(q for _, q in diagonal)
-
-
-def _as_row(m):
-    """The matrix as a sparse integer row: column (i, j, 0) holds p, (i, j, 1) holds q."""
-    row = {}
-    for (i, j), (p, q) in m.items():
-        if p:
-            row[(i, j, 0)] = p
-        if q:
-            row[(i, j, 1)] = q
-    return row
+    return sum(v for (i, j), v in m.items() if i == j)
 
 
 def _closed_under_bracket(mats) -> bool:
-    """True when the matrices, read as integer vectors with the rational and
-    sqrt(2) parts apart, are independent and every pairwise bracket lies in
-    their span: it reduces to zero against their one fraction-free echelon
-    form."""
+    """True when the matrices, read as sparse integer rows, are independent
+    and every pairwise bracket lies in their span: it reduces to zero
+    against their one fraction-free echelon form."""
     mats = list(mats)
-    pivots = _row_reduce([_as_row(m) for m in mats])
+    pivots = _row_reduce(mats)
     return len(pivots) == len(mats) and all(
-        not _remainder(_as_row(mat_bracket(a, b)), pivots)
-        for a, b in itertools.combinations(mats, 2)
+        not _remainder(mat_bracket(a, b), pivots) for a, b in itertools.combinations(mats, 2)
     )
 
 
@@ -189,7 +176,7 @@ def g2_bracket_report():
         "[E1,E3] = 2 E4": mat_bracket(mats["E1"], mats["E3"]) == _scaled(mats["E4"], 2),
         "[E1,E4] = 3 E5": mat_bracket(mats["E1"], mats["E4"]) == _scaled(mats["E5"], 3),
         "E6 = [E5,E2]": mat_bracket(mats["E5"], mats["E2"]) == mats["E6"],
-        "traceless": all(_trace(m) == (0, 0) for m in mats.values()),
+        "traceless": all(_trace(m) == 0 for m in mats.values()),
         "closure": _closed_under_bracket(mats[n] for n in sorted(mats)),
     }
 
@@ -254,25 +241,11 @@ def sl_laplacian(n: int) -> LinearOperator:
     )
 
 
-@dataclass(frozen=True)
-class PairOperator:
-    """rational + sqrt(2) * radical, acting on rational-coefficient
-    polynomials: it kills p exactly when both parts do."""
-
-    name: str
-    rational: LinearOperator
-    radical: LinearOperator
-
-
 def g2_polynomial_action():
-    """The fourteen generators as first-order operators on F[x1..x7]."""
-    out = {}
-    for name, m in g2_matrices().items():
-        entries = sorted(m.items())
-        rat = [(p, i, j) for (i, j), (p, _) in entries if p]
-        rad = [(q, i, j) for (i, j), (_, q) in entries if q]
-        out[name] = PairOperator(name, _first_order(rat), _first_order(rad))
-    return out
+    """The fourteen generators as first-order operators on F[x1..x7], in the
+    integral coordinates of ``g2_matrices`` (x1 standing for z = x1/sqrt(2))."""
+    return {name: _first_order([(c, i, j) for (i, j), c in sorted(m.items())])
+            for name, m in g2_matrices().items()}
 
 
 @functools.cache
@@ -289,12 +262,23 @@ def g2_invariant() -> Polynomial:
 def g2_laplacian(first_var: int = 1) -> LinearOperator:
     """The invariant second-order operator; first_var selects which variable
     carries the pure square term (the commutation suite fixes the choice)."""
-    parts = [Derivative(f"x{first_var}", 2)]
+    return _with_pair_part(Derivative(f"x{first_var}", 2))
+
+
+def _with_pair_part(square) -> Sum:
+    """square + 2 (d2 d5 + d3 d6 + d4 d7)."""
+    parts = [square]
     for a, b in ((2, 5), (3, 6), (4, 7)):
         parts.append(
             Compose(Scale(Fraction(2)), Derivative(f"x{a}", 1), Derivative(f"x{b}", 1))
         )
     return Sum(parts)
+
+
+def _integral_invariant() -> Polynomial:
+    """eta in the action's integral coordinates: x1 = sqrt(2) z turns the
+    paper's x1^2 into 2 z^2, so it is 2 x1^2 + 2 (x2 x5 + x3 x6 + x4 x7)."""
+    return g2_invariant() + variable("x1") ** 2
 
 
 def select_g2_laplacian_reading():
@@ -317,10 +301,10 @@ def _g2_reading():
     """The one proof of the exceptional half of the commutation suite:
     (reading, read-only {first_var: passed}, its read-only report entries
     in commutation_checks' order).  A failed reading raises, so is not kept."""
-    eta, action = g2_invariant(), _g2_action()
+    eta, action = _integral_invariant(), _g2_action()
     checks = _g2_reading_checks(eta, action)
     reading, results = _select_reading(checks)
-    invariant = all(part(eta).is_zero() for gen in action.values() for part in (gen.rational, gen.radical))
+    invariant = all(gen(eta).is_zero() for gen in action.values())
     commutes, law = checks[reading]
     report = {"eta invariant": invariant, "laplacian reading": reading,
               "g2 laplacian commutes with action": commutes, "eta multiplication law": law,
@@ -329,15 +313,16 @@ def _g2_reading():
 
 
 def _g2_reading_checks(eta, action):
-    """{first_var: (commutes with the action, eta law holds)} for both readings."""
+    """{first_var: (commutes with the action, eta law holds)} for both
+    readings, in the action's integral coordinates: there d/dx1 is
+    d/dz / sqrt(2), so reading 1's pure square is halved and reading 2's,
+    free of x1, is unchanged."""
     vs = tuple(f"x{i}" for i in range(1, 8))
-    gen_forms = [
-        differential_form(part, vs) for gen in action.values() for part in (gen.rational, gen.radical)
-    ]
+    gen_forms = [differential_form(gen, vs) for gen in action.values()]
     euler = _euler_operator(vs)
     checks = {}
-    for first_var in (1, 2):
-        lap = g2_laplacian(first_var)
+    for first_var, scale in ((1, Fraction(1, 2)), (2, 1)):
+        lap = _with_pair_part(Compose(Scale(scale), Derivative(f"x{first_var}", 2)))
         lap_form = differential_form(lap, vs)
         commutes = all(forms_commute(lap_form, form) for form in gen_forms)
         law = operators_agree_on_sample(
@@ -444,7 +429,7 @@ def g2_module_basis(k: int) -> BasisFamily:
 class SingularConfig:
     """Named positive generators plus Cartan operators for weight extraction."""
 
-    positives: list  # (name, LinearOperator or PairOperator)
+    positives: list  # (name, LinearOperator)
     cartans: list    # (name, LinearOperator)
 
 
@@ -458,26 +443,20 @@ class SingularCheck:
 def verify_singular(config: SingularConfig, f: Polynomial) -> SingularCheck:
     """Check annihilation by the positive generators and extract the weight.
 
-    f and every operator, each part of a pair on its own, are put over one
-    variable order once per call, and each residual is an integer form
-    (each operator's ``apply_form``).  Each weight is read off the Cartan
-    image's form at the key of f's leading term, found once per call, so a
-    Polynomial is built only for a failure, which names the generator and
-    its first nonzero residual."""
+    f and every operator are put over one variable order once per call,
+    and each residual is an integer form (each operator's ``apply_form``).
+    Each weight is read off the Cartan image's form at the key of f's
+    leading term, found once per call, so a Polynomial is built only for a
+    failure, which names the generator and its first nonzero residual."""
     if f.is_zero():
         raise ValueError("the zero polynomial is not singular")
-    positives = [(name, (op.rational, op.radical) if isinstance(op, PairOperator) else (op,))
-                 for name, op in config.positives]
-    vs, laurent = _chain_order([f], [part for _, parts in positives for part in parts]
-                               + [h for _, h in config.cartans])
+    vs, laurent = _chain_order([f], [op for _, op in config.positives] + [h for _, h in config.cartans])
     q = _int_form(f, vs)
     failures = []
-    for name, parts in positives:
-        for part in parts:
-            residual = part.apply_form(q, vs)
-            if residual:
-                failures.append((name, residual.to_poly(vs, laurent)))
-                break
+    for name, op in config.positives:
+        residual = op.apply_form(q, vs)
+        if residual:
+            failures.append((name, residual.to_poly(vs, laurent)))
     if failures:
         return SingularCheck(False, None, failures)
     # f's leading term, first in ``Polynomial.sorted_terms``' order: the int
@@ -542,10 +521,16 @@ def sl_singular_config(n: int) -> SingularConfig:
 
 
 def g2_singular_config() -> SingularConfig:
-    """E1..E6 and h1, h2 of the exceptional action's one build (``_g2_action``)."""
+    """E1..E6 and h1, h2 of the exceptional action's one build (``_g2_action``).
+
+    They act in the integral coordinates, x1 standing for z = x1/sqrt(2).  A
+    polynomial f in the paper's coordinates whose x1 exponents have one
+    parity is singular exactly when D(f) is, where D multiplies the
+    coefficient of each x1^a by 2^(a // 2); a polynomial free of x1, such as
+    the highest weight vector x4^k, is its own D(f)."""
     action = _g2_action()
     positives = [(f"E{i}", action[f"E{i}"]) for i in range(1, 7)]
-    cartans = [("h1", action["h1"].rational), ("h2", action["h2"].rational)]
+    cartans = [("h1", action["h1"]), ("h2", action["h2"])]
     return SingularConfig(positives, cartans)
 
 

@@ -1,6 +1,7 @@
 """Independent brute-force oracles shared by the test modules."""
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -33,7 +34,7 @@ from flagpde.linalg import (
     polys_in_span,
     polys_rank,
 )
-from flagpde.lie import PairOperator, SingularCheck, SingularConfig, g2_matrices, so_generator
+from flagpde.lie import SingularCheck, SingularConfig, so_generator
 from flagpde.operators import SeriesTerminationError
 from flagpde.poly import coeff_inverse
 
@@ -110,15 +111,93 @@ def sl_cartan_by_tree(n: int):
     ]
 
 
-def g2_polynomial_action_by_tree():
-    """The fourteen generators as first-order operators on F[x1..x7]."""
+# -- the exceptional generators in the paper's coordinates, over Z[sqrt(2)] ----------
+
+# A matrix is a dict {(i, j): (p, q)} of its nonzero entries p + q*sqrt(2):
+# entry (i, j) acts as x_i d/dx_j on the paper's x1..x7.  The library's
+# integral matrices are these in the coordinate z = x1/sqrt(2).
+
+
+def g2_pair_matrices():
+    """The fourteen generators inside sl(7) as sparse Z[sqrt(2)] matrices."""
+    def m(*pieces):
+        return {(i, j): s if isinstance(s, tuple) else (s, 0) for s, i, j in pieces}
+
+    r2, mr2 = (0, 1), (0, -1)  # sqrt(2), -sqrt(2)
+    return {
+        "h1": m((-2, 2, 2), (1, 3, 3), (1, 4, 4), (2, 5, 5), (-1, 6, 6), (-1, 7, 7)),
+        "h2": m((1, 2, 2), (-1, 3, 3), (-1, 5, 5), (1, 6, 6)),
+        "E1": m((r2, 1, 2), (mr2, 5, 1), (-1, 3, 7), (1, 4, 6)),
+        "E2": m((1, 2, 3), (-1, 6, 5)),
+        "E3": m((r2, 1, 3), (mr2, 6, 1), (1, 2, 7), (-1, 4, 5)),
+        "E4": m((r2, 1, 7), (mr2, 4, 1), (1, 6, 2), (-1, 5, 3)),
+        "E5": m((1, 4, 2), (-1, 5, 7)),
+        "E6": m((1, 4, 3), (-1, 6, 7)),
+        "F1": m((r2, 2, 1), (mr2, 1, 5), (-1, 7, 3), (1, 6, 4)),
+        "F2": m((1, 3, 2), (-1, 5, 6)),
+        "F3": m((r2, 3, 1), (mr2, 1, 6), (1, 7, 2), (-1, 5, 4)),
+        "F4": m((r2, 7, 1), (mr2, 1, 4), (1, 2, 6), (-1, 3, 5)),
+        "F5": m((1, 2, 4), (-1, 7, 5)),
+        "F6": m((1, 3, 4), (-1, 7, 6)),
+    }
+
+
+def integral_from_pairs(m):
+    """A Z[sqrt(2)] matrix in the coordinate z = x1/sqrt(2), by the rescaling
+    rule: each row-1 entry times sqrt(2), each column-1 entry over sqrt(2);
+    None when an entry is not an integer."""
     out = {}
-    for name, m in g2_matrices().items():
+    for (i, j), (p, q) in m.items():
+        if i == j or 1 not in (i, j):
+            c = None if q else p
+        elif i == 1:  # (p + q sqrt(2)) sqrt(2) = 2q + p sqrt(2)
+            c = None if p else 2 * q
+        else:  # (p + q sqrt(2)) / sqrt(2) = q + (p/2) sqrt(2)
+            c = None if p else q
+        if c is None:
+            return None
+        out[(i, j)] = c
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class PairOperator:
+    """rational + sqrt(2) * radical, acting on rational-coefficient
+    polynomials: it kills p exactly when both parts do."""
+
+    name: str
+    rational: object
+    radical: object
+
+
+def g2_pair_action_by_tree():
+    """The fourteen Z[sqrt(2)] generators on the paper's F[x1..x7], each split
+    into the operator trees of its rational and its sqrt(2) part."""
+    out = {}
+    for name, m in g2_pair_matrices().items():
         entries = sorted(m.items())
         rat = [(p, i, j) for (i, j), (p, _) in entries if p]
         rad = [(q, i, j) for (i, j), (_, q) in entries if q]
         out[name] = PairOperator(name, first_order_by_tree(rat), first_order_by_tree(rad))
     return out
+
+
+def g2_pair_singular_config_by_tree() -> SingularConfig:
+    """E1..E6 and h1, h2 of the paper-coordinate pair action; the Cartans
+    have no sqrt(2) part."""
+    action = g2_pair_action_by_tree()
+    positives = [(f"E{i}", action[f"E{i}"]) for i in range(1, 7)]
+    return SingularConfig(positives, [("h1", action["h1"].rational), ("h2", action["h2"].rational)])
+
+
+def to_integral(f):
+    """D(f) for f in the paper's coordinates: the coefficient of each x1^a
+    times 2^(a // 2).  For f whose x1 exponents have one parity e,
+    f(sqrt(2) z, ..) = sqrt(2)^e D(f)(z, ..)."""
+    if "x1" not in f.vars:
+        return f
+    at = f.vars.index("x1")
+    return Polynomial(f.vars, {exp: c * 2 ** (exp[at] // 2) for exp, c in f.terms.items()}, f.laurent)
 
 
 def euler_operator_by_tree(vars_):
@@ -185,11 +264,12 @@ def sl_singular_config_by_tree(n: int) -> SingularConfig:
 
 
 def g2_singular_config_by_tree() -> SingularConfig:
-    """E1..E6 and h1, h2 of the tree-built exceptional action."""
-    action = g2_polynomial_action_by_tree()
+    """E1..E6 and h1, h2 as first-order operator trees of ``lie.g2_matrices``
+    (integral coordinates)."""
+    action = {name: first_order_by_tree([(c, i, j) for (i, j), c in sorted(m.items())])
+              for name, m in lie.g2_matrices().items()}
     positives = [(f"E{i}", action[f"E{i}"]) for i in range(1, 7)]
-    cartans = [("h1", action["h1"].rational), ("h2", action["h2"].rational)]
-    return SingularConfig(positives, cartans)
+    return SingularConfig(positives, [("h1", action["h1"]), ("h2", action["h2"])])
 
 
 def assert_family_spans_kernel(family, vars_, degree):
@@ -450,8 +530,9 @@ def _dense_bracket(a, b):
 
 @functools.cache
 def g2_bracket_report_dense():
-    """g2_bracket_report on dense matrices, closure by dense Gauss-Jordan ranks."""
-    mats = {name: _dense(m) for name, m in lie.g2_matrices().items()}
+    """g2_bracket_report on the dense Z[sqrt(2)] matrices of the paper's
+    coordinates, closure by dense Gauss-Jordan ranks."""
+    mats = {name: _dense(m) for name, m in g2_pair_matrices().items()}
 
     def scaled(m, c):
         return tuple([[c * x for x in row] for row in part] for part in m)
@@ -477,7 +558,8 @@ def g2_bracket_report_dense():
 
 def commutation_checks_by_monomials(n_sl=2, max_degree=3):
     """lie.commutation_checks by applying both sides of each identity to every
-    monomial up to max_degree, and the brackets on dense matrices."""
+    monomial up to max_degree, and the brackets on dense matrices; its
+    exceptional half is in the paper's coordinates, on the Z[sqrt(2)] pairs."""
     report = {}
     zeta = lie.sl_invariant(n_sl)
     delta = lie.sl_laplacian(n_sl)
@@ -500,7 +582,7 @@ def commutation_checks_by_monomials(n_sl=2, max_degree=3):
     )
 
     eta = lie.g2_invariant()
-    action = lie.g2_polynomial_action()
+    action = g2_pair_action_by_tree()
     report["eta invariant"] = all(
         part(eta).is_zero() for gen in action.values() for part in (gen.rational, gen.radical)
     )

@@ -17,7 +17,6 @@ from flagpde import (
     verify_singular,
 )
 from flagpde.lie import (
-    PairOperator,
     _closed_under_bracket,
     g2_bracket_report,
     g2_invariant,
@@ -61,9 +60,12 @@ from oracles import (
     commutation_checks_by_monomials,
     euler_operator_by_tree,
     g2_element_by_fractions,
-    g2_polynomial_action_by_tree,
+    g2_pair_action_by_tree,
+    g2_pair_matrices,
+    g2_pair_singular_config_by_tree,
     g2_singular_config_by_tree,
     harmonic_element_by_fractions,
+    integral_from_pairs,
     sl_branch_element_by_fractions,
     sl_cartan_by_tree,
     sl_generator_by_tree,
@@ -71,6 +73,7 @@ from oracles import (
     so_generator_by_tree,
     so_singular_config_by_hand,
     so_singular_config_by_tree,
+    to_integral,
     typed_terms,
     verify_singular_by_tree,
 )
@@ -156,7 +159,7 @@ _w, _x3, _x4, _x5 = variable("x1") - IMAG * variable("x2"), variable("x3"), vari
 @pytest.mark.parametrize("config, f, failures", [
     # E12 = x1 d/dx2 - y2 d/dy1
     (lambda: lie.sl_singular_config(2), variable("y1"), [("E12", -_y2)]),
-    # each failing pair is zero in its rational part: the radical part is reported
+    # in the integral coordinates the column-1 entries of E1, E3 and E4 are -1, so each moves x1
     (lambda: lie.g2_singular_config(), _x1,
      [("E1", -variable("x5")), ("E3", -variable("x6")), ("E4", -variable("x4"))]),
     # killed by E12, but h1 scales x1 by 1 and x1 y2 by 2: the residual is h1(f) - 2f
@@ -318,19 +321,34 @@ def test_g2_e3_equals_bracket_of_e1_e2():
     assert mat_bracket(mats["E1"], mats["E2"]) == mats["E3"]
 
 
-def test_sparse_bracket_multiplies_in_z_sqrt2():
-    # [sqrt(2) E12, (1 + sqrt(2)) E21] = (2 + sqrt(2)) (E11 - E22)
-    a = {(1, 2): (0, 1)}
-    b = {(2, 1): (1, 1)}
-    assert mat_bracket(a, b) == {(1, 1): (2, 1), (2, 2): (-2, -1)}
+def test_sparse_bracket_multiplies_over_z():
+    # [2 E12, 3 E21] = 6 (E11 - E22)
+    a = {(1, 2): 2}
+    b = {(2, 1): 3}
+    assert mat_bracket(a, b) == {(1, 1): 6, (2, 2): -6}
     assert mat_bracket(a, a) == {}
     assert all(len(m) <= 6 for m in g2_matrices().values())
 
 
+def test_g2_matrices_are_the_pair_matrices_in_the_integral_coordinate():
+    """Each row-1 entry times sqrt(2) and each column-1 entry over sqrt(2)
+    turns the paper's Z[sqrt(2)] matrices into the library's, all of whose
+    entries are ints, and whose brackets stay over Z."""
+    mats = g2_matrices()
+    assert {name: integral_from_pairs(m) for name, m in g2_pair_matrices().items()} == mats
+    assert all(type(c) is int for m in mats.values() for c in m.values())
+    brackets = [mat_bracket(mats[a], mats[b]) for a in mats for b in mats]
+    assert all(type(c) is int for m in brackets for c in m.values())
+    assert _closed_under_bracket(mats.values())
+
+
 def test_g2_invariant_annihilated():
-    eta = g2_invariant()
+    """Each integral field kills the image of eta, 2 x1^2 + 2 (x2 x5 + x3 x6 + x4 x7)."""
+    x = [variable(f"x{i}") for i in range(1, 8)]
+    eta = 2 * x[0] ** 2 + 2 * (x[1] * x[4] + x[2] * x[5] + x[3] * x[6])
+    assert lie._integral_invariant() == eta
     for gen in g2_polynomial_action().values():
-        assert gen.rational(eta).is_zero() and gen.radical(eta).is_zero()
+        assert gen(eta).is_zero()
 
 
 def test_g2_laplacian_reading_selected():
@@ -408,7 +426,7 @@ def test_g2_action_is_built_once_per_process(fresh_reading, monkeypatch):
     assert len(calls) == 1
     assert [op for _, op in first.positives] == [op for _, op in second.positives]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        first.positives[0][1].rational = MultiplyBy(variable("x1"))
+        first.positives[0][1].entries = {}
     monkeypatch.undo()
     assert g2_polynomial_action() is not g2_polynomial_action()
 
@@ -507,10 +525,9 @@ def test_mutating_a_report_leaves_the_next_one_whole():
 
 def test_sabotaged_generator_leaves_no_reading():
     action = g2_polynomial_action()
-    gen = action["h1"]
-    action["h1"] = PairOperator(gen.name, MultiplyBy(variable("x1")), gen.radical)
-    checks = lie._g2_reading_checks(g2_invariant(), action)
-    assert checks[1] == (False, True)  # [d1^2, x1] = 2 d1
+    action["h1"] = MultiplyBy(variable("x1"))
+    checks = lie._g2_reading_checks(lie._integral_invariant(), action)
+    assert checks[1] == (False, True)  # [d1^2 / 2, x1] = d1
     assert not all(checks[2])
     with pytest.raises(VerificationError):
         lie._select_reading(checks)
@@ -571,6 +588,17 @@ def test_g2_highest_vector_weight():
         assert check.weight == [Fraction(k), Fraction(0)]
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_integral_fields_preserve_the_rescaled_module(k):
+    """Each integral field maps span{D(e) : e in g2_module_basis(k)} into
+    itself: D is the coordinate change's map on the module, each element
+    having one x1 parity.  Without D the span is not preserved from k = 2."""
+    span = [to_integral(e.solution) for e in g2_module_basis(k).elements]
+    rank = polys_rank(span)
+    for name, gen in g2_polynomial_action().items():
+        assert polys_rank(span + [gen(p) for p in span]) == rank, name
+
+
 def test_g2_decomposition_of_degree_two():
     # degree-2 slice = module + eta * constants, exact rank split 27 + 1 = 28
     fam = g2_module_basis(2)
@@ -610,10 +638,25 @@ def _generator_cases():
     for name in sorted(g2_matrices()):
         for part in ("rational", "radical"):
             cases.append((f"g2 {name} {part}",
-                          lambda name=name, part=part: (getattr(g2_polynomial_action()[name], part),
-                                                        getattr(g2_polynomial_action_by_tree()[name], part), _xs(7))))
+                          lambda name=name, part=part: (_g2_block(name, part),
+                                                        getattr(g2_pair_action_by_tree()[name], part), _xs(7))))
     cases.append(("euler x1..x7", lambda: (lie._euler_operator(_xs(7)), euler_operator_by_tree(_xs(7)), _xs(7))))
     return cases
+
+
+def _g2_block(name, part):
+    """The block of the integral field of name that is the paper-coordinate
+    pair oracle's part: the entries off row and column 1, which the
+    coordinate change leaves alone, for "rational"; the row-1 and column-1
+    entries, mapped back (a row-1 entry 2q and a column-1 entry q are the
+    sqrt(2) part q), for "radical"."""
+    field = g2_polynomial_action()[name]
+    assert isinstance(field, LinearVectorField)
+    block = {}
+    for (xi, xj), c in field.entries.items():
+        if (part == "radical") == (xi != xj and "x1" in (xi, xj)):
+            block[(xi, xj)] = Fraction(c, 2) if part == "radical" and xi == "x1" else c
+    return LinearVectorField(block)
 
 
 _GENERATOR_CASES = _generator_cases()
@@ -653,14 +696,18 @@ def _singular_candidates(draw):
     all of the config's variables or only its top ones (``_top``)."""
     name = draw(st.sampled_from(sorted(_SINGULAR_CONFIGS)))
     vs = _SINGULAR_CONFIGS[name][2]
-    bases = draw(st.sampled_from([[variable(v) for v in vs], _top(name, vs)]))
+    return name, _drawn_polynomial(draw, vs, draw(st.sampled_from([[variable(v) for v in vs], _top(name, vs)])))
+
+
+def _drawn_polynomial(draw, vs, bases):
+    """At most 4 terms, each a Gaussian coefficient times at most 4 bases."""
     f = Polynomial.zero(vs)
     for _ in range(draw(st.integers(1, 4))):
         term = Polynomial.const(draw(gaussian_coefficients()), vs)
         for k in draw(st.lists(st.integers(0, len(bases) - 1), max_size=4)):
             term = term * bases[k]
         f = f + term
-    return name, f
+    return f
 
 
 @settings(max_examples=60, deadline=None)
@@ -680,6 +727,34 @@ def test_verify_singular_matches_the_tree_fold(candidate):
         return
     build, build_by_tree, _ = _SINGULAR_CONFIGS[name]
     assert verify_singular(build(), f) == verify_singular_by_tree(build_by_tree(), f)
+
+
+@st.composite
+def _one_parity_g2_candidates(draw):
+    """f in the paper's coordinates, drawn as ``_singular_candidates`` draws
+    it over x1..x7 or over x1 and x4, cut to the terms whose x1 exponent has
+    a drawn parity."""
+    vs = _xs(7)
+    f = _drawn_polynomial(draw, vs, draw(st.sampled_from([[variable(v) for v in vs], [_x1, _x4]])))
+    parity, at = draw(st.integers(0, 1)), f.vars.index("x1")
+    return Polynomial(f.vars, {exp: c for exp, c in f.terms.items() if exp[at] % 2 == parity})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_parity_g2_candidates())
+@example(variable("x4") ** 3)
+@example(g2_invariant() * variable("x4") ** 2)
+@example(_x1 * variable("x4"))
+def test_integral_g2_config_agrees_with_the_pair_oracle(f):
+    """verify_singular of the integral config on D(f) and the paper-coordinate
+    Z[sqrt(2)] pair oracle on f agree on ok, the weight and the names of the
+    failing operators."""
+    if f.is_zero():
+        return
+    want = verify_singular_by_tree(g2_pair_singular_config_by_tree(), f)
+    got = verify_singular(g2_singular_config(), to_integral(f))
+    assert (got.ok, got.weight, [name for name, _ in got.failures]) == \
+        (want.ok, want.weight, [name for name, _ in want.failures])
 
 
 # -- the oracle and the suite ------------------------------------------------------------------
@@ -724,8 +799,8 @@ def test_normal_forms_see_past_the_sampled_degree():
     assert operators_agree_on_sample(perturbed, Sum((Derivative("x1", 3), delta)), vars_)
 
 def test_closure_finds_a_bracket_outside_the_span():
-    e, f = {(1, 2): (1, 0)}, {(2, 1): (1, 0)}
-    h = {(1, 1): (1, 0), (2, 2): (-1, 0)}
+    e, f = {(1, 2): 1}, {(2, 1): 1}
+    h = {(1, 1): 1, (2, 2): -1}
     assert not _closed_under_bracket([e, f])
     assert _closed_under_bracket([e, f, h])
-    assert not _closed_under_bracket([e, f, h, {(1, 2): (2, 0)}])
+    assert not _closed_under_bracket([e, f, h, {(1, 2): 2}])

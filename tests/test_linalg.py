@@ -201,14 +201,13 @@ def test_denominator_divisible_by_p_falls_back():
 
 
 def test_g2_bracket_rows():
-    # rows of rational parts and sqrt(2) parts, as g2_bracket_report builds them
+    # each integer matrix is the sparse row of its entries, as g2_bracket_report reduces it
     mats = lie.g2_matrices()
     names = sorted(mats)
-    columns = [(i, j, s) for i in range(1, 8) for j in range(1, 8) for s in (0, 1)]
+    columns = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 
     def dense(m):
-        row = lie._as_row(m)
-        return [row.get(c, 0) for c in columns]
+        return [m.get(c, 0) for c in columns]
 
     basis = [dense(mats[n]) for n in names]
     width = len(columns)
