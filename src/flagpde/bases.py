@@ -2,12 +2,14 @@
 
 Every generator in this module produces a BasisFamily: an indexed list of
 exact polynomial solutions together with the operator they are solutions
-of.  Annihilation is proved at generation time, so a returned family is
-already verified: the closed-form families below by the series lemma
+of.  Annihilation is proved at generation time by a certificate of the
+build, so a returned family is already verified and no element is checked
+on its own: the closed-form families below by the series lemma
 (``_SeriesLemma``), whose certificate checks the tables and profiles the
-elements are folded from once per family; ``flag_basis`` end to end,
-through one ``operators.form_map`` over the elements' variables, then the
-annihilator's, for all elements (``BasisFamily.verify_annihilation``).
+elements are folded from once per family; ``flag_basis`` by the chain law
+(``_ChainLaw``), which checks A_s R_s = 1 of the spec's nested inverse on
+every level batch the build maps.  ``BasisFamily.verify_annihilation``
+checks a family end to end, the tests' oracle for both certificates.
 Linear independence and desk-scale completeness checks live in
 ``verify_independence`` and the test suite's kernel oracles.
 
@@ -61,7 +63,7 @@ from .operators import (
     solve_by_series,
 )
 from .poly import (EXP_MAX, ExponentRangeError, FormApplicator, Polynomial, _int_form, _IntForm, _mover, _pack,
-                   _padded, _reduced, _shifted_sum, _split_tagged, _sum_forms, _tag_variable, _tagged, _unit,
+                   _padded, _reduced, _shifted_union, _split_tagged, _sum_forms, _tag_variable, _tagged, _unit,
                    variable)
 
 __all__ = [
@@ -146,16 +148,13 @@ def _json_scalar(v):
     return v
 
 
-def _checked(elements, annihilator, truncation, *lemmas) -> BasisFamily:
-    """The family, its annihilation proved by the certificates of the
-    ``_SeriesLemma``s that built the elements, else checked on every
-    element."""
-    fam = BasisFamily(elements, annihilator, truncation)
-    if not lemmas:
-        fam.verify_annihilation()
-    for lemma in lemmas:
-        lemma.prove(annihilator)
-    return fam
+def _checked(elements, annihilator, truncation, certificate, *more) -> BasisFamily:
+    """The family, its annihilation proved by the certificates that built
+    the elements, each a ``_SeriesLemma`` or a ``_ChainLaw`` whose
+    ``prove`` ties its checks to the annihilator."""
+    for cert in (certificate, *more):
+        cert.prove(annihilator)
+    return BasisFamily(elements, annihilator, truncation)
 
 
 def _check_cap(cap: int, seeded: bool = True):
@@ -469,6 +468,80 @@ class FlagEquationSpec:
         return Sum(parts)
 
 
+class _ChainLaw:
+    """The certificate of ``flag_basis``: the law A_s R_s = 1 of the spec's
+    nested inverse, the one-sided inverse relation D R = 1 (Jacobson, Proc.
+    AMS 1, 1950), checked on the inputs its stages receive.
+
+    A_s = sum_(j <= s) c_j d_j^(m_j), c_1 = 1, is the first s blocks of the
+    spec's operator and R_s the stage-s inverse.  Stage s extends the
+    solution P_0 of a prefix, A_s P_0 = 0, by the power l of block s+1,
+    with x = x_(s+1), f = c_(s+1) and m = m_(s+1), to
+    e = sum_(i <= I) (-1)^i perm(l, i m) x^(l - i m) P_i, I = l // m and
+    P_(i+1) = R_s(f P_i).  ``check`` tests A_s P_(i+1) = f P_i on every
+    level batch the build maps, and that the image has exponent 0 in x and
+    every later block variable; ``seeds`` tests that A_1 kills the seeds
+    x1^l1, l1 < m1, which have no later variable.  So no P_i has x,
+    d^m(x^k P_i) = perm(k, m) x^(k-m) P_i, and A_s commutes with x.
+    A_(s+1) e = A_s e + f d^m e then telescopes to 0:
+    f d^m e = sum_(i <= I) (-1)^i perm(l, (i+1) m) x^(l - (i+1) m) f P_i,
+    as perm(l, i m) perm(l - i m, m) = perm(l, (i+1) m); its term i is
+    minus the term i+1 of A_s e = sum_(1 <= i <= I) (-1)^i perm(l, i m)
+    x^(l - i m) f P_(i-1), and its term I has perm(l, (I+1) m) = 0.  So e
+    solves A_(s+1) and is a P_0 of stage s+1, and by induction every
+    element solves A_n; ``prove`` checks that A_n is the annihilator.  The
+    union of the shifted P_i (``poly._shifted_union``) and its coefficients
+    (-1)^i perm(l, i m) stay trusted, as ``_SeriesLemma`` trusts its fold;
+    the tests check them against the per-prefix build and
+    ``BasisFamily.verify_annihilation``.
+
+    The laws act over the build's tagged order, taken from the blocks of
+    the inverse's ``plan``: A_s is one ``FormApplicator``, made when stage
+    s first maps a batch.  An operator that reads no tag maps a batch to
+    the tagged sum of its members' images.
+    """
+
+    __slots__ = ("order", "_blocks", "_laws")
+
+    def __init__(self, inv: NestedRightInverse, tagged: tuple):
+        self.order = tagged
+        # per block: the position of its variable and its normal-form term c d^m
+        self._blocks = [(pos, ((pos, m),), _int_form(inv.coeffs[0], tagged) if j == 0 else c)
+                        for j, (pos, m, c, _) in enumerate(inv.plan(tagged))]
+        self._laws = {}
+
+    def _form(self, s: int) -> dict:
+        """The normal form of A_s."""
+        return {alpha: c for _, alpha, c in self._blocks[:s] if c}
+
+    def seeds(self, seeds: list):
+        """The seeds of stage 1, over the build's order without the tag, as
+        power 0 of its chains: A_1 kills them."""
+        batch = _tagged(seeds, 0)
+        self.check(1, 0, _IntForm.zero(batch.n), batch)
+
+    def check(self, s: int, power: int, fb: _IntForm, image: _IntForm):
+        """VerificationError unless A_s(image) = fb and no key of the image
+        has x_(s+1) or a later block variable: power `power` of the level
+        batch fb = f P that stage s mapped to image = R_s(fb).  Both forms
+        are reduced, so the law is one comparison, and the variables are
+        read by one and and one or over the keys (``_IntForm.free_of``)."""
+        law = self._laws.get(s)
+        if law is None:
+            law = self._laws[s] = FormApplicator(self._form(s)).apply_form
+        if law(image) != fb:
+            raise VerificationError(f"chain law: power {power} of stage {s} breaks A_s R_s(f P) = f P")
+        later = [pos for pos, _, _ in self._blocks[s:]]
+        if not image.free_of(later):
+            raise VerificationError(f"chain law: power {power} of stage {s} has one of "
+                                    f"{[self.order[pos] for pos in later]}")
+
+    def prove(self, annihilator: LinearOperator):
+        """VerificationError unless the annihilator's normal form is A_n's."""
+        if differential_form(annihilator, self.order) != self._form(len(self._blocks)):
+            raise VerificationError("chain law: the annihilator is not the last stage's law")
+
+
 def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     """Solution basis of a triangular equation, built stage by stage.
 
@@ -479,13 +552,18 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     the seed x^l of the next block, l up to what the cap leaves, as
     sum_i (-R f)^i(h) * D^i(x^l): R the stage-k inverse, f the block's
     coefficient and D its derivative, so D^i(x^l) is falling(l, i*m)
-    x^(l - i*m) and each product an exponent shift, summed in one pass.
+    x^(l - i*m).  No power (R f)^i(h) has the block's variable, so the
+    shifted powers have disjoint keys and the sum is their union, reduced
+    once (``poly._shifted_union``).
     The powers (R f)^i(h) are built level by level (``_chains``): power i
     of every prefix that needs power i+1 goes into one tagged batch, which
     takes one application of the spec's nested inverse.  Every stage runs
     on that one inverse, which checked the shape when the spec was built,
-    and on its ``plan``.  The whole build runs on integer forms over
-    ``spec.variables``, and each element is the Polynomial holding its form.
+    and on its ``plan``.  The family is proved by the chain law
+    (``_ChainLaw``), checked on the seeds and on every batch the inverse
+    maps, not element by element.  The whole build runs on integer forms
+    over ``spec.variables``, and each element is the Polynomial holding its
+    form.
     """
     n = len(spec.orders)
     # one variable reads no cap: its elements are x1^l1, l1 < m1
@@ -496,28 +574,30 @@ def flag_basis(spec: FlagEquationSpec, cap: int) -> BasisFamily:
     inv = spec._inverse
     plan = inv.plan(vs)
     tagged = vs + (_tag_variable(vs),)
+    law = _ChainLaw(inv, tagged)
     # the solution of each prefix (l1, .., lk) after stage k - 1
     level = {(l1,): _IntForm({_pack((l1,) + (0,) * (n - 1)): 1}, {}, 1, n) for l1 in range(spec.orders[0])}
+    law.seeds(list(level.values()))
     for stage in range(1, n):
         pos, m, _, _ = plan[stage]
         room = {prefix: cap - sum(prefix[1:]) for prefix in level}
-        chains = _chains(inv, stage, tagged, level, {prefix: r // m for prefix, r in room.items()})
-        level = {prefix + (l,): _shifted_sum([(c, l - i * m, (-1) ** i * math.perm(l, i * m))
-                                              for i, c in enumerate(chain[: l // m + 1])], pos, n)
+        chains = _chains(inv, law, stage, tagged, level, {prefix: r // m for prefix, r in room.items()})
+        level = {prefix + (l,): _shifted_union([(c, l - i * m, (-1) ** i * math.perm(l, i * m))
+                                                for i, c in enumerate(chain[: l // m + 1])], pos, n)
                  for prefix, chain in chains.items() for l in range(room[prefix] + 1)}
     elements = []
     for l1 in range(spec.orders[0]):
         for rest in tuples_with_sum_at_most(n - 1, cap):
             ell = (l1,) + rest
             elements.append(BasisElement({"ell": ell}, level[ell].to_poly(vs, laurent)))
-    return _checked(elements, annihilator, {"cap": cap, "orders": list(spec.orders)})
+    return _checked(elements, annihilator, {"cap": cap, "orders": list(spec.orders)}, law)
 
 
 # the members of one batch, as many as a tag field tells apart (``poly._tagged``)
 _BATCH = EXP_MAX + 1
 
 
-def _chains(inv: NestedRightInverse, stage: int, tagged: tuple, heads: dict, needs: dict) -> dict:
+def _chains(inv: NestedRightInverse, law: _ChainLaw, stage: int, tagged: tuple, heads: dict, needs: dict) -> dict:
     """{prefix: [h, (R f)(h), .., (R f)^need(h)]} for the solution h of each
     prefix in heads and its need in needs, with R stage `stage` of the
     spec's one nested inverse `inv` and f the coefficient of the block it
@@ -527,9 +607,11 @@ def _chains(inv: NestedRightInverse, stage: int, tagged: tuple, heads: dict, nee
     are cut into chunks of at most ``_BATCH``; at level i, power i of every
     prefix of a chunk whose need exceeds i is one tagged batch, multiplied
     by f and mapped by R once, and the image split by tag gives power i+1
-    of each.  The image, cut to the prefixes that need a further power,
-    is the next level's batch.  A split power is not reduced, so it may
-    only feed ``_shifted_sum``, which reduces each sum once.
+    of each.  Each image is checked against the stage's law
+    (``_ChainLaw.check``) before it is split.  The image, cut to the
+    prefixes that need a further power, is the next level's batch.  A split
+    power is not reduced, so it may only feed ``_shifted_union``, which
+    reduces each sum once.
     """
     f = inv.plan(tagged)[stage][2]
     chains = {prefix: [h] for prefix, h in heads.items()}
@@ -540,7 +622,10 @@ def _chains(inv: NestedRightInverse, stage: int, tagged: tuple, heads: dict, nee
         batch, size = _tagged([heads[prefix] for prefix in chunk], 0), len(chunk)
         for i in range(depth[0]):
             keep = sum(d > i + 1 for d in depth)
-            powers, batch = _split_tagged(inv._apply_stage(stage, f * batch, tagged), size, keep)
+            fb = f * batch
+            image = inv._apply_stage(stage, fb, tagged)
+            law.check(stage, i + 1, fb, image)
+            powers, batch = _split_tagged(image, size, keep)
             for prefix, power in zip(chunk, powers):
                 chains[prefix].append(power)
             size = keep

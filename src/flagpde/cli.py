@@ -448,7 +448,7 @@ def _int_list(text: str):
 
 def _family_payload(family: BasisFamily, verify_independence: bool):
     # every family constructor has already proved annihilation (bases._checked):
-    # the closed-form families by the series lemma, flag_basis on every element
+    # the closed-form families by the series lemma, flag_basis by the chain law
     if verify_independence:
         family.verify_independence()
     return _with_checks(family._payload(), [

@@ -713,7 +713,7 @@ class _IntForm:
     wrapped or returned.  Only a chain of steps that reduces its own result
     once uses them (``operators.NestedRightInverse``), and the forms that
     ``_split_tagged`` splits from a batch image, which carry the image's
-    denominator, feed only ``_shifted_sum``, which reduces once (the chain
+    denominator, feed only ``_shifted_union``, which reduces once (the chain
     powers of ``bases.flag_basis``).  ``_int_form`` puts a
     Polynomial over another variable order and ``to_poly`` wraps a form as
     one.
@@ -749,6 +749,17 @@ class _IntForm:
         n = self.n
         low = functools.reduce(and_, itertools.chain(self.re, self.im), -1)
         return {i for i in range(n) if not (low >> (_W * (n - i) - 2)) & 1}
+
+    def free_of(self, positions) -> bool:
+        """Whether every term has exponent 0 at each of the positions: the
+        and and the or of the keys both read _BIAS in those fields."""
+        n = self.n
+        mask = sum(_MASK << (_W * (n - 1 - i)) for i in positions)
+        zero = _layout(n)[0] & mask
+        keys = itertools.chain(self.re, self.im)
+        low = functools.reduce(and_, keys, zero)
+        keys = itertools.chain(self.re, self.im)
+        return low & mask == zero and functools.reduce(or_, keys, zero) & mask == zero
 
     def __eq__(self, other):
         # ring steps return reduced forms, so equal values have equal fields
@@ -815,8 +826,14 @@ class _IntForm:
         return _reduced(re, im, self.den * cd, self.n) if reduce else _IntForm(re, im, self.den * cd, self.n)
 
     def shifted(self, i: int, k: int, factor: int) -> "_IntForm":
-        """The form times factor * x_i^k."""
-        return _shifted_sum([(self, k, factor)], i, self.n)
+        """The form times factor * x_i^k, for any form: a step or a field
+        that leaves the range raises."""
+        _delta(k, _W * (self.n - 1 - i))
+        if not factor:
+            return _IntForm.zero(self.n)
+        out = _shifted_union([(self, k, factor)], i, self.n)
+        _check_fields(functools.reduce(or_, itertools.chain(out.re, out.im), 0), self.n)
+        return out
 
     def diff(self, i: int, m: int, reduce: bool = True) -> "_IntForm":
         """d^m/dx_i^m, each exponent e giving the integer e (e-1) ... (e-m+1).
@@ -925,24 +942,23 @@ def _sum_forms(forms) -> _IntForm:
     return _reduced(_nonzero(re), _nonzero(im), d, n)
 
 
-def _shifted_sum(pieces, i: int, n: int) -> _IntForm:
+def _shifted_union(pieces, i: int, n: int) -> _IntForm:
     """sum factor * x_i^k * form over the (form, k, factor) pieces, forms
-    over one order of n variables, in one pass at the lcm of their
-    denominators and reduced once: each shift is one key step."""
+    over one order of n variables without zero entries, at the lcm of their
+    denominators and reduced once.  The caller guarantees that no form has
+    x_i, that the k are distinct with every x_i^k in range and that no
+    factor is 0: the shifted pieces then have pairwise disjoint keys and
+    nonzero entries, so the sum is their union, one dict update per piece
+    and part, with no field check and no zero to clear."""
     s = _W * (n - 1 - i)
     d = math.lcm(*(f.den for f, _, _ in pieces))
-    re, im, seen = {}, {}, 0
+    re, im = {}, {}
     for f, k, factor in pieces:
-        scale = factor * (d // f.den)
-        step = _delta(k, s)
-        for out, part in ((re, f.re), (im, f.im)):
-            get = out.get
-            for e, a in part.items():
-                key = e + step
-                seen |= key
-                out[key] = get(key, 0) + a * scale
-    _check_fields(seen, n)
-    return _reduced(_nonzero(re), _nonzero(im), d, n)
+        scale, step = factor * (d // f.den), k << s
+        re.update({e + step: a * scale for e, a in f.re.items()})
+        if f.im:
+            im.update({e + step: b * scale for e, b in f.im.items()})
+    return _reduced(re, im, d, n)
 
 
 def _nonzero(d: dict) -> dict:

@@ -36,7 +36,7 @@ from flagpde.linalg import (
 )
 from flagpde.lie import SingularCheck, SingularConfig, so_generator
 from flagpde.operators import SeriesTerminationError
-from flagpde.poly import coeff_inverse
+from flagpde.poly import _W, _check_fields, _delta, _nonzero, _reduced, coeff_inverse
 
 
 def multinomial(parts) -> int:
@@ -1132,13 +1132,35 @@ def flag_basis_unshared(spec, cap):
     return out
 
 
+def _shifted_sum(pieces, i: int, n: int):
+    """sum factor * x_i^k * form over the (form, k, factor) pieces, forms
+    over one order of n variables that may overlap, in one pass at the lcm
+    of their denominators and reduced once: each shift is one key step,
+    and a field out of range raises.  The general sum that
+    ``poly._shifted_union`` is where the shifted pieces are disjoint."""
+    s = _W * (n - 1 - i)
+    d = math.lcm(*(f.den for f, _, _ in pieces))
+    re, im, seen = {}, {}, 0
+    for f, k, factor in pieces:
+        scale = factor * (d // f.den)
+        step = _delta(k, s)
+        for out, part in ((re, f.re), (im, f.im)):
+            get = out.get
+            for e, a in part.items():
+                key = e + step
+                seen |= key
+                out[key] = get(key, 0) + a * scale
+    _check_fields(seen, n)
+    return _reduced(_nonzero(re), _nonzero(im), d, n)
+
+
 def flag_basis_per_prefix(spec, cap):
     """The elements of `flag_basis` built prefix by prefix: each prefix's
     powers (-R f)^i(h) are one stage-inverse application each, extended on
     demand by the elements in index order and reduced one by one."""
     from flagpde.bases import BasisElement, _check_cap
     from flagpde.combinatorics import tuples_with_sum_at_most
-    from flagpde.poly import _IntForm, _pack, _shifted_sum
+    from flagpde.poly import _IntForm, _pack
 
     n = len(spec.orders)
     _check_cap(cap, seeded=n > 1)
@@ -1501,7 +1523,7 @@ def anisymmetric_elements_by_iteration(n, lam, epsilon, cap):
     from flagpde.combinatorics import tuples_with_sum_at_most
     from flagpde.dissipative import _phi_factor, _psi_factor, classify_lambda
     from flagpde.operators import form_map
-    from flagpde.poly import _int_form, _shifted_sum, _sum_forms
+    from flagpde.poly import _int_form, _sum_forms
 
     lam = Fraction(lam)
     x_vars = tuple(f"x{i}" for i in range(1, n + 1))

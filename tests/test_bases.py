@@ -247,6 +247,14 @@ def _built(elements):
             for e in elements]
 
 
+def _annihilated_elements(spec, cap):
+    """The elements of flag_basis(spec, cap), whose family must pass
+    ``BasisFamily.verify_annihilation``."""
+    family = flag_basis(spec, cap)
+    assert family.verify_annihilation()
+    return family.elements
+
+
 def _built_or_refused(build, spec, cap):
     """``_built`` of build(spec, cap), or the type and text of the ValueError it raised."""
     try:
@@ -261,13 +269,15 @@ def _built_or_refused(build, spec, cap):
 def test_flag_basis_matches_the_per_prefix_build(batch, spec, cap):
     """The level batches give every element the form, denominator and index
     order of the per-prefix build, and refuse the specs it refuses; chunks
-    of 2 split every level of more than two prefixes.  The builds meet the
-    faults of a spec in different orders, so a spec with negative powers of
-    two variables, which can fail at either, must only be refused by both."""
+    of 2 split every level of more than two prefixes.  Every family the
+    chain law proved is annihilated, checked element by element.  The
+    builds meet the faults of a spec in different orders, so a spec with
+    negative powers of two variables, which can fail at either, must only
+    be refused by both."""
     with pytest.MonkeyPatch.context() as patch:
         if batch:
             patch.setattr(bases, "_BATCH", batch)
-        got = _built_or_refused(lambda spec, cap: flag_basis(spec, cap).elements, spec, cap)
+        got = _built_or_refused(_annihilated_elements, spec, cap)
     want = _built_or_refused(flag_basis_per_prefix, spec, cap)
     negative = {v for c in spec.coefficients for exp in c.terms for v, e in zip(c.vars, exp) if e < 0}
     if len(negative) > 1 and isinstance(want, tuple):
@@ -1049,15 +1059,57 @@ def test_series_layout_is_private_to_bases():
     assert not found
 
 
-def test_only_flag_families_are_checked_element_by_element(monkeypatch):
+def test_no_family_is_checked_element_by_element(monkeypatch):
     calls = []
     check = BasisFamily.verify_annihilation
     monkeypatch.setattr(BasisFamily, "verify_annihilation", lambda self: calls.append(len(self)) or check(self))
     for build in _lemma_families().values():
         build()
-    assert calls == []
     flag_basis(FlagEquationSpec((2, 1), (x1,)), 3)
-    assert len(calls) == 1
+    assert calls == []
+
+
+# a spec of four blocks whose three stages all map level batches at cap 4
+CHAIN_SPEC = FlagEquationSpec((2, 1, 2, 1), (x1 + 1, x2 - x1, x3))
+
+
+def _chain_law(spec):
+    return bases._ChainLaw(spec._inverse, spec.variables + ("tag",))
+
+
+@pytest.mark.parametrize("stage", [1, 3], ids=["first stage", "last stage"])
+@pytest.mark.parametrize("term, message", [
+    (lambda spec, stage: x1 ** spec.orders[0], r"breaks A_s R_s\(f P\) = f P"),
+    (lambda spec, stage: variable(spec.variables[stage]), "has one of"),
+], ids=["off the law", "in the block variable"])
+def test_chain_law_rejects_a_term_added_to_a_stage_image(monkeypatch, stage, term, message):
+    """x1^m1 breaks A_s R_s(f P) = f P at every stage; x_(s+1), which A_s
+    kills, would break the telescoping of d_(s+1)^m."""
+    added = term(CHAIN_SPEC, stage)
+    apply = NestedRightInverse._apply_stage
+
+    def wrong(self, s, q, vs):
+        image = apply(self, s, q, vs)
+        return image + _int_form(added, vs) if s == stage else image
+
+    monkeypatch.setattr(NestedRightInverse, "_apply_stage", wrong)
+    with pytest.raises(VerificationError, match=f"chain law: power 1 of stage {stage} {message}"):
+        flag_basis(CHAIN_SPEC, 4)
+
+
+def test_chain_law_rejects_a_seed_that_the_first_block_does_not_kill():
+    law, vs = _chain_law(CHAIN_SPEC), CHAIN_SPEC.variables
+    law.seeds([_int_form(x1**l1, vs) for l1 in range(CHAIN_SPEC.orders[0])])
+    with pytest.raises(VerificationError, match="chain law: power 0 of stage 1 breaks"):
+        law.seeds([_int_form(x1 ** CHAIN_SPEC.orders[0], vs)])
+
+
+def test_chain_law_rejects_an_annihilator_with_a_coefficient_changed():
+    law = _chain_law(CHAIN_SPEC)
+    law.prove(CHAIN_SPEC.operator())
+    changed = FlagEquationSpec(CHAIN_SPEC.orders, (x1 + 1, x2 - x1, x3 + 1))
+    with pytest.raises(VerificationError, match="chain law: the annihilator is not the last stage's law"):
+        law.prove(changed.operator())
 
 
 def _unbuilt(monkeypatch, *modules):

@@ -910,6 +910,8 @@ def _report_inputs(tmp_path):
         "spec": {"orders": [2, 1, 2], "coefficients": [
             [{"exp": {"x1": 1}, "re": "0", "im": "1"}, {"exp": {}, "re": "1"}],
             [{"exp": {"x1": 1, "x2": 1}, "re": "1"}, {"exp": {}, "re": "-1/2", "im": "1/3"}]]},
+        "flag4": {"orders": [2, 2, 1, 1], "coefficients": [
+            [{"exp": {"x1": 1}, "re": "1"}], [{"exp": {"x2": 1}, "re": "-1"}], [{"exp": {"x1": 1, "x2": 1}, "re": "1"}]]},
         "tree": {"nodes": 3, "edges": [[1, 2], [2, 3]]},
         "symbols": {"variables": ["D2"], "symbols": [[], [{"exp": {"D2": 2}, "re": "1"}]]},
         "flag": {"halfWidths": [1.0], "conditions": [{"modes": [{"k": [1], "cos": 1.0, "sin": 0.0}]},
@@ -1365,6 +1367,7 @@ _WRITTEN_FAMILIES = {
     "a35m1": ["basis", "anisym", "--n", "3", "--lambda", "-1", "--cap", "5"],
     "a16": ["basis", "anisym", "--n", "1", "--lambda", "-3", "--cap", "6"],
     "gflag": ["basis", "flag", "--spec", "{spec}", "--cap", "4"],
+    "flag4": ["basis", "flag", "--spec", "{flag4}", "--cap", "5"],
     "g2": ["lie", "g2", "--k", "4"],
     "sl": ["lie", "sl", "--n", "3", "--l1", "2", "--l2", "2"],
 }

@@ -24,10 +24,11 @@ from flagpde.poly import (
     _int_form,
     _IntForm,
     _reduced,
-    _shifted_sum,
+    _shifted_union,
 )
 
 from oracles import (
+    _shifted_sum,
     diff_stepwise,
     dict_product,
     dict_sum,
@@ -443,6 +444,29 @@ def test_shifted_sum_is_a_sum_of_shifts(pieces, i):
     assert got == want
 
 
+@st.composite
+def _pieces_without(draw):
+    """A position i of FORM_VARS and up to four (form, k, factor) pieces
+    over FORM_VARS with distinct k, whose Gaussian and Laurent forms have
+    no x_i."""
+    i = draw(st.integers(0, 2))
+    others = FORM_VARS[:i] + FORM_VARS[i + 1:]
+    polys = polynomials(vars=others, max_terms=4, max_exp=3, laurent=("x",) if "x" in others else (),
+                        coeffs=gaussian_coefficients())
+    pieces = draw(st.lists(st.tuples(polys, st.integers(-3, 3), st.integers(-4, 4).filter(bool)),
+                           max_size=4, unique_by=lambda piece: piece[1]))
+    return i, [(_int_form(p, FORM_VARS), k, c) for p, k, c in pieces]
+
+
+@given(_pieces_without())
+@settings(max_examples=60)
+def test_shifted_union_is_the_shifted_sum_of_pieces_without_the_variable(case):
+    i, pieces = case
+    got = _shifted_union(pieces, i, len(FORM_VARS))
+    _assert_reduced(got)
+    assert got == _shifted_sum(pieces, i, len(FORM_VARS))
+
+
 def test_integer_form_reorders_and_drops_unused_variables():
     p = Polynomial(("z", "w", "x"), {(1, 0, 2): Fraction(1, 2), (0, 0, 1): IMAG})
     form = _int_form(p, FORM_VARS)
@@ -523,7 +547,7 @@ def _edge_steps():
         "integrate_n": lambda: Polynomial(("x", "y"), {(0, 2): 1}).integrate_n("y", EXP_MAX),
         "derivative below": lambda: bottom.diff("y"),
         "shift": lambda: top.form.shifted(1, 1, 1),
-        "shifted sum": lambda: _shifted_sum([(top.form, 1, 1)], 1, 2),
+        "shifted sum": lambda: top.form.shifted(1, 1, 1),
         "top field": lambda: Polynomial(("x", "y"), {(EXP_MAX, 0): 1}) * x,
     }
 
