@@ -1136,8 +1136,8 @@ def _shifted_sum(pieces, i: int, n: int):
     """sum factor * x_i^k * form over the (form, k, factor) pieces, forms
     over one order of n variables that may overlap, in one pass at the lcm
     of their denominators and reduced once: each shift is one key step,
-    and a field out of range raises.  The general sum that
-    ``poly._shifted_union`` is where the shifted pieces are disjoint."""
+    and a field out of range raises.  ``poly._shifted_union`` is this sum
+    for pieces whose shifted keys are disjoint."""
     s = _W * (n - 1 - i)
     d = math.lcm(*(f.den for f, _, _ in pieces))
     re, im, seen = {}, {}, 0
