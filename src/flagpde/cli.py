@@ -19,6 +19,12 @@ each term's exponent block is rendered once per variable order and depth in
 a report.  It is deterministic: identical inputs produce byte-identical
 files; wall time is only printed to stderr.
 
+Each kind of ``basis``, ``lie``, ``tree``, ``solve`` and ``ivp`` is a
+sub-parser declaring only the options it reads, so argparse refuses any
+other, and a missing required one, with exit 2 before a file is read.
+``lie harmonic``, ``sl`` and ``g2`` run one handler over their
+``lie.HIGHEST_WEIGHT_MODULES`` record.
+
 ``main`` may be called repeatedly in one process.  The argument parser is
 built once, on the first call, and every call parses into a fresh
 namespace.
@@ -48,17 +54,9 @@ from .bases import (
 from .dissipative import anisymmetric_basis, dissipative_wave_basis, klein_gordon_solutions
 from .ivp import TRACE_TOLERANCE, OdeProblem, TrigData, _derivatives_at_zero, _solved_ode, \
     solve_flag_ivp, solve_tree_wave_ivp
-from .lie import (
-    commutation_checks,
-    g2_module_basis,
-    g2_singular_config,
-    harmonic_module_basis,
-    sl_module_basis,
-    sl_singular_config,
-    verify_singular,
-)
+from .lie import HIGHEST_WEIGHT_MODULES, commutation_checks
 from .operators import SeriesTerminationError, VerificationError, op_to_json
-from .poly import Polynomial, _text_terms, _unpack, variable
+from .poly import Polynomial, _text_terms, _unpack
 from .trees import Tree, check_splitting, compute_splitting, tricomi_operator
 
 
@@ -465,51 +463,12 @@ def _with_checks(payload, checks):
     return payload
 
 
-# the kind-specific options of basis, lie and tree, by command: dest, flag,
-# the kinds that read it, and the value they read when it is not given
-_KIND_OPTIONS = {
-    "basis": (
-        ("orders", "--orders", {"constant"}, None),
-        ("spec", "--spec", {"flag"}, None),
-        ("lam", "--lambda", {"anisym"}, None),
-        ("epsilon", "--epsilon", {"anisym"}, 1),
-        ("n", "--n", {"harmonic", "dissipative", "anisym"}, 2),
-    ),
-    "lie": (
-        ("n", "--n", {"harmonic", "sl", "check"}, 3),
-        ("k", "--k", {"harmonic", "g2"}, 2),
-        ("l1", "--l1", {"sl"}, 1),
-        ("l2", "--l2", {"sl"}, 1),
-    ),
-    "tree": (
-        ("cap", "--cap", {"check-splitting"}, 3),
-        ("tcap", "--tcap", {"check-splitting"}, 3),
-    ),
-}
-
-
-def _kind_options(args, kind: str):
-    """Refuse a kind-specific option given to a kind that does not read it,
-    and set each one the kind reads but was not given to its default."""
-    for dest, flag, kinds, default in _KIND_OPTIONS[args.command]:
-        if kind not in kinds:
-            if getattr(args, dest) is not None:
-                raise InputError(f"{args.command} {kind} does not read {flag}")
-        elif getattr(args, dest) is None:
-            setattr(args, dest, default)
-
-
 def _cmd_basis(args):
-    _kind_options(args, args.kind)
     if args.kind == "constant":
-        if not args.orders:
-            raise InputError("basis constant requires --orders")
         family = constant_coefficient_basis(_int_list(args.orders), args.cap)
     elif args.kind == "harmonic":
         family = harmonic_basis(args.n, args.cap)
     elif args.kind == "flag":
-        if not args.spec:
-            raise InputError("basis flag requires --spec")
         data = _load_json(args.spec, FLAG_SPEC_SCHEMA, "flag spec", args._digest)
         n = len(data["orders"])
         variables = tuple(data.get("variables", ())) or tuple(f"x{i}" for i in range(1, n + 1))
@@ -519,8 +478,6 @@ def _cmd_basis(args):
     elif args.kind == "dissipative":
         family = dissipative_wave_basis(args.n, args.cap)
     else:  # anisym; argparse refuses any other kind
-        if not args.lam:
-            raise InputError("basis anisym requires --lambda")
         family = anisymmetric_basis(args.n, _fraction(args.lam), args.epsilon, args.cap)
     return _family_payload(family, verify_independence=not args.no_independence)
 
@@ -544,7 +501,6 @@ def _cmd_solve_kg(args):
 
 
 def _cmd_tree(args):
-    _kind_options(args, args.action)
     data = _load_json(args.tree, TREE_SCHEMA, "tree", args._digest)
     tree = Tree.from_json(data)
     if args.action == "validate":
@@ -659,38 +615,23 @@ def _ivp_payload(points, values, residual):
     }
 
 
-def _cmd_lie(args):
-    _kind_options(args, args.kind)
-    if args.kind == "check":
-        report = commutation_checks(args.n)
-        reading = report.pop("laplacian reading")
-        return _with_checks({"laplacianReading": reading},
-                            [(name, "passed" if ok else "failed") for name, ok in report.items()])
-    if args.kind == "harmonic":
-        family = harmonic_module_basis(args.n, args.k)
-        extra = {}
-    elif args.kind == "sl":
-        family = sl_module_basis(args.n, args.l1, args.l2)
-        top = variable("x1") ** args.l1 * variable(f"y{args.n}") ** args.l2
-        extra = _singular_weight(sl_singular_config(args.n), top)
-    else:  # g2; argparse refuses any other kind
-        family = g2_module_basis(args.k)
-        extra = _singular_weight(g2_singular_config(), variable("x4") ** args.k)
-    payload = _family_payload(family, verify_independence=True)
-    payload.update(extra)
-    payload["annihilated"] = any(c["name"] == "annihilation" and c["status"] == "passed"
-                                 for c in payload["checks"])
+def _cmd_lie_check(args):
+    report = commutation_checks(args.n)
+    reading = report.pop("laplacian reading")
+    return _with_checks({"laplacianReading": reading},
+                        [(name, "passed" if ok else "failed") for name, ok in report.items()])
+
+
+def _cmd_lie_module(args):
+    """The module of args.kind in ``lie.HIGHEST_WEIGHT_MODULES``: its basis,
+    proved and checked independent, and its top vector's singular weight,
+    checked against the closed form."""
+    module = HIGHEST_WEIGHT_MODULES[args.kind]
+    params = {name: getattr(args, name) for name in module.params}
+    payload = _family_payload(module.basis(**params), verify_independence=True)
+    payload["singularWeight"] = [str(w) for w in module.singular_weight(**params)]
+    payload["annihilated"] = {"name": "annihilation", "status": "passed"} in payload["checks"]
     return payload
-
-
-def _singular_weight(config, top):
-    """{"singularWeight": [...]} of top, which the positive generators of
-    config must annihilate and its Cartan generators scale."""
-    check = verify_singular(config, top)
-    if not check.ok:
-        names = ", ".join(name for name, _ in check.failures)
-        raise VerificationError(f"{top} is not a singular vector: the check fails at {names}")
-    return {"singularWeight": [str(w) for w in check.weight]}
 
 
 def _cmd_ode(args):
@@ -720,71 +661,74 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write the result JSON (or CSV for grids) here")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the result JSON (or CSV for grids) here")
 
-    p = sub.add_parser("basis", help="generate a verified solution family")
-    p.add_argument("kind", choices=["constant", "harmonic", "flag", "dissipative", "anisym"])
-    # a kind-specific option of basis, tree or lie defaults to None, so that
-    # _kind_options can refuse one given to a kind that does not read it
-    p.add_argument("--orders", help="comma-separated derivative orders (constant)")
-    p.add_argument("--n", type=int, help="number of spatial variables (harmonic, dissipative, "
-                                         "anisym; default 2)")
-    p.add_argument("--cap", type=int, default=4)
-    p.add_argument("--spec", help="flag equation JSON (flag)")
-    p.add_argument("--lambda", dest="lam", help="time-weight parameter (anisym)")
-    p.add_argument("--epsilon", type=int, choices=[1, -1], help="sign of the Laplacian term (anisym; default 1)")
-    p.add_argument("--no-independence", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_basis)
+    # no command takes an abbreviated option, so that one of another kind
+    # (--n) is refused, not read as a prefix of its own (--no-independence)
+    def kinds(p, dest, func, shared):
+        choices = p.add_subparsers(dest=dest, required=True)
 
-    p = sub.add_parser("solve", help="closed solvers")
-    solve_sub = p.add_subparsers(dest="what", required=True)
-    kg = solve_sub.add_parser("klein-gordon")
-    kg.add_argument("--a", required=True, help="rational frequency, e.g. 1/2")
-    kg.add_argument("--monomial", required=True, help="m1,m2,m3 seed exponents")
-    common(kg)
-    kg.set_defaults(func=_cmd_solve_kg)
+        def kind(name, func=func):
+            q = choices.add_parser(name, parents=[shared], allow_abbrev=False)
+            q.set_defaults(func=func)
+            return q
+        return kind
 
-    p = sub.add_parser("tree", help="tree model and splitting checks")
-    p.add_argument("action", choices=["validate", "xi", "check-splitting"])
+    shared = argparse.ArgumentParser(add_help=False, parents=[out])
+    shared.add_argument("--cap", type=int, default=4, help="degree cap (default 4)")
+    shared.add_argument("--no-independence", action="store_true", help="skip the independence check")
+    kind = kinds(sub.add_parser("basis", help="generate a verified solution family"), "kind", _cmd_basis, shared)
+    kind("constant").add_argument("--orders", required=True, help="comma-separated derivative orders")
+    kind("harmonic").add_argument("--n", type=int, default=2, help="number of variables (default 2)")
+    kind("flag").add_argument("--spec", required=True, help="flag equation JSON")
+    kind("dissipative").add_argument("--n", type=int, default=2, help="number of spatial variables (default 2)")
+    p = kind("anisym")
+    p.add_argument("--lambda", dest="lam", required=True, help="time-weight parameter")
+    p.add_argument("--epsilon", type=int, choices=[1, -1], default=1, help="sign of the Laplacian term (default 1)")
+    p.add_argument("--n", type=int, default=2, help="number of spatial variables (default 2)")
+
+    p = kinds(sub.add_parser("solve", help="closed solvers"), "what", _cmd_solve_kg, out)("klein-gordon")
+    p.add_argument("--a", required=True, help="rational frequency, e.g. 1/2")
+    p.add_argument("--monomial", required=True, help="m1,m2,m3 seed exponents")
+
+    shared = argparse.ArgumentParser(add_help=False, parents=[out])
+    shared.add_argument("--tree", required=True)
+    kind = kinds(sub.add_parser("tree", help="tree model and splitting checks"), "action", _cmd_tree, shared)
+    kind("validate")
+    kind("xi")
+    p = kind("check-splitting")
+    p.add_argument("--cap", type=int, default=3, help="degree cap (default 3)")
+    p.add_argument("--tcap", type=int, default=3, help="t-power cap (default 3)")
+
+    kind = kinds(sub.add_parser("ivp", help="initial value solvers"), "what", _cmd_ivp_flag, out)
+    p = kind("flag")
+    p.add_argument("--orders", type=int, required=True)
+    p.add_argument("--symbols", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--grid", required=True, help="e.g. 5x5")
+    p = kind("tree-wave", _cmd_ivp_tree)
     p.add_argument("--tree", required=True)
-    p.add_argument("--cap", type=int, help="degree cap (check-splitting; default 3)")
-    p.add_argument("--tcap", type=int, help="t-power cap (check-splitting; default 3)")
-    common(p)
-    p.set_defaults(func=_cmd_tree)
+    p.add_argument("--data", required=True)
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--grid", required=True, help="e.g. 3x3x3")
 
-    p = sub.add_parser("ivp", help="initial value solvers")
-    ivp_sub = p.add_subparsers(dest="what", required=True)
-    fl = ivp_sub.add_parser("flag")
-    fl.add_argument("--orders", type=int, required=True)
-    fl.add_argument("--symbols", required=True)
-    fl.add_argument("--data", required=True)
-    fl.add_argument("--grid", required=True, help="e.g. 5x5")
-    common(fl)
-    fl.set_defaults(func=_cmd_ivp_flag)
-    tw = ivp_sub.add_parser("tree-wave")
-    tw.add_argument("--tree", required=True)
-    tw.add_argument("--data", required=True)
-    tw.add_argument("--t", type=float, required=True)
-    tw.add_argument("--grid", required=True, help="e.g. 3x3x3")
-    common(tw)
-    tw.set_defaults(func=_cmd_ivp_tree)
+    # harmonic, sl and g2 run one path over their lie.HIGHEST_WEIGHT_MODULES record
+    kind = kinds(sub.add_parser("lie", help="module bases and structure checks"), "kind", _cmd_lie_module, out)
+    p = kind("harmonic")
+    p.add_argument("--n", type=int, default=3, help="number of variables (default 3)")
+    p.add_argument("--k", type=int, default=2, help="degree (default 2)")
+    p = kind("sl")
+    p.add_argument("--n", type=int, default=3, help="the n of sl(n) (default 3)")
+    p.add_argument("--l1", type=int, default=1, help="x degree (default 1)")
+    p.add_argument("--l2", type=int, default=1, help="y degree (default 1)")
+    kind("g2").add_argument("--k", type=int, default=2, help="degree (default 2)")
+    kind("check", _cmd_lie_check).add_argument("--n", type=int, default=3, help="the n of sl(n) (default 3)")
 
-    p = sub.add_parser("lie", help="module bases and structure checks")
-    p.add_argument("kind", choices=["harmonic", "sl", "g2", "check"])
-    p.add_argument("--n", type=int, help="the n of harmonic, sl and check (default 3)")
-    p.add_argument("--k", type=int, help="degree (harmonic, g2; default 2)")
-    p.add_argument("--l1", type=int, help="x degree (sl; default 1)")
-    p.add_argument("--l2", type=int, help="y degree (sl; default 1)")
-    common(p)
-    p.set_defaults(func=_cmd_lie)
-
-    p = sub.add_parser("ode", help="constant-coefficient ODE by the series kernel")
+    p = sub.add_parser("ode", help="constant-coefficient ODE by the series kernel", parents=[out], allow_abbrev=False)
     p.add_argument("--coeffs", required=True, help="b1,b2,... (y^(m) = b1 y^(m-1) + ...)")
     p.add_argument("--init", required=True, help="c0,c1,... initial derivatives")
     p.add_argument("--t", type=float, required=True)
-    common(p)
     p.set_defaults(func=_cmd_ode)
 
     return parser

@@ -5,14 +5,17 @@ Each generator is the linear vector field sum c * x_i d/dx_j of its
 matrix (``operators.LinearVectorField``, built from its entries), which is
 its own normal form; so are the Cartan operators and the Euler operator.
 The orthogonal family acts on F[x1..xn], with its raising operators built
-by one paired-variable rule for every n >= 3 (``so_singular_config``) as
+by one paired-variable rule for every n >= 2 (``so_singular_config``) as
 sums of scaled rotation entries; the special linear family on F[x.., y..]
 with the contragredient twist on the y block; and the exceptional family
 through fourteen sparse seven-by-seven integer matrices, entry (i, j)
 the term x_i d/dx_j, in the coordinates (z, x2..x7) with z = x1/sqrt(2)
 and z keeping the name x1; its module bases, invariant and Laplacian stay
 in the paper's coordinates (``g2_singular_config`` states the map).  The
-module bases are built and proved solutions by ``bases._SeriesLemma``.
+module bases are built and proved solutions by ``bases._SeriesLemma``.  Each
+algebra's ``HighestWeightModule`` (``HIGHEST_WEIGHT_MODULES``, by ``flagpde
+lie`` kind) holds its basis builder, singular configuration, top vector and
+the top's closed-form weight, which ``singular_weight`` checks.
 
 The fixed operators are built once per process and are read-only (a
 ``LinearVectorField``'s entries cannot be written): the fourteen
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -71,6 +75,8 @@ from .operators import (
 from .poly import IMAG, Polynomial, _collapsed, _int_form, _unpack, coeff_inverse, variable
 
 __all__ = [
+    "HIGHEST_WEIGHT_MODULES",
+    "HighestWeightModule",
     "SingularConfig",
     "commutation_checks",
     "g2_bracket_report",
@@ -229,10 +235,7 @@ def _sl_cartan_field(i: int) -> LinearVectorField:
 
 
 def sl_invariant(n: int) -> Polynomial:
-    out = Polynomial.zero()
-    for i in range(1, n + 1):
-        out = out + variable(f"x{i}") * variable(f"y{i}")
-    return out
+    return sum((variable(f"x{i}") * variable(f"y{i}") for i in range(1, n + 1)), Polynomial.zero())
 
 
 def sl_laplacian(n: int) -> LinearOperator:
@@ -487,14 +490,15 @@ def so_highest_harmonic(n: int, k: int) -> Polynomial:
 
 
 def so_singular_config(n: int) -> SingularConfig:
-    """Complexified raising and Cartan operators of so(n), n >= 3, on the
+    """Complexified raising and Cartan operators of so(n), n >= 2, on the
     pairs (x_(2a-1), x_(2a)) (Fulton and Harris, GTM 129, sections 18-19).
 
     With Z_a(j) = L_(2a-1,j) + i L_(2a,j): Z_a(2b-1) + i t Z_a(2b) for a < b
     and t = +-1, Z_a(j) for the unpaired x_n of odd n; h_a = -i L_(2a-1,2a).
-    Each call returns new lists of the read-only nodes of ``_so_operators``."""
-    if n < 3:
-        raise ValueError("so(n) singular configurations need n >= 3")
+    so(2) is abelian: no raising operator, and the one Cartan h1.  Each
+    call returns new lists of the read-only nodes of ``_so_operators``."""
+    if n < 2:
+        raise ValueError("so(n) singular configurations need n >= 2")
     positives, cartans = _so_operators(n)
     return SingularConfig(list(positives), list(cartans))
 
@@ -534,6 +538,56 @@ def g2_singular_config() -> SingularConfig:
     return SingularConfig(positives, cartans)
 
 
+# -- highest weight modules -------------------------------------------------------
+
+@dataclass(frozen=True)
+class HighestWeightModule:
+    """One algebra's polynomial modules, irreducible except so(2)'s, indexed
+    by the keyword parameters ``params``.  Each callable takes them and
+    gives the module basis, the singular configuration, the top (highest
+    weight) vector, or its weight in closed form (Humphreys, GTM 9, sections 20-21)."""
+
+    params: tuple
+    basis: Callable
+    config: Callable
+    top: Callable
+    weight: Callable
+
+    def singular_weight(self, **params) -> list:
+        """The weight that the Cartan operators read off the top vector.
+        Raises VerificationError unless every raising operator kills the
+        top, every Cartan operator scales it, and the weight equals the
+        closed form."""
+        top = self.top(**params)
+        check = verify_singular(self.config(**params), top)
+        if not check.ok:
+            names = ", ".join(name for name, _ in check.failures)
+            raise VerificationError(f"{top} is not a singular vector: the check fails at {names}")
+        closed = self.weight(**params)
+        if check.weight != closed:
+            raise VerificationError(f"{top} has weight {[str(w) for w in check.weight]}, "
+                                    f"not the closed form {closed}")
+        return check.weight
+
+
+# by ``flagpde lie`` kind; a lambda looks its builder up when called, so a wrapped one is run
+HIGHEST_WEIGHT_MODULES = MappingProxyType({
+    # so(n) on the degree-k harmonics: (x1 + i x2)^k, of weight (k, 0, ..., 0)
+    "harmonic": HighestWeightModule(
+        ("n", "k"), lambda n, k: harmonic_module_basis(n, k), lambda n, k: so_singular_config(n),
+        lambda n, k: so_highest_harmonic(n, k), lambda n, k: [k] + [0] * (n // 2 - 1)),
+    # sl(n) on bidegree (l1, l2): x1^l1 y_n^l2, of weight l1 w_1 + l2 w_(n-1)
+    "sl": HighestWeightModule(
+        ("n", "l1", "l2"), lambda n, l1, l2: sl_module_basis(n, l1, l2), lambda n, l1, l2: sl_singular_config(n),
+        lambda n, l1, l2: variable("x1") ** l1 * variable(f"y{n}") ** l2,
+        lambda n, l1, l2: [l1 + l2] if n == 2 else [l1] + [0] * (n - 3) + [l2]),
+    # G2 on degree k: x4^k, of weight k w_1
+    "g2": HighestWeightModule(
+        ("k",), lambda k: g2_module_basis(k), lambda k: g2_singular_config(),
+        lambda k: variable("x4") ** k, lambda k: [k, 0]),
+})
+
+
 # -- commutation suite ----------------------------------------------------------------
 
 def commutation_checks(n_sl: int = 2, max_degree: int = 3) -> dict:
@@ -556,12 +610,7 @@ def commutation_checks(n_sl: int = 2, max_degree: int = 3) -> dict:
 
     zeta = sl_invariant(n_sl)
     delta = sl_laplacian(n_sl)
-    sl_gens = [
-        sl_generator(n_sl, i, j)
-        for i in range(1, n_sl + 1)
-        for j in range(1, n_sl + 1)
-        if i != j
-    ] + sl_cartan(n_sl)
+    sl_gens = [sl_generator(n_sl, i, j) for i, j in itertools.permutations(range(1, n_sl + 1), 2)] + sl_cartan(n_sl)
     report["zeta invariant"] = all(op(zeta).is_zero() for op in sl_gens)
 
     vs = tuple(f"x{i}" for i in range(1, n_sl + 1)) + tuple(f"y{i}" for i in range(1, n_sl + 1))

@@ -1137,8 +1137,9 @@ class FormApplicator:
     so a term of q maps to its image key by one int sum, and a field is
     read as (key >> s) & _MASK only for the falling factorials.  The image
     keys are or-ed together and checked once for a field out of range
-    (``_check_fields``), and an order above _BIAS, whose step could wrap a
-    field, raises ExponentRangeError here.
+    (``_check_fields``).  An order above _BIAS kills every term whose
+    exponent in its variable is non-negative, and a Laurent term there,
+    whose image leaves the range, raises ExponentRangeError.
     """
 
     __slots__ = ("_den", "_routes")
@@ -1152,8 +1153,6 @@ class FormApplicator:
         for alpha, c in form.items():
             orders, lowered = [], _layout(c.n)[0]
             for i, m in alpha:
-                if m > _BIAS:
-                    raise ExponentRangeError(f"a derivative order in {alpha} exceeds {_BIAS}")
                 orders.append((_W * (c.n - 1 - i), m, _BIAS + m))
                 lowered += m << orders[-1][0]
             read.append((tuple(orders), lowered, den // c.den, c))
@@ -1189,7 +1188,7 @@ class FormApplicator:
                         f = (key >> s) & mask
                         if bias <= f < top:
                             break
-                        k *= perm(f - bias, m) if f >= bias else falling(f - bias, m)
+                        k *= perm(f - bias, m) if f >= bias else _laurent_falling(f - bias, m)
                     else:
                         for step, c in cterms:
                             image = key + step
@@ -1197,6 +1196,13 @@ class FormApplicator:
                             out[image] = get(image, 0) + c * k
         _check_fields(seen, q.n)
         return _reduced(_nonzero(sums[0]), _nonzero(sums[1]), q.den * self._den, q.n)
+
+
+def _laurent_falling(e: int, m: int) -> int:
+    """falling(e, m) for e < 0; above an order of _BIAS, x^(e-m) leaves the range."""
+    if m > _BIAS:
+        raise _out_of_range(e - m)
+    return falling(e, m)
 
 
 def variable(name: str, laurent: bool = False) -> Polynomial:

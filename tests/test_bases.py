@@ -328,6 +328,15 @@ def test_flag_basis_refuses_a_product_beyond_the_exponent_range(build):
         build(spec, 1)
 
 
+def test_flag_basis_reads_back_a_family_with_an_order_above_the_bias():
+    """A block of order 20000, above the 2^14 bias of a key field, kills
+    every polynomial in x2 up to the cap, and the family's own
+    annihilation check reads that order."""
+    family = flag_basis(FlagEquationSpec((1, 20000), (x1,)), 2)
+    assert [str(e.solution) for e in family.elements] == ["1", "x2", "x2^2"]
+    assert family.verify_annihilation()
+
+
 def test_flag_basis_names_its_tag_apart_from_the_spec_variables():
     """A coefficient over (tag, x) is put over the build's variables and
     the tag by its names, so a tag named like a spec variable would read

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -302,13 +303,14 @@ def _flag_spec_file(tmp_path):
     (kind, option) for kind in _BASIS_NEEDS for option in _FOREIGN if option not in _READS[kind]
 ])
 def test_basis_refuses_an_option_its_kind_does_not_read(tmp_path, capsys, kind, option):
-    """An option given explicitly to a kind that ignores it exits 2 and names
-    the option, even at its default value, before any file is read."""
+    """An option of another kind is not declared by this kind's sub-parser,
+    so argparse refuses it with exit 2 and names it, even at its default
+    value, before any file is read."""
     spec = _flag_spec_file(tmp_path)
     out = tmp_path / "out.json"
     args = [a.format(spec=spec) for a in _BASIS_NEEDS[kind]] + [option, _FOREIGN[option]]
     assert run_cli(["basis", kind, *args, "--cap", "1", "--out", str(out)]) == 2
-    assert f"basis {kind} does not read {option}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option} {_FOREIGN[option]}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -696,10 +698,11 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("jsonschema", "re
     (["tree", "check-splitting", "--tree", "{tree}", "--cap", "21", "--tcap", "1"],
      {"tree": {"nodes": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}},
      ("degree_cap=21", "at most 16384 entries, got 65780")),
-    (["lie", "g2", "--k", "1", "--n", "9", "--l1", "4"], {}, "lie g2 does not read --n"),
-    (["lie", "check", "--k", "7"], {}, "lie check does not read --k"),
+    # a kind's sub-parser refuses the options of another kind
+    (["lie", "g2", "--k", "1", "--n", "9", "--l1", "4"], {}, "unrecognized arguments: --n 9 --l1 4"),
+    (["lie", "check", "--k", "7"], {}, "unrecognized arguments: --k 7"),
     (["tree", "validate", "--tree", "{tree}", "--cap", "9", "--tcap", "9"],
-     {"tree": {"nodes": 2, "edges": [[1, 2]]}}, "tree validate does not read --cap"),
+     {"tree": {"nodes": 2, "edges": [[1, 2]]}}, "unrecognized arguments: --cap 9 --tcap 9"),
     # argparse refuses an unknown kind before any command runs
     (["basis", "bogus"], {}, "invalid choice: 'bogus'"),
     (["tree", "bogus"], {}, "invalid choice: 'bogus'"),
@@ -772,13 +775,61 @@ def test_lie_sl_rejects_a_negative_degree_by_name(capsys, l1, l2):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("args", [["sl", "--n", "2", "--l1", "1", "--l2", "1"], ["g2", "--k", "1"]])
+@pytest.mark.parametrize("args", [["sl", "--n", "2", "--l1", "1", "--l2", "1"], ["g2", "--k", "1"],
+                                  ["harmonic", "--n", "3", "--k", "2"]])
 def test_lie_singular_check_failure_exits_three(monkeypatch, tmp_path, capsys, args):
-    monkeypatch.setattr(cli, "verify_singular", lambda config, f: SingularCheck(False, None, [("E12", f)]))
+    monkeypatch.setattr(lie, "verify_singular", lambda config, f: SingularCheck(False, None, [("E12", f)]))
     out = tmp_path / "out.json"
     assert run_cli(["lie", *args, "--out", str(out)]) == 3
     assert "verification failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_lie_harmonic_reports_the_weight_of_its_top(tmp_path, n):
+    """(x1 + i x2)^k has weight (k, 0, ..., 0), with one entry per Cartan
+    operator h_a = -i L_(2a-1,2a), so n // 2 entries."""
+    out = tmp_path / "out.json"
+    for k in range(5):
+        assert run_cli(["lie", "harmonic", "--n", str(n), "--k", str(k), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["singularWeight"] == [str(k)] + ["0"] * (n // 2 - 1)
+        assert result["annihilated"] is True and result["verified"] is True
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"top": lambda n, k: variable("x2") ** k}, "is not a singular vector: the check fails at E1"),
+    ({"weight": lambda n, k: [k + 1]}, "has weight ['2'], not the closed form [3]"),
+])
+def test_lie_module_whose_record_is_wrong_exits_three(monkeypatch, tmp_path, capsys, change, message):
+    """A top vector that a raising operator does not kill, or a closed-form
+    weight that the Cartan operators do not read, fails the command."""
+    modules = dict(lie.HIGHEST_WEIGHT_MODULES)
+    modules["harmonic"] = dataclasses.replace(modules["harmonic"], **change)
+    monkeypatch.setattr(cli, "HIGHEST_WEIGHT_MODULES", modules)
+    out = tmp_path / "out.json"
+    assert run_cli(["lie", "harmonic", "--n", "3", "--k", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "verification failed" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, needs", [("constant", "--orders"), ("flag", "--spec"), ("anisym", "--lambda")])
+def test_basis_refuses_a_kind_without_its_required_option(tmp_path, capsys, kind, needs):
+    out = tmp_path / "out.json"
+    assert run_cli(["basis", kind, "--cap", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"the following arguments are required: {needs}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["basis", "constant", "--orders", "2,2", "--n", "2"],
+                                  ["basis", "flag", "--spec", "s.json", "--n"]])
+def test_a_kind_reads_no_abbreviated_option(capsys, args):
+    """--n is a prefix of --no-independence, which every basis kind reads;
+    a kind without --n refuses it instead of reading it as that option."""
+    assert run_cli(args) == 2
+    assert "unrecognized arguments: --n" in capsys.readouterr().err
 
 
 # -- non-finite input ----------------------------------------------------------------------------
@@ -913,6 +964,8 @@ def _report_inputs(tmp_path):
         "flag4": {"orders": [2, 2, 1, 1], "coefficients": [
             [{"exp": {"x1": 1}, "re": "1"}], [{"exp": {"x2": 1}, "re": "-1"}], [{"exp": {"x1": 1, "x2": 1}, "re": "1"}]]},
         "tree": {"nodes": 3, "edges": [[1, 2], [2, 3]]},
+        # a block of order 20000, above the 2^14 bias of a key field
+        "high": {"orders": [1, 20000], "coefficients": [[{"exp": {"x1": 1}, "re": "1"}]]},
         "symbols": {"variables": ["D2"], "symbols": [[], [{"exp": {"D2": 2}, "re": "1"}]]},
         "flag": {"halfWidths": [1.0], "conditions": [{"modes": [{"k": [1], "cos": 1.0, "sin": 0.0}]},
                                                     {"modes": []}]},
@@ -1117,7 +1170,7 @@ def _kind_args(tmp_path, command, kind, options):
 def test_lie_and_tree_refuse_an_option_their_kind_does_not_read(tmp_path, capsys, command, kind, option):
     out = tmp_path / "out.json"
     assert run_cli(_kind_args(tmp_path, command, kind, [option, "1", "--out", str(out)])) == 2
-    assert f"{command} {kind} does not read {option}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1368,6 +1421,7 @@ _WRITTEN_FAMILIES = {
     "a16": ["basis", "anisym", "--n", "1", "--lambda", "-3", "--cap", "6"],
     "gflag": ["basis", "flag", "--spec", "{spec}", "--cap", "4"],
     "flag4": ["basis", "flag", "--spec", "{flag4}", "--cap", "5"],
+    "high": ["basis", "flag", "--spec", "{high}", "--cap", "2"],
     "g2": ["lie", "g2", "--k", "4"],
     "sl": ["lie", "sl", "--n", "3", "--l1", "2", "--l2", "2"],
 }

@@ -125,10 +125,37 @@ def test_so_singular_config_matches_the_hand_written_one(n):
             assert differential_form(a, vs) == differential_form(b, vs)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1])
 def test_so_singular_config_needs_three_variables(n):
-    with pytest.raises(ValueError, match="n >= 3"):
+    """so(1) is zero; so(2), abelian, is the smallest configuration."""
+    with pytest.raises(ValueError, match="n >= 2"):
         so_singular_config(n)
+
+
+def test_so2_has_no_raising_operator_and_reads_weight_k():
+    """so(2) is spanned by L12: the configuration is the one Cartan
+    h1 = -i L12, and (x1 + i x2)^k has weight [k]."""
+    config = so_singular_config(2)
+    assert config.positives == [] and [name for name, _ in config.cartans] == ["h1"]
+    for k in range(5):
+        check = verify_singular(config, so_highest_harmonic(2, k))
+        assert check.ok and check.weight == [k]
+
+
+@pytest.mark.parametrize("kind, cases", [
+    ("harmonic", [{"n": n, "k": k} for n in range(2, 6) for k in range(4)]),
+    ("sl", [{"n": n, "l1": a, "l2": b} for n in (2, 3, 4) for a in range(3) for b in range(3)]),
+    ("g2", [{"k": k} for k in range(5)]),
+])
+def test_highest_weight_record_top_has_its_closed_form_weight(kind, cases):
+    """Each record's top vector is singular, with the closed-form weight,
+    and is killed by the annihilator of the record's module basis."""
+    module = lie.HIGHEST_WEIGHT_MODULES[kind]
+    for params in cases:
+        assert set(params) == set(module.params)
+        assert module.singular_weight(**params) == module.weight(**params)
+        top = module.top(**params)
+        assert module.basis(**params).annihilator(top).is_zero()
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -515,7 +542,7 @@ def test_commutation_checks_prove_the_sl_half_on_each_call(monkeypatch):
 def test_mutating_a_report_leaves_the_next_one_whole():
     want = list(commutation_checks(2).items())
     report = commutation_checks(2)
-    report.pop("laplacian reading")  # as cli._cmd_lie does
+    report.pop("laplacian reading")  # as cli._cmd_lie_check does
     report["closure"] = False
     report.clear()
     assert list(commutation_checks(2).items()) == want

@@ -42,7 +42,7 @@ from flagpde.operators import (
 )
 
 from flagpde import operators
-from flagpde.poly import NonIntegrableTermError, _int_form
+from flagpde.poly import ExponentRangeError, NonIntegrableTermError, _int_form
 
 from oracles import (
     packed_form,
@@ -517,6 +517,16 @@ def block_operators(draw):
         a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
         blocks.append(Compose(MultiplyBy(c), Derivative("x", a), Derivative("y", b)))
     return Sum(blocks)
+
+
+def test_form_applicator_kills_every_polynomial_term_under_an_order_above_the_bias():
+    """An order above 2^14, the bias of a key field, kills every term with a
+    non-negative exponent in its variable; a Laurent term there would
+    leave the exponent range, so it raises."""
+    app = FormApplicator(differential_form(Derivative("x", 20000), ("x",)))
+    assert not app.apply_form(_int_form(variable("x") ** 3, ("x",)))
+    with pytest.raises(ExponentRangeError, match="exponent -20001 is outside"):
+        app.apply_form(_int_form(Polynomial(("x",), {(-1,): 1}, ("x",)), ("x",)))
 
 
 @given(block_operators(), node_inputs(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
