@@ -37,7 +37,9 @@ became the zero mode of the flag evaluator, and the Klein-Gordon values
 (real, sparse arguments) while every argument list still ran the complex
 recurrence at every weight after a float magnitude pass summed to 2^-60,
 so a refactor of the numeric side that changes a single bit of these
-values fails here.
+values fails here.  The ``ivp tree-wave`` result hashes were recorded while
+each carrier was still keyed by exponent tuples and rebuilt its blocks and
+wave numbers per operator power.
 """
 
 import hashlib
@@ -224,6 +226,45 @@ FLAG_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(FLAG_IVPS))
 def test_flag_ivp_values_match_golden_repr(name):
     assert [repr(v) for v in FLAG_IVPS[name]().values] == FLAG_GOLDEN[name]
+
+
+# -- the tree wave IVP command -------------------------------------------------------
+
+_WAVE_MODES = {
+    "g0": {"modes": [{"k": [1, 1, 1], "cos": 0.8, "sin": 0.1}, {"k": [1, 0, 2], "cos": -0.3, "sin": 0.2}]},
+    "g1": {"modes": [{"k": [1, 1, 1], "cos": 0.3}, {"k": [1, 0, 2], "sin": 0.25}]},
+}
+
+# (tree, data, t, grid); the half widths are not powers of two, so that a
+# reordered phase, power or product changes some bits
+TREE_WAVE_COMMANDS = {
+    "chain3": ({"nodes": 3, "edges": [[1, 2], [2, 3]]}, {"halfWidths": [1.3, 0.9, 1.1], **_WAVE_MODES},
+               "0.15", "2x2x2"),
+    "star3": ({"nodes": 3, "edges": [[1, 2], [1, 3]]}, {"halfWidths": [1.3, 0.9, 1.1], **_WAVE_MODES},
+              "0.15", "2x2x2"),
+    # the 2-node case of the CI smoke test
+    "ci_tree2": ({"nodes": 2, "edges": [[1, 2]]},
+                 {"halfWidths": [1.0, 1.0], "g0": {"modes": [{"k": [1, 0], "cos": 1.0}]},
+                  "g1": {"modes": [{"k": [0, 1], "sin": 0.5}]}}, "0.3", "3x3"),
+}
+
+TREE_WAVE_GOLDEN = {
+    "chain3": "2e07f07f41c2d864f5f1232cb286d095e96e65a911c130f6705cc66afc846a54",
+    "star3": "1f2a20a98d786d9108a75ad82f31d3bd36fb0661bfe6e5b31818e3cafd6c2305",
+    "ci_tree2": "e72916a3c8e4875c74ad91bcba9779f6c2864444f71f938240423324f8c04bba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_WAVE_COMMANDS))
+def test_ivp_tree_wave_command_result_matches_golden_hash(name, tmp_path):
+    tree, data, t, grid = TREE_WAVE_COMMANDS[name]
+    tree_path, data_path, out = tmp_path / "tree.json", tmp_path / "data.json", tmp_path / "out.json"
+    tree_path.write_text(json.dumps(tree))
+    data_path.write_text(json.dumps(data))
+    assert main(["ivp", "tree-wave", "--tree", str(tree_path), "--data", str(data_path), "--t", t,
+                 "--grid", grid, "--out", str(out)]) == 0
+    payload = json.dumps(json.loads(out.read_text())["result"], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == TREE_WAVE_GOLDEN[name]
 
 
 # -- outputs whose serialization depends on the variable order ----------------------
