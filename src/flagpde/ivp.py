@@ -32,7 +32,14 @@ each mode evolves independently.
   sum t^(2i)/(2i)! d_T^i and sum t^(2i+1)/(2i+1)! d_T^i applied to the mode
   wave.  The carriers of d_T^i are built lazily, only as far as the times
   asked for need them, and a running rounding-error bound makes a sum that
-  cancels too much raise instead of returning a wrong value.
+  cancels too much raise instead of returning a wrong value.  A carrier
+  maps one packed int per monomial to its complex coefficient: field j,
+  of CARRIER_LIMIT.bit_length() bits, holds the exponent of x_(j+1), and
+  carrier i has no exponent above i <= CARRIER_LIMIT, so no field wraps.
+  Each mode's blocks and wave numbers are made once per solution, and the
+  t-weights once per solution and time.  The terms are added in a fixed
+  order (each carrier in insertion order, each monomial's powers x_j^e in
+  node order), so a value does not depend on what was evaluated before.
   ``solve_tree_wave_series`` is a second name for the same function.
 * ``solve_tree_heat_ivp`` solves the tree heat flow u_t = d_T u with
   u(0) = g0.  The nodewise splitting of exp(t d_T) gives each mode in
@@ -679,37 +686,75 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SETTLED_STEP = 1e-14
 
 
-def _carrier_apply(tree: Tree, omegas, carrier: dict) -> dict:
+def _field_bits() -> int:
+    """The width of one exponent field of a carrier key.
+
+    Carrier i has every exponent at most i (one application raises only the
+    parent's exponent, by 1, and lowers or keeps the axis'), and no mode
+    builds a carrier past min(CARRIER_LIMIT, 2^bits - 1) (see
+    TreeWaveSeriesSolution._carrier), so a field holds every exponent.
+    CARRIER_LIMIT is read when a solution is made.
+    """
+    return max(CARRIER_LIMIT, 1).bit_length()
+
+
+@dataclass(frozen=True)
+class _Stepper:
+    """What one application of d_T to a mode's carriers reads: the field width
+    and, per block (x1, then the edges in sorted order), the axis' field
+    shift, one unit of the axis' field, one unit of the parent's field (0
+    for x1) and the axis' wave number."""
+
+    bits: int
+    blocks: tuple
+
+
+def _stepper(tree: Tree, omegas, bits: int) -> _Stepper:
+    axes = [(0, None)] + [(child - 1, parent - 1) for parent, child in sorted(tree.edges)]
+    return _Stepper(bits, tuple(
+        (axis * bits, 1 << axis * bits, 0 if parent is None else 1 << parent * bits, omegas[axis])
+        for axis, parent in axes
+    ))
+
+
+def _carrier_apply(stepper: _Stepper, carrier: dict) -> dict:
     """One application of the tree operator to P(x) * exp(i omega . x),
-    returned as the new polynomial carrier P'.  Carriers map exponent
-    tuples over x1..xn to complex coefficients.
+    returned as the new polynomial carrier P'.  Carriers map packed
+    exponent keys (field j of stepper.bits bits holds the exponent of
+    x_(j+1)) to complex coefficients.
 
     d_T is d^2/dx_1^2 plus x_parent d^2/dx_child^2 per edge, and d^2/dx_a^2
     of x^e e^(i w.x) contributes (P'' + 2i w P' - w^2 P).  Each carrier
     term adds its blocks (x1, then the edges in sorted order), each block
     its terms in that order; the order fixes how each coefficient's sum
-    rounds.
+    rounds.  A block steps the key by int adds: one unit of the parent's
+    field up, and 2, 1 or 0 units of the axis' field down.
     """
-    blocks = [(0, None)] + [(child - 1, parent - 1) for parent, child in sorted(tree.edges)]
+    mask = (1 << stepper.bits) - 1
     out: dict = {}
-    for exp, coeff in carrier.items():
-        for axis, parent in blocks:
-            w, e = omegas[axis], exp[axis]
-            nexp = list(exp)
-            if parent is not None:
-                nexp[parent] += 1
+    get = out.get
+    for key, coeff in carrier.items():
+        for shift, unit, lift, w in stepper.blocks:
+            e = key >> shift & mask
+            base = key + lift
             if e >= 2:
-                steps = ((e - 2, coeff * e * (e - 1)), (e - 1, coeff * 2j * w * e), (e, -coeff * w * w))
-            elif e == 1:
-                steps = ((0, coeff * 2j * w * e), (1, -coeff * w * w))
-            else:
-                steps = ((0, -coeff * w * w),)
-            for ne, value in steps:
+                value = coeff * e * (e - 1)
                 if value:
-                    nexp[axis] = ne
-                    key = tuple(nexp)
-                    out[key] = out.get(key, 0j) + value
-    return {e: c for e, c in out.items() if c}
+                    step = base - 2 * unit
+                    out[step] = get(step, 0j) + value
+            if e:
+                value = coeff * 2j * w * e
+                if value:
+                    step = base - unit
+                    out[step] = get(step, 0j) + value
+            value = -coeff * w * w
+            if value:
+                out[base] = get(base, 0j) + value
+    return {key: c for key, c in out.items() if c}
+
+
+# the most times whose t-weights a solution keeps
+_TIME_TABLES = 8
 
 
 @dataclass
@@ -718,55 +763,87 @@ class TreeWaveSeriesSolution:
     half_widths: tuple
     g0: TrigData
     g1: TrigData
-    carriers: dict       # mode -> carriers of d_T^0, d_T^1, ..., extended on demand
+    # mode -> carriers of d_T^0, d_T^1, ..., extended on demand; a carrier maps
+    # a packed exponent key (see _carrier_apply) to its complex coefficient
+    carriers: dict
     eval_points: list
     t: float
     values: list
     trace_residual: float
+    _bits: int = field(default_factory=_field_bits, init=False, repr=False)
+    _steppers: dict = field(default_factory=dict, init=False, repr=False)
+    _times: dict = field(default_factory=dict, init=False, repr=False)
 
     def _carrier(self, k, i: int) -> dict:
         """The carrier of d_T^i on mode k, applying the operator as needed."""
         chain = self.carriers[k]
+        stepper = self._steppers.get(k)
+        if stepper is None:
+            stepper = self._steppers[k] = _stepper(self.tree, wave_numbers(k, self.half_widths), self._bits)
         while len(chain) <= i:
-            if len(chain) > CARRIER_LIMIT:
+            if len(chain) > min(CARRIER_LIMIT, (1 << self._bits) - 1):
                 raise SeriesTerminationError("mode series did not settle within the carrier cap")
-            chain.append(_carrier_apply(self.tree, wave_numbers(k, self.half_widths), chain[-1]))
+            chain.append(_carrier_apply(stepper, chain[-1]))
         return chain[i]
 
-    def _carrier_value(self, carrier, point):
-        """The carrier's value at the point and the sum of its terms' moduli."""
-        total = 0j
-        size = 0.0
-        for exp, coeff in carrier.items():
-            term = coeff
-            for e, xv in zip(exp, point):
-                if e:
-                    term *= xv**e
-            total += term
-            size += abs(term)
-        return total, size
+    def _time_table(self, t) -> list:
+        """The (te, to, |te| + |to|) of the terms summed so far at time t.
+
+        -0.0 == 0.0 and 2 == 2.0, but their odd powers and their quotients by
+        the factorials can differ, so the key keeps the type and the sign.
+        """
+        key = (type(t), t, math.copysign(1.0, t))
+        table = self._times.get(key)
+        if table is None:
+            if len(self._times) >= _TIME_TABLES:
+                del self._times[next(iter(self._times))]
+            table = self._times[key] = []
+        return table
 
     def mode_series(self, k, t: float, point):
         """(even, odd) complex mode values: sum t^(2i)/(2i)! d^i and
         sum t^(2i+1)/(2i+1)! d^i applied to the mode wave at the point.
 
-        Carriers are built only as far as the series needs them.  The sums
-        keep Higham's running bound u * sum |t-weight| * sum |c| |x|^e on
-        their rounding error and raise when it exceeds TRACE_TOLERANCE
-        relative to the larger of 1 and the values.
+        Carriers are built only as far as the series needs them.  Each term
+        multiplies its coefficient by x_j^e in node order.  The sums keep
+        Higham's running bound u * sum |t-weight| * sum |c| |x|^e on their
+        rounding error and raise when it exceeds TRACE_TOLERANCE relative to
+        the larger of 1 and the values.
         """
         phase = cmath.exp(1j * _phase(k, self.half_widths, point))
+        chain = self.carriers[k]
+        table = self._time_table(t)
+        bits = self._bits
+        mask = (1 << bits) - 1
+        xs = tuple(point)
         even = odd = 0j
         spread = 0.0
         quiet = 0
         for i in itertools.count():
-            carrier = self._carrier(k, i)
+            carrier = chain[i] if i < len(chain) else self._carrier(k, i)
             if not carrier:
                 break  # the operator power vanished: exact sum
             try:
-                value, size = self._carrier_value(carrier, point)
-                te = t ** (2 * i) / math.factorial(2 * i)
-                to = t ** (2 * i + 1) / math.factorial(2 * i + 1)
+                value = 0j
+                size = 0.0
+                for key, coeff in carrier.items():
+                    term = coeff
+                    j = 0
+                    while key:
+                        e = key & mask
+                        if e:
+                            term *= xs[j] ** e
+                        key >>= bits
+                        j += 1
+                    value += term
+                    size += abs(term)
+                if i < len(table):
+                    te, to, weight = table[i]
+                else:
+                    te = t ** (2 * i) / math.factorial(2 * i)
+                    to = t ** (2 * i + 1) / math.factorial(2 * i + 1)
+                    weight = abs(te) + abs(to)
+                    table.append((te, to, weight))
             except OverflowError:
                 raise SeriesTerminationError(f"mode {k} term {i} at t={t} overflows") from None
             value *= phase
@@ -774,7 +851,7 @@ class TreeWaveSeriesSolution:
             odd += to * value
             # judge the term by its moduli, not by its value here: low operator
             # powers can vanish at a point while higher ones do not
-            step = (abs(te) + abs(to)) * size
+            step = weight * size
             spread += step
             quiet = quiet + 1 if step < _SETTLED_STEP * (1.0 + abs(even) + abs(odd)) else 0
             if quiet >= 2:
@@ -822,7 +899,7 @@ def solve_tree_wave_ivp(tree: Tree, g0: TrigData, g1: TrigData, t: float,
     for pt in eval_points:
         _check_point(pt, tree.nodes, f"the tree has {tree.nodes} nodes")
     carriers = {
-        k: [{(0,) * tree.nodes: 1 + 0j}] for k in sorted(set(g0.modes) | set(g1.modes))
+        k: [{0: 1 + 0j}] for k in sorted(set(g0.modes) | set(g1.modes))
     }
     sol = TreeWaveSeriesSolution(tree, g0.half_widths, g0, g1, carriers, list(eval_points), t, [], 0.0)
     sol.values = [sol._value({k: sol.mode_series(k, t, pt) for k in carriers}) for pt in eval_points]

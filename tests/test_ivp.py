@@ -987,13 +987,78 @@ _CARRIER_PART = st.sampled_from([0.0, -0.0]) | st.floats(-4, 4, allow_nan=False)
 def test_flat_carrier_step_matches_the_nested_oracle(tree, data):
     """The flat tree-operator step adds the same terms in the same order as
     the closure version: every coefficient is bit for bit the same, over two
-    steps from carriers with exponents 0 to 2 (so P'', P' and P all occur)."""
+    steps from carriers with exponents 0 to 2 (so P'', P' and P all occur).
+    The flat step's packed keys are decoded to the oracle's exponent tuples."""
     n = tree.nodes
     omegas = data.draw(st.lists(st.sampled_from([0.0]) | st.floats(-8, 8, allow_nan=False),
                                 min_size=n, max_size=n))
     carrier = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n),
                                         st.builds(complex, _CARRIER_PART, _CARRIER_PART), max_size=6))
+    stepper = ivp._stepper(tree, omegas, ivp._field_bits())
+    bits = stepper.bits
+    packed = {sum(e << j * bits for j, e in enumerate(exp)): c for exp, c in carrier.items()}
     for _ in range(2):
-        got = ivp._carrier_apply(tree, omegas, carrier)
-        assert repr(list(got.items())) == repr(list(carrier_apply_nested(tree, omegas, carrier).items()))
-        carrier = got
+        packed = ivp._carrier_apply(stepper, packed)
+        got = [(tuple(key >> j * bits & ((1 << bits) - 1) for j in range(n)), c) for key, c in packed.items()]
+        carrier = carrier_apply_nested(tree, omegas, carrier)
+        assert repr(got) == repr(list(carrier.items()))
+
+
+_WAVE_AMPLITUDE = st.floats(-1, 1, allow_nan=False)
+
+
+@st.composite
+def _tree_wave_cases(draw):
+    """A tree of one to four nodes with one or two modes of wave numbers at
+    most 2 in g0 and g1, one or two points in [-0.5, 0.5]^n, a time t in
+    [0.01, 0.2] and a later time t2 at most 0.1 past it."""
+    tree = draw(_small_trees())
+    n = tree.nodes
+    hw = tuple(draw(st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=n, max_size=n)))
+    modes = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=2, unique=True))
+    g0, g1 = {}, {}
+    for k in modes:
+        sines = (draw(_WAVE_AMPLITUDE), draw(_WAVE_AMPLITUDE)) if any(k) else (0.0, 0.0)
+        g0[k] = (draw(_WAVE_AMPLITUDE), sines[0])
+        g1[k] = (draw(_WAVE_AMPLITUDE), sines[1])
+    pts = draw(st.lists(st.tuples(*[st.floats(-0.5, 0.5, allow_nan=False)] * n), min_size=1, max_size=2))
+    t = draw(st.floats(0.01, 0.2))
+    t2 = t + draw(st.floats(0.01, 0.1))
+    return tree, TrigData(hw, g0), TrigData(hw, g1), pts, t, t2
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tree_wave_cases())
+def test_tree_wave_values_match_the_eager_oracle_bit_for_bit(case):
+    """The solver's values, and later evaluations that extend its carriers
+    lazily, equal the oracle's tuple-keyed eager chain bit for bit.  The
+    times 0.0 and -0.0 are equal dict keys, but t**1 keeps the sign, so
+    their t-weights must not be shared."""
+    tree, g0, g1, pts, t, t2 = case
+
+    def eager(time, pt):
+        return tree_wave_series_eager(tree, g0, g1, time, pt, max_terms=26)
+
+    sol = solve_tree_wave_ivp(tree, g0, g1, t, pts)
+    for pt, got in zip(pts, sol.values):
+        assert repr(got) == repr(eager(t, pt))
+    assert repr(sol.at(t2, pts[-1])) == repr(eager(t2, pts[-1]))
+    for time in (0.0, -0.0):
+        assert repr(sol.at(time, pts[0])) == repr(eager(time, pts[0]))
+        fresh = solve_tree_wave_ivp(tree, g0, g1, time, pts[:1])
+        for k in sol.carriers:
+            assert repr(sol.mode_series(k, time, pts[0])) == repr(fresh.mode_series(k, time, pts[0]))
+
+
+def test_tree_wave_keeps_the_t_weights_of_an_int_time_apart():
+    """2 == 2.0, but 2**19 / 19! rounds once and 2.0**19 / 19! twice, and on
+    this mode the values differ in the last bits: an int time evaluated after
+    the equal float time gives the value of a solution made at the int."""
+    tree = Tree(1, [])
+    g0 = TrigData((1.0,), {(1,): (1.0, 0.0)})
+    g1 = TrigData((1.0,), {(1,): (0.5, 0.0)})
+    sol = solve_tree_wave_ivp(tree, g0, g1, 2.0, [(0.3,)])
+    at_int = solve_tree_wave_ivp(tree, g0, g1, 2, [(0.3,)]).values[0]
+    assert at_int != sol.values[0]
+    assert sol.at(2, (0.3,)) == at_int
+    assert sol.at(2.0, (0.3,)) == sol.values[0]
