@@ -37,9 +37,10 @@ each mode evolves independently.
   of CARRIER_LIMIT.bit_length() bits, holds the exponent of x_(j+1), and
   carrier i has no exponent above i <= CARRIER_LIMIT, so no field wraps.
   Each mode's blocks and wave numbers are made once per solution, and the
-  t-weights once per solution and time.  The terms are added in a fixed
-  order (each carrier in insertion order, each monomial's powers x_j^e in
-  node order), so a value does not depend on what was evaluated before.
+  t-weights once per solution and time (of its last _TIME_TABLES times).
+  The terms are added in a fixed order (each carrier in insertion order,
+  each monomial's powers x_j^e in node order), so a value does not depend
+  on what was evaluated before.
   ``solve_tree_wave_series`` is a second name for the same function.
 * ``solve_tree_heat_ivp`` solves the tree heat flow u_t = d_T u with
   u(0) = g0.  The nodewise splitting of exp(t d_T) gives each mode in
@@ -698,30 +699,23 @@ def _field_bits() -> int:
     return max(CARRIER_LIMIT, 1).bit_length()
 
 
-@dataclass(frozen=True)
-class _Stepper:
-    """What one application of d_T to a mode's carriers reads: the field width
-    and, per block (x1, then the edges in sorted order), the axis' field
-    shift, one unit of the axis' field, one unit of the parent's field (0
-    for x1) and the axis' wave number."""
-
-    bits: int
-    blocks: tuple
-
-
-def _stepper(tree: Tree, omegas, bits: int) -> _Stepper:
+def _blocks(tree: Tree, omegas, bits: int) -> tuple:
+    """What one application of d_T to a mode's carriers reads, per block (x1,
+    then the edges in sorted order): the axis' field shift, one unit of the
+    axis' field, one unit of the parent's field (0 for x1) and the axis'
+    wave number."""
     axes = [(0, None)] + [(child - 1, parent - 1) for parent, child in sorted(tree.edges)]
-    return _Stepper(bits, tuple(
+    return tuple(
         (axis * bits, 1 << axis * bits, 0 if parent is None else 1 << parent * bits, omegas[axis])
         for axis, parent in axes
-    ))
+    )
 
 
-def _carrier_apply(stepper: _Stepper, carrier: dict) -> dict:
+def _carrier_apply(blocks: tuple, bits: int, carrier: dict) -> dict:
     """One application of the tree operator to P(x) * exp(i omega . x),
     returned as the new polynomial carrier P'.  Carriers map packed
-    exponent keys (field j of stepper.bits bits holds the exponent of
-    x_(j+1)) to complex coefficients.
+    exponent keys (field j, `bits` wide, holds the exponent of x_(j+1)) to
+    complex coefficients; `blocks` is _blocks(tree, omegas, bits).
 
     d_T is d^2/dx_1^2 plus x_parent d^2/dx_child^2 per edge, and d^2/dx_a^2
     of x^e e^(i w.x) contributes (P'' + 2i w P' - w^2 P).  Each carrier
@@ -730,11 +724,11 @@ def _carrier_apply(stepper: _Stepper, carrier: dict) -> dict:
     rounds.  A block steps the key by int adds: one unit of the parent's
     field up, and 2, 1 or 0 units of the axis' field down.
     """
-    mask = (1 << stepper.bits) - 1
+    mask = (1 << bits) - 1
     out: dict = {}
     get = out.get
     for key, coeff in carrier.items():
-        for shift, unit, lift, w in stepper.blocks:
+        for shift, unit, lift, w in blocks:
             e = key >> shift & mask
             base = key + lift
             if e >= 2:
@@ -753,7 +747,8 @@ def _carrier_apply(stepper: _Stepper, carrier: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-# the most times whose t-weights a solution keeps
+# the most times whose t-weights a solution keeps, so that evaluating one
+# solution at many times does not grow it without bound
 _TIME_TABLES = 8
 
 
@@ -771,19 +766,19 @@ class TreeWaveSeriesSolution:
     values: list
     trace_residual: float
     _bits: int = field(default_factory=_field_bits, init=False, repr=False)
-    _steppers: dict = field(default_factory=dict, init=False, repr=False)
+    _mode_blocks: dict = field(default_factory=dict, init=False, repr=False)
     _times: dict = field(default_factory=dict, init=False, repr=False)
 
     def _carrier(self, k, i: int) -> dict:
         """The carrier of d_T^i on mode k, applying the operator as needed."""
         chain = self.carriers[k]
-        stepper = self._steppers.get(k)
-        if stepper is None:
-            stepper = self._steppers[k] = _stepper(self.tree, wave_numbers(k, self.half_widths), self._bits)
+        blocks = self._mode_blocks.get(k)
+        if blocks is None:
+            blocks = self._mode_blocks[k] = _blocks(self.tree, wave_numbers(k, self.half_widths), self._bits)
         while len(chain) <= i:
             if len(chain) > min(CARRIER_LIMIT, (1 << self._bits) - 1):
                 raise SeriesTerminationError("mode series did not settle within the carrier cap")
-            chain.append(_carrier_apply(stepper, chain[-1]))
+            chain.append(_carrier_apply(blocks, self._bits, chain[-1]))
         return chain[i]
 
     def _time_table(self, t) -> list:

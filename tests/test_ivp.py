@@ -994,11 +994,11 @@ def test_flat_carrier_step_matches_the_nested_oracle(tree, data):
                                 min_size=n, max_size=n))
     carrier = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n),
                                         st.builds(complex, _CARRIER_PART, _CARRIER_PART), max_size=6))
-    stepper = ivp._stepper(tree, omegas, ivp._field_bits())
-    bits = stepper.bits
+    bits = ivp._field_bits()
+    blocks = ivp._blocks(tree, omegas, bits)
     packed = {sum(e << j * bits for j, e in enumerate(exp)): c for exp, c in carrier.items()}
     for _ in range(2):
-        packed = ivp._carrier_apply(stepper, packed)
+        packed = ivp._carrier_apply(blocks, bits, packed)
         got = [(tuple(key >> j * bits & ((1 << bits) - 1) for j in range(n)), c) for key, c in packed.items()]
         carrier = carrier_apply_nested(tree, omegas, carrier)
         assert repr(got) == repr(list(carrier.items()))
@@ -1062,3 +1062,16 @@ def test_tree_wave_keeps_the_t_weights_of_an_int_time_apart():
     assert at_int != sol.values[0]
     assert sol.at(2, (0.3,)) == at_int
     assert sol.at(2.0, (0.3,)) == sol.values[0]
+
+
+def test_tree_wave_keeps_the_t_weights_of_a_few_times_only():
+    """Evaluating one solution at many times keeps a bounded number of
+    t-weight tables, and a time evaluated again after its table was dropped
+    gives the same bits."""
+    tree, g0, g1 = _chain3_data()
+    pt = (0.1, 0.2, 0.3)
+    sol = solve_tree_wave_ivp(tree, g0, g1, 0.05, [pt])
+    times = [0.01 * j for j in range(1, 2 * ivp._TIME_TABLES + 1)]
+    first = [sol.at(t, pt) for t in times]
+    assert len(sol._times) == ivp._TIME_TABLES
+    assert [sol.at(t, pt) for t in times] == first
