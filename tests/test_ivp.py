@@ -1032,8 +1032,9 @@ def _tree_wave_cases(draw):
 def test_tree_wave_values_match_the_eager_oracle_bit_for_bit(case):
     """The solver's values, and later evaluations that extend its carriers
     lazily, equal the oracle's tuple-keyed eager chain bit for bit.  The
-    times 0.0 and -0.0 are equal dict keys, but t**1 keeps the sign, so
-    their t-weights must not be shared."""
+    times 0.0 and -0.0 are equal dict keys, but t**1 keeps the sign: at
+    -0.0 after 0.0 the values and mode series are those of a solution made
+    at that time."""
     tree, g0, g1, pts, t, t2 = case
 
     def eager(time, pt):
@@ -1051,9 +1052,10 @@ def test_tree_wave_values_match_the_eager_oracle_bit_for_bit(case):
 
 
 def test_tree_wave_keeps_the_t_weights_of_an_int_time_apart():
-    """2 == 2.0, but 2**19 / 19! rounds once and 2.0**19 / 19! twice, and on
-    this mode the values differ in the last bits: an int time evaluated after
-    the equal float time gives the value of a solution made at the int."""
+    """2 == 2.0, but once j! passes 2^53, 2**j / j! rounds once and
+    2.0**j / j! twice, and on this mode the values differ in the last bits:
+    an int time evaluated after the equal float time gives the value of a
+    solution made at the int."""
     tree = Tree(1, [])
     g0 = TrigData((1.0,), {(1,): (1.0, 0.0)})
     g1 = TrigData((1.0,), {(1,): (0.5, 0.0)})
