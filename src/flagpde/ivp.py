@@ -36,8 +36,7 @@ each mode evolves independently.
   maps one packed int per monomial to its complex coefficient: field j,
   of CARRIER_LIMIT.bit_length() bits, holds the exponent of x_(j+1), and
   carrier i has no exponent above i <= CARRIER_LIMIT, so no field wraps.
-  Each mode's blocks and wave numbers are made once per solution, and the
-  t-weights once per solution and time (of its last _TIME_TABLES times).
+  Each mode's blocks and wave numbers are made once, with the solution.
   The terms are added in a fixed order (each carrier in insertion order,
   each monomial's powers x_j^e in node order), so a value does not depend
   on what was evaluated before.
@@ -747,11 +746,6 @@ def _carrier_apply(blocks: tuple, bits: int, carrier: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-# the most times whose t-weights a solution keeps, so that evaluating one
-# solution at many times does not grow it without bound
-_TIME_TABLES = 8
-
-
 @dataclass
 class TreeWaveSeriesSolution:
     tree: Tree
@@ -765,35 +759,25 @@ class TreeWaveSeriesSolution:
     t: float
     values: list
     trace_residual: float
-    _bits: int = field(default_factory=_field_bits, init=False, repr=False)
-    _mode_blocks: dict = field(default_factory=dict, init=False, repr=False)
-    _times: dict = field(default_factory=dict, init=False, repr=False)
+    _bits: int = field(init=False, repr=False)
+    # mode -> its _blocks, made with the solution since every mode needs them
+    _mode_blocks: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._bits = _field_bits()
+        self._mode_blocks = {
+            k: _blocks(self.tree, wave_numbers(k, self.half_widths), self._bits) for k in self.carriers
+        }
 
     def _carrier(self, k, i: int) -> dict:
         """The carrier of d_T^i on mode k, applying the operator as needed."""
         chain = self.carriers[k]
-        blocks = self._mode_blocks.get(k)
-        if blocks is None:
-            blocks = self._mode_blocks[k] = _blocks(self.tree, wave_numbers(k, self.half_widths), self._bits)
+        blocks = self._mode_blocks[k]
         while len(chain) <= i:
             if len(chain) > min(CARRIER_LIMIT, (1 << self._bits) - 1):
                 raise SeriesTerminationError("mode series did not settle within the carrier cap")
             chain.append(_carrier_apply(blocks, self._bits, chain[-1]))
         return chain[i]
-
-    def _time_table(self, t) -> list:
-        """The (te, to, |te| + |to|) of the terms summed so far at time t.
-
-        -0.0 == 0.0 and 2 == 2.0, but their odd powers and their quotients by
-        the factorials can differ, so the key keeps the type and the sign.
-        """
-        key = (type(t), t, math.copysign(1.0, t))
-        table = self._times.get(key)
-        if table is None:
-            if len(self._times) >= _TIME_TABLES:
-                del self._times[next(iter(self._times))]
-            table = self._times[key] = []
-        return table
 
     def mode_series(self, k, t: float, point):
         """(even, odd) complex mode values: sum t^(2i)/(2i)! d^i and
@@ -807,7 +791,6 @@ class TreeWaveSeriesSolution:
         """
         phase = cmath.exp(1j * _phase(k, self.half_widths, point))
         chain = self.carriers[k]
-        table = self._time_table(t)
         bits = self._bits
         mask = (1 << bits) - 1
         xs = tuple(point)
@@ -832,13 +815,8 @@ class TreeWaveSeriesSolution:
                         j += 1
                     value += term
                     size += abs(term)
-                if i < len(table):
-                    te, to, weight = table[i]
-                else:
-                    te = t ** (2 * i) / math.factorial(2 * i)
-                    to = t ** (2 * i + 1) / math.factorial(2 * i + 1)
-                    weight = abs(te) + abs(to)
-                    table.append((te, to, weight))
+                te = t ** (2 * i) / math.factorial(2 * i)
+                to = t ** (2 * i + 1) / math.factorial(2 * i + 1)
             except OverflowError:
                 raise SeriesTerminationError(f"mode {k} term {i} at t={t} overflows") from None
             value *= phase
@@ -846,7 +824,7 @@ class TreeWaveSeriesSolution:
             odd += to * value
             # judge the term by its moduli, not by its value here: low operator
             # powers can vanish at a point while higher ones do not
-            step = weight * size
+            step = (abs(te) + abs(to)) * size
             spread += step
             quiet = quiet + 1 if step < _SETTLED_STEP * (1.0 + abs(even) + abs(odd)) else 0
             if quiet >= 2:

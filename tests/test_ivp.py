@@ -1064,16 +1064,3 @@ def test_tree_wave_keeps_the_t_weights_of_an_int_time_apart():
     assert at_int != sol.values[0]
     assert sol.at(2, (0.3,)) == at_int
     assert sol.at(2.0, (0.3,)) == sol.values[0]
-
-
-def test_tree_wave_keeps_the_t_weights_of_a_few_times_only():
-    """Evaluating one solution at many times keeps a bounded number of
-    t-weight tables, and a time evaluated again after its table was dropped
-    gives the same bits."""
-    tree, g0, g1 = _chain3_data()
-    pt = (0.1, 0.2, 0.3)
-    sol = solve_tree_wave_ivp(tree, g0, g1, 0.05, [pt])
-    times = [0.01 * j for j in range(1, 2 * ivp._TIME_TABLES + 1)]
-    first = [sol.at(t, pt) for t in times]
-    assert len(sol._times) == ivp._TIME_TABLES
-    assert [sol.at(t, pt) for t in times] == first
